@@ -43,20 +43,30 @@ def save_checkpoint(path, params: dict, config: ModelConfig, extra: dict | None 
     return path
 
 
+def _read_exact(fh, n: int, path, what: str) -> bytes:
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise CheckpointError(f"{path}: truncated in {what} ({len(buf)} of {n} bytes)")
+    return buf
+
+
 def load_checkpoint(path, requires_grad: bool = True) -> tuple:
-    """Returns (params dict of float32 Tensors, ModelConfig, extra dict)."""
+    """Returns (params dict of float32 Tensors, ModelConfig, extra dict).
+
+    A file that ends before its declared contents raises ``CheckpointError``.
+    """
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
-        blob_len, n_tensors = struct.unpack("<II", fh.read(8))
-        meta = json.loads(fh.read(blob_len).decode("utf-8"))
+        blob_len, n_tensors = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
+        meta = json.loads(_read_exact(fh, blob_len, path, "metadata").decode("utf-8"))
         params = {}
         for _ in range(n_tensors):
-            name_len, ndim = struct.unpack("<II", fh.read(8))
-            name = fh.read(name_len).decode("utf-8")
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+            name_len, ndim = struct.unpack("<II", _read_exact(fh, 8, path, "tensor header"))
+            name = _read_exact(fh, name_len, path, "tensor name").decode("utf-8")
+            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, f"shape of {name}"))
             n = int(np.prod(shape)) * 4
-            arr = np.frombuffer(fh.read(n), dtype="<f4").reshape(shape)
+            arr = np.frombuffer(_read_exact(fh, n, path, f"payload of {name}"), dtype="<f4").reshape(shape)
             params[name] = T.Tensor(arr.astype(np.float32), requires_grad=requires_grad)
     return params, ModelConfig.from_json(meta["config"]), meta["extra"]
 

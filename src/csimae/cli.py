@@ -26,13 +26,23 @@ class CliError(ValueError):
 
 
 def _apply_threads(argv):
-    """Set thread env vars before numpy is imported anywhere."""
-    threads = os.environ.get("CSIMAE_THREADS")
-    if "--threads" in argv:
-        threads = argv[argv.index("--threads") + 1]
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
+    """Set thread env vars before numpy is imported anywhere.
+
+    ``--threads N`` and ``--threads=N`` override CSIMAE_THREADS; the value
+    must be a positive integer.
+    """
+    threads = os.environ.get("CSIMAE_THREADS") or None
+    for i, arg in enumerate(argv):
+        if arg == "--threads":
+            threads = argv[i + 1] if i + 1 < len(argv) else ""
+        elif arg.startswith("--threads="):
+            threads = arg.partition("=")[2]
+    if threads is None:
+        return
+    if not (threads.isdecimal() and int(threads) > 0):
+        raise CliError(f"--threads / CSIMAE_THREADS needs a positive integer, got {threads!r}")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = threads
 
 
 def _out_dir(path: str) -> Path:
@@ -623,10 +633,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_threads(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        _apply_threads(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as e:
         print(json.dumps({"error": "config", "message": str(e)}), file=sys.stderr)

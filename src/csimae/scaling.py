@@ -99,10 +99,10 @@ def fit_loglinear(points) -> ScalingFit:
 def estimate_flops(model_cfg: M.ModelConfig, mode: str) -> float:
     """Analytic FLOPs for one clip, multiply-accumulate counted as 2 FLOPs.
 
-    Per transformer block over T tokens at width D:
-    attention 4*T*D^2 + 2*T^2*D, FFN 8*T*D^2.  ``pretrain_step`` runs the
-    encoder on visible tokens plus the decoder on all tokens; ``inference``
-    runs the encoder on the full sequence only.
+    Per transformer block over T tokens at width D, in multiply-accumulates:
+    attention 4*T*D^2 + 2*T^2*D, FFN 2*E*T*D^2 with E = ``ffn_expansion``.
+    ``pretrain_step`` runs the encoder on visible tokens plus the decoder on
+    all tokens; ``inference`` runs the encoder on the full sequence only.
     """
     if mode not in ("pretrain_step", "inference"):
         raise SweepError(f"unknown mode {mode!r}")
@@ -110,7 +110,9 @@ def estimate_flops(model_cfg: M.ModelConfig, mode: str) -> float:
     n_p, plen = cfg.n_patches, cfg.patch_len
 
     def block(tokens, dim):
-        return 4 * tokens * dim**2 + 2 * tokens**2 * dim + 8 * tokens * dim**2
+        attention = 4 * tokens * dim**2 + 2 * tokens**2 * dim
+        ffn = 2 * cfg.ffn_expansion * tokens * dim**2
+        return 2 * (attention + ffn)
 
     if mode == "inference":
         t_enc = n_p + 1

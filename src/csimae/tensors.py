@@ -255,7 +255,7 @@ def slice_(a: Tensor, key) -> Tensor:
     def backward(g):
         if a.requires_grad:
             buf = np.zeros_like(a.data)
-            buf[key] += g
+            buf[key] = g
             a._accumulate(buf)
 
     return _make(a.data[key], (a,), backward)
@@ -293,16 +293,23 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 
 
 def gather_tokens(a: Tensor, idx) -> Tensor:
-    """Per-sample row selection: a is (B, T, ...), idx is (B, K) ints."""
+    """Per-sample row selection: a is (B, T, ...), idx is (B, K) ints.
+
+    Each row of ``idx`` must hold distinct positions (a repeat raises
+    ``ShapeError``), so the backward pass scatters by plain assignment.
+    """
     idx = np.asarray(idx)
     if a.data.ndim < 2 or idx.ndim != 2 or idx.shape[0] != a.data.shape[0]:
         raise ShapeError(f"gather_tokens: got data {a.data.shape}, idx {idx.shape}")
+    pos = np.sort(idx % a.data.shape[1], axis=1)
+    if (pos[:, 1:] == pos[:, :-1]).any():
+        raise ShapeError("gather_tokens: a row of idx repeats a position")
     batch = np.arange(idx.shape[0])[:, None]
 
     def backward(g):
         if a.requires_grad:
             buf = np.zeros_like(a.data)
-            np.add.at(buf, (batch, idx), g)
+            buf[batch, idx] = g
             a._accumulate(buf)
 
     return _make(a.data[batch, idx], (a,), backward)
@@ -358,24 +365,33 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_E
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b); w is (in, out), x is (..., in)."""
-    if x.data.shape[-1] != w.data.shape[0]:
+    """x @ w (+ b); w is (in, out), x is (..., in).
+
+    The leading axes of ``x`` are flattened into one row axis, so the
+    forward product and both backward products are each a single 2-D
+    GEMM; the weight gradient is ``x2.T @ g2`` over all rows at once.
+    """
+    if w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(f"linear: x {x.data.shape} incompatible with w {w.data.shape}")
-    y = np.matmul(x.data, w.data)
+    n_in, n_out = w.data.shape
+    if b is not None and b.data.shape != (n_out,):
+        raise ShapeError(f"linear: bias {b.data.shape} does not match w {w.data.shape}")
+    x2 = x.data.reshape(-1, n_in)
+    y = x2 @ w.data
     if b is not None:
-        y = y + b.data
+        y += b.data
 
     def backward(g):
+        g2 = g.reshape(-1, n_out)
         if x.requires_grad:
-            x._accumulate(np.matmul(g, w.data.T))
+            x._accumulate((g2 @ w.data.T).reshape(x.data.shape))
         if w.requires_grad:
-            gw = np.matmul(np.swapaxes(x.data, -1, -2), g)
-            w._accumulate(_unbroadcast(gw, w.data.shape))
+            w._accumulate(x2.T @ g2)
         if b is not None and b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            b._accumulate(g2.sum(axis=0))
 
     parents = (x, w) if b is None else (x, w, b)
-    return _make(y, parents, backward)
+    return _make(y.reshape(*x.data.shape[:-1], n_out), parents, backward)
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

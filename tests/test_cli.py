@@ -1,6 +1,7 @@
 """CLI wiring: run directories, config precedence, determinism, exit codes."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,29 @@ def test_grad_check_exit_codes():
     assert cli.main(["grad-check", "--bits", "32"]) == 0
     assert cli.main(["grad-check", "--bits", "64"]) == 0
     assert cli.main(["grad-check", "--bits", "32", "--threshold", "1e-12"]) == 1
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_threads_flag_with_equals_sets_thread_vars(tmp_path, monkeypatch):
+    for var in THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    row = {"axis": "data_fraction", "value": 0.1, "seed": 0, "accuracy": 0.5, "test_set_hash": "h"}
+    (tmp_path / "rows.jsonl").write_text(json.dumps(row) + "\n")
+    assert cli.main(["report", "--run-dir", str(tmp_path), "--threads=4"]) == 0
+    assert all(os.environ[var] == "4" for var in THREAD_VARS)
+
+
+@pytest.mark.parametrize("tail", [["--threads"], ["--threads="], ["--threads", "zero"]])
+def test_threads_flag_without_value_is_config_error(tmp_path, monkeypatch, capsys, tail):
+    for var in THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    rc = cli.main(["report", "--run-dir", str(tmp_path)] + tail)
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and "--threads" in err["message"]
+    assert all(os.environ[var] == "1" for var in THREAD_VARS)
 
 
 def test_report_is_idempotent(workdir, tmp_path):

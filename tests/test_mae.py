@@ -1,5 +1,7 @@
 """MAE model: tokenization, masking, encoder/decoder contracts, loss support."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -286,6 +288,27 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert extra == {"epoch": 3}
     assert cfg2.to_json() == cfg.to_json()
     assert C.params_equal(params, model.params)
+
+
+def test_truncated_checkpoint_raises_checkpoint_error(tmp_path):
+    cfg = tiny_cfg()
+    path = C.save_checkpoint(tmp_path / "m.ckpt", M.init_params(cfg, seed=31), cfg)
+    data = path.read_bytes()
+    first = 16 + int.from_bytes(data[8:12], "little")  # magic, header, JSON block
+    name_len = int.from_bytes(data[first : first + 4], "little")
+    cuts = {
+        "header": 12,
+        "metadata": first - 5,
+        "tensor header": first + 4,
+        "tensor name": first + 8 + name_len - 1,
+        "shape": first + 8 + name_len + 2,
+        "payload": len(data) - 1,
+    }
+    for what, cut in cuts.items():
+        short = tmp_path / f"cut{cut}.ckpt"
+        short.write_bytes(data[:cut])
+        with pytest.raises(C.CheckpointError, match=re.escape(f"{short}: truncated in {what}")):
+            C.load_checkpoint(short)
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):

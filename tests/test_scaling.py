@@ -8,6 +8,7 @@ from csimae import evaluate as E
 from csimae import mae as M
 from csimae import scaling as L
 from csimae import synth as S
+from csimae import tensors as T
 from csimae import training as R
 
 
@@ -65,6 +66,44 @@ def test_inference_to_pretrain_ratio_grows_with_size():
 def test_small_pretrain_flops_near_reference_scale():
     est = L.estimate_flops(M.ModelConfig(variant="small"), "pretrain_step")
     assert 12.19e9 / 2 < est < 12.19e9 * 2
+
+
+@pytest.mark.parametrize("mode", ["inference", "pretrain_step"])
+def test_flops_equal_counted_gemm_flops(monkeypatch, mode):
+    cfg = M.ModelConfig(
+        variant="custom",
+        enc_layers=2,
+        enc_dim=8,
+        enc_heads=2,
+        dec_layers=1,
+        dec_dim=12,
+        dec_heads=3,
+        patch_time=150,
+        patch_freq=18,
+        mask_ratio=0.75,
+        ffn_expansion=3,
+    )
+    counted = []
+    linear, matmul = T.linear, T.matmul
+
+    def counting_linear(x, w, b=None):
+        counted.append(2 * x.data.size * w.shape[1])
+        return linear(x, w, b)
+
+    def counting_matmul(a, b):
+        out = matmul(a, b)
+        counted.append(2 * out.data.size * a.shape[-1])
+        return out
+
+    monkeypatch.setattr(T, "linear", counting_linear)
+    monkeypatch.setattr(T, "matmul", counting_matmul)
+    model = M.MaskedAutoencoder(cfg, seed=0)
+    clips = np.random.default_rng(0).standard_normal((1, 600, 90)).astype(np.float32)
+    if mode == "inference":
+        model.encode_features(clips)
+    else:
+        model.forward_loss(clips, [M.sample_mask(cfg.n_patches, cfg.mask_ratio, [0, 1])])
+    assert sum(counted) == L.estimate_flops(cfg, mode)
 
 
 def test_nested_subsets_are_prefixes():

@@ -73,6 +73,10 @@ def test_shape_mismatch_raises_named_error():
     b = t64(np.ones((2, 3)))
     with pytest.raises(T.ShapeError, match="matmul"):
         T.matmul(a, b)
+    with pytest.raises(T.ShapeError, match="linear"):
+        T.linear(a, t64(np.ones(3)))
+    with pytest.raises(T.ShapeError, match="bias"):
+        T.linear(a, t64(np.ones((3, 4))), t64(np.ones((1, 4))))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -123,9 +127,16 @@ def test_gather_gradients_accumulate_duplicates():
     f = lambda a: T.sum_(T.square(T.gather_rows(a, idx)))
     assert T.grad_check(f, [rand(rng, 3, 5)]) < 1e-7
 
-    bidx = np.array([[0, 2], [1, 1]])
+
+def test_gather_tokens_needs_distinct_positions_per_row():
+    rng = np.random.default_rng(10)
+    bidx = np.array([[0, 2], [2, 1]])
     g = lambda a: T.sum_(T.square(T.gather_tokens(a, bidx)))
     assert T.grad_check(g, [rand(rng, 2, 3, 4)]) < 1e-7
+    with pytest.raises(T.ShapeError, match="repeats"):
+        T.gather_tokens(rand(rng, 2, 3, 4), np.array([[0, 2], [1, 1]]))
+    with pytest.raises(T.ShapeError, match="repeats"):
+        T.gather_tokens(rand(rng, 2, 3, 4), np.array([[0, 2], [2, -1]]))
 
 
 def test_nonlinear_op_gradients():
@@ -146,6 +157,34 @@ def test_linear_and_loss_gradients():
 
     labels = np.array([0, 2, 1])
     assert T.grad_check(lambda z: T.softmax_cross_entropy(z, labels), [rand(rng, 3, 4)]) < 1e-6
+
+
+@pytest.mark.parametrize("lead", [(5,), (2, 5), (2, 3, 2)])
+def test_linear_gradients_over_leading_axes(lead):
+    rng = np.random.default_rng(15)
+    f = lambda x, w, b: T.sum_(T.square(T.linear(x, w, b)))
+    assert T.grad_check(f, [rand(rng, *lead, 4), rand(rng, 4, 3), rand(rng, 3)]) < 1e-7
+
+
+def test_linear_gradients_on_non_contiguous_input():
+    rng = np.random.default_rng(16)
+    f = lambda a, w, b: T.sum_(T.square(T.linear(T.transpose(a, (0, 2, 1)), w, b)))
+    assert T.grad_check(f, [rand(rng, 2, 4, 5), rand(rng, 4, 3), rand(rng, 3)]) < 1e-7
+
+
+def test_linear_forward_backward_bit_deterministic():
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((8, 9, 24)).astype(np.float32)
+    w = rng.standard_normal((24, 32)).astype(np.float32)
+    b = rng.standard_normal(32).astype(np.float32)
+
+    def run():
+        ts = [T.Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+        y = T.linear(*ts)
+        T.sum_(T.square(y)).backward()
+        return [y.data.tobytes()] + [t.grad.tobytes() for t in ts]
+
+    assert run() == run()
 
 
 def test_reduction_gradients():
