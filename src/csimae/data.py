@@ -10,6 +10,8 @@ IEEE-754 payloads, canonically sorted manifests).
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -247,17 +249,32 @@ def _write_record(buf, arr: np.ndarray) -> int:
     return len(header) + arr.nbytes
 
 
-def _read_record(buf) -> np.ndarray:
-    magic = buf.read(4)
+def _read_exact(fh, n: int, what: str) -> bytes:
+    """Read exactly ``n`` bytes of an open file, or raise ``DataError``.
+
+    Never asks for more than the file still holds, so a corrupt length
+    field cannot make it allocate a huge buffer.
+    """
+    left = max(os.fstat(fh.fileno()).st_size - fh.tell(), 0)
+    buf = fh.read(min(n, left))
+    if len(buf) != n:
+        raise DataError(f"truncated in {what} ({len(buf)} of {n} bytes)")
+    return buf
+
+
+def _read_record(fh) -> np.ndarray:
+    magic = _read_exact(fh, 4, "record magic")
     if magic != _CLIP_MAGIC:
         raise DataError(f"bad record magic {magic!r}")
-    version, ndim, code = struct.unpack("<III", buf.read(12))
+    version, ndim, code = struct.unpack("<III", _read_exact(fh, 12, "record header"))
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported record version {version}")
-    shape = struct.unpack(f"<{ndim}I", buf.read(4 * ndim))
+    if code not in _CODE_DTYPES:
+        raise DataError(f"unknown record dtype code {code}")
+    shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "record shape"))
     dtype = _CODE_DTYPES[code]
-    n = int(np.prod(shape)) * dtype.itemsize
-    return np.frombuffer(buf.read(n), dtype=dtype).reshape(shape).copy()
+    payload = _read_exact(fh, math.prod(shape) * dtype.itemsize, "record payload")
+    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
 # ---------------------------------------------------------------------
@@ -315,25 +332,27 @@ def write_clip_store(clips, path, n_workers: int = 1, shard_size: int = SHARD_SI
     return manifest
 
 
-def read_clip(store_dir, entry: ManifestEntry) -> CsiClip:
-    with open(Path(store_dir) / entry.shard_path, "rb") as fh:
-        fh.seek(entry.byte_offset)
-        arr = _read_record(fh)
-    return CsiClip(data=arr, labels=dict(entry.labels), provenance=entry.provenance)
-
-
 def load_clips(store_dir, manifest: DatasetManifest, clip_ids=None) -> list:
-    """Read clips (all, or the given ids) grouped by shard for locality."""
+    """Read clips (all, or the given ids) grouped by shard for locality.
+
+    A truncated or corrupt record raises ``DataError`` naming the shard,
+    the byte offset and the clip id.
+    """
     entries = manifest.entries if clip_ids is None else [manifest.by_id(c) for c in clip_ids]
     out = {}
     by_shard = {}
     for e in entries:
         by_shard.setdefault(e.shard_path, []).append(e)
     for shard, shard_entries in sorted(by_shard.items()):
-        with open(Path(store_dir) / shard, "rb") as fh:
+        path = Path(store_dir) / shard
+        with open(path, "rb") as fh:
             for e in sorted(shard_entries, key=lambda e: e.byte_offset):
                 fh.seek(e.byte_offset)
-                out[e.clip_id] = CsiClip(data=_read_record(fh), labels=dict(e.labels), provenance=e.provenance)
+                try:
+                    arr = _read_record(fh)
+                except DataError as exc:
+                    raise DataError(f"{path} at byte {e.byte_offset} ({e.clip_id}): {exc}") from None
+                out[e.clip_id] = CsiClip(data=arr, labels=dict(e.labels), provenance=e.provenance)
     if clip_ids is None:
         return [out[e.clip_id] for e in manifest.entries]
     return [out[c] for c in clip_ids]
@@ -370,16 +389,30 @@ def save_recording(rec: ChannelRecording, path) -> Path:
 
 
 def load_recording(path) -> ChannelRecording:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _REC_MAGIC:
-            raise DataError(f"not a recording file: magic {magic!r}")
-        version, meta_len = struct.unpack("<II", fh.read(8))
-        if version != FORMAT_VERSION:
-            raise DataError(f"unsupported recording version {version}")
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        data = _read_record(fh)
-    return ChannelRecording(data=data, **meta).validate()
+    """Read a file written by ``save_recording``.
+
+    A truncated or corrupt file raises ``DataError`` naming ``path``.
+    """
+    try:
+        with open(path, "rb") as fh:
+            magic = _read_exact(fh, 4, "recording magic")
+            if magic != _REC_MAGIC:
+                raise DataError(f"not a recording file: magic {magic!r}")
+            version, meta_len = struct.unpack("<II", _read_exact(fh, 8, "recording header"))
+            if version != FORMAT_VERSION:
+                raise DataError(f"unsupported recording version {version}")
+            blob = _read_exact(fh, meta_len, "metadata")
+            try:
+                meta = json.loads(blob)
+            except ValueError as exc:
+                raise DataError(f"metadata is not UTF-8 JSON ({exc})") from None
+            data = _read_record(fh)
+        try:
+            return ChannelRecording(data=data, **meta).validate()
+        except TypeError as exc:
+            raise DataError(f"metadata does not describe a recording ({exc})") from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------

@@ -6,6 +6,12 @@ inputs and records a closure that pushes the upstream gradient back to
 them; ``backward`` replays those closures once, in reverse topological
 order, accumulating gradients additively across fan-out.
 
+``backward`` consumes the graph as it goes: once the sweep has passed a
+node, that node's gradient, closure and parent links are released, so
+activations and intermediate gradients are freed during the sweep and
+only leaf gradients (the parameters') survive it.  A second ``backward``
+on the same root finds nothing left to do.
+
 The op set is deliberately small: exactly what a pre-norm transformer
 encoder/decoder with GELU FFNs, masked-token gathering, and MSE /
 cross-entropy losses needs.
@@ -55,19 +61,44 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-        else:
+    def _accumulate(self, g, *, fresh: bool = False):
+        """Add ``g`` into this tensor's gradient.
+
+        The first gradient is stored as a copy unless ``fresh`` is set:
+        pass ``fresh=True`` only for an array the backward closure has
+        just built and hands to no other tensor, never for ``g`` itself,
+        a view of it or a broadcast of it.  A fresh array of the right
+        dtype is kept as is, since later fan-out adds into it in place.
+        """
+        if self.grad is not None:
             self.grad += g
+        elif fresh and type(g) is np.ndarray and g.dtype == self.data.dtype:
+            self.grad = g
+        else:
+            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
 
     def backward(self):
-        """Reverse sweep from this (scalar or otherwise) tensor."""
+        """Reverse sweep from this (scalar or otherwise) tensor.
+
+        The sweep consumes the graph: after it has run a node's closure,
+        it drops that node's gradient, closure and parent links, so every
+        intermediate array is freed as soon as nothing upstream needs it.
+        Leaf gradients are kept.  A tensor without a closure (a leaf, or
+        a root whose graph an earlier call consumed) has nothing to sweep,
+        so calling ``backward`` on it does nothing.
+        """
+        if self._backward is None:
+            return
+        nodes = tape(self).nodes
         if self.grad is None:
             self.grad = np.ones_like(self.data)
-        for node in reversed(tape(self).nodes):
-            if node._backward is not None and node.grad is not None:
+        while nodes:
+            node = nodes.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, None, ()
 
     # operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -97,7 +128,7 @@ class Tape:
     """Topologically ordered record of the graph below a root tensor.
 
     ``nodes`` lists every reachable tensor with parents before children,
-    so a single reversed pass visits each node exactly once.
+    so popping from the end visits each node exactly once, children first.
     """
 
     def __init__(self, nodes):
@@ -179,7 +210,7 @@ def sub(a, b) -> Tensor:
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
+            b._accumulate(_unbroadcast(-g, b.data.shape), fresh=True)
 
     return _make(a.data - b.data, (a, b), backward)
 
@@ -190,9 +221,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape), fresh=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape), fresh=True)
 
     return _make(a.data * b.data, (a, b), backward)
 
@@ -200,7 +231,7 @@ def mul(a, b) -> Tensor:
 def square(a: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * (2.0 * a.data))
+            a._accumulate(g * (2.0 * a.data), fresh=True)
 
     return _make(a.data * a.data, (a,), backward)
 
@@ -214,10 +245,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accumulate(_unbroadcast(ga, a.data.shape))
+            a._accumulate(_unbroadcast(ga, a.data.shape), fresh=True)
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accumulate(_unbroadcast(gb, b.data.shape))
+            b._accumulate(_unbroadcast(gb, b.data.shape), fresh=True)
 
     return _make(np.matmul(a.data, b.data), (a, b), backward)
 
@@ -256,7 +287,7 @@ def slice_(a: Tensor, key) -> Tensor:
         if a.requires_grad:
             buf = np.zeros_like(a.data)
             buf[key] = g
-            a._accumulate(buf)
+            a._accumulate(buf, fresh=True)
 
     return _make(a.data[key], (a,), backward)
 
@@ -287,7 +318,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
         if a.requires_grad:
             buf = np.zeros_like(a.data)
             np.add.at(buf, idx, g)
-            a._accumulate(buf)
+            a._accumulate(buf, fresh=True)
 
     return _make(a.data[idx], (a,), backward)
 
@@ -310,7 +341,7 @@ def gather_tokens(a: Tensor, idx) -> Tensor:
         if a.requires_grad:
             buf = np.zeros_like(a.data)
             buf[batch, idx] = g
-            a._accumulate(buf)
+            a._accumulate(buf, fresh=True)
 
     return _make(a.data[batch, idx], (a,), backward)
 
@@ -322,7 +353,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+            a._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)), fresh=True)
 
     return _make(y, (a,), backward)
 
@@ -336,7 +367,7 @@ def gelu(a: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
             du = _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * x * x)
-            a._accumulate(g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du))
+            a._accumulate(g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du), fresh=True)
 
     return _make(0.5 * x * (1.0 + th), (a,), backward)
 
@@ -352,14 +383,14 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_E
 
     def backward(g):
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).reshape(-1, x.shape[-1]).sum(axis=0))
+            gamma._accumulate((g * xhat).reshape(-1, x.shape[-1]).sum(axis=0), fresh=True)
         if beta.requires_grad:
-            beta._accumulate(g.reshape(-1, x.shape[-1]).sum(axis=0))
+            beta._accumulate(g.reshape(-1, x.shape[-1]).sum(axis=0), fresh=True)
         if a.requires_grad:
             gx = g * gamma.data
             m1 = gx.mean(axis=-1, keepdims=True)
             m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            a._accumulate(inv * (gx - m1 - xhat * m2))
+            a._accumulate(inv * (gx - m1 - xhat * m2), fresh=True)
 
     return _make(gamma.data * xhat + beta.data, (a, gamma, beta), backward)
 
@@ -384,11 +415,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def backward(g):
         g2 = g.reshape(-1, n_out)
         if x.requires_grad:
-            x._accumulate((g2 @ w.data.T).reshape(x.data.shape))
+            x._accumulate((g2 @ w.data.T).reshape(x.data.shape), fresh=True)
         if w.requires_grad:
-            w._accumulate(x2.T @ g2)
+            w._accumulate(x2.T @ g2, fresh=True)
         if b is not None and b.requires_grad:
-            b._accumulate(g2.sum(axis=0))
+            b._accumulate(g2.sum(axis=0), fresh=True)
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(y.reshape(*x.data.shape[:-1], n_out), parents, backward)
@@ -435,7 +466,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         if logits.requires_grad:
             gl = p.copy()
             gl[rows, labels] -= 1.0
-            logits._accumulate(gl * (g / n))
+            logits._accumulate(gl * (g / n), fresh=True)
 
     return _make(np.asarray(nll, dtype=logits.data.dtype), (logits,), backward)
 

@@ -137,14 +137,15 @@ class EarlyStopper:
 
 @dataclass
 class RunMetrics:
-    steps: list = field(default_factory=list)  # {"step", "lr", "train_loss"}
+    steps: list = field(default_factory=list)  # {"step", "lr", "train_loss", "rejected"}
     epochs: list = field(default_factory=list)  # {"epoch", "val_loss"|"val_accuracy", "best"}
     timing: list = field(default_factory=list)  # {"epoch", "wall_seconds"} (volatile)
 
-    def add_step(self, step, lr, loss):
+    def add_step(self, step, lr, loss, rejected):
+        """``rejected`` marks a step whose update AdamW refused (non-finite gradient)."""
         if self.steps and step <= self.steps[-1]["step"]:
             raise TrainError("steps must be strictly increasing")
-        self.steps.append({"step": step, "lr": lr, "train_loss": loss})
+        self.steps.append({"step": step, "lr": lr, "train_loss": loss, "rejected": rejected})
 
     def add_epoch(self, record):
         self.epochs.append(record)
@@ -237,8 +238,8 @@ def pretrain_arrays(clips: np.ndarray, model_cfg: M.ModelConfig, cfg: TrainConfi
                 break
             loss.backward()
             lr = lr_at(step, cfg, total_steps)
-            opt.step(lr)
-            metrics.add_step(step, lr, train_loss)
+            ok = opt.step(lr)
+            metrics.add_step(step, lr, train_loss, rejected=not ok)
         if aborted:
             break
         val_loss = masked_val_loss(model, val_clips, val_plans, cfg.batch_size)

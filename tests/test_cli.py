@@ -226,6 +226,21 @@ def test_ingest_and_clean_commands(workdir):
     assert (workdir / "cln" / "qc_report.jsonl").exists()
 
 
+def test_truncated_recording_gives_json_error_record(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    rec = D.ChannelRecording(
+        data=rng.standard_normal((40, 3, 1, 30)) + 0j, sampling_rate=100.0, center_frequency=5e9,
+        bandwidth=20e6, n_recv=1, n_apr=3, source_id="cli-cut",
+    )
+    raw = D.save_recording(rec, tmp_path / "full.csir").read_bytes()
+    cut = tmp_path / "cut.csir"
+    cut.write_bytes(raw[: len(raw) // 2])
+    rc = cli.main(["ingest", "--recordings", str(cut), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DataError" and str(cut) in err["message"] and "truncated" in err["message"]
+
+
 def test_grad_check_exit_codes():
     assert cli.main(["grad-check", "--bits", "32"]) == 0
     assert cli.main(["grad-check", "--bits", "64"]) == 0

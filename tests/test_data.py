@@ -1,7 +1,11 @@
-"""Clip store round-trips, manifests, and split protocols."""
+"""Clip store round-trips, manifests, split protocols, and corrupt files."""
+
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from csimae import data as D
 
@@ -175,3 +179,100 @@ def test_recording_invariants_enforced():
     )
     with pytest.raises(D.DataError, match="bandwidth"):
         rec.validate()
+
+
+def make_recording():
+    rng = np.random.default_rng(3)
+    data = rng.standard_normal((40, 3, 1, 30)) + 1j * rng.standard_normal((40, 3, 1, 30))
+    return D.ChannelRecording(
+        data=data, sampling_rate=100.0, center_frequency=5e9, bandwidth=20e6, n_recv=1, n_apr=3,
+        labels={"class": "c1"}, source_id="rec-cut",
+    )
+
+
+def record_start(raw):
+    """Byte offset of the tensor record that follows a recording's metadata block."""
+    return 12 + struct.unpack("<I", raw[8:12])[0]
+
+
+# where each part of a saved recording lies, as a cut offset into the file
+CUTS = {
+    "magic": lambda raw: 2,
+    "header": lambda raw: 7,
+    "metadata": lambda raw: (12 + record_start(raw)) // 2,
+    "record header": lambda raw: record_start(raw) + 10,
+    "record shape": lambda raw: record_start(raw) + 19,
+    "payload": lambda raw: len(raw) - 5,
+}
+
+
+@pytest.mark.parametrize("part", sorted(CUTS))
+def test_truncated_recording_raises_data_error(tmp_path, part):
+    raw = D.save_recording(make_recording(), tmp_path / "r.csir").read_bytes()
+    cut = tmp_path / "cut.csir"
+    cut.write_bytes(raw[: CUTS[part](raw)])
+    with pytest.raises(D.DataError, match="truncated") as err:
+        D.load_recording(cut)
+    assert str(cut) in str(err.value)
+
+
+def test_recording_with_unknown_dtype_code_raises_data_error(tmp_path):
+    raw = bytearray(D.save_recording(make_recording(), tmp_path / "r.csir").read_bytes())
+    at = record_start(raw) + 12  # magic, version, ndim, then the dtype code
+    raw[at : at + 4] = struct.pack("<I", 7)
+    (tmp_path / "bad.csir").write_bytes(bytes(raw))
+    with pytest.raises(D.DataError, match="dtype code 7"):
+        D.load_recording(tmp_path / "bad.csir")
+
+
+def test_recording_with_corrupt_metadata_raises_data_error(tmp_path):
+    raw = bytearray(D.save_recording(make_recording(), tmp_path / "r.csir").read_bytes())
+    raw[12] = 0xFF  # first byte of the JSON block
+    (tmp_path / "bad.csir").write_bytes(bytes(raw))
+    with pytest.raises(D.DataError, match="metadata"):
+        D.load_recording(tmp_path / "bad.csir")
+
+
+def test_truncated_or_corrupt_shard_raises_data_error(tmp_path):
+    clips = [make_clip(i) for i in range(2)]
+    manifest = D.write_clip_store(clips, tmp_path)
+    shard = tmp_path / manifest.entries[0].shard_path
+    raw = shard.read_bytes()
+    second = manifest.entries[1]
+    shard.write_bytes(raw[: second.byte_offset + 30])
+    with pytest.raises(D.DataError, match="truncated") as err:
+        D.load_clips(tmp_path, manifest)
+    assert str(shard) in str(err.value) and second.clip_id in str(err.value)
+    bad = bytearray(raw)
+    bad[12:16] = struct.pack("<I", 9)  # dtype code of the first record
+    shard.write_bytes(bytes(bad))
+    with pytest.raises(D.DataError, match="dtype code 9"):
+        D.load_clips(tmp_path, manifest)
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    root = tmp_path_factory.mktemp("saved")
+    rec = D.save_recording(make_recording(), root / "r.csir").read_bytes()
+    manifest = D.write_clip_store([make_clip(i) for i in range(2)], root / "store")
+    shard = (root / "store" / manifest.entries[0].shard_path).read_bytes()
+    return root, rec, manifest, shard
+
+
+@given(data=st.data())
+def test_recording_truncated_anywhere_raises_data_error(saved, data):
+    root, raw, _, _ = saved
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    (root / "cut.csir").write_bytes(raw[:cut])
+    with pytest.raises(D.DataError):
+        D.load_recording(root / "cut.csir")
+
+
+@given(data=st.data())
+def test_shard_truncated_anywhere_raises_data_error(saved, data):
+    root, _, manifest, raw = saved
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    (root / "cut").mkdir(exist_ok=True)
+    (root / "cut" / manifest.entries[0].shard_path).write_bytes(raw[:cut])
+    with pytest.raises(D.DataError):
+        D.load_clips(root / "cut", manifest)

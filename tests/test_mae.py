@@ -1,6 +1,7 @@
 """MAE model: tokenization, masking, encoder/decoder contracts, loss support."""
 
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -264,6 +265,57 @@ def test_full_tiny_mae_gradients_32bit():
 
     err = T.grad_check(f, [model.params[n] for n in names])
     assert err < 1e-4
+
+
+def desk_batch(n=4, seed=40):
+    """A seeded MAE at the desk shape (36 patches, 8 visible) and one batch for it."""
+    cfg = M.ModelConfig(variant="tiny", patch_time=100, patch_freq=15, dec_layers=2, dec_dim=128, dec_heads=4)
+    model = M.MaskedAutoencoder(cfg, seed=[seed, 0])
+    clips = np.random.default_rng([seed, 1]).standard_normal((n, 600, 90)).astype(np.float32)
+    return model, clips, plans_for(cfg, n, seed=seed)
+
+
+def test_consuming_backward_matches_the_plain_reverse_loop_bitwise():
+    model, clips, plans = desk_batch()
+    loss, _ = model.forward_loss(clips, plans)
+    loss.backward()
+    got = {k: t.grad for k, t in model.params.items()}
+
+    oracle = M.MaskedAutoencoder(model.cfg, params=C.clone_params(model.params))
+    loss_b, _ = oracle.forward_loss(clips, plans)
+    loss_b.grad = np.ones_like(loss_b.data)
+    for n in reversed(T.tape(loss_b).nodes):  # the non-consuming sweep, kept here as the oracle
+        if n._backward is not None and n.grad is not None:
+            n._backward(n.grad)
+    assert loss.data.tobytes() == loss_b.data.tobytes()
+    for k, t in oracle.params.items():
+        assert got[k].tobytes() == t.grad.tobytes(), k
+
+
+def test_parameter_gradients_are_private_and_writeable():
+    model, clips, plans = desk_batch()
+    loss, _ = model.forward_loss(clips, plans)
+    loss.backward()
+    grads = [(k, t.grad) for k, t in sorted(model.params.items())]
+    assert all(g is not None and g.flags.writeable for _, g in grads)
+    for i, (ka, ga) in enumerate(grads):
+        for kb, gb in grads[i + 1 :]:
+            assert not np.shares_memory(ga, gb), (ka, kb)
+
+
+def test_backward_frees_intermediates_and_is_a_no_op_when_repeated():
+    model, clips, plans = desk_batch()
+    loss, recon = model.forward_loss(clips, plans)
+    nodes = T.tape(loss).nodes
+    refs = [weakref.ref(n.data) for n in nodes if n._backward is not None and n is not loss and n is not recon]
+    del nodes
+    assert len(refs) > 100
+    loss.backward()
+    assert [r for r in refs if r() is not None] == []
+    assert T.tape(recon).nodes == [recon]
+    before = {k: t.grad.tobytes() for k, t in model.params.items()}
+    loss.backward()
+    assert {k: t.grad.tobytes() for k, t in model.params.items()} == before
 
 
 def test_variant_table_matches_expected_dims():

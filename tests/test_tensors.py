@@ -218,3 +218,31 @@ def test_grad_check_rejects_nonfinite_forward():
     x = t64([1.0])
     with pytest.raises(FloatingPointError):
         T.grad_check(lambda v: T.mul(v, np.inf), [x])
+
+
+def test_fanout_into_a_kept_gradient_still_accumulates():
+    # add passes views of g (copied on arrival); mul hands over fresh arrays (kept as is)
+    x = t64([1.5, -2.0, 0.25])
+    T.sum_(T.add(x, x)).backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+    y = t64([1.5, -2.0, 0.25])
+    T.sum_(T.mul(y, y)).backward()
+    np.testing.assert_array_equal(y.grad, 2.0 * y.data)
+    # one upstream gradient reaches two leaves and one of them again: no leaf may alias it
+    u, v = t64([1.0, 2.0, 3.0]), t64([4.0, 5.0, 6.0])
+    T.sum_(T.add(T.add(u, v), u)).backward()
+    np.testing.assert_array_equal(u.grad, [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(v.grad, [1.0, 1.0, 1.0])
+
+
+def test_backward_consumes_the_graph_and_a_second_call_is_a_no_op():
+    rng = np.random.default_rng(18)
+    x, w = rand(rng, 3, 4), rand(rng, 4, 5)
+    h = T.gelu(T.matmul(x, w))
+    loss = T.sum_(T.square(h))
+    loss.backward()
+    assert h.grad is None and h._backward is None and h._parents == ()
+    assert T.tape(loss).nodes == [loss] and loss.grad is None
+    gx, gw = x.grad.copy(), w.grad.copy()
+    loss.backward()
+    assert x.grad.tobytes() == gx.tobytes() and w.grad.tobytes() == gw.tobytes()

@@ -1,5 +1,6 @@
 """Schedule endpoints, AdamW hand values, early stopping, pretrain smoke runs."""
 
+import json
 import math
 
 import numpy as np
@@ -164,3 +165,19 @@ def test_overfit_frozen_batch_reduces_loss(tmp_path):
         loss.backward()
         opt.step(R.lr_at(step, tcfg, 200))
     assert losses[-1] < 0.7 * losses[0]
+
+
+def test_rejected_step_is_recorded_in_metrics(tmp_path, monkeypatch):
+    real, calls = R.adamw_step, []
+
+    def refuse_second(params, grads, state, lr, config):
+        calls.append(lr)
+        return False if len(calls) == 2 else real(params, grads, state, lr, config)
+
+    monkeypatch.setattr(R, "adamw_step", refuse_second)
+    clips = synthetic_clip_batch(20, seed=4)
+    R.pretrain_arrays(clips, desk_model_cfg(), desk_cfg(warmup_steps=1, max_epochs=2), run_dir=tmp_path)
+    lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
+    steps = [r for r in map(json.loads, lines) if r["kind"] == "step"]
+    assert len(steps) == len(calls) == 4
+    assert [r["rejected"] for r in steps] == [False, True, False, False]
