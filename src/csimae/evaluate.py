@@ -51,6 +51,7 @@ class EvalResult:
     n_excluded: int
     seed: int
     best_epoch: int = 0
+    aborted: bool = False  # a non-finite loss stopped training; scored with the params kept before it
 
     def to_json(self):
         return {
@@ -63,6 +64,7 @@ class EvalResult:
             "n_excluded": self.n_excluded,
             "seed": self.seed,
             "best_epoch": self.best_epoch,
+            "aborted": self.aborted,
         }
 
 
@@ -118,7 +120,9 @@ def train_classifier(forward_fn, params: dict, x_train, y_train, cfg: R.TrainCon
     """Shared seeded loop: CE loss, AdamW, early stop on val accuracy.
 
     ``forward_fn(x_slice, params) -> logits Tensor``.  Returns
-    (best params, best epoch, history records).
+    (best params, best epoch, history records).  A non-finite loss stops
+    training: the history ends with ``{"epoch": e, "aborted": True}`` and
+    the best params kept so far are returned.
     """
     cfg.validate()
     n = len(x_train)
@@ -143,6 +147,7 @@ def train_classifier(forward_fn, params: dict, x_train, y_train, cfg: R.TrainCon
             logits = forward_fn(x_train[idx], params)
             loss = T.softmax_cross_entropy(logits, y_train[idx])
             if not math.isfinite(float(loss.data)):
+                history.append({"epoch": epoch, "aborted": True})
                 return best, best_epoch, history
             loss.backward()
             opt.step(R.lr_at(step, cfg, total_steps))
@@ -224,7 +229,7 @@ def run_regime(
         params = init_head(model_cfg.enc_dim, HeadConfig(head_cfg.n_classes, hidden_dims=[]), [train_cfg.seed, 12])
         lp_head = HeadConfig(head_cfg.n_classes, hidden_dims=[])
         fwd = lambda feats, p: head_forward(T.Tensor(feats), p, lp_head)
-        best, best_epoch, _ = train_classifier(fwd, params, f_train, y_train, train_cfg, batch_size)
+        best, best_epoch, history = train_classifier(fwd, params, f_train, y_train, train_cfg, batch_size)
         pred = predict(fwd, best, f_test, batch_size)
     else:
         if regime == "ft":
@@ -238,7 +243,7 @@ def run_regime(
         def fwd(clip_batch, p):
             return head_forward(model.encode_features(clip_batch, params=p), p, head_cfg)
 
-        best, best_epoch, _ = train_classifier(fwd, params, x_train, y_train, train_cfg, batch_size)
+        best, best_epoch, history = train_classifier(fwd, params, x_train, y_train, train_cfg, batch_size)
         pred = predict(fwd, best, x_test, batch_size)
 
     return EvalResult(
@@ -251,6 +256,7 @@ def run_regime(
         n_excluded=n_excluded,
         seed=train_cfg.seed,
         best_epoch=best_epoch,
+        aborted=bool(history) and history[-1].get("aborted", False),
     )
 
 

@@ -219,19 +219,8 @@ def count_parameters(params: dict, prefix: str = "") -> int:
 
 
 def _attention(x: T.Tensor, params: dict, prefix: str, n_heads: int) -> T.Tensor:
-    b, t, dim = x.shape
-    hd = dim // n_heads
     qkv = T.linear(x, params[f"{prefix}.qkv.w"], params[f"{prefix}.qkv.b"])
-    heads = []
-    for part in range(3):
-        h = qkv[:, :, part * dim : (part + 1) * dim]
-        h = T.reshape(h, (b, t, n_heads, hd))
-        heads.append(T.transpose(h, (0, 2, 1, 3)))  # (B, H, T, hd)
-    q, k, v = heads
-    scores = T.mul(T.matmul(q, T.swap_last(k)), 1.0 / math.sqrt(hd))
-    att = T.softmax(scores, axis=-1)
-    out = T.matmul(att, v)
-    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, t, dim))
+    out = T.attention(qkv, n_heads)
     return T.linear(out, params[f"{prefix}.proj.w"], params[f"{prefix}.proj.b"])
 
 

@@ -14,10 +14,18 @@ on the same root finds nothing left to do.
 
 The op set is deliberately small: exactly what a pre-norm transformer
 encoder/decoder with GELU FFNs, masked-token gathering, and MSE /
-cross-entropy losses needs.
+cross-entropy losses needs.  Self-attention is one fused op,
+``attention``, on the packed output of the qkv projection: its closure
+keeps the scaled q, views of k and v and the row log-sum-exp, never the
+(B, H, T, T) weights, which backward recomputes.  ``matmul``,
+``softmax``, ``transpose``, ``swap_last`` and ``reshape`` stay for the
+tests' composite attention oracle and for ``perfbench/tracer.py``, which
+looks every op it times up by name.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -99,26 +107,6 @@ class Tensor:
             if node.grad is not None:
                 node._backward(node.grad)
             node.grad, node._backward, node._parents = None, None, ()
-
-    # operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return slice_(self, key)
@@ -356,6 +344,67 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
             a._accumulate(y * (g - (g * y).sum(axis=axis, keepdims=True)), fresh=True)
 
     return _make(y, (a,), backward)
+
+
+def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """(B, T, H * hd) -> a (B, H, T, hd) view."""
+    b, t, dim = a.shape
+    return a.reshape(b, t, n_heads, dim // n_heads).transpose(0, 2, 1, 3)
+
+
+def attention(qkv: Tensor, n_heads: int) -> Tensor:
+    """Multi-head self-attention on the packed output of a qkv projection.
+
+    ``qkv`` is (B, T, 3D): q, k and v side by side, each D = H * hd wide
+    with the heads contiguous.  Returns (B, T, D), the heads concatenated:
+    softmax(q kᵀ / sqrt(hd)) v per head.
+
+    The (B, H, T, T) weights are built in one buffer and dropped once the
+    output is written; the closure keeps the scaled q (the op's one copy
+    of its input), k and v as views of ``qkv`` and the row log-sum-exp
+    (B, H, T, 1).  Backward recomputes the weights from them
+    (FlashAttention, Dao et al. 2022) and reads ``rowsum(dO ∘ O)`` from
+    the op's own output.
+    """
+    if qkv.data.ndim != 3 or qkv.data.shape[-1] % (3 * n_heads):
+        raise ShapeError(f"attention: qkv {qkv.data.shape} is not (B, T, 3 * {n_heads} heads * hd)")
+    b, t, d3 = qkv.data.shape
+    dim = d3 // 3
+    hd = dim // n_heads
+    scale = 1.0 / math.sqrt(hd)
+    q, k, v = qkv.data.reshape(b, t, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)  # each (B, H, T, hd)
+    q = q * scale
+    s = np.matmul(q, k.swapaxes(-1, -2))
+    m = s.max(axis=-1, keepdims=True)
+    s -= m
+    np.exp(s, out=s)
+    rowsum = s.sum(axis=-1, keepdims=True)
+    s /= rowsum
+    lse = m + np.log(rowsum)
+    out = np.empty((b, t, dim), dtype=qkv.data.dtype)
+    np.matmul(s, v, out=_heads(out, n_heads))
+
+    def backward(g):
+        if not qkv.requires_grad:
+            return
+        p = np.matmul(q, k.swapaxes(-1, -2))
+        p -= lse
+        np.exp(p, out=p)
+        g_h = _heads(g, n_heads)
+        delta = (g_h * _heads(out, n_heads)).sum(axis=-1, keepdims=True)
+        buf = np.empty((b, t, 3, n_heads, hd), dtype=qkv.data.dtype)
+        gq, gk, gv = buf.transpose(2, 0, 3, 1, 4)
+        np.matmul(p.swapaxes(-1, -2), g_h, out=gv)
+        ds = np.matmul(g_h, v.swapaxes(-1, -2))
+        ds -= delta
+        ds *= p
+        del p
+        np.matmul(ds, k, out=gq)
+        gq *= scale
+        np.matmul(ds.swapaxes(-1, -2), q, out=gk)
+        qkv._accumulate(buf.reshape(b, t, d3), fresh=True)
+
+    return _make(out, (qkv,), backward)
 
 
 def gelu(a: Tensor) -> Tensor:

@@ -103,6 +103,38 @@ def test_linear_probe_hits_one_on_separable_features():
     assert E.accuracy(pred, labels[80:]) == 1.0
 
 
+def test_non_finite_lp_loss_is_recorded_and_scored_with_the_kept_params(tmp_path, monkeypatch):
+    manifest, clips = micro_corpus(tmp_path)
+    cfg = micro_cfg()
+    train = [c for c in clips if c.labels["environment"] == "env0"]
+    test = [c for c in clips if c.labels["environment"] == "env1"]
+    encode = E.encode_features
+    calls = []
+
+    def nan_train_features(params, model_cfg, x):
+        feats = encode(params, model_cfg, x)
+        if not calls:  # the first call encodes the training clips
+            feats[:, 0] = np.nan
+        calls.append(len(x))
+        return feats
+
+    ckpt = (M.init_params(cfg, seed=6), cfg)
+    assert not E.run_regime("lp", ckpt, train, test, E.HeadConfig(2), micro_train_cfg()).aborted
+    monkeypatch.setattr(E, "encode_features", nan_train_features)
+    result = E.run_regime("lp", ckpt, train, test, E.HeadConfig(2), micro_train_cfg())
+    assert calls == [len(train), len(test)]
+    assert result.aborted and result.to_json()["aborted"] is True
+    assert result.best_epoch == 0 and result.n_test == len(test)
+    # scored with the head as initialised: the only params kept before the abort
+    lp_head = E.HeadConfig(2, hidden_dims=[])
+    head0 = E.init_head(cfg.enc_dim, lp_head, [0, 12])
+    vocab = E._class_vocab(c.labels["class"] for c in train)
+    y_test = np.array([vocab[c.labels["class"]] for c in test])
+    f_test = encode(ckpt[0], cfg, D.stack_clips(test)[0])
+    pred = E.predict(lambda f, p: E.head_forward(T.Tensor(f), p, lp_head), head0, f_test)
+    assert result.accuracy == E.accuracy(pred, y_test)
+
+
 def test_linear_probe_never_mutates_encoder(tmp_path):
     manifest, clips = micro_corpus(tmp_path)
     cfg = micro_cfg()

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from csimae import checkpoint as C
 from csimae import mae as M
@@ -59,6 +61,32 @@ def test_unpatchify_inverts_bit_exactly():
         tokens = M.patchify(clip, pt, pf)
         back = M.unpatchify(tokens, pt, pf, 600, 90)
         assert back.tobytes() == clip.tobytes()
+
+
+@given(
+    lead=st.lists(st.integers(1, 3), max_size=2),
+    grid=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 6), st.integers(1, 6)),
+    seed=st.integers(0, 2**16),
+)
+def test_unpatchify_inverts_patchify_over_random_grids(lead, grid, seed):
+    nt, nc, pt, pf = grid
+    clip = np.random.default_rng(seed).standard_normal((*lead, nt * pt, nc * pf)).astype(np.float32)
+    tokens = M.patchify(clip, pt, pf)
+    assert tokens.shape == (*lead, nt * nc, pt * pf)
+    assert M.unpatchify(tokens, pt, pf, nt * pt, nc * pf).tobytes() == clip.tobytes()
+
+
+@given(n_patches=st.integers(2, 700), ratio=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_sample_mask_is_a_partition_with_floor_ratio_masked(n_patches, ratio, seed):
+    n_masked = int(np.floor(ratio * n_patches))
+    if not 0 < n_masked < n_patches:
+        with pytest.raises(M.ModelError, match="degenerate"):
+            M.sample_mask(n_patches, ratio, seed)
+        return
+    plan = M.sample_mask(n_patches, ratio, seed).validate()
+    assert len(plan.masked_idx) == n_masked and len(plan.visible_idx) == n_patches - n_masked
+    merged = np.concatenate([plan.visible_idx, plan.masked_idx])
+    assert np.array_equal(np.sort(merged), np.arange(n_patches))
 
 
 def test_sample_mask_counts_and_determinism():
@@ -309,7 +337,7 @@ def test_backward_frees_intermediates_and_is_a_no_op_when_repeated():
     nodes = T.tape(loss).nodes
     refs = [weakref.ref(n.data) for n in nodes if n._backward is not None and n is not loss and n is not recon]
     del nodes
-    assert len(refs) > 100
+    assert len(refs) >= 100
     loss.backward()
     assert [r for r in refs if r() is not None] == []
     assert T.tape(recon).nodes == [recon]

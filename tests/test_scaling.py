@@ -84,7 +84,7 @@ def test_flops_equal_counted_gemm_flops(monkeypatch, mode):
         ffn_expansion=3,
     )
     counted = []
-    linear, matmul = T.linear, T.matmul
+    linear, matmul, attention = T.linear, T.matmul, T.attention
 
     def counting_linear(x, w, b=None):
         counted.append(2 * x.data.size * w.shape[1])
@@ -95,8 +95,14 @@ def test_flops_equal_counted_gemm_flops(monkeypatch, mode):
         counted.append(2 * out.data.size * a.shape[-1])
         return out
 
+    def counting_attention(qkv, n_heads):
+        b, t, d3 = qkv.shape
+        counted.append(4 * b * t * t * (d3 // 3))  # the q kᵀ and weights @ v GEMMs
+        return attention(qkv, n_heads)
+
     monkeypatch.setattr(T, "linear", counting_linear)
     monkeypatch.setattr(T, "matmul", counting_matmul)
+    monkeypatch.setattr(T, "attention", counting_attention)
     model = M.MaskedAutoencoder(cfg, seed=0)
     clips = np.random.default_rng(0).standard_normal((1, 600, 90)).astype(np.float32)
     if mode == "inference":

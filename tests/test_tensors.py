@@ -1,7 +1,11 @@
 """Autodiff engine: per-primitive gradient checks against finite differences."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csimae import tensors as T
 
@@ -246,3 +250,75 @@ def test_backward_consumes_the_graph_and_a_second_call_is_a_no_op():
     gx, gw = x.grad.copy(), w.grad.copy()
     loss.backward()
     assert x.grad.tobytes() == gx.tobytes() and w.grad.tobytes() == gw.tobytes()
+
+
+def composite_attention(qkv, n_heads):
+    """Multi-head self-attention built from primitive ops: the oracle for ``T.attention``."""
+    b, t, d3 = qkv.shape
+    dim = d3 // 3
+    hd = dim // n_heads
+    heads = []
+    for part in range(3):
+        h = T.reshape(qkv[:, :, part * dim : (part + 1) * dim], (b, t, n_heads, hd))
+        heads.append(T.transpose(h, (0, 2, 1, 3)))
+    q, k, v = heads
+    att = T.softmax(T.mul(T.matmul(q, T.swap_last(k)), 1.0 / math.sqrt(hd)), axis=-1)
+    return T.reshape(T.transpose(T.matmul(att, v), (0, 2, 1, 3)), (b, t, dim))
+
+
+def attention_loss(n_heads):
+    return lambda qkv: T.sum_(T.square(T.attention(qkv, n_heads)))
+
+
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("t", [1, 5, 7])
+def test_attention_gradients_match_finite_differences(b, t):
+    rng = np.random.default_rng([19, b, t])
+    for n_heads in (1, 2, 3):
+        for hd in (2, 4):
+            err = T.grad_check(attention_loss(n_heads), [rand(rng, b, t, 3 * n_heads * hd)])
+            assert err < 1e-7, (n_heads, hd, err)
+
+
+@pytest.mark.parametrize("shape", [(2, 7, 3, 4), (2, 9, 2, 16), (1, 37, 3, 64)])
+def test_attention_matches_the_composite_oracle(shape):
+    # hd a power of 4 makes 1/sqrt(hd) a power of two, so scaling q instead of the scores is exact
+    b, t, n_heads, hd = shape
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal((b, t, 3 * n_heads * hd)).astype(np.float32)
+    w = rng.standard_normal((b, t, n_heads * hd)).astype(np.float32)
+    fused, oracle = T.Tensor(x.copy(), requires_grad=True), T.Tensor(x.copy(), requires_grad=True)
+    y_fused, y_oracle = T.attention(fused, n_heads), composite_attention(oracle, n_heads)
+    assert y_fused.data.tobytes() == y_oracle.data.tobytes()
+    T.sum_(T.mul(y_fused, w)).backward()
+    T.sum_(T.mul(y_oracle, w)).backward()
+    assert fused.grad.dtype == np.float32
+    assert np.linalg.norm(fused.grad - oracle.grad) <= 1e-6 * np.linalg.norm(oracle.grad)
+
+
+def test_attention_closure_keeps_no_weights_matrix():
+    b, t, n_heads, hd = 2, 7, 3, 4
+    y = T.attention(rand(np.random.default_rng(21), b, t, 3 * n_heads * hd), n_heads)
+    kept = [c.cell_contents for c in y._backward.__closure__]
+    arrays = [a for a in kept if isinstance(a, np.ndarray)]
+    assert arrays and all(a.shape[-2:] != (t, t) for a in arrays)
+
+
+def test_attention_rejects_bad_shapes():
+    with pytest.raises(T.ShapeError, match="attention"):
+        T.attention(t64(np.ones((5, 12))), 2)
+    with pytest.raises(T.ShapeError, match="attention"):
+        T.attention(t64(np.ones((1, 5, 12))), 3)  # 12 is not a multiple of 3 * 3
+
+
+@settings(max_examples=25)
+@given(
+    b=st.integers(1, 2),
+    t=st.integers(1, 6),
+    n_heads=st.integers(1, 3),
+    hd=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_attention_gradients_over_random_shapes(b, t, n_heads, hd, seed):
+    x = rand(np.random.default_rng(seed), b, t, 3 * n_heads * hd)
+    assert T.grad_check(attention_loss(n_heads), [x]) < 1e-7
