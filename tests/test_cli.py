@@ -282,3 +282,90 @@ def test_report_is_idempotent(workdir, tmp_path):
     first = (run / "report.txt").read_text()
     assert cli.main(["report", "--run-dir", str(run)]) == 0
     assert (run / "report.txt").read_text() == first
+
+
+# ---------------------------------------------------------------------
+# pinned behaviour of the result-producing commands (batch size passed as a
+# flag, so it does not depend on how a file's train.batch_size is merged)
+
+BATCH = ["--batch-size", "16"]
+
+
+@pytest.fixture(scope="module")
+def pinned(workdir):
+    """One checkpoint, finetune, eval-cross-domain and sweep run on the micro store."""
+    store = str(workdir / "gen" / "store")
+    cfg = str(workdir / "micro.json")
+    runs = workdir / "pinned"
+    assert cli.main(["pretrain", "--store", store, "--out", str(runs / "pt"), "--config", cfg]) == 0
+    ckpt = str(runs / "pt" / "checkpoint.ckpt")
+    ft = ["finetune", "--store", store, "--checkpoint", ckpt, "--held-out", "env1"] + BATCH
+    xd = ["eval-cross-domain", "--store", store] + BATCH
+    sw = ["sweep", "--store", store, "--axis", "data_fraction", "--values", "[0.5, 1.0]", "--held-out", "env1"] + BATCH
+    commands = {"ft": ft, "xd": xd, "sweep": sw}
+    for name, argv in commands.items():
+        assert cli.main(argv + ["--out", str(runs / name), "--config", cfg]) == 0
+    return runs, commands
+
+
+def test_eval_cross_domain_writes_results_and_macro(pinned):
+    runs, _ = pinned
+    records = [json.loads(line) for line in (runs / "xd" / "results.jsonl").read_text().splitlines()]
+    assert len(records) == 2 * 3  # two environment folds x three regimes
+    macro = json.loads((runs / "xd" / "macro.json").read_text())
+    assert set(macro) == {"ft", "lp", "supervised"}
+    for regime, acc in macro.items():
+        assert acc == pytest.approx(np.mean([r["accuracy"] for r in records if r["regime"] == regime]), abs=1e-12)
+
+
+def test_report_over_results_prints_macro_accuracies(pinned, capsys):
+    runs, _ = pinned
+    capsys.readouterr()
+    assert cli.main(["report", "--run-dir", str(runs / "xd")]) == 0
+    header, *rows = capsys.readouterr().out.strip().splitlines()
+    assert header.split() == ["regime", "folds", "macro_acc"]
+    macro = json.loads((runs / "xd" / "macro.json").read_text())
+    assert {r.split()[0]: r.split()[2] for r in rows} == {k: f"{v:.4f}" for k, v in macro.items()}
+    assert {r.split()[1] for r in rows} == {"2"}
+
+
+def test_sweep_writes_rows_on_one_test_set(pinned):
+    runs, _ = pinned
+    rows = [json.loads(line) for line in (runs / "sweep" / "rows.jsonl").read_text().splitlines()]
+    assert [r["value"] for r in rows] == [0.5, 1.0]
+    assert len({r["test_set_hash"] for r in rows}) == 1
+    assert (runs / "sweep" / "summary.txt").read_text().startswith("           value")
+
+
+@pytest.mark.parametrize(
+    "name, files",
+    [("ft", ["result.json"]), ("xd", ["results.jsonl", "macro.json"]), ("sweep", ["rows.jsonl", "summary.txt"])],
+)
+def test_result_runs_reproducible_from_resolved_config(pinned, name, files):
+    runs, commands = pinned
+    resolved = str(runs / name / "resolved_config.json")
+    assert cli.main(commands[name] + ["--out", str(runs / f"{name}-again"), "--config", resolved]) == 0
+    for f in files:
+        assert (runs / f"{name}-again" / f).read_bytes() == (runs / name / f).read_bytes()
+
+
+def _faulty_recording(path, n_t=700):
+    """3.5 s at 200 Hz with a dead stretch and spikes, so QC has work to do."""
+    scene = S.SceneSpec(paths=[S.PathComponent(1.0, 20e-9, 5.0)], noise_std=0.02, n_t=n_t, sampling_rate=200.0, seed=4)
+    rec = S.simulate_cfr(scene)
+    rec.labels = {"class": "c0", "environment": "env0"}
+    rec.source_id = "qc-rec"
+    rec.data[20:60] = np.nan
+    rec.data[450, :, :, 3] *= 40.0
+    return D.save_recording(rec, path)
+
+
+def test_clean_and_harmonize_write_the_same_qc_report(tmp_path):
+    rec = str(_faulty_recording(tmp_path / "rec.csir"))
+    cfg = tmp_path / "qc.json"
+    cfg.write_text(json.dumps({"sections": {"harmonize": {"window_seconds": 1.5}, "qc": {"outlier_k": 2.5}}}))
+    assert cli.main(["clean", "--recordings", rec, "--out", str(tmp_path / "cln"), "--config", str(cfg)]) == 0
+    assert cli.main(["harmonize", "--recordings", rec, "--out", str(tmp_path / "harm"), "--config", str(cfg)]) == 0
+    report = (tmp_path / "cln" / "qc_report.jsonl").read_bytes()
+    assert report == (tmp_path / "harm" / "qc_report.jsonl").read_bytes()
+    assert json.loads(report)["n_windows"] == 3  # 1.5 s windows at 1 s stride over 3.5 s
