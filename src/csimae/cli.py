@@ -1,13 +1,22 @@
 """Command-line entry point.
 
-Every run resolves its configuration (defaults < config file < environment
-< flags), writes the resolved merge next to its outputs, and checksums
-everything it produced, so a run directory is reproducible from its own
-resolved_config.json plus the input store.
+Every run builds its configs on one path. A config field takes, from
+lowest to highest precedence: the dataclass default, the command
+default, the config file's section, and the flag whose argparse dest
+names the field. The command defaults are the downstream runs' batch
+size of 32 (finetune, probe, supervised, eval-cross-domain, sweep) and
+the leave-one-domain-out split protocol, so a file's train.batch_size
+beats the 32. The pretrain section of eval-cross-domain and sweep falls
+back to the file's train section and takes no flags.
+
+resolved_config.json holds every config the command built, and its
+flags. With a checksum of everything the run produced, a run directory
+is reproducible from its own resolved_config.json plus the input store.
+A bad flag or config file is a config error: exit 2 and a JSON record.
 
 Environment variables are limited to CSIMAE_THREADS (BLAS/OpenMP thread
-cap, applied before numpy loads) and CSIMAE_OUT_ROOT (prefix for
-relative --out paths).
+cap, applied before numpy loads; --threads beats it) and CSIMAE_OUT_ROOT
+(prefix for relative --out paths).
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 
@@ -57,30 +67,75 @@ def _out_dir(path: str) -> Path:
 def _load_sections(config_path: str | None) -> dict:
     if not config_path:
         return {}
-    doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    return doc.get("sections", doc)
+    try:
+        doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as e:
+        raise CliError(f"cannot read config file {config_path}: {e}") from e
+    sections = doc.get("sections", doc) if isinstance(doc, dict) else None
+    if not isinstance(sections, dict):
+        raise CliError(f"config file {config_path} is not a JSON object of sections")
+    return sections
 
 
-def _build(cls, section: dict, overrides: dict):
-    """Merge file section < flag overrides into a config dataclass."""
-    merged = dict(section)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
+def _build(cls, section: dict, args=None, default: dict | None = None):
+    """Merge default < file section < flags named like a field into ``cls``."""
+    if not isinstance(section, dict):
+        raise CliError(f"{cls.__name__} section is not a JSON object")
     names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(merged) - names)
+    unknown = sorted(set(section) - names)
     if unknown:
         raise CliError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    merged = {**(default or {}), **section}
+    merged.update({k: v for k, v in (vars(args) if args else {}).items() if k in names and v is not None})
     try:
         obj = cls(**merged)
+        return obj.validate() if hasattr(obj, "validate") else obj
     except (TypeError, ValueError) as e:
         raise CliError(f"invalid {cls.__name__}: {e}") from e
-    validate = getattr(obj, "validate", None)
-    if validate:
-        validate()
-    return obj
 
 
-def _persist_run(out: Path, command: str, sections: dict, args_rec: dict):
-    doc = {"command": command, "args": args_rec, "sections": sections}
+# command defaults of the downstream runs: below the config file, unlike flags
+DOWNSTREAM_DEFAULTS = {"train": {"batch_size": 32}, "split": {"protocol": "leave_one_domain_out"}}
+
+
+def _configs(args, *names, defaults: dict | None = None) -> dict:
+    """Build each named config section from ``--config`` and the flags.
+
+    The ``pretrain`` section falls back to the file's ``train`` section
+    and takes no flags.
+    """
+    from . import data as D
+    from . import harmonize as H
+    from . import mae as M
+    from . import qc as Q
+    from . import synth as S
+    from . import training as R
+
+    classes = {
+        "task": S.SynthTaskSpec,
+        "harmonize": H.HarmonizeConfig,
+        "qc": Q.QcConfig,
+        "model": M.ModelConfig,
+        "train": R.TrainConfig,
+        "split": D.SplitSpec,
+    }
+    sections = _load_sections(args.config)
+    defaults = defaults or {}
+    return {
+        name: _build(R.TrainConfig, sections.get("pretrain", sections.get("train", {})))
+        if name == "pretrain"
+        else _build(classes[name], sections.get(name, {}), args, defaults.get(name))
+        for name in names
+    }
+
+
+def _persist_run(out: Path, command: str, configs: dict, args):
+    """Write resolved_config.json (every config built, and the flags) and checksums.txt."""
+    doc = {
+        "command": command,
+        "args": {k: v for k, v in vars(args).items() if k != "func"},
+        "sections": {name: _section(cfg) for name, cfg in configs.items()},
+    }
     (out / "resolved_config.json").write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
     lines = []
     for p in sorted(out.rglob("*")):
@@ -95,41 +150,30 @@ def _section(cfg) -> dict:
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in d.items()}
 
 
-def _load_store(args):
+def _load_store(store, manifest=None):
+    """The store's own manifest, or the one at ``manifest`` when given."""
     from . import data as D
 
-    manifest = (
-        D.DatasetManifest.from_json(Path(args.manifest).read_text(encoding="utf-8"))
-        if getattr(args, "manifest", None)
-        else D.DatasetManifest.load(args.store)
-    )
-    return args.store, manifest
+    if manifest:
+        return D.DatasetManifest.from_json(Path(manifest).read_text(encoding="utf-8"))
+    return D.DatasetManifest.load(store)
 
 
-def _model_overrides(args) -> dict:
-    return {
-        "variant": args.variant,
-        "patch_time": args.patch_time,
-        "patch_freq": args.patch_freq,
-        "mask_ratio": args.mask_ratio,
-        "dec_layers": args.dec_layers,
-        "dec_dim": args.dec_dim,
-        "dec_heads": args.dec_heads,
-    }
+def _json_list(text: str) -> list:
+    try:
+        value = json.loads(text)
+    except ValueError:
+        value = None
+    if not isinstance(value, list):
+        raise argparse.ArgumentTypeError(f"needs a JSON list, got {text!r}")
+    return value
 
 
-def _train_overrides(args, batch_default=None) -> dict:
-    out = {
-        "peak_lr": args.lr,
-        "warmup_steps": args.warmup_steps,
-        "batch_size": args.batch_size if args.batch_size is not None else batch_default,
-        "weight_decay": args.weight_decay,
-        "max_epochs": args.max_epochs,
-        "early_stop_patience": args.patience,
-        "seed": args.seed,
-        "val_fraction": args.val_fraction,
-    }
-    return out
+class _Parser(argparse.ArgumentParser):
+    """Bad flags end as the JSON config error record, like bad config files."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _add_model_flags(p):
@@ -143,12 +187,12 @@ def _add_model_flags(p):
 
 
 def _add_train_flags(p):
-    p.add_argument("--lr", type=float)
+    p.add_argument("--lr", type=float, dest="peak_lr")
     p.add_argument("--warmup-steps", type=int, dest="warmup_steps")
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--weight-decay", type=float, dest="weight_decay")
     p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--patience", type=int)
+    p.add_argument("--patience", type=int, dest="early_stop_patience")
     p.add_argument("--seed", type=int)
     p.add_argument("--val-fraction", type=float, dest="val_fraction")
 
@@ -164,32 +208,12 @@ def _add_common(p):
 
 
 def cmd_synth_gen(args):
-    from . import harmonize as H
-    from . import qc as Q
     from . import synth as S
 
-    sections = _load_sections(args.config)
-    task = _build(
-        S.SynthTaskSpec,
-        sections.get("task", {}),
-        {
-            "seed": args.seed,
-            "n_classes": args.classes,
-            "n_environments": args.environments,
-            "n_subjects": args.subjects,
-            "clips_per_cell": args.clips_per_cell,
-        },
-    )
-    hcfg = _build(H.HarmonizeConfig, sections.get("harmonize", {}), {})
-    qcfg = _build(Q.QcConfig, sections.get("qc", {}), {})
+    cfg = _configs(args, "task", "harmonize", "qc")
     out = _out_dir(args.out)
-    manifest = S.generate_task(task, out / "store", hcfg, qcfg, dataset_name=args.name)
-    _persist_run(
-        out,
-        "synth-gen",
-        {"task": _section(task), "harmonize": _section(hcfg), "qc": _section(qcfg)},
-        {"out": str(out), "name": args.name},
-    )
+    manifest = S.generate_task(cfg["task"], out / "store", cfg["harmonize"], cfg["qc"], dataset_name=args.name)
+    _persist_run(out, "synth-gen", cfg, args)
     print(f"wrote {len(manifest.entries)} clips to {out / 'store'}")
     return 0
 
@@ -216,7 +240,7 @@ def cmd_ingest(args):
             }
         )
     (out / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True), encoding="utf-8")
-    _persist_run(out, "ingest", {}, {"out": str(out), "recordings": [str(r) for r in args.recordings]})
+    _persist_run(out, "ingest", {}, args)
     print(f"ingested {len(index)} recordings into {rec_dir}")
     return 0
 
@@ -226,35 +250,18 @@ def cmd_clean(args):
     from . import harmonize as H
     from . import qc as Q
 
-    sections = _load_sections(args.config)
-    qcfg = _build(
-        Q.QcConfig,
-        sections.get("qc", {}),
-        {"max_missing_fraction": args.max_missing_fraction, "outlier_k": args.outlier_k},
-    )
-    hcfg = _build(H.HarmonizeConfig, sections.get("harmonize", {}), {})
+    cfg = _configs(args, "qc", "harmonize")
     out = _out_dir(args.out)
-    reports = []
-    for path in args.recordings or []:
-        rec = D.load_recording(path)
-        report = Q.QcReport(source_id=rec.source_id)
-        links = H.extract_links(rec, hcfg)
-        slices = H.window_slices(rec.n_t, rec.sampling_rate, hcfg)
-        for link in links:
-            for start, n in slices:
-                _, window_qc = Q.clean_window(link.data[start : start + n], qcfg)
-                report.add_window(window_qc)
-        reports.append(report.finalize())
+    reports = [H.qc_recording(D.load_recording(p), cfg["harmonize"], cfg["qc"]) for p in args.recordings or []]
     if reports:
         Q.write_reports(reports, out / "qc_report.jsonl")
     if args.store:
-        manifest = D.DatasetManifest.load(args.store)
-        filtered, log = Q.apply_blocklist(manifest, args.blocklist or [])
+        filtered, log = Q.apply_blocklist(_load_store(args.store), args.blocklist or [])
         (out / "manifest.json").write_text(filtered.to_json(), encoding="utf-8")
         (out / "blocklist_log.json").write_text(json.dumps(log, indent=2, sort_keys=True), encoding="utf-8")
         for w in log["warnings"]:
             print(f"warning: {w}", file=sys.stderr)
-    _persist_run(out, "clean", {"qc": _section(qcfg)}, {"out": str(out), "blocklist": args.blocklist or []})
+    _persist_run(out, "clean", cfg, args)
     print(f"clean outputs in {out}")
     return 0
 
@@ -264,51 +271,30 @@ def cmd_harmonize(args):
     from . import harmonize as H
     from . import qc as Q
 
-    sections = _load_sections(args.config)
-    hcfg = _build(
-        H.HarmonizeConfig,
-        sections.get("harmonize", {}),
-        {"window_seconds": args.window_seconds, "stride_seconds": args.stride_seconds},
-    )
-    qcfg = _build(Q.QcConfig, sections.get("qc", {}), {})
+    cfg = _configs(args, "harmonize", "qc")
     out = _out_dir(args.out)
     clips, reports = [], []
     for path in args.recordings:
-        rec = D.load_recording(path)
-        rec_clips, report = H.harmonize_recording(rec, hcfg, qcfg)
+        rec_clips, report = H.harmonize_recording(D.load_recording(path), cfg["harmonize"], cfg["qc"])
         clips.extend(rec_clips)
         reports.append(report)
     if not clips:
         raise CliError("harmonization produced no clips (all windows dropped or too short)")
     manifest = D.write_clip_store(clips, out / "store", n_workers=args.workers)
     Q.write_reports(reports, out / "qc_report.jsonl")
-    _persist_run(
-        out,
-        "harmonize",
-        {"harmonize": _section(hcfg), "qc": _section(qcfg)},
-        {"out": str(out), "recordings": [str(r) for r in args.recordings], "workers": args.workers},
-    )
+    _persist_run(out, "harmonize", cfg, args)
     print(f"wrote {len(manifest.entries)} clips from {len(args.recordings)} recordings")
     return 0
 
 
 def cmd_pretrain(args):
-    from . import data as D
-    from . import mae as M
     from . import training as R
 
-    sections = _load_sections(args.config)
-    model_cfg = _build(M.ModelConfig, sections.get("model", {}), _model_overrides(args))
-    tcfg = _build(R.TrainConfig, sections.get("train", {}), _train_overrides(args))
-    store, manifest = _load_store(args)
+    cfg = _configs(args, "model", "train")
+    manifest = _load_store(args.store, args.manifest)
     out = _out_dir(args.out)
-    result = R.pretrain(manifest, store, model_cfg, tcfg, run_dir=out)
-    _persist_run(
-        out,
-        "pretrain",
-        {"model": _section(model_cfg), "train": _section(tcfg)},
-        {"out": str(out), "store": str(args.store), "manifest": args.manifest},
-    )
+    result = R.pretrain(manifest, args.store, cfg["model"], cfg["train"], run_dir=out)
+    _persist_run(out, "pretrain", cfg, args)
     status = "aborted (non-finite loss)" if result.aborted else "done"
     print(f"pretrain {status}: best epoch {result.best_epoch}, val loss {result.best_val_loss:.6f}")
     return 0
@@ -318,96 +304,63 @@ def _run_downstream(args, regime: str):
     from . import checkpoint as C
     from . import data as D
     from . import evaluate as E
-    from . import mae as M
-    from . import training as R
 
-    sections = _load_sections(args.config)
-    tcfg = _build(R.TrainConfig, sections.get("train", {}), _train_overrides(args, batch_default=32))
-    store, manifest = _load_store(args)
-    split = _build(
-        D.SplitSpec,
-        sections.get("split", {}),
-        {
-            "protocol": args.protocol,
-            "domain_key": args.domain_key,
-            "held_out_value": args.held_out,
-            "seed": args.seed,
-        },
-    )
-    train_ids, test_ids = D.make_split(manifest, split)
-    train_clips = D.load_clips(store, manifest, train_ids)
-    test_clips = D.load_clips(store, manifest, test_ids)
-    labeled = E.select_labeled(train_clips, args.label_fraction, tcfg.seed)
-
+    pretrained = regime in ("ft", "lp")
+    cfg = _configs(args, "train", "split", *(() if pretrained else ("model",)), defaults=DOWNSTREAM_DEFAULTS)
     ckpt = None
-    model_cfg = None
-    if regime in ("ft", "lp"):
+    if pretrained:
         if not args.checkpoint:
             raise CliError(f"regime {regime} requires --checkpoint")
-        params, model_cfg, _ = C.load_checkpoint(args.checkpoint)
-        ckpt = (params, model_cfg)
-    else:
-        model_cfg = _build(M.ModelConfig, sections.get("model", {}), _model_overrides(args))
-
+        params, cfg["model"], _ = C.load_checkpoint(args.checkpoint)
+        ckpt = (params, cfg["model"])
+    tcfg, split = cfg["train"], cfg["split"]
+    manifest = _load_store(args.store, args.manifest)
+    train_ids, test_ids = D.make_split(manifest, split)
+    train_clips = D.load_clips(args.store, manifest, train_ids)
+    test_clips = D.load_clips(args.store, manifest, test_ids)
+    labeled = E.select_labeled(train_clips, args.label_fraction, tcfg.seed)
     classes = sorted({c.labels.get("class") for c in labeled})
-    head_cfg = E.HeadConfig(n_classes=len(classes))
     out = _out_dir(args.out)
     result = E.run_regime(
         regime,
         ckpt,
         labeled,
         test_clips,
-        head_cfg,
+        E.HeadConfig(n_classes=len(classes)),
         tcfg,
-        model_cfg=model_cfg,
+        model_cfg=cfg["model"],
         split_desc={"protocol": split.protocol, "domain_key": split.domain_key, "held_out_value": split.held_out_value},
     )
     (out / "result.json").write_text(json.dumps(result.to_json(), indent=2, sort_keys=True), encoding="utf-8")
-    _persist_run(
-        out,
-        regime,
-        {"train": _section(tcfg), "model": _section(model_cfg), "split": _section(split)},
-        {"out": str(out), "store": str(args.store), "checkpoint": args.checkpoint, "label_fraction": args.label_fraction},
-    )
+    _persist_run(out, regime, cfg, args)
     print(f"{regime} accuracy {result.accuracy:.4f} on {result.n_test} clips ({result.n_excluded} excluded)")
     return 0
 
 
 def cmd_eval_cross_domain(args):
     from . import evaluate as E
-    from . import mae as M
-    from . import training as R
 
-    sections = _load_sections(args.config)
-    model_cfg = _build(M.ModelConfig, sections.get("model", {}), _model_overrides(args))
-    tcfg = _build(R.TrainConfig, sections.get("train", {}), _train_overrides(args, batch_default=32))
-    pcfg = _build(R.TrainConfig, sections.get("pretrain", sections.get("train", {})), {})
-    store, manifest = _load_store(args)
-    regimes = args.regimes.split(",")
+    cfg = _configs(args, "model", "train", "pretrain", defaults=DOWNSTREAM_DEFAULTS)
+    manifest = _load_store(args.store, args.manifest)
     out = _out_dir(args.out)
-    classes = len(manifest.label_values("class"))
     results = E.cross_domain_suite(
         manifest,
-        store,
+        args.store,
         args.domain_key,
-        regimes,
-        model_cfg,
-        E.HeadConfig(n_classes=classes),
-        tcfg,
-        pretrain_cfg=pcfg,
+        args.regimes.split(","),
+        cfg["model"],
+        E.HeadConfig(n_classes=len(manifest.label_values("class"))),
+        cfg["train"],
+        pretrain_cfg=cfg["pretrain"],
         label_fraction=args.label_fraction,
     )
+    records = [r.to_json() for r in results]
     with open(out / "results.jsonl", "w", encoding="utf-8") as fh:
-        for r in results:
-            fh.write(json.dumps(r.to_json(), sort_keys=True) + "\n")
-    macro = E.macro_average(results)
+        for r in records:
+            fh.write(json.dumps(r, sort_keys=True) + "\n")
+    macro = E.macro_average(records)
     (out / "macro.json").write_text(json.dumps(macro, indent=2, sort_keys=True), encoding="utf-8")
-    _persist_run(
-        out,
-        "eval-cross-domain",
-        {"model": _section(model_cfg), "train": _section(tcfg), "pretrain": _section(pcfg)},
-        {"out": str(out), "store": str(args.store), "domain_key": args.domain_key, "regimes": regimes},
-    )
+    _persist_run(out, "eval-cross-domain", cfg, args)
     for regime, acc in macro.items():
         print(f"{regime}: macro accuracy {acc:.4f}")
     return 0
@@ -415,61 +368,36 @@ def cmd_eval_cross_domain(args):
 
 def cmd_sweep(args):
     from . import evaluate as E
-    from . import mae as M
     from . import scaling as L
-    from . import training as R
-    from . import data as D
 
-    sections = _load_sections(args.config)
-    model_cfg = _build(M.ModelConfig, sections.get("model", {}), _model_overrides(args))
-    tcfg = _build(R.TrainConfig, sections.get("train", {}), _train_overrides(args, batch_default=32))
-    pcfg = _build(R.TrainConfig, sections.get("pretrain", sections.get("train", {})), {})
-    store, manifest = _load_store(args)
-    spec = L.SweepSpec(
-        axis=args.axis,
-        values=json.loads(args.values),
-        seeds=json.loads(args.seeds),
-    ).validate()
-    values = [tuple(v) if isinstance(v, list) else v for v in spec.values]
-    spec.values = values
-    classes = len(manifest.label_values("class"))
+    cfg = _configs(args, "model", "train", "pretrain", defaults=DOWNSTREAM_DEFAULTS)
+    spec = _build(L.SweepSpec, {}, args)
+    spec.values = [tuple(v) if isinstance(v, list) else v for v in spec.values]
+    manifest = _load_store(args.store, args.manifest)
     ctx = L.SweepContext(
-        store_dir=store,
+        store_dir=args.store,
         manifest=manifest,
         domain_key=args.domain_key,
-        held_out_value=args.held_out,
-        model_cfg=model_cfg,
-        head_cfg=E.HeadConfig(n_classes=classes),
-        pretrain_cfg=pcfg,
-        train_cfg=tcfg,
+        held_out_value=args.held_out_value,
+        model_cfg=cfg["model"],
+        head_cfg=E.HeadConfig(n_classes=len(manifest.label_values("class"))),
+        pretrain_cfg=cfg["pretrain"],
+        train_cfg=cfg["train"],
         label_fraction=args.label_fraction,
+        exclude_store_dir=args.exclude_store,
+        exclude_manifest=_load_store(args.exclude_store) if args.exclude_store else None,
     )
-    if args.exclude_store:
-        ctx.exclude_store_dir = args.exclude_store
-        ctx.exclude_manifest = D.DatasetManifest.load(args.exclude_store)
     out = _out_dir(args.out)
     rows = L.run_sweep(spec, ctx)
     L.save_rows(rows, out / "rows.jsonl")
     (out / "summary.txt").write_text(L.summarize_rows(rows) + "\n", encoding="utf-8")
-    _persist_run(
-        out,
-        "sweep",
-        {"model": _section(model_cfg), "train": _section(tcfg), "pretrain": _section(pcfg)},
-        {
-            "out": str(out),
-            "store": str(args.store),
-            "axis": args.axis,
-            "values": args.values,
-            "seeds": args.seeds,
-            "domain_key": args.domain_key,
-            "held_out": args.held_out,
-        },
-    )
+    _persist_run(out, "sweep", cfg, args)
     print(L.summarize_rows(rows))
     return 0
 
 
 def cmd_report(args):
+    from . import evaluate as E
     from . import scaling as L
 
     run = Path(args.run_dir)
@@ -479,14 +407,10 @@ def cmd_report(args):
         table = L.summarize_rows(L.load_rows(rows_path))
     elif results_path.exists():
         records = L.load_rows(results_path)
-        groups = {}
-        for r in records:
-            groups.setdefault(r["regime"], []).append(r["accuracy"])
+        folds = Counter(r["regime"] for r in records)
         lines = [f"{'regime':>12}  {'folds':>5}  {'macro_acc':>9}"]
-        import numpy as np
-
-        for regime in sorted(groups):
-            lines.append(f"{regime:>12}  {len(groups[regime]):>5}  {np.mean(groups[regime]):9.4f}")
+        for regime, acc in E.macro_average(records).items():
+            lines.append(f"{regime:>12}  {folds[regime]:>5}  {acc:9.4f}")
         table = "\n".join(lines)
     else:
         raise CliError(f"no rows.jsonl or results.jsonl under {run}")
@@ -533,15 +457,15 @@ def cmd_grad_check(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="csimae", description=__doc__)
+    parser = _Parser(prog="csimae", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth-gen", help="generate a labeled synthetic dataset")
     _add_common(p)
     p.add_argument("--seed", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--environments", type=int)
-    p.add_argument("--subjects", type=int)
+    p.add_argument("--classes", type=int, dest="n_classes")
+    p.add_argument("--environments", type=int, dest="n_environments")
+    p.add_argument("--subjects", type=int, dest="n_subjects")
     p.add_argument("--clips-per-cell", type=int, dest="clips_per_cell")
     p.add_argument("--name", default="synth")
     p.set_defaults(func=cmd_synth_gen)
@@ -582,9 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--store", required=True)
         p.add_argument("--manifest")
         p.add_argument("--checkpoint")
-        p.add_argument("--protocol", default="leave_one_domain_out")
-        p.add_argument("--domain-key", dest="domain_key", default="environment")
-        p.add_argument("--held-out", dest="held_out")
+        p.add_argument("--protocol")
+        p.add_argument("--domain-key", dest="domain_key")
+        p.add_argument("--held-out", dest="held_out_value")
         p.add_argument("--label-fraction", type=float, dest="label_fraction", default=1.0)
         _add_model_flags(p)
         _add_train_flags(p)
@@ -606,10 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True)
     p.add_argument("--manifest")
     p.add_argument("--axis", required=True)
-    p.add_argument("--values", required=True, help="JSON list")
-    p.add_argument("--seeds", default="[0]", help="JSON list")
+    p.add_argument("--values", type=_json_list, required=True, help="JSON list")
+    p.add_argument("--seeds", type=_json_list, default="[0]", help="JSON list")
     p.add_argument("--domain-key", dest="domain_key", default="environment")
-    p.add_argument("--held-out", dest="held_out", required=True)
+    p.add_argument("--held-out", dest="held_out_value", required=True)
     p.add_argument("--label-fraction", type=float, dest="label_fraction", default=1.0)
     p.add_argument("--exclude-store", dest="exclude_store")
     _add_model_flags(p)

@@ -92,14 +92,6 @@ def head_forward(feats: T.Tensor, params: dict, cfg: HeadConfig) -> T.Tensor:
     return T.linear(x, params["head.out.w"], params["head.out.b"])
 
 
-def encode_clip(checkpoint_params: dict, model_cfg: M.ModelConfig, clip: np.ndarray) -> np.ndarray:
-    """Deterministic, mask-free CLS feature for one 600x90 clip."""
-    if clip.shape != (model_cfg.input_time, model_cfg.input_chan):
-        raise EvalError(f"clip shape {clip.shape} does not match model input")
-    model = M.MaskedAutoencoder(model_cfg, params=checkpoint_params)
-    return model.encode_features(clip[None].astype(np.float32)).data[0]
-
-
 def encode_features(params: dict, model_cfg: M.ModelConfig, clips: np.ndarray, batch_size: int = 64) -> np.ndarray:
     """Frozen (graph-free) CLS features for a clip tensor."""
     frozen = {k: T.Tensor(v.data) for k, v in params.items()}
@@ -317,9 +309,9 @@ def cross_domain_suite(
     return results
 
 
-def macro_average(results) -> dict:
-    """Mean accuracy per regime across folds."""
+def macro_average(records) -> dict:
+    """Mean accuracy per regime across folds, over ``EvalResult.to_json`` records."""
     by_regime = {}
-    for r in results:
-        by_regime.setdefault(r.regime, []).append(r.accuracy)
+    for r in records:
+        by_regime.setdefault(r["regime"], []).append(r["accuracy"])
     return {k: float(np.mean(v)) for k, v in sorted(by_regime.items())}

@@ -176,6 +176,28 @@ def flatten_and_normalize(
     return clip.validate()
 
 
+def qc_recording(
+    recording: D.ChannelRecording,
+    config: HarmonizeConfig,
+    qc_config: Q.QcConfig,
+    on_kept=None,
+) -> Q.QcReport:
+    """QC every link x window at native packet resolution.
+
+    ``on_kept(link, window_index, cleaned)`` receives each window that
+    survives QC.
+    """
+    report = Q.QcReport(source_id=recording.source_id)
+    slices = window_slices(recording.n_t, recording.sampling_rate, config)
+    for link in extract_links(recording, config):
+        for w_idx, (start, n) in enumerate(slices):
+            cleaned, window_qc = Q.clean_window(link.data[start : start + n], qc_config)
+            report.add_window(window_qc)
+            if cleaned is not None and on_kept is not None:
+                on_kept(link, w_idx, cleaned)
+    return report.finalize()
+
+
 def harmonize_recording(
     recording: D.ChannelRecording,
     config: HarmonizeConfig | None = None,
@@ -185,25 +207,18 @@ def harmonize_recording(
     config = (config or HarmonizeConfig()).validate()
     qcfg = (qc_config or Q.QcConfig()).validate()
     recording.validate()
-    report = Q.QcReport(source_id=recording.source_id)
     clips = []
-    links = extract_links(recording, config)
-    slices = window_slices(recording.n_t, recording.sampling_rate, config)
-    for link in links:
-        for w_idx, (start, n) in enumerate(slices):
-            native = link.data[start : start + n]
-            cleaned, window_qc = Q.clean_window(native, qcfg)
-            report.add_window(window_qc)
-            if cleaned is None:
-                continue
-            resampled = resample_linear(cleaned, 0, config.target_time_len)
-            for ch_idx, channel in enumerate(segment_and_resample_freq(resampled, recording.bandwidth, config)):
-                prov = D.Provenance(
-                    source_id=recording.source_id,
-                    tx_index=link.tx_index,
-                    recv_index=link.recv_index,
-                    channel_index=ch_idx,
-                    window_index=w_idx,
-                )
-                clips.append(flatten_and_normalize(channel, config, recording.labels, prov))
-    return clips, report.finalize()
+
+    def to_clips(link, w_idx, cleaned):
+        resampled = resample_linear(cleaned, 0, config.target_time_len)
+        for ch_idx, channel in enumerate(segment_and_resample_freq(resampled, recording.bandwidth, config)):
+            prov = D.Provenance(
+                source_id=recording.source_id,
+                tx_index=link.tx_index,
+                recv_index=link.recv_index,
+                channel_index=ch_idx,
+                window_index=w_idx,
+            )
+            clips.append(flatten_and_normalize(channel, config, recording.labels, prov))
+
+    return clips, qc_recording(recording, config, qcfg, to_clips)

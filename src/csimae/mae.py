@@ -106,7 +106,6 @@ class MaskPlan:
     n_patches: int
     visible_idx: np.ndarray
     masked_idx: np.ndarray
-    seed: int
 
     def validate(self):
         v, m = set(self.visible_idx.tolist()), set(self.masked_idx.tolist())
@@ -126,7 +125,6 @@ def sample_mask(n_patches: int, ratio: float, seed) -> MaskPlan:
         n_patches=n_patches,
         visible_idx=np.sort(perm[n_masked:]),
         masked_idx=np.sort(perm[:n_masked]),
-        seed=seed if isinstance(seed, int) else 0,
     )
 
 
@@ -136,7 +134,6 @@ def full_plan(n_patches: int) -> MaskPlan:
         n_patches=n_patches,
         visible_idx=np.arange(n_patches),
         masked_idx=np.empty(0, dtype=int),
-        seed=0,
     )
 
 

@@ -22,7 +22,6 @@ class QcConfig:
     max_missing_fraction: float = 0.10
     outlier_k: float = 2.0
     impairment_var_eps: float = 1e-10
-    report_path: str | None = None
 
     def validate(self):
         if not 0 < self.max_missing_fraction < 1:

@@ -99,13 +99,10 @@ class AdamW:
         self.params = params
         self.config = config
         self.state = {}
-        self.rejected_steps = 0
 
     def step(self, lr: float) -> bool:
         grads = {k: t.grad for k, t in self.params.items() if t.requires_grad and t.grad is not None}
         ok = adamw_step(self.params, grads, self.state, lr, self.config)
-        if not ok:
-            self.rejected_steps += 1
         for t in self.params.values():
             t.zero_grad()
         return ok

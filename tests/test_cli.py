@@ -369,3 +369,70 @@ def test_clean_and_harmonize_write_the_same_qc_report(tmp_path):
     report = (tmp_path / "cln" / "qc_report.jsonl").read_bytes()
     assert report == (tmp_path / "harm" / "qc_report.jsonl").read_bytes()
     assert json.loads(report)["n_windows"] == 3  # 1.5 s windows at 1 s stride over 3.5 s
+
+
+# ---------------------------------------------------------------------
+# one path from flags and config file to configs and the run record
+
+
+def test_file_batch_size_beats_the_downstream_default_and_a_flag_beats_the_file(pinned):
+    runs, _ = pinned
+    store = str(runs.parent / "gen" / "store")
+    ckpt = str(runs / "pt" / "checkpoint.ckpt")
+    argv = ["finetune", "--store", store, "--checkpoint", ckpt, "--held-out", "env1", "--config"]
+    assert cli.main(argv + [str(runs.parent / "micro.json"), "--out", str(runs / "bs-file")]) == 0
+    resolved = json.loads((runs / "bs-file" / "resolved_config.json").read_text())
+    assert resolved["sections"]["train"]["batch_size"] == 16
+    assert cli.main(argv + [str(runs.parent / "micro.json"), "--out", str(runs / "bs-flag"), "--batch-size", "8"]) == 0
+    resolved = json.loads((runs / "bs-flag" / "resolved_config.json").read_text())
+    assert resolved["sections"]["train"]["batch_size"] == 8
+
+
+def test_clean_reruns_from_its_own_record(tmp_path):
+    rec = str(_faulty_recording(tmp_path / "rec.csir"))
+    cfg = tmp_path / "qc.json"
+    cfg.write_text(json.dumps({"sections": {"harmonize": {"window_seconds": 1.5}}}))
+    assert cli.main(["clean", "--recordings", rec, "--out", str(tmp_path / "a"), "--config", str(cfg)]) == 0
+    resolved = tmp_path / "a" / "resolved_config.json"
+    assert json.loads(resolved.read_text())["sections"]["harmonize"]["window_seconds"] == 1.5
+    assert cli.main(["clean", "--recordings", rec, "--out", str(tmp_path / "b"), "--config", str(resolved)]) == 0
+    assert (tmp_path / "b" / "qc_report.jsonl").read_bytes() == (tmp_path / "a" / "qc_report.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["pretrain", "--lr", "-1"], None),
+        (["pretrain", "--mask-ratio", "1.5"], None),
+        (["supervised", "--protocol", "nope", "--held-out", "env1"], None),
+        (["sweep", "--axis", "nope", "--values", "[0.5, 1.0]", "--held-out", "env1"], None),
+        (["sweep", "--axis", "data_fraction", "--values", "[0.5", "--held-out", "env1"], None),
+        (["pretrain"], "[1, 2]"),
+        (["pretrain"], "{not json"),
+        (["pretrain"], "missing"),
+    ],
+    ids=["lr", "mask-ratio", "protocol", "axis", "values", "config-list", "config-not-json", "config-missing"],
+)
+def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, argv, config):
+    tail = ["--store", str(workdir / "gen" / "store"), "--out", str(tmp_path / "out")]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        if config != "missing":
+            path.write_text(config)
+        tail += ["--config", str(path)]
+    assert cli.main(argv + tail) == 2
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "config"
+
+
+def test_flags_set_the_fields_their_dest_names(workdir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    sections = {"model": MICRO_MODEL, "train": MICRO_TRAIN, "split": {"protocol": "in_domain_8020"}}
+    cfg.write_text(json.dumps({"sections": sections}))
+    argv = ["supervised", "--store", str(workdir / "gen" / "store"), "--config", str(cfg), "--out", str(tmp_path / "sup")]
+    argv += ["--held-out", "env1", "--seed", "5", "--lr", "2e-3", "--patience", "3"]
+    assert cli.main(argv) == 0
+    resolved = json.loads((tmp_path / "sup" / "resolved_config.json").read_text())
+    train, split = resolved["sections"]["train"], resolved["sections"]["split"]
+    assert (train["peak_lr"], train["early_stop_patience"], train["seed"]) == (2e-3, 3, 5)
+    assert split == {"protocol": "in_domain_8020", "domain_key": "environment", "held_out_value": "env1", "seed": 5}
+    assert "func" not in resolved["args"] and resolved["args"]["held_out_value"] == "env1"

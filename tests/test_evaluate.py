@@ -43,23 +43,23 @@ def micro_corpus(tmp_path, clips_per_cell=6, seed=5):
     return manifest, D.load_clips(tmp_path / "store", manifest)
 
 
-def test_encode_clip_shape_and_determinism():
+def test_encode_features_shape_and_determinism():
     cfg = micro_cfg()
     params = M.init_params(cfg, seed=0)
     clip = np.random.default_rng(0).standard_normal((600, 90)).astype(np.float32)
-    a = E.encode_clip(params, cfg, clip)
-    b = E.encode_clip(params, cfg, clip)
+    a = E.encode_features(params, cfg, clip[None])[0]
+    b = E.encode_features(params, cfg, clip[None])[0]
     assert a.shape == (16,)
     assert a.tobytes() == b.tobytes()
 
 
-def test_encode_clip_is_sensitive_to_input():
+def test_encode_features_is_sensitive_to_input():
     cfg = micro_cfg()
     params = M.init_params(cfg, seed=1)
     clip = np.random.default_rng(1).standard_normal((600, 90)).astype(np.float32)
     poked = clip.copy()
     poked[17, 33] += 1.0
-    a, b = E.encode_clip(params, cfg, clip), E.encode_clip(params, cfg, poked)
+    a, b = E.encode_features(params, cfg, clip[None])[0], E.encode_features(params, cfg, poked[None])[0]
     assert np.linalg.norm(a - b) > 0
 
 
@@ -67,7 +67,7 @@ def test_cls_feature_width_matches_small_variant():
     cfg = M.ModelConfig(variant="small")
     params = M.init_params(cfg, seed=0)
     clip = np.random.default_rng(2).standard_normal((600, 90)).astype(np.float32)
-    assert E.encode_clip(params, cfg, clip).shape == (384,)
+    assert E.encode_features(params, cfg, clip[None])[0].shape == (384,)
 
 
 def _perceptron_separates(feats, labels, epochs=200):
@@ -226,7 +226,7 @@ def test_cross_domain_suite_fold_count(tmp_path):
     )
     assert len(results) == 3
     assert {r.split["held_out_value"] for r in results} == {"env0", "env1", "env2"}
-    macro = E.macro_average(results)
+    macro = E.macro_average([r.to_json() for r in results])
     assert set(macro) == {"supervised"} and 0.0 <= macro["supervised"] <= 1.0
 
 
