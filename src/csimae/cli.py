@@ -159,6 +159,13 @@ def _load_store(store, manifest=None):
     return D.DatasetManifest.load(store)
 
 
+def _check_held_out(manifest, domain_key: str, value):
+    """A held-out value the store lacks is a bad flag, found before any work."""
+    values = manifest.label_values(domain_key)
+    if value not in values:
+        raise CliError(f"held-out {domain_key} {value!r} is not in the store, which holds {', '.join(values)}")
+
+
 def _json_list(text: str) -> list:
     try:
         value = json.loads(text)
@@ -307,14 +314,16 @@ def _run_downstream(args, regime: str):
 
     pretrained = regime in ("ft", "lp")
     cfg = _configs(args, "train", "split", *(() if pretrained else ("model",)), defaults=DOWNSTREAM_DEFAULTS)
-    ckpt = None
-    if pretrained:
-        if not args.checkpoint:
-            raise CliError(f"regime {regime} requires --checkpoint")
-        params, cfg["model"], _ = C.load_checkpoint(args.checkpoint)
-        ckpt = (params, cfg["model"])
+    if pretrained and not args.checkpoint:
+        raise CliError(f"regime {regime} requires --checkpoint")
     tcfg, split = cfg["train"], cfg["split"]
     manifest = _load_store(args.store, args.manifest)
+    if split.protocol == "leave_one_domain_out":
+        _check_held_out(manifest, split.domain_key, split.held_out_value)
+    ckpt = None
+    if pretrained:
+        params, cfg["model"], _ = C.load_checkpoint(args.checkpoint)
+        ckpt = (params, cfg["model"])
     train_ids, test_ids = D.make_split(manifest, split)
     train_clips = D.load_clips(args.store, manifest, train_ids)
     test_clips = D.load_clips(args.store, manifest, test_ids)
@@ -340,6 +349,10 @@ def _run_downstream(args, regime: str):
 def cmd_eval_cross_domain(args):
     from . import evaluate as E
 
+    regimes = args.regimes.split(",")
+    unknown = [r for r in regimes if r not in E.REGIMES]
+    if unknown:
+        raise CliError(f"unknown regimes {', '.join(unknown)}; choose from {', '.join(E.REGIMES)}")
     cfg = _configs(args, "model", "train", "pretrain", defaults=DOWNSTREAM_DEFAULTS)
     manifest = _load_store(args.store, args.manifest)
     out = _out_dir(args.out)
@@ -347,7 +360,7 @@ def cmd_eval_cross_domain(args):
         manifest,
         args.store,
         args.domain_key,
-        args.regimes.split(","),
+        regimes,
         cfg["model"],
         E.HeadConfig(n_classes=len(manifest.label_values("class"))),
         cfg["train"],
@@ -374,6 +387,7 @@ def cmd_sweep(args):
     spec = _build(L.SweepSpec, {}, args)
     spec.values = [tuple(v) if isinstance(v, list) else v for v in spec.values]
     manifest = _load_store(args.store, args.manifest)
+    _check_held_out(manifest, args.domain_key, args.held_out_value)
     ctx = L.SweepContext(
         store_dir=args.store,
         manifest=manifest,

@@ -7,12 +7,14 @@ pre-norm transformer blocks:
     z' = MHSA(LN(z)) + z
     z  = FFN(LN(z')) + z'
 
-followed by a final LayerNorm.  The decoder projects the latent to its
-own width, fills masked positions with one shared learnable mask token,
-adds its own positional table, runs a shallower stack, and predicts raw
-patch values through a linear head.  The loss is the mean over masked
-patches of the squared L2 patch error; visible positions contribute
-exactly zero.
+followed by a final LayerNorm.  Self-attention is one engine op,
+``tensors.attention``, between the qkv and output projections; the FFN,
+fc1 -> GELU -> fc2, is one op, ``tensors.ffn``.  The decoder projects
+the latent to its own width, fills masked positions with one shared
+learnable mask token, adds its own positional table, runs a shallower
+stack, and predicts raw patch values through a linear head.  The loss
+is the mean over masked patches of the squared L2 patch error; visible
+positions contribute exactly zero.
 """
 
 from __future__ import annotations
@@ -225,9 +227,8 @@ def _block(x: T.Tensor, params: dict, prefix: str, n_heads: int) -> T.Tensor:
     h = T.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
     x = T.add(_attention(h, params, f"{prefix}.attn", n_heads), x)
     h = T.layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    h = T.linear(h, params[f"{prefix}.ffn.fc1.w"], params[f"{prefix}.ffn.fc1.b"])
-    h = T.gelu(h)
-    h = T.linear(h, params[f"{prefix}.ffn.fc2.w"], params[f"{prefix}.ffn.fc2.b"])
+    fc1, fc2 = f"{prefix}.ffn.fc1", f"{prefix}.ffn.fc2"
+    h = T.ffn(h, params[f"{fc1}.w"], params[f"{fc1}.b"], params[f"{fc2}.w"], params[f"{fc2}.b"])
     return T.add(h, x)
 
 

@@ -14,13 +14,19 @@ on the same root finds nothing left to do.
 
 The op set is deliberately small: exactly what a pre-norm transformer
 encoder/decoder with GELU FFNs, masked-token gathering, and MSE /
-cross-entropy losses needs.  Self-attention is one fused op,
-``attention``, on the packed output of the qkv projection: its closure
-keeps the scaled q, views of k and v and the row log-sum-exp, never the
-(B, H, T, T) weights, which backward recomputes.  ``matmul``,
-``softmax``, ``transpose``, ``swap_last`` and ``reshape`` stay for the
-tests' composite attention oracle and for ``perfbench/tracer.py``, which
-looks every op it times up by name.
+cross-entropy losses needs.  Both sub-layers of a block are fused ops
+that recompute in backward what a composite graph would keep:
+
+- ``attention`` runs on the packed output of the qkv projection; its
+  closure keeps the scaled q, views of k and v and the row log-sum-exp,
+  never the (B, H, T, T) weights.
+- ``ffn`` is fc1 -> GELU -> fc2; its closure keeps its input and the
+  fc1 pre-activation, never the tanh or the GELU output.  ``gelu``
+  shares its arithmetic and stays for the downstream classifier head.
+
+``matmul``, ``softmax``, ``transpose``, ``swap_last`` and ``reshape``
+stay for the tests' composite attention oracle and for
+``perfbench/tracer.py``, which looks every op it times up by name.
 """
 
 from __future__ import annotations
@@ -407,18 +413,58 @@ def attention(qkv: Tensor, n_heads: int) -> Tensor:
     return _make(out, (qkv,), backward)
 
 
+def _gelu(x: np.ndarray) -> tuple:
+    """GELU, tanh form, and its tanh: 0.5 x (1 + tanh(c0 (x + c1 x^3))).
+
+    Two allocations: the tanh is built in place in one array and the
+    output in a second.  ``gelu`` and ``ffn`` both call it, so the fused
+    op's forward is bit-identical to fc1 -> ``gelu`` -> fc2.
+    """
+    th = _GELU_C1 * x
+    th *= x
+    th *= x
+    th += x
+    th *= _GELU_C0
+    np.tanh(th, out=th)
+    y = th + 1.0
+    y *= x
+    y *= 0.5
+    return y, th
+
+
+def _gelu_grad(x: np.ndarray, th: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """dGELU/dx written into ``out``; ``th`` is ``_gelu(x)``'s tanh and is overwritten.
+
+    d = 0.5 (1 + t) + 0.5 x (1 - t^2) c0 (1 + 3 c1 x^2), with
+    1 - t^2 taken as (1 - t)(1 + t).
+    """
+    np.multiply(x, x, out=out)
+    out *= 3.0 * _GELU_C1
+    out += 1.0
+    out *= _GELU_C0
+    out *= x
+    out *= 0.5
+    np.subtract(1.0, th, out=th)
+    out *= th
+    np.subtract(2.0, th, out=th)
+    out *= th
+    th *= 0.5
+    out += th
+    return out
+
+
 def gelu(a: Tensor) -> Tensor:
-    """GELU, tanh form: 0.5 x (1 + tanh(c0 (x + c1 x^3)))."""
+    """GELU, tanh form; the closure keeps only the input and recomputes the tanh."""
     x = a.data
-    u = _GELU_C0 * (x + _GELU_C1 * x * x * x)
-    th = np.tanh(u)
 
     def backward(g):
         if a.requires_grad:
-            du = _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * x * x)
-            a._accumulate(g * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du), fresh=True)
+            y, th = _gelu(x)
+            d = _gelu_grad(x, th, out=y)
+            d *= g
+            a._accumulate(d, fresh=True)
 
-    return _make(0.5 * x * (1.0 + th), (a,), backward)
+    return _make(_gelu(x)[0], (a,), backward)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
@@ -472,6 +518,48 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(y.reshape(*x.data.shape[:-1], n_out), parents, backward)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 as one node: a transformer block's FFN.
+
+    ``w1`` is (in, hidden) and ``w2`` (hidden, out); like ``linear``, the
+    leading axes of ``x`` are flattened so every product is one 2-D GEMM.
+    The closure keeps ``x`` and the pre-activation ``h`` only; backward
+    recomputes the tanh and ``gelu(h)`` from ``h`` for the fc2 weight
+    gradient and the GELU derivative (Chen et al. 2016, arXiv:1604.06174).
+    """
+    shapes = f"x {x.data.shape}, w1 {w1.data.shape}, b1 {b1.data.shape}, w2 {w2.data.shape}, b2 {b2.data.shape}"
+    if w1.data.ndim != 2 or w2.data.ndim != 2:
+        raise ShapeError(f"ffn: weights must be 2-D: {shapes}")
+    (n_in, n_hid), n_out = w1.data.shape, w2.data.shape[1]
+    if x.data.shape[-1:] != (n_in,) or w2.data.shape[0] != n_hid or b1.data.shape != (n_hid,) or b2.data.shape != (n_out,):
+        raise ShapeError(f"ffn: shapes do not chain: {shapes}")
+    x2 = x.data.reshape(-1, n_in)
+    h = x2 @ w1.data
+    h += b1.data
+    y = _gelu(h)[0] @ w2.data
+    y += b2.data
+
+    def backward(g):
+        g2 = g.reshape(-1, n_out)
+        a, th = _gelu(h)
+        if w2.requires_grad:
+            w2._accumulate(a.T @ g2, fresh=True)
+        if b2.requires_grad:
+            b2._accumulate(g2.sum(axis=0), fresh=True)
+        d = _gelu_grad(h, th, out=a)
+        gh = np.matmul(g2, w2.data.T, out=th)
+        gh *= d
+        del a, d
+        if x.requires_grad:
+            x._accumulate((gh @ w1.data.T).reshape(x.data.shape), fresh=True)
+        if w1.requires_grad:
+            w1._accumulate(x2.T @ gh, fresh=True)
+        if b1.requires_grad:
+            b1._accumulate(gh.sum(axis=0), fresh=True)
+
+    return _make(y.reshape(*x.data.shape[:-1], n_out), (x, w1, b1, w2, b2), backward)
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

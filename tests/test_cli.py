@@ -410,8 +410,23 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         (["pretrain"], "[1, 2]"),
         (["pretrain"], "{not json"),
         (["pretrain"], "missing"),
+        (["eval-cross-domain", "--regimes", "lp,nope"], None),
+        (["supervised", "--held-out", "env9"], None),
+        (["sweep", "--axis", "data_fraction", "--values", "[0.5, 1.0]", "--held-out", "env9"], None),
     ],
-    ids=["lr", "mask-ratio", "protocol", "axis", "values", "config-list", "config-not-json", "config-missing"],
+    ids=[
+        "lr",
+        "mask-ratio",
+        "protocol",
+        "axis",
+        "values",
+        "config-list",
+        "config-not-json",
+        "config-missing",
+        "regimes",
+        "held-out",
+        "sweep-held-out",
+    ],
 )
 def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, argv, config):
     tail = ["--store", str(workdir / "gen" / "store"), "--out", str(tmp_path / "out")]
@@ -422,6 +437,7 @@ def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, argv, c
         tail += ["--config", str(path)]
     assert cli.main(argv + tail) == 2
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "config"
+    assert not (tmp_path / "out").exists()
 
 
 def test_flags_set_the_fields_their_dest_names(workdir, tmp_path):

@@ -84,7 +84,7 @@ def test_flops_equal_counted_gemm_flops(monkeypatch, mode):
         ffn_expansion=3,
     )
     counted = []
-    linear, matmul, attention = T.linear, T.matmul, T.attention
+    linear, matmul, attention, ffn = T.linear, T.matmul, T.attention, T.ffn
 
     def counting_linear(x, w, b=None):
         counted.append(2 * x.data.size * w.shape[1])
@@ -100,9 +100,15 @@ def test_flops_equal_counted_gemm_flops(monkeypatch, mode):
         counted.append(4 * b * t * t * (d3 // 3))  # the q kᵀ and weights @ v GEMMs
         return attention(qkv, n_heads)
 
+    def counting_ffn(x, w1, b1, w2, b2):
+        rows = x.data.size // x.shape[-1]
+        counted.append(2 * rows * (w1.shape[0] * w1.shape[1] + w2.shape[0] * w2.shape[1]))  # fc1 and fc2 GEMMs
+        return ffn(x, w1, b1, w2, b2)
+
     monkeypatch.setattr(T, "linear", counting_linear)
     monkeypatch.setattr(T, "matmul", counting_matmul)
     monkeypatch.setattr(T, "attention", counting_attention)
+    monkeypatch.setattr(T, "ffn", counting_ffn)
     model = M.MaskedAutoencoder(cfg, seed=0)
     clips = np.random.default_rng(0).standard_normal((1, 600, 90)).astype(np.float32)
     if mode == "inference":

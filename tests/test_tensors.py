@@ -322,3 +322,73 @@ def test_attention_rejects_bad_shapes():
 def test_attention_gradients_over_random_shapes(b, t, n_heads, hd, seed):
     x = rand(np.random.default_rng(seed), b, t, 3 * n_heads * hd)
     assert T.grad_check(attention_loss(n_heads), [x]) < 1e-7
+
+
+def composite_ffn(x, w1, b1, w2, b2):
+    """fc1 -> GELU -> fc2 built from primitive ops: the oracle for ``T.ffn``."""
+    return T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
+
+
+def ffn_inputs(rng, lead, n_in, n_hid, n_out, dtype=np.float64):
+    shapes = [(*lead, n_in), (n_in, n_hid), (n_hid,), (n_hid, n_out), (n_out,)]
+    return [rand(rng, *s, dtype=dtype) for s in shapes]
+
+
+@pytest.mark.parametrize("lead", [(5,), (2, 7), (2, 3, 4)])
+def test_ffn_matches_the_composite_oracle(lead):
+    rng = np.random.default_rng(22)
+    arrays = [t.data for t in ffn_inputs(rng, lead, 12, 48, 10, dtype=np.float32)]
+    w = rng.standard_normal((*lead, 10)).astype(np.float32)
+    fused = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    oracle = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    y_fused, y_oracle = T.ffn(*fused), composite_ffn(*oracle)
+    assert y_fused.data.tobytes() == y_oracle.data.tobytes()
+    T.sum_(T.mul(y_fused, w)).backward()
+    T.sum_(T.mul(y_oracle, w)).backward()
+    for f, o in zip(fused, oracle):
+        assert f.grad.dtype == np.float32
+        np.testing.assert_allclose(f.grad, o.grad, rtol=1e-5, atol=0)
+
+
+def test_ffn_closure_keeps_only_its_input_and_the_pre_activation():
+    rng = np.random.default_rng(23)
+    x, w1, b1, w2, b2 = ffn_inputs(rng, (2, 3), 4, 16, 5)
+    y = T.ffn(x, w1, b1, w2, b2)
+    kept = [c.cell_contents for c in y._backward.__closure__]
+    wide = [a for a in kept if isinstance(a, np.ndarray) and 16 in a.shape]
+    pre = T.linear(x, w1, b1).data.reshape(6, 16)
+    assert len(wide) <= 2
+    assert [a.shape for a in wide].count((6, 16)) == 1
+    assert all(a.shape in ((6, 16), w1.shape, w2.shape) for a in wide)
+    assert any(np.array_equal(a, pre) for a in wide)
+    assert all(any(t is p for p in (x, w1, b1, w2, b2)) for t in kept if isinstance(t, T.Tensor))
+
+
+@pytest.mark.parametrize(
+    "arg, shape",
+    [(0, (3, 5)), (1, (4, 8, 1)), (3, (8,)), (1, (5, 8)), (3, (7, 5)), (2, (5,)), (4, (8,))],
+    ids=["x", "w1-3d", "w2-1d", "w1-rows", "w2-rows", "b1", "b2"],
+)
+def test_ffn_rejects_bad_shapes(arg, shape):
+    rng = np.random.default_rng(24)
+    args = ffn_inputs(rng, (3,), 4, 8, 5)
+    args[arg] = rand(rng, *shape)
+    with pytest.raises(T.ShapeError, match="ffn"):
+        T.ffn(*args)
+
+
+# Axes into the GELU are at least 2 long: with one row and one hidden unit a
+# pre-activation at GELU's stationary point or far tail leaves x, w1 and b1
+# a gradient below the finite-difference reference's rounding floor, and
+# the composite fails such a draw just the same.
+@settings(max_examples=25)
+@given(
+    lead=st.lists(st.integers(2, 3), min_size=1, max_size=3),
+    n_in=st.integers(2, 4),
+    n_hid=st.integers(2, 6),
+    n_out=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_ffn_gradients_over_random_shapes(lead, n_in, n_hid, n_out, seed):
+    inputs = ffn_inputs(np.random.default_rng(seed), tuple(lead), n_in, n_hid, n_out)
+    assert T.grad_check(lambda *t: T.sum_(T.square(T.ffn(*t))), inputs) < 1e-7
