@@ -11,10 +11,12 @@ followed by a final LayerNorm.  Self-attention is one engine op,
 ``tensors.attention``, between the qkv and output projections; the FFN,
 fc1 -> GELU -> fc2, is one op, ``tensors.ffn``.  The decoder projects
 the latent to its own width, fills masked positions with one shared
-learnable mask token, adds its own positional table, runs a shallower
-stack, and predicts raw patch values through a linear head.  The loss
-is the mean over masked patches of the squared L2 patch error; visible
-positions contribute exactly zero.
+learnable mask token, adds its own positional table and runs a
+shallower stack; ``decode`` returns that stack's output.  A linear head
+predicts raw patch values from it, and the loss is the mean over masked
+patches of the squared L2 patch error.  Head and loss are one engine op,
+``tensors.masked_mse_head``, which runs the head on the masked rows
+only, so visible positions and the CLS row contribute exactly zero.
 """
 
 from __future__ import annotations
@@ -282,24 +284,24 @@ class MaskedAutoencoder:
         return T.concat([cls, tokens], axis=1)
 
     def decode(self, latent: T.Tensor, plans, params: dict | None = None) -> T.Tensor:
-        """Latent (B, 1+V, D) -> reconstructed patches (B, N_p, patch_len)."""
+        """Latent (B, 1+V, D) -> decoder output (B, 1+N_p, dec_dim), before the head."""
         p = params if params is not None else self.params
         x = self._decoder_tokens(latent, plans, p)
         for i in range(self.cfg.dec_layers):
             x = _block(x, p, f"dec.blocks.{i}", self.cfg.dec_heads)
-        recon = T.linear(x, p["dec.head.w"], p["dec.head.b"])
-        return recon[:, 1:, :]
+        return x
 
     def forward_loss(self, clips: np.ndarray, plans, params: dict | None = None) -> tuple:
-        """Clips (B, T, C) + per-clip plans -> (masked-patch loss, reconstruction)."""
+        """Clips (B, T, C) + per-clip plans -> (masked-patch loss, decoder output)."""
         cfg = self.cfg
+        p = params if params is not None else self.params
         patches = patchify(clips, cfg.patch_time, cfg.patch_freq)
         vis_idx = _batch_indices(plans, "visible_idx")
         b = np.arange(patches.shape[0])[:, None]
         visible = T.Tensor(patches[b, vis_idx])
-        latent = self.encode(visible, vis_idx, params)
-        recon = self.decode(latent, plans, params)
-        return mae_loss(recon, patches, plans), recon
+        latent = self.encode(visible, vis_idx, p)
+        x = self.decode(latent, plans, p)
+        return mae_loss(x, p, patches, plans), x
 
     def encode_features(self, clips: np.ndarray, params: dict | None = None) -> T.Tensor:
         """Full (unmasked) token sequence through the encoder; CLS row out."""
@@ -311,18 +313,16 @@ class MaskedAutoencoder:
         return latent[:, 0, :]
 
 
-def mae_loss(recon: T.Tensor, patches: np.ndarray, plans) -> T.Tensor:
+def mae_loss(x: T.Tensor, params: dict, patches: np.ndarray, plans) -> T.Tensor:
     """Mean over masked patches of the squared L2 patch error.
 
-    Each masked patch contributes the sum of squared entry errors;
-    visible patches are never touched by the graph, so perturbing them
-    changes nothing, bit for bit.
+    ``x`` is the decoder output (B, 1+N_p, dec_dim), CLS row first.  The
+    head ``dec.head`` runs on the masked rows only and each masked patch
+    contributes the sum of its squared entry errors; visible patches are
+    never read, so perturbing them changes nothing, bit for bit.
     """
     if any(len(p.masked_idx) == 0 for p in plans):
         raise ModelError("mae_loss: empty masked set")
     masked = _batch_indices(plans, "masked_idx")
     b = np.arange(patches.shape[0])[:, None]
-    rec_m = T.gather_tokens(recon, masked)
-    tgt = T.Tensor(patches[b, masked])
-    per_patch = T.sum_(T.square(T.sub(rec_m, tgt)), axis=-1)
-    return T.mean_(per_patch)
+    return T.masked_mse_head(x, params["dec.head.w"], params["dec.head.b"], masked + 1, patches[b, masked])

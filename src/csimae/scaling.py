@@ -102,7 +102,8 @@ def estimate_flops(model_cfg: M.ModelConfig, mode: str) -> float:
     Per transformer block over T tokens at width D, in multiply-accumulates:
     attention 4*T*D^2 + 2*T^2*D, FFN 2*E*T*D^2 with E = ``ffn_expansion``.
     ``pretrain_step`` runs the encoder on visible tokens plus the decoder on
-    all tokens; ``inference`` runs the encoder on the full sequence only.
+    all tokens, and the reconstruction head on masked tokens only;
+    ``inference`` runs the encoder on the full sequence only.
     """
     if mode not in ("pretrain_step", "inference"):
         raise SweepError(f"unknown mode {mode!r}")
@@ -125,7 +126,7 @@ def estimate_flops(model_cfg: M.ModelConfig, mode: str) -> float:
     total += cfg.enc_layers * block(t_enc, cfg.enc_dim)
     total += 2 * t_enc * cfg.enc_dim * cfg.dec_dim  # latent projection
     total += cfg.dec_layers * block(t_dec, cfg.dec_dim)
-    total += 2 * t_dec * cfg.dec_dim * plen  # reconstruction head
+    total += 2 * cfg.n_masked * cfg.dec_dim * plen  # reconstruction head, masked rows only
     return float(total)
 
 

@@ -14,19 +14,27 @@ on the same root finds nothing left to do.
 
 The op set is deliberately small: exactly what a pre-norm transformer
 encoder/decoder with GELU FFNs, masked-token gathering, and MSE /
-cross-entropy losses needs.  Both sub-layers of a block are fused ops
-that recompute in backward what a composite graph would keep:
+cross-entropy losses needs.  The ops a block and the MAE loss are made
+of keep only what backward cannot cheaply recompute (Chen et al. 2016,
+arXiv:1604.06174):
 
 - ``attention`` runs on the packed output of the qkv projection; its
-  closure keeps the scaled q, views of k and v and the row log-sum-exp,
-  never the (B, H, T, T) weights.
+  closure keeps views of q, k and v into that output and the row
+  log-sum-exp, never the (B, H, T, T) weights or a scaled copy of q.
 - ``ffn`` is fc1 -> GELU -> fc2; its closure keeps its input and the
   fc1 pre-activation, never the tanh or the GELU output.  ``gelu``
   shares its arithmetic and stays for the downstream classifier head.
+- ``layer_norm`` keeps its input and the (…, 1) mean and inverse
+  standard deviation; backward recomputes the normalized input.
+- ``masked_mse_head`` is the MAE reconstruction head and loss in one
+  node: it applies the head to the gathered masked rows only and keeps
+  those rows and their residual, never a full (B, T, patch) output.
 
-``matmul``, ``softmax``, ``transpose``, ``swap_last`` and ``reshape``
-stay for the tests' composite attention oracle and for
-``perfbench/tracer.py``, which looks every op it times up by name.
+The library itself no longer calls ``matmul``, ``softmax``,
+``transpose``, ``swap_last``, ``reshape``, ``sub``, ``mul``, ``square``,
+``sum_``, ``mean_`` or ``mse``.  They stay for the tests and their
+composite oracles and for ``perfbench/``, whose tracer looks every op
+it times up by name.
 """
 
 from __future__ import annotations
@@ -317,6 +325,13 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     return _make(a.data[idx], (a,), backward)
 
 
+def _check_distinct(idx: np.ndarray, n: int, op: str):
+    """Raise ``ShapeError`` when a row of ``idx`` names one of ``n`` positions twice."""
+    pos = np.sort(idx % n, axis=1)
+    if (pos[:, 1:] == pos[:, :-1]).any():
+        raise ShapeError(f"{op}: a row of idx repeats a position")
+
+
 def gather_tokens(a: Tensor, idx) -> Tensor:
     """Per-sample row selection: a is (B, T, ...), idx is (B, K) ints.
 
@@ -326,9 +341,7 @@ def gather_tokens(a: Tensor, idx) -> Tensor:
     idx = np.asarray(idx)
     if a.data.ndim < 2 or idx.ndim != 2 or idx.shape[0] != a.data.shape[0]:
         raise ShapeError(f"gather_tokens: got data {a.data.shape}, idx {idx.shape}")
-    pos = np.sort(idx % a.data.shape[1], axis=1)
-    if (pos[:, 1:] == pos[:, :-1]).any():
-        raise ShapeError("gather_tokens: a row of idx repeats a position")
+    _check_distinct(idx, a.data.shape[1], "gather_tokens")
     batch = np.arange(idx.shape[0])[:, None]
 
     def backward(g):
@@ -366,11 +379,10 @@ def attention(qkv: Tensor, n_heads: int) -> Tensor:
     softmax(q kᵀ / sqrt(hd)) v per head.
 
     The (B, H, T, T) weights are built in one buffer and dropped once the
-    output is written; the closure keeps the scaled q (the op's one copy
-    of its input), k and v as views of ``qkv`` and the row log-sum-exp
-    (B, H, T, 1).  Backward recomputes the weights from them
-    (FlashAttention, Dao et al. 2022) and reads ``rowsum(dO ∘ O)`` from
-    the op's own output.
+    output is written; the closure keeps q, k and v as views of ``qkv``
+    and the row log-sum-exp (B, H, T, 1).  Backward recomputes the scaled
+    q and the weights from them (FlashAttention, Dao et al. 2022) and
+    reads ``rowsum(dO ∘ O)`` from the op's own output.
     """
     if qkv.data.ndim != 3 or qkv.data.shape[-1] % (3 * n_heads):
         raise ShapeError(f"attention: qkv {qkv.data.shape} is not (B, T, 3 * {n_heads} heads * hd)")
@@ -379,8 +391,7 @@ def attention(qkv: Tensor, n_heads: int) -> Tensor:
     hd = dim // n_heads
     scale = 1.0 / math.sqrt(hd)
     q, k, v = qkv.data.reshape(b, t, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)  # each (B, H, T, hd)
-    q = q * scale
-    s = np.matmul(q, k.swapaxes(-1, -2))
+    s = np.matmul(q * scale, k.swapaxes(-1, -2))
     m = s.max(axis=-1, keepdims=True)
     s -= m
     np.exp(s, out=s)
@@ -393,7 +404,8 @@ def attention(qkv: Tensor, n_heads: int) -> Tensor:
     def backward(g):
         if not qkv.requires_grad:
             return
-        p = np.matmul(q, k.swapaxes(-1, -2))
+        qs = q * scale
+        p = np.matmul(qs, k.swapaxes(-1, -2))
         p -= lse
         np.exp(p, out=p)
         g_h = _heads(g, n_heads)
@@ -407,7 +419,7 @@ def attention(qkv: Tensor, n_heads: int) -> Tensor:
         del p
         np.matmul(ds, k, out=gq)
         gq *= scale
-        np.matmul(ds.swapaxes(-1, -2), q, out=gk)
+        np.matmul(ds.swapaxes(-1, -2), qs, out=gk)
         qkv._accumulate(buf.reshape(b, t, d3), fresh=True)
 
     return _make(out, (qkv,), backward)
@@ -468,7 +480,12 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
-    """Normalize over the last axis, then apply learnable scale and shift."""
+    """Normalize over the last axis, then apply learnable scale and shift.
+
+    The closure keeps the input and the (…, 1) mean and inverse standard
+    deviation; backward recomputes the normalized input from them with
+    the forward's own operations, so its bits are the forward's.
+    """
     x = a.data
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
@@ -477,6 +494,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_E
     xhat = xc * inv
 
     def backward(g):
+        xhat = (x - mu) * inv
         if gamma.requires_grad:
             gamma._accumulate((g * xhat).reshape(-1, x.shape[-1]).sum(axis=0), fresh=True)
         if beta.requires_grad:
@@ -585,6 +603,48 @@ def mse(pred: Tensor, target) -> Tensor:
     if pred.data.shape != target.data.shape:
         raise ShapeError(f"mse: {pred.data.shape} vs {target.data.shape}")
     return mean_(square(sub(pred, target)))
+
+
+def masked_mse_head(x: Tensor, w: Tensor, b: Tensor, idx, targets) -> Tensor:
+    """Mean over (B, M) of ``||x[i, idx[i, j]] @ w + b - targets[i, j]||²`` as one node.
+
+    ``x`` is (B, T, D), ``w`` (D, P), ``b`` (P,), ``idx`` (B, M) ints whose
+    rows hold distinct positions (a repeat raises ``ShapeError``) and
+    ``targets`` (B, M, P).  This is the MAE reconstruction head and its
+    masked-patch loss: the head runs on the M gathered rows only, and the
+    closure keeps those rows (B·M, D) and the residual (B·M, P), never a
+    (B, T, P) output.  Backward scatters the rows' gradient into zeros by
+    assignment, as ``gather_tokens`` does.
+    """
+    idx, targets = np.asarray(idx), np.asarray(targets)
+    shapes = f"x {x.data.shape}, w {w.data.shape}, b {b.data.shape}, idx {idx.shape}, targets {targets.shape}"
+    if x.data.ndim != 3 or w.data.ndim != 2 or idx.ndim != 2 or not idx.shape[1]:
+        raise ShapeError(f"masked_mse_head: {shapes}")
+    (n_b, n_t, n_in), n_m, n_out = x.data.shape, idx.shape[1], w.data.shape[1]
+    if w.data.shape[0] != n_in or b.data.shape != (n_out,) or idx.shape[0] != n_b or targets.shape != (n_b, n_m, n_out):
+        raise ShapeError(f"masked_mse_head: shapes do not chain: {shapes}")
+    _check_distinct(idx, n_t, "masked_mse_head")
+    batch = np.arange(n_b)[:, None]
+    rows = x.data[batch, idx].reshape(-1, n_in)
+    r = rows @ w.data
+    r += b.data
+    r -= targets.reshape(-1, n_out)
+    inv_n = np.asarray(1.0 / (n_b * n_m), dtype=r.dtype)
+    loss = np.square(r).sum(axis=-1).sum() * inv_n
+
+    def backward(g):
+        gr = 2.0 * r
+        gr *= g * inv_n
+        if w.requires_grad:
+            w._accumulate(rows.T @ gr, fresh=True)
+        if b.requires_grad:
+            b._accumulate(gr.sum(axis=0), fresh=True)
+        if x.requires_grad:
+            buf = np.zeros_like(x.data)
+            buf[batch, idx] = (gr @ w.data.T).reshape(n_b, n_m, n_in)
+            x._accumulate(buf, fresh=True)
+
+    return _make(loss, (x, w, b), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:

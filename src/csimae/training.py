@@ -3,14 +3,15 @@
 Everything is seeded and single-threaded-deterministic: the validation
 split, the per-epoch shuffles, and the per-clip mask plans all derive
 from the run seed, and validation masks are fixed across epochs so val
-losses compare like for like.  Wall-clock timings go to a sidecar file
-so the metrics stream itself is bit-reproducible.
+losses compare like for like.  Wall-clock timings and peak RSS go to a
+sidecar file so the metrics stream itself is bit-reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import resource
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,7 +70,8 @@ def adamw_step(params: dict, grads: dict, state: dict, lr: float, config: TrainC
 
     Rejects the whole step (returns False) when any gradient is
     non-finite.  ``state`` holds per-name first/second moments plus the
-    shared step count.
+    shared step count.  The moments are allocated on the first step and
+    updated in place after it, so a step allocates no new optimizer state.
     """
     names = sorted(grads)
     for name in names:
@@ -84,11 +86,14 @@ def adamw_step(params: dict, grads: dict, state: dict, lr: float, config: TrainC
         g = grads[name]
         p = params[name].data
         buf = state.setdefault(name, {"m": np.zeros_like(p), "v": np.zeros_like(p)})
-        buf["m"] = b1 * buf["m"] + (1.0 - b1) * g
-        buf["v"] = b2 * buf["v"] + (1.0 - b2) * (g * g)
+        m, v = buf["m"], buf["v"]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
         if config.weight_decay:
             p -= lr * config.weight_decay * p
-        p -= lr * (buf["m"] / c1) / (np.sqrt(buf["v"] / c2) + config.adam_eps)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
     return True
 
 
@@ -136,7 +141,7 @@ class EarlyStopper:
 class RunMetrics:
     steps: list = field(default_factory=list)  # {"step", "lr", "train_loss", "rejected"}
     epochs: list = field(default_factory=list)  # {"epoch", "val_loss"|"val_accuracy", "best"}
-    timing: list = field(default_factory=list)  # {"epoch", "wall_seconds"} (volatile)
+    timing: list = field(default_factory=list)  # {"epoch", "wall_seconds", "peak_rss_mb"} (volatile)
 
     def add_step(self, step, lr, loss, rejected):
         """``rejected`` marks a step whose update AdamW refused (non-finite gradient)."""
@@ -148,8 +153,8 @@ class RunMetrics:
         self.epochs.append(record)
 
     def save(self, run_dir) -> Path:
-        """metrics.jsonl holds the deterministic stream; wall-clock goes
-        to timing.jsonl so metrics files stay bit-identical across runs."""
+        """metrics.jsonl holds the deterministic stream; wall-clock and peak
+        RSS go to timing.jsonl so metrics files stay bit-identical across runs."""
         run_dir = Path(run_dir)
         run_dir.mkdir(parents=True, exist_ok=True)
         with open(run_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
@@ -171,6 +176,11 @@ class PretrainResult:
     best_val_loss: float
     metrics: RunMetrics
     aborted: bool = False
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB (Linux reports ``ru_maxrss`` in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _batches(order: np.ndarray, batch_size: int):
@@ -242,7 +252,7 @@ def pretrain_arrays(clips: np.ndarray, model_cfg: M.ModelConfig, cfg: TrainConfi
         val_loss = masked_val_loss(model, val_clips, val_plans, cfg.batch_size)
         improved = stopper.update(epoch, val_loss)
         metrics.add_epoch({"epoch": epoch, "val_loss": val_loss, "best": improved})
-        metrics.timing.append({"epoch": epoch, "wall_seconds": time.monotonic() - t0})
+        metrics.timing.append({"epoch": epoch, "wall_seconds": time.monotonic() - t0, "peak_rss_mb": _peak_rss_mb()})
         if improved:
             best_params = C.clone_params(model.params)
             best_epoch = epoch

@@ -84,7 +84,7 @@ def test_flops_equal_counted_gemm_flops(monkeypatch, mode):
         ffn_expansion=3,
     )
     counted = []
-    linear, matmul, attention, ffn = T.linear, T.matmul, T.attention, T.ffn
+    linear, matmul, attention, ffn, head = T.linear, T.matmul, T.attention, T.ffn, T.masked_mse_head
 
     def counting_linear(x, w, b=None):
         counted.append(2 * x.data.size * w.shape[1])
@@ -105,10 +105,15 @@ def test_flops_equal_counted_gemm_flops(monkeypatch, mode):
         counted.append(2 * rows * (w1.shape[0] * w1.shape[1] + w2.shape[0] * w2.shape[1]))  # fc1 and fc2 GEMMs
         return ffn(x, w1, b1, w2, b2)
 
+    def counting_head(x, w, b, idx, targets):
+        counted.append(2 * idx.size * w.shape[0] * w.shape[1])  # the head GEMM on the B·M gathered rows
+        return head(x, w, b, idx, targets)
+
     monkeypatch.setattr(T, "linear", counting_linear)
     monkeypatch.setattr(T, "matmul", counting_matmul)
     monkeypatch.setattr(T, "attention", counting_attention)
     monkeypatch.setattr(T, "ffn", counting_ffn)
+    monkeypatch.setattr(T, "masked_mse_head", counting_head)
     model = M.MaskedAutoencoder(cfg, seed=0)
     clips = np.random.default_rng(0).standard_normal((1, 600, 90)).astype(np.float32)
     if mode == "inference":

@@ -392,3 +392,142 @@ def test_ffn_rejects_bad_shapes(arg, shape):
 def test_ffn_gradients_over_random_shapes(lead, n_in, n_hid, n_out, seed):
     inputs = ffn_inputs(np.random.default_rng(seed), tuple(lead), n_in, n_hid, n_out)
     assert T.grad_check(lambda *t: T.sum_(T.square(T.ffn(*t))), inputs) < 1e-7
+
+
+def composite_masked_mse_head(x, w, b, idx, targets):
+    """Head on every row, then gather, residual and mean squared patch error: the oracle for ``T.masked_mse_head``."""
+    rec = T.gather_tokens(T.linear(x, w, b), idx)
+    return T.mean_(T.sum_(T.square(T.sub(rec, targets)), axis=-1))
+
+
+def head_inputs(rng, b, t, m, d, p, dtype=np.float64):
+    """x (B, T, D), w (D, P), bias (P,), per-row distinct positions (B, M) and targets (B, M, P)."""
+    x, w, bias = rand(rng, b, t, d, dtype=dtype), rand(rng, d, p, dtype=dtype), rand(rng, p, dtype=dtype)
+    idx = np.stack([rng.permutation(t)[:m] for _ in range(b)])
+    return x, w, bias, idx, rng.standard_normal((b, m, p)).astype(dtype)
+
+
+@pytest.mark.parametrize("shape", [(1, 5, 2, 3, 4), (3, 7, 5, 8, 6), (4, 37, 28, 128, 1500)])
+def test_masked_mse_head_matches_the_composite_oracle(shape):
+    rng = np.random.default_rng(25)
+    x, w, bias, idx, targets = head_inputs(rng, *shape, dtype=np.float32)
+    fused = [T.Tensor(t.data.copy(), requires_grad=True) for t in (x, w, bias)]
+    oracle = [T.Tensor(t.data.copy(), requires_grad=True) for t in (x, w, bias)]
+    loss_fused = T.masked_mse_head(*fused, idx, targets)
+    loss_oracle = composite_masked_mse_head(*oracle, idx, targets)
+    assert loss_fused.data.shape == loss_oracle.data.shape == ()
+    assert loss_fused.data.dtype == np.float32
+    np.testing.assert_allclose(loss_fused.data, loss_oracle.data, rtol=1e-6, atol=0)
+    loss_fused.backward()
+    loss_oracle.backward()
+    for f, o in zip(fused, oracle):
+        assert f.grad.dtype == np.float32
+        # norm-wise: the weight gradient sums B·M float32 products, so single entries can cancel
+        assert np.linalg.norm(f.grad - o.grad) <= 1e-5 * np.linalg.norm(o.grad)
+
+
+@settings(max_examples=25)
+@given(
+    b=st.integers(1, 3),
+    t=st.integers(1, 6),
+    m_frac=st.floats(0.0, 1.0),
+    d=st.integers(1, 4),
+    p=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_masked_mse_head_gradients_over_random_shapes(b, t, m_frac, d, p, seed):
+    m = 1 + int(m_frac * (t - 1))
+    x, w, bias, idx, targets = head_inputs(np.random.default_rng(seed), b, t, m, d, p)
+    err = T.grad_check(lambda *ts: T.masked_mse_head(*ts, idx, targets), [x, w, bias])
+    assert err < 1e-7
+
+
+def test_masked_mse_head_closure_keeps_no_full_reconstruction():
+    b, t, m, d, p = 2, 9, 4, 3, 5
+    x, w, bias, idx, targets = head_inputs(np.random.default_rng(26), b, t, m, d, p)
+    loss = T.masked_mse_head(x, w, bias, idx, targets)
+    kept = [c.cell_contents for c in loss._backward.__closure__]
+    arrays = [a for a in kept if isinstance(a, np.ndarray)]
+    assert all(a.size < b * t * p for a in arrays)
+    assert {(b * m, d), (b * m, p)} <= {a.shape for a in arrays}
+    assert all(any(k is s for s in (x, w, bias)) for k in kept if isinstance(k, T.Tensor))
+
+
+@pytest.mark.parametrize(
+    "arg, value",
+    [
+        (3, np.array([[0, 2], [1, 1]])),
+        (3, np.array([[0, 2], [2, -1]])),
+        (0, np.ones((2, 3))),
+        (1, np.ones((4, 5))),
+        (1, np.ones((3, 5, 1))),
+        (2, np.ones(4)),
+        (3, np.array([[0, 1]])),
+        (3, np.zeros((2, 0), dtype=int)),
+        (4, np.ones((2, 2, 4))),
+        (4, np.ones((2, 3, 5))),
+    ],
+    ids=["repeat", "repeat-negative", "x-2d", "w-rows", "w-3d", "bias", "idx-batch", "idx-empty", "targets-width",
+         "targets-rows"],
+)
+def test_masked_mse_head_rejects_bad_inputs(arg, value):
+    args = list(head_inputs(np.random.default_rng(27), 2, 3, 2, 3, 5))
+    args[arg] = t64(value) if arg < 3 else value
+    with pytest.raises(T.ShapeError, match="masked_mse_head"):
+        T.masked_mse_head(*args)
+
+
+def test_layer_norm_closure_keeps_its_input_and_no_other_full_size_array():
+    rng = np.random.default_rng(28)
+    x, g, b = rand(rng, 2, 3, 8), rand(rng, 8), rand(rng, 8)
+    y = T.layer_norm(x, g, b)
+    kept = [c.cell_contents for c in y._backward.__closure__]
+    arrays = [a for a in kept if isinstance(a, np.ndarray)]
+    assert any(a is x.data for a in arrays)
+    assert all(a is x.data or a.shape == (2, 3, 1) for a in arrays)
+    assert all(any(t is s for s in (x, g, b)) for t in kept if isinstance(t, T.Tensor))
+
+
+def test_attention_closure_keeps_only_views_of_qkv_and_the_log_sum_exp():
+    b, t, n_heads, hd = 2, 7, 3, 4
+    qkv = rand(np.random.default_rng(29), b, t, 3 * n_heads * hd)
+    y = T.attention(qkv, n_heads)
+    kept = [c.cell_contents for c in y._backward.__closure__]
+    own = [a for a in kept if isinstance(a, np.ndarray) and not np.shares_memory(a, qkv.data)]
+    # besides the views, the log-sum-exp and the op's own output (its rowsum(dO ∘ O) source)
+    assert sorted(a.shape for a in own if a is not y.data) == [(b, n_heads, t, 1)]
+    assert sum(isinstance(a, np.ndarray) and np.shares_memory(a, qkv.data) for a in kept) == 3  # q, k and v
+
+
+def test_layer_norm_recompute_is_bit_equal_to_keeping_the_normalized_input():
+    rng = np.random.default_rng(30)
+    x, g, b = (rng.standard_normal(s).astype(np.float32) for s in ((4, 9, 64), (64,), (64,)))
+    up = rng.standard_normal((4, 9, 64)).astype(np.float32)
+    ts = [T.Tensor(a.copy(), requires_grad=True) for a in (x, g, b)]
+    y = T.layer_norm(*ts)
+    T.sum_(T.mul(y, up)).backward()
+    # the same arithmetic with the normalized input kept from the forward pass
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + T.LAYER_NORM_EPS)
+    xhat = xc * inv
+    gx = up * g
+    dx = inv * (gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+    assert y.data.tobytes() == (g * xhat + b).tobytes()
+    assert ts[0].grad.tobytes() == dx.tobytes()
+    assert ts[1].grad.tobytes() == (up * xhat).reshape(-1, 64).sum(axis=0).tobytes()
+
+
+# The normalized axis is at least 3 long: over 1 or 2 entries the normalized
+# input is 0 or ±1 whatever x is, so x's gradient is zero up to eps and the
+# finite-difference reference is all rounding.
+@settings(max_examples=25)
+@given(
+    lead=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    dim=st.integers(3, 8),
+    seed=st.integers(0, 2**16),
+)
+def test_layer_norm_gradients_over_random_shapes(lead, dim, seed):
+    rng = np.random.default_rng(seed)
+    f = lambda x, g, b: T.sum_(T.square(T.layer_norm(x, g, b)))
+    assert T.grad_check(f, [rand(rng, *lead, dim), rand(rng, dim), rand(rng, dim)]) < 1e-6

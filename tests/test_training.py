@@ -181,3 +181,36 @@ def test_rejected_step_is_recorded_in_metrics(tmp_path, monkeypatch):
     steps = [r for r in map(json.loads, lines) if r["kind"] == "step"]
     assert len(steps) == len(calls) == 4
     assert [r["rejected"] for r in steps] == [False, True, False, False]
+
+
+def test_timing_records_wall_seconds_and_peak_rss_per_epoch(tmp_path):
+    clips = synthetic_clip_batch(20, seed=5)
+    R.pretrain_arrays(clips, desk_model_cfg(), desk_cfg(warmup_steps=1, max_epochs=2), run_dir=tmp_path)
+    records = [json.loads(line) for line in (tmp_path / "timing.jsonl").read_text().splitlines()]
+    assert [r["epoch"] for r in records] == [1, 2]
+    assert all(set(r) == {"kind", "epoch", "wall_seconds", "peak_rss_mb"} for r in records)
+    assert 0 < records[0]["peak_rss_mb"] <= records[1]["peak_rss_mb"]
+    metrics = (tmp_path / "metrics.jsonl").read_text()
+    assert "peak_rss_mb" not in metrics and "wall_seconds" not in metrics
+
+
+def test_adamw_updates_moments_in_place_with_the_allocating_update_bits():
+    cfg = R.TrainConfig(weight_decay=0.03)
+    rng = np.random.default_rng(6)
+    p0 = rng.standard_normal((4, 5)).astype(np.float32)
+    grads = [rng.standard_normal((4, 5)).astype(np.float32) for _ in range(3)]
+    params, state = {"p": T.Tensor(p0.copy(), requires_grad=True)}, {}
+    # reference: the same update with freshly allocated moments every step
+    p, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
+    b1, b2 = cfg.betas
+    for t, g in enumerate(grads, start=1):
+        assert R.adamw_step(params, {"p": g}, state, 1e-3, cfg)
+        if t == 1:
+            moments = state["p"]["m"], state["p"]["v"]
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        p -= 1e-3 * cfg.weight_decay * p
+        p -= 1e-3 * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + cfg.adam_eps)
+        assert params["p"].data.tobytes() == p.tobytes()
+    assert state["p"]["m"] is moments[0] and state["p"]["v"] is moments[1]
+    assert state["p"]["m"].tobytes() == m.tobytes() and state["p"]["v"].tobytes() == v.tobytes()
