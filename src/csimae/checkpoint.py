@@ -9,12 +9,14 @@ endianness makes checkpoints bit-reproducible.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from . import tensors as T
+from .data import _read_exact
 from .mae import ModelConfig
 
 _MAGIC = b"CSICKPT1"
@@ -43,32 +45,34 @@ def save_checkpoint(path, params: dict, config: ModelConfig, extra: dict | None 
     return path
 
 
-def _read_exact(fh, n: int, path, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise CheckpointError(f"{path}: truncated in {what} ({len(buf)} of {n} bytes)")
-    return buf
-
-
 def load_checkpoint(path, requires_grad: bool = True) -> tuple:
     """Returns (params dict of float32 Tensors, ModelConfig, extra dict).
 
-    A file that ends before its declared contents raises ``CheckpointError``.
+    A file that ends before its declared contents, or whose metadata is
+    not UTF-8 JSON describing a ``ModelConfig``, raises ``CheckpointError``.
     """
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        blob_len, n_tensors = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
-        meta = json.loads(_read_exact(fh, blob_len, path, "metadata").decode("utf-8"))
-        params = {}
-        for _ in range(n_tensors):
-            name_len, ndim = struct.unpack("<II", _read_exact(fh, 8, path, "tensor header"))
-            name = _read_exact(fh, name_len, path, "tensor name").decode("utf-8")
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, f"shape of {name}"))
-            n = int(np.prod(shape)) * 4
-            arr = np.frombuffer(_read_exact(fh, n, path, f"payload of {name}"), dtype="<f4").reshape(shape)
-            params[name] = T.Tensor(arr.astype(np.float32), requires_grad=requires_grad)
-    return params, ModelConfig.from_json(meta["config"]), meta["extra"]
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(8) != _MAGIC:
+                raise CheckpointError("not a checkpoint file")
+            blob_len, n_tensors = struct.unpack("<II", _read_exact(fh, 8, "header"))
+            blob = _read_exact(fh, blob_len, "metadata")
+            try:
+                meta = json.loads(blob.decode("utf-8"))
+                config, extra = ModelConfig.from_json(meta["config"]), meta["extra"]
+            except (ValueError, TypeError, KeyError) as exc:
+                raise CheckpointError(f"metadata is not a UTF-8 JSON model config ({exc})") from None
+            params = {}
+            for _ in range(n_tensors):
+                name_len, ndim = struct.unpack("<II", _read_exact(fh, 8, "tensor header"))
+                name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
+                shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"shape of {name}"))
+                payload = _read_exact(fh, math.prod(shape) * 4, f"payload of {name}")
+                arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
+                params[name] = T.Tensor(arr.astype(np.float32), requires_grad=requires_grad)
+    except ValueError as exc:  # DataError from a short read, CheckpointError, a name that is not UTF-8
+        raise CheckpointError(f"{path}: {exc}") from None
+    return params, config, extra
 
 
 def clone_params(params: dict, requires_grad: bool = True) -> dict:

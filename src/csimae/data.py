@@ -90,10 +90,6 @@ class ChannelRecording:
     def n_f(self):
         return self.data.shape[3]
 
-    @property
-    def duration_seconds(self):
-        return self.data.shape[0] / self.sampling_rate
-
 
 @dataclass(frozen=True)
 class Provenance:

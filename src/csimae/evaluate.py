@@ -1,17 +1,17 @@
 """Downstream classification harness: supervised, linear-probe, fine-tune.
 
-All three regimes share one seeded loop: cross-entropy on the CLS
-feature, AdamW at batch 32, cosine schedule, early stopping on a
-validation slice of the training set.  Linear probing trains a single
-linear layer on frozen features and never touches encoder weights;
-fine-tuning updates encoder and head; supervised starts the encoder
-from random init.
+All three regimes train through ``training.fit``, the seeded loop that
+pretraining also runs: cross-entropy on the CLS feature, AdamW at batch
+32, cosine schedule, early stopping on accuracy over a validation slice
+of the training set.  Every step is recorded, rejected optimizer steps
+included.  Linear probing trains a single linear layer on frozen
+features and never touches encoder weights; fine-tuning updates encoder
+and head; supervised starts the encoder from random init.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -52,20 +52,10 @@ class EvalResult:
     seed: int
     best_epoch: int = 0
     aborted: bool = False  # a non-finite loss stopped training; scored with the params kept before it
+    rejected_steps: int = 0  # optimizer steps AdamW refused (non-finite gradient)
 
     def to_json(self):
-        return {
-            "regime": self.regime,
-            "split": self.split,
-            "accuracy": self.accuracy,
-            "per_class": self.per_class,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "n_excluded": self.n_excluded,
-            "seed": self.seed,
-            "best_epoch": self.best_epoch,
-            "aborted": self.aborted,
-        }
+        return asdict(self)
 
 
 def head_dims(feat_dim: int, cfg: HeadConfig) -> list:
@@ -109,49 +99,22 @@ def _labels_of(clips, label_key):
 
 
 def train_classifier(forward_fn, params: dict, x_train, y_train, cfg: R.TrainConfig, batch_size: int = 32):
-    """Shared seeded loop: CE loss, AdamW, early stop on val accuracy.
+    """Cross-entropy through ``training.fit`` on streams 7/8, early-stopping on val accuracy.
 
-    ``forward_fn(x_slice, params) -> logits Tensor``.  Returns
-    (best params, best epoch, history records).  A non-finite loss stops
-    training: the history ends with ``{"epoch": e, "aborted": True}`` and
-    the best params kept so far are returned.
+    ``forward_fn(x_slice, params) -> logits Tensor``.  Returns (best
+    params, best epoch, the ``training.FitResult`` of the run).
     """
-    cfg.validate()
-    n = len(x_train)
-    order = np.random.default_rng([cfg.seed, 7]).permutation(n)
-    n_val = max(1, int(round(cfg.val_fraction * n)))
-    val_idx, fit_idx = order[:n_val], order[n_val:]
-    if not len(fit_idx):
-        raise EvalError("training set too small for a validation slice")
-    steps_per_epoch = math.ceil(len(fit_idx) / batch_size)
-    total_steps = cfg.max_epochs * steps_per_epoch
-    opt = R.AdamW(params, cfg)
-    stopper = R.EarlyStopper(cfg.early_stop_patience, mode="max")
-    best = C.clone_params(params)
-    best_epoch = 0
-    history = []
-    step = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        shuffled = fit_idx[np.random.default_rng([cfg.seed, 8, epoch]).permutation(len(fit_idx))]
-        for i in range(0, len(shuffled), batch_size):
-            idx = shuffled[i : i + batch_size]
-            step += 1
-            logits = forward_fn(x_train[idx], params)
-            loss = T.softmax_cross_entropy(logits, y_train[idx])
-            if not math.isfinite(float(loss.data)):
-                history.append({"epoch": epoch, "aborted": True})
-                return best, best_epoch, history
-            loss.backward()
-            opt.step(R.lr_at(step, cfg, total_steps))
-        val_acc = accuracy(predict(forward_fn, params, x_train[val_idx], batch_size), y_train[val_idx])
-        improved = stopper.update(epoch, val_acc)
-        history.append({"epoch": epoch, "val_accuracy": val_acc, "best": improved})
-        if improved:
-            best = C.clone_params(params)
-            best_epoch = epoch
-        if stopper.should_stop(epoch):
-            break
-    return best, best_epoch, history
+    cfg = replace(cfg, batch_size=batch_size)
+    val_idx, fit_idx = R.val_split(len(x_train), cfg, 7)
+
+    def batch_loss(idx, epoch):
+        return T.softmax_cross_entropy(forward_fn(x_train[idx], params), y_train[idx])
+
+    def val_accuracy():
+        return accuracy(predict(forward_fn, params, x_train[val_idx], batch_size), y_train[val_idx])
+
+    res = R.fit(params, fit_idx, cfg, 7, batch_loss, val_accuracy, mode="max")
+    return res.params, res.best_epoch, res
 
 
 def predict(forward_fn, params: dict, x, batch_size: int = 32) -> np.ndarray:
@@ -221,7 +184,7 @@ def run_regime(
         params = init_head(model_cfg.enc_dim, HeadConfig(head_cfg.n_classes, hidden_dims=[]), [train_cfg.seed, 12])
         lp_head = HeadConfig(head_cfg.n_classes, hidden_dims=[])
         fwd = lambda feats, p: head_forward(T.Tensor(feats), p, lp_head)
-        best, best_epoch, history = train_classifier(fwd, params, f_train, y_train, train_cfg, batch_size)
+        best, _, run = train_classifier(fwd, params, f_train, y_train, train_cfg, batch_size)
         pred = predict(fwd, best, f_test, batch_size)
     else:
         if regime == "ft":
@@ -235,7 +198,7 @@ def run_regime(
         def fwd(clip_batch, p):
             return head_forward(model.encode_features(clip_batch, params=p), p, head_cfg)
 
-        best, best_epoch, history = train_classifier(fwd, params, x_train, y_train, train_cfg, batch_size)
+        best, _, run = train_classifier(fwd, params, x_train, y_train, train_cfg, batch_size)
         pred = predict(fwd, best, x_test, batch_size)
 
     return EvalResult(
@@ -247,8 +210,9 @@ def run_regime(
         n_test=len(test_clips),
         n_excluded=n_excluded,
         seed=train_cfg.seed,
-        best_epoch=best_epoch,
-        aborted=bool(history) and history[-1].get("aborted", False),
+        best_epoch=run.best_epoch,
+        aborted=run.aborted,
+        rejected_steps=run.rejected_steps,
     )
 
 

@@ -113,14 +113,6 @@ def resample_linear(arr: np.ndarray, axis: int, target: int) -> np.ndarray:
     return np.take(arr, lo, axis=axis) * (1.0 - frac) + np.take(arr, hi, axis=axis) * frac
 
 
-def window_and_resample_time(link_data: np.ndarray, sampling_rate: float, config: HarmonizeConfig) -> list:
-    """Cut sliding windows and interpolate each to the target time length."""
-    return [
-        resample_linear(link_data[start : start + n], 0, config.target_time_len)
-        for start, n in window_slices(link_data.shape[0], sampling_rate, config)
-    ]
-
-
 def channel_blocks(n_f: int, bandwidth: float, config: HarmonizeConfig) -> list:
     """Contiguous subcarrier blocks, one per 20 MHz channel.
 

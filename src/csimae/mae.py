@@ -22,7 +22,7 @@ only, so visible positions and the CLS row contribute exactly zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -129,15 +129,6 @@ def sample_mask(n_patches: int, ratio: float, seed) -> MaskPlan:
         n_patches=n_patches,
         visible_idx=np.sort(perm[n_masked:]),
         masked_idx=np.sort(perm[:n_masked]),
-    )
-
-
-def full_plan(n_patches: int) -> MaskPlan:
-    """No-mask plan used at inference (every patch visible)."""
-    return MaskPlan(
-        n_patches=n_patches,
-        visible_idx=np.arange(n_patches),
-        masked_idx=np.empty(0, dtype=int),
     )
 
 

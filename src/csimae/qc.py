@@ -31,16 +31,6 @@ class QcConfig:
         return self
 
 
-@dataclass(frozen=True)
-class WindowVerdict:
-    kept: bool
-    reason: str = ""
-
-    def __post_init__(self):
-        if not self.kept and not self.reason:
-            raise ValueError("dropped verdict needs a reason")
-
-
 @dataclass
 class WindowQc:
     kept: bool
@@ -48,6 +38,10 @@ class WindowQc:
     missing_fraction: float = 0.0
     impaired_antennas: list = field(default_factory=list)
     outliers_repaired: int = 0
+
+    def __post_init__(self):
+        if not self.kept and not self.reason:
+            raise ValueError("dropped window needs a reason")
 
 
 @dataclass
@@ -93,7 +87,7 @@ def _null_columns(window: np.ndarray) -> np.ndarray:
 def check_missing(window: np.ndarray, config: QcConfig) -> tuple:
     """Missing-packet check on one (time, antenna, subcarrier) window.
 
-    Returns (missing_fraction, verdict, filled_window_or_None).  Windows
+    Returns (WindowQc, filled_window_or_None).  Windows
     with strictly more than ``max_missing_fraction`` all-null columns are
     dropped; retained null columns are filled per series by linear
     interpolation from the nearest non-null columns (edges copy the
@@ -102,34 +96,36 @@ def check_missing(window: np.ndarray, config: QcConfig) -> tuple:
     nulls = _null_columns(window)
     fraction = float(nulls.mean())
     if nulls.all():
-        return fraction, WindowVerdict(False, "empty"), None
+        return WindowQc(False, "empty", fraction), None
     if fraction > config.max_missing_fraction:
-        return fraction, WindowVerdict(False, f"missing fraction {fraction:.4f} > {config.max_missing_fraction}"), None
+        reason = f"missing fraction {fraction:.4f} > {config.max_missing_fraction}"
+        return WindowQc(False, reason, fraction), None
     if not nulls.any():
-        return fraction, WindowVerdict(True), window.copy()
+        return WindowQc(True, missing_fraction=fraction), window.copy()
     n_t = window.shape[0]
     flat = window.reshape(n_t, -1).copy()
     t = np.arange(n_t)
     valid = ~nulls
     for s in range(flat.shape[1]):
         flat[nulls, s] = np.interp(t[nulls], t[valid], flat[valid, s])
-    return fraction, WindowVerdict(True), flat.reshape(window.shape)
+    return WindowQc(True, missing_fraction=fraction), flat.reshape(window.shape)
 
 
-def check_antennas(window: np.ndarray, config: QcConfig) -> WindowVerdict:
+def check_antennas(window: np.ndarray, config: QcConfig) -> WindowQc:
     """Pure predicate: drop windows with dead or null-ridden antennas.
 
     An antenna fails on variance below ``impairment_var_eps`` (constant
     or near-constant readings) or on any remaining per-entry nulls after
-    missing-column handling.
+    missing-column handling.  A dropped window names the first failing
+    antenna in ``impaired_antennas``.
     """
     for a in range(window.shape[1]):
         series = window[:, a, :]
         if np.isnan(series).any():
-            return WindowVerdict(False, f"irregular nulls antenna {a}")
+            return WindowQc(False, f"irregular nulls antenna {a}", impaired_antennas=[a])
         if float(series.var()) < config.impairment_var_eps:
-            return WindowVerdict(False, f"impaired antenna {a}")
-    return WindowVerdict(True)
+            return WindowQc(False, f"impaired antenna {a}", impaired_antennas=[a])
+    return WindowQc(True)
 
 
 def repair_outliers(window: np.ndarray, config: QcConfig) -> tuple:
@@ -167,15 +163,15 @@ def clean_window(window: np.ndarray, config: QcConfig) -> tuple:
 
     Returns (cleaned_window_or_None, WindowQc record).
     """
-    fraction, verdict, filled = check_missing(window, config)
-    if not verdict.kept:
-        return None, WindowQc(False, verdict.reason, missing_fraction=fraction)
+    missing, filled = check_missing(window, config)
+    if not missing.kept:
+        return None, missing
     verdict = check_antennas(filled, config)
+    verdict.missing_fraction = missing.missing_fraction
     if not verdict.kept:
-        ant = [int(verdict.reason.rsplit(" ", 1)[1])]
-        return None, WindowQc(False, verdict.reason, missing_fraction=fraction, impaired_antennas=ant)
-    repaired, n = repair_outliers(filled, config)
-    return repaired, WindowQc(True, missing_fraction=fraction, outliers_repaired=n)
+        return None, verdict
+    repaired, verdict.outliers_repaired = repair_outliers(filled, config)
+    return repaired, verdict
 
 
 def apply_blocklist(manifest: D.DatasetManifest, blocklist) -> tuple:

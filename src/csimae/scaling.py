@@ -163,6 +163,7 @@ def run_sweep(spec: SweepSpec, ctx: SweepContext) -> list:
     spec.validate()
     split = D.SplitSpec("leave_one_domain_out", ctx.domain_key, ctx.held_out_value)
     train_ids, test_ids = D.make_split(ctx.manifest, split)
+    train_clips = D.load_clips(ctx.store_dir, ctx.manifest, train_ids)
     test_clips = D.load_clips(ctx.store_dir, ctx.manifest, test_ids)
     shared_hash = test_set_hash(test_ids)
     rows = []
@@ -183,7 +184,6 @@ def run_sweep(spec: SweepSpec, ctx: SweepContext) -> list:
             pcfg = replace(ctx.pretrain_cfg, seed=seed)
             res = R.pretrain_arrays(x_pool, model_cfg, pcfg)
 
-            train_clips = D.load_clips(ctx.store_dir, ctx.manifest, train_ids)
             labeled = E.select_labeled(train_clips, ctx.label_fraction, seed)
             tcfg = replace(ctx.train_cfg, seed=seed)
             result = E.run_regime(

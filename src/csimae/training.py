@@ -1,10 +1,15 @@
-"""Pretraining loop: AdamW, cosine schedule with linear warmup, early stopping.
+"""The seeded training loop, and MAE pretraining through it.
 
-Everything is seeded and single-threaded-deterministic: the validation
-split, the per-epoch shuffles, and the per-clip mask plans all derive
-from the run seed, and validation masks are fixed across epochs so val
-losses compare like for like.  Wall-clock timings and peak RSS go to a
-sidecar file so the metrics stream itself is bit-reproducible.
+``fit`` is the one loop every run goes through: MAE pretraining here and
+the supervised, linear-probe and fine-tune runs in ``evaluate``.  It
+runs AdamW under a cosine schedule with linear warmup and stops early on
+a validation slice.  Everything is seeded and
+single-threaded-deterministic: the validation split, the per-epoch
+shuffles and the per-clip mask plans all derive from the run seed, and
+validation masks are fixed across epochs so val losses compare like for
+like.  Each step's loss, lr and rejected flag go to the deterministic
+metrics stream; wall-clock timings and peak RSS go to a sidecar file so
+the metrics stream itself is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -169,6 +174,21 @@ class RunMetrics:
 
 
 @dataclass
+class FitResult:
+    """What ``fit`` returns: the best params kept, the epoch that kept them, and the run's records."""
+
+    params: dict
+    best_epoch: int  # 0 when no epoch improved on the start
+    best_value: float  # best validation value; +inf ("min") or -inf ("max") when best_epoch is 0
+    metrics: RunMetrics
+    aborted: bool = False  # a non-finite loss stopped the run; params are the best kept before it
+
+    @property
+    def rejected_steps(self) -> int:
+        return sum(s["rejected"] for s in self.metrics.steps)
+
+
+@dataclass
 class PretrainResult:
     params: dict
     model_config: M.ModelConfig
@@ -183,10 +203,64 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _batches(order: np.ndarray, batch_size: int):
-    """Full batches plus the trailing partial batch (kept, not dropped)."""
-    for i in range(0, len(order), batch_size):
-        yield order[i : i + batch_size]
+def val_split(n: int, cfg: TrainConfig, stream: int) -> tuple:
+    """(val, fit) indices: the first ``val_fraction`` of the ``[seed, stream]`` permutation of ``range(n)``."""
+    cfg.validate()
+    order = np.random.default_rng([cfg.seed, stream]).permutation(n)
+    n_val = max(1, int(round(cfg.val_fraction * n)))
+    if n <= n_val:
+        raise TrainError(f"a validation slice of {n_val} leaves none of {n} items to fit")
+    return order[:n_val], order[n_val:]
+
+
+_VAL_KEYS = {"min": "val_loss", "max": "val_accuracy"}
+
+
+def fit(params: dict, fit_idx, cfg: TrainConfig, stream: int, batch_loss, val_metric, mode: str = "min") -> FitResult:
+    """The seeded loop every training run shares.
+
+    Each epoch visits ``fit_idx`` in the ``[seed, stream + 1, epoch]``
+    order, in batches of ``cfg.batch_size`` with the trailing partial
+    batch kept.  ``batch_loss(idx, epoch)`` returns the loss Tensor of
+    one batch; its backward pass and an AdamW step under the warmup-cosine
+    schedule follow.  ``val_metric()`` scores ``params`` after each epoch;
+    the best-scoring params (``mode`` "min" or "max") are cloned and the
+    run stops after ``early_stop_patience`` epochs without improvement.
+    Every step lands in ``metrics``, rejected optimizer steps flagged.  A
+    non-finite loss stops the run with ``aborted`` set.
+    """
+    val_key = _VAL_KEYS[mode]
+    total_steps = cfg.max_epochs * math.ceil(len(fit_idx) / cfg.batch_size)
+    opt = AdamW(params, cfg)
+    stopper = EarlyStopper(cfg.early_stop_patience, mode)
+    metrics = RunMetrics()
+    best_params = C.clone_params(params)
+    aborted = False
+    step = 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        t0 = time.monotonic()
+        shuffled = fit_idx[np.random.default_rng([cfg.seed, stream + 1, epoch]).permutation(len(fit_idx))]
+        for i in range(0, len(shuffled), cfg.batch_size):
+            step += 1
+            loss = batch_loss(shuffled[i : i + cfg.batch_size], epoch)
+            train_loss = float(loss.data)
+            if not math.isfinite(train_loss):
+                aborted = True
+                break
+            loss.backward()
+            lr = lr_at(step, cfg, total_steps)
+            metrics.add_step(step, lr, train_loss, rejected=not opt.step(lr))
+        if aborted:
+            break
+        value = val_metric()
+        improved = stopper.update(epoch, value)
+        metrics.add_epoch({"epoch": epoch, val_key: value, "best": improved})
+        metrics.timing.append({"epoch": epoch, "wall_seconds": time.monotonic() - t0, "peak_rss_mb": _peak_rss_mb()})
+        if improved:
+            best_params = C.clone_params(params)
+        if stopper.should_stop(epoch):
+            break
+    return FitResult(best_params, stopper.best_epoch, stopper.best_value, metrics, aborted)
 
 
 def val_mask_plans(model_cfg: M.ModelConfig, n_val: int, seed: int) -> list:
@@ -205,78 +279,30 @@ def masked_val_loss(model: M.MaskedAutoencoder, clips: np.ndarray, plans: list, 
 
 
 def pretrain_arrays(clips: np.ndarray, model_cfg: M.ModelConfig, cfg: TrainConfig, run_dir=None) -> PretrainResult:
-    """Masked-reconstruction pretraining over an in-memory clip tensor."""
-    cfg.validate()
-    n = len(clips)
-    if n < 2:
-        raise TrainError("need at least 2 clips to carve a validation split")
-    order = np.random.default_rng([cfg.seed, 1]).permutation(n)
-    n_val = max(1, int(round(cfg.val_fraction * n)))
-    val_idx, train_idx = order[:n_val], order[n_val:]
-    if not len(train_idx):
-        raise TrainError("validation split consumed every clip")
-
-    steps_per_epoch = math.ceil(len(train_idx) / cfg.batch_size)
-    total_steps = cfg.max_epochs * steps_per_epoch
+    """Masked-reconstruction pretraining over an in-memory clip tensor, through ``fit`` on streams 1/2."""
+    val_idx, train_idx = val_split(len(clips), cfg, 1)
     model = M.MaskedAutoencoder(model_cfg, seed=[cfg.seed, 0])
-    opt = AdamW(model.params, cfg)
-    metrics = RunMetrics()
-    stopper = EarlyStopper(cfg.early_stop_patience, mode="min")
     val_clips = clips[val_idx]
-    val_plans = val_mask_plans(model_cfg, n_val, cfg.seed)
+    val_plans = val_mask_plans(model_cfg, len(val_idx), cfg.seed)
 
-    best_params = C.clone_params(model.params)
-    best_epoch = 0
-    aborted = False
-    step = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        t0 = time.monotonic()
-        shuffled = train_idx[np.random.default_rng([cfg.seed, 2, epoch]).permutation(len(train_idx))]
-        for batch_idx in _batches(shuffled, cfg.batch_size):
-            step += 1
-            plans = [
-                M.sample_mask(model_cfg.n_patches, model_cfg.mask_ratio, [cfg.seed, 3, epoch, int(i)])
-                for i in batch_idx
-            ]
-            loss, _ = model.forward_loss(clips[batch_idx], plans)
-            train_loss = float(loss.data)
-            if not math.isfinite(train_loss):
-                aborted = True
-                break
-            loss.backward()
-            lr = lr_at(step, cfg, total_steps)
-            ok = opt.step(lr)
-            metrics.add_step(step, lr, train_loss, rejected=not ok)
-        if aborted:
-            break
-        val_loss = masked_val_loss(model, val_clips, val_plans, cfg.batch_size)
-        improved = stopper.update(epoch, val_loss)
-        metrics.add_epoch({"epoch": epoch, "val_loss": val_loss, "best": improved})
-        metrics.timing.append({"epoch": epoch, "wall_seconds": time.monotonic() - t0, "peak_rss_mb": _peak_rss_mb()})
-        if improved:
-            best_params = C.clone_params(model.params)
-            best_epoch = epoch
-        if stopper.should_stop(epoch):
-            break
+    def batch_loss(idx, epoch):
+        plans = [M.sample_mask(model_cfg.n_patches, model_cfg.mask_ratio, [cfg.seed, 3, epoch, int(i)]) for i in idx]
+        return model.forward_loss(clips[idx], plans)[0]
 
-    result = PretrainResult(
-        params=best_params,
-        model_config=model_cfg,
-        best_epoch=best_epoch,
-        best_val_loss=stopper.best_value if best_epoch else math.inf,
-        metrics=metrics,
-        aborted=aborted,
-    )
+    def val_loss():
+        return masked_val_loss(model, val_clips, val_plans, cfg.batch_size)
+
+    res = fit(model.params, train_idx, cfg, 1, batch_loss, val_loss, mode="min")
     if run_dir is not None:
         run_dir = Path(run_dir)
-        metrics.save(run_dir)
+        res.metrics.save(run_dir)
         C.save_checkpoint(
             run_dir / "checkpoint.ckpt",
-            best_params,
+            res.params,
             model_cfg,
-            extra={"best_epoch": best_epoch, "best_val_loss": result.best_val_loss, "aborted": aborted},
+            extra={"best_epoch": res.best_epoch, "best_val_loss": res.best_value, "aborted": res.aborted},
         )
-    return result
+    return PretrainResult(res.params, model_cfg, res.best_epoch, res.best_value, res.metrics, res.aborted)
 
 
 def pretrain(

@@ -241,6 +241,48 @@ def test_truncated_recording_gives_json_error_record(tmp_path, capsys):
     assert err["error"] == "DataError" and str(cut) in err["message"] and "truncated" in err["message"]
 
 
+def _micro_checkpoint(path):
+    from csimae import checkpoint as C
+    from csimae import mae as M
+
+    cfg = M.ModelConfig(**MICRO_MODEL)
+    return C.save_checkpoint(path, M.init_params(cfg, seed=3), cfg)
+
+
+def test_corrupt_checkpoint_gives_checkpoint_error_record(workdir, tmp_path, capsys):
+    ckpt = _micro_checkpoint(tmp_path / "m.ckpt")
+    raw = bytearray(ckpt.read_bytes())
+    raw[16] = 0xFF  # first byte of the JSON block
+    ckpt.write_bytes(bytes(raw))
+    rc = cli.main(
+        ["finetune", "--store", str(workdir / "gen" / "store"), "--out", str(tmp_path / "ft"),
+         "--config", str(workdir / "micro.json"), "--checkpoint", str(ckpt), "--held-out", "env1"]
+    )
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "CheckpointError" and str(ckpt) in err["message"]
+
+
+def test_rejected_probe_step_is_written_to_result_json(workdir, tmp_path, monkeypatch):
+    from csimae import training as R
+
+    ckpt = _micro_checkpoint(tmp_path / "m.ckpt")
+    real, calls = R.adamw_step, []
+
+    def refuse_first(params, grads, state, lr, config):
+        calls.append(lr)
+        return False if len(calls) == 1 else real(params, grads, state, lr, config)
+
+    monkeypatch.setattr(R, "adamw_step", refuse_first)
+    rc = cli.main(
+        ["probe", "--store", str(workdir / "gen" / "store"), "--out", str(tmp_path / "lp"),
+         "--config", str(workdir / "micro.json"), "--checkpoint", str(ckpt), "--held-out", "env1"]
+    )
+    assert rc == 0 and len(calls) > 1
+    result = json.loads((tmp_path / "lp" / "result.json").read_text())
+    assert result["rejected_steps"] == 1 and result["aborted"] is False
+
+
 def test_grad_check_exit_codes():
     assert cli.main(["grad-check", "--bits", "32"]) == 0
     assert cli.main(["grad-check", "--bits", "64"]) == 0

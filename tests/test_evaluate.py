@@ -103,6 +103,26 @@ def test_linear_probe_hits_one_on_separable_features():
     assert E.accuracy(pred, labels[80:]) == 1.0
 
 
+def test_rejected_lp_step_is_counted_in_the_result(tmp_path, monkeypatch):
+    manifest, clips = micro_corpus(tmp_path)
+    cfg = micro_cfg()
+    train = [c for c in clips if c.labels["environment"] == "env0"]
+    test = [c for c in clips if c.labels["environment"] == "env1"]
+    ckpt = (M.init_params(cfg, seed=6), cfg)
+    clean = E.run_regime("lp", ckpt, train, test, E.HeadConfig(2), micro_train_cfg())
+    assert clean.rejected_steps == 0 and clean.to_json()["rejected_steps"] == 0
+    real, calls = R.adamw_step, []
+
+    def refuse_second(params, grads, state, lr, config):
+        calls.append(lr)
+        return False if len(calls) == 2 else real(params, grads, state, lr, config)
+
+    monkeypatch.setattr(R, "adamw_step", refuse_second)
+    result = E.run_regime("lp", ckpt, train, test, E.HeadConfig(2), micro_train_cfg())
+    assert len(calls) == 4 and not result.aborted
+    assert result.rejected_steps == 1 and result.to_json()["rejected_steps"] == 1
+
+
 def test_non_finite_lp_loss_is_recorded_and_scored_with_the_kept_params(tmp_path, monkeypatch):
     manifest, clips = micro_corpus(tmp_path)
     cfg = micro_cfg()

@@ -95,9 +95,17 @@ def test_short_recording_gives_zero_windows():
     assert H.window_slices(399, 200.0, CFG) == []
 
 
+def window_and_resample(link, sampling_rate):
+    """The time-axis path ``harmonize_recording`` runs: window slices, then linear resampling."""
+    return [
+        H.resample_linear(link[start : start + n], 0, CFG.target_time_len)
+        for start, n in H.window_slices(link.shape[0], sampling_rate, CFG)
+    ]
+
+
 def test_window_resample_to_600():
     link = np.random.default_rng(0).standard_normal((2000, 3, 30))
-    wins = H.window_and_resample_time(link, 200.0, CFG)
+    wins = window_and_resample(link, 200.0)
     assert len(wins) == 9
     assert all(w.shape == (600, 3, 30) for w in wins)
     # endpoints preserved exactly
@@ -107,7 +115,7 @@ def test_window_resample_to_600():
 
 def test_resample_identity_at_native_600():
     link = np.random.default_rng(1).standard_normal((600, 3, 30))
-    wins = H.window_and_resample_time(link, 300.0, CFG)
+    wins = window_and_resample(link, 300.0)
     assert len(wins) == 1
     np.testing.assert_array_equal(wins[0], link)
 

@@ -1,5 +1,6 @@
 """MAE model: tokenization, masking, encoder/decoder contracts, loss support."""
 
+import json
 import re
 import tracemalloc
 import weakref
@@ -32,6 +33,11 @@ def tiny_cfg(**kw):
     )
     defaults.update(kw)
     return M.ModelConfig(**defaults)
+
+
+def full_plan(n_patches):
+    """No-mask plan: every patch visible."""
+    return M.MaskPlan(n_patches=n_patches, visible_idx=np.arange(n_patches), masked_idx=np.empty(0, dtype=int))
 
 
 def plans_for(cfg, n, seed=0):
@@ -161,7 +167,7 @@ def test_encode_zero_weights_reduces_to_embedding_path():
             t.data[...] = 0.0
     rng = np.random.default_rng(8)
     patches = rng.standard_normal((1, 6, 4)).astype(np.float32)
-    plan = M.full_plan(6)
+    plan = full_plan(6)
     latent = model.encode(T.Tensor(patches), plan.visible_idx[None, :]).data
 
     p = model.params
@@ -268,7 +274,7 @@ def test_mae_loss_gradient_is_zero_at_visible_positions():
 def test_mae_loss_empty_masked_set_rejected():
     patches = np.zeros((1, 6, 4), dtype=np.float32)
     with pytest.raises(M.ModelError, match="empty masked"):
-        M.mae_loss(decoder_output(patches), identity_head(4), patches, [M.full_plan(6)])
+        M.mae_loss(decoder_output(patches), identity_head(4), patches, [full_plan(6)])
 
 
 def test_single_block_gradients():
@@ -425,6 +431,31 @@ def test_truncated_checkpoint_raises_checkpoint_error(tmp_path):
         short.write_bytes(data[:cut])
         with pytest.raises(C.CheckpointError, match=re.escape(f"{short}: truncated in {what}")):
             C.load_checkpoint(short)
+
+
+def with_metadata(path, blob: bytes):
+    """Rewrite a checkpoint's JSON block (and its length field) to ``blob``."""
+    data = path.read_bytes()
+    old = int.from_bytes(data[8:12], "little")
+    path.write_bytes(data[:8] + len(blob).to_bytes(4, "little") + data[12:16] + blob + data[16 + old :])
+    return path
+
+
+def test_checkpoint_with_metadata_that_is_not_utf8_json_raises_checkpoint_error(tmp_path):
+    cfg = tiny_cfg()
+    path = C.save_checkpoint(tmp_path / "m.ckpt", M.init_params(cfg, seed=32), cfg)
+    with_metadata(path, b'{"config": \xff}')
+    with pytest.raises(C.CheckpointError, match=re.escape(f"{path}: metadata is not a UTF-8 JSON model config")):
+        C.load_checkpoint(path)
+
+
+def test_checkpoint_with_an_unknown_config_key_raises_checkpoint_error(tmp_path):
+    cfg = tiny_cfg()
+    path = C.save_checkpoint(tmp_path / "m.ckpt", M.init_params(cfg, seed=33), cfg)
+    meta = {"config": {**cfg.to_json(), "n_experts": 4}, "extra": {}}
+    with_metadata(path, json.dumps(meta).encode("utf-8"))
+    with pytest.raises(C.CheckpointError, match="n_experts"):
+        C.load_checkpoint(path)
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):

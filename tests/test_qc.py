@@ -25,15 +25,17 @@ def with_null_columns(win, cols):
 
 def test_missing_above_boundary_drops():
     win = with_null_columns(clean_window(np.random.default_rng(0)), range(70))
-    frac, verdict, filled = Q.check_missing(win, CFG)
+    verdict, filled = Q.check_missing(win, CFG)
+    frac = verdict.missing_fraction
     assert frac == pytest.approx(70 / 600)
     assert not verdict.kept and filled is None
+    assert verdict == Q.WindowQc(False, f"missing fraction {frac:.4f} > 0.1", missing_fraction=frac)
 
 
 def test_missing_below_boundary_keeps_and_interpolates():
     win = with_null_columns(clean_window(np.random.default_rng(1)), range(100, 130))
-    frac, verdict, filled = Q.check_missing(win, CFG)
-    assert frac == pytest.approx(0.05)
+    verdict, filled = Q.check_missing(win, CFG)
+    assert verdict.missing_fraction == pytest.approx(0.05)
     assert verdict.kept
     assert not np.isnan(filled).any()
     # interpolation is linear between the bracketing valid columns
@@ -43,16 +45,16 @@ def test_missing_below_boundary_keeps_and_interpolates():
 
 def test_missing_boundary_is_strictly_greater():
     win60 = with_null_columns(clean_window(np.random.default_rng(2)), range(60))
-    _, verdict, _ = Q.check_missing(win60, CFG)
+    verdict, _ = Q.check_missing(win60, CFG)
     assert verdict.kept  # exactly 10% stays
     win61 = with_null_columns(clean_window(np.random.default_rng(2)), range(61))
-    _, verdict, _ = Q.check_missing(win61, CFG)
+    verdict, _ = Q.check_missing(win61, CFG)
     assert not verdict.kept
 
 
 def test_missing_endpoint_nulls_copy_nearest_valid():
     win = with_null_columns(clean_window(np.random.default_rng(3)), [0, 599])
-    _, verdict, filled = Q.check_missing(win, CFG)
+    verdict, filled = Q.check_missing(win, CFG)
     assert verdict.kept
     np.testing.assert_array_equal(filled[0], win[1])
     np.testing.assert_array_equal(filled[599], win[598])
@@ -60,8 +62,8 @@ def test_missing_endpoint_nulls_copy_nearest_valid():
 
 def test_all_null_window_reports_empty():
     win = np.full((600, 3, 30), np.nan)
-    frac, verdict, _ = Q.check_missing(win, CFG)
-    assert frac == 1.0 and not verdict.kept and verdict.reason == "empty"
+    verdict, _ = Q.check_missing(win, CFG)
+    assert verdict == Q.WindowQc(False, "empty", missing_fraction=1.0)
 
 
 def test_constant_antenna_detected():
@@ -69,6 +71,7 @@ def test_constant_antenna_detected():
     win[:, 1, :] = 0.7
     verdict = Q.check_antennas(win, CFG)
     assert not verdict.kept and verdict.reason == "impaired antenna 1"
+    assert verdict.impaired_antennas == [1]
 
 
 def test_scattered_nulls_detected():
@@ -76,7 +79,8 @@ def test_scattered_nulls_detected():
     win[17, 2, 4] = np.nan
     win[400, 2, 11] = np.nan
     verdict = Q.check_antennas(win, CFG)
-    assert not verdict.kept and "antenna 2" in verdict.reason
+    assert not verdict.kept and verdict.reason == "irregular nulls antenna 2"
+    assert verdict.impaired_antennas == [2]
 
 
 def test_simulated_multipath_passes_antenna_check():
@@ -91,6 +95,20 @@ def test_simulated_multipath_passes_antenna_check():
     verdict = Q.check_antennas(win, CFG)
     assert verdict.kept
     assert win.reshape(600, -1).var(axis=0).min() > 100 * CFG.impairment_var_eps
+
+
+def test_clean_window_keeps_the_antenna_verdict_and_adds_the_missing_fraction():
+    win = clean_window(np.random.default_rng(7))
+    win[:, 0, :] = 0.7
+    win = with_null_columns(win, range(10, 40))
+    cleaned, wq = Q.clean_window(win, CFG)
+    assert cleaned is None
+    assert wq == Q.WindowQc(False, "impaired antenna 0", missing_fraction=0.05, impaired_antennas=[0])
+
+
+def test_dropped_window_needs_a_reason():
+    with pytest.raises(ValueError, match="reason"):
+        Q.WindowQc(False)
 
 
 def test_check_antennas_never_alters_data():

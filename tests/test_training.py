@@ -1,4 +1,4 @@
-"""Schedule endpoints, AdamW hand values, early stopping, pretrain smoke runs."""
+"""Schedule endpoints, AdamW hand values, early stopping, pretrain smoke runs, the shared loop's contracts."""
 
 import json
 import math
@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from csimae import evaluate as E
 from csimae import mae as M
 from csimae import tensors as T
 from csimae import training as R
@@ -214,3 +215,59 @@ def test_adamw_updates_moments_in_place_with_the_allocating_update_bits():
         assert params["p"].data.tobytes() == p.tobytes()
     assert state["p"]["m"] is moments[0] and state["p"]["v"] is moments[1]
     assert state["p"]["m"].tobytes() == m.tobytes() and state["p"]["v"].tobytes() == v.tobytes()
+
+
+def test_pretrain_val_split_is_the_prefix_of_the_seed_stream_1_permutation(monkeypatch):
+    real, seen = R.masked_val_loss, []
+
+    def spy(model, clips, plans, batch_size):
+        seen.append(clips.copy())
+        return real(model, clips, plans, batch_size)
+
+    monkeypatch.setattr(R, "masked_val_loss", spy)
+    clips = synthetic_clip_batch(20, seed=6)
+    cfg = desk_cfg(warmup_steps=1, max_epochs=1, seed=4)
+    R.pretrain_arrays(clips, desk_model_cfg(), cfg)
+    n_val = max(1, int(round(cfg.val_fraction * len(clips))))
+    expect = np.random.default_rng([cfg.seed, 1]).permutation(len(clips))[:n_val]
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], clips[expect])
+
+
+def _tiny_head_problem():
+    rng = np.random.default_rng(8)
+    labels = rng.integers(0, 2, 30)
+    feats = rng.standard_normal((30, 4)).astype(np.float32)
+    head_cfg = E.HeadConfig(n_classes=2, hidden_dims=[])
+    fwd = lambda x, p: E.head_forward(T.Tensor(x), p, head_cfg)
+    return fwd, E.init_head(4, head_cfg, seed=9), feats, labels
+
+
+def test_pretraining_and_classifier_training_both_run_through_fit(monkeypatch):
+    real, calls = R.fit, []
+
+    def spy(params, fit_idx, cfg, stream, batch_loss, val_metric, mode="min"):
+        res = real(params, fit_idx, cfg, stream, batch_loss, val_metric, mode)
+        calls.append((stream, mode, res))
+        return res
+
+    monkeypatch.setattr(R, "fit", spy)
+    pre = R.pretrain_arrays(synthetic_clip_batch(20, seed=7), desk_model_cfg(), desk_cfg(warmup_steps=1, max_epochs=1))
+    fwd, params, feats, labels = _tiny_head_problem()
+    best, best_epoch, run = E.train_classifier(fwd, params, feats, labels, R.TrainConfig(warmup_steps=1, max_epochs=2))
+    assert [(stream, mode) for stream, mode, _ in calls] == [(1, "min"), (7, "max")]
+    assert pre.metrics is calls[0][2].metrics and run is calls[1][2]
+    assert best is run.params and best_epoch == run.best_epoch
+    assert [set(e) for e in run.metrics.epochs] == [{"epoch", "val_accuracy", "best"}] * 2
+    assert len(run.metrics.steps) == 2 and len(run.metrics.timing) == 2
+
+
+@pytest.mark.parametrize("caller", ["pretrain", "classifier"])
+def test_a_fit_set_emptied_by_the_val_slice_raises_train_error(caller):
+    cfg = R.TrainConfig(warmup_steps=1, max_epochs=1, val_fraction=0.5)
+    with pytest.raises(R.TrainError, match="leaves none of 1 items to fit"):
+        if caller == "pretrain":
+            R.pretrain_arrays(synthetic_clip_batch(1, seed=8), desk_model_cfg(), cfg)
+        else:
+            fwd, params, feats, labels = _tiny_head_problem()
+            E.train_classifier(fwd, params, feats[:1], labels[:1], cfg)
