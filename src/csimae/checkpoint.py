@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensors as T
 from .data import _read_exact
-from .mae import ModelConfig
+from .mae import ModelConfig, param_layout
 
 _MAGIC = b"CSICKPT1"
 
@@ -45,11 +45,12 @@ def save_checkpoint(path, params: dict, config: ModelConfig, extra: dict | None 
     return path
 
 
-def load_checkpoint(path, requires_grad: bool = True) -> tuple:
-    """Returns (params dict of float32 Tensors, ModelConfig, extra dict).
+def load_checkpoint(path) -> tuple:
+    """Returns (params dict of trainable float32 Tensors, ModelConfig, extra dict).
 
-    A file that ends before its declared contents, or whose metadata is
-    not UTF-8 JSON describing a ``ModelConfig``, raises ``CheckpointError``.
+    A file that ends before its declared contents, whose metadata is not
+    UTF-8 JSON describing a ``ModelConfig``, or whose tensor names and
+    shapes are not the model layout of that config raises ``CheckpointError``.
     """
     try:
         with open(path, "rb") as fh:
@@ -69,15 +70,22 @@ def load_checkpoint(path, requires_grad: bool = True) -> tuple:
                 shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"shape of {name}"))
                 payload = _read_exact(fh, math.prod(shape) * 4, f"payload of {name}")
                 arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
-                params[name] = T.Tensor(arr.astype(np.float32), requires_grad=requires_grad)
+                params[name] = T.Tensor(arr.astype(np.float32), requires_grad=True)
+            _check_layout(params, config)
     except ValueError as exc:  # DataError from a short read, CheckpointError, a name that is not UTF-8
         raise CheckpointError(f"{path}: {exc}") from None
     return params, config, extra
 
 
-def clone_params(params: dict, requires_grad: bool = True) -> dict:
-    return {k: T.Tensor(v.data.copy(), requires_grad=requires_grad) for k, v in params.items()}
+def _check_layout(params: dict, config: ModelConfig):
+    want = {name: shape for name, shape, _ in param_layout(config)}
+    got = {name: t.shape for name, t in params.items()}
+    bad = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
+    if bad:
+        diffs = ", ".join(f"{n} {got.get(n, 'missing')} where the config has {want.get(n, 'none')}" for n in bad[:3])
+        raise CheckpointError(f"{len(bad)} tensor(s) differ from the model config's layout: {diffs}")
 
 
-def params_equal(a: dict, b: dict) -> bool:
-    return set(a) == set(b) and all(a[k].data.tobytes() == b[k].data.tobytes() for k in a)
+def clone_params(params: dict) -> dict:
+    """Trainable copies of every tensor in ``params``."""
+    return {k: T.Tensor(v.data.copy(), requires_grad=True) for k, v in params.items()}

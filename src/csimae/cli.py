@@ -6,8 +6,10 @@ default, the config file's section, and the flag whose argparse dest
 names the field. The command defaults are the downstream runs' batch
 size of 32 (finetune, probe, supervised, eval-cross-domain, sweep) and
 the leave-one-domain-out split protocol, so a file's train.batch_size
-beats the 32. The pretrain section of eval-cross-domain and sweep falls
-back to the file's train section and takes no flags.
+beats the 32; the downstream runs train at the train.batch_size that
+resolved_config.json records. The pretrain section of
+eval-cross-domain and sweep falls back to the file's train section and
+takes no flags.
 
 resolved_config.json holds every config the command built, and its
 flags. With a checksum of everything the run produced, a run directory
@@ -154,9 +156,7 @@ def _load_store(store, manifest=None):
     """The store's own manifest, or the one at ``manifest`` when given."""
     from . import data as D
 
-    if manifest:
-        return D.DatasetManifest.from_json(Path(manifest).read_text(encoding="utf-8"))
-    return D.DatasetManifest.load(store)
+    return D.DatasetManifest.read(manifest) if manifest else D.DatasetManifest.load(store)
 
 
 def _check_held_out(manifest, domain_key: str, value):
@@ -287,7 +287,7 @@ def cmd_harmonize(args):
         reports.append(report)
     if not clips:
         raise CliError("harmonization produced no clips (all windows dropped or too short)")
-    manifest = D.write_clip_store(clips, out / "store", n_workers=args.workers)
+    manifest = D.write_clip_store(clips, out / "store")
     Q.write_reports(reports, out / "qc_report.jsonl")
     _persist_run(out, "harmonize", cfg, args)
     print(f"wrote {len(manifest.entries)} clips from {len(args.recordings)} recordings")
@@ -503,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recordings", nargs="+", required=True)
     p.add_argument("--window-seconds", type=float, dest="window_seconds")
     p.add_argument("--stride-seconds", type=float, dest="stride_seconds")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_harmonize)
 
     p = sub.add_parser("pretrain", help="masked-reconstruction pretraining")

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -192,19 +191,25 @@ class DatasetManifest:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
-    def from_json(text: str) -> "DatasetManifest":
-        doc = json.loads(text)
-        entries = [
-            ManifestEntry(
-                clip_id=d["clip_id"],
-                shard_path=d["shard_path"],
-                byte_offset=d["byte_offset"],
-                labels=d["labels"],
-                provenance=Provenance.from_json(d["provenance"]),
-            )
-            for d in doc["entries"]
-        ]
-        return DatasetManifest(entries, blocklist=doc.get("blocklist", []), format_version=doc["format_version"])
+    def from_json(text) -> "DatasetManifest":
+        """Parse ``to_json`` output (str or UTF-8 bytes); anything else raises ``DataError``."""
+        try:
+            doc = json.loads(text)
+            entries = [
+                ManifestEntry(
+                    clip_id=d["clip_id"],
+                    shard_path=d["shard_path"],
+                    byte_offset=d["byte_offset"],
+                    labels=d["labels"],
+                    provenance=Provenance.from_json(d["provenance"]),
+                )
+                for d in doc["entries"]
+            ]
+            return DatasetManifest(entries, blocklist=doc.get("blocklist", []), format_version=doc["format_version"])
+        except DataError:
+            raise
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise DataError(f"not a clip manifest ({type(exc).__name__}: {exc})") from None
 
     def save(self, store_dir) -> Path:
         path = Path(store_dir) / MANIFEST_NAME
@@ -213,7 +218,16 @@ class DatasetManifest:
 
     @staticmethod
     def load(store_dir) -> "DatasetManifest":
-        return DatasetManifest.from_json((Path(store_dir) / MANIFEST_NAME).read_text(encoding="utf-8"))
+        """The manifest of the store at ``store_dir``."""
+        return DatasetManifest.read(Path(store_dir) / MANIFEST_NAME)
+
+    @staticmethod
+    def read(path) -> "DatasetManifest":
+        """The manifest file at ``path``; a corrupt one raises ``DataError`` naming it."""
+        try:
+            return DatasetManifest.from_json(Path(path).read_bytes())
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -300,11 +314,11 @@ def _write_shard(store: Path, shard_idx: int, clips) -> list:
     return entries
 
 
-def write_clip_store(clips, path, n_workers: int = 1, shard_size: int = SHARD_SIZE) -> DatasetManifest:
-    """Persist clips into binary shards plus a canonical manifest.
+def write_clip_store(clips, path) -> DatasetManifest:
+    """Persist clips into binary shards of ``SHARD_SIZE`` clips plus a canonical manifest.
 
-    Clip -> shard assignment depends only on clip order, so any worker
-    count produces byte-identical shards and manifest.
+    Shards and manifest depend only on the clips and their order, so the
+    same clips always give a byte-identical store.
     """
     clips = list(clips)
     if not clips:
@@ -313,16 +327,9 @@ def write_clip_store(clips, path, n_workers: int = 1, shard_size: int = SHARD_SI
         clip.validate()
     store = Path(path)
     store.mkdir(parents=True, exist_ok=True)
-    shards = [clips[i : i + shard_size] for i in range(0, len(clips), shard_size)]
     entries = []
-    if n_workers <= 1:
-        for i, shard in enumerate(shards):
-            entries.extend(_write_shard(store, i, shard))
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(_write_shard, store, i, s) for i, s in enumerate(shards)]
-            for fut in futures:
-                entries.extend(fut.result())
+    for i in range(0, len(clips), SHARD_SIZE):
+        entries.extend(_write_shard(store, i // SHARD_SIZE, clips[i : i + SHARD_SIZE]))
     manifest = DatasetManifest(entries)
     manifest.save(store)
     return manifest

@@ -1,17 +1,19 @@
 """Downstream classification harness: supervised, linear-probe, fine-tune.
 
 All three regimes train through ``training.fit``, the seeded loop that
-pretraining also runs: cross-entropy on the CLS feature, AdamW at batch
-32, cosine schedule, early stopping on accuracy over a validation slice
-of the training set.  Every step is recorded, rejected optimizer steps
-included.  Linear probing trains a single linear layer on frozen
-features and never touches encoder weights; fine-tuning updates encoder
-and head; supervised starts the encoder from random init.
+pretraining also runs: cross-entropy on the CLS feature, AdamW at the
+``TrainConfig``'s batch size, cosine schedule, early stopping on
+accuracy over a validation slice of the training set.  Every step is
+recorded, rejected optimizer steps included.  Linear probing trains a
+single linear layer on frozen features and never touches encoder
+weights; fine-tuning updates encoder and head; supervised starts the
+encoder from random init.  The fine-tune and supervised head is one
+hidden layer of encoder width, a single ``tensors.ffn`` node.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,7 +34,6 @@ REGIMES = ("supervised", "lp", "ft")
 @dataclass
 class HeadConfig:
     n_classes: int
-    hidden_dims: list | None = None  # None -> one hidden layer of encoder width
 
     def validate(self):
         if self.n_classes < 2:
@@ -58,28 +59,18 @@ class EvalResult:
         return asdict(self)
 
 
-def head_dims(feat_dim: int, cfg: HeadConfig) -> list:
-    hidden = [feat_dim] if cfg.hidden_dims is None else list(cfg.hidden_dims)
-    return [feat_dim] + hidden + [cfg.n_classes]
+def init_head(feat_dim: int, n_classes: int, seed, hidden: bool) -> dict:
+    """``head.out`` (feat_dim -> n_classes), after ``head.fc0`` (feat_dim -> feat_dim) when ``hidden``."""
+    layout = M.linear_layout("head.fc0", feat_dim, feat_dim) if hidden else []
+    return M.init_layout(layout + M.linear_layout("head.out", feat_dim, n_classes), seed)
 
 
-def init_head(feat_dim: int, cfg: HeadConfig, seed, dtype=np.float32) -> dict:
-    rng = np.random.default_rng(seed)
-    params = {}
-    dims = head_dims(feat_dim, cfg)
-    for i in range(len(dims) - 1):
-        name = f"head.fc{i}" if i < len(dims) - 2 else "head.out"
-        M._init_linear(params, name, dims[i], dims[i + 1], rng, dtype)
-    return params
-
-
-def head_forward(feats: T.Tensor, params: dict, cfg: HeadConfig) -> T.Tensor:
-    """MLP head on CLS features: hidden layers with GELU, then logits."""
-    n_hidden = 1 if cfg.hidden_dims is None else len(cfg.hidden_dims)
-    x = feats
-    for i in range(n_hidden):
-        x = T.gelu(T.linear(x, params[f"head.fc{i}.w"], params[f"head.fc{i}.b"]))
-    return T.linear(x, params["head.out.w"], params["head.out.b"])
+def head_forward(feats: T.Tensor, params: dict) -> T.Tensor:
+    """Logits from CLS features: fc0 -> GELU -> out as one ``ffn`` node, or ``out`` alone without fc0."""
+    w, b = params["head.out.w"], params["head.out.b"]
+    if "head.fc0.w" in params:
+        return T.ffn(feats, params["head.fc0.w"], params["head.fc0.b"], w, b)
+    return T.linear(feats, w, b)
 
 
 def encode_features(params: dict, model_cfg: M.ModelConfig, clips: np.ndarray, batch_size: int = 64) -> np.ndarray:
@@ -98,20 +89,20 @@ def _labels_of(clips, label_key):
     return [c.labels[label_key] for c in clips]
 
 
-def train_classifier(forward_fn, params: dict, x_train, y_train, cfg: R.TrainConfig, batch_size: int = 32):
+def train_classifier(forward_fn, params: dict, x_train, y_train, cfg: R.TrainConfig):
     """Cross-entropy through ``training.fit`` on streams 7/8, early-stopping on val accuracy.
 
-    ``forward_fn(x_slice, params) -> logits Tensor``.  Returns (best
+    ``forward_fn(x_slice, params) -> logits Tensor``.  Training and
+    validation batches hold ``cfg.batch_size`` items.  Returns (best
     params, best epoch, the ``training.FitResult`` of the run).
     """
-    cfg = replace(cfg, batch_size=batch_size)
     val_idx, fit_idx = R.val_split(len(x_train), cfg, 7)
 
     def batch_loss(idx, epoch):
         return T.softmax_cross_entropy(forward_fn(x_train[idx], params), y_train[idx])
 
     def val_accuracy():
-        return accuracy(predict(forward_fn, params, x_train[val_idx], batch_size), y_train[val_idx])
+        return accuracy(predict(forward_fn, params, x_train[val_idx], cfg.batch_size), y_train[val_idx])
 
     res = R.fit(params, fit_idx, cfg, 7, batch_loss, val_accuracy, mode="max")
     return res.params, res.best_epoch, res
@@ -149,15 +140,19 @@ def run_regime(
     model_cfg: M.ModelConfig | None = None,
     label_key: str = "class",
     split_desc: dict | None = None,
-    batch_size: int = 32,
+    batch_size: int | None = None,
 ) -> EvalResult:
     """Train one regime and score exact-match accuracy on the test clips.
 
-    Test clips whose class never appears in training are excluded from
-    scoring (counted in ``n_excluded``), not scored as wrong.
+    Training, validation and test batches hold ``train_cfg.batch_size``
+    clips; ``batch_size``, when given, must restate it.  Test clips
+    whose class never appears in training are excluded from scoring
+    (counted in ``n_excluded``), not scored as wrong.
     """
     if regime not in REGIMES:
         raise EvalError(f"unknown regime {regime!r}")
+    if batch_size not in (None, train_cfg.batch_size):
+        raise EvalError(f"batch_size {batch_size} differs from train_cfg.batch_size {train_cfg.batch_size}")
     head_cfg.validate()
     if regime in ("lp", "ft") and checkpoint is None:
         raise EvalError(f"regime {regime} needs a pretrained checkpoint")
@@ -181,25 +176,24 @@ def run_regime(
         enc_params, _ = checkpoint
         f_train = encode_features(enc_params, model_cfg, x_train)
         f_test = encode_features(enc_params, model_cfg, x_test)
-        params = init_head(model_cfg.enc_dim, HeadConfig(head_cfg.n_classes, hidden_dims=[]), [train_cfg.seed, 12])
-        lp_head = HeadConfig(head_cfg.n_classes, hidden_dims=[])
-        fwd = lambda feats, p: head_forward(T.Tensor(feats), p, lp_head)
-        best, _, run = train_classifier(fwd, params, f_train, y_train, train_cfg, batch_size)
-        pred = predict(fwd, best, f_test, batch_size)
+        params = init_head(model_cfg.enc_dim, head_cfg.n_classes, [train_cfg.seed, 12], hidden=False)
+        fwd = lambda feats, p: head_forward(T.Tensor(feats), p)
+        best, _, run = train_classifier(fwd, params, f_train, y_train, train_cfg)
+        pred = predict(fwd, best, f_test, train_cfg.batch_size)
     else:
         if regime == "ft":
             enc_params = C.clone_params(checkpoint[0])
         else:
             enc_params = M.init_params(model_cfg, seed=[train_cfg.seed, 11])
         params = {k: v for k, v in enc_params.items() if k.startswith("enc.")}
-        params.update(init_head(model_cfg.enc_dim, head_cfg, [train_cfg.seed, 12]))
+        params.update(init_head(model_cfg.enc_dim, head_cfg.n_classes, [train_cfg.seed, 12], hidden=True))
         model = M.MaskedAutoencoder(model_cfg, params=params)
 
         def fwd(clip_batch, p):
-            return head_forward(model.encode_features(clip_batch, params=p), p, head_cfg)
+            return head_forward(model.encode_features(clip_batch, params=p), p)
 
-        best, _, run = train_classifier(fwd, params, x_train, y_train, train_cfg, batch_size)
-        pred = predict(fwd, best, x_test, batch_size)
+        best, _, run = train_classifier(fwd, params, x_train, y_train, train_cfg)
+        pred = predict(fwd, best, x_test, train_cfg.batch_size)
 
     return EvalResult(
         regime=regime,

@@ -10,6 +10,11 @@ the channel axis (antenna-major) and z-score every timestamp row.
 All arithmetic runs in float64 and only the final clip is cast to
 float32, so per-timestamp statistics are exact and any global amplitude
 scaling (receiver AGC) cancels.
+
+The clip shape is fixed, so its parts are constants: ``data.CLIP_TIME_LEN``
+samples by ``ANTENNAS_PER_RECEIVER`` x ``BINS_PER_CHANNEL`` columns per
+``CHANNEL_BANDWIDTH`` channel; a row whose standard deviation is at most
+``EPS_STD`` becomes zeros.  ``HarmonizeConfig`` holds only the windowing.
 """
 
 from __future__ import annotations
@@ -27,21 +32,20 @@ class HarmonizeError(ValueError):
     """Recording cannot be harmonized under the given config."""
 
 
+ANTENNAS_PER_RECEIVER = 3
+CHANNEL_BANDWIDTH = 20e6
+BINS_PER_CHANNEL = D.CLIP_CHAN_LEN // ANTENNAS_PER_RECEIVER
+EPS_STD = 1e-8
+
+
 @dataclass
 class HarmonizeConfig:
     window_seconds: float = 2.0
     stride_seconds: float = 1.0
-    target_time_len: int = 600
-    target_bins_per_channel: int = 30
-    channel_bandwidth: float = 20e6
-    antennas_used_per_receiver: int = 3
-    eps_std: float = 1e-8
 
     def validate(self):
         if not self.window_seconds >= self.stride_seconds > 0:
             raise HarmonizeError("need window_seconds >= stride_seconds > 0")
-        if self.target_time_len < 2 or self.target_bins_per_channel < 2:
-            raise HarmonizeError("target lengths must be >= 2")
         return self
 
 
@@ -63,9 +67,10 @@ def extract_links(recording: D.ChannelRecording, config: HarmonizeConfig) -> lis
     """One instance per (tx antenna, receiver), first 3 antennas each.
 
     Receiver u contributes chain rows u*n_apr .. u*n_apr+2; extra
-    antennas (4-antenna APs) are dropped.
+    antennas (4-antenna APs) are dropped.  ``config`` is not read: the
+    links depend on ``ANTENNAS_PER_RECEIVER`` alone.
     """
-    k = config.antennas_used_per_receiver
+    k = ANTENNAS_PER_RECEIVER
     if recording.n_apr < k:
         raise HarmonizeError(f"recording {recording.source_id!r}: n_apr={recording.n_apr} < {k} antennas required")
     amp = amplitude(recording)
@@ -113,15 +118,15 @@ def resample_linear(arr: np.ndarray, axis: int, target: int) -> np.ndarray:
     return np.take(arr, lo, axis=axis) * (1.0 - frac) + np.take(arr, hi, axis=axis) * frac
 
 
-def channel_blocks(n_f: int, bandwidth: float, config: HarmonizeConfig) -> list:
+def channel_blocks(n_f: int, bandwidth: float) -> list:
     """Contiguous subcarrier blocks, one per 20 MHz channel.
 
     Remainder subcarriers under non-divisible segmentation go to the
     leading blocks.
     """
-    if bandwidth < config.channel_bandwidth:
-        raise HarmonizeError(f"bandwidth {bandwidth} Hz below one channel ({config.channel_bandwidth} Hz)")
-    n_ch = int(round(bandwidth / config.channel_bandwidth))
+    if bandwidth < CHANNEL_BANDWIDTH:
+        raise HarmonizeError(f"bandwidth {bandwidth} Hz below one channel ({CHANNEL_BANDWIDTH} Hz)")
+    n_ch = int(round(bandwidth / CHANNEL_BANDWIDTH))
     base, rem = divmod(n_f, n_ch)
     if base == 0:
         raise HarmonizeError(f"{n_f} subcarriers cannot fill {n_ch} channels")
@@ -133,24 +138,20 @@ def channel_blocks(n_f: int, bandwidth: float, config: HarmonizeConfig) -> list:
     return blocks
 
 
-def segment_and_resample_freq(window: np.ndarray, bandwidth: float, config: HarmonizeConfig) -> list:
+def segment_and_resample_freq(window: np.ndarray, bandwidth: float) -> list:
     """Split the subcarrier axis into 20 MHz channels, 30 bins each."""
-    return [
-        resample_linear(window[:, :, a:b], 2, config.target_bins_per_channel)
-        for a, b in channel_blocks(window.shape[2], bandwidth, config)
-    ]
+    return [resample_linear(window[:, :, a:b], 2, BINS_PER_CHANNEL) for a, b in channel_blocks(window.shape[2], bandwidth)]
 
 
 def flatten_and_normalize(
     window: np.ndarray,
-    config: HarmonizeConfig,
     labels: dict | None = None,
     provenance: D.Provenance | None = None,
 ) -> D.CsiClip:
     """Antenna-major flatten to (600, 90) plus per-timestamp z-score.
 
     Population standard deviation; rows whose std falls below
-    ``eps_std`` become all zeros.
+    ``EPS_STD`` become all zeros.
     """
     t_len, n_ant, n_bins = window.shape
     if np.isnan(window).any():
@@ -158,7 +159,7 @@ def flatten_and_normalize(
     flat = window.reshape(t_len, n_ant * n_bins).astype(np.float64)
     mu = flat.mean(axis=1, keepdims=True)
     sd = flat.std(axis=1, keepdims=True)
-    degenerate = sd <= config.eps_std
+    degenerate = sd <= EPS_STD
     z = np.where(degenerate, 0.0, (flat - mu) / np.where(degenerate, 1.0, sd))
     clip = D.CsiClip(
         data=z.astype(np.float32),
@@ -202,8 +203,8 @@ def harmonize_recording(
     clips = []
 
     def to_clips(link, w_idx, cleaned):
-        resampled = resample_linear(cleaned, 0, config.target_time_len)
-        for ch_idx, channel in enumerate(segment_and_resample_freq(resampled, recording.bandwidth, config)):
+        resampled = resample_linear(cleaned, 0, D.CLIP_TIME_LEN)
+        for ch_idx, channel in enumerate(segment_and_resample_freq(resampled, recording.bandwidth)):
             prov = D.Provenance(
                 source_id=recording.source_id,
                 tx_index=link.tx_index,
@@ -211,6 +212,6 @@ def harmonize_recording(
                 channel_index=ch_idx,
                 window_index=w_idx,
             )
-            clips.append(flatten_and_normalize(channel, config, recording.labels, prov))
+            clips.append(flatten_and_normalize(channel, recording.labels, prov))
 
     return clips, qc_recording(recording, config, qcfg, to_clips)

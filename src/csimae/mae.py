@@ -143,15 +143,6 @@ def patchify(clip: np.ndarray, patch_time: int, patch_freq: int) -> np.ndarray:
     return x.reshape(*lead, nt * nc, patch_time * patch_freq)
 
 
-def unpatchify(tokens: np.ndarray, patch_time: int, patch_freq: int, t_len: int, c_len: int) -> np.ndarray:
-    """Exact inverse of patchify."""
-    *lead, n_p, _ = tokens.shape
-    nt, nc = t_len // patch_time, c_len // patch_freq
-    x = tokens.reshape(*lead, nt, nc, patch_time, patch_freq)
-    x = np.moveaxis(x, -3, -2)
-    return x.reshape(*lead, t_len, c_len)
-
-
 # ---------------------------------------------------------------------
 # parameters
 
@@ -166,44 +157,65 @@ def trunc_normal(rng, shape, std=0.02):
         x[bad] = rng.standard_normal(int(bad.sum())) * std
 
 
-def _init_linear(params, name, fan_in, fan_out, rng, dtype):
-    limit = 1.0 / math.sqrt(fan_in)
-    params[f"{name}.w"] = T.Tensor(rng.uniform(-limit, limit, (fan_in, fan_out)).astype(dtype), requires_grad=True)
-    params[f"{name}.b"] = T.Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True)
+def linear_layout(name: str, fan_in: int, fan_out: int) -> list:
+    """Layout entries of one ``linear`` layer: weight (fan_in, fan_out), then bias."""
+    return [(f"{name}.w", (fan_in, fan_out), "uniform"), (f"{name}.b", (fan_out,), "zeros")]
 
 
-def _init_block(params, prefix, dim, ffn_expansion, rng, dtype):
-    for ln in ("ln1", "ln2"):
-        params[f"{prefix}.{ln}.g"] = T.Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
-        params[f"{prefix}.{ln}.b"] = T.Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
-    _init_linear(params, f"{prefix}.attn.qkv", dim, 3 * dim, rng, dtype)
-    _init_linear(params, f"{prefix}.attn.proj", dim, dim, rng, dtype)
-    _init_linear(params, f"{prefix}.ffn.fc1", dim, ffn_expansion * dim, rng, dtype)
-    _init_linear(params, f"{prefix}.ffn.fc2", ffn_expansion * dim, dim, rng, dtype)
+def param_layout(cfg: ModelConfig) -> list:
+    """``(name, shape, init)`` of every parameter, in the order ``init_params`` draws them.
+
+    Names are the stable checkpoint keys.  ``init`` is "uniform"
+    (U(-1/sqrt(fan_in), 1/sqrt(fan_in)), fan_in = shape[0]),
+    "trunc_normal", "zeros" or "ones".
+    """
+    out = []
+
+    def norm(name, dim):
+        out.extend([(f"{name}.g", (dim,), "ones"), (f"{name}.b", (dim,), "zeros")])
+
+    def block(prefix, dim):
+        norm(f"{prefix}.ln1", dim)
+        norm(f"{prefix}.ln2", dim)
+        out.extend(linear_layout(f"{prefix}.attn.qkv", dim, 3 * dim))
+        out.extend(linear_layout(f"{prefix}.attn.proj", dim, dim))
+        out.extend(linear_layout(f"{prefix}.ffn.fc1", dim, cfg.ffn_expansion * dim))
+        out.extend(linear_layout(f"{prefix}.ffn.fc2", cfg.ffn_expansion * dim, dim))
+
+    out.extend(linear_layout("enc.embed", cfg.patch_len, cfg.enc_dim))
+    out.append(("enc.pos", (cfg.n_patches, cfg.enc_dim), "trunc_normal"))
+    out.append(("enc.cls", (1, 1, cfg.enc_dim), "trunc_normal"))
+    for i in range(cfg.enc_layers):
+        block(f"enc.blocks.{i}", cfg.enc_dim)
+    norm("enc.norm", cfg.enc_dim)
+    out.extend(linear_layout("dec.proj", cfg.enc_dim, cfg.dec_dim))
+    out.append(("dec.mask_token", (1, 1, cfg.dec_dim), "trunc_normal"))
+    out.append(("dec.pos", (cfg.n_patches, cfg.dec_dim), "trunc_normal"))
+    for i in range(cfg.dec_layers):
+        block(f"dec.blocks.{i}", cfg.dec_dim)
+    out.extend(linear_layout("dec.head", cfg.dec_dim, cfg.patch_len))
+    return out
+
+
+def init_layout(layout, seed, dtype=np.float32) -> dict:
+    """Trainable tensors for ``layout``, drawn in its order from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape, init in layout:
+        if init == "uniform":
+            limit = 1.0 / math.sqrt(shape[0])
+            arr = rng.uniform(-limit, limit, shape)
+        elif init == "trunc_normal":
+            arr = trunc_normal(rng, shape)
+        else:
+            arr = np.ones(shape) if init == "ones" else np.zeros(shape)
+        params[name] = T.Tensor(arr.astype(dtype), requires_grad=True)
+    return params
 
 
 def init_params(cfg: ModelConfig, seed=0, dtype=np.float32) -> dict:
-    """Named parameter tensors; names are the stable checkpoint keys."""
-    rng = np.random.default_rng(seed)
-    p = {}
-    _init_linear(p, "enc.embed", cfg.patch_len, cfg.enc_dim, rng, dtype)
-    p["enc.pos"] = T.Tensor(trunc_normal(rng, (cfg.n_patches, cfg.enc_dim)).astype(dtype), requires_grad=True)
-    p["enc.cls"] = T.Tensor(trunc_normal(rng, (1, 1, cfg.enc_dim)).astype(dtype), requires_grad=True)
-    for i in range(cfg.enc_layers):
-        _init_block(p, f"enc.blocks.{i}", cfg.enc_dim, cfg.ffn_expansion, rng, dtype)
-    p["enc.norm.g"] = T.Tensor(np.ones(cfg.enc_dim, dtype=dtype), requires_grad=True)
-    p["enc.norm.b"] = T.Tensor(np.zeros(cfg.enc_dim, dtype=dtype), requires_grad=True)
-    _init_linear(p, "dec.proj", cfg.enc_dim, cfg.dec_dim, rng, dtype)
-    p["dec.mask_token"] = T.Tensor(trunc_normal(rng, (1, 1, cfg.dec_dim)).astype(dtype), requires_grad=True)
-    p["dec.pos"] = T.Tensor(trunc_normal(rng, (cfg.n_patches, cfg.dec_dim)).astype(dtype), requires_grad=True)
-    for i in range(cfg.dec_layers):
-        _init_block(p, f"dec.blocks.{i}", cfg.dec_dim, cfg.ffn_expansion, rng, dtype)
-    _init_linear(p, "dec.head", cfg.dec_dim, cfg.patch_len, rng, dtype)
-    return p
-
-
-def count_parameters(params: dict, prefix: str = "") -> int:
-    return sum(t.data.size for name, t in params.items() if name.startswith(prefix))
+    """Named parameter tensors of the model, initialised from ``seed``."""
+    return init_layout(param_layout(cfg), seed, dtype)
 
 
 # ---------------------------------------------------------------------

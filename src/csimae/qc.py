@@ -17,11 +17,13 @@ import numpy as np
 from . import data as D
 
 
+IMPAIRMENT_VAR_EPS = 1e-10  # an antenna whose readings vary less than this within a window is dead
+
+
 @dataclass
 class QcConfig:
     max_missing_fraction: float = 0.10
     outlier_k: float = 2.0
-    impairment_var_eps: float = 1e-10
 
     def validate(self):
         if not 0 < self.max_missing_fraction < 1:
@@ -54,7 +56,6 @@ class QcReport:
     n_dropped_missing: int = 0
     n_dropped_antenna: int = 0
     missing_fraction: float = 0.0  # max over windows
-    impaired_antennas: int = 0  # windows dropped for antenna impairment
     outliers_repaired: int = 0
     verdict: str = "kept"
 
@@ -64,11 +65,10 @@ class QcReport:
         self.outliers_repaired += w.outliers_repaired
         if w.kept:
             self.n_kept += 1
-        elif w.reason.startswith("missing") or w.reason == "empty":
-            self.n_dropped_missing += 1
-        else:
+        elif w.impaired_antennas:
             self.n_dropped_antenna += 1
-            self.impaired_antennas += 1
+        else:
+            self.n_dropped_missing += 1
 
     def finalize(self):
         if self.n_windows == 0:
@@ -111,10 +111,10 @@ def check_missing(window: np.ndarray, config: QcConfig) -> tuple:
     return WindowQc(True, missing_fraction=fraction), flat.reshape(window.shape)
 
 
-def check_antennas(window: np.ndarray, config: QcConfig) -> WindowQc:
+def check_antennas(window: np.ndarray) -> WindowQc:
     """Pure predicate: drop windows with dead or null-ridden antennas.
 
-    An antenna fails on variance below ``impairment_var_eps`` (constant
+    An antenna fails on variance below ``IMPAIRMENT_VAR_EPS`` (constant
     or near-constant readings) or on any remaining per-entry nulls after
     missing-column handling.  A dropped window names the first failing
     antenna in ``impaired_antennas``.
@@ -123,7 +123,7 @@ def check_antennas(window: np.ndarray, config: QcConfig) -> WindowQc:
         series = window[:, a, :]
         if np.isnan(series).any():
             return WindowQc(False, f"irregular nulls antenna {a}", impaired_antennas=[a])
-        if float(series.var()) < config.impairment_var_eps:
+        if float(series.var()) < IMPAIRMENT_VAR_EPS:
             return WindowQc(False, f"impaired antenna {a}", impaired_antennas=[a])
     return WindowQc(True)
 
@@ -166,7 +166,7 @@ def clean_window(window: np.ndarray, config: QcConfig) -> tuple:
     missing, filled = check_missing(window, config)
     if not missing.kept:
         return None, missing
-    verdict = check_antennas(filled, config)
+    verdict = check_antennas(filled)
     verdict.missing_fraction = missing.missing_fraction
     if not verdict.kept:
         return None, verdict

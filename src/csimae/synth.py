@@ -112,19 +112,6 @@ def simulate_cfr(scene: SceneSpec) -> D.ChannelRecording:
     ).validate()
 
 
-def cfr_to_cir(recording: D.ChannelRecording) -> np.ndarray:
-    """Unitary inverse DFT along the subcarrier axis.
-
-    Returns a complex tensor indexed (delay bin, time, rx, tx); total
-    energy equals the input's (Parseval, unitary convention).
-    """
-    n_f = recording.n_f
-    if n_f < 2:
-        raise SceneError("cfr_to_cir needs at least 2 subcarriers")
-    cir = np.fft.ifft(recording.data, axis=3) * np.sqrt(n_f)
-    return np.moveaxis(cir, 3, 0)
-
-
 # ---------------------------------------------------------------------
 # labeled multi-domain task generation
 

@@ -22,15 +22,16 @@ arXiv:1604.06174):
   closure keeps views of q, k and v into that output and the row
   log-sum-exp, never the (B, H, T, T) weights or a scaled copy of q.
 - ``ffn`` is fc1 -> GELU -> fc2; its closure keeps its input and the
-  fc1 pre-activation, never the tanh or the GELU output.  ``gelu``
-  shares its arithmetic and stays for the downstream classifier head.
+  fc1 pre-activation, never the tanh or the GELU output.  The hidden
+  downstream classifier head is one ``ffn`` node too; ``gelu`` shares
+  its arithmetic.
 - ``layer_norm`` keeps its input and the (…, 1) mean and inverse
   standard deviation; backward recomputes the normalized input.
 - ``masked_mse_head`` is the MAE reconstruction head and loss in one
   node: it applies the head to the gathered masked rows only and keeps
   those rows and their residual, never a full (B, T, patch) output.
 
-The library itself no longer calls ``matmul``, ``softmax``,
+The library itself no longer calls ``gelu``, ``matmul``, ``softmax``,
 ``transpose``, ``swap_last``, ``reshape``, ``sub``, ``mul``, ``square``,
 ``sum_``, ``mean_`` or ``mse``.  They stay for the tests and their
 composite oracles and for ``perfbench/``, whose tracer looks every op
@@ -57,10 +58,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr

@@ -305,17 +305,10 @@ def pretrain_arrays(clips: np.ndarray, model_cfg: M.ModelConfig, cfg: TrainConfi
     return PretrainResult(res.params, model_cfg, res.best_epoch, res.best_value, res.metrics, res.aborted)
 
 
-def pretrain(
-    manifest: D.DatasetManifest,
-    store_dir,
-    model_cfg: M.ModelConfig,
-    cfg: TrainConfig,
-    run_dir=None,
-    clip_ids: list | None = None,
-) -> PretrainResult:
-    """Load clips from the store and run ``pretrain_arrays``."""
+def pretrain(manifest: D.DatasetManifest, store_dir, model_cfg: M.ModelConfig, cfg: TrainConfig, run_dir=None) -> PretrainResult:
+    """Load every clip of the manifest from the store and run ``pretrain_arrays``."""
     if not manifest.entries:
         raise TrainError("empty manifest")
-    clips = D.load_clips(store_dir, manifest, clip_ids)
+    clips = D.load_clips(store_dir, manifest)
     x, _ = D.stack_clips(clips)
     return pretrain_arrays(x, model_cfg, cfg, run_dir=run_dir)

@@ -263,6 +263,35 @@ def test_corrupt_checkpoint_gives_checkpoint_error_record(workdir, tmp_path, cap
     assert err["error"] == "CheckpointError" and str(ckpt) in err["message"]
 
 
+def test_checkpoint_missing_a_tensor_gives_checkpoint_error_record(workdir, tmp_path, capsys):
+    from csimae import checkpoint as C
+    from csimae import mae as M
+
+    cfg = M.ModelConfig(**MICRO_MODEL)
+    params = M.init_params(cfg, seed=3)
+    del params["enc.cls"]
+    ckpt = C.save_checkpoint(tmp_path / "m.ckpt", params, cfg)
+    rc = cli.main(
+        ["probe", "--store", str(workdir / "gen" / "store"), "--out", str(tmp_path / "lp"),
+         "--config", str(workdir / "micro.json"), "--checkpoint", str(ckpt), "--held-out", "env1"]
+    )
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "CheckpointError" and str(ckpt) in err["message"] and "enc.cls" in err["message"]
+
+
+def test_corrupt_manifest_gives_data_error_record(workdir, tmp_path, capsys):
+    bad = tmp_path / "manifest.json"
+    bad.write_text("{not json")
+    rc = cli.main(
+        ["pretrain", "--store", str(workdir / "gen" / "store"), "--manifest", str(bad), "--out", str(tmp_path / "pt"),
+         "--config", str(workdir / "micro.json")]
+    )
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DataError" and str(bad) in err["message"] and "not a clip manifest" in err["message"]
+
+
 def test_rejected_probe_step_is_written_to_result_json(workdir, tmp_path, monkeypatch):
     from csimae import training as R
 
@@ -428,6 +457,35 @@ def test_file_batch_size_beats_the_downstream_default_and_a_flag_beats_the_file(
     assert cli.main(argv + [str(runs.parent / "micro.json"), "--out", str(runs / "bs-flag"), "--batch-size", "8"]) == 0
     resolved = json.loads((runs / "bs-flag" / "resolved_config.json").read_text())
     assert resolved["sections"]["train"]["batch_size"] == 8
+
+
+@pytest.mark.parametrize("command", ["finetune", "probe", "supervised", "eval-cross-domain", "sweep"])
+@pytest.mark.parametrize("flag, want", [([], 16), (["--batch-size", "8"], 8)], ids=["file", "flag"])
+def test_downstream_runs_train_at_the_batch_size_they_record(pinned, tmp_path, monkeypatch, command, flag, want):
+    from csimae import training as R
+
+    runs, _ = pinned
+    ckpt = str(runs / "pt" / "checkpoint.ckpt")
+    argv = {
+        "finetune": ["--checkpoint", ckpt, "--held-out", "env1"],
+        "probe": ["--checkpoint", ckpt, "--held-out", "env1"],
+        "supervised": ["--held-out", "env1"],
+        "eval-cross-domain": ["--regimes", "supervised"],
+        "sweep": ["--axis", "data_fraction", "--values", "[0.5, 1.0]", "--held-out", "env1"],
+    }[command]
+    real, seen = R.fit, []
+
+    def spy(params, fit_idx, cfg, stream, *rest, **kw):
+        if stream == 7:  # the classifier's stream; pretraining runs on stream 1
+            seen.append(cfg.batch_size)
+        return real(params, fit_idx, cfg, stream, *rest, **kw)
+
+    monkeypatch.setattr(R, "fit", spy)
+    out = tmp_path / "out"
+    argv = [command, "--store", str(runs.parent / "gen" / "store"), "--config", str(runs.parent / "micro.json")] + argv
+    assert cli.main(argv + flag + ["--out", str(out)]) == 0
+    assert json.loads((out / "resolved_config.json").read_text())["sections"]["train"]["batch_size"] == want
+    assert seen and set(seen) == {want}
 
 
 def test_clean_reruns_from_its_own_record(tmp_path):

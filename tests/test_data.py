@@ -1,5 +1,6 @@
 """Clip store round-trips, manifests, split protocols, and corrupt files."""
 
+import json
 import struct
 
 import numpy as np
@@ -42,19 +43,48 @@ def test_bad_shape_rejected_with_clip_id(tmp_path):
         D.write_clip_store([clip], tmp_path)
 
 
-def test_parallel_writers_produce_identical_store(tmp_path):
-    clips = [make_clip(i) for i in range(1000)]
-    m1 = D.write_clip_store(clips, tmp_path / "w1", n_workers=1)
-    m8 = D.write_clip_store(clips, tmp_path / "w8", n_workers=8)
-    assert m1.to_json() == m8.to_json()
-    for shard in sorted(p.name for p in (tmp_path / "w1").glob("shard-*.bin")):
-        assert (tmp_path / "w1" / shard).read_bytes() == (tmp_path / "w8" / shard).read_bytes()
+def test_same_clips_give_a_byte_identical_store(tmp_path):
+    clips = [make_clip(i) for i in range(D.SHARD_SIZE + 3)]
+    D.write_clip_store(clips, tmp_path / "a")
+    D.write_clip_store(clips, tmp_path / "b")
+    files = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert files == ["manifest.json", "shard-0000.bin", "shard-0001.bin"]
+    assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_manifest_save_load_round_trip(tmp_path):
     manifest = D.write_clip_store([make_clip(i) for i in range(7)], tmp_path)
     loaded = D.DatasetManifest.load(tmp_path)
     assert loaded.to_json() == manifest.to_json()
+
+
+def _json(doc) -> bytes:
+    return json.dumps(doc).encode()
+
+
+MANIFEST_FAULTS = {
+    "not-json": lambda doc: b"{not json",
+    "not-utf-8": lambda doc: b"\xff\xfe{}",
+    "a-list": lambda doc: b"[1, 2]",
+    "no-entries": lambda doc: _json({"format_version": 1}),
+    "entry-without-shard_path": lambda doc: _json(
+        {**doc, "entries": [{k: v for k, v in e.items() if k != "shard_path"} for e in doc["entries"]]}
+    ),
+    "entry-not-an-object": lambda doc: _json({**doc, "entries": ["clip"]}),
+    "bad-provenance": lambda doc: _json({**doc, "entries": [{**e, "provenance": {"src": 1}} for e in doc["entries"]]}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MANIFEST_FAULTS))
+def test_corrupt_manifest_raises_data_error_naming_the_file(tmp_path, fault):
+    D.write_clip_store([make_clip(i) for i in range(2)], tmp_path)
+    path = tmp_path / D.MANIFEST_NAME
+    path.write_bytes(MANIFEST_FAULTS[fault](json.loads(path.read_text())))
+    with pytest.raises(D.DataError, match="not a clip manifest") as err:
+        D.DatasetManifest.load(tmp_path)
+    assert str(path) in str(err.value)
 
 
 def test_duplicate_clip_ids_rejected(tmp_path):

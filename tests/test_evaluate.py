@@ -94,13 +94,29 @@ def test_linear_probe_hits_one_on_separable_features():
     feats[:, 0] += (labels * 2 - 1) * 3.0
     assert _perceptron_separates(feats[:80], labels[:80])
 
-    head_cfg = E.HeadConfig(n_classes=2, hidden_dims=[])
-    params = E.init_head(16, head_cfg, seed=4)
-    fwd = lambda x, p: E.head_forward(T.Tensor(x), p, head_cfg)
+    params = E.init_head(16, 2, seed=4, hidden=False)
+    fwd = lambda x, p: E.head_forward(T.Tensor(x), p)
     cfg = micro_train_cfg(max_epochs=30, peak_lr=5e-2, weight_decay=0.0)
     best, _, _ = E.train_classifier(fwd, params, feats[:80], labels[:80], cfg)
     pred = E.predict(fwd, best, feats[80:])
     assert E.accuracy(pred, labels[80:]) == 1.0
+
+
+@pytest.mark.parametrize("b, d, c", [(32, 192, 3), (7, 16, 2), (128, 192, 5)])
+def test_hidden_head_is_bit_identical_to_linear_gelu_linear(b, d, c):
+    rng = np.random.default_rng(b)
+    x, y = rng.standard_normal((b, d)).astype(np.float32), rng.integers(0, c, b)
+    params = E.init_head(d, c, seed=5, hidden=True)
+    p = C.clone_params(params)
+    fx, ox = T.Tensor(x, requires_grad=True), T.Tensor(x.copy(), requires_grad=True)
+    fused = T.softmax_cross_entropy(E.head_forward(fx, params), y)
+    hidden = T.gelu(T.linear(ox, p["head.fc0.w"], p["head.fc0.b"]))
+    oracle = T.softmax_cross_entropy(T.linear(hidden, p["head.out.w"], p["head.out.b"]), y)
+    assert fused.data.tobytes() == oracle.data.tobytes()
+    fused.backward()
+    oracle.backward()
+    assert fx.grad.tobytes() == ox.grad.tobytes()
+    assert all(params[k].grad.tobytes() == p[k].grad.tobytes() for k in params)
 
 
 def test_rejected_lp_step_is_counted_in_the_result(tmp_path, monkeypatch):
@@ -146,12 +162,11 @@ def test_non_finite_lp_loss_is_recorded_and_scored_with_the_kept_params(tmp_path
     assert result.aborted and result.to_json()["aborted"] is True
     assert result.best_epoch == 0 and result.n_test == len(test)
     # scored with the head as initialised: the only params kept before the abort
-    lp_head = E.HeadConfig(2, hidden_dims=[])
-    head0 = E.init_head(cfg.enc_dim, lp_head, [0, 12])
+    head0 = E.init_head(cfg.enc_dim, 2, [0, 12], hidden=False)
     vocab = E._class_vocab(c.labels["class"] for c in train)
     y_test = np.array([vocab[c.labels["class"]] for c in test])
     f_test = encode(ckpt[0], cfg, D.stack_clips(test)[0])
-    pred = E.predict(lambda f, p: E.head_forward(T.Tensor(f), p, lp_head), head0, f_test)
+    pred = E.predict(lambda f, p: E.head_forward(T.Tensor(f), p), head0, f_test)
     assert result.accuracy == E.accuracy(pred, y_test)
 
 
@@ -166,6 +181,12 @@ def test_linear_probe_never_mutates_encoder(tmp_path):
     assert 0.0 <= result.accuracy <= 1.0
     for k, v in ckpt_params.items():
         assert v.data.tobytes() == before[k].tobytes(), k
+
+
+def test_a_batch_size_other_than_the_train_configs_is_refused(tmp_path):
+    manifest, clips = micro_corpus(tmp_path, clips_per_cell=2)
+    with pytest.raises(E.EvalError, match="batch_size 8 differs from train_cfg.batch_size 16"):
+        E.run_regime("supervised", None, clips, clips, E.HeadConfig(2), micro_train_cfg(), micro_cfg(), batch_size=8)
 
 
 def test_supervised_regime_ignores_checkpoint(tmp_path):
@@ -250,14 +271,28 @@ def test_cross_domain_suite_fold_count(tmp_path):
     assert set(macro) == {"supervised"} and 0.0 <= macro["supervised"] <= 1.0
 
 
-def test_ft_starts_from_checkpoint_weights(tmp_path):
+def test_ft_starts_from_checkpoint_weights(tmp_path, monkeypatch):
     manifest, clips = micro_corpus(tmp_path)
     cfg = micro_cfg()
     x, _ = D.stack_clips(clips)
     res = R.pretrain_arrays(x, cfg, micro_train_cfg(max_epochs=2))
+    before = C.clone_params(res.params)
     train = [c for c in clips if c.labels["environment"] == "env0"]
     test = [c for c in clips if c.labels["environment"] == "env1"]
+    encode, seen = M.MaskedAutoencoder.encode, []
+
+    def spy(model, tokens, visible_idx, params=None):
+        p = params if params is not None else model.params
+        seen.append({k: v.data.copy() for k, v in p.items() if k.startswith("enc.")})
+        return encode(model, tokens, visible_idx, params)
+
+    monkeypatch.setattr(M.MaskedAutoencoder, "encode", spy)
     r = E.run_regime("ft", (res.params, cfg), train, test, E.HeadConfig(2), micro_train_cfg(max_epochs=2))
     assert r.regime == "ft" and 0.0 <= r.accuracy <= 1.0
-    # checkpoint itself must remain untouched by fine-tuning
-    assert C.params_equal(res.params, res.params)
+    enc = {k: v.data for k, v in before.items() if k.startswith("enc.")}
+    assert seen[0].keys() == enc.keys()
+    assert all(seen[0][k].tobytes() == enc[k].tobytes() for k in enc)
+    assert any(seen[-1][k].tobytes() != enc[k].tobytes() for k in enc)  # fine-tuning moved the encoder
+    # the checkpoint itself is untouched by fine-tuning
+    assert res.params.keys() == before.keys()
+    assert all(res.params[k].data.tobytes() == before[k].data.tobytes() for k in before)

@@ -98,7 +98,7 @@ def test_short_recording_gives_zero_windows():
 def window_and_resample(link, sampling_rate):
     """The time-axis path ``harmonize_recording`` runs: window slices, then linear resampling."""
     return [
-        H.resample_linear(link[start : start + n], 0, CFG.target_time_len)
+        H.resample_linear(link[start : start + n], 0, D.CLIP_TIME_LEN)
         for start, n in H.window_slices(link.shape[0], sampling_rate, CFG)
     ]
 
@@ -129,43 +129,43 @@ def test_resample_exact_on_affine_signals():
 
 def test_segment_160mhz_into_8_channels():
     win = np.random.default_rng(2).standard_normal((600, 3, 2048))
-    channels = H.segment_and_resample_freq(win, 160e6, CFG)
+    channels = H.segment_and_resample_freq(win, 160e6)
     assert len(channels) == 8
     assert all(c.shape == (600, 3, 30) for c in channels)
-    blocks = H.channel_blocks(2048, 160e6, CFG)
+    blocks = H.channel_blocks(2048, 160e6)
     assert all(b - a == 256 for a, b in blocks)
 
 
 def test_segment_20mhz_30_bins_is_identity():
     win = np.random.default_rng(3).standard_normal((600, 3, 30))
-    channels = H.segment_and_resample_freq(win, 20e6, CFG)
+    channels = H.segment_and_resample_freq(win, 20e6)
     assert len(channels) == 1
     np.testing.assert_array_equal(channels[0], win)
 
 
 def test_segment_40mhz_114_subcarriers():
     win = np.random.default_rng(4).standard_normal((600, 3, 114))
-    channels = H.segment_and_resample_freq(win, 40e6, CFG)
+    channels = H.segment_and_resample_freq(win, 40e6)
     assert len(channels) == 2
-    assert H.channel_blocks(114, 40e6, CFG) == [(0, 57), (57, 114)]
+    assert H.channel_blocks(114, 40e6) == [(0, 57), (57, 114)]
 
 
 def test_remainder_subcarriers_go_to_leading_blocks():
-    assert H.channel_blocks(115, 40e6, CFG) == [(0, 58), (58, 115)]
-    assert H.channel_blocks(2049, 160e6, CFG)[0] == (0, 257)
+    assert H.channel_blocks(115, 40e6) == [(0, 58), (58, 115)]
+    assert H.channel_blocks(2049, 160e6)[0] == (0, 257)
 
 
 def test_flatten_degenerate_row_maps_to_zeros():
     win = np.random.default_rng(5).standard_normal((600, 3, 30)) + 2.0
     win[17] = 4.2
-    clip = H.flatten_and_normalize(win, CFG)
+    clip = H.flatten_and_normalize(win)
     assert (clip.data[17] == 0.0).all()
 
 
 def test_flatten_hand_zscore_values():
     win = np.zeros((600, 3, 30))
     win[:, 0, :], win[:, 1, :], win[:, 2, :] = 1.0, 2.0, 3.0
-    clip = H.flatten_and_normalize(win, CFG)
+    clip = H.flatten_and_normalize(win)
     z = np.sqrt(1.5)  # population std of {1,2,3} is sqrt(2/3)
     np.testing.assert_allclose(clip.data[0, :30], -z, atol=1e-6)
     np.testing.assert_allclose(clip.data[0, 30:60], 0.0, atol=1e-6)
@@ -176,7 +176,7 @@ def test_flatten_is_antenna_major():
     win = np.zeros((600, 3, 30))
     for a in range(3):
         win[:, a, :] = 100.0 * a + np.arange(30)
-    clip = H.flatten_and_normalize(win, CFG)
+    clip = H.flatten_and_normalize(win)
     # z-score is monotone per row, so column order must follow a*30+f
     assert (np.diff(clip.data[0]) > 0).all()
 
@@ -185,7 +185,7 @@ def test_flatten_rows_are_zero_mean_unit_std():
     rng = np.random.default_rng(6)
     for _ in range(20):
         win = rng.standard_normal((600, 3, 30)) * rng.uniform(0.1, 50) + rng.uniform(-5, 5)
-        clip = H.flatten_and_normalize(win, CFG)
+        clip = H.flatten_and_normalize(win)
         assert np.abs(clip.data.mean(axis=1)).max() < 1e-5
         assert np.abs(clip.data.std(axis=1) - 1.0).max() < 1e-5
 
@@ -194,7 +194,7 @@ def test_flatten_rejects_nulls():
     win = np.ones((600, 3, 30))
     win[0, 0, 0] = np.nan
     with pytest.raises(H.HarmonizeError, match="null"):
-        H.flatten_and_normalize(win, CFG)
+        H.flatten_and_normalize(win)
 
 
 def test_end_to_end_clip_count_and_provenance():

@@ -40,6 +40,18 @@ def full_plan(n_patches):
     return M.MaskPlan(n_patches=n_patches, visible_idx=np.arange(n_patches), masked_idx=np.empty(0, dtype=int))
 
 
+def unpatchify(tokens, patch_time, patch_freq, t_len, c_len):
+    """Exact inverse of ``patchify``."""
+    *lead, n_p, _ = tokens.shape
+    nt, nc = t_len // patch_time, c_len // patch_freq
+    x = tokens.reshape(*lead, nt, nc, patch_time, patch_freq)
+    return np.moveaxis(x, -3, -2).reshape(*lead, t_len, c_len)
+
+
+def params_equal(a, b):
+    return a.keys() == b.keys() and all(a[k].data.tobytes() == b[k].data.tobytes() for k in a)
+
+
 def plans_for(cfg, n, seed=0):
     return [M.sample_mask(cfg.n_patches, cfg.mask_ratio, [seed, i]) for i in range(n)]
 
@@ -66,7 +78,7 @@ def test_unpatchify_inverts_bit_exactly():
     clip = rng.standard_normal((4, 600, 90)).astype(np.float32)
     for pt, pf in ((30, 3), (100, 15), (600, 90), (20, 9)):
         tokens = M.patchify(clip, pt, pf)
-        back = M.unpatchify(tokens, pt, pf, 600, 90)
+        back = unpatchify(tokens, pt, pf, 600, 90)
         assert back.tobytes() == clip.tobytes()
 
 
@@ -80,7 +92,7 @@ def test_unpatchify_inverts_patchify_over_random_grids(lead, grid, seed):
     clip = np.random.default_rng(seed).standard_normal((*lead, nt * pt, nc * pf)).astype(np.float32)
     tokens = M.patchify(clip, pt, pf)
     assert tokens.shape == (*lead, nt * nc, pt * pf)
-    assert M.unpatchify(tokens, pt, pf, nt * pt, nc * pf).tobytes() == clip.tobytes()
+    assert unpatchify(tokens, pt, pf, nt * pt, nc * pf).tobytes() == clip.tobytes()
 
 
 @given(n_patches=st.integers(2, 700), ratio=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
@@ -283,15 +295,14 @@ def test_single_block_gradients():
     x32 = rng.standard_normal((1, 4, 8)).astype(np.float32)
 
     def build(dtype):
-        p = {}
-        M._init_block(p, "blk", 8, 4, np.random.default_rng(26), dtype)
-        names = sorted(p)
+        p = M.init_params(cfg, seed=26, dtype=dtype)
+        names = sorted(n for n in p if n.startswith("enc.blocks.0."))
         return p, names
 
     def f_factory(names, x_const):
         def f(*tensors):
             p = dict(zip(names, tensors))
-            return T.mean_(T.square(M._block(T.Tensor(x_const), p, "blk", 2)))
+            return T.mean_(T.square(M._block(T.Tensor(x_const), p, "enc.blocks.0", 2)))
 
         return f
 
@@ -398,7 +409,7 @@ def test_variant_table_matches_expected_dims():
 
 def test_tiny_encoder_parameter_count_near_3m():
     params = M.init_params(M.ModelConfig(variant="tiny"), seed=0)
-    n_enc = M.count_parameters(params, "enc.")
+    n_enc = sum(t.data.size for name, t in params.items() if name.startswith("enc."))
     assert abs(n_enc - 3e6) / 3e6 < 0.2
 
 
@@ -409,7 +420,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     params, cfg2, extra = C.load_checkpoint(path)
     assert extra == {"epoch": 3}
     assert cfg2.to_json() == cfg.to_json()
-    assert C.params_equal(params, model.params)
+    assert params_equal(params, model.params)
 
 
 def test_truncated_checkpoint_raises_checkpoint_error(tmp_path):
@@ -455,6 +466,24 @@ def test_checkpoint_with_an_unknown_config_key_raises_checkpoint_error(tmp_path)
     meta = {"config": {**cfg.to_json(), "n_experts": 4}, "extra": {}}
     with_metadata(path, json.dumps(meta).encode("utf-8"))
     with pytest.raises(C.CheckpointError, match="n_experts"):
+        C.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p.pop("enc.cls"), "enc.cls missing where the config has (1, 1, 8)"),
+        (lambda p: p.update({"head.out.w": T.Tensor(np.zeros((8, 2)))}), "head.out.w (8, 2) where the config has none"),
+        (lambda p: p.update({"enc.pos": T.Tensor(np.zeros((6, 16)))}), "enc.pos (6, 16) where the config has (6, 8)"),
+    ],
+    ids=["missing", "unexpected", "shape"],
+)
+def test_checkpoint_whose_tensors_are_not_the_config_layout_raises_checkpoint_error(tmp_path, edit, message):
+    cfg = tiny_cfg()
+    params = M.init_params(cfg, seed=34)
+    edit(params)
+    path = C.save_checkpoint(tmp_path / "m.ckpt", params, cfg)
+    with pytest.raises(C.CheckpointError, match=re.escape(f"{path}: 1 tensor(s) differ from the model config's layout: {message}")):
         C.load_checkpoint(path)
 
 

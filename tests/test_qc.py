@@ -1,5 +1,7 @@
 """Artifact detection/repair: boundary cases, hand-computed repairs, tail rates."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,7 @@ def test_all_null_window_reports_empty():
 def test_constant_antenna_detected():
     win = clean_window(np.random.default_rng(4))
     win[:, 1, :] = 0.7
-    verdict = Q.check_antennas(win, CFG)
+    verdict = Q.check_antennas(win)
     assert not verdict.kept and verdict.reason == "impaired antenna 1"
     assert verdict.impaired_antennas == [1]
 
@@ -78,7 +80,7 @@ def test_scattered_nulls_detected():
     win = clean_window(np.random.default_rng(5))
     win[17, 2, 4] = np.nan
     win[400, 2, 11] = np.nan
-    verdict = Q.check_antennas(win, CFG)
+    verdict = Q.check_antennas(win)
     assert not verdict.kept and verdict.reason == "irregular nulls antenna 2"
     assert verdict.impaired_antennas == [2]
 
@@ -92,9 +94,9 @@ def test_simulated_multipath_passes_antenna_check():
     )
     rec = S.simulate_cfr(scene)
     win = H.amplitude(rec)[:, 0:3, 0, :]
-    verdict = Q.check_antennas(win, CFG)
+    verdict = Q.check_antennas(win)
     assert verdict.kept
-    assert win.reshape(600, -1).var(axis=0).min() > 100 * CFG.impairment_var_eps
+    assert win.reshape(600, -1).var(axis=0).min() > 100 * Q.IMPAIRMENT_VAR_EPS
 
 
 def test_clean_window_keeps_the_antenna_verdict_and_adds_the_missing_fraction():
@@ -111,10 +113,26 @@ def test_dropped_window_needs_a_reason():
         Q.WindowQc(False)
 
 
+def test_report_counts_a_dropped_window_by_its_impaired_antennas():
+    report = Q.QcReport(source_id="r")
+    for wq in (
+        Q.WindowQc(True, missing_fraction=0.02),
+        Q.WindowQc(False, "empty", missing_fraction=1.0),
+        Q.WindowQc(False, "missing fraction 0.2000 > 0.1", missing_fraction=0.2),
+        Q.WindowQc(False, "impaired antenna 1", impaired_antennas=[1]),
+        Q.WindowQc(False, "irregular nulls antenna 0", missing_fraction=0.05, impaired_antennas=[0]),
+    ):
+        report.add_window(wq)
+    record = asdict(report.finalize())
+    assert (record["n_windows"], record["n_kept"], record["n_dropped_missing"], record["n_dropped_antenna"]) == (5, 1, 2, 2)
+    assert record["missing_fraction"] == 1.0 and record["verdict"] == "kept"
+    assert "impaired_antennas" not in record
+
+
 def test_check_antennas_never_alters_data():
     win = clean_window(np.random.default_rng(6))
     before = win.copy()
-    Q.check_antennas(win, CFG)
+    Q.check_antennas(win)
     np.testing.assert_array_equal(win, before)
 
 
