@@ -141,6 +141,20 @@ class ManifestEntry:
     provenance: Provenance
 
 
+_ENTRY_FIELDS = (("clip_id", str, "a string"), ("shard_path", str, "a string"), ("labels", dict, "an object"))
+
+
+def _manifest_entry(i: int, d: dict) -> ManifestEntry:
+    """Entry ``i`` of a parsed manifest, its field types checked; a wrong type raises ``DataError``."""
+    for key, kind, what in _ENTRY_FIELDS:
+        if not isinstance(d[key], kind):
+            raise DataError(f"not a clip manifest (entry {i}: {key} {d[key]!r} is not {what})")
+    offset = d["byte_offset"]
+    if type(offset) is not int or offset < 0:
+        raise DataError(f"not a clip manifest (entry {i}: byte_offset {offset!r} is not a non-negative integer)")
+    return ManifestEntry(d["clip_id"], d["shard_path"], offset, d["labels"], Provenance.from_json(d["provenance"]))
+
+
 @dataclass
 class DatasetManifest:
     entries: list
@@ -195,16 +209,7 @@ class DatasetManifest:
         """Parse ``to_json`` output (str or UTF-8 bytes); anything else raises ``DataError``."""
         try:
             doc = json.loads(text)
-            entries = [
-                ManifestEntry(
-                    clip_id=d["clip_id"],
-                    shard_path=d["shard_path"],
-                    byte_offset=d["byte_offset"],
-                    labels=d["labels"],
-                    provenance=Provenance.from_json(d["provenance"]),
-                )
-                for d in doc["entries"]
-            ]
+            entries = [_manifest_entry(i, d) for i, d in enumerate(doc["entries"])]
             return DatasetManifest(entries, blocklist=doc.get("blocklist", []), format_version=doc["format_version"])
         except DataError:
             raise

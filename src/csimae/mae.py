@@ -7,16 +7,20 @@ pre-norm transformer blocks:
     z' = MHSA(LN(z)) + z
     z  = FFN(LN(z')) + z'
 
-followed by a final LayerNorm.  Self-attention is one engine op,
-``tensors.attention``, between the qkv and output projections; the FFN,
-fc1 -> GELU -> fc2, is one op, ``tensors.ffn``.  The decoder projects
-the latent to its own width, fills masked positions with one shared
-learnable mask token, adds its own positional table and runs a
-shallower stack; ``decode`` returns that stack's output.  A linear head
-predicts raw patch values from it, and the loss is the mean over masked
-patches of the squared L2 patch error.  Head and loss are one engine op,
+followed by a final LayerNorm.  Each half of a block is one engine op:
+``tensors.attention_sublayer`` (LN, qkv projection, self-attention,
+output projection, residual add) and ``tensors.ffn_sublayer`` (LN,
+fc1 -> GELU -> fc2, residual add).  Neither keeps a LayerNorm output
+or a pre-residual output for backward.  The decoder projects the latent
+to its own width, fills masked positions with one shared learnable mask
+token, adds its own positional table and runs a shallower stack;
+``decode`` returns that stack's output.  A linear head predicts raw
+patch values from it, and the loss is the mean over masked patches of
+the squared L2 patch error.  Head and loss are one engine op,
 ``tensors.masked_mse_head``, which runs the head on the masked rows
 only, so visible positions and the CLS row contribute exactly zero.
+``forward_loss`` gathers the visible inputs and the masked targets and
+drops the full patch array before the encoder runs.
 """
 
 from __future__ import annotations
@@ -223,18 +227,18 @@ def init_params(cfg: ModelConfig, seed=0, dtype=np.float32) -> dict:
 
 
 def _attention(x: T.Tensor, params: dict, prefix: str, n_heads: int) -> T.Tensor:
-    qkv = T.linear(x, params[f"{prefix}.qkv.w"], params[f"{prefix}.qkv.b"])
-    out = T.attention(qkv, n_heads)
-    return T.linear(out, params[f"{prefix}.proj.w"], params[f"{prefix}.proj.b"])
+    """The block's first half, x + MHSA(LN1(x)), as one ``tensors.attention_sublayer`` node."""
+    p = lambda name: params[f"{prefix}.{name}"]
+    return T.attention_sublayer(
+        x, p("ln1.g"), p("ln1.b"), p("attn.qkv.w"), p("attn.qkv.b"), p("attn.proj.w"), p("attn.proj.b"), n_heads
+    )
 
 
 def _block(x: T.Tensor, params: dict, prefix: str, n_heads: int) -> T.Tensor:
-    h = T.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    x = T.add(_attention(h, params, f"{prefix}.attn", n_heads), x)
-    h = T.layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    fc1, fc2 = f"{prefix}.ffn.fc1", f"{prefix}.ffn.fc2"
-    h = T.ffn(h, params[f"{fc1}.w"], params[f"{fc1}.b"], params[f"{fc2}.w"], params[f"{fc2}.b"])
-    return T.add(h, x)
+    """One pre-norm block: ``_attention``, then x + FFN(LN2(x)) as one ``tensors.ffn_sublayer`` node."""
+    x = _attention(x, params, prefix, n_heads)
+    p = lambda name: params[f"{prefix}.{name}"]
+    return T.ffn_sublayer(x, p("ln2.g"), p("ln2.b"), p("ffn.fc1.w"), p("ffn.fc1.b"), p("ffn.fc2.w"), p("ffn.fc2.b"))
 
 
 def _batch_indices(plans, attr) -> np.ndarray:
@@ -295,16 +299,21 @@ class MaskedAutoencoder:
         return x
 
     def forward_loss(self, clips: np.ndarray, plans, params: dict | None = None) -> tuple:
-        """Clips (B, T, C) + per-clip plans -> (masked-patch loss, decoder output)."""
+        """Clips (B, T, C) + per-clip plans -> (masked-patch loss, decoder output).
+
+        The visible inputs and the masked targets are gathered first and
+        the full (B, N_p, patch_len) patch copy is released before the
+        encoder runs.
+        """
         cfg = self.cfg
         p = params if params is not None else self.params
         patches = patchify(clips, cfg.patch_time, cfg.patch_freq)
         vis_idx = _batch_indices(plans, "visible_idx")
-        b = np.arange(patches.shape[0])[:, None]
-        visible = T.Tensor(patches[b, vis_idx])
-        latent = self.encode(visible, vis_idx, p)
+        visible, targets = _gather_patches(patches, vis_idx), masked_patches(patches, plans)
+        del patches
+        latent = self.encode(T.Tensor(visible), vis_idx, p)
         x = self.decode(latent, plans, p)
-        return mae_loss(x, p, patches, plans), x
+        return mae_loss(x, p, targets, plans), x
 
     def encode_features(self, clips: np.ndarray, params: dict | None = None) -> T.Tensor:
         """Full (unmasked) token sequence through the encoder; CLS row out."""
@@ -316,16 +325,26 @@ class MaskedAutoencoder:
         return latent[:, 0, :]
 
 
-def mae_loss(x: T.Tensor, params: dict, patches: np.ndarray, plans) -> T.Tensor:
+def _gather_patches(patches: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``patches[i, idx[i]]`` for every clip i: (B, K, patch_len)."""
+    return patches[np.arange(patches.shape[0])[:, None], idx]
+
+
+def masked_patches(patches: np.ndarray, plans) -> np.ndarray:
+    """The reconstruction targets: each clip's masked patches in plan order, (B, M, patch_len)."""
+    return _gather_patches(patches, _batch_indices(plans, "masked_idx"))
+
+
+def mae_loss(x: T.Tensor, params: dict, targets: np.ndarray, plans) -> T.Tensor:
     """Mean over masked patches of the squared L2 patch error.
 
-    ``x`` is the decoder output (B, 1+N_p, dec_dim), CLS row first.  The
-    head ``dec.head`` runs on the masked rows only and each masked patch
-    contributes the sum of its squared entry errors; visible patches are
-    never read, so perturbing them changes nothing, bit for bit.
+    ``x`` is the decoder output (B, 1+N_p, dec_dim), CLS row first, and
+    ``targets`` the masked patches, ``masked_patches(patches, plans)``.
+    The head ``dec.head`` runs on the masked rows only and each masked
+    patch contributes the sum of its squared entry errors; visible patches
+    are never read, so perturbing them changes nothing, bit for bit.
     """
     if any(len(p.masked_idx) == 0 for p in plans):
         raise ModelError("mae_loss: empty masked set")
     masked = _batch_indices(plans, "masked_idx")
-    b = np.arange(patches.shape[0])[:, None]
-    return T.masked_mse_head(x, params["dec.head.w"], params["dec.head.b"], masked + 1, patches[b, masked])
+    return T.masked_mse_head(x, params["dec.head.w"], params["dec.head.b"], masked + 1, targets)

@@ -16,26 +16,43 @@ The op set is deliberately small: exactly what a pre-norm transformer
 encoder/decoder with GELU FFNs, masked-token gathering, and MSE /
 cross-entropy losses needs.  The ops a block and the MAE loss are made
 of keep only what backward cannot cheaply recompute (Chen et al. 2016,
-arXiv:1604.06174):
+arXiv:1604.06174; Korthikanti et al. 2022, arXiv:2205.05198):
 
-- ``attention`` runs on the packed output of the qkv projection; its
-  closure keeps views of q, k and v into that output and the row
-  log-sum-exp, never the (B, H, T, T) weights or a scaled copy of q.
-- ``ffn`` is fc1 -> GELU -> fc2; its closure keeps its input and the
-  fc1 pre-activation, never the tanh or the GELU output.  The hidden
-  downstream classifier head is one ``ffn`` node too; ``gelu`` shares
-  its arithmetic.
+- ``attention_sublayer`` is a block's first half, x + proj(attention(
+  qkv(LayerNorm(x)))), as one node.  Its closure keeps the LayerNorm's
+  (B, T, 1) mean and inverse standard deviation, the packed qkv (as q, k
+  and v views), the row log-sum-exp and the attention output.
+- ``ffn_sublayer`` is the second half, x + ffn(LayerNorm(x)); its closure
+  keeps the LayerNorm statistics and the fc1 pre-activation ``h``.
+- Neither keeps a LayerNorm output or its output before the residual
+  add: backward recomputes the LayerNorm output from the statistics and
+  never reads the pre-residual value.  It adds the residual gradient into
+  the LayerNorm's input gradient in place, so no ``add`` node and no
+  gradient copy exist.
+- ``attention`` runs on the packed output of a qkv projection; its
+  closure keeps views of q, k and v and the row log-sum-exp, never the
+  (B, H, T, T) weights or a scaled copy of q.
+- ``ffn`` is fc1 -> GELU -> fc2; its closure keeps its input and the fc1
+  pre-activation, never the tanh or the GELU output.  The hidden
+  downstream classifier head is one ``ffn`` node.
 - ``layer_norm`` keeps its input and the (…, 1) mean and inverse
-  standard deviation; backward recomputes the normalized input.
+  standard deviation; backward recomputes the normalized input.  The
+  encoder's final norm is one.
 - ``masked_mse_head`` is the MAE reconstruction head and loss in one
   node: it applies the head to the gathered masked rows only and keeps
-  those rows and their residual, never a full (B, T, patch) output.
+  those rows and their residual, never a full (B, T, patch) output; it
+  squares the residual a row block at a time.
+
+The sublayer ops share every piece of arithmetic with ``layer_norm``,
+``linear``, ``attention`` and ``ffn`` through the private helpers below,
+so each is bit-identical to the composite of those ops.
 
 The library itself no longer calls ``gelu``, ``matmul``, ``softmax``,
 ``transpose``, ``swap_last``, ``reshape``, ``sub``, ``mul``, ``square``,
-``sum_``, ``mean_`` or ``mse``.  They stay for the tests and their
-composite oracles and for ``perfbench/``, whose tracer looks every op
-it times up by name.
+``sum_``, ``mean_`` or ``mse``, and the model no longer calls
+``attention`` or ``ffn`` (the classifier head still calls ``ffn``).
+They stay for the tests and their composite oracles and for
+``perfbench/``, whose tracer looks every op it times up by name.
 """
 
 from __future__ import annotations
@@ -370,6 +387,59 @@ def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
     return a.reshape(b, t, n_heads, dim // n_heads).transpose(0, 2, 1, 3)
 
 
+def _split_heads(qkv: np.ndarray, n_heads: int) -> tuple:
+    """(B, T, 3 * H * hd) packed qkv -> q, k and v, each a (B, H, T, hd) view."""
+    b, t, d3 = qkv.shape
+    return qkv.reshape(b, t, 3, n_heads, d3 // (3 * n_heads)).transpose(2, 0, 3, 1, 4)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple:
+    """softmax(q kᵀ / sqrt(hd)) v per head: the (B, T, H * hd) output and the (B, H, T, 1) row log-sum-exp.
+
+    The (B, H, T, T) weights are built in one buffer and dropped once the
+    output is written.
+    """
+    b, n_heads, t, hd = q.shape
+    s = np.matmul(q * (1.0 / math.sqrt(hd)), k.swapaxes(-1, -2))
+    m = s.max(axis=-1, keepdims=True)
+    s -= m
+    np.exp(s, out=s)
+    rowsum = s.sum(axis=-1, keepdims=True)
+    s /= rowsum
+    lse = m + np.log(rowsum)
+    out = np.empty((b, t, n_heads * hd), dtype=q.dtype)
+    np.matmul(s, v, out=_heads(out, n_heads))
+    return out, lse
+
+
+def _attend_grad(g: np.ndarray, q, k, v, out: np.ndarray, lse: np.ndarray) -> np.ndarray:
+    """Gradient of the packed qkv (B, T, 3D), fresh, from the output gradient ``g`` (B, T, D).
+
+    Recomputes the scaled q and the weights from q, k and the log-sum-exp
+    (FlashAttention, Dao et al. 2022) and reads ``rowsum(dO ∘ O)`` from
+    the forward output ``out``.
+    """
+    b, n_heads, t, hd = q.shape
+    scale = 1.0 / math.sqrt(hd)
+    qs = q * scale
+    p = np.matmul(qs, k.swapaxes(-1, -2))
+    p -= lse
+    np.exp(p, out=p)
+    g_h = _heads(g, n_heads)
+    delta = (g_h * _heads(out, n_heads)).sum(axis=-1, keepdims=True)
+    buf = np.empty((b, t, 3, n_heads, hd), dtype=q.dtype)
+    gq, gk, gv = buf.transpose(2, 0, 3, 1, 4)
+    np.matmul(p.swapaxes(-1, -2), g_h, out=gv)
+    ds = np.matmul(g_h, v.swapaxes(-1, -2))
+    ds -= delta
+    ds *= p
+    del p
+    np.matmul(ds, k, out=gq)
+    gq *= scale
+    np.matmul(ds.swapaxes(-1, -2), qs, out=gk)
+    return buf.reshape(b, t, 3 * n_heads * hd)
+
+
 def attention(qkv: Tensor, n_heads: int) -> Tensor:
     """Multi-head self-attention on the packed output of a qkv projection.
 
@@ -377,49 +447,18 @@ def attention(qkv: Tensor, n_heads: int) -> Tensor:
     with the heads contiguous.  Returns (B, T, D), the heads concatenated:
     softmax(q kᵀ / sqrt(hd)) v per head.
 
-    The (B, H, T, T) weights are built in one buffer and dropped once the
-    output is written; the closure keeps q, k and v as views of ``qkv``
-    and the row log-sum-exp (B, H, T, 1).  Backward recomputes the scaled
-    q and the weights from them (FlashAttention, Dao et al. 2022) and
-    reads ``rowsum(dO ∘ O)`` from the op's own output.
+    The closure keeps q, k and v as views of ``qkv`` and the row
+    log-sum-exp (B, H, T, 1), never the (B, H, T, T) weights; backward
+    recomputes them (``_attend_grad``).
     """
     if qkv.data.ndim != 3 or qkv.data.shape[-1] % (3 * n_heads):
         raise ShapeError(f"attention: qkv {qkv.data.shape} is not (B, T, 3 * {n_heads} heads * hd)")
-    b, t, d3 = qkv.data.shape
-    dim = d3 // 3
-    hd = dim // n_heads
-    scale = 1.0 / math.sqrt(hd)
-    q, k, v = qkv.data.reshape(b, t, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)  # each (B, H, T, hd)
-    s = np.matmul(q * scale, k.swapaxes(-1, -2))
-    m = s.max(axis=-1, keepdims=True)
-    s -= m
-    np.exp(s, out=s)
-    rowsum = s.sum(axis=-1, keepdims=True)
-    s /= rowsum
-    lse = m + np.log(rowsum)
-    out = np.empty((b, t, dim), dtype=qkv.data.dtype)
-    np.matmul(s, v, out=_heads(out, n_heads))
+    q, k, v = _split_heads(qkv.data, n_heads)
+    out, lse = _attend(q, k, v)
 
     def backward(g):
-        if not qkv.requires_grad:
-            return
-        qs = q * scale
-        p = np.matmul(qs, k.swapaxes(-1, -2))
-        p -= lse
-        np.exp(p, out=p)
-        g_h = _heads(g, n_heads)
-        delta = (g_h * _heads(out, n_heads)).sum(axis=-1, keepdims=True)
-        buf = np.empty((b, t, 3, n_heads, hd), dtype=qkv.data.dtype)
-        gq, gk, gv = buf.transpose(2, 0, 3, 1, 4)
-        np.matmul(p.swapaxes(-1, -2), g_h, out=gv)
-        ds = np.matmul(g_h, v.swapaxes(-1, -2))
-        ds -= delta
-        ds *= p
-        del p
-        np.matmul(ds, k, out=gq)
-        gq *= scale
-        np.matmul(ds.swapaxes(-1, -2), qs, out=gk)
-        qkv._accumulate(buf.reshape(b, t, d3), fresh=True)
+        if qkv.requires_grad:
+            qkv._accumulate(_attend_grad(g, q, k, v, out, lse), fresh=True)
 
     return _make(out, (qkv,), backward)
 
@@ -478,6 +517,46 @@ def gelu(a: Tensor) -> Tensor:
     return _make(_gelu(x)[0], (a,), backward)
 
 
+def _ln_stats(x: np.ndarray, eps: float = LAYER_NORM_EPS) -> tuple:
+    """The (…, 1) mean and inverse standard deviation of ``x`` over its last axis."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    np.multiply(xc, xc, out=xc)
+    return mu, 1.0 / np.sqrt(xc.mean(axis=-1, keepdims=True) + eps)
+
+
+def _ln_normalize(x: np.ndarray, mu: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The normalized input (x - mu) * inv, in a fresh array; forward and backward both call it."""
+    xhat = x - mu
+    xhat *= inv
+    return xhat
+
+
+def _ln_scale(xhat: np.ndarray, gamma: Tensor, beta: Tensor) -> np.ndarray:
+    """gamma * xhat + beta."""
+    y = gamma.data * xhat
+    y += beta.data
+    return y
+
+
+def _ln_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: Tensor, beta: Tensor, need_x: bool):
+    """Accumulate gamma's and beta's gradients; return the input gradient (fresh) if ``need_x``."""
+    dim = xhat.shape[-1]
+    if gamma.requires_grad:
+        gamma._accumulate((g * xhat).reshape(-1, dim).sum(axis=0), fresh=True)
+    if beta.requires_grad:
+        beta._accumulate(g.reshape(-1, dim).sum(axis=0), fresh=True)
+    if not need_x:
+        return None
+    gx = g * gamma.data
+    m1 = gx.mean(axis=-1, keepdims=True)
+    m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    gx -= m1
+    gx -= xhat * m2
+    gx *= inv
+    return gx
+
+
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
     """Normalize over the last axis, then apply learnable scale and shift.
 
@@ -486,25 +565,31 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_E
     the forward's own operations, so its bits are the forward's.
     """
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    mu, inv = _ln_stats(x, eps)
 
     def backward(g):
-        xhat = (x - mu) * inv
-        if gamma.requires_grad:
-            gamma._accumulate((g * xhat).reshape(-1, x.shape[-1]).sum(axis=0), fresh=True)
-        if beta.requires_grad:
-            beta._accumulate(g.reshape(-1, x.shape[-1]).sum(axis=0), fresh=True)
-        if a.requires_grad:
-            gx = g * gamma.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            a._accumulate(inv * (gx - m1 - xhat * m2), fresh=True)
+        gx = _ln_grads(g, _ln_normalize(x, mu, inv), inv, gamma, beta, a.requires_grad)
+        if gx is not None:
+            a._accumulate(gx, fresh=True)
 
-    return _make(gamma.data * xhat + beta.data, (a, gamma, beta), backward)
+    return _make(_ln_scale(_ln_normalize(x, mu, inv), gamma, beta), (a, gamma, beta), backward)
+
+
+def _affine(x2: np.ndarray, w: Tensor, b: Tensor | None) -> np.ndarray:
+    """x2 @ w (+ b) over 2-D rows: the forward GEMM of every projection."""
+    y = x2 @ w.data
+    if b is not None:
+        y += b.data
+    return y
+
+
+def _affine_grads(g2: np.ndarray, x2: np.ndarray, w: Tensor, b: Tensor | None, need_x: bool):
+    """Accumulate ``w``'s and ``b``'s gradients from the row gradient ``g2``; return x2's (fresh) if ``need_x``."""
+    if w.requires_grad:
+        w._accumulate(x2.T @ g2, fresh=True)
+    if b is not None and b.requires_grad:
+        b._accumulate(g2.sum(axis=0), fresh=True)
+    return g2 @ w.data.T if need_x else None
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -520,21 +605,38 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None and b.data.shape != (n_out,):
         raise ShapeError(f"linear: bias {b.data.shape} does not match w {w.data.shape}")
     x2 = x.data.reshape(-1, n_in)
-    y = x2 @ w.data
-    if b is not None:
-        y += b.data
 
     def backward(g):
-        g2 = g.reshape(-1, n_out)
-        if x.requires_grad:
-            x._accumulate((g2 @ w.data.T).reshape(x.data.shape), fresh=True)
-        if w.requires_grad:
-            w._accumulate(x2.T @ g2, fresh=True)
-        if b is not None and b.requires_grad:
-            b._accumulate(g2.sum(axis=0), fresh=True)
+        gx = _affine_grads(g.reshape(-1, n_out), x2, w, b, x.requires_grad)
+        if gx is not None:
+            x._accumulate(gx.reshape(x.data.shape), fresh=True)
 
     parents = (x, w) if b is None else (x, w, b)
-    return _make(y.reshape(*x.data.shape[:-1], n_out), parents, backward)
+    return _make(_affine(x2, w, b).reshape(*x.data.shape[:-1], n_out), parents, backward)
+
+
+def _ffn_forward(x2: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> tuple:
+    """gelu(x2 @ w1 + b1) @ w2 + b2 over 2-D rows, and the pre-activation h."""
+    h = _affine(x2, w1, b1)
+    return _affine(_gelu(h)[0], w2, b2), h
+
+
+def _ffn_hidden_grad(g2: np.ndarray, h: np.ndarray, w2: Tensor, b2: Tensor) -> np.ndarray:
+    """Accumulate fc2's gradients; return the gradient at the pre-activation ``h`` (fresh).
+
+    The tanh and ``gelu(h)`` are recomputed from ``h`` (Chen et al. 2016,
+    arXiv:1604.06174) and their buffers reused for the GELU derivative
+    and the result.
+    """
+    a, th = _gelu(h)
+    if w2.requires_grad:
+        w2._accumulate(a.T @ g2, fresh=True)
+    if b2.requires_grad:
+        b2._accumulate(g2.sum(axis=0), fresh=True)
+    d = _gelu_grad(h, th, out=a)
+    gh = np.matmul(g2, w2.data.T, out=th)
+    gh *= d
+    return gh
 
 
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -544,7 +646,7 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     leading axes of ``x`` are flattened so every product is one 2-D GEMM.
     The closure keeps ``x`` and the pre-activation ``h`` only; backward
     recomputes the tanh and ``gelu(h)`` from ``h`` for the fc2 weight
-    gradient and the GELU derivative (Chen et al. 2016, arXiv:1604.06174).
+    gradient and the GELU derivative.
     """
     shapes = f"x {x.data.shape}, w1 {w1.data.shape}, b1 {b1.data.shape}, w2 {w2.data.shape}, b2 {b2.data.shape}"
     if w1.data.ndim != 2 or w2.data.ndim != 2:
@@ -553,30 +655,104 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     if x.data.shape[-1:] != (n_in,) or w2.data.shape[0] != n_hid or b1.data.shape != (n_hid,) or b2.data.shape != (n_out,):
         raise ShapeError(f"ffn: shapes do not chain: {shapes}")
     x2 = x.data.reshape(-1, n_in)
-    h = x2 @ w1.data
-    h += b1.data
-    y = _gelu(h)[0] @ w2.data
-    y += b2.data
+    y, h = _ffn_forward(x2, w1, b1, w2, b2)
 
     def backward(g):
-        g2 = g.reshape(-1, n_out)
-        a, th = _gelu(h)
-        if w2.requires_grad:
-            w2._accumulate(a.T @ g2, fresh=True)
-        if b2.requires_grad:
-            b2._accumulate(g2.sum(axis=0), fresh=True)
-        d = _gelu_grad(h, th, out=a)
-        gh = np.matmul(g2, w2.data.T, out=th)
-        gh *= d
-        del a, d
-        if x.requires_grad:
-            x._accumulate((gh @ w1.data.T).reshape(x.data.shape), fresh=True)
-        if w1.requires_grad:
-            w1._accumulate(x2.T @ gh, fresh=True)
-        if b1.requires_grad:
-            b1._accumulate(gh.sum(axis=0), fresh=True)
+        gh = _ffn_hidden_grad(g.reshape(-1, n_out), h, w2, b2)
+        gx = _affine_grads(gh, x2, w1, b1, x.requires_grad)
+        if gx is not None:
+            x._accumulate(gx.reshape(x.data.shape), fresh=True)
 
     return _make(y.reshape(*x.data.shape[:-1], n_out), (x, w1, b1, w2, b2), backward)
+
+
+def _check_sublayer(op: str, x: Tensor, params: tuple, want: list):
+    """Raise ``ShapeError`` unless each of ``params`` has the shape in ``want``."""
+    got = [p.data.shape for p in params]
+    if got != want:
+        raise ShapeError(f"{op}: x {x.data.shape} needs parameter shapes {want}, got {got}")
+
+
+def _residual_grads(g: np.ndarray, gy: np.ndarray, x: Tensor, xhat: np.ndarray, inv: np.ndarray, gamma: Tensor, beta: Tensor):
+    """Backward of ``x + f(layer_norm(x))`` through the LayerNorm, given ``gy`` at its output.
+
+    The residual gradient ``g`` is added into the LayerNorm's input
+    gradient in place, the same bits as the composite's ``g + ln_grad``.
+    """
+    gx = _ln_grads(gy, xhat, inv, gamma, beta, x.requires_grad)
+    if gx is not None:
+        gx += g
+        x._accumulate(gx, fresh=True)
+
+
+def attention_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, w_qkv: Tensor, b_qkv: Tensor, w_proj: Tensor,
+                       b_proj: Tensor, n_heads: int) -> Tensor:
+    """x + proj(attention(qkv(layer_norm(x)))): a pre-norm block's attention half as one node.
+
+    ``x`` is (B, T, D), ``w_qkv`` (D, 3D) and ``w_proj`` (D, D).  The
+    closure keeps the LayerNorm's (B, T, 1) mean and inverse standard
+    deviation, the packed qkv (as q, k and v views), the row log-sum-exp
+    and the attention output; never the LayerNorm output, the (B, H, T, T)
+    weights or the projection's output before the residual add.  Backward
+    recomputes the LayerNorm output for the qkv weight gradient.  Forward
+    and gradients are bit-identical to ``layer_norm`` -> ``linear`` ->
+    ``attention`` -> ``linear`` -> ``add``.
+    """
+    if x.data.ndim != 3 or x.data.shape[-1] % n_heads:
+        raise ShapeError(f"attention_sublayer: x {x.data.shape} is not (B, T, {n_heads} heads * hd)")
+    n_b, n_t, dim = x.data.shape
+    _check_sublayer("attention_sublayer", x, (ln_g, ln_b, w_qkv, b_qkv, w_proj, b_proj),
+                    [(dim,), (dim,), (dim, 3 * dim), (3 * dim,), (dim, dim), (dim,)])
+    xd = x.data
+    mu, inv = _ln_stats(xd)
+    h = _ln_scale(_ln_normalize(xd, mu, inv), ln_g, ln_b)
+    qkv = _affine(h.reshape(-1, dim), w_qkv, b_qkv).reshape(n_b, n_t, 3 * dim)
+    del h
+    q, k, v = _split_heads(qkv, n_heads)
+    att, lse = _attend(q, k, v)
+    y = _affine(att.reshape(-1, dim), w_proj, b_proj)
+    y += xd.reshape(-1, dim)
+
+    def backward(g):
+        ga = _affine_grads(g.reshape(-1, dim), att.reshape(-1, dim), w_proj, b_proj, True)
+        gqkv = _attend_grad(ga.reshape(xd.shape), q, k, v, att, lse).reshape(-1, 3 * dim)
+        del ga
+        xhat = _ln_normalize(xd, mu, inv)
+        gy = _affine_grads(gqkv, _ln_scale(xhat, ln_g, ln_b).reshape(-1, dim), w_qkv, b_qkv, True)
+        del gqkv
+        _residual_grads(g, gy.reshape(xd.shape), x, xhat, inv, ln_g, ln_b)
+
+    return _make(y.reshape(xd.shape), (x, ln_g, ln_b, w_qkv, b_qkv, w_proj, b_proj), backward)
+
+
+def ffn_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """x + ffn(layer_norm(x)): a pre-norm block's FFN half as one node.
+
+    ``x`` is (…, D), ``w1`` (D, hidden) and ``w2`` (hidden, D).  The
+    closure keeps the LayerNorm's (…, 1) mean and inverse standard
+    deviation and the fc1 pre-activation ``h``; never the LayerNorm
+    output or the FFN output before the residual add.  Backward recomputes
+    the LayerNorm output for the fc1 weight gradient.  Forward and
+    gradients are bit-identical to ``layer_norm`` -> ``ffn`` -> ``add``.
+    """
+    dim, n_hid = x.data.shape[-1], w1.data.shape[-1]
+    _check_sublayer("ffn_sublayer", x, (ln_g, ln_b, w1, b1, w2, b2),
+                    [(dim,), (dim,), (dim, n_hid), (n_hid,), (n_hid, dim), (dim,)])
+    xd = x.data
+    mu, inv = _ln_stats(xd)
+    x2 = _ln_scale(_ln_normalize(xd, mu, inv), ln_g, ln_b)
+    y, h = _ffn_forward(x2.reshape(-1, dim), w1, b1, w2, b2)
+    del x2
+    y += xd.reshape(-1, dim)
+
+    def backward(g):
+        gh = _ffn_hidden_grad(g.reshape(-1, dim), h, w2, b2)
+        xhat = _ln_normalize(xd, mu, inv)
+        gy = _affine_grads(gh, _ln_scale(xhat, ln_g, ln_b).reshape(-1, dim), w1, b1, True)
+        del gh
+        _residual_grads(g, gy.reshape(xd.shape), x, xhat, inv, ln_g, ln_b)
+
+    return _make(y.reshape(xd.shape), (x, ln_g, ln_b, w1, b1, w2, b2), backward)
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -604,6 +780,19 @@ def mse(pred: Tensor, target) -> Tensor:
     return mean_(square(sub(pred, target)))
 
 
+def _row_square_sums(r: np.ndarray, block_elems: int = 1 << 18) -> np.ndarray:
+    """``np.square(r).sum(axis=-1)`` of a 2-D ``r``, squared a block of rows at a time.
+
+    Each row is reduced on its own, so the sums are the full-size
+    expression's bits while the temporary stays near ``block_elems``.
+    """
+    out = np.empty(r.shape[0], dtype=r.dtype)
+    step = max(1, block_elems // max(1, r.shape[1]))
+    for i in range(0, r.shape[0], step):
+        np.square(r[i : i + step]).sum(axis=-1, out=out[i : i + step])
+    return out
+
+
 def masked_mse_head(x: Tensor, w: Tensor, b: Tensor, idx, targets) -> Tensor:
     """Mean over (B, M) of ``||x[i, idx[i, j]] @ w + b - targets[i, j]||²`` as one node.
 
@@ -612,8 +801,10 @@ def masked_mse_head(x: Tensor, w: Tensor, b: Tensor, idx, targets) -> Tensor:
     ``targets`` (B, M, P).  This is the MAE reconstruction head and its
     masked-patch loss: the head runs on the M gathered rows only, and the
     closure keeps those rows (B·M, D) and the residual (B·M, P), never a
-    (B, T, P) output.  Backward scatters the rows' gradient into zeros by
-    assignment, as ``gather_tokens`` does.
+    (B, T, P) output.  The squared residual is summed in row blocks, so no
+    full-size square is built, and backward turns the kept residual into
+    its gradient in place (the graph is consumed once).  Backward scatters
+    the rows' gradient into zeros by assignment, as ``gather_tokens`` does.
     """
     idx, targets = np.asarray(idx), np.asarray(targets)
     shapes = f"x {x.data.shape}, w {w.data.shape}, b {b.data.shape}, idx {idx.shape}, targets {targets.shape}"
@@ -625,22 +816,18 @@ def masked_mse_head(x: Tensor, w: Tensor, b: Tensor, idx, targets) -> Tensor:
     _check_distinct(idx, n_t, "masked_mse_head")
     batch = np.arange(n_b)[:, None]
     rows = x.data[batch, idx].reshape(-1, n_in)
-    r = rows @ w.data
-    r += b.data
+    r = _affine(rows, w, b)
     r -= targets.reshape(-1, n_out)
     inv_n = np.asarray(1.0 / (n_b * n_m), dtype=r.dtype)
-    loss = np.square(r).sum(axis=-1).sum() * inv_n
+    loss = _row_square_sums(r).sum() * inv_n
 
     def backward(g):
-        gr = 2.0 * r
-        gr *= g * inv_n
-        if w.requires_grad:
-            w._accumulate(rows.T @ gr, fresh=True)
-        if b.requires_grad:
-            b._accumulate(gr.sum(axis=0), fresh=True)
-        if x.requires_grad:
+        np.multiply(r, 2.0, out=r)
+        np.multiply(r, g * inv_n, out=r)
+        gx = _affine_grads(r, rows, w, b, x.requires_grad)
+        if gx is not None:
             buf = np.zeros_like(x.data)
-            buf[batch, idx] = (gr @ w.data.T).reshape(n_b, n_m, n_in)
+            buf[batch, idx] = gx.reshape(n_b, n_m, n_in)
             x._accumulate(buf, fresh=True)
 
     return _make(loss, (x, w, b), backward)

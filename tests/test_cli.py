@@ -292,6 +292,21 @@ def test_corrupt_manifest_gives_data_error_record(workdir, tmp_path, capsys):
     assert err["error"] == "DataError" and str(bad) in err["message"] and "not a clip manifest" in err["message"]
 
 
+def test_manifest_entry_of_the_wrong_type_gives_data_error_record(workdir, tmp_path, capsys):
+    doc = json.loads((workdir / "gen" / "store" / "manifest.json").read_text())
+    doc["entries"][0]["byte_offset"] = "0"
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(doc))
+    rc = cli.main(
+        ["pretrain", "--store", str(workdir / "gen" / "store"), "--manifest", str(bad), "--out", str(tmp_path / "pt"),
+         "--config", str(workdir / "micro.json")]
+    )
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DataError"
+    assert err["message"] == f"{bad}: not a clip manifest (entry 0: byte_offset '0' is not a non-negative integer)"
+
+
 def test_rejected_probe_step_is_written_to_result_json(workdir, tmp_path, monkeypatch):
     from csimae import training as R
 

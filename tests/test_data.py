@@ -64,6 +64,13 @@ def _json(doc) -> bytes:
     return json.dumps(doc).encode()
 
 
+def _with_entry_field(doc, key, value) -> bytes:
+    """The manifest ``doc`` with ``key`` of its last entry set to ``value``."""
+    entries = [dict(e) for e in doc["entries"]]
+    entries[-1][key] = value
+    return _json({**doc, "entries": entries})
+
+
 MANIFEST_FAULTS = {
     "not-json": lambda doc: b"{not json",
     "not-utf-8": lambda doc: b"\xff\xfe{}",
@@ -74,6 +81,13 @@ MANIFEST_FAULTS = {
     ),
     "entry-not-an-object": lambda doc: _json({**doc, "entries": ["clip"]}),
     "bad-provenance": lambda doc: _json({**doc, "entries": [{**e, "provenance": {"src": 1}} for e in doc["entries"]]}),
+    "byte_offset-a-string": lambda doc: _with_entry_field(doc, "byte_offset", "0"),
+    "byte_offset-negative": lambda doc: _with_entry_field(doc, "byte_offset", -1),
+    "byte_offset-a-float": lambda doc: _with_entry_field(doc, "byte_offset", 0.0),
+    "byte_offset-a-bool": lambda doc: _with_entry_field(doc, "byte_offset", False),
+    "clip_id-a-number": lambda doc: _with_entry_field(doc, "clip_id", 7),
+    "shard_path-null": lambda doc: _with_entry_field(doc, "shard_path", None),
+    "labels-a-list": lambda doc: _with_entry_field(doc, "labels", ["c0"]),
 }
 
 
@@ -85,6 +99,16 @@ def test_corrupt_manifest_raises_data_error_naming_the_file(tmp_path, fault):
     with pytest.raises(D.DataError, match="not a clip manifest") as err:
         D.DatasetManifest.load(tmp_path)
     assert str(path) in str(err.value)
+
+
+def test_manifest_with_a_string_byte_offset_raises_data_error_naming_the_file(tmp_path):
+    # before the entry types were checked this loaded, and load_clips' sort ended in a raw TypeError
+    D.write_clip_store([make_clip(i) for i in range(2)], tmp_path)
+    path = tmp_path / D.MANIFEST_NAME
+    path.write_bytes(_with_entry_field(json.loads(path.read_text()), "byte_offset", "0"))
+    with pytest.raises(D.DataError, match="byte_offset '0' is not a non-negative integer") as err:
+        D.DatasetManifest.load(tmp_path)
+    assert str(err.value).startswith(f"{path}: not a clip manifest (entry 1: ")
 
 
 def test_duplicate_clip_ids_rejected(tmp_path):
@@ -306,3 +330,42 @@ def test_shard_truncated_anywhere_raises_data_error(saved, data):
     (root / "cut" / manifest.entries[0].shard_path).write_bytes(raw[:cut])
     with pytest.raises(D.DataError):
         D.load_clips(root / "cut", manifest)
+
+
+@given(data=st.data())
+def test_manifest_truncated_anywhere_raises_data_error(saved, data):
+    root, _, manifest, _ = saved
+    raw = manifest.to_json().encode("utf-8")
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    (root / "cut.json").write_bytes(raw[:cut])
+    with pytest.raises(D.DataError, match="not a clip manifest"):
+        D.DatasetManifest.read(root / "cut.json")
+
+
+_names = st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=8)
+_provenance = st.builds(D.Provenance, _names, *[st.integers(0, 2**31)] * 4)
+
+
+@st.composite
+def manifests(draw):
+    provenances = draw(st.lists(_provenance, max_size=6, unique_by=lambda p: p.clip_id))
+    entries = [
+        D.ManifestEntry(
+            p.clip_id,
+            draw(_names),
+            draw(st.integers(0, 2**53)),
+            draw(st.dictionaries(st.sampled_from(D.LABEL_KINDS), _names)),
+            p,
+        )
+        for p in provenances
+    ]
+    return D.DatasetManifest(entries, blocklist=draw(st.lists(_names, max_size=3)))
+
+
+@given(manifest=manifests())
+def test_manifest_survives_a_json_round_trip(manifest):
+    text = manifest.to_json()
+    back = D.DatasetManifest.from_json(text)
+    assert back.to_json() == text
+    assert back.entries == sorted(manifest.entries, key=lambda e: e.clip_id)
+    assert sorted(back.blocklist) == sorted(manifest.blocklist)

@@ -84,7 +84,8 @@ def test_flops_equal_counted_gemm_flops(monkeypatch, mode):
         ffn_expansion=3,
     )
     counted = []
-    linear, matmul, attention, ffn, head = T.linear, T.matmul, T.attention, T.ffn, T.masked_mse_head
+    linear, matmul, head = T.linear, T.matmul, T.masked_mse_head
+    attention_sublayer, ffn_sublayer = T.attention_sublayer, T.ffn_sublayer
 
     def counting_linear(x, w, b=None):
         counted.append(2 * x.data.size * w.shape[1])
@@ -95,15 +96,16 @@ def test_flops_equal_counted_gemm_flops(monkeypatch, mode):
         counted.append(2 * out.data.size * a.shape[-1])
         return out
 
-    def counting_attention(qkv, n_heads):
-        b, t, d3 = qkv.shape
-        counted.append(4 * b * t * t * (d3 // 3))  # the q kᵀ and weights @ v GEMMs
-        return attention(qkv, n_heads)
+    def counting_attention_sublayer(x, ln_g, ln_b, w_qkv, b_qkv, w_proj, b_proj, n_heads):
+        b, t, d = x.shape
+        counted.append(2 * b * t * (w_qkv.data.size + w_proj.data.size))  # the qkv and proj GEMMs
+        counted.append(4 * b * t * t * d)  # the q kᵀ and weights @ v GEMMs
+        return attention_sublayer(x, ln_g, ln_b, w_qkv, b_qkv, w_proj, b_proj, n_heads)
 
-    def counting_ffn(x, w1, b1, w2, b2):
+    def counting_ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2):
         rows = x.data.size // x.shape[-1]
-        counted.append(2 * rows * (w1.shape[0] * w1.shape[1] + w2.shape[0] * w2.shape[1]))  # fc1 and fc2 GEMMs
-        return ffn(x, w1, b1, w2, b2)
+        counted.append(2 * rows * (w1.data.size + w2.data.size))  # fc1 and fc2 GEMMs
+        return ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2)
 
     def counting_head(x, w, b, idx, targets):
         counted.append(2 * idx.size * w.shape[0] * w.shape[1])  # the head GEMM on the B·M gathered rows
@@ -111,9 +113,9 @@ def test_flops_equal_counted_gemm_flops(monkeypatch, mode):
 
     monkeypatch.setattr(T, "linear", counting_linear)
     monkeypatch.setattr(T, "matmul", counting_matmul)
-    monkeypatch.setattr(T, "attention", counting_attention)
-    monkeypatch.setattr(T, "ffn", counting_ffn)
     monkeypatch.setattr(T, "masked_mse_head", counting_head)
+    monkeypatch.setattr(T, "attention_sublayer", counting_attention_sublayer)
+    monkeypatch.setattr(T, "ffn_sublayer", counting_ffn_sublayer)
     model = M.MaskedAutoencoder(cfg, seed=0)
     clips = np.random.default_rng(0).standard_normal((1, 600, 90)).astype(np.float32)
     if mode == "inference":

@@ -1,10 +1,11 @@
 """Autodiff engine: per-primitive gradient checks against finite differences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csimae import tensors as T
@@ -453,6 +454,20 @@ def test_masked_mse_head_closure_keeps_no_full_reconstruction():
     assert all(any(k is s for s in (x, w, bias)) for k in kept if isinstance(k, T.Tensor))
 
 
+def test_masked_mse_head_forward_builds_no_full_size_square():
+    # B·M rows of P = 1500: the residual is 5.4 MB, and squaring it whole would add as much again
+    x, w, bias, idx, targets = head_inputs(np.random.default_rng(37), 32, 37, 28, 128, 1500, dtype=np.float32)
+    residual, rows = 32 * 28 * 1500 * 4, 32 * 28 * 128 * 4
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        T.masked_mse_head(x, w, bias, idx, targets)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < rows + 1.5 * residual
+
+
 @pytest.mark.parametrize(
     "arg, value",
     [
@@ -531,3 +546,143 @@ def test_layer_norm_gradients_over_random_shapes(lead, dim, seed):
     rng = np.random.default_rng(seed)
     f = lambda x, g, b: T.sum_(T.square(T.layer_norm(x, g, b)))
     assert T.grad_check(f, [rand(rng, *lead, dim), rand(rng, dim), rand(rng, dim)]) < 1e-6
+
+
+def composite_attention_sublayer(x, ln_g, ln_b, w_qkv, b_qkv, w_proj, b_proj, n_heads):
+    """layer_norm -> linear -> attention -> linear -> add: the oracle for ``T.attention_sublayer``."""
+    qkv = T.linear(T.layer_norm(x, ln_g, ln_b), w_qkv, b_qkv)
+    return T.add(T.linear(T.attention(qkv, n_heads), w_proj, b_proj), x)
+
+
+def composite_ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2):
+    """layer_norm -> ffn -> add: the oracle for ``T.ffn_sublayer``."""
+    return T.add(T.ffn(T.layer_norm(x, ln_g, ln_b), w1, b1, w2, b2), x)
+
+
+def attention_sublayer_inputs(rng, b, t, dim, dtype=np.float64):
+    shapes = [(b, t, dim), (dim,), (dim,), (dim, 3 * dim), (3 * dim,), (dim, dim), (dim,)]
+    return [rand(rng, *s, dtype=dtype) for s in shapes]
+
+
+def ffn_sublayer_inputs(rng, lead, dim, n_hid, dtype=np.float64):
+    shapes = [(*lead, dim), (dim,), (dim,), (dim, n_hid), (n_hid,), (n_hid, dim), (dim,)]
+    return [rand(rng, *s, dtype=dtype) for s in shapes]
+
+
+SUBLAYERS = {
+    # name: (fused op, composite oracle, inputs(rng, shape, dtype)); a shape is (B, T, D, heads or hidden)
+    "attention": (
+        lambda *a: T.attention_sublayer(*a[:-1], a[-1]),
+        composite_attention_sublayer,
+        lambda rng, s, dtype: attention_sublayer_inputs(rng, *s[:3], dtype=dtype) + [s[3]],
+    ),
+    "ffn": (
+        T.ffn_sublayer,
+        composite_ffn_sublayer,
+        lambda rng, s, dtype: ffn_sublayer_inputs(rng, s[:2], s[2], s[3], dtype=dtype),
+    ),
+}
+
+
+def sublayer_case(kind, shape, seed, dtype=np.float64):
+    """(fused op, oracle, tensor inputs, extra positional args) for one sublayer draw."""
+    op, oracle, make = SUBLAYERS[kind]
+    args = make(np.random.default_rng(seed), shape, dtype)
+    tensors = [a for a in args if isinstance(a, T.Tensor)]
+    return op, oracle, tensors, args[len(tensors):]
+
+
+@pytest.mark.parametrize("kind", sorted(SUBLAYERS))
+@pytest.mark.parametrize("shape", [(1, 1, 4, 2), (2, 5, 6, 3), (2, 7, 8, 4), (3, 4, 12, 6)])
+def test_sublayer_gradients_match_finite_differences(kind, shape):
+    op, _, tensors, extra = sublayer_case(kind, shape, [31, *shape])
+    err = T.grad_check(lambda *ts: T.sum_(T.square(op(*ts, *extra))), tensors)
+    assert err < 1e-7, (kind, shape, err)
+
+
+# The normalized axis is at least 3 long, as in the layer_norm property, and
+# the FFN's hidden axis at least 2, as in the ffn property.
+@settings(max_examples=25)
+@given(
+    kind=st.sampled_from(sorted(SUBLAYERS)),
+    b=st.integers(1, 2),
+    t=st.integers(1, 5),
+    unit=st.integers(1, 4),
+    split=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_sublayer_gradients_over_random_shapes(kind, b, t, unit, split, seed):
+    # attention: `split` heads `unit` wide; ffn: width `unit` + 2 and 2 * `split` hidden units
+    shape = (b, t, split * unit, split) if kind == "attention" else (b, t, unit + 2, 2 * split)
+    assume(shape[2] >= 3)
+    op, _, tensors, extra = sublayer_case(kind, shape, seed)
+    assert T.grad_check(lambda *ts: T.sum_(T.square(op(*ts, *extra))), tensors) < 1e-7
+
+
+@pytest.mark.parametrize("kind", sorted(SUBLAYERS))
+@pytest.mark.parametrize("shape", [(2, 7, 12, 3), (2, 9, 32, 4), (4, 37, 128, 4)])
+def test_sublayer_matches_the_composite_oracle_bit_for_bit(kind, shape):
+    op, oracle, tensors, extra = sublayer_case(kind, shape, 32, dtype=np.float32)
+    up = np.random.default_rng(33).standard_normal(tensors[0].shape).astype(np.float32)
+    fused = [T.Tensor(t.data.copy(), requires_grad=True) for t in tensors]
+    ref = [T.Tensor(t.data.copy(), requires_grad=True) for t in tensors]
+    y_fused, y_ref = op(*fused, *extra), oracle(*ref, *extra)
+    assert y_fused.data.dtype == np.float32
+    assert y_fused.data.tobytes() == y_ref.data.tobytes()
+    T.sum_(T.mul(y_fused, up)).backward()
+    T.sum_(T.mul(y_ref, up)).backward()
+    for i, (f, r) in enumerate(zip(fused, ref)):
+        assert f.grad.dtype == np.float32 and f.grad.tobytes() == r.grad.tobytes(), i
+
+
+@pytest.mark.parametrize("kind", sorted(SUBLAYERS))
+def test_sublayer_closure_keeps_no_layer_norm_output_or_pre_residual_output(kind):
+    n_heads = 3
+    op, _, tensors, extra = sublayer_case(kind, (2, 5, 12, n_heads), 34)
+    x, ln_g, ln_b, *rest = tensors
+    ln_out = T.layer_norm(x, ln_g, ln_b)
+    if kind == "attention":
+        w_qkv, b_qkv, w_proj, b_proj = rest
+        qkv = T.linear(ln_out, w_qkv, b_qkv)
+        att = T.attention(qkv, n_heads)
+        pre_residual = T.linear(att, w_proj, b_proj)
+        # q, k and v as (B, H, T, hd) views of qkv, and the output attention reads rowsum(dO ∘ O) from
+        allowed = list(qkv.data.reshape(2, 5, 3, n_heads, 4).transpose(2, 0, 3, 1, 4)) + [att.data]
+    else:
+        w1, b1, w2, b2 = rest
+        pre_act = T.linear(ln_out, w1, b1)
+        pre_residual = T.ffn(ln_out, w1, b1, w2, b2)
+        allowed = [pre_act.data.reshape(-1, pre_act.shape[-1])]
+    y = op(*tensors, *extra)
+    kept = [c.cell_contents for c in y._backward.__closure__]
+    arrays = [a for a in kept if isinstance(a, np.ndarray) and a is not x.data]
+
+    def among(a, refs):
+        return any(a.shape == r.shape and np.array_equal(a, r) for r in refs)
+
+    assert not any(among(a, (ln_out.data, pre_residual.data)) for a in arrays)
+    # besides the input: the (…, 1) LayerNorm statistics and log-sum-exp, and the arrays above
+    assert all(a.shape[-1] == 1 or among(a, allowed) for a in arrays)
+    assert all(any(t is s for s in tensors) for t in kept if isinstance(t, T.Tensor))
+
+
+@pytest.mark.parametrize(
+    "kind, arg, shape",
+    [
+        ("attention", 0, (5, 12)),
+        ("attention", 0, (2, 5, 10)),  # 10 is not a multiple of 3 heads
+        ("attention", 1, (11,)),
+        ("attention", 3, (12, 24)),
+        ("attention", 6, (11,)),
+        ("ffn", 1, (11,)),
+        ("ffn", 3, (12, 8, 1)),
+        ("ffn", 4, (7,)),
+        ("ffn", 5, (8, 11)),
+        ("ffn", 6, (11,)),
+    ],
+)
+def test_sublayer_rejects_bad_shapes(kind, arg, shape):
+    op, _, tensors, extra = sublayer_case(kind, (2, 5, 12, 3 if kind == "attention" else 8), 35)
+    tensors[arg] = rand(np.random.default_rng(36), *shape)
+    with pytest.raises(T.ShapeError, match=f"{kind}_sublayer"):
+        op(*tensors, *extra)
