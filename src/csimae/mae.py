@@ -308,12 +308,12 @@ class MaskedAutoencoder:
         cfg = self.cfg
         p = params if params is not None else self.params
         patches = patchify(clips, cfg.patch_time, cfg.patch_freq)
-        vis_idx = _batch_indices(plans, "visible_idx")
-        visible, targets = _gather_patches(patches, vis_idx), masked_patches(patches, plans)
+        vis_idx, masked_idx = _batch_indices(plans, "visible_idx"), _batch_indices(plans, "masked_idx")
+        visible, targets = gather_patches(patches, vis_idx), gather_patches(patches, masked_idx)
         del patches
         latent = self.encode(T.Tensor(visible), vis_idx, p)
         x = self.decode(latent, plans, p)
-        return mae_loss(x, p, targets, plans), x
+        return mae_loss(x, p, targets, masked_idx), x
 
     def encode_features(self, clips: np.ndarray, params: dict | None = None) -> T.Tensor:
         """Full (unmasked) token sequence through the encoder; CLS row out."""
@@ -325,26 +325,21 @@ class MaskedAutoencoder:
         return latent[:, 0, :]
 
 
-def _gather_patches(patches: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def gather_patches(patches: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """``patches[i, idx[i]]`` for every clip i: (B, K, patch_len)."""
     return patches[np.arange(patches.shape[0])[:, None], idx]
 
 
-def masked_patches(patches: np.ndarray, plans) -> np.ndarray:
-    """The reconstruction targets: each clip's masked patches in plan order, (B, M, patch_len)."""
-    return _gather_patches(patches, _batch_indices(plans, "masked_idx"))
-
-
-def mae_loss(x: T.Tensor, params: dict, targets: np.ndarray, plans) -> T.Tensor:
+def mae_loss(x: T.Tensor, params: dict, targets: np.ndarray, masked_idx: np.ndarray) -> T.Tensor:
     """Mean over masked patches of the squared L2 patch error.
 
-    ``x`` is the decoder output (B, 1+N_p, dec_dim), CLS row first, and
-    ``targets`` the masked patches, ``masked_patches(patches, plans)``.
+    ``x`` is the decoder output (B, 1+N_p, dec_dim), CLS row first,
+    ``masked_idx`` (B, M) each clip's masked patch positions and
+    ``targets`` those patches, ``gather_patches(patches, masked_idx)``.
     The head ``dec.head`` runs on the masked rows only and each masked
     patch contributes the sum of its squared entry errors; visible patches
     are never read, so perturbing them changes nothing, bit for bit.
     """
-    if any(len(p.masked_idx) == 0 for p in plans):
+    if masked_idx.shape[1] == 0:
         raise ModelError("mae_loss: empty masked set")
-    masked = _batch_indices(plans, "masked_idx")
-    return T.masked_mse_head(x, params["dec.head.w"], params["dec.head.b"], masked + 1, targets)
+    return T.masked_mse_head(x, params["dec.head.w"], params["dec.head.b"], masked_idx + 1, targets)

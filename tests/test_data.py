@@ -101,16 +101,6 @@ def test_corrupt_manifest_raises_data_error_naming_the_file(tmp_path, fault):
     assert str(path) in str(err.value)
 
 
-def test_manifest_with_a_string_byte_offset_raises_data_error_naming_the_file(tmp_path):
-    # before the entry types were checked this loaded, and load_clips' sort ended in a raw TypeError
-    D.write_clip_store([make_clip(i) for i in range(2)], tmp_path)
-    path = tmp_path / D.MANIFEST_NAME
-    path.write_bytes(_with_entry_field(json.loads(path.read_text()), "byte_offset", "0"))
-    with pytest.raises(D.DataError, match="byte_offset '0' is not a non-negative integer") as err:
-        D.DatasetManifest.load(tmp_path)
-    assert str(err.value).startswith(f"{path}: not a clip manifest (entry 1: ")
-
-
 def test_duplicate_clip_ids_rejected(tmp_path):
     clips = [make_clip(1), make_clip(1)]
     with pytest.raises(D.DataError, match="duplicate"):

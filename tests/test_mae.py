@@ -243,11 +243,17 @@ def decoder_output(recon, requires_grad=False):
     return T.Tensor(np.concatenate([cls, recon], axis=1), requires_grad=requires_grad)
 
 
+def masked_targets(patches, plans):
+    """``mae_loss``'s last two arguments: the masked patches and their (B, M) positions."""
+    idx = M._batch_indices(plans, "masked_idx")
+    return M.gather_patches(patches, idx), idx
+
+
 def test_mae_loss_perfect_reconstruction_is_zero():
     cfg = tiny_cfg()
     patches = np.random.default_rng(17).standard_normal((2, 6, 4)).astype(np.float32)
     plans = plans_for(cfg, 2, seed=18)
-    loss = M.mae_loss(decoder_output(patches.copy()), identity_head(4), M.masked_patches(patches, plans), plans)
+    loss = M.mae_loss(decoder_output(patches.copy()), identity_head(4), *masked_targets(patches, plans))
     assert loss.data == 0.0
 
 
@@ -255,7 +261,7 @@ def test_mae_loss_unit_offset_equals_patch_len():
     # every masked entry off by one -> per-patch error == patch length
     patches = np.random.default_rng(19).standard_normal((2, 600, 90)).astype(np.float32)
     plans = [M.sample_mask(600, 0.8, [20, i]) for i in range(2)]
-    loss = M.mae_loss(decoder_output(patches + 1.0), identity_head(90), M.masked_patches(patches, plans), plans)
+    loss = M.mae_loss(decoder_output(patches + 1.0), identity_head(90), *masked_targets(patches, plans))
     assert loss.data == pytest.approx(90.0, rel=1e-5)
 
 
@@ -264,13 +270,13 @@ def test_mae_loss_ignores_visible_positions_bitwise():
     plans = [M.sample_mask(600, 0.8, [22, i]) for i in range(2)]
     recon = patches * 0.5
     head = identity_head(90)
-    targets = M.masked_patches(patches, plans)
-    base = M.mae_loss(decoder_output(recon.copy()), head, targets, plans).data.tobytes()
+    targets = masked_targets(patches, plans)
+    base = M.mae_loss(decoder_output(recon.copy()), head, *targets).data.tobytes()
     tampered = decoder_output(recon.copy())
     tampered.data[:, 0] += 1000.0  # the CLS row is never scored either
     for b, plan in enumerate(plans):
         tampered.data[b, 1 + plan.visible_idx] += 1000.0
-    after = M.mae_loss(tampered, head, targets, plans).data.tobytes()
+    after = M.mae_loss(tampered, head, *targets).data.tobytes()
     assert base == after
 
 
@@ -278,7 +284,7 @@ def test_mae_loss_gradient_is_zero_at_visible_positions():
     patches = np.random.default_rng(23).standard_normal((1, 600, 90)).astype(np.float32)
     plans = [M.sample_mask(600, 0.8, 24)]
     out = decoder_output(patches * 0.9, requires_grad=True)
-    M.mae_loss(out, identity_head(90), M.masked_patches(patches, plans), plans).backward()
+    M.mae_loss(out, identity_head(90), *masked_targets(patches, plans)).backward()
     assert (out.grad[0, 0] == 0.0).all()
     assert (out.grad[0, 1 + plans[0].visible_idx] == 0.0).all()
     assert np.abs(out.grad[0, 1 + plans[0].masked_idx]).min() > 0.0
@@ -287,7 +293,7 @@ def test_mae_loss_gradient_is_zero_at_visible_positions():
 def test_mae_loss_empty_masked_set_rejected():
     patches = np.zeros((1, 6, 4), dtype=np.float32)
     with pytest.raises(M.ModelError, match="empty masked"):
-        M.mae_loss(decoder_output(patches), identity_head(4), patches[:, :0], [full_plan(6)])
+        M.mae_loss(decoder_output(patches), identity_head(4), *masked_targets(patches, [full_plan(6)]))
 
 
 def test_single_block_gradients():
