@@ -41,7 +41,7 @@ def main(out_root):
     x_pool, _ = D.stack_clips(train_clips)
     t = time.time()
     res = R.pretrain_arrays(x_pool, mcfg, pcfg)
-    log(f"pretrain done in {time.time()-t:.0f}s best epoch {res.best_epoch} val {res.best_val_loss:.2f}")
+    log(f"pretrain done in {time.time()-t:.0f}s best epoch {res.best_epoch} val {res.best_value:.2f}")
     ckpt = (res.params, mcfg)
 
     head = E.HeadConfig(n_classes=3)

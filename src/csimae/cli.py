@@ -9,12 +9,15 @@ the leave-one-domain-out split protocol, so a file's train.batch_size
 beats the 32; the downstream runs train at the train.batch_size that
 resolved_config.json records. The pretrain section of
 eval-cross-domain and sweep falls back to the file's train section and
-takes no flags.
+takes no flags. Every result command scores its folds through
+evaluate.run_fold; finetune and probe take the encoder from --checkpoint.
 
 resolved_config.json holds every config the command built, and its
 flags. With a checksum of everything the run produced, a run directory
 is reproducible from its own resolved_config.json plus the input store.
-A bad flag or config file is a config error: exit 2 and a JSON record.
+A bad flag or config file, such as a --label-fraction outside (0, 1]
+or a sweep value that makes no valid model, is a config error: exit 2
+and a JSON record, before the run directory exists or anything trains.
 
 Environment variables are limited to CSIMAE_THREADS (BLAS/OpenMP thread
 cap, applied before numpy loads; --threads beats it) and CSIMAE_OUT_ROOT
@@ -160,10 +163,22 @@ def _load_store(store, manifest=None):
 
 
 def _check_held_out(manifest, domain_key: str, value):
-    """A held-out value the store lacks is a bad flag, found before any work."""
-    values = manifest.label_values(domain_key)
-    if value not in values:
+    """A domain key that is no domain label or has fewer than two values in the
+    store, or a held-out value (None: each in turn) it lacks, is a bad flag."""
+    from . import data as D
+
+    values = [v for v in manifest.label_values(domain_key) if v]
+    if domain_key not in D.LABEL_KINDS[1:] or len(values) < 2:
+        raise CliError(f"domain key {domain_key!r} needs 2 or more domain values; the store holds {values}")
+    if value is not None and value not in values:
         raise CliError(f"held-out {domain_key} {value!r} is not in the store, which holds {', '.join(values)}")
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"needs a fraction in (0, 1], got {text!r}")
+    return value
 
 
 def _json_list(text: str) -> list:
@@ -303,42 +318,28 @@ def cmd_pretrain(args):
     result = R.pretrain(manifest, args.store, cfg["model"], cfg["train"], run_dir=out)
     _persist_run(out, "pretrain", cfg, args)
     status = "aborted (non-finite loss)" if result.aborted else "done"
-    print(f"pretrain {status}: best epoch {result.best_epoch}, val loss {result.best_val_loss:.6f}")
+    print(f"pretrain {status}: best epoch {result.best_epoch}, val loss {result.best_value:.6f}")
     return 0
 
 
 def _run_downstream(args, regime: str):
     from . import checkpoint as C
-    from . import data as D
     from . import evaluate as E
 
     pretrained = regime in ("ft", "lp")
     cfg = _configs(args, "train", "split", *(() if pretrained else ("model",)), defaults=DOWNSTREAM_DEFAULTS)
     if pretrained and not args.checkpoint:
         raise CliError(f"regime {regime} requires --checkpoint")
-    tcfg, split = cfg["train"], cfg["split"]
+    split = cfg["split"]
     manifest = _load_store(args.store, args.manifest)
     if split.protocol == "leave_one_domain_out":
         _check_held_out(manifest, split.domain_key, split.held_out_value)
-    ckpt = None
+    params = None
     if pretrained:
         params, cfg["model"], _ = C.load_checkpoint(args.checkpoint)
-        ckpt = (params, cfg["model"])
-    train_ids, test_ids = D.make_split(manifest, split)
-    train_clips = D.load_clips(args.store, manifest, train_ids)
-    test_clips = D.load_clips(args.store, manifest, test_ids)
-    labeled = E.select_labeled(train_clips, args.label_fraction, tcfg.seed)
-    classes = sorted({c.labels.get("class") for c in labeled})
     out = _out_dir(args.out)
-    result = E.run_regime(
-        regime,
-        ckpt,
-        labeled,
-        test_clips,
-        E.HeadConfig(n_classes=len(classes)),
-        tcfg,
-        model_cfg=cfg["model"],
-        split_desc={"protocol": split.protocol, "domain_key": split.domain_key, "held_out_value": split.held_out_value},
+    (result,), _ = E.run_fold(
+        manifest, args.store, split, [regime], cfg["model"], cfg["train"], args.label_fraction, checkpoint=params
     )
     (out / "result.json").write_text(json.dumps(result.to_json(), indent=2, sort_keys=True), encoding="utf-8")
     _persist_run(out, regime, cfg, args)
@@ -355,6 +356,7 @@ def cmd_eval_cross_domain(args):
         raise CliError(f"unknown regimes {', '.join(unknown)}; choose from {', '.join(E.REGIMES)}")
     cfg = _configs(args, "model", "train", "pretrain", defaults=DOWNSTREAM_DEFAULTS)
     manifest = _load_store(args.store, args.manifest)
+    _check_held_out(manifest, args.domain_key, None)
     out = _out_dir(args.out)
     results = E.cross_domain_suite(
         manifest,
@@ -362,7 +364,6 @@ def cmd_eval_cross_domain(args):
         args.domain_key,
         regimes,
         cfg["model"],
-        E.HeadConfig(n_classes=len(manifest.label_values("class"))),
         cfg["train"],
         pretrain_cfg=cfg["pretrain"],
         label_fraction=args.label_fraction,
@@ -380,7 +381,6 @@ def cmd_eval_cross_domain(args):
 
 
 def cmd_sweep(args):
-    from . import evaluate as E
     from . import scaling as L
 
     cfg = _configs(args, "model", "train", "pretrain", defaults=DOWNSTREAM_DEFAULTS)
@@ -394,13 +394,14 @@ def cmd_sweep(args):
         domain_key=args.domain_key,
         held_out_value=args.held_out_value,
         model_cfg=cfg["model"],
-        head_cfg=E.HeadConfig(n_classes=len(manifest.label_values("class"))),
         pretrain_cfg=cfg["pretrain"],
         train_cfg=cfg["train"],
         label_fraction=args.label_fraction,
-        exclude_store_dir=args.exclude_store,
-        exclude_manifest=_load_store(args.exclude_store) if args.exclude_store else None,
     )
+    try:
+        L.sweep_cells(spec, ctx)
+    except (TypeError, ValueError) as e:
+        raise CliError(f"invalid sweep {spec.axis} values {spec.values}: {e}") from e
     out = _out_dir(args.out)
     rows = L.run_sweep(spec, ctx)
     L.save_rows(rows, out / "rows.jsonl")
@@ -462,7 +463,7 @@ def cmd_grad_check(args):
     names = sorted(model.params)
 
     def f(*tensors):
-        loss, _ = model.forward_loss(clips, plans, params=dict(zip(names, tensors)))
+        loss, _ = M.MaskedAutoencoder(cfg, params=dict(zip(names, tensors))).forward_loss(clips, plans)
         return loss
 
     err = T.grad_check(f, [model.params[n] for n in names])
@@ -522,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--protocol")
         p.add_argument("--domain-key", dest="domain_key")
         p.add_argument("--held-out", dest="held_out_value")
-        p.add_argument("--label-fraction", type=float, dest="label_fraction", default=1.0)
+        p.add_argument("--label-fraction", type=_fraction, dest="label_fraction", default=1.0)
         _add_model_flags(p)
         _add_train_flags(p)
         p.set_defaults(func=lambda a, r=regime: _run_downstream(a, r))
@@ -533,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.add_argument("--domain-key", dest="domain_key", default="environment")
     p.add_argument("--regimes", default="supervised,lp,ft")
-    p.add_argument("--label-fraction", type=float, dest="label_fraction", default=1.0)
+    p.add_argument("--label-fraction", type=_fraction, dest="label_fraction", default=1.0)
     _add_model_flags(p)
     _add_train_flags(p)
     p.set_defaults(func=cmd_eval_cross_domain)
@@ -547,8 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_json_list, default="[0]", help="JSON list")
     p.add_argument("--domain-key", dest="domain_key", default="environment")
     p.add_argument("--held-out", dest="held_out_value", required=True)
-    p.add_argument("--label-fraction", type=float, dest="label_fraction", default=1.0)
-    p.add_argument("--exclude-store", dest="exclude_store")
+    p.add_argument("--label-fraction", type=_fraction, dest="label_fraction", default=1.0)
     _add_model_flags(p)
     _add_train_flags(p)
     p.set_defaults(func=cmd_sweep)

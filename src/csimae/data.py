@@ -176,14 +176,6 @@ class DatasetManifest:
             object.__setattr__(self, "_index", {e.clip_id: e for e in self.entries})
             return self._index[clip_id]
 
-    def subset(self, clip_ids) -> "DatasetManifest":
-        keep = set(clip_ids)
-        return DatasetManifest(
-            entries=[e for e in self.entries if e.clip_id in keep],
-            blocklist=list(self.blocklist),
-            format_version=self.format_version,
-        )
-
     def label_values(self, key):
         return sorted({e.labels.get(key, "") for e in self.entries})
 
@@ -247,6 +239,8 @@ class SplitSpec:
             raise SplitError(f"unknown protocol {self.protocol!r}")
         if self.protocol == "leave_one_domain_out" and self.domain_key not in LABEL_KINDS[1:]:
             raise SplitError(f"domain_key must be one of {LABEL_KINDS[1:]}, got {self.domain_key!r}")
+        if self.protocol == "leave_one_domain_out" and self.held_out_value is None:
+            raise SplitError("leave_one_domain_out needs a held_out_value")
         return self
 
 

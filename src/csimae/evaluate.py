@@ -1,5 +1,8 @@
 """Downstream classification harness: supervised, linear-probe, fine-tune.
 
+Every downstream result comes from ``run_fold``: one split, an encoder
+pretrained on its training side only, each regime scored on its test side.
+
 All three regimes train through ``training.fit``, the seeded loop that
 pretraining also runs: cross-entropy on the CLS feature, AdamW at the
 ``TrainConfig``'s batch size, cosine schedule, early stopping on
@@ -93,8 +96,8 @@ def train_classifier(forward_fn, params: dict, x_train, y_train, cfg: R.TrainCon
     """Cross-entropy through ``training.fit`` on streams 7/8, early-stopping on val accuracy.
 
     ``forward_fn(x_slice, params) -> logits Tensor``.  Training and
-    validation batches hold ``cfg.batch_size`` items.  Returns (best
-    params, best epoch, the ``training.FitResult`` of the run).
+    validation batches hold ``cfg.batch_size`` items.  Returns the
+    run's ``training.FitResult``; its ``params`` are the best kept.
     """
     val_idx, fit_idx = R.val_split(len(x_train), cfg, 7)
 
@@ -104,8 +107,7 @@ def train_classifier(forward_fn, params: dict, x_train, y_train, cfg: R.TrainCon
     def val_accuracy():
         return accuracy(predict(forward_fn, params, x_train[val_idx], cfg.batch_size), y_train[val_idx])
 
-    res = R.fit(params, fit_idx, cfg, 7, batch_loss, val_accuracy, mode="max")
-    return res.params, res.best_epoch, res
+    return R.fit(params, fit_idx, cfg, 7, batch_loss, val_accuracy, mode="max")
 
 
 def predict(forward_fn, params: dict, x, batch_size: int = 32) -> np.ndarray:
@@ -178,8 +180,8 @@ def run_regime(
         f_test = encode_features(enc_params, model_cfg, x_test)
         params = init_head(model_cfg.enc_dim, head_cfg.n_classes, [train_cfg.seed, 12], hidden=False)
         fwd = lambda feats, p: head_forward(T.Tensor(feats), p)
-        best, _, run = train_classifier(fwd, params, f_train, y_train, train_cfg)
-        pred = predict(fwd, best, f_test, train_cfg.batch_size)
+        run = train_classifier(fwd, params, f_train, y_train, train_cfg)
+        pred = predict(fwd, run.params, f_test, train_cfg.batch_size)
     else:
         if regime == "ft":
             enc_params = C.clone_params(checkpoint[0])
@@ -187,13 +189,12 @@ def run_regime(
             enc_params = M.init_params(model_cfg, seed=[train_cfg.seed, 11])
         params = {k: v for k, v in enc_params.items() if k.startswith("enc.")}
         params.update(init_head(model_cfg.enc_dim, head_cfg.n_classes, [train_cfg.seed, 12], hidden=True))
-        model = M.MaskedAutoencoder(model_cfg, params=params)
 
         def fwd(clip_batch, p):
-            return head_forward(model.encode_features(clip_batch, params=p), p)
+            return head_forward(M.MaskedAutoencoder(model_cfg, params=p).encode_features(clip_batch), p)
 
-        best, _, run = train_classifier(fwd, params, x_train, y_train, train_cfg)
-        pred = predict(fwd, best, x_test, train_cfg.batch_size)
+        run = train_classifier(fwd, params, x_train, y_train, train_cfg)
+        pred = predict(fwd, run.params, x_test, train_cfg.batch_size)
 
     return EvalResult(
         regime=regime,
@@ -227,21 +228,63 @@ def select_labeled(clips, fraction: float, seed) -> list:
     return sorted(chosen, key=lambda c: c.clip_id)
 
 
+def run_fold(
+    manifest: D.DatasetManifest,
+    store_dir,
+    split: D.SplitSpec,
+    regimes,
+    model_cfg: M.ModelConfig,
+    train_cfg: R.TrainConfig,
+    label_fraction: float,
+    pretrain_cfg: R.TrainConfig | None = None,
+    checkpoint: dict | None = None,
+    pool=None,
+) -> tuple:
+    """Score each regime on one split -> (EvalResults, pretraining ``FitResult`` or None).
+
+    Loads the split's clips once.  When a regime needs an encoder and no
+    ``checkpoint`` (params of ``model_cfg``) is given, pretrains one
+    under ``pretrain_cfg`` (default ``train_cfg``) on the training clips,
+    or on the ``pool`` ids among them in pool order; a pool id outside
+    the training side raises ``EvalError``.  The head's classes are the
+    labeled clips'; test clips of any other class count in ``n_excluded``.
+    """
+    train_ids, test_ids = D.make_split(manifest, split)
+    train_clips = D.load_clips(store_dir, manifest, train_ids)
+    test_clips = D.load_clips(store_dir, manifest, test_ids)
+    pretrained = None
+    if checkpoint is None and any(r in ("lp", "ft") for r in regimes):
+        by_id = {c.clip_id: c for c in train_clips}
+        pool = train_ids if pool is None else pool
+        if not set(pool) <= by_id.keys():
+            raise EvalError(f"pretraining pool holds clips outside the training side of {split}")
+        x, _ = D.stack_clips([by_id[i] for i in pool])
+        pretrained = R.pretrain_arrays(x, model_cfg, pretrain_cfg or train_cfg)
+        checkpoint = pretrained.params
+    labeled = select_labeled(train_clips, label_fraction, train_cfg.seed)
+    head_cfg = HeadConfig(n_classes=len(_class_vocab(_labels_of(labeled, "class"))))
+    ckpt = None if checkpoint is None else (checkpoint, model_cfg)
+    desc = {"protocol": split.protocol, "domain_key": split.domain_key, "held_out_value": split.held_out_value}
+    results = [
+        run_regime(regime, ckpt, labeled, test_clips, head_cfg, train_cfg, model_cfg, split_desc=desc)
+        for regime in regimes
+    ]
+    return results, pretrained
+
+
 def cross_domain_suite(
     manifest: D.DatasetManifest,
     store_dir,
     domain_key: str,
     regimes,
     model_cfg: M.ModelConfig,
-    head_cfg: HeadConfig,
     train_cfg: R.TrainConfig,
     pretrain_cfg: R.TrainConfig | None = None,
     label_fraction: float = 1.0,
-    label_key: str = "class",
 ) -> list:
-    """One leave-one-domain-out fold per domain value, each regime.
+    """One leave-one-domain-out ``run_fold`` per domain value, each regime.
 
-    For lp/ft the encoder is pretrained per fold on the training-pool
+    For lp/ft the encoder is pretrained per fold on that fold's training
     clips only (the held-out domain never enters pretraining).
     """
     values = [v for v in manifest.label_values(domain_key) if v]
@@ -250,20 +293,7 @@ def cross_domain_suite(
     results = []
     for value in values:
         split = D.SplitSpec("leave_one_domain_out", domain_key, value, seed=train_cfg.seed)
-        train_ids, test_ids = D.make_split(manifest, split)
-        train_clips = D.load_clips(store_dir, manifest, train_ids)
-        test_clips = D.load_clips(store_dir, manifest, test_ids)
-        ckpt = None
-        if any(r in ("lp", "ft") for r in regimes):
-            x, _ = D.stack_clips(train_clips)
-            res = R.pretrain_arrays(x, model_cfg, pretrain_cfg or train_cfg)
-            ckpt = (res.params, model_cfg)
-        labeled = select_labeled(train_clips, label_fraction, train_cfg.seed)
-        desc = {"protocol": "leave_one_domain_out", "domain_key": domain_key, "held_out_value": value}
-        for regime in regimes:
-            results.append(
-                run_regime(regime, ckpt, labeled, test_clips, head_cfg, train_cfg, model_cfg, label_key, desc)
-            )
+        results += run_fold(manifest, store_dir, split, regimes, model_cfg, train_cfg, label_fraction, pretrain_cfg)[0]
     return results
 
 

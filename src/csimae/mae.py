@@ -253,15 +253,14 @@ class MaskedAutoencoder:
         self.cfg = cfg
         self.params = params if params is not None else init_params(cfg, seed=seed, dtype=dtype)
 
-    def encode(self, visible_tokens: T.Tensor, visible_idx: np.ndarray, params: dict | None = None) -> T.Tensor:
+    def encode(self, visible_tokens: T.Tensor, visible_idx: np.ndarray) -> T.Tensor:
         """Embed visible tokens, add positions, prepend CLS, run the blocks.
 
         ``visible_tokens`` is (B, V, patch_len); ``visible_idx`` (B, V)
         holds each token's original patch position.  Output is
         (B, 1+V, enc_dim) after the final LayerNorm.
         """
-        p = params if params is not None else self.params
-        cfg = self.cfg
+        p, cfg = self.params, self.cfg
         b, v, _ = visible_tokens.shape
         x = T.linear(visible_tokens, p["enc.embed.w"], p["enc.embed.b"])
         x = T.add(x, T.gather_rows(p["enc.pos"], visible_idx))
@@ -272,9 +271,9 @@ class MaskedAutoencoder:
             x = _block(x, p, f"enc.blocks.{i}", cfg.enc_heads)
         return T.layer_norm(x, p["enc.norm.g"], p["enc.norm.b"])
 
-    def _decoder_tokens(self, latent: T.Tensor, plans, params: dict | None = None) -> T.Tensor:
+    def _decoder_tokens(self, latent: T.Tensor, plans) -> T.Tensor:
         """Pre-block decoder input: projected latent, mask tokens, positions."""
-        p = params if params is not None else self.params
+        p = self.params
         b = latent.shape[0]
         n_masked = len(plans[0].masked_idx)
         d = T.linear(latent, p["dec.proj.w"], p["dec.proj.b"])
@@ -290,15 +289,14 @@ class MaskedAutoencoder:
         tokens = T.add(tokens, p["dec.pos"])
         return T.concat([cls, tokens], axis=1)
 
-    def decode(self, latent: T.Tensor, plans, params: dict | None = None) -> T.Tensor:
+    def decode(self, latent: T.Tensor, plans) -> T.Tensor:
         """Latent (B, 1+V, D) -> decoder output (B, 1+N_p, dec_dim), before the head."""
-        p = params if params is not None else self.params
-        x = self._decoder_tokens(latent, plans, p)
+        x = self._decoder_tokens(latent, plans)
         for i in range(self.cfg.dec_layers):
-            x = _block(x, p, f"dec.blocks.{i}", self.cfg.dec_heads)
+            x = _block(x, self.params, f"dec.blocks.{i}", self.cfg.dec_heads)
         return x
 
-    def forward_loss(self, clips: np.ndarray, plans, params: dict | None = None) -> tuple:
+    def forward_loss(self, clips: np.ndarray, plans) -> tuple:
         """Clips (B, T, C) + per-clip plans -> (masked-patch loss, decoder output).
 
         The visible inputs and the masked targets are gathered first and
@@ -306,22 +304,21 @@ class MaskedAutoencoder:
         encoder runs.
         """
         cfg = self.cfg
-        p = params if params is not None else self.params
         patches = patchify(clips, cfg.patch_time, cfg.patch_freq)
         vis_idx, masked_idx = _batch_indices(plans, "visible_idx"), _batch_indices(plans, "masked_idx")
         visible, targets = gather_patches(patches, vis_idx), gather_patches(patches, masked_idx)
         del patches
-        latent = self.encode(T.Tensor(visible), vis_idx, p)
-        x = self.decode(latent, plans, p)
-        return mae_loss(x, p, targets, masked_idx), x
+        latent = self.encode(T.Tensor(visible), vis_idx)
+        x = self.decode(latent, plans)
+        return mae_loss(x, self.params, targets, masked_idx), x
 
-    def encode_features(self, clips: np.ndarray, params: dict | None = None) -> T.Tensor:
+    def encode_features(self, clips: np.ndarray) -> T.Tensor:
         """Full (unmasked) token sequence through the encoder; CLS row out."""
         cfg = self.cfg
         patches = patchify(clips, cfg.patch_time, cfg.patch_freq)
         n = patches.shape[0]
         vis_idx = np.tile(np.arange(cfg.n_patches), (n, 1))
-        latent = self.encode(T.Tensor(patches), vis_idx, params)
+        latent = self.encode(T.Tensor(patches), vis_idx)
         return latent[:, 0, :]
 
 

@@ -1,9 +1,11 @@
 """Scaling studies: data-fraction / capacity / masking / patch sweeps,
 log-linear fits, and analytic FLOPs estimates.
 
-Every sweep cell pretrains, fine-tunes, and scores against the exact
-same downstream test set (asserted by hash); data-fraction subsets are
-nested per seed so scale effects are not confounded with sample luck.
+Each sweep cell is one ``evaluate.run_fold`` on the same held-out
+split: it pretrains on a pool drawn from the fold's training clips,
+fine-tunes, and scores the one test set whose hash every row records.
+Data-fraction pools are nested per seed so scale effects are not
+confounded with sample luck.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class SweepError(ValueError):
     pass
 
 
-SWEEP_AXES = ("data_fraction", "model_variant", "mask_ratio", "patch_size", "exclude_target")
+SWEEP_AXES = ("data_fraction", "model_variant", "mask_ratio", "patch_size")
 
 
 @dataclass
@@ -42,8 +44,8 @@ class SweepSpec:
             raise SweepError("need at least 2 sweep values")
         if self.axis == "data_fraction" and not all(0 < v <= 1 for v in self.values):
             raise SweepError("fractions must lie in (0, 1]")
-        if not self.seeds:
-            raise SweepError("need at least one seed")
+        if not self.seeds or not all(type(s) is int for s in self.seeds) or len(set(self.seeds)) != len(self.seeds):
+            raise SweepError(f"need one or more distinct integer seeds, got {self.seeds}")
         return self
 
 
@@ -56,14 +58,9 @@ class SweepContext:
     domain_key: str
     held_out_value: str
     model_cfg: M.ModelConfig
-    head_cfg: E.HeadConfig
     pretrain_cfg: R.TrainConfig
     train_cfg: R.TrainConfig
     label_fraction: float = 1.0
-    label_key: str = "class"
-    # alternate pretraining corpus for the exclude_target axis
-    exclude_store_dir: str | None = None
-    exclude_manifest: D.DatasetManifest | None = None
 
 
 @dataclass
@@ -154,63 +151,51 @@ def _cell_model_cfg(ctx: SweepContext, axis: str, value) -> M.ModelConfig:
     return ctx.model_cfg
 
 
-def run_sweep(spec: SweepSpec, ctx: SweepContext) -> list:
-    """Grid of (value x seed) cells -> result rows.
+def sweep_cells(spec: SweepSpec, ctx: SweepContext) -> tuple:
+    """(held-out split, its test ids, each cell's (value, seed, model config, pool ids) in row order).
 
-    Each cell: pretrain on its pool, fine-tune on the shared labeled
-    budget, evaluate on the shared held-out test set.
+    The pretraining pool is the fold's training ids, or their
+    ``nested_subset`` on the data_fraction axis.  A value that makes no
+    valid model config or pool raises; nothing trains.
     """
     spec.validate()
     split = D.SplitSpec("leave_one_domain_out", ctx.domain_key, ctx.held_out_value)
     train_ids, test_ids = D.make_split(ctx.manifest, split)
-    train_clips = D.load_clips(ctx.store_dir, ctx.manifest, train_ids)
-    test_clips = D.load_clips(ctx.store_dir, ctx.manifest, test_ids)
+    cells = []
+    for value in spec.values:
+        model_cfg = _cell_model_cfg(ctx, spec.axis, value)
+        for seed in spec.seeds:
+            pool = nested_subset(train_ids, float(value), seed) if spec.axis == "data_fraction" else train_ids
+            cells.append((value, seed, model_cfg, pool))
+    return split, test_ids, cells
+
+
+def run_sweep(spec: SweepSpec, ctx: SweepContext) -> list:
+    """Grid of (value x seed) cells -> result rows, one ``evaluate.run_fold`` per cell.
+
+    Each cell pretrains on its pool, fine-tunes on its seed's labeled
+    budget and scores the shared held-out test set.
+    """
+    split, test_ids, cells = sweep_cells(spec, ctx)
     shared_hash = test_set_hash(test_ids)
     rows = []
-    for value in spec.values:
-        for seed in spec.seeds:
-            model_cfg = _cell_model_cfg(ctx, spec.axis, value)
-            pool_store, pool_manifest, pool_ids = ctx.store_dir, ctx.manifest, list(train_ids)
-            if spec.axis == "exclude_target" and value:
-                if ctx.exclude_manifest is None:
-                    raise SweepError("exclude_target axis needs an alternate pretraining corpus")
-                pool_store, pool_manifest = ctx.exclude_store_dir, ctx.exclude_manifest
-                pool_ids = pool_manifest.ids()
-            if spec.axis == "data_fraction":
-                pool_ids = nested_subset(pool_ids, float(value), seed)
-
-            pool_clips = D.load_clips(pool_store, pool_manifest, pool_ids)
-            x_pool, _ = D.stack_clips(pool_clips)
-            pcfg = replace(ctx.pretrain_cfg, seed=seed)
-            res = R.pretrain_arrays(x_pool, model_cfg, pcfg)
-
-            labeled = E.select_labeled(train_clips, ctx.label_fraction, seed)
-            tcfg = replace(ctx.train_cfg, seed=seed)
-            result = E.run_regime(
-                "ft",
-                (res.params, model_cfg),
-                labeled,
-                test_clips,
-                ctx.head_cfg,
-                tcfg,
-                label_key=ctx.label_key,
-                split_desc={"domain_key": ctx.domain_key, "held_out_value": ctx.held_out_value},
-            )
-            rows.append(
-                {
-                    "axis": spec.axis,
-                    "value": list(value) if isinstance(value, tuple) else value,
-                    "seed": seed,
-                    "n_pretrain": len(pool_ids),
-                    "pretrain_val_loss": res.best_val_loss,
-                    "accuracy": result.accuracy,
-                    "n_test": result.n_test,
-                    "test_set_hash": shared_hash,
-                }
-            )
-    hashes = {r["test_set_hash"] for r in rows}
-    if len(hashes) != 1:
-        raise SweepError("sweep cells disagree on the downstream test set")
+    for value, seed, model_cfg, pool in cells:
+        tcfg, pcfg = replace(ctx.train_cfg, seed=seed), replace(ctx.pretrain_cfg, seed=seed)
+        (result,), pretrained = E.run_fold(
+            ctx.manifest, ctx.store_dir, split, ["ft"], model_cfg, tcfg, ctx.label_fraction, pcfg, pool=pool
+        )
+        rows.append(
+            {
+                "axis": spec.axis,
+                "value": list(value) if isinstance(value, tuple) else value,
+                "seed": seed,
+                "n_pretrain": len(pool),
+                "pretrain_val_loss": pretrained.best_value,
+                "accuracy": result.accuracy,
+                "n_test": result.n_test,
+                "test_set_hash": shared_hash,
+            }
+        )
     return rows
 
 

@@ -188,16 +188,6 @@ class FitResult:
         return sum(s["rejected"] for s in self.metrics.steps)
 
 
-@dataclass
-class PretrainResult:
-    params: dict
-    model_config: M.ModelConfig
-    best_epoch: int
-    best_val_loss: float
-    metrics: RunMetrics
-    aborted: bool = False
-
-
 def _peak_rss_mb() -> float:
     """This process's peak resident set size so far, in MB (Linux reports ``ru_maxrss`` in KiB)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -278,7 +268,7 @@ def masked_val_loss(model: M.MaskedAutoencoder, clips: np.ndarray, plans: list, 
     return total / n
 
 
-def pretrain_arrays(clips: np.ndarray, model_cfg: M.ModelConfig, cfg: TrainConfig, run_dir=None) -> PretrainResult:
+def pretrain_arrays(clips: np.ndarray, model_cfg: M.ModelConfig, cfg: TrainConfig, run_dir=None) -> FitResult:
     """Masked-reconstruction pretraining over an in-memory clip tensor, through ``fit`` on streams 1/2."""
     val_idx, train_idx = val_split(len(clips), cfg, 1)
     model = M.MaskedAutoencoder(model_cfg, seed=[cfg.seed, 0])
@@ -302,10 +292,10 @@ def pretrain_arrays(clips: np.ndarray, model_cfg: M.ModelConfig, cfg: TrainConfi
             model_cfg,
             extra={"best_epoch": res.best_epoch, "best_val_loss": res.best_value, "aborted": res.aborted},
         )
-    return PretrainResult(res.params, model_cfg, res.best_epoch, res.best_value, res.metrics, res.aborted)
+    return res
 
 
-def pretrain(manifest: D.DatasetManifest, store_dir, model_cfg: M.ModelConfig, cfg: TrainConfig, run_dir=None) -> PretrainResult:
+def pretrain(manifest: D.DatasetManifest, store_dir, model_cfg: M.ModelConfig, cfg: TrainConfig, run_dir=None) -> FitResult:
     """Load every clip of the manifest from the store and run ``pretrain_arrays``."""
     if not manifest.entries:
         raise TrainError("empty manifest")

@@ -527,7 +527,19 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         (["pretrain"], "missing"),
         (["eval-cross-domain", "--regimes", "lp,nope"], None),
         (["supervised", "--held-out", "env9"], None),
+        (["supervised"], None),
         (["sweep", "--axis", "data_fraction", "--values", "[0.5, 1.0]", "--held-out", "env9"], None),
+        (["sweep", "--axis", "mask_ratio", "--values", "[0.75, 1.5]", "--held-out", "env1"], None),
+        (["sweep", "--axis", "patch_size", "--values", "[[150, 18], [7, 7]]", "--held-out", "env1"], None),
+        (["sweep", "--axis", "data_fraction", "--values", "[1.0, 0.01]", "--held-out", "env1"], None),
+        (["sweep", "--axis", "mask_ratio", "--values", "[0.5, 0.75]", "--seeds", '["a"]', "--held-out", "env1"], None),
+        (["eval-cross-domain", "--domain-key", "nope"], None),
+        (["supervised", "--held-out", "env1", "--label-fraction", "-3"], None),
+        (["supervised", "--held-out", "env1", "--label-fraction", "0"], None),
+        (["supervised", "--held-out", "env1", "--label-fraction", "2"], None),
+        (["eval-cross-domain", "--label-fraction", "nan"], None),
+        (["sweep", "--axis", "mask_ratio", "--values", "[0.5, 0.75]", "--held-out", "env1", "--label-fraction", "1.5"],
+         None),
     ],
     ids=[
         "lr",
@@ -540,10 +552,25 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         "config-missing",
         "regimes",
         "held-out",
+        "held-out-missing",
         "sweep-held-out",
+        "sweep-mask-ratio",
+        "sweep-patch-size",
+        "sweep-pool-too-small",
+        "sweep-seeds",
+        "domain-key",
+        "label-fraction-negative",
+        "label-fraction-zero",
+        "label-fraction-above-one",
+        "cross-domain-label-fraction",
+        "sweep-label-fraction",
     ],
 )
-def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, argv, config):
+def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, monkeypatch, argv, config):
+    from csimae import training as R
+
+    trained = []
+    monkeypatch.setattr(R, "fit", lambda *a, **kw: trained.append(a))
     tail = ["--store", str(workdir / "gen" / "store"), "--out", str(tmp_path / "out")]
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -553,6 +580,17 @@ def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, argv, c
     assert cli.main(argv + tail) == 2
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "config"
     assert not (tmp_path / "out").exists()
+    assert not trained
+
+
+def test_a_single_fold_command_writes_its_cross_domain_row(workdir, tmp_path):
+    common = ["--store", str(workdir / "gen" / "store"), "--config", str(workdir / "micro.json")]
+    common += ["--label-fraction", "0.5"]
+    assert cli.main(["supervised", "--held-out", "env1", "--out", str(tmp_path / "sup")] + common) == 0
+    assert cli.main(["eval-cross-domain", "--regimes", "supervised", "--out", str(tmp_path / "xd")] + common) == 0
+    rows = [json.loads(line) for line in (tmp_path / "xd" / "results.jsonl").read_text().splitlines()]
+    (row,) = [r for r in rows if r["split"]["held_out_value"] == "env1"]
+    assert json.loads((tmp_path / "sup" / "result.json").read_text()) == row
 
 
 def test_flags_set_the_fields_their_dest_names(workdir, tmp_path):

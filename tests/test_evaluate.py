@@ -97,7 +97,7 @@ def test_linear_probe_hits_one_on_separable_features():
     params = E.init_head(16, 2, seed=4, hidden=False)
     fwd = lambda x, p: E.head_forward(T.Tensor(x), p)
     cfg = micro_train_cfg(max_epochs=30, peak_lr=5e-2, weight_decay=0.0)
-    best, _, _ = E.train_classifier(fwd, params, feats[:80], labels[:80], cfg)
+    best = E.train_classifier(fwd, params, feats[:80], labels[:80], cfg).params
     pred = E.predict(fwd, best, feats[80:])
     assert E.accuracy(pred, labels[80:]) == 1.0
 
@@ -262,13 +262,52 @@ def test_cross_domain_suite_fold_count(tmp_path):
         "environment",
         ["supervised"],
         micro_cfg(),
-        E.HeadConfig(2),
         micro_train_cfg(max_epochs=2),
     )
     assert len(results) == 3
     assert {r.split["held_out_value"] for r in results} == {"env0", "env1", "env2"}
     macro = E.macro_average([r.to_json() for r in results])
     assert set(macro) == {"supervised"} and 0.0 <= macro["supervised"] <= 1.0
+
+
+def test_cross_domain_pretraining_pools_hold_no_held_out_clip(tmp_path, monkeypatch):
+    spec = S.SynthTaskSpec(n_classes=2, n_environments=3, n_subjects=1, clips_per_cell=4, seed=9)
+    manifest = S.generate_task(spec, tmp_path / "store")
+    clips = D.load_clips(tmp_path / "store", manifest)
+    real, pools = R.pretrain_arrays, []
+
+    def spy(x, model_cfg, cfg, run_dir=None):
+        pools.append(x.copy())
+        return real(x, model_cfg, cfg, run_dir)
+
+    monkeypatch.setattr(R, "pretrain_arrays", spy)
+    results = E.cross_domain_suite(
+        manifest, tmp_path / "store", "environment", ["lp"], micro_cfg(), micro_train_cfg(max_epochs=2)
+    )
+    assert [r.split["held_out_value"] for r in results] == ["env0", "env1", "env2"]
+    assert [len(x) for x in pools] == [16, 16, 16]
+    for x, r in zip(pools, results):
+        pooled = {row.tobytes() for row in x}
+        env = r.split["held_out_value"]
+        held_out = {c.data.tobytes() for c in clips if c.labels["environment"] == env}
+        training = {c.data.tobytes() for c in clips if c.labels["environment"] != env}
+        assert not pooled & held_out and pooled == training
+
+
+def test_a_fold_whose_training_side_lacks_a_class_excludes_its_test_clips(tmp_path):
+    spec = S.SynthTaskSpec(n_classes=3, n_environments=3, n_subjects=1, clips_per_cell=4, seed=9)
+    full = S.generate_task(spec, tmp_path / "store")
+    # class c2 is recorded in env0 only, so the env0 fold never trains on it
+    manifest = D.DatasetManifest(
+        [e for e in full.entries if e.labels["class"] != "c2" or e.labels["environment"] == "env0"]
+    )
+    results = E.cross_domain_suite(
+        manifest, tmp_path / "store", "environment", ["supervised"], micro_cfg(), micro_train_cfg(max_epochs=2)
+    )
+    folds = {r.split["held_out_value"]: r for r in results}
+    assert (folds["env0"].n_test, folds["env0"].n_excluded) == (8, 4)
+    assert set(folds["env0"].per_class) == {"c0", "c1"}
+    assert [(folds[e].n_test, folds[e].n_excluded) for e in ("env1", "env2")] == [(8, 0), (8, 0)]
 
 
 def test_ft_starts_from_checkpoint_weights(tmp_path, monkeypatch):
@@ -281,10 +320,9 @@ def test_ft_starts_from_checkpoint_weights(tmp_path, monkeypatch):
     test = [c for c in clips if c.labels["environment"] == "env1"]
     encode, seen = M.MaskedAutoencoder.encode, []
 
-    def spy(model, tokens, visible_idx, params=None):
-        p = params if params is not None else model.params
-        seen.append({k: v.data.copy() for k, v in p.items() if k.startswith("enc.")})
-        return encode(model, tokens, visible_idx, params)
+    def spy(model, tokens, visible_idx):
+        seen.append({k: v.data.copy() for k, v in model.params.items() if k.startswith("enc.")})
+        return encode(model, tokens, visible_idx)
 
     monkeypatch.setattr(M.MaskedAutoencoder, "encode", spy)
     r = E.run_regime("ft", (res.params, cfg), train, test, E.HeadConfig(2), micro_train_cfg(max_epochs=2))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from csimae import data as D
-from csimae import evaluate as E
 from csimae import mae as M
 from csimae import scaling as L
 from csimae import synth as S
@@ -162,7 +161,6 @@ def micro_ctx(tmp_path, **kw):
         domain_key="environment",
         held_out_value="env1",
         model_cfg=model_cfg,
-        head_cfg=E.HeadConfig(2),
         pretrain_cfg=tcfg,
         train_cfg=tcfg,
     )
@@ -170,8 +168,15 @@ def micro_ctx(tmp_path, **kw):
     return L.SweepContext(**defaults)
 
 
-def test_run_sweep_grid_counts_and_shared_test_set(tmp_path):
+def test_run_sweep_grid_counts_and_shared_test_set(tmp_path, monkeypatch):
     ctx = micro_ctx(tmp_path)
+    real, pools = R.pretrain_arrays, []
+
+    def spy(clips, model_cfg, cfg, run_dir=None):
+        pools.append(clips.copy())
+        return real(clips, model_cfg, cfg, run_dir)
+
+    monkeypatch.setattr(R, "pretrain_arrays", spy)
     spec = L.SweepSpec(axis="data_fraction", values=[0.5, 1.0], seeds=[0, 1])
     rows = L.run_sweep(spec, ctx)
     assert len(rows) == 4
@@ -180,15 +185,27 @@ def test_run_sweep_grid_counts_and_shared_test_set(tmp_path):
     full = [r for r in rows if r["value"] == 1.0][0]
     half = [r for r in rows if r["value"] == 0.5][0]
     assert full["n_pretrain"] == 20 and half["n_pretrain"] == 10
+    # each cell pretrains on its pool of env0 clips only, never on the held-out env1
+    assert [len(x) for x in pools] == [r["n_pretrain"] for r in rows] == [10, 10, 20, 20]
+    clips = D.load_clips(ctx.store_dir, ctx.manifest)
+    held_out = {c.data.tobytes() for c in clips if c.labels["environment"] == "env1"}
+    training = {c.data.tobytes() for c in clips if c.labels["environment"] != "env1"}
+    for x in pools:
+        pooled = {row.tobytes() for row in x}
+        assert len(pooled) == len(x) and pooled <= training and not pooled & held_out
 
 
 def test_sweep_spec_validation():
-    with pytest.raises(L.SweepError, match="axis"):
-        L.SweepSpec(axis="nope", values=[1, 2]).validate()
+    for axis in ("nope", "exclude_target"):
+        with pytest.raises(L.SweepError, match="axis"):
+            L.SweepSpec(axis=axis, values=[1, 2]).validate()
     with pytest.raises(L.SweepError, match="2 sweep values"):
         L.SweepSpec(axis="mask_ratio", values=[0.8]).validate()
     with pytest.raises(L.SweepError, match="fractions"):
         L.SweepSpec(axis="data_fraction", values=[0.5, 1.5]).validate()
+    for seeds in ([], ["a"], [0, 0], [1.5], [True]):
+        with pytest.raises(L.SweepError, match="distinct integer seeds"):
+            L.SweepSpec(axis="mask_ratio", values=[0.5, 0.8], seeds=seeds).validate()
 
 
 def test_rows_round_trip_and_summary(tmp_path):
