@@ -139,7 +139,7 @@ def _persist_run(out: Path, command: str, configs: dict, args):
     doc = {
         "command": command,
         "args": {k: v for k, v in vars(args).items() if k != "func"},
-        "sections": {name: _section(cfg) for name, cfg in configs.items()},
+        "sections": {name: dataclasses.asdict(cfg) for name, cfg in configs.items()},
     }
     (out / "resolved_config.json").write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
     lines = []
@@ -148,11 +148,6 @@ def _persist_run(out: Path, command: str, configs: dict, args):
             digest = hashlib.sha256(p.read_bytes()).hexdigest()
             lines.append(f"{digest}  {p.relative_to(out)}")
     (out / "checksums.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _section(cfg) -> dict:
-    d = dataclasses.asdict(cfg)
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in d.items()}
 
 
 def _load_store(store, manifest=None):
@@ -354,6 +349,8 @@ def cmd_eval_cross_domain(args):
     unknown = [r for r in regimes if r not in E.REGIMES]
     if unknown:
         raise CliError(f"unknown regimes {', '.join(unknown)}; choose from {', '.join(E.REGIMES)}")
+    if len(set(regimes)) != len(regimes):
+        raise CliError(f"regimes repeat: {args.regimes}")
     cfg = _configs(args, "model", "train", "pretrain", defaults=DOWNSTREAM_DEFAULTS)
     manifest = _load_store(args.store, args.manifest)
     _check_held_out(manifest, args.domain_key, None)
@@ -385,7 +382,6 @@ def cmd_sweep(args):
 
     cfg = _configs(args, "model", "train", "pretrain", defaults=DOWNSTREAM_DEFAULTS)
     spec = _build(L.SweepSpec, {}, args)
-    spec.values = [tuple(v) if isinstance(v, list) else v for v in spec.values]
     manifest = _load_store(args.store, args.manifest)
     _check_held_out(manifest, args.domain_key, args.held_out_value)
     ctx = L.SweepContext(

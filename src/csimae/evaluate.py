@@ -11,7 +11,10 @@ recorded, rejected optimizer steps included.  Linear probing trains a
 single linear layer on frozen features and never touches encoder
 weights; fine-tuning updates encoder and head; supervised starts the
 encoder from random init.  The fine-tune and supervised head is one
-hidden layer of encoder width, a single ``tensors.ffn`` node.
+hidden layer of encoder width, a single ``tensors.ffn`` node.  Every
+regime classifies ``LABEL_KEY``, the key ``select_labeled`` draws its
+budget over; a task on another label, such as user identification,
+would thread its key through ``run_fold`` into both.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ class EvalError(ValueError):
 
 
 REGIMES = ("supervised", "lp", "ft")
+LABEL_KEY = "class"  # the label every regime is trained and scored on
+ENCODE_BATCH_SIZE = 64  # clips per frozen-encoder forward in ``encode_features``
 
 
 @dataclass
@@ -76,11 +81,12 @@ def head_forward(feats: T.Tensor, params: dict) -> T.Tensor:
     return T.linear(feats, w, b)
 
 
-def encode_features(params: dict, model_cfg: M.ModelConfig, clips: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """Frozen (graph-free) CLS features for a clip tensor."""
+def encode_features(params: dict, model_cfg: M.ModelConfig, clips: np.ndarray) -> np.ndarray:
+    """Frozen (graph-free) CLS features for a clip tensor, ``ENCODE_BATCH_SIZE`` clips at a time."""
     frozen = {k: T.Tensor(v.data) for k, v in params.items()}
     model = M.MaskedAutoencoder(model_cfg, params=frozen)
-    outs = [model.encode_features(clips[i : i + batch_size]).data for i in range(0, len(clips), batch_size)]
+    n = ENCODE_BATCH_SIZE
+    outs = [model.encode_features(clips[i : i + n]).data for i in range(0, len(clips), n)]
     return np.concatenate(outs, axis=0)
 
 
@@ -88,8 +94,8 @@ def _class_vocab(labels) -> dict:
     return {name: i for i, name in enumerate(sorted(set(labels)))}
 
 
-def _labels_of(clips, label_key):
-    return [c.labels[label_key] for c in clips]
+def _labels_of(clips):
+    return [c.labels[LABEL_KEY] for c in clips]
 
 
 def train_classifier(forward_fn, params: dict, x_train, y_train, cfg: R.TrainConfig):
@@ -140,7 +146,6 @@ def run_regime(
     head_cfg: HeadConfig,
     train_cfg: R.TrainConfig,
     model_cfg: M.ModelConfig | None = None,
-    label_key: str = "class",
     split_desc: dict | None = None,
     batch_size: int | None = None,
 ) -> EvalResult:
@@ -163,14 +168,14 @@ def run_regime(
     if model_cfg is None:
         raise EvalError("supervised regime needs a model config")
 
-    vocab = _class_vocab(_labels_of(train_clips, label_key))
+    vocab = _class_vocab(_labels_of(train_clips))
     if len(vocab) != head_cfg.n_classes:
         raise EvalError(f"head expects {head_cfg.n_classes} classes, train set has {len(vocab)}")
-    y_train = np.array([vocab[l] for l in _labels_of(train_clips, label_key)])
-    keep = [i for i, l in enumerate(_labels_of(test_clips, label_key)) if l in vocab]
+    y_train = np.array([vocab[l] for l in _labels_of(train_clips)])
+    keep = [i for i, l in enumerate(_labels_of(test_clips)) if l in vocab]
     n_excluded = len(test_clips) - len(keep)
     test_clips = [test_clips[i] for i in keep]
-    y_test = np.array([vocab[l] for l in _labels_of(test_clips, label_key)])
+    y_test = np.array([vocab[l] for l in _labels_of(test_clips)])
     x_train, _ = D.stack_clips(train_clips)
     x_test, _ = D.stack_clips(test_clips)
 
@@ -217,7 +222,7 @@ def select_labeled(clips, fraction: float, seed) -> list:
         return list(clips)
     by_class = {}
     for c in clips:
-        by_class.setdefault(c.labels.get("class"), []).append(c)
+        by_class.setdefault(c.labels.get(LABEL_KEY), []).append(c)
     rng = np.random.default_rng([seed, 13])
     chosen = []
     for key in sorted(by_class, key=str):
@@ -262,7 +267,7 @@ def run_fold(
         pretrained = R.pretrain_arrays(x, model_cfg, pretrain_cfg or train_cfg)
         checkpoint = pretrained.params
     labeled = select_labeled(train_clips, label_fraction, train_cfg.seed)
-    head_cfg = HeadConfig(n_classes=len(_class_vocab(_labels_of(labeled, "class"))))
+    head_cfg = HeadConfig(n_classes=len(_class_vocab(_labels_of(labeled))))
     ckpt = None if checkpoint is None else (checkpoint, model_cfg)
     desc = {"protocol": split.protocol, "domain_key": split.domain_key, "held_out_value": split.held_out_value}
     results = [

@@ -143,15 +143,12 @@ def segment_and_resample_freq(window: np.ndarray, bandwidth: float) -> list:
     return [resample_linear(window[:, :, a:b], 2, BINS_PER_CHANNEL) for a, b in channel_blocks(window.shape[2], bandwidth)]
 
 
-def flatten_and_normalize(
-    window: np.ndarray,
-    labels: dict | None = None,
-    provenance: D.Provenance | None = None,
-) -> D.CsiClip:
-    """Antenna-major flatten to (600, 90) plus per-timestamp z-score.
+def flatten_and_normalize(window: np.ndarray, labels: dict, provenance: D.Provenance) -> D.CsiClip:
+    """Antenna-major flatten to (600, 90) plus per-timestamp z-score, as a clip.
 
     Population standard deviation; rows whose std falls below
-    ``EPS_STD`` become all zeros.
+    ``EPS_STD`` become all zeros.  The clip carries ``labels`` and
+    ``provenance``.
     """
     t_len, n_ant, n_bins = window.shape
     if np.isnan(window).any():
@@ -161,12 +158,7 @@ def flatten_and_normalize(
     sd = flat.std(axis=1, keepdims=True)
     degenerate = sd <= EPS_STD
     z = np.where(degenerate, 0.0, (flat - mu) / np.where(degenerate, 1.0, sd))
-    clip = D.CsiClip(
-        data=z.astype(np.float32),
-        labels=dict(labels or {}),
-        provenance=provenance or D.Provenance("anon", 0, 0, 0, 0),
-    )
-    return clip.validate()
+    return D.CsiClip(data=z.astype(np.float32), labels=dict(labels), provenance=provenance).validate()
 
 
 def qc_recording(

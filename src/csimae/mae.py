@@ -19,8 +19,12 @@ patch values from it, and the loss is the mean over masked patches of
 the squared L2 patch error.  Head and loss are one engine op,
 ``tensors.masked_mse_head``, which runs the head on the masked rows
 only, so visible positions and the CLS row contribute exactly zero.
-``forward_loss`` gathers the visible inputs and the masked targets and
-drops the full patch array before the encoder runs.
+``forward_loss`` stacks the batch's visible and masked patch indices
+once and passes both arrays to the encoder, decoder and loss; it
+gathers the visible inputs and the masked targets and drops the full
+patch array before the encoder runs.  Every mask has masked patches
+(``sample_mask`` rejects an empty one), and truncated-normal tables
+and tokens start at std ``TRUNC_NORMAL_STD``.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ VARIANTS = {
 
 class ModelError(ValueError):
     """Invalid model configuration or mask plan."""
+
+
+TRUNC_NORMAL_STD = 0.02  # positional tables, CLS and mask tokens
 
 
 @dataclass
@@ -111,15 +118,8 @@ class ModelConfig:
 class MaskPlan:
     """Per-clip partition of patch indices into visible and masked sets."""
 
-    n_patches: int
     visible_idx: np.ndarray
     masked_idx: np.ndarray
-
-    def validate(self):
-        v, m = set(self.visible_idx.tolist()), set(self.masked_idx.tolist())
-        if v & m or v | m != set(range(self.n_patches)):
-            raise ModelError("mask plan is not a partition of patch indices")
-        return self
 
 
 def sample_mask(n_patches: int, ratio: float, seed) -> MaskPlan:
@@ -129,11 +129,7 @@ def sample_mask(n_patches: int, ratio: float, seed) -> MaskPlan:
         raise ModelError(f"degenerate mask: {n_masked} of {n_patches} patches masked")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_patches)
-    return MaskPlan(
-        n_patches=n_patches,
-        visible_idx=np.sort(perm[n_masked:]),
-        masked_idx=np.sort(perm[:n_masked]),
-    )
+    return MaskPlan(visible_idx=np.sort(perm[n_masked:]), masked_idx=np.sort(perm[:n_masked]))
 
 
 def patchify(clip: np.ndarray, patch_time: int, patch_freq: int) -> np.ndarray:
@@ -151,14 +147,14 @@ def patchify(clip: np.ndarray, patch_time: int, patch_freq: int) -> np.ndarray:
 # parameters
 
 
-def trunc_normal(rng, shape, std=0.02):
-    """Normal(0, std) resampled until everything lies within 2 std."""
-    x = rng.standard_normal(shape) * std
+def trunc_normal(rng, shape):
+    """Normal(0, ``TRUNC_NORMAL_STD``) resampled until everything lies within 2 std."""
+    x = rng.standard_normal(shape) * TRUNC_NORMAL_STD
     while True:
-        bad = np.abs(x) > 2 * std
+        bad = np.abs(x) > 2 * TRUNC_NORMAL_STD
         if not bad.any():
             return x
-        x[bad] = rng.standard_normal(int(bad.sum())) * std
+        x[bad] = rng.standard_normal(int(bad.sum())) * TRUNC_NORMAL_STD
 
 
 def linear_layout(name: str, fan_in: int, fan_out: int) -> list:
@@ -271,27 +267,25 @@ class MaskedAutoencoder:
             x = _block(x, p, f"enc.blocks.{i}", cfg.enc_heads)
         return T.layer_norm(x, p["enc.norm.g"], p["enc.norm.b"])
 
-    def _decoder_tokens(self, latent: T.Tensor, plans) -> T.Tensor:
-        """Pre-block decoder input: projected latent, mask tokens, positions."""
+    def _decoder_tokens(self, latent: T.Tensor, vis_idx: np.ndarray, masked_idx: np.ndarray) -> T.Tensor:
+        """Pre-block decoder input: projected latent, mask tokens at ``masked_idx``, positions."""
         p = self.params
-        b = latent.shape[0]
-        n_masked = len(plans[0].masked_idx)
+        b, n_masked = masked_idx.shape
         d = T.linear(latent, p["dec.proj.w"], p["dec.proj.b"])
         cls, vis = d[:, :1, :], d[:, 1:, :]
-        if n_masked:
-            zeros = T.Tensor(np.zeros((b, n_masked, self.cfg.dec_dim), dtype=latent.data.dtype))
-            masked = T.add(zeros, p["dec.mask_token"])
-            order = np.concatenate([_batch_indices(plans, "visible_idx"), _batch_indices(plans, "masked_idx")], axis=1)
-            inv = np.argsort(order, axis=1)
-            tokens = T.gather_tokens(T.concat([vis, masked], axis=1), inv)
-        else:
-            tokens = vis
-        tokens = T.add(tokens, p["dec.pos"])
+        zeros = T.Tensor(np.zeros((b, n_masked, self.cfg.dec_dim), dtype=latent.data.dtype))
+        masked = T.add(zeros, p["dec.mask_token"])
+        inv = np.argsort(np.concatenate([vis_idx, masked_idx], axis=1), axis=1)
+        tokens = T.add(T.gather_tokens(T.concat([vis, masked], axis=1), inv), p["dec.pos"])
         return T.concat([cls, tokens], axis=1)
 
-    def decode(self, latent: T.Tensor, plans) -> T.Tensor:
-        """Latent (B, 1+V, D) -> decoder output (B, 1+N_p, dec_dim), before the head."""
-        x = self._decoder_tokens(latent, plans)
+    def decode(self, latent: T.Tensor, vis_idx: np.ndarray, masked_idx: np.ndarray) -> T.Tensor:
+        """Latent (B, 1+V, D) -> decoder output (B, 1+N_p, dec_dim), before the head.
+
+        ``vis_idx`` (B, V) and ``masked_idx`` (B, M) are each clip's
+        visible and masked patch positions, ``_batch_indices`` of its plans.
+        """
+        x = self._decoder_tokens(latent, vis_idx, masked_idx)
         for i in range(self.cfg.dec_layers):
             x = _block(x, self.params, f"dec.blocks.{i}", self.cfg.dec_heads)
         return x
@@ -309,7 +303,7 @@ class MaskedAutoencoder:
         visible, targets = gather_patches(patches, vis_idx), gather_patches(patches, masked_idx)
         del patches
         latent = self.encode(T.Tensor(visible), vis_idx)
-        x = self.decode(latent, plans)
+        x = self.decode(latent, vis_idx, masked_idx)
         return mae_loss(x, self.params, targets, masked_idx), x
 
     def encode_features(self, clips: np.ndarray) -> T.Tensor:

@@ -42,6 +42,8 @@ class SweepSpec:
             raise SweepError(f"axis must be one of {SWEEP_AXES}")
         if len(self.values) < 2:
             raise SweepError("need at least 2 sweep values")
+        if len({json.dumps(v) for v in self.values}) != len(self.values):
+            raise SweepError(f"sweep values repeat: {self.values}")
         if self.axis == "data_fraction" and not all(0 < v <= 1 for v in self.values):
             raise SweepError("fractions must lie in (0, 1]")
         if not self.seeds or not all(type(s) is int for s in self.seeds) or len(set(self.seeds)) != len(self.seeds):
@@ -187,7 +189,7 @@ def run_sweep(spec: SweepSpec, ctx: SweepContext) -> list:
         rows.append(
             {
                 "axis": spec.axis,
-                "value": list(value) if isinstance(value, tuple) else value,
+                "value": value,
                 "seed": seed,
                 "n_pretrain": len(pool),
                 "pretrain_val_loss": pretrained.best_value,

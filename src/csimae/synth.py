@@ -6,11 +6,15 @@ across subcarriers (delay), a complex exponential over packet time
 Additive complex Gaussian noise models estimation error.  The simulator
 doubles as the ground-truth oracle for the rest of the pipeline and as
 the generator of labeled multi-domain datasets.
+
+The task recipe is fixed: Doppler bands, subject scales, band centers,
+device profiles, path counts and array spacing are module constants,
+and a ``SynthTaskSpec`` sets how many of each table's entries it uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +25,16 @@ from . import qc as Q
 
 class SceneError(ValueError):
     """Invalid scene or task specification."""
+
+
+ARRAY_SPACING = 0.5  # ULA element spacing at both ends, in wavelengths
+CLASS_DOPPLER_BANDS = ((4.0, 8.0), (14.0, 18.0), (24.0, 28.0))  # Hz, one per class
+SUBJECT_SCALES = (0.9, 1.1)  # Doppler scale, one per subject
+BAND_CENTERS = (5e9, 2.4e9)  # Hz, one per band
+DEVICE_PROFILES = ((1.0, 0.01), (0.6, 0.02))  # (gain, noise std), one per device
+N_STATIC_PATHS = 4  # per environment
+N_DYNAMIC_PATHS = 2  # per clip
+DYNAMIC_GAIN_RANGE = (0.25, 0.6)
 
 
 @dataclass
@@ -43,8 +57,6 @@ class PathComponent:
 class SceneSpec:
     paths: list
     noise_std: float = 0.0  # std of each complex noise entry, E[|e|^2] = noise_std^2
-    rx_spacing: float = 0.5  # element spacing in wavelengths
-    tx_spacing: float = 0.5
     n_t: int = 200
     n_f: int = 30
     sampling_rate: float = 100.0
@@ -58,8 +70,6 @@ class SceneSpec:
     def validate(self):
         if not self.paths:
             raise SceneError("scene needs at least one path")
-        if self.rx_spacing <= 0 or self.tx_spacing <= 0:
-            raise SceneError("array spacing must be > 0")
         for p in self.paths:
             p.validate()
         return self
@@ -85,8 +95,8 @@ def simulate_cfr(scene: SceneSpec) -> D.ChannelRecording:
     f = scene.center_frequency + np.arange(scene.n_f) * (scene.bandwidth / scene.n_f)
     out = np.zeros((scene.n_t, n_rx, scene.n_tx, scene.n_f), dtype=np.complex128)
     for p in scene.paths:
-        a_r = steering_vector(n_rx, p.aoa, scene.rx_spacing)
-        a_t = steering_vector(scene.n_tx, p.aod, scene.tx_spacing)
+        a_r = steering_vector(n_rx, p.aoa, ARRAY_SPACING)
+        a_t = steering_vector(scene.n_tx, p.aod, ARRAY_SPACING)
         time_term = np.exp(2j * np.pi * p.doppler * t)  # (n_t,)
         freq_term = np.exp(-2j * np.pi * f * p.delay)  # (n_f,)
         out += (
@@ -131,14 +141,6 @@ class SynthTaskSpec:
     n_bands: int = 1
     n_devices: int = 1
     clips_per_cell: int = 111
-    class_doppler_bands: list = field(default_factory=lambda: [(4.0, 8.0), (14.0, 18.0), (24.0, 28.0)])
-    subject_scales: list = field(default_factory=lambda: [0.9, 1.1])
-    band_centers: list = field(default_factory=lambda: [5e9, 2.4e9])
-    device_gains: list = field(default_factory=lambda: [1.0, 0.6])
-    device_noise_stds: list = field(default_factory=lambda: [0.01, 0.02])
-    n_static_paths: int = 4
-    n_dynamic_paths: int = 2
-    dynamic_gain_range: tuple = (0.25, 0.6)
     sampling_rate: float = 100.0
     n_packets: int = 200
     n_f: int = 30
@@ -151,18 +153,16 @@ class SynthTaskSpec:
     def validate(self):
         if self.clips_per_cell < 1:
             raise SceneError("clips_per_cell must be >= 1")
-        if self.n_classes > len(self.class_doppler_bands):
+        if self.n_classes > len(CLASS_DOPPLER_BANDS):
             raise SceneError("need a Doppler band per class")
-        if self.n_subjects > len(self.subject_scales):
+        if self.n_subjects > len(SUBJECT_SCALES):
             raise SceneError("need a Doppler scale per subject")
-        if self.n_bands > len(self.band_centers):
+        if self.n_bands > len(BAND_CENTERS):
             raise SceneError("need a center frequency per band")
-        if self.n_devices > len(self.device_gains) or self.n_devices > len(self.device_noise_stds):
+        if self.n_devices > len(DEVICE_PROFILES):
             raise SceneError("need a gain/noise profile per device")
         nyquist = self.sampling_rate / 2.0
-        top = max(hi for _, hi in self.class_doppler_bands[: self.n_classes]) * max(
-            self.subject_scales[: self.n_subjects]
-        )
+        top = max(hi for _, hi in CLASS_DOPPLER_BANDS[: self.n_classes]) * max(SUBJECT_SCALES[: self.n_subjects])
         if top >= nyquist:
             raise SceneError(f"class Doppler {top} Hz exceeds Nyquist {nyquist} Hz")
         return self
@@ -180,7 +180,7 @@ def _environment_static_paths(spec: SynthTaskSpec, env: int) -> list:
     """Fixed per-environment multipath background (seeded, reused by every clip)."""
     rng = np.random.default_rng([spec.seed, 101, env])
     paths = []
-    for _ in range(spec.n_static_paths):
+    for _ in range(N_STATIC_PATHS):
         mag = rng.uniform(0.6, 1.4)
         phase = rng.uniform(0, 2 * np.pi)
         paths.append(
@@ -199,16 +199,16 @@ def scene_for_clip(spec: SynthTaskSpec, cell: tuple, clip_idx: int) -> tuple:
     """Build the per-clip SceneSpec and its label dict."""
     c, e, s, b, d = cell
     rng = np.random.default_rng([spec.seed, 202, c, e, s, b, d, clip_idx])
-    lo, hi = spec.class_doppler_bands[c]
-    scale = spec.subject_scales[s]
-    gain_mul = spec.device_gains[d]
+    lo, hi = CLASS_DOPPLER_BANDS[c]
+    scale = SUBJECT_SCALES[s]
+    gain_mul, noise_std = DEVICE_PROFILES[d]
     paths = [
         PathComponent(p.gain * gain_mul, p.delay, p.doppler, p.aoa, p.aod)
         for p in _environment_static_paths(spec, e)
     ]
     nu = rng.uniform(lo, hi) * scale
-    for k in range(spec.n_dynamic_paths):
-        mag = rng.uniform(*spec.dynamic_gain_range) * gain_mul
+    for k in range(N_DYNAMIC_PATHS):
+        mag = rng.uniform(*DYNAMIC_GAIN_RANGE) * gain_mul
         phase = rng.uniform(0, 2 * np.pi)
         sign = 1.0 if k % 2 == 0 else -1.0
         paths.append(
@@ -222,12 +222,12 @@ def scene_for_clip(spec: SynthTaskSpec, cell: tuple, clip_idx: int) -> tuple:
         )
     scene = SceneSpec(
         paths=paths,
-        noise_std=spec.device_noise_stds[d] * gain_mul,
+        noise_std=noise_std * gain_mul,
         n_t=spec.n_packets,
         n_f=spec.n_f,
         sampling_rate=spec.sampling_rate,
         bandwidth=spec.bandwidth,
-        center_frequency=spec.band_centers[b],
+        center_frequency=BAND_CENTERS[b],
         n_tx=spec.n_tx,
         n_recv=spec.n_recv,
         n_apr=spec.n_apr,

@@ -14,9 +14,11 @@ on the same root finds nothing left to do.
 
 The op set is deliberately small: exactly what a pre-norm transformer
 encoder/decoder with GELU FFNs, masked-token gathering, and MSE /
-cross-entropy losses needs.  The ops a block and the MAE loss are made
-of keep only what backward cannot cheaply recompute (Chen et al. 2016,
-arXiv:1604.06174; Korthikanti et al. 2022, arXiv:2205.05198):
+cross-entropy losses needs.  Every projection has a bias, so ``linear``
+always takes one, and every LayerNorm uses ``LAYER_NORM_EPS``.  The ops
+a block and the MAE loss are made of keep only what backward cannot
+cheaply recompute (Chen et al. 2016, arXiv:1604.06174; Korthikanti et
+al. 2022, arXiv:2205.05198):
 
 - ``attention_sublayer`` is a block's first half, x + proj(attention(
   qkv(LayerNorm(x)))), as one node.  Its closure keeps the LayerNorm's
@@ -64,6 +66,7 @@ import numpy as np
 _GELU_C0 = 0.7978845608028654  # sqrt(2/pi)
 _GELU_C1 = 0.044715
 LAYER_NORM_EPS = 1e-6
+GRAD_CHECK_STEP = 1e-5  # grad_check's relative central-difference step
 # Entries ``_row_square_sums`` squares at once: a 1 MiB float32 temporary,
 # no slower than squaring the desk head's whole 21 MB residual.
 _SQUARE_BLOCK_ELEMS = 1 << 18
@@ -520,12 +523,12 @@ def gelu(a: Tensor) -> Tensor:
     return _make(_gelu(x)[0], (a,), backward)
 
 
-def _ln_stats(x: np.ndarray, eps: float = LAYER_NORM_EPS) -> tuple:
-    """The (…, 1) mean and inverse standard deviation of ``x`` over its last axis."""
+def _ln_stats(x: np.ndarray) -> tuple:
+    """The (…, 1) mean and inverse standard deviation of ``x`` over its last axis, eps ``LAYER_NORM_EPS``."""
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     np.multiply(xc, xc, out=xc)
-    return mu, 1.0 / np.sqrt(xc.mean(axis=-1, keepdims=True) + eps)
+    return mu, 1.0 / np.sqrt(xc.mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
 
 
 def _ln_normalize(x: np.ndarray, mu: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -560,7 +563,7 @@ def _ln_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma: Tensor, b
     return gx
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis, then apply learnable scale and shift.
 
     The closure keeps the input and the (…, 1) mean and inverse standard
@@ -568,7 +571,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_E
     the forward's own operations, so its bits are the forward's.
     """
     x = a.data
-    mu, inv = _ln_stats(x, eps)
+    mu, inv = _ln_stats(x)
 
     def backward(g):
         gx = _ln_grads(g, _ln_normalize(x, mu, inv), inv, gamma, beta, a.requires_grad)
@@ -578,25 +581,24 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_E
     return _make(_ln_scale(_ln_normalize(x, mu, inv), gamma, beta), (a, gamma, beta), backward)
 
 
-def _affine(x2: np.ndarray, w: Tensor, b: Tensor | None) -> np.ndarray:
-    """x2 @ w (+ b) over 2-D rows: the forward GEMM of every projection."""
+def _affine(x2: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    """x2 @ w + b over 2-D rows: the forward GEMM of every projection."""
     y = x2 @ w.data
-    if b is not None:
-        y += b.data
+    y += b.data
     return y
 
 
-def _affine_grads(g2: np.ndarray, x2: np.ndarray, w: Tensor, b: Tensor | None, need_x: bool):
+def _affine_grads(g2: np.ndarray, x2: np.ndarray, w: Tensor, b: Tensor, need_x: bool):
     """Accumulate ``w``'s and ``b``'s gradients from the row gradient ``g2``; return x2's (fresh) if ``need_x``."""
     if w.requires_grad:
         w._accumulate(x2.T @ g2, fresh=True)
-    if b is not None and b.requires_grad:
+    if b.requires_grad:
         b._accumulate(g2.sum(axis=0), fresh=True)
     return g2 @ w.data.T if need_x else None
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b); w is (in, out), x is (..., in).
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b; w is (in, out), x is (..., in), b is (out,).
 
     The leading axes of ``x`` are flattened into one row axis, so the
     forward product and both backward products are each a single 2-D
@@ -605,7 +607,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(f"linear: x {x.data.shape} incompatible with w {w.data.shape}")
     n_in, n_out = w.data.shape
-    if b is not None and b.data.shape != (n_out,):
+    if b.data.shape != (n_out,):
         raise ShapeError(f"linear: bias {b.data.shape} does not match w {w.data.shape}")
     x2 = x.data.reshape(-1, n_in)
 
@@ -614,8 +616,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         if gx is not None:
             x._accumulate(gx.reshape(x.data.shape), fresh=True)
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(_affine(x2, w, b).reshape(*x.data.shape[:-1], n_out), parents, backward)
+    return _make(_affine(x2, w, b).reshape(*x.data.shape[:-1], n_out), (x, w, b), backward)
 
 
 def _ffn_forward(x2: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> tuple:
@@ -861,13 +862,14 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 # verification oracle
 
 
-def grad_check(f, inputs, h: float = 1e-5) -> float:
+def grad_check(f, inputs) -> float:
     """Compare reverse-mode gradients of ``f`` against central differences.
 
     ``f`` maps the given tensors to a scalar Tensor.  The reverse-mode
     gradient is taken at the tensors' own precision; the finite-difference
     reference always re-evaluates ``f`` on float64 copies, perturbing one
-    element at a time by ±h (scaled by the element magnitude).
+    element at a time by ±``GRAD_CHECK_STEP`` (scaled by the element
+    magnitude).
 
     Returns the max over input tensors of
     ``||g_ad - g_fd|| / max(||g_ad||, ||g_fd||, 1e-8)``.
@@ -892,7 +894,7 @@ def grad_check(f, inputs, h: float = 1e-5) -> float:
         fd = g_fd.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            step = h * max(1.0, abs(orig))
+            step = GRAD_CHECK_STEP * max(1.0, abs(orig))
             flat[i] = orig + step
             hi = float(f(*shadows).data)
             flat[i] = orig - step

@@ -2,14 +2,15 @@
 
 ``fit`` is the one loop every run goes through: MAE pretraining here and
 the supervised, linear-probe and fine-tune runs in ``evaluate``.  It
-runs AdamW under a cosine schedule with linear warmup and stops early on
-a validation slice.  Everything is seeded and
-single-threaded-deterministic: the validation split, the per-epoch
-shuffles and the per-clip mask plans all derive from the run seed, and
-validation masks are fixed across epochs so val losses compare like for
-like.  Each step's loss, lr and rejected flag go to the deterministic
-metrics stream; wall-clock timings and peak RSS go to a sidecar file so
-the metrics stream itself is bit-reproducible.
+runs AdamW (betas and eps fixed at ``ADAM_BETAS`` and ``ADAM_EPS``)
+under a cosine schedule with linear warmup and stops early on a
+validation slice.  Everything is seeded and single-threaded
+deterministic: the validation split, the per-epoch shuffles and the
+per-clip mask plans all derive from the run seed, and validation masks
+are fixed across epochs so val losses compare like for like.  Each
+step's loss, lr and rejected flag go to the deterministic metrics
+stream; wall-clock timings and peak RSS go to a sidecar file so the
+metrics stream itself is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -32,14 +33,16 @@ class TrainError(ValueError):
     pass
 
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class TrainConfig:
     peak_lr: float = 1e-4
     warmup_steps: int = 1000
     batch_size: int = 128
     weight_decay: float = 0.03
-    betas: tuple = (0.9, 0.999)
-    adam_eps: float = 1e-8
     early_stop_patience: int = 5
     max_epochs: int = 40
     seed: int = 0
@@ -71,7 +74,7 @@ def lr_at(step: int, config: TrainConfig, total_steps: int) -> float:
 
 
 def adamw_step(params: dict, grads: dict, state: dict, lr: float, config: TrainConfig) -> bool:
-    """One decoupled-weight-decay Adam update, in place.
+    """One decoupled-weight-decay Adam update (``ADAM_BETAS``, ``ADAM_EPS``), in place.
 
     Rejects the whole step (returns False) when any gradient is
     non-finite.  ``state`` holds per-name first/second moments plus the
@@ -84,7 +87,7 @@ def adamw_step(params: dict, grads: dict, state: dict, lr: float, config: TrainC
             return False
     state["t"] = state.get("t", 0) + 1
     t = state["t"]
-    b1, b2 = config.betas
+    b1, b2 = ADAM_BETAS
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     for name in names:
@@ -98,7 +101,7 @@ def adamw_step(params: dict, grads: dict, state: dict, lr: float, config: TrainC
         v += (1.0 - b2) * (g * g)
         if config.weight_decay:
             p -= lr * config.weight_decay * p
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + config.adam_eps)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return True
 
 

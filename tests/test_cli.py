@@ -526,6 +526,7 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         (["pretrain"], "{not json"),
         (["pretrain"], "missing"),
         (["eval-cross-domain", "--regimes", "lp,nope"], None),
+        (["eval-cross-domain", "--regimes", "supervised,supervised"], None),
         (["supervised", "--held-out", "env9"], None),
         (["supervised"], None),
         (["sweep", "--axis", "data_fraction", "--values", "[0.5, 1.0]", "--held-out", "env9"], None),
@@ -540,6 +541,9 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         (["eval-cross-domain", "--label-fraction", "nan"], None),
         (["sweep", "--axis", "mask_ratio", "--values", "[0.5, 0.75]", "--held-out", "env1", "--label-fraction", "1.5"],
          None),
+        (["sweep", "--axis", "mask_ratio", "--values", "[0.5, 0.5]", "--held-out", "env1"], None),
+        (["pretrain"], '{"train": {"betas": [0.9, 0.95]}}'),
+        (["synth-gen"], '{"task": {"band_centers": [6e9]}}'),
     ],
     ids=[
         "lr",
@@ -551,6 +555,7 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         "config-not-json",
         "config-missing",
         "regimes",
+        "regimes-repeated",
         "held-out",
         "held-out-missing",
         "sweep-held-out",
@@ -564,6 +569,9 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         "label-fraction-above-one",
         "cross-domain-label-fraction",
         "sweep-label-fraction",
+        "sweep-values-repeated",
+        "config-removed-train-field",
+        "config-removed-task-field",
     ],
 )
 def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, monkeypatch, argv, config):
@@ -571,7 +579,8 @@ def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, monkeyp
 
     trained = []
     monkeypatch.setattr(R, "fit", lambda *a, **kw: trained.append(a))
-    tail = ["--store", str(workdir / "gen" / "store"), "--out", str(tmp_path / "out")]
+    store = [] if argv[0] == "synth-gen" else ["--store", str(workdir / "gen" / "store")]
+    tail = store + ["--out", str(tmp_path / "out")]
     if config is not None:
         path = tmp_path / "cfg.json"
         if config != "missing":

@@ -155,17 +155,22 @@ def test_remainder_subcarriers_go_to_leading_blocks():
     assert H.channel_blocks(2049, 160e6)[0] == (0, 257)
 
 
+def flatten(win):
+    """``flatten_and_normalize`` with placeholder labels and provenance."""
+    return H.flatten_and_normalize(win, {}, D.Provenance("t", 0, 0, 0, 0))
+
+
 def test_flatten_degenerate_row_maps_to_zeros():
     win = np.random.default_rng(5).standard_normal((600, 3, 30)) + 2.0
     win[17] = 4.2
-    clip = H.flatten_and_normalize(win)
+    clip = flatten(win)
     assert (clip.data[17] == 0.0).all()
 
 
 def test_flatten_hand_zscore_values():
     win = np.zeros((600, 3, 30))
     win[:, 0, :], win[:, 1, :], win[:, 2, :] = 1.0, 2.0, 3.0
-    clip = H.flatten_and_normalize(win)
+    clip = flatten(win)
     z = np.sqrt(1.5)  # population std of {1,2,3} is sqrt(2/3)
     np.testing.assert_allclose(clip.data[0, :30], -z, atol=1e-6)
     np.testing.assert_allclose(clip.data[0, 30:60], 0.0, atol=1e-6)
@@ -176,7 +181,7 @@ def test_flatten_is_antenna_major():
     win = np.zeros((600, 3, 30))
     for a in range(3):
         win[:, a, :] = 100.0 * a + np.arange(30)
-    clip = H.flatten_and_normalize(win)
+    clip = flatten(win)
     # z-score is monotone per row, so column order must follow a*30+f
     assert (np.diff(clip.data[0]) > 0).all()
 
@@ -185,7 +190,7 @@ def test_flatten_rows_are_zero_mean_unit_std():
     rng = np.random.default_rng(6)
     for _ in range(20):
         win = rng.standard_normal((600, 3, 30)) * rng.uniform(0.1, 50) + rng.uniform(-5, 5)
-        clip = H.flatten_and_normalize(win)
+        clip = flatten(win)
         assert np.abs(clip.data.mean(axis=1)).max() < 1e-5
         assert np.abs(clip.data.std(axis=1) - 1.0).max() < 1e-5
 
@@ -194,7 +199,7 @@ def test_flatten_rejects_nulls():
     win = np.ones((600, 3, 30))
     win[0, 0, 0] = np.nan
     with pytest.raises(H.HarmonizeError, match="null"):
-        H.flatten_and_normalize(win)
+        flatten(win)
 
 
 def test_end_to_end_clip_count_and_provenance():

@@ -37,7 +37,7 @@ def tiny_cfg(**kw):
 
 def full_plan(n_patches):
     """No-mask plan: every patch visible."""
-    return M.MaskPlan(n_patches=n_patches, visible_idx=np.arange(n_patches), masked_idx=np.empty(0, dtype=int))
+    return M.MaskPlan(visible_idx=np.arange(n_patches), masked_idx=np.empty(0, dtype=int))
 
 
 def unpatchify(tokens, patch_time, patch_freq, t_len, c_len):
@@ -102,7 +102,7 @@ def test_sample_mask_is_a_partition_with_floor_ratio_masked(n_patches, ratio, se
         with pytest.raises(M.ModelError, match="degenerate"):
             M.sample_mask(n_patches, ratio, seed)
         return
-    plan = M.sample_mask(n_patches, ratio, seed).validate()
+    plan = M.sample_mask(n_patches, ratio, seed)
     assert len(plan.masked_idx) == n_masked and len(plan.visible_idx) == n_patches - n_masked
     merged = np.concatenate([plan.visible_idx, plan.masked_idx])
     assert np.array_equal(np.sort(merged), np.arange(n_patches))
@@ -111,7 +111,6 @@ def test_sample_mask_is_a_partition_with_floor_ratio_masked(n_patches, ratio, se
 def test_sample_mask_counts_and_determinism():
     plan = M.sample_mask(600, 0.8, 7)
     assert len(plan.masked_idx) == 480 and len(plan.visible_idx) == 120
-    plan.validate()
     again = M.sample_mask(600, 0.8, 7)
     np.testing.assert_array_equal(plan.masked_idx, again.masked_idx)
     np.testing.assert_array_equal(plan.visible_idx, again.visible_idx)
@@ -196,9 +195,9 @@ def test_decode_output_shape():
     model = M.MaskedAutoencoder(cfg, seed=9)
     plans = plans_for(cfg, 3)
     patches = np.random.default_rng(10).standard_normal((3, 6, 4)).astype(np.float32)
-    vis = M._batch_indices(plans, "visible_idx")
+    vis, masked = M._batch_indices(plans, "visible_idx"), M._batch_indices(plans, "masked_idx")
     latent = model.encode(T.Tensor(patches[np.arange(3)[:, None], vis]), vis)
-    out = model.decode(latent, plans)
+    out = model.decode(latent, vis, masked)
     assert out.shape == (3, 1 + cfg.n_patches, cfg.dec_dim)
 
 
@@ -207,9 +206,9 @@ def test_masked_positions_differ_by_positional_embedding_only():
     model = M.MaskedAutoencoder(cfg, seed=11)
     plans = plans_for(cfg, 1, seed=12)
     patches = np.random.default_rng(13).standard_normal((1, 6, 4)).astype(np.float32)
-    vis = M._batch_indices(plans, "visible_idx")
+    vis, masked = M._batch_indices(plans, "visible_idx"), M._batch_indices(plans, "masked_idx")
     latent = model.encode(T.Tensor(patches[:, plans[0].visible_idx]), vis)
-    tokens = model._decoder_tokens(latent, plans).data  # (1, 1+N_p, dec_dim)
+    tokens = model._decoder_tokens(latent, vis, masked).data  # (1, 1+N_p, dec_dim)
     pos = model.params["dec.pos"].data
     m = plans[0].masked_idx
     i, j = int(m[0]), int(m[1])

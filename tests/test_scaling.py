@@ -203,6 +203,9 @@ def test_sweep_spec_validation():
         L.SweepSpec(axis="mask_ratio", values=[0.8]).validate()
     with pytest.raises(L.SweepError, match="fractions"):
         L.SweepSpec(axis="data_fraction", values=[0.5, 1.5]).validate()
+    for axis, values in (("mask_ratio", [0.5, 0.5]), ("patch_size", [[150, 18], [150, 18]])):
+        with pytest.raises(L.SweepError, match="repeat"):
+            L.SweepSpec(axis=axis, values=values).validate()
     for seeds in ([], ["a"], [0, 0], [1.5], [True]):
         with pytest.raises(L.SweepError, match="distinct integer seeds"):
             L.SweepSpec(axis="mask_ratio", values=[0.5, 0.8], seeds=seeds).validate()

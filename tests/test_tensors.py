@@ -79,7 +79,7 @@ def test_shape_mismatch_raises_named_error():
     with pytest.raises(T.ShapeError, match="matmul"):
         T.matmul(a, b)
     with pytest.raises(T.ShapeError, match="linear"):
-        T.linear(a, t64(np.ones(3)))
+        T.linear(a, t64(np.ones(3)), t64(np.ones(3)))
     with pytest.raises(T.ShapeError, match="bias"):
         T.linear(a, t64(np.ones((3, 4))), t64(np.ones((1, 4))))
 

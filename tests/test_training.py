@@ -202,7 +202,7 @@ def test_adamw_updates_moments_in_place_with_the_allocating_update_bits():
     params, state = {"p": T.Tensor(p0.copy(), requires_grad=True)}, {}
     # reference: the same update with freshly allocated moments every step
     p, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
-    b1, b2 = cfg.betas
+    b1, b2 = R.ADAM_BETAS
     for t, g in enumerate(grads, start=1):
         assert R.adamw_step(params, {"p": g}, state, 1e-3, cfg)
         if t == 1:
@@ -210,7 +210,7 @@ def test_adamw_updates_moments_in_place_with_the_allocating_update_bits():
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * (g * g)
         p -= 1e-3 * cfg.weight_decay * p
-        p -= 1e-3 * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + cfg.adam_eps)
+        p -= 1e-3 * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + R.ADAM_EPS)
         assert params["p"].data.tobytes() == p.tobytes()
     assert state["p"]["m"] is moments[0] and state["p"]["v"] is moments[1]
     assert state["p"]["m"].tobytes() == m.tobytes() and state["p"]["v"].tobytes() == v.tobytes()
