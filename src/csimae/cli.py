@@ -1,16 +1,18 @@
 """Command-line entry point.
 
-Every run builds its configs on one path. A config field takes, from
-lowest to highest precedence: the dataclass default, the command
-default, the config file's section, and the flag whose argparse dest
-names the field. The command defaults are the downstream runs' batch
-size of 32 (finetune, probe, supervised, eval-cross-domain, sweep) and
-the leave-one-domain-out split protocol, so a file's train.batch_size
-beats the 32; the downstream runs train at the train.batch_size that
-resolved_config.json records. The pretrain section of
-eval-cross-domain and sweep falls back to the file's train section and
-takes no flags. Every result command scores its folds through
-evaluate.run_fold; finetune and probe take the encoder from --checkpoint.
+Every run builds its configs on one path. COMMAND_SECTIONS declares the
+config sections each command builds, and a command takes --config and
+the flags of those sections only. A config field takes, from lowest to
+highest precedence: the dataclass default, the command default, the
+config file's section, and the flag whose argparse dest names the
+field. The command defaults are the downstream runs' batch size of 32
+(finetune, probe, supervised, eval-cross-domain, sweep) and the
+leave-one-domain-out split protocol, so a file's train.batch_size beats
+the 32. The pretrain section falls back to the file's train section and
+takes no flags. finetune and probe build no model section: the encoder
+and its config come from the required --checkpoint. One config file can
+serve the whole pipeline, as a command leaves unread the sections it
+does not build; a section that no command builds is a config error.
 
 resolved_config.json holds every config the command built, and its
 flags. With a checksum of everything the run produced, a run directory
@@ -99,15 +101,30 @@ def _build(cls, section: dict, args=None, default: dict | None = None):
         raise CliError(f"invalid {cls.__name__}: {e}") from e
 
 
+# the config sections each command builds; build_parser gives a command
+# --config and the flags of these sections only
+COMMAND_SECTIONS = {
+    "synth-gen": ("task", "harmonize", "qc"),
+    "ingest": (),
+    "clean": ("harmonize", "qc"),
+    "harmonize": ("harmonize", "qc"),
+    "pretrain": ("model", "train"),
+    "finetune": ("train", "split"),
+    "probe": ("train", "split"),
+    "supervised": ("model", "train", "split"),
+    "eval-cross-domain": ("model", "train", "pretrain"),
+    "sweep": ("model", "train", "pretrain", "split"),
+}
+
 # command defaults of the downstream runs: below the config file, unlike flags
 DOWNSTREAM_DEFAULTS = {"train": {"batch_size": 32}, "split": {"protocol": "leave_one_domain_out"}}
 
 
-def _configs(args, *names, defaults: dict | None = None) -> dict:
-    """Build each named config section from ``--config`` and the flags.
+def _configs(args, defaults: dict | None = None) -> dict:
+    """Build the config sections ``args.command`` declares from ``--config`` and the flags.
 
-    The ``pretrain`` section falls back to the file's ``train`` section
-    and takes no flags.
+    A file section that no command builds is an error. The ``pretrain``
+    section falls back to the file's ``train`` section and takes no flags.
     """
     from . import data as D
     from . import harmonize as H
@@ -125,12 +142,15 @@ def _configs(args, *names, defaults: dict | None = None) -> dict:
         "split": D.SplitSpec,
     }
     sections = _load_sections(args.config)
+    unknown = sorted(set(sections) - set(classes) - {"pretrain"})
+    if unknown:
+        raise CliError(f"unknown config sections: {', '.join(unknown)}")
     defaults = defaults or {}
     return {
         name: _build(R.TrainConfig, sections.get("pretrain", sections.get("train", {})))
         if name == "pretrain"
         else _build(classes[name], sections.get(name, {}), args, defaults.get(name))
-        for name in names
+        for name in COMMAND_SECTIONS[args.command]
     }
 
 
@@ -193,31 +213,54 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _add_model_flags(p):
-    p.add_argument("--variant", choices=["tiny", "small", "base", "large", "custom"])
-    p.add_argument("--patch-time", type=int, dest="patch_time")
-    p.add_argument("--patch-freq", type=int, dest="patch_freq")
-    p.add_argument("--mask-ratio", type=float, dest="mask_ratio")
-    p.add_argument("--dec-layers", type=int, dest="dec_layers")
-    p.add_argument("--dec-dim", type=int, dest="dec_dim")
-    p.add_argument("--dec-heads", type=int, dest="dec_heads")
+def _add_section_flags(p, section: str):
+    """The flags of one config section; each dest names the field it sets. pretrain has none."""
+    if section == "task":
+        p.add_argument("--seed", type=int)
+        p.add_argument("--classes", type=int, dest="n_classes")
+        p.add_argument("--environments", type=int, dest="n_environments")
+        p.add_argument("--subjects", type=int, dest="n_subjects")
+        p.add_argument("--clips-per-cell", type=int, dest="clips_per_cell")
+    elif section == "harmonize":
+        p.add_argument("--window-seconds", type=float, dest="window_seconds")
+        p.add_argument("--stride-seconds", type=float, dest="stride_seconds")
+    elif section == "qc":
+        p.add_argument("--max-missing-fraction", type=float, dest="max_missing_fraction")
+        p.add_argument("--outlier-k", type=float, dest="outlier_k")
+    elif section == "model":
+        p.add_argument("--variant", choices=["tiny", "small", "base", "large", "custom"])
+        p.add_argument("--patch-time", type=int, dest="patch_time")
+        p.add_argument("--patch-freq", type=int, dest="patch_freq")
+        p.add_argument("--mask-ratio", type=float, dest="mask_ratio")
+        p.add_argument("--dec-layers", type=int, dest="dec_layers")
+        p.add_argument("--dec-dim", type=int, dest="dec_dim")
+        p.add_argument("--dec-heads", type=int, dest="dec_heads")
+    elif section == "train":
+        p.add_argument("--lr", type=float, dest="peak_lr")
+        p.add_argument("--warmup-steps", type=int, dest="warmup_steps")
+        p.add_argument("--batch-size", type=int, dest="batch_size")
+        p.add_argument("--weight-decay", type=float, dest="weight_decay")
+        p.add_argument("--max-epochs", type=int, dest="max_epochs")
+        p.add_argument("--patience", type=int, dest="early_stop_patience")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--val-fraction", type=float, dest="val_fraction")
+    elif section == "split":
+        p.add_argument("--protocol")
+        p.add_argument("--domain-key", dest="domain_key")
+        p.add_argument("--held-out", dest="held_out_value")
 
 
-def _add_train_flags(p):
-    p.add_argument("--lr", type=float, dest="peak_lr")
-    p.add_argument("--warmup-steps", type=int, dest="warmup_steps")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--patience", type=int, dest="early_stop_patience")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--val-fraction", type=float, dest="val_fraction")
-
-
-def _add_common(p):
+def _add_command(sub, name: str, func, **kw):
+    """A run command: --out, --threads, and --config plus the flags of each section it builds."""
+    p = sub.add_parser(name, **kw)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.add_argument("--threads", help="BLAS/OpenMP thread cap")
+    if COMMAND_SECTIONS[name]:
+        p.add_argument("--config")
+    for section in COMMAND_SECTIONS[name]:
+        _add_section_flags(p, section)
+    p.set_defaults(func=func)
+    return p
 
 
 # ---------------------------------------------------------------------
@@ -227,7 +270,7 @@ def _add_common(p):
 def cmd_synth_gen(args):
     from . import synth as S
 
-    cfg = _configs(args, "task", "harmonize", "qc")
+    cfg = _configs(args)
     out = _out_dir(args.out)
     manifest = S.generate_task(cfg["task"], out / "store", cfg["harmonize"], cfg["qc"], dataset_name=args.name)
     _persist_run(out, "synth-gen", cfg, args)
@@ -238,6 +281,9 @@ def cmd_synth_gen(args):
 def cmd_ingest(args):
     from . import data as D
 
+    repeated = sorted(name for name, n in Counter(Path(p).name for p in args.recordings).items() if n > 1)
+    if repeated:
+        raise CliError(f"recordings share a file name, and each is copied under its name: {', '.join(repeated)}")
     out = _out_dir(args.out)
     rec_dir = out / "recordings"
     rec_dir.mkdir()
@@ -267,7 +313,7 @@ def cmd_clean(args):
     from . import harmonize as H
     from . import qc as Q
 
-    cfg = _configs(args, "qc", "harmonize")
+    cfg = _configs(args)
     out = _out_dir(args.out)
     reports = [H.qc_recording(D.load_recording(p), cfg["harmonize"], cfg["qc"]) for p in args.recordings or []]
     if reports:
@@ -288,7 +334,7 @@ def cmd_harmonize(args):
     from . import harmonize as H
     from . import qc as Q
 
-    cfg = _configs(args, "harmonize", "qc")
+    cfg = _configs(args)
     out = _out_dir(args.out)
     clips, reports = [], []
     for path in args.recordings:
@@ -307,7 +353,7 @@ def cmd_harmonize(args):
 def cmd_pretrain(args):
     from . import training as R
 
-    cfg = _configs(args, "model", "train")
+    cfg = _configs(args)
     manifest = _load_store(args.store, args.manifest)
     out = _out_dir(args.out)
     result = R.pretrain(manifest, args.store, cfg["model"], cfg["train"], run_dir=out)
@@ -321,16 +367,13 @@ def _run_downstream(args, regime: str):
     from . import checkpoint as C
     from . import evaluate as E
 
-    pretrained = regime in ("ft", "lp")
-    cfg = _configs(args, "train", "split", *(() if pretrained else ("model",)), defaults=DOWNSTREAM_DEFAULTS)
-    if pretrained and not args.checkpoint:
-        raise CliError(f"regime {regime} requires --checkpoint")
+    cfg = _configs(args, DOWNSTREAM_DEFAULTS)
     split = cfg["split"]
     manifest = _load_store(args.store, args.manifest)
     if split.protocol == "leave_one_domain_out":
         _check_held_out(manifest, split.domain_key, split.held_out_value)
     params = None
-    if pretrained:
+    if regime != "supervised":
         params, cfg["model"], _ = C.load_checkpoint(args.checkpoint)
     out = _out_dir(args.out)
     (result,), _ = E.run_fold(
@@ -351,7 +394,7 @@ def cmd_eval_cross_domain(args):
         raise CliError(f"unknown regimes {', '.join(unknown)}; choose from {', '.join(E.REGIMES)}")
     if len(set(regimes)) != len(regimes):
         raise CliError(f"regimes repeat: {args.regimes}")
-    cfg = _configs(args, "model", "train", "pretrain", defaults=DOWNSTREAM_DEFAULTS)
+    cfg = _configs(args, DOWNSTREAM_DEFAULTS)
     manifest = _load_store(args.store, args.manifest)
     _check_held_out(manifest, args.domain_key, None)
     out = _out_dir(args.out)
@@ -380,15 +423,18 @@ def cmd_eval_cross_domain(args):
 def cmd_sweep(args):
     from . import scaling as L
 
-    cfg = _configs(args, "model", "train", "pretrain", defaults=DOWNSTREAM_DEFAULTS)
-    spec = _build(L.SweepSpec, {}, args)
+    cfg = _configs(args, DOWNSTREAM_DEFAULTS)
+    if args.seed is not None and args.seeds is not None:
+        raise CliError("--seed and --seeds both set the sweep's training seeds; give one of them")
+    spec = _build(L.SweepSpec, {}, args, {"seeds": [cfg["train"].seed]})
+    split = cfg["split"]
     manifest = _load_store(args.store, args.manifest)
-    _check_held_out(manifest, args.domain_key, args.held_out_value)
+    if split.protocol == "leave_one_domain_out":
+        _check_held_out(manifest, split.domain_key, split.held_out_value)
     ctx = L.SweepContext(
         store_dir=args.store,
         manifest=manifest,
-        domain_key=args.domain_key,
-        held_out_value=args.held_out_value,
+        split=split,
         model_cfg=cfg["model"],
         pretrain_cfg=cfg["pretrain"],
         train_cfg=cfg["train"],
@@ -471,83 +517,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="csimae", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth-gen", help="generate a labeled synthetic dataset")
-    _add_common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--classes", type=int, dest="n_classes")
-    p.add_argument("--environments", type=int, dest="n_environments")
-    p.add_argument("--subjects", type=int, dest="n_subjects")
-    p.add_argument("--clips-per-cell", type=int, dest="clips_per_cell")
+    p = _add_command(sub, "synth-gen", cmd_synth_gen, help="generate a labeled synthetic dataset")
     p.add_argument("--name", default="synth")
-    p.set_defaults(func=cmd_synth_gen)
 
-    p = sub.add_parser("ingest", help="validate and catalog recording files")
-    _add_common(p)
+    p = _add_command(sub, "ingest", cmd_ingest, help="validate and catalog recording files")
     p.add_argument("--recordings", nargs="+", required=True)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("clean", help="QC-report recordings and/or apply a blocklist")
-    _add_common(p)
+    p = _add_command(sub, "clean", cmd_clean, help="QC-report recordings and/or apply a blocklist")
     p.add_argument("--recordings", nargs="*")
     p.add_argument("--store")
     p.add_argument("--blocklist", nargs="*")
-    p.add_argument("--max-missing-fraction", type=float, dest="max_missing_fraction")
-    p.add_argument("--outlier-k", type=float, dest="outlier_k")
-    p.set_defaults(func=cmd_clean)
 
-    p = sub.add_parser("harmonize", help="recordings -> canonical clip store")
-    _add_common(p)
+    p = _add_command(sub, "harmonize", cmd_harmonize, help="recordings -> canonical clip store")
     p.add_argument("--recordings", nargs="+", required=True)
-    p.add_argument("--window-seconds", type=float, dest="window_seconds")
-    p.add_argument("--stride-seconds", type=float, dest="stride_seconds")
-    p.set_defaults(func=cmd_harmonize)
 
-    p = sub.add_parser("pretrain", help="masked-reconstruction pretraining")
-    _add_common(p)
+    p = _add_command(sub, "pretrain", cmd_pretrain, help="masked-reconstruction pretraining")
     p.add_argument("--store", required=True)
     p.add_argument("--manifest")
-    _add_model_flags(p)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_pretrain)
 
     for regime, name in (("ft", "finetune"), ("lp", "probe"), ("supervised", "supervised")):
-        p = sub.add_parser(name, help=f"{regime} downstream evaluation")
-        _add_common(p)
+        p = _add_command(sub, name, lambda a, r=regime: _run_downstream(a, r), help=f"{regime} downstream evaluation")
         p.add_argument("--store", required=True)
         p.add_argument("--manifest")
-        p.add_argument("--checkpoint")
-        p.add_argument("--protocol")
-        p.add_argument("--domain-key", dest="domain_key")
-        p.add_argument("--held-out", dest="held_out_value")
+        if regime != "supervised":
+            p.add_argument("--checkpoint", required=True)
         p.add_argument("--label-fraction", type=_fraction, dest="label_fraction", default=1.0)
-        _add_model_flags(p)
-        _add_train_flags(p)
-        p.set_defaults(func=lambda a, r=regime: _run_downstream(a, r))
 
-    p = sub.add_parser("eval-cross-domain", help="leave-one-domain-out folds, all regimes")
-    _add_common(p)
+    p = _add_command(sub, "eval-cross-domain", cmd_eval_cross_domain, help="leave-one-domain-out folds, all regimes")
     p.add_argument("--store", required=True)
     p.add_argument("--manifest")
     p.add_argument("--domain-key", dest="domain_key", default="environment")
     p.add_argument("--regimes", default="supervised,lp,ft")
     p.add_argument("--label-fraction", type=_fraction, dest="label_fraction", default=1.0)
-    _add_model_flags(p)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_eval_cross_domain)
 
-    p = sub.add_parser("sweep", help="scaling/ablation sweeps")
-    _add_common(p)
+    p = _add_command(sub, "sweep", cmd_sweep, help="scaling/ablation sweeps")
     p.add_argument("--store", required=True)
     p.add_argument("--manifest")
     p.add_argument("--axis", required=True)
     p.add_argument("--values", type=_json_list, required=True, help="JSON list")
-    p.add_argument("--seeds", type=_json_list, default="[0]", help="JSON list")
-    p.add_argument("--domain-key", dest="domain_key", default="environment")
-    p.add_argument("--held-out", dest="held_out_value", required=True)
+    p.add_argument("--seeds", type=_json_list, help="JSON list; default [train seed]")
     p.add_argument("--label-fraction", type=_fraction, dest="label_fraction", default=1.0)
-    _add_model_flags(p)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="aggregate a run directory into a table")
     p.add_argument("--run-dir", dest="run_dir", required=True)

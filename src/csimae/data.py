@@ -241,6 +241,8 @@ class SplitSpec:
             raise SplitError(f"domain_key must be one of {LABEL_KINDS[1:]}, got {self.domain_key!r}")
         if self.protocol == "leave_one_domain_out" and self.held_out_value is None:
             raise SplitError("leave_one_domain_out needs a held_out_value")
+        if self.protocol == "in_domain_8020" and self.held_out_value is not None:
+            raise SplitError(f"in_domain_8020 holds out no domain, got held_out_value {self.held_out_value!r}")
         return self
 
 

@@ -1,8 +1,8 @@
 """Scaling studies: data-fraction / capacity / masking / patch sweeps,
 log-linear fits, and analytic FLOPs estimates.
 
-Each sweep cell is one ``evaluate.run_fold`` on the same held-out
-split: it pretrains on a pool drawn from the fold's training clips,
+Each sweep cell is one ``evaluate.run_fold`` on the same split, the
+context's: it pretrains on a pool drawn from the split's training clips,
 fine-tunes, and scores the one test set whose hash every row records.
 Data-fraction pools are nested per seed so scale effects are not
 confounded with sample luck.
@@ -57,8 +57,7 @@ class SweepContext:
 
     store_dir: str
     manifest: D.DatasetManifest
-    domain_key: str
-    held_out_value: str
+    split: D.SplitSpec
     model_cfg: M.ModelConfig
     pretrain_cfg: R.TrainConfig
     train_cfg: R.TrainConfig
@@ -154,37 +153,36 @@ def _cell_model_cfg(ctx: SweepContext, axis: str, value) -> M.ModelConfig:
 
 
 def sweep_cells(spec: SweepSpec, ctx: SweepContext) -> tuple:
-    """(held-out split, its test ids, each cell's (value, seed, model config, pool ids) in row order).
+    """(``ctx.split``'s test ids, each cell's (value, seed, model config, pool ids) in row order).
 
-    The pretraining pool is the fold's training ids, or their
+    The pretraining pool is the split's training ids, or their
     ``nested_subset`` on the data_fraction axis.  A value that makes no
     valid model config or pool raises; nothing trains.
     """
     spec.validate()
-    split = D.SplitSpec("leave_one_domain_out", ctx.domain_key, ctx.held_out_value)
-    train_ids, test_ids = D.make_split(ctx.manifest, split)
+    train_ids, test_ids = D.make_split(ctx.manifest, ctx.split)
     cells = []
     for value in spec.values:
         model_cfg = _cell_model_cfg(ctx, spec.axis, value)
         for seed in spec.seeds:
             pool = nested_subset(train_ids, float(value), seed) if spec.axis == "data_fraction" else train_ids
             cells.append((value, seed, model_cfg, pool))
-    return split, test_ids, cells
+    return test_ids, cells
 
 
 def run_sweep(spec: SweepSpec, ctx: SweepContext) -> list:
     """Grid of (value x seed) cells -> result rows, one ``evaluate.run_fold`` per cell.
 
     Each cell pretrains on its pool, fine-tunes on its seed's labeled
-    budget and scores the shared held-out test set.
+    budget and scores the split's one test set.
     """
-    split, test_ids, cells = sweep_cells(spec, ctx)
+    test_ids, cells = sweep_cells(spec, ctx)
     shared_hash = test_set_hash(test_ids)
     rows = []
     for value, seed, model_cfg, pool in cells:
         tcfg, pcfg = replace(ctx.train_cfg, seed=seed), replace(ctx.pretrain_cfg, seed=seed)
         (result,), pretrained = E.run_fold(
-            ctx.manifest, ctx.store_dir, split, ["ft"], model_cfg, tcfg, ctx.label_fraction, pcfg, pool=pool
+            ctx.manifest, ctx.store_dir, ctx.split, ["ft"], model_cfg, tcfg, ctx.label_fraction, pcfg, pool=pool
         )
         rows.append(
             {

@@ -1,5 +1,7 @@
 """CLI wiring: run directories, config precedence, determinism, exit codes."""
 
+import argparse
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -544,6 +546,14 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         (["sweep", "--axis", "mask_ratio", "--values", "[0.5, 0.5]", "--held-out", "env1"], None),
         (["pretrain"], '{"train": {"betas": [0.9, 0.95]}}'),
         (["synth-gen"], '{"task": {"band_centers": [6e9]}}'),
+        (["supervised", "--held-out", "env1"], '{"trian": {"batch_size": 4}}'),
+        (["supervised", "--held-out", "env1", "--checkpoint", "/nonexistent.ckpt"], None),
+        (["ingest", "--recordings", "rec.csir"], "{}"),
+        (["ingest", "--recordings", "a/rec.csir", "b/rec.csir"], None),
+        (["finetune", "--checkpoint", "pt.ckpt", "--held-out", "env1", "--variant", "base"], None),
+        (["supervised", "--protocol", "in_domain_8020", "--held-out", "env9"], None),
+        (["sweep", "--axis", "mask_ratio", "--values", "[0.5, 0.75]", "--held-out", "env1", "--seed", "5",
+          "--seeds", "[0, 1]"], None),
     ],
     ids=[
         "lr",
@@ -572,6 +582,13 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         "sweep-values-repeated",
         "config-removed-train-field",
         "config-removed-task-field",
+        "config-misspelled-section",
+        "supervised-checkpoint",
+        "ingest-config",
+        "ingest-same-file-name",
+        "finetune-model-flag",
+        "in-domain-held-out",
+        "sweep-seed-and-seeds",
     ],
 )
 def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, monkeypatch, argv, config):
@@ -579,7 +596,7 @@ def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, monkeyp
 
     trained = []
     monkeypatch.setattr(R, "fit", lambda *a, **kw: trained.append(a))
-    store = [] if argv[0] == "synth-gen" else ["--store", str(workdir / "gen" / "store")]
+    store = [] if argv[0] in ("synth-gen", "ingest") else ["--store", str(workdir / "gen" / "store")]
     tail = store + ["--out", str(tmp_path / "out")]
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -607,10 +624,96 @@ def test_flags_set_the_fields_their_dest_names(workdir, tmp_path):
     sections = {"model": MICRO_MODEL, "train": MICRO_TRAIN, "split": {"protocol": "in_domain_8020"}}
     cfg.write_text(json.dumps({"sections": sections}))
     argv = ["supervised", "--store", str(workdir / "gen" / "store"), "--config", str(cfg), "--out", str(tmp_path / "sup")]
-    argv += ["--held-out", "env1", "--seed", "5", "--lr", "2e-3", "--patience", "3"]
+    argv += ["--seed", "5", "--lr", "2e-3", "--patience", "3"]
     assert cli.main(argv) == 0
     resolved = json.loads((tmp_path / "sup" / "resolved_config.json").read_text())
     train, split = resolved["sections"]["train"], resolved["sections"]["split"]
     assert (train["peak_lr"], train["early_stop_patience"], train["seed"]) == (2e-3, 3, 5)
-    assert split == {"protocol": "in_domain_8020", "domain_key": "environment", "held_out_value": "env1", "seed": 5}
-    assert "func" not in resolved["args"] and resolved["args"]["held_out_value"] == "env1"
+    assert split == {"protocol": "in_domain_8020", "domain_key": "environment", "held_out_value": None, "seed": 5}
+    assert "func" not in resolved["args"] and resolved["args"]["seed"] == 5
+
+
+# a valid value, other than the field's default, for every flag whose dest names a config field
+FLAG_VALUES = {
+    "seed": "5",
+    "n_classes": "2",
+    "n_environments": "4",
+    "n_subjects": "1",
+    "clips_per_cell": "7",
+    "window_seconds": "3.0",
+    "stride_seconds": "0.5",
+    "max_missing_fraction": "0.2",
+    "outlier_k": "3.0",
+    "variant": "tiny",
+    "patch_time": "50",
+    "patch_freq": "9",
+    "mask_ratio": "0.5",
+    "dec_layers": "2",
+    "dec_dim": "64",
+    "dec_heads": "4",
+    "peak_lr": "0.001",
+    "warmup_steps": "7",
+    "batch_size": "8",
+    "weight_decay": "0.1",
+    "max_epochs": "3",
+    "early_stop_patience": "2",
+    "val_fraction": "0.1",
+    "protocol": "in_domain_8020",
+    "domain_key": "subject",
+    "held_out_value": "env1",
+}
+REQUIRED_VALUES = {"--axis": "mask_ratio", "--values": "[0.5, 0.75]"}
+# command flags that name a config field but set no section: eval-cross-domain scores every
+# value of its domain key, so it builds no split; grad-check seeds its fixed tiny model
+COMMAND_FLAGS = {("eval-cross-domain", "domain_key"), ("grad-check", "seed")}
+
+
+def _section_flag_cases():
+    from csimae import harmonize as H
+    from csimae import mae as M
+    from csimae import qc as Q
+    from csimae import training as R
+
+    classes = (S.SynthTaskSpec, H.HarmonizeConfig, Q.QcConfig, M.ModelConfig, R.TrainConfig, D.SplitSpec)
+    fields = {f.name for cls in classes for f in dataclasses.fields(cls)}
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        required = [a.option_strings[0] for a in parser._actions if a.required]
+        required = [x for flag in required for x in (flag, REQUIRED_VALUES.get(flag, "x"))]
+        for action in parser._actions:
+            if action.dest in fields and (command, action.dest) not in COMMAND_FLAGS:
+                yield pytest.param(command, required, action, id=f"{command}{action.option_strings[0]}")
+
+
+@pytest.mark.parametrize("command, required, action", list(_section_flag_cases()))
+def test_every_section_flag_reaches_its_config(command, required, action):
+    argv = [command] + required + [action.option_strings[0], FLAG_VALUES[action.dest]]
+    if "split" in cli.COMMAND_SECTIONS[command] and action.dest not in ("protocol", "held_out_value"):
+        argv += ["--held-out", "env1"]  # leave-one-domain-out, the downstream default, needs one
+    args = cli.build_parser().parse_args(argv)
+    configs = cli._configs(args, cli.DOWNSTREAM_DEFAULTS)
+    configs.pop("pretrain", None)  # takes no flags
+    carriers = [c for c in configs.values() if action.dest in {f.name for f in dataclasses.fields(c)}]
+    assert carriers, f"{command} accepts {action.option_strings[0]} but builds no config with {action.dest}"
+    assert all(getattr(c, action.dest) == getattr(args, action.dest) for c in carriers)
+
+
+def test_sweep_trains_at_the_train_seed_it_records(workdir, tmp_path, monkeypatch):
+    from types import SimpleNamespace
+
+    from csimae import scaling as L
+
+    seeds = []
+
+    def fake_run_fold(manifest, store, split, regimes, model_cfg, train_cfg, label_fraction, pretrain_cfg, pool):
+        seeds.append((train_cfg.seed, pretrain_cfg.seed))
+        return (SimpleNamespace(accuracy=0.5, n_test=16),), SimpleNamespace(best_value=1.0)
+
+    monkeypatch.setattr(L.E, "run_fold", fake_run_fold)
+    argv = ["sweep", "--store", str(workdir / "gen" / "store"), "--config", str(workdir / "micro.json")]
+    argv += ["--axis", "mask_ratio", "--values", "[0.5, 0.75]", "--held-out", "env1", "--seed", "5"]
+    assert cli.main(argv + ["--out", str(tmp_path / "sw")]) == 0
+    assert seeds == [(5, 5), (5, 5)]
+    assert json.loads((tmp_path / "sw" / "resolved_config.json").read_text())["sections"]["train"]["seed"] == 5
+    rows = [json.loads(line) for line in (tmp_path / "sw" / "rows.jsonl").read_text().splitlines()]
+    assert [r["seed"] for r in rows] == [5, 5]

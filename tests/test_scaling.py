@@ -158,8 +158,7 @@ def micro_ctx(tmp_path, **kw):
     defaults = dict(
         store_dir=str(tmp_path / "store"),
         manifest=manifest,
-        domain_key="environment",
-        held_out_value="env1",
+        split=D.SplitSpec("leave_one_domain_out", "environment", "env1"),
         model_cfg=model_cfg,
         pretrain_cfg=tcfg,
         train_cfg=tcfg,
