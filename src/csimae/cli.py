@@ -14,6 +14,13 @@ and its config come from the required --checkpoint. One config file can
 serve the whole pipeline, as a command leaves unread the sections it
 does not build; a section that no command builds is a config error.
 
+The commands that read a clip store are declared once, in
+STORE_COMMANDS, and take --store and --manifest (read in place of the
+store's own manifest). _open_store has ``data`` judge the command's
+split on that manifest before the run directory exists, so a held-out
+value the store lacks or a clip without the domain label is a config
+error.
+
 resolved_config.json holds every config the command built, and its
 flags. With a checksum of everything the run produced, a run directory
 is reproducible from its own resolved_config.json plus the input store.
@@ -116,6 +123,10 @@ COMMAND_SECTIONS = {
     "sweep": ("model", "train", "pretrain", "split"),
 }
 
+# the commands that read a clip store: each takes --store and --manifest, and
+# _open_store judges its split, if any, on the store before the run directory exists
+STORE_COMMANDS = ("pretrain", "finetune", "probe", "supervised", "eval-cross-domain", "sweep")
+
 # command defaults of the downstream runs: below the config file, unlike flags
 DOWNSTREAM_DEFAULTS = {"train": {"batch_size": 32}, "split": {"protocol": "leave_one_domain_out"}}
 
@@ -170,23 +181,23 @@ def _persist_run(out: Path, command: str, configs: dict, args):
     (out / "checksums.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _load_store(store, manifest=None):
-    """The store's own manifest, or the one at ``manifest`` when given."""
+def _open_store(args, cfg: dict):
+    """--store's manifest (or --manifest), with ``data`` judging the command's split on it.
+
+    The judge is ``make_split`` on the split section, or ``domain_values``
+    of eval-cross-domain's --domain-key; a split it rejects is a config error.
+    """
     from . import data as D
 
-    return D.DatasetManifest.read(manifest) if manifest else D.DatasetManifest.load(store)
-
-
-def _check_held_out(manifest, domain_key: str, value):
-    """A domain key that is no domain label or has fewer than two values in the
-    store, or a held-out value (None: each in turn) it lacks, is a bad flag."""
-    from . import data as D
-
-    values = [v for v in manifest.label_values(domain_key) if v]
-    if domain_key not in D.LABEL_KINDS[1:] or len(values) < 2:
-        raise CliError(f"domain key {domain_key!r} needs 2 or more domain values; the store holds {values}")
-    if value is not None and value not in values:
-        raise CliError(f"held-out {domain_key} {value!r} is not in the store, which holds {', '.join(values)}")
+    manifest = D.DatasetManifest.read(args.manifest) if args.manifest else D.DatasetManifest.load(args.store)
+    try:
+        if "split" in cfg:
+            D.make_split(manifest, cfg["split"])
+        elif args.command == "eval-cross-domain":
+            D.domain_values(manifest, args.domain_key)
+    except D.SplitError as e:
+        raise CliError(f"invalid split of {args.manifest or args.store}: {e}") from e
+    return manifest
 
 
 def _fraction(text: str) -> float:
@@ -251,10 +262,13 @@ def _add_section_flags(p, section: str):
 
 
 def _add_command(sub, name: str, func, **kw):
-    """A run command: --out, --threads, and --config plus the flags of each section it builds."""
+    """A run command: --out, --threads, the store flags if it reads one, --config and its sections' flags."""
     p = sub.add_parser(name, **kw)
     p.add_argument("--out", required=True)
     p.add_argument("--threads", help="BLAS/OpenMP thread cap")
+    if name in STORE_COMMANDS:
+        p.add_argument("--store", required=True)
+        p.add_argument("--manifest", help="a manifest of the store's clips, read in place of its own")
     if COMMAND_SECTIONS[name]:
         p.add_argument("--config")
     for section in COMMAND_SECTIONS[name]:
@@ -313,13 +327,17 @@ def cmd_clean(args):
     from . import harmonize as H
     from . import qc as Q
 
+    if args.blocklist and not args.store:
+        raise CliError("--blocklist needs --store, the store whose manifest it filters")
+    if not (args.recordings or args.store):
+        raise CliError("clean needs --recordings to QC-report, --store to filter, or both")
     cfg = _configs(args)
     out = _out_dir(args.out)
     reports = [H.qc_recording(D.load_recording(p), cfg["harmonize"], cfg["qc"]) for p in args.recordings or []]
     if reports:
         Q.write_reports(reports, out / "qc_report.jsonl")
     if args.store:
-        filtered, log = Q.apply_blocklist(_load_store(args.store), args.blocklist or [])
+        filtered, log = Q.apply_blocklist(D.DatasetManifest.load(args.store), args.blocklist or [])
         (out / "manifest.json").write_text(filtered.to_json(), encoding="utf-8")
         (out / "blocklist_log.json").write_text(json.dumps(log, indent=2, sort_keys=True), encoding="utf-8")
         for w in log["warnings"]:
@@ -354,7 +372,7 @@ def cmd_pretrain(args):
     from . import training as R
 
     cfg = _configs(args)
-    manifest = _load_store(args.store, args.manifest)
+    manifest = _open_store(args, cfg)
     out = _out_dir(args.out)
     result = R.pretrain(manifest, args.store, cfg["model"], cfg["train"], run_dir=out)
     _persist_run(out, "pretrain", cfg, args)
@@ -368,16 +386,13 @@ def _run_downstream(args, regime: str):
     from . import evaluate as E
 
     cfg = _configs(args, DOWNSTREAM_DEFAULTS)
-    split = cfg["split"]
-    manifest = _load_store(args.store, args.manifest)
-    if split.protocol == "leave_one_domain_out":
-        _check_held_out(manifest, split.domain_key, split.held_out_value)
+    manifest = _open_store(args, cfg)
     params = None
     if regime != "supervised":
         params, cfg["model"], _ = C.load_checkpoint(args.checkpoint)
     out = _out_dir(args.out)
     (result,), _ = E.run_fold(
-        manifest, args.store, split, [regime], cfg["model"], cfg["train"], args.label_fraction, checkpoint=params
+        manifest, args.store, cfg["split"], [regime], cfg["model"], cfg["train"], args.label_fraction, checkpoint=params
     )
     (out / "result.json").write_text(json.dumps(result.to_json(), indent=2, sort_keys=True), encoding="utf-8")
     _persist_run(out, regime, cfg, args)
@@ -395,8 +410,7 @@ def cmd_eval_cross_domain(args):
     if len(set(regimes)) != len(regimes):
         raise CliError(f"regimes repeat: {args.regimes}")
     cfg = _configs(args, DOWNSTREAM_DEFAULTS)
-    manifest = _load_store(args.store, args.manifest)
-    _check_held_out(manifest, args.domain_key, None)
+    manifest = _open_store(args, cfg)
     out = _out_dir(args.out)
     results = E.cross_domain_suite(
         manifest,
@@ -427,14 +441,10 @@ def cmd_sweep(args):
     if args.seed is not None and args.seeds is not None:
         raise CliError("--seed and --seeds both set the sweep's training seeds; give one of them")
     spec = _build(L.SweepSpec, {}, args, {"seeds": [cfg["train"].seed]})
-    split = cfg["split"]
-    manifest = _load_store(args.store, args.manifest)
-    if split.protocol == "leave_one_domain_out":
-        _check_held_out(manifest, split.domain_key, split.held_out_value)
     ctx = L.SweepContext(
         store_dir=args.store,
-        manifest=manifest,
-        split=split,
+        manifest=_open_store(args, cfg),
+        split=cfg["split"],
         model_cfg=cfg["model"],
         pretrain_cfg=cfg["pretrain"],
         train_cfg=cfg["train"],
@@ -531,28 +541,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "harmonize", cmd_harmonize, help="recordings -> canonical clip store")
     p.add_argument("--recordings", nargs="+", required=True)
 
-    p = _add_command(sub, "pretrain", cmd_pretrain, help="masked-reconstruction pretraining")
-    p.add_argument("--store", required=True)
-    p.add_argument("--manifest")
+    _add_command(sub, "pretrain", cmd_pretrain, help="masked-reconstruction pretraining")
 
     for regime, name in (("ft", "finetune"), ("lp", "probe"), ("supervised", "supervised")):
         p = _add_command(sub, name, lambda a, r=regime: _run_downstream(a, r), help=f"{regime} downstream evaluation")
-        p.add_argument("--store", required=True)
-        p.add_argument("--manifest")
         if regime != "supervised":
             p.add_argument("--checkpoint", required=True)
         p.add_argument("--label-fraction", type=_fraction, dest="label_fraction", default=1.0)
 
     p = _add_command(sub, "eval-cross-domain", cmd_eval_cross_domain, help="leave-one-domain-out folds, all regimes")
-    p.add_argument("--store", required=True)
-    p.add_argument("--manifest")
     p.add_argument("--domain-key", dest="domain_key", default="environment")
     p.add_argument("--regimes", default="supervised,lp,ft")
     p.add_argument("--label-fraction", type=_fraction, dest="label_fraction", default=1.0)
 
     p = _add_command(sub, "sweep", cmd_sweep, help="scaling/ablation sweeps")
-    p.add_argument("--store", required=True)
-    p.add_argument("--manifest")
     p.add_argument("--axis", required=True)
     p.add_argument("--values", type=_json_list, required=True, help="JSON list")
     p.add_argument("--seeds", type=_json_list, help="JSON list; default [train seed]")

@@ -176,9 +176,6 @@ class DatasetManifest:
             object.__setattr__(self, "_index", {e.clip_id: e for e in self.entries})
             return self._index[clip_id]
 
-    def label_values(self, key):
-        return sorted({e.labels.get(key, "") for e in self.entries})
-
     def to_json(self) -> str:
         doc = {
             "format_version": self.format_version,
@@ -237,12 +234,10 @@ class SplitSpec:
     def validate(self):
         if self.protocol not in ("in_domain_8020", "leave_one_domain_out"):
             raise SplitError(f"unknown protocol {self.protocol!r}")
-        if self.protocol == "leave_one_domain_out" and self.domain_key not in LABEL_KINDS[1:]:
-            raise SplitError(f"domain_key must be one of {LABEL_KINDS[1:]}, got {self.domain_key!r}")
         if self.protocol == "leave_one_domain_out" and self.held_out_value is None:
             raise SplitError("leave_one_domain_out needs a held_out_value")
-        if self.protocol == "in_domain_8020" and self.held_out_value is not None:
-            raise SplitError(f"in_domain_8020 holds out no domain, got held_out_value {self.held_out_value!r}")
+        if self.protocol == "in_domain_8020" and (self.held_out_value, self.domain_key) != (None, "environment"):
+            raise SplitError(f"in_domain_8020 holds out no domain, got {self.domain_key}={self.held_out_value!r}")
         return self
 
 
@@ -423,26 +418,39 @@ def load_recording(path) -> ChannelRecording:
 # splits
 
 
+def domain_values(manifest: DatasetManifest, key: str) -> list:
+    """The sorted values of domain label ``key``, one leave-one-domain-out fold each.
+
+    Raises ``SplitError`` when ``key`` is no domain label, when a clip
+    lacks it, or when it takes fewer than two values.
+    """
+    if key not in LABEL_KINDS[1:]:
+        raise SplitError(f"domain_key must be one of {LABEL_KINDS[1:]}, got {key!r}")
+    missing = [e.clip_id for e in manifest.entries if key not in e.labels]
+    if missing:
+        raise SplitError(f"{len(missing)} clips lack domain label {key!r}")
+    values = sorted({e.labels[key] for e in manifest.entries})
+    if len(values) < 2:
+        raise SplitError(f"no second domain: {key} takes only {values}")
+    return values
+
+
 def make_split(manifest: DatasetManifest, spec: SplitSpec) -> tuple:
-    """Partition manifest clip ids into (train, test) per the protocol.
+    """Partition manifest clip ids into (train, test) per the protocol: the one judge of a fold.
 
     leave_one_domain_out holds out every clip whose domain label equals
-    ``held_out_value``.  in_domain_8020 draws a seeded 20% test slice per
-    class (plain random when class labels are absent).
+    ``held_out_value``, one of ``domain_values``.  in_domain_8020 draws a
+    seeded 20% test slice per class (plain random when class labels are
+    absent).
     """
     spec.validate()
     if not manifest.entries:
         raise SplitError("empty manifest")
 
     if spec.protocol == "leave_one_domain_out":
-        missing = [e.clip_id for e in manifest.entries if spec.domain_key not in e.labels]
-        if missing:
-            raise SplitError(f"{len(missing)} clips lack domain label {spec.domain_key!r}")
-        values = {e.labels[spec.domain_key] for e in manifest.entries}
-        if len(values) < 2:
-            raise SplitError("no second domain")
+        values = domain_values(manifest, spec.domain_key)
         if spec.held_out_value not in values:
-            raise SplitError(f"held_out_value {spec.held_out_value!r} absent from dataset")
+            raise SplitError(f"held_out_value {spec.held_out_value!r} absent from the store, which holds {values}")
         test = sorted(e.clip_id for e in manifest.entries if e.labels[spec.domain_key] == spec.held_out_value)
         train = sorted(e.clip_id for e in manifest.entries if e.labels[spec.domain_key] != spec.held_out_value)
         return train, test

@@ -11,7 +11,7 @@ recorded, rejected optimizer steps included.  Linear probing trains a
 single linear layer on frozen features and never touches encoder
 weights; fine-tuning updates encoder and head; supervised starts the
 encoder from random init.  The fine-tune and supervised head is one
-hidden layer of encoder width, a single ``tensors.ffn`` node.  Every
+hidden layer of encoder width: linear, GELU, linear.  Every
 regime classifies ``LABEL_KEY``, the key ``select_labeled`` draws its
 budget over; a task on another label, such as user identification,
 would thread its key through ``run_fold`` into both.
@@ -74,11 +74,10 @@ def init_head(feat_dim: int, n_classes: int, seed, hidden: bool) -> dict:
 
 
 def head_forward(feats: T.Tensor, params: dict) -> T.Tensor:
-    """Logits from CLS features: fc0 -> GELU -> out as one ``ffn`` node, or ``out`` alone without fc0."""
-    w, b = params["head.out.w"], params["head.out.b"]
+    """Logits from CLS features: fc0 -> GELU -> out, or ``out`` alone without fc0."""
     if "head.fc0.w" in params:
-        return T.ffn(feats, params["head.fc0.w"], params["head.fc0.b"], w, b)
-    return T.linear(feats, w, b)
+        feats = T.gelu(T.linear(feats, params["head.fc0.w"], params["head.fc0.b"]))
+    return T.linear(feats, params["head.out.w"], params["head.out.b"])
 
 
 def encode_features(params: dict, model_cfg: M.ModelConfig, clips: np.ndarray) -> np.ndarray:
@@ -287,16 +286,13 @@ def cross_domain_suite(
     pretrain_cfg: R.TrainConfig | None = None,
     label_fraction: float = 1.0,
 ) -> list:
-    """One leave-one-domain-out ``run_fold`` per domain value, each regime.
+    """One leave-one-domain-out ``run_fold`` per ``data.domain_values`` entry, each regime.
 
     For lp/ft the encoder is pretrained per fold on that fold's training
     clips only (the held-out domain never enters pretraining).
     """
-    values = [v for v in manifest.label_values(domain_key) if v]
-    if len(values) < 2:
-        raise EvalError("need at least 2 domain values")
     results = []
-    for value in values:
+    for value in D.domain_values(manifest, domain_key):
         split = D.SplitSpec("leave_one_domain_out", domain_key, value, seed=train_cfg.seed)
         results += run_fold(manifest, store_dir, split, regimes, model_cfg, train_cfg, label_fraction, pretrain_cfg)[0]
     return results

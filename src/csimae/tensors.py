@@ -24,19 +24,20 @@ al. 2022, arXiv:2205.05198):
   qkv(LayerNorm(x)))), as one node.  Its closure keeps the LayerNorm's
   (B, T, 1) mean and inverse standard deviation, the packed qkv (as q, k
   and v views), the row log-sum-exp and the attention output.
-- ``ffn_sublayer`` is the second half, x + ffn(LayerNorm(x)); its closure
+- ``ffn_sublayer`` is the second half, x + FFN(LayerNorm(x)); its closure
   keeps the LayerNorm statistics and the fc1 pre-activation ``h``.
 - Neither keeps a LayerNorm output or its output before the residual
   add: backward recomputes the LayerNorm output from the statistics and
   never reads the pre-residual value.  It adds the residual gradient into
   the LayerNorm's input gradient in place, so no ``add`` node and no
   gradient copy exist.
-- ``attention`` runs on the packed output of a qkv projection; its
-  closure keeps views of q, k and v and the row log-sum-exp, never the
-  (B, H, T, T) weights or a scaled copy of q.
-- ``ffn`` is fc1 -> GELU -> fc2; its closure keeps its input and the fc1
+- Attention is no op of its own: ``_split_heads``, ``_attend`` and
+  ``_attend_grad`` keep views of q, k and v and the row log-sum-exp,
+  never the (B, H, T, T) weights.  The tests' attention oracle is built
+  on the same helpers.
+- Nor is the FFN: ``_ffn_forward`` and ``_ffn_hidden_grad`` keep the fc1
   pre-activation, never the tanh or the GELU output.  The hidden
-  downstream classifier head is one ``ffn`` node.
+  classifier head is ``linear`` -> ``gelu`` -> ``linear``.
 - ``layer_norm`` keeps its input and the (…, 1) mean and inverse
   standard deviation; backward recomputes the normalized input.  The
   encoder's final norm is one.
@@ -46,15 +47,14 @@ al. 2022, arXiv:2205.05198):
   squares the residual a row block at a time.
 
 The sublayer ops share every piece of arithmetic with ``layer_norm``,
-``linear``, ``attention`` and ``ffn`` through the private helpers below,
-so each is bit-identical to the composite of those ops.
+``linear`` and ``gelu`` through the private helpers below, so each is
+bit-identical to the composite of those ops and the attention helpers.
 
-The library itself no longer calls ``gelu``, ``matmul``, ``softmax``,
+The library itself no longer calls ``matmul``, ``softmax``,
 ``transpose``, ``swap_last``, ``reshape``, ``sub``, ``mul``, ``square``,
-``sum_``, ``mean_`` or ``mse``, and the model no longer calls
-``attention`` or ``ffn`` (the classifier head still calls ``ffn``).
-They stay for the tests and their composite oracles and for
-``perfbench/``, whose tracer looks every op it times up by name.
+``sum_``, ``mean_`` or ``mse``.  They stay for the tests and their
+composite oracles and for ``perfbench/``, whose tracer looks every op it
+times up by name.
 """
 
 from __future__ import annotations
@@ -446,35 +446,12 @@ def _attend_grad(g: np.ndarray, q, k, v, out: np.ndarray, lse: np.ndarray) -> np
     return buf.reshape(b, t, 3 * n_heads * hd)
 
 
-def attention(qkv: Tensor, n_heads: int) -> Tensor:
-    """Multi-head self-attention on the packed output of a qkv projection.
-
-    ``qkv`` is (B, T, 3D): q, k and v side by side, each D = H * hd wide
-    with the heads contiguous.  Returns (B, T, D), the heads concatenated:
-    softmax(q kᵀ / sqrt(hd)) v per head.
-
-    The closure keeps q, k and v as views of ``qkv`` and the row
-    log-sum-exp (B, H, T, 1), never the (B, H, T, T) weights; backward
-    recomputes them (``_attend_grad``).
-    """
-    if qkv.data.ndim != 3 or qkv.data.shape[-1] % (3 * n_heads):
-        raise ShapeError(f"attention: qkv {qkv.data.shape} is not (B, T, 3 * {n_heads} heads * hd)")
-    q, k, v = _split_heads(qkv.data, n_heads)
-    out, lse = _attend(q, k, v)
-
-    def backward(g):
-        if qkv.requires_grad:
-            qkv._accumulate(_attend_grad(g, q, k, v, out, lse), fresh=True)
-
-    return _make(out, (qkv,), backward)
-
-
 def _gelu(x: np.ndarray) -> tuple:
     """GELU, tanh form, and its tanh: 0.5 x (1 + tanh(c0 (x + c1 x^3))).
 
     Two allocations: the tanh is built in place in one array and the
-    output in a second.  ``gelu`` and ``ffn`` both call it, so the fused
-    op's forward is bit-identical to fc1 -> ``gelu`` -> fc2.
+    output in a second.  ``gelu`` and ``_ffn_forward`` both call it, so
+    ``ffn_sublayer``'s forward is bit-identical to fc1 -> ``gelu`` -> fc2.
     """
     th = _GELU_C1 * x
     th *= x
@@ -643,33 +620,6 @@ def _ffn_hidden_grad(g2: np.ndarray, h: np.ndarray, w2: Tensor, b2: Tensor) -> n
     return gh
 
 
-def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """gelu(x @ w1 + b1) @ w2 + b2 as one node: a transformer block's FFN.
-
-    ``w1`` is (in, hidden) and ``w2`` (hidden, out); like ``linear``, the
-    leading axes of ``x`` are flattened so every product is one 2-D GEMM.
-    The closure keeps ``x`` and the pre-activation ``h`` only; backward
-    recomputes the tanh and ``gelu(h)`` from ``h`` for the fc2 weight
-    gradient and the GELU derivative.
-    """
-    shapes = f"x {x.data.shape}, w1 {w1.data.shape}, b1 {b1.data.shape}, w2 {w2.data.shape}, b2 {b2.data.shape}"
-    if w1.data.ndim != 2 or w2.data.ndim != 2:
-        raise ShapeError(f"ffn: weights must be 2-D: {shapes}")
-    (n_in, n_hid), n_out = w1.data.shape, w2.data.shape[1]
-    if x.data.shape[-1:] != (n_in,) or w2.data.shape[0] != n_hid or b1.data.shape != (n_hid,) or b2.data.shape != (n_out,):
-        raise ShapeError(f"ffn: shapes do not chain: {shapes}")
-    x2 = x.data.reshape(-1, n_in)
-    y, h = _ffn_forward(x2, w1, b1, w2, b2)
-
-    def backward(g):
-        gh = _ffn_hidden_grad(g.reshape(-1, n_out), h, w2, b2)
-        gx = _affine_grads(gh, x2, w1, b1, x.requires_grad)
-        if gx is not None:
-            x._accumulate(gx.reshape(x.data.shape), fresh=True)
-
-    return _make(y.reshape(*x.data.shape[:-1], n_out), (x, w1, b1, w2, b2), backward)
-
-
 def _check_sublayer(op: str, x: Tensor, params: tuple, want: list):
     """Raise ``ShapeError`` unless each of ``params`` has the shape in ``want``."""
     got = [p.data.shape for p in params]
@@ -700,7 +650,7 @@ def attention_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, w_qkv: Tensor, b_q
     weights or the projection's output before the residual add.  Backward
     recomputes the LayerNorm output for the qkv weight gradient.  Forward
     and gradients are bit-identical to ``layer_norm`` -> ``linear`` ->
-    ``attention`` -> ``linear`` -> ``add``.
+    attention (``_attend``, ``_attend_grad``) -> ``linear`` -> ``add``.
     """
     if x.data.ndim != 3 or x.data.shape[-1] % n_heads:
         raise ShapeError(f"attention_sublayer: x {x.data.shape} is not (B, T, {n_heads} heads * hd)")
@@ -730,14 +680,15 @@ def attention_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, w_qkv: Tensor, b_q
 
 
 def ffn_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """x + ffn(layer_norm(x)): a pre-norm block's FFN half as one node.
+    """x + fc2(gelu(fc1(layer_norm(x)))): a pre-norm block's FFN half as one node.
 
     ``x`` is (…, D), ``w1`` (D, hidden) and ``w2`` (hidden, D).  The
     closure keeps the LayerNorm's (…, 1) mean and inverse standard
     deviation and the fc1 pre-activation ``h``; never the LayerNorm
     output or the FFN output before the residual add.  Backward recomputes
     the LayerNorm output for the fc1 weight gradient.  Forward and
-    gradients are bit-identical to ``layer_norm`` -> ``ffn`` -> ``add``.
+    gradients are bit-identical to ``layer_norm`` -> ``linear`` ->
+    ``gelu`` -> ``linear`` -> ``add``.
     """
     dim, n_hid = x.data.shape[-1], w1.data.shape[-1]
     _check_sublayer("ffn_sublayer", x, (ln_g, ln_b, w1, b1, w2, b2),

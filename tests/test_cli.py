@@ -554,6 +554,9 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         (["supervised", "--protocol", "in_domain_8020", "--held-out", "env9"], None),
         (["sweep", "--axis", "mask_ratio", "--values", "[0.5, 0.75]", "--held-out", "env1", "--seed", "5",
           "--seeds", "[0, 1]"], None),
+        (["supervised", "--protocol", "in_domain_8020", "--domain-key", "subject"], None),
+        (["clean", "--blocklist", "synth-c0e0s0b0d0-0000"], None),
+        (["clean"], None),
     ],
     ids=[
         "lr",
@@ -589,6 +592,9 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         "finetune-model-flag",
         "in-domain-held-out",
         "sweep-seed-and-seeds",
+        "in-domain-domain-key",
+        "clean-blocklist-without-store",
+        "clean-without-inputs",
     ],
 )
 def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, monkeypatch, argv, config):
@@ -596,7 +602,7 @@ def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, monkeyp
 
     trained = []
     monkeypatch.setattr(R, "fit", lambda *a, **kw: trained.append(a))
-    store = [] if argv[0] in ("synth-gen", "ingest") else ["--store", str(workdir / "gen" / "store")]
+    store = [] if argv[0] in ("synth-gen", "ingest", "clean") else ["--store", str(workdir / "gen" / "store")]
     tail = store + ["--out", str(tmp_path / "out")]
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -605,6 +611,44 @@ def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, monkeyp
         tail += ["--config", str(path)]
     assert cli.main(argv + tail) == 2
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "config"
+    assert not (tmp_path / "out").exists()
+    assert not trained
+
+
+# each command that reads a store, on a split data's own check rejects: a manifest
+# in which one clip lacks the domain label, or a held-out value the store lacks
+SPLIT_ARGV = {
+    "finetune": ["--held-out", "env1"],
+    "probe": ["--held-out", "env1"],
+    "supervised": ["--held-out", "env1"],
+    "eval-cross-domain": ["--regimes", "supervised"],
+    "sweep": ["--axis", "mask_ratio", "--values", "[0.5, 0.75]", "--held-out", "env1"],
+}
+BAD_SPLITS = [(c, "unlabeled-clip") for c in SPLIT_ARGV] + [
+    (c, "absent-held-out") for c in SPLIT_ARGV if c != "eval-cross-domain"  # it takes no held-out value
+]
+
+
+@pytest.mark.parametrize("command, fault", BAD_SPLITS, ids=[f"{c}-{f}" for c, f in BAD_SPLITS])
+def test_a_split_the_store_cannot_form_is_a_config_error(workdir, tmp_path, capsys, monkeypatch, command, fault):
+    from csimae import training as R
+
+    trained = []
+    monkeypatch.setattr(R, "fit", lambda *a, **kw: trained.append(a))
+    store = workdir / "gen" / "store"
+    argv = [command, "--store", str(store), "--config", str(workdir / "micro.json"), "--out", str(tmp_path / "out")]
+    if command in ("finetune", "probe"):
+        argv += ["--checkpoint", str(_micro_checkpoint(tmp_path / "m.ckpt"))]
+    if fault == "unlabeled-clip":
+        doc = json.loads((store / "manifest.json").read_text())
+        del doc["entries"][0]["labels"]["environment"]
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        argv += SPLIT_ARGV[command] + ["--manifest", str(tmp_path / "manifest.json")]
+    else:
+        argv += [{"env1": "env9"}.get(a, a) for a in SPLIT_ARGV[command]]
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and ("lack domain label" if fault == "unlabeled-clip" else "absent") in err["message"]
     assert not (tmp_path / "out").exists()
     assert not trained
 

@@ -253,8 +253,24 @@ def test_backward_consumes_the_graph_and_a_second_call_is_a_no_op():
     assert x.grad.tobytes() == gx.tobytes() and w.grad.tobytes() == gw.tobytes()
 
 
+def attention(qkv, n_heads):
+    """Multi-head self-attention on a packed (B, T, 3D) qkv as one node, on the engine's private helpers.
+
+    ``T.attention_sublayer`` runs the same ``_split_heads``, ``_attend`` and
+    ``_attend_grad``, so the tests below cover them at shapes no block takes.
+    """
+    q, k, v = T._split_heads(qkv.data, n_heads)
+    out, lse = T._attend(q, k, v)
+
+    def backward(g):
+        if qkv.requires_grad:
+            qkv._accumulate(T._attend_grad(g, q, k, v, out, lse), fresh=True)
+
+    return T._make(out, (qkv,), backward)
+
+
 def composite_attention(qkv, n_heads):
-    """Multi-head self-attention built from primitive ops: the oracle for ``T.attention``."""
+    """Multi-head self-attention built from primitive ops: the oracle for ``attention``."""
     b, t, d3 = qkv.shape
     dim = d3 // 3
     hd = dim // n_heads
@@ -268,7 +284,7 @@ def composite_attention(qkv, n_heads):
 
 
 def attention_loss(n_heads):
-    return lambda qkv: T.sum_(T.square(T.attention(qkv, n_heads)))
+    return lambda qkv: T.sum_(T.square(attention(qkv, n_heads)))
 
 
 @pytest.mark.parametrize("b", [1, 2])
@@ -289,7 +305,7 @@ def test_attention_matches_the_composite_oracle(shape):
     x = rng.standard_normal((b, t, 3 * n_heads * hd)).astype(np.float32)
     w = rng.standard_normal((b, t, n_heads * hd)).astype(np.float32)
     fused, oracle = T.Tensor(x.copy(), requires_grad=True), T.Tensor(x.copy(), requires_grad=True)
-    y_fused, y_oracle = T.attention(fused, n_heads), composite_attention(oracle, n_heads)
+    y_fused, y_oracle = attention(fused, n_heads), composite_attention(oracle, n_heads)
     assert y_fused.data.tobytes() == y_oracle.data.tobytes()
     T.sum_(T.mul(y_fused, w)).backward()
     T.sum_(T.mul(y_oracle, w)).backward()
@@ -299,17 +315,10 @@ def test_attention_matches_the_composite_oracle(shape):
 
 def test_attention_closure_keeps_no_weights_matrix():
     b, t, n_heads, hd = 2, 7, 3, 4
-    y = T.attention(rand(np.random.default_rng(21), b, t, 3 * n_heads * hd), n_heads)
+    y = attention(rand(np.random.default_rng(21), b, t, 3 * n_heads * hd), n_heads)
     kept = [c.cell_contents for c in y._backward.__closure__]
     arrays = [a for a in kept if isinstance(a, np.ndarray)]
     assert arrays and all(a.shape[-2:] != (t, t) for a in arrays)
-
-
-def test_attention_rejects_bad_shapes():
-    with pytest.raises(T.ShapeError, match="attention"):
-        T.attention(t64(np.ones((5, 12))), 2)
-    with pytest.raises(T.ShapeError, match="attention"):
-        T.attention(t64(np.ones((1, 5, 12))), 3)  # 12 is not a multiple of 3 * 3
 
 
 @settings(max_examples=25)
@@ -326,43 +335,13 @@ def test_attention_gradients_over_random_shapes(b, t, n_heads, hd, seed):
 
 
 def composite_ffn(x, w1, b1, w2, b2):
-    """fc1 -> GELU -> fc2 built from primitive ops: the oracle for ``T.ffn``."""
+    """fc1 -> GELU -> fc2 built from primitive ops, as the classifier head runs it: the FFN oracle."""
     return T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
 
 
 def ffn_inputs(rng, lead, n_in, n_hid, n_out, dtype=np.float64):
     shapes = [(*lead, n_in), (n_in, n_hid), (n_hid,), (n_hid, n_out), (n_out,)]
     return [rand(rng, *s, dtype=dtype) for s in shapes]
-
-
-@pytest.mark.parametrize("lead", [(5,), (2, 7), (2, 3, 4)])
-def test_ffn_matches_the_composite_oracle(lead):
-    rng = np.random.default_rng(22)
-    arrays = [t.data for t in ffn_inputs(rng, lead, 12, 48, 10, dtype=np.float32)]
-    w = rng.standard_normal((*lead, 10)).astype(np.float32)
-    fused = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
-    oracle = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
-    y_fused, y_oracle = T.ffn(*fused), composite_ffn(*oracle)
-    assert y_fused.data.tobytes() == y_oracle.data.tobytes()
-    T.sum_(T.mul(y_fused, w)).backward()
-    T.sum_(T.mul(y_oracle, w)).backward()
-    for f, o in zip(fused, oracle):
-        assert f.grad.dtype == np.float32
-        np.testing.assert_allclose(f.grad, o.grad, rtol=1e-5, atol=0)
-
-
-def test_ffn_closure_keeps_only_its_input_and_the_pre_activation():
-    rng = np.random.default_rng(23)
-    x, w1, b1, w2, b2 = ffn_inputs(rng, (2, 3), 4, 16, 5)
-    y = T.ffn(x, w1, b1, w2, b2)
-    kept = [c.cell_contents for c in y._backward.__closure__]
-    wide = [a for a in kept if isinstance(a, np.ndarray) and 16 in a.shape]
-    pre = T.linear(x, w1, b1).data.reshape(6, 16)
-    assert len(wide) <= 2
-    assert [a.shape for a in wide].count((6, 16)) == 1
-    assert all(a.shape in ((6, 16), w1.shape, w2.shape) for a in wide)
-    assert any(np.array_equal(a, pre) for a in wide)
-    assert all(any(t is p for p in (x, w1, b1, w2, b2)) for t in kept if isinstance(t, T.Tensor))
 
 
 @pytest.mark.parametrize(
@@ -374,14 +353,13 @@ def test_ffn_rejects_bad_shapes(arg, shape):
     rng = np.random.default_rng(24)
     args = ffn_inputs(rng, (3,), 4, 8, 5)
     args[arg] = rand(rng, *shape)
-    with pytest.raises(T.ShapeError, match="ffn"):
-        T.ffn(*args)
+    with pytest.raises(T.ShapeError, match="linear"):
+        composite_ffn(*args)
 
 
 # Axes into the GELU are at least 2 long: with one row and one hidden unit a
 # pre-activation at GELU's stationary point or far tail leaves x, w1 and b1
-# a gradient below the finite-difference reference's rounding floor, and
-# the composite fails such a draw just the same.
+# a gradient below the finite-difference reference's rounding floor.
 @settings(max_examples=25)
 @given(
     lead=st.lists(st.integers(2, 3), min_size=1, max_size=3),
@@ -392,7 +370,7 @@ def test_ffn_rejects_bad_shapes(arg, shape):
 )
 def test_ffn_gradients_over_random_shapes(lead, n_in, n_hid, n_out, seed):
     inputs = ffn_inputs(np.random.default_rng(seed), tuple(lead), n_in, n_hid, n_out)
-    assert T.grad_check(lambda *t: T.sum_(T.square(T.ffn(*t))), inputs) < 1e-7
+    assert T.grad_check(lambda *t: T.sum_(T.square(composite_ffn(*t))), inputs) < 1e-7
 
 
 def composite_masked_mse_head(x, w, b, idx, targets):
@@ -506,7 +484,7 @@ def test_layer_norm_closure_keeps_its_input_and_no_other_full_size_array():
 def test_attention_closure_keeps_only_views_of_qkv_and_the_log_sum_exp():
     b, t, n_heads, hd = 2, 7, 3, 4
     qkv = rand(np.random.default_rng(29), b, t, 3 * n_heads * hd)
-    y = T.attention(qkv, n_heads)
+    y = attention(qkv, n_heads)
     kept = [c.cell_contents for c in y._backward.__closure__]
     own = [a for a in kept if isinstance(a, np.ndarray) and not np.shares_memory(a, qkv.data)]
     # besides the views, the log-sum-exp and the op's own output (its rowsum(dO ∘ O) source)
@@ -551,12 +529,12 @@ def test_layer_norm_gradients_over_random_shapes(lead, dim, seed):
 def composite_attention_sublayer(x, ln_g, ln_b, w_qkv, b_qkv, w_proj, b_proj, n_heads):
     """layer_norm -> linear -> attention -> linear -> add: the oracle for ``T.attention_sublayer``."""
     qkv = T.linear(T.layer_norm(x, ln_g, ln_b), w_qkv, b_qkv)
-    return T.add(T.linear(T.attention(qkv, n_heads), w_proj, b_proj), x)
+    return T.add(T.linear(attention(qkv, n_heads), w_proj, b_proj), x)
 
 
 def composite_ffn_sublayer(x, ln_g, ln_b, w1, b1, w2, b2):
-    """layer_norm -> ffn -> add: the oracle for ``T.ffn_sublayer``."""
-    return T.add(T.ffn(T.layer_norm(x, ln_g, ln_b), w1, b1, w2, b2), x)
+    """layer_norm -> FFN -> add: the oracle for ``T.ffn_sublayer``."""
+    return T.add(composite_ffn(T.layer_norm(x, ln_g, ln_b), w1, b1, w2, b2), x)
 
 
 def attention_sublayer_inputs(rng, b, t, dim, dtype=np.float64):
@@ -644,14 +622,14 @@ def test_sublayer_closure_keeps_no_layer_norm_output_or_pre_residual_output(kind
     if kind == "attention":
         w_qkv, b_qkv, w_proj, b_proj = rest
         qkv = T.linear(ln_out, w_qkv, b_qkv)
-        att = T.attention(qkv, n_heads)
+        att = attention(qkv, n_heads)
         pre_residual = T.linear(att, w_proj, b_proj)
         # q, k and v as (B, H, T, hd) views of qkv, and the output attention reads rowsum(dO ∘ O) from
         allowed = list(qkv.data.reshape(2, 5, 3, n_heads, 4).transpose(2, 0, 3, 1, 4)) + [att.data]
     else:
         w1, b1, w2, b2 = rest
         pre_act = T.linear(ln_out, w1, b1)
-        pre_residual = T.ffn(ln_out, w1, b1, w2, b2)
+        pre_residual = composite_ffn(ln_out, w1, b1, w2, b2)
         allowed = [pre_act.data.reshape(-1, pre_act.shape[-1])]
     y = op(*tensors, *extra)
     kept = [c.cell_contents for c in y._backward.__closure__]

@@ -1,6 +1,8 @@
 """The benchmark tracer still finds, wraps and restores every library attribute it times."""
 
+import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 from csimae import checkpoint as C
@@ -40,3 +42,17 @@ def test_tracer_installs_against_the_library_and_restores_every_attribute():
         now = dict(vars(owner))
         assert now.keys() == attrs.keys(), owner
         assert all(now[k] is v for k, v in attrs.items()), owner
+
+
+def test_every_public_engine_op_is_called_by_the_library_or_timed_by_the_tracer():
+    # the engine's op set is the model's: an op neither src nor the bench reaches is dead code
+    called = set()
+    for path in Path(T.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "T":
+                called.add(node.attr)
+            elif isinstance(node, ast.Name) and path.name == "tensors.py":
+                called.add(node.id)
+    public = {n for n, f in vars(T).items() if inspect.isfunction(f) and f.__module__ == T.__name__ and n[0] != "_"}
+    unreached = public - called - set(load_tracer().OP_GROUPS) - {"grad_check", "tape", "as_tensor"}
+    assert not unreached, sorted(unreached)
