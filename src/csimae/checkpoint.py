@@ -1,25 +1,23 @@
 """Named-tensor checkpoint container.
 
-Layout: magic, format version, a JSON block holding the model config and
-optional metadata, then each tensor (sorted by name) as
-name / ndim / dims / float32 little-endian payload.  Sorting plus fixed
-endianness makes checkpoints bit-reproducible.
+A checkpoint is a ``data`` tensor file: its metadata holds the model
+config, optional extra metadata and the sorted tensor names, and one
+float32 record follows per name.  Sorting plus the codec's fixed
+endianness makes checkpoints bit-reproducible.  Checkpoints written in
+the earlier layout, with its own per-tensor framing, no longer load.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import struct
 from pathlib import Path
 
 import numpy as np
 
+from . import data as D
 from . import tensors as T
-from .data import _read_exact
 from .mae import ModelConfig, param_layout
 
-_MAGIC = b"CSICKPT1"
+_MAGIC = b"CSICKPT2"
 
 
 class CheckpointError(ValueError):
@@ -29,51 +27,43 @@ class CheckpointError(ValueError):
 def save_checkpoint(path, params: dict, config: ModelConfig, extra: dict | None = None) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    meta = {"config": config.to_json(), "extra": extra or {}}
-    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", len(blob), len(params)))
-        fh.write(blob)
-        for name in sorted(params):
-            arr = np.ascontiguousarray(params[name].data, dtype="<f4")
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<II", len(nb), arr.ndim))
-            fh.write(nb)
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
-    return path
+    names = sorted(params)
+    meta = {"config": config.to_json(), "extra": extra or {}, "names": names}
+    return D.write_tensor_file(path, _MAGIC, meta, [np.asarray(params[n].data, dtype="<f4") for n in names])
 
 
 def load_checkpoint(path) -> tuple:
     """Returns (params dict of trainable float32 Tensors, ModelConfig, extra dict).
 
-    A file that ends before its declared contents, whose metadata is not
-    UTF-8 JSON describing a ``ModelConfig``, or whose tensor names and
-    shapes are not the model layout of that config raises ``CheckpointError``.
+    A file that is no intact tensor file of this kind, whose metadata does
+    not describe a ``ModelConfig`` and one distinct name per float32 record,
+    or whose tensor names and shapes are not the model layout of that
+    config raises ``CheckpointError``.
     """
     try:
-        with open(path, "rb") as fh:
-            if fh.read(8) != _MAGIC:
-                raise CheckpointError("not a checkpoint file")
-            blob_len, n_tensors = struct.unpack("<II", _read_exact(fh, 8, "header"))
-            blob = _read_exact(fh, blob_len, "metadata")
-            try:
-                meta = json.loads(blob.decode("utf-8"))
-                config, extra = ModelConfig.from_json(meta["config"]), meta["extra"]
-            except (ValueError, TypeError, KeyError) as exc:
-                raise CheckpointError(f"metadata is not a UTF-8 JSON model config ({exc})") from None
-            params = {}
-            for _ in range(n_tensors):
-                name_len, ndim = struct.unpack("<II", _read_exact(fh, 8, "tensor header"))
-                name = _read_exact(fh, name_len, "tensor name").decode("utf-8")
-                shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, f"shape of {name}"))
-                payload = _read_exact(fh, math.prod(shape) * 4, f"payload of {name}")
-                arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
-                params[name] = T.Tensor(arr.astype(np.float32), requires_grad=True)
-            _check_layout(params, config)
-    except ValueError as exc:  # DataError from a short read, CheckpointError, a name that is not UTF-8
+        meta, arrays = D.read_tensor_file(path, _MAGIC)
+    except D.DataError as exc:
+        raise CheckpointError(str(exc)) from None
+    try:
+        return _unpack(meta, arrays)
+    except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
+
+
+def _unpack(meta: dict, arrays: list) -> tuple:
+    try:
+        config, extra, names = ModelConfig.from_json(meta["config"]), meta["extra"], meta["names"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CheckpointError(f"metadata is not a model config, extra and names ({exc})") from None
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names) and len(set(names)) == len(names)):
+        raise CheckpointError("tensor names are not distinct strings")
+    if len(names) != len(arrays):
+        raise CheckpointError(f"{len(names)} tensor names for {len(arrays)} records")
+    not_f4 = [n for n, a in zip(names, arrays) if a.dtype != np.float32]
+    if not_f4:
+        raise CheckpointError(f"tensor(s) not float32: {', '.join(not_f4[:3])}")
+    params = {n: T.Tensor(a, requires_grad=True) for n, a in zip(names, arrays)}
+    _check_layout(params, config)
     return params, config, extra
 
 

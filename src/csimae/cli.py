@@ -401,6 +401,7 @@ def _run_downstream(args, regime: str):
 
 
 def cmd_eval_cross_domain(args):
+    from . import data as D
     from . import evaluate as E
 
     regimes = args.regimes.split(",")
@@ -423,9 +424,7 @@ def cmd_eval_cross_domain(args):
         label_fraction=args.label_fraction,
     )
     records = [r.to_json() for r in results]
-    with open(out / "results.jsonl", "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps(r, sort_keys=True) + "\n")
+    D.write_jsonl(out / "results.jsonl", records)
     macro = E.macro_average(records)
     (out / "macro.json").write_text(json.dumps(macro, indent=2, sort_keys=True), encoding="utf-8")
     _persist_run(out, "eval-cross-domain", cfg, args)
@@ -435,6 +434,7 @@ def cmd_eval_cross_domain(args):
 
 
 def cmd_sweep(args):
+    from . import data as D
     from . import scaling as L
 
     cfg = _configs(args, DOWNSTREAM_DEFAULTS)
@@ -456,11 +456,23 @@ def cmd_sweep(args):
         raise CliError(f"invalid sweep {spec.axis} values {spec.values}: {e}") from e
     out = _out_dir(args.out)
     rows = L.run_sweep(spec, ctx)
-    L.save_rows(rows, out / "rows.jsonl")
+    D.write_jsonl(out / "rows.jsonl", rows)
     (out / "summary.txt").write_text(L.summarize_rows(rows) + "\n", encoding="utf-8")
     _persist_run(out, "sweep", cfg, args)
     print(L.summarize_rows(rows))
     return 0
+
+
+def _read_table(path: Path, group_key: str) -> list:
+    """The records of a run's JSON-lines table; one without ``accuracy`` or ``group_key`` raises ``DataError``."""
+    from . import data as D
+
+    records = D.read_jsonl(path)
+    for line, record in enumerate(records, 1):
+        missing = [k for k in (group_key, "accuracy") if k not in record]
+        if missing:
+            raise D.DataError(f"{path} line {line}: no {' or '.join(missing)}")
+    return records
 
 
 def cmd_report(args):
@@ -471,9 +483,9 @@ def cmd_report(args):
     rows_path = run / "rows.jsonl"
     results_path = run / "results.jsonl"
     if rows_path.exists():
-        table = L.summarize_rows(L.load_rows(rows_path))
+        table = L.summarize_rows(_read_table(rows_path, "value"))
     elif results_path.exists():
-        records = L.load_rows(results_path)
+        records = _read_table(results_path, "regime")
         folds = Counter(r["regime"] for r in records)
         lines = [f"{'regime':>12}  {'folds':>5}  {'macro_acc':>9}"]
         for regime, acc in E.macro_average(records).items():

@@ -1,10 +1,16 @@
-"""Domain types, the binary clip store, and dataset splits.
+"""Domain types, the binary file formats, and dataset splits.
 
 A recording is the raw complex channel tensor straight off a capture
 (or the simulator); a clip is the canonical 600x90 normalized amplitude
-tensor every model consumes.  Clips live in binary shards indexed by a
-JSON manifest; both are bit-reproducible across platforms (little-endian
-IEEE-754 payloads, canonically sorted manifests).
+tensor every model consumes.  Binary files use two little-endian,
+bit-reproducible layouts.  A *record* (``_write_record``) is a magic,
+``<III`` version, ndim and dtype code, the dims and the payload.  A
+*tensor file* (``write_tensor_file``) is a caller's magic, ``<II``
+version and metadata length, a JSON object, then records to the end of
+the file; recordings (``.csir``) and checkpoints are tensor files.
+Clip shards are back-to-back records indexed by a canonical JSON
+manifest.  Logs and result tables are JSON lines (``write_jsonl``,
+``read_jsonl``).  Every reader raises ``DataError`` naming the file.
 """
 
 from __future__ import annotations
@@ -26,8 +32,10 @@ LABEL_KINDS = ("class", "subject", "environment", "track", "band", "device")
 FORMAT_VERSION = 1
 _CLIP_MAGIC = b"CSIC"
 _REC_MAGIC = b"CSIR"
+_REC_META = ("sampling_rate", "center_frequency", "bandwidth", "n_recv", "n_apr", "labels", "source_id")
 _DTYPE_CODES = {np.dtype("<f4"): 0, np.dtype("<f8"): 1, np.dtype("<c16"): 2}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
+_MAX_NDIM = 64  # numpy's array rank limit
 
 MANIFEST_NAME = "manifest.json"
 SHARD_SIZE = 256
@@ -102,13 +110,6 @@ class Provenance:
     def clip_id(self) -> str:
         return f"{self.source_id}/t{self.tx_index}/r{self.recv_index}/c{self.channel_index}/w{self.window_index}"
 
-    def to_json(self):
-        return asdict(self)
-
-    @staticmethod
-    def from_json(d):
-        return Provenance(**d)
-
 
 @dataclass
 class CsiClip:
@@ -152,22 +153,18 @@ def _manifest_entry(i: int, d: dict) -> ManifestEntry:
     offset = d["byte_offset"]
     if type(offset) is not int or offset < 0:
         raise DataError(f"not a clip manifest (entry {i}: byte_offset {offset!r} is not a non-negative integer)")
-    return ManifestEntry(d["clip_id"], d["shard_path"], offset, d["labels"], Provenance.from_json(d["provenance"]))
+    return ManifestEntry(d["clip_id"], d["shard_path"], offset, d["labels"], Provenance(**d["provenance"]))
 
 
 @dataclass
 class DatasetManifest:
     entries: list
     blocklist: list = field(default_factory=list)
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         ids = [e.clip_id for e in self.entries]
         if len(set(ids)) != len(ids):
             raise DataError("duplicate clip_ids in manifest")
-
-    def ids(self):
-        return [e.clip_id for e in self.entries]
 
     def by_id(self, clip_id):
         try:
@@ -178,18 +175,9 @@ class DatasetManifest:
 
     def to_json(self) -> str:
         doc = {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "blocklist": sorted(self.blocklist),
-            "entries": [
-                {
-                    "clip_id": e.clip_id,
-                    "shard_path": e.shard_path,
-                    "byte_offset": e.byte_offset,
-                    "labels": e.labels,
-                    "provenance": e.provenance.to_json(),
-                }
-                for e in sorted(self.entries, key=lambda e: e.clip_id)
-            ],
+            "entries": [asdict(e) for e in sorted(self.entries, key=lambda e: e.clip_id)],
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -198,8 +186,13 @@ class DatasetManifest:
         """Parse ``to_json`` output (str or UTF-8 bytes); anything else raises ``DataError``."""
         try:
             doc = json.loads(text)
+            if doc["format_version"] != FORMAT_VERSION:
+                raise DataError(f"not a clip manifest (format_version {doc['format_version']!r})")
+            blocklist = doc.get("blocklist", [])
+            if not (isinstance(blocklist, list) and all(isinstance(b, str) for b in blocklist)):
+                raise DataError(f"not a clip manifest (blocklist {blocklist!r} is not a list of strings)")
             entries = [_manifest_entry(i, d) for i, d in enumerate(doc["entries"])]
-            return DatasetManifest(entries, blocklist=doc.get("blocklist", []), format_version=doc["format_version"])
+            return DatasetManifest(entries, blocklist=blocklist)
         except DataError:
             raise
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -246,12 +239,11 @@ class SplitSpec:
 
 
 def _write_record(buf, arr: np.ndarray) -> int:
-    dt = arr.dtype.newbyteorder("<")
-    code = _DTYPE_CODES[np.dtype(dt)]
-    header = _CLIP_MAGIC + struct.pack("<III", FORMAT_VERSION, arr.ndim, code)
-    header += struct.pack(f"<{arr.ndim}I", *arr.shape)
+    arr = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+    code = _DTYPE_CODES[arr.dtype]
+    header = _CLIP_MAGIC + struct.pack(f"<III{arr.ndim}I", FORMAT_VERSION, arr.ndim, code, *arr.shape)
     buf.write(header)
-    buf.write(np.ascontiguousarray(arr, dtype=dt).tobytes())
+    buf.write(arr.tobytes())
     return len(header) + arr.nbytes
 
 
@@ -275,6 +267,8 @@ def _read_record(fh) -> np.ndarray:
     version, ndim, code = struct.unpack("<III", _read_exact(fh, 12, "record header"))
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported record version {version}")
+    if ndim > _MAX_NDIM:
+        raise DataError(f"record rank {ndim} exceeds numpy's {_MAX_NDIM}")
     if code not in _CODE_DTYPES:
         raise DataError(f"unknown record dtype code {code}")
     shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "record shape"))
@@ -297,15 +291,7 @@ def _write_shard(store: Path, shard_idx: int, clips) -> list:
     with open(path, "wb") as fh:
         offset = 0
         for clip in clips:
-            entries.append(
-                ManifestEntry(
-                    clip_id=clip.clip_id,
-                    shard_path=_shard_name(shard_idx),
-                    byte_offset=offset,
-                    labels=dict(clip.labels),
-                    provenance=clip.provenance,
-                )
-            )
+            entries.append(ManifestEntry(clip.clip_id, path.name, offset, dict(clip.labels), clip.provenance))
             offset += _write_record(fh, clip.data)
     return entries
 
@@ -363,28 +349,55 @@ def stack_clips(clips) -> tuple:
 
 
 # ---------------------------------------------------------------------
-# recording files (interchange format)
+# tensor files and recording files
 
 
-def save_recording(rec: ChannelRecording, path) -> Path:
-    """One-file interchange format: JSON metadata block + complex128 payload."""
-    rec.validate()
-    meta = {
-        "sampling_rate": rec.sampling_rate,
-        "center_frequency": rec.center_frequency,
-        "bandwidth": rec.bandwidth,
-        "n_recv": rec.n_recv,
-        "n_apr": rec.n_apr,
-        "labels": rec.labels,
-        "source_id": rec.source_id,
-    }
+def write_tensor_file(path, magic: bytes, meta: dict, arrays) -> Path:
+    """Write ``magic``, the format version and metadata length, ``meta`` as JSON, then one record per array."""
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     path = Path(path)
     with open(path, "wb") as fh:
-        fh.write(_REC_MAGIC + struct.pack("<II", FORMAT_VERSION, len(blob)))
+        fh.write(magic + struct.pack("<II", FORMAT_VERSION, len(blob)))
         fh.write(blob)
-        _write_record(fh, rec.data.astype(np.complex128, copy=False))
+        for arr in arrays:
+            _write_record(fh, arr)
     return path
+
+
+def read_tensor_file(path, magic: bytes) -> tuple:
+    """(metadata dict, list of arrays) of a file ``write_tensor_file`` wrote with ``magic``.
+
+    A truncated or corrupt file raises ``DataError`` naming ``path``.
+    """
+    try:
+        with open(path, "rb") as fh:
+            got = _read_exact(fh, len(magic), "magic")
+            if got != magic:
+                raise DataError(f"magic {got!r} is not {magic!r}")
+            version, meta_len = struct.unpack("<II", _read_exact(fh, 8, "header"))
+            if version != FORMAT_VERSION:
+                raise DataError(f"unsupported format version {version}")
+            blob = _read_exact(fh, meta_len, "metadata")
+            try:
+                meta = json.loads(blob)
+                if not isinstance(meta, dict):
+                    raise ValueError(f"a {type(meta).__name__}")
+            except ValueError as exc:
+                raise DataError(f"metadata is not a UTF-8 JSON object ({exc})") from None
+            size = os.fstat(fh.fileno()).st_size
+            arrays = []
+            while fh.tell() < size:
+                arrays.append(_read_record(fh))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return meta, arrays
+
+
+def save_recording(rec: ChannelRecording, path) -> Path:
+    """One-file interchange format: a tensor file of the metadata and the complex128 tensor."""
+    rec.validate()
+    meta = {k: getattr(rec, k) for k in _REC_META}
+    return write_tensor_file(path, _REC_MAGIC, meta, [rec.data.astype(np.complex128, copy=False)])
 
 
 def load_recording(path) -> ChannelRecording:
@@ -392,26 +405,35 @@ def load_recording(path) -> ChannelRecording:
 
     A truncated or corrupt file raises ``DataError`` naming ``path``.
     """
+    meta, arrays = read_tensor_file(path, _REC_MAGIC)
     try:
-        with open(path, "rb") as fh:
-            magic = _read_exact(fh, 4, "recording magic")
-            if magic != _REC_MAGIC:
-                raise DataError(f"not a recording file: magic {magic!r}")
-            version, meta_len = struct.unpack("<II", _read_exact(fh, 8, "recording header"))
-            if version != FORMAT_VERSION:
-                raise DataError(f"unsupported recording version {version}")
-            blob = _read_exact(fh, meta_len, "metadata")
-            try:
-                meta = json.loads(blob)
-            except ValueError as exc:
-                raise DataError(f"metadata is not UTF-8 JSON ({exc})") from None
-            data = _read_record(fh)
+        (data,) = arrays
+        return ChannelRecording(data=data, **meta).validate()
+    except (TypeError, ValueError) as exc:  # not one record, unknown metadata, or what validate rejects
+        raise DataError(f"{path}: not a recording ({exc})") from None
+
+
+def write_jsonl(path, records) -> Path:
+    """One ``json.dumps(record, sort_keys=True)`` line per record."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    return path
+
+
+def read_jsonl(path) -> list:
+    """The records of a JSON-lines file; a line that is no JSON object raises ``DataError`` naming it."""
+    records = []
+    for i, line in enumerate(Path(path).read_bytes().splitlines(), 1):
         try:
-            return ChannelRecording(data=data, **meta).validate()
-        except TypeError as exc:
-            raise DataError(f"metadata does not describe a recording ({exc})") from None
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+            record = json.loads(line.decode("utf-8"))
+        except ValueError as exc:
+            raise DataError(f"{path} line {i}: not UTF-8 JSON ({exc})") from None
+        if not isinstance(record, dict):
+            raise DataError(f"{path} line {i}: not a JSON object")
+        records.append(record)
+    return records
 
 
 # ---------------------------------------------------------------------

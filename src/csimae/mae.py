@@ -51,6 +51,10 @@ class ModelError(ValueError):
 
 TRUNC_NORMAL_STD = 0.02  # positional tables, CLS and mask tokens
 
+# integer size fields and their least values: a decoder may have no blocks
+_SIZE_FLOORS = dict.fromkeys(("enc_layers", "enc_dim", "enc_heads", "dec_dim", "dec_heads", "patch_time", "patch_freq"), 1)
+_SIZE_FLOORS |= {"dec_layers": 0, "ffn_expansion": 1, "input_time": 1, "input_chan": 1}
+
 
 @dataclass
 class ModelConfig:
@@ -76,8 +80,10 @@ class ModelConfig:
             self.enc_heads = self.enc_heads or heads
         elif self.variant != "custom":
             raise ModelError(f"unknown variant {self.variant!r}")
-        if not (self.enc_layers and self.enc_dim and self.enc_heads):
-            raise ModelError("custom variant needs enc_layers/enc_dim/enc_heads")
+        sizes = {name: getattr(self, name) for name in _SIZE_FLOORS}
+        bad = [f"{name}={v!r}" for name, v in sizes.items() if type(v) is not int or v < _SIZE_FLOORS[name]]
+        if bad:
+            raise ModelError(f"model sizes must be positive integers (dec_layers may be 0), got {', '.join(bad)}")
         if self.enc_dim % self.enc_heads:
             raise ModelError(f"enc_dim {self.enc_dim} not divisible by {self.enc_heads} heads")
         if self.dec_dim % self.dec_heads:

@@ -8,7 +8,6 @@ series), and manually blocklisted irregular sources.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -186,20 +185,11 @@ def apply_blocklist(manifest: D.DatasetManifest, blocklist) -> tuple:
     blocked = set(blocklist)
     kept = [e for e in manifest.entries if e.provenance.source_id not in blocked]
     removed = len(manifest.entries) - len(kept)
-    filtered = D.DatasetManifest(
-        entries=kept,
-        blocklist=sorted(set(manifest.blocklist) | blocked),
-        format_version=manifest.format_version,
-    )
+    filtered = D.DatasetManifest(entries=kept, blocklist=sorted(set(manifest.blocklist) | blocked))
     log = {"removed_entries": removed, "blocklist": blocklist, "warnings": warnings}
     return filtered, log
 
 
 def write_reports(reports, path) -> Path:
     """One JSON record per recording, line-delimited."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in reports:
-            fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
-    return path
+    return D.write_jsonl(path, [asdict(r) for r in reports])

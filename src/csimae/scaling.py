@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -197,19 +196,6 @@ def run_sweep(spec: SweepSpec, ctx: SweepContext) -> list:
             }
         )
     return rows
-
-
-def save_rows(rows, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    return path
-
-
-def load_rows(path) -> list:
-    return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines() if line]
 
 
 def summarize_rows(rows) -> str:

@@ -15,7 +15,6 @@ metrics stream itself is bit-reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 import resource
 import time
@@ -164,16 +163,10 @@ class RunMetrics:
         """metrics.jsonl holds the deterministic stream; wall-clock and peak
         RSS go to timing.jsonl so metrics files stay bit-identical across runs."""
         run_dir = Path(run_dir)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        with open(run_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
-            for rec in self.steps:
-                fh.write(json.dumps({"kind": "step", **rec}, sort_keys=True) + "\n")
-            for rec in self.epochs:
-                fh.write(json.dumps({"kind": "epoch", **rec}, sort_keys=True) + "\n")
-        with open(run_dir / "timing.jsonl", "w", encoding="utf-8") as fh:
-            for rec in self.timing:
-                fh.write(json.dumps({"kind": "timing", **rec}, sort_keys=True) + "\n")
-        return run_dir / "metrics.jsonl"
+        steps = [{"kind": "step", **rec} for rec in self.steps]
+        path = D.write_jsonl(run_dir / "metrics.jsonl", steps + [{"kind": "epoch", **rec} for rec in self.epochs])
+        D.write_jsonl(run_dir / "timing.jsonl", [{"kind": "timing", **rec} for rec in self.timing])
+        return path
 
 
 @dataclass

@@ -12,6 +12,7 @@ import pytest
 from csimae import cli
 from csimae import data as D
 from csimae import synth as S
+from tensorfile import tensor_file_parts
 
 
 MICRO_MODEL = {
@@ -252,9 +253,11 @@ def _micro_checkpoint(path):
 
 
 def test_corrupt_checkpoint_gives_checkpoint_error_record(workdir, tmp_path, capsys):
+    from csimae import checkpoint as C
+
     ckpt = _micro_checkpoint(tmp_path / "m.ckpt")
     raw = bytearray(ckpt.read_bytes())
-    raw[16] = 0xFF  # first byte of the JSON block
+    raw[tensor_file_parts(raw, C._MAGIC)["metadata"]] = 0xFF  # first byte of the JSON block
     ckpt.write_bytes(bytes(raw))
     rc = cli.main(
         ["finetune", "--store", str(workdir / "gen" / "store"), "--out", str(tmp_path / "ft"),
@@ -370,6 +373,25 @@ def test_report_is_idempotent(workdir, tmp_path):
     first = (run / "report.txt").read_text()
     assert cli.main(["report", "--run-dir", str(run)]) == 0
     assert (run / "report.txt").read_text() == first
+
+
+REPORT_FAULTS = [(table, fault) for table in ("rows", "results") for fault in ("truncated", "accuracy")] + [
+    ("rows", "value"),
+    ("results", "regime"),
+]
+
+
+@pytest.mark.parametrize("table, fault", REPORT_FAULTS, ids=[f"{t}-{f}" for t, f in REPORT_FAULTS])
+def test_report_on_a_bad_table_gives_data_error_record_naming_the_file_and_line(tmp_path, capsys, table, fault):
+    record = {"axis": "data_fraction", "regime": "ft", "value": 0.1, "seed": 0, "accuracy": 0.5}
+    second = {k: v for k, v in record.items() if k != fault}  # the whole record when the fault is a cut
+    text = json.dumps(record) + "\n" + json.dumps(second) + "\n"
+    path = tmp_path / f"{table}.jsonl"
+    path.write_text(text[:-6] if fault == "truncated" else text)
+    assert cli.main(["report", "--run-dir", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DataError" and f"{path} line 2: " in err["message"]
+    assert not (tmp_path / "report.txt").exists()
 
 
 # ---------------------------------------------------------------------
@@ -557,6 +579,13 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         (["supervised", "--protocol", "in_domain_8020", "--domain-key", "subject"], None),
         (["clean", "--blocklist", "synth-c0e0s0b0d0-0000"], None),
         (["clean"], None),
+        (["pretrain", "--dec-heads", "0"], None),
+        (["pretrain", "--patch-time", "0"], None),
+        (["pretrain", "--dec-layers", "-1"], None),
+        (["pretrain", "--dec-dim", "0"], None),
+        (["pretrain", "--patch-freq", "-3"], None),
+        (["pretrain"], '{"model": {"variant": "custom", "enc_layers": 1, "enc_dim": 8, "enc_heads": 2.0}}'),
+        (["sweep", "--axis", "patch_size", "--values", "[[0, 3], [30, 3]]", "--held-out", "env1"], None),
     ],
     ids=[
         "lr",
@@ -595,6 +624,13 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         "in-domain-domain-key",
         "clean-blocklist-without-store",
         "clean-without-inputs",
+        "dec-heads-zero",
+        "patch-time-zero",
+        "dec-layers-negative",
+        "dec-dim-zero",
+        "patch-freq-negative",
+        "enc-heads-a-float",
+        "sweep-patch-size-zero",
     ],
 )
 def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, monkeypatch, argv, config):

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from csimae import checkpoint as C
 from csimae import data as D
+from csimae import mae as M
+from tensorfile import cut_points, record_parts, tensor_file_parts
 
 
 def make_clip(i, labels=None, rng=None):
@@ -88,6 +91,8 @@ MANIFEST_FAULTS = {
     "clip_id-a-number": lambda doc: _with_entry_field(doc, "clip_id", 7),
     "shard_path-null": lambda doc: _with_entry_field(doc, "shard_path", None),
     "labels-a-list": lambda doc: _with_entry_field(doc, "labels", ["c0"]),
+    "format_version-99": lambda doc: _json({**doc, "format_version": 99}),
+    "blocklist-a-number": lambda doc: _json({**doc, "blocklist": 5}),
 }
 
 
@@ -132,7 +137,7 @@ def test_leave_one_domain_out_partitions_by_label():
     assert len(test) == 9 and len(train) == 22
     assert {manifest.by_id(c).labels["environment"] for c in test} == {"C"}
     assert "C" not in {manifest.by_id(c).labels["environment"] for c in train}
-    assert sorted(train + test) == sorted(manifest.ids())
+    assert sorted(train + test) == sorted(e.clip_id for e in manifest.entries)
 
 
 def test_single_domain_rejected():
@@ -175,7 +180,7 @@ def test_split_is_total_and_disjoint_partition():
         D.SplitSpec("leave_one_domain_out", "environment", "B"),
     ):
         train, test = D.make_split(manifest, spec)
-        assert set(train) | set(test) == set(manifest.ids())
+        assert set(train) | set(test) == {e.clip_id for e in manifest.entries}
         assert set(train) & set(test) == set()
 
 
@@ -234,35 +239,23 @@ def make_recording():
     )
 
 
-def record_start(raw):
-    """Byte offset of the tensor record that follows a recording's metadata block."""
-    return 12 + struct.unpack("<I", raw[8:12])[0]
+# each part of a saved recording: the name a cut inside it reports
+PARTS = {p: p for p in ("magic", "header", "metadata", "record header", "record shape")} | {"payload": "record payload"}
 
 
-# where each part of a saved recording lies, as a cut offset into the file
-CUTS = {
-    "magic": lambda raw: 2,
-    "header": lambda raw: 7,
-    "metadata": lambda raw: (12 + record_start(raw)) // 2,
-    "record header": lambda raw: record_start(raw) + 10,
-    "record shape": lambda raw: record_start(raw) + 19,
-    "payload": lambda raw: len(raw) - 5,
-}
-
-
-@pytest.mark.parametrize("part", sorted(CUTS))
+@pytest.mark.parametrize("part", sorted(PARTS))
 def test_truncated_recording_raises_data_error(tmp_path, part):
     raw = D.save_recording(make_recording(), tmp_path / "r.csir").read_bytes()
     cut = tmp_path / "cut.csir"
-    cut.write_bytes(raw[: CUTS[part](raw)])
-    with pytest.raises(D.DataError, match="truncated") as err:
+    cut.write_bytes(raw[: cut_points(raw, D._REC_MAGIC)[PARTS[part]]])
+    with pytest.raises(D.DataError, match=f"truncated in {PARTS[part]}") as err:
         D.load_recording(cut)
     assert str(cut) in str(err.value)
 
 
 def test_recording_with_unknown_dtype_code_raises_data_error(tmp_path):
     raw = bytearray(D.save_recording(make_recording(), tmp_path / "r.csir").read_bytes())
-    at = record_start(raw) + 12  # magic, version, ndim, then the dtype code
+    at = tensor_file_parts(raw, D._REC_MAGIC)["records"][0]["dtype"]
     raw[at : at + 4] = struct.pack("<I", 7)
     (tmp_path / "bad.csir").write_bytes(bytes(raw))
     with pytest.raises(D.DataError, match="dtype code 7"):
@@ -271,7 +264,7 @@ def test_recording_with_unknown_dtype_code_raises_data_error(tmp_path):
 
 def test_recording_with_corrupt_metadata_raises_data_error(tmp_path):
     raw = bytearray(D.save_recording(make_recording(), tmp_path / "r.csir").read_bytes())
-    raw[12] = 0xFF  # first byte of the JSON block
+    raw[tensor_file_parts(raw, D._REC_MAGIC)["metadata"]] = 0xFF  # first byte of the JSON block
     (tmp_path / "bad.csir").write_bytes(bytes(raw))
     with pytest.raises(D.DataError, match="metadata"):
         D.load_recording(tmp_path / "bad.csir")
@@ -288,10 +281,84 @@ def test_truncated_or_corrupt_shard_raises_data_error(tmp_path):
         D.load_clips(tmp_path, manifest)
     assert str(shard) in str(err.value) and second.clip_id in str(err.value)
     bad = bytearray(raw)
-    bad[12:16] = struct.pack("<I", 9)  # dtype code of the first record
+    at = record_parts(raw)["dtype"]
+    bad[at : at + 4] = struct.pack("<I", 9)
     shard.write_bytes(bytes(bad))
     with pytest.raises(D.DataError, match="dtype code 9"):
         D.load_clips(tmp_path, manifest)
+
+
+def test_shard_record_of_impossible_rank_raises_data_error(tmp_path):
+    manifest = D.write_clip_store([make_clip(0)], tmp_path)
+    shard = tmp_path / manifest.entries[0].shard_path
+    raw = bytearray(shard.read_bytes())
+    at = record_parts(raw)["ndim"]
+    raw[at : at + 4] = struct.pack("<I", 66)
+    shard.write_bytes(bytes(raw))
+    with pytest.raises(D.DataError, match="rank 66") as err:
+        D.load_clips(tmp_path, manifest)
+    assert str(shard) in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def flippable(tmp_path_factory):
+    """A saved recording, micro checkpoint and one-clip shard: (path, bytes, loader, where the first payload starts)."""
+    root = tmp_path_factory.mktemp("flip")
+    rec = D.save_recording(make_recording(), root / "r.csir")
+    cfg = M.ModelConfig(variant="custom", enc_layers=1, enc_dim=8, enc_heads=2, dec_layers=1, dec_dim=8, dec_heads=2,
+                        patch_time=300, patch_freq=30, mask_ratio=0.5)
+    ckpt = C.save_checkpoint(root / "m.ckpt", M.init_params(cfg, seed=36), cfg)
+    manifest = D.write_clip_store([make_clip(0)], root / "store")
+    shard = root / "store" / manifest.entries[0].shard_path
+    files = {
+        "recording": (rec, lambda: D.load_recording(rec), D._REC_MAGIC),
+        "checkpoint": (ckpt, lambda: C.load_checkpoint(ckpt), C._MAGIC),
+        "shard": (shard, lambda: D.load_clips(root / "store", manifest), None),
+    }
+    out = {}
+    for kind, (path, load, magic) in files.items():
+        raw = path.read_bytes()
+        head = record_parts(raw) if magic is None else tensor_file_parts(raw, magic)["records"][0]
+        out[kind] = (path, raw, load, head["payload"])
+    return out
+
+
+@pytest.mark.parametrize("kind", ["recording", "checkpoint", "shard"])
+@given(data=st.data())
+def test_a_bit_flipped_anywhere_loads_or_raises_a_typed_error(flippable, kind, data):
+    path, raw, load, head = flippable[kind]
+    # half the draws land before the first payload, where the headers and metadata lie
+    at = data.draw(st.one_of(st.integers(0, head - 1), st.integers(0, len(raw) - 1)))
+    flipped = bytearray(raw)
+    flipped[at] ^= 1 << data.draw(st.integers(0, 7))
+    path.write_bytes(bytes(flipped))
+    try:
+        load()
+    except (D.DataError, C.CheckpointError):
+        pass
+    finally:
+        path.write_bytes(raw)
+
+
+def test_json_lines_round_trip_byte_for_byte(tmp_path):
+    records = [{"b": 1, "a": [0.5, None]}, {"kind": "step", "loss": float("nan")}]
+    path = D.write_jsonl(tmp_path / "sub" / "r.jsonl", records)
+    assert path.read_text() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    back = D.read_jsonl(path)
+    assert back[0] == records[0] and back[1]["kind"] == "step" and np.isnan(back[1]["loss"])
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [('{"a": 1}\n{"a": 2', 2), ('{"a": 1}\n\n{"a": 2}\n', 2), ("[1, 2]\n", 1), ('{"a": "\xff"}\n', 1)],
+    ids=["truncated", "blank-line", "not-an-object", "not-utf-8"],
+)
+def test_bad_json_lines_raise_data_error_naming_the_file_and_line(tmp_path, text, line):
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(D.DataError, match=f"line {line}: ") as err:
+        D.read_jsonl(path)
+    assert str(path) in str(err.value)
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 import tracemalloc
 import weakref
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from csimae import checkpoint as C
 from csimae import mae as M
 from csimae import tensors as T
+from tensorfile import cut_points, with_metadata
 
 
 def tiny_cfg(**kw):
@@ -432,6 +434,22 @@ def test_desk_forward_peak_stays_under_1_5_mib_per_clip():
     assert desk_slope(forward_peak_bytes) < 1.5
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("dec_heads", 0), ("patch_time", 0), ("dec_layers", -1), ("enc_dim", -8), ("ffn_expansion", 2.0), ("input_chan", True)],
+)
+def test_model_sizes_must_be_positive_integers(field, value):
+    with pytest.raises(M.ModelError, match=re.escape(f"{field}={value!r}")):
+        tiny_cfg(**{field: value})
+
+
+def test_a_decoder_may_have_no_blocks():
+    cfg = tiny_cfg(dec_layers=0)
+    clips = np.random.default_rng(4).standard_normal((2, 6, 4)).astype(np.float32)
+    loss, _ = M.MaskedAutoencoder(cfg, seed=2).forward_loss(clips, plans_for(cfg, 2))
+    assert np.isfinite(loss.data)
+
+
 def test_variant_table_matches_expected_dims():
     for name, (layers, dim, heads) in M.VARIANTS.items():
         cfg = M.ModelConfig(variant=name)
@@ -460,17 +478,7 @@ def test_truncated_checkpoint_raises_checkpoint_error(tmp_path):
     cfg = tiny_cfg()
     path = C.save_checkpoint(tmp_path / "m.ckpt", M.init_params(cfg, seed=31), cfg)
     data = path.read_bytes()
-    first = 16 + int.from_bytes(data[8:12], "little")  # magic, header, JSON block
-    name_len = int.from_bytes(data[first : first + 4], "little")
-    cuts = {
-        "header": 12,
-        "metadata": first - 5,
-        "tensor header": first + 4,
-        "tensor name": first + 8 + name_len - 1,
-        "shape": first + 8 + name_len + 2,
-        "payload": len(data) - 1,
-    }
-    for what, cut in cuts.items():
+    for what, cut in cut_points(data, C._MAGIC).items():
         short = tmp_path / f"cut{cut}.ckpt"
         short.write_bytes(data[:cut])
         with pytest.raises(C.CheckpointError, match=re.escape(f"{short}: truncated in {what}")):
@@ -493,28 +501,78 @@ def test_checkpoint_truncated_anywhere_raises_checkpoint_error(saved_checkpoint,
         C.load_checkpoint(root / "cut.ckpt")
 
 
-def with_metadata(path, blob: bytes):
+def rewrite_metadata(path, blob: bytes):
     """Rewrite a checkpoint's JSON block (and its length field) to ``blob``."""
-    data = path.read_bytes()
-    old = int.from_bytes(data[8:12], "little")
-    path.write_bytes(data[:8] + len(blob).to_bytes(4, "little") + data[12:16] + blob + data[16 + old :])
+    path.write_bytes(with_metadata(path.read_bytes(), C._MAGIC, blob))
     return path
 
 
 def test_checkpoint_with_metadata_that_is_not_utf8_json_raises_checkpoint_error(tmp_path):
     cfg = tiny_cfg()
     path = C.save_checkpoint(tmp_path / "m.ckpt", M.init_params(cfg, seed=32), cfg)
-    with_metadata(path, b'{"config": \xff}')
-    with pytest.raises(C.CheckpointError, match=re.escape(f"{path}: metadata is not a UTF-8 JSON model config")):
+    rewrite_metadata(path, b'{"config": \xff}')
+    with pytest.raises(C.CheckpointError, match=re.escape(f"{path}: metadata is not a UTF-8 JSON object")):
         C.load_checkpoint(path)
 
 
 def test_checkpoint_with_an_unknown_config_key_raises_checkpoint_error(tmp_path):
     cfg = tiny_cfg()
-    path = C.save_checkpoint(tmp_path / "m.ckpt", M.init_params(cfg, seed=33), cfg)
-    meta = {"config": {**cfg.to_json(), "n_experts": 4}, "extra": {}}
-    with_metadata(path, json.dumps(meta).encode("utf-8"))
+    params = M.init_params(cfg, seed=33)
+    path = C.save_checkpoint(tmp_path / "m.ckpt", params, cfg)
+    meta = {"config": {**cfg.to_json(), "n_experts": 4}, "extra": {}, "names": sorted(params)}
+    rewrite_metadata(path, json.dumps(meta).encode("utf-8"))
     with pytest.raises(C.CheckpointError, match="n_experts"):
+        C.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda meta: meta["config"].update(dec_heads=0), "dec_heads=0"),
+        (lambda meta: meta["names"].pop(), "tensor names for"),
+        (lambda meta: meta["names"].__setitem__(1, meta["names"][0]), "not distinct strings"),
+        (lambda meta: meta["names"].__setitem__(0, 7), "not distinct strings"),
+        (lambda meta: meta.pop("names"), "'names'"),
+    ],
+    ids=["dec-heads-zero", "a-name-short", "repeated-name", "name-not-a-string", "no-names"],
+)
+def test_checkpoint_whose_metadata_does_not_describe_its_records_raises_checkpoint_error(tmp_path, edit, message):
+    cfg = tiny_cfg()
+    params = M.init_params(cfg, seed=37)
+    path = C.save_checkpoint(tmp_path / "m.ckpt", params, cfg)
+    meta = {"config": cfg.to_json(), "extra": {}, "names": sorted(params)}
+    edit(meta)
+    rewrite_metadata(path, json.dumps(meta).encode("utf-8"))
+    with pytest.raises(C.CheckpointError, match=re.escape(message)) as err:
+        C.load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_checkpoint_with_a_float64_record_raises_checkpoint_error(tmp_path):
+    from csimae import data as D
+
+    cfg = tiny_cfg()
+    params = M.init_params(cfg, seed=38)
+    names = sorted(params)
+    arrays = [params[n].data.astype(np.float64 if i == 2 else np.float32) for i, n in enumerate(names)]
+    path = D.write_tensor_file(tmp_path / "m.ckpt", C._MAGIC, {"config": cfg.to_json(), "extra": {}, "names": names}, arrays)
+    with pytest.raises(C.CheckpointError, match=re.escape(f"{path}: tensor(s) not float32: {names[2]}")):
+        C.load_checkpoint(path)
+
+
+def test_checkpoint_in_the_earlier_layout_raises_checkpoint_error(tmp_path):
+    # the earlier layout: magic, <II metadata length and tensor count, compact JSON, then per
+    # tensor <II name length and ndim, the name, the dims and the float32 payload
+    cfg = tiny_cfg()
+    params = M.init_params(cfg, seed=39)
+    blob = json.dumps({"config": cfg.to_json(), "extra": {}}, sort_keys=True, separators=(",", ":")).encode()
+    raw = b"CSICKPT1" + struct.pack("<II", len(blob), len(params)) + blob
+    for name in sorted(params):
+        arr, nb = params[name].data.astype("<f4"), name.encode()
+        raw += struct.pack("<II", len(nb), arr.ndim) + nb + struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.tobytes()
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(raw)
+    with pytest.raises(C.CheckpointError, match=re.escape(f"{path}: magic b'CSICKPT1' is not")):
         C.load_checkpoint(path)
 
 

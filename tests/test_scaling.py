@@ -215,7 +215,7 @@ def test_rows_round_trip_and_summary(tmp_path):
         {"axis": "mask_ratio", "value": 0.5, "seed": 0, "accuracy": 0.8, "test_set_hash": "x"},
         {"axis": "mask_ratio", "value": 0.8, "seed": 0, "accuracy": 0.9, "test_set_hash": "x"},
     ]
-    path = L.save_rows(rows, tmp_path / "rows.jsonl")
-    assert L.load_rows(path) == rows
+    path = D.write_jsonl(tmp_path / "rows.jsonl", rows)
+    assert D.read_jsonl(path) == rows
     table = L.summarize_rows(rows)
     assert "0.8" in table and "mean_acc" in table
