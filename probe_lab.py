@@ -26,37 +26,29 @@ def desk_model():
 
 def main(out_root):
     spec = S.SynthTaskSpec(seed=1234)  # defaults: 3 classes x 3 envs x 2 subjects x 111
+    store = f"{out_root}/store"
     log(f"generating {3*3*2*spec.clips_per_cell} clips")
-    manifest = S.generate_task(spec, f"{out_root}/store")
+    manifest = S.generate_task(spec, store)
     log(f"store ready: {len(manifest.entries)} clips")
 
     split = D.SplitSpec("leave_one_domain_out", "environment", "env2")
-    train_ids, test_ids = D.make_split(manifest, split)
-    train_clips = D.load_clips(f"{out_root}/store", manifest, train_ids)
-    test_clips = D.load_clips(f"{out_root}/store", manifest, test_ids)
-    log(f"train pool {len(train_clips)}, test {len(test_clips)}")
-
     mcfg = desk_model()
     pcfg = R.TrainConfig(batch_size=128, warmup_steps=20, max_epochs=15, early_stop_patience=5, seed=0, val_fraction=0.05)
-    x_pool, _ = D.stack_clips(train_clips)
     t = time.time()
-    res = R.pretrain_arrays(x_pool, mcfg, pcfg)
+    res = E.pretrain_fold(manifest, store, split, mcfg, pcfg)
     log(f"pretrain done in {time.time()-t:.0f}s best epoch {res.best_epoch} val {res.best_value:.2f}")
-    ckpt = (res.params, mcfg)
 
-    head = E.HeadConfig(n_classes=3)
     for frac in (0.05, 0.10):
         for lr in (1e-3, 1e-4):
             accs = {"supervised": [], "ft": [], "lp": []}
             for seed in (0, 1, 2):
-                labeled = E.select_labeled(train_clips, frac, seed)
                 tcfg = R.TrainConfig(
                     peak_lr=lr, warmup_steps=5, batch_size=32, max_epochs=12,
                     early_stop_patience=5, seed=seed, val_fraction=0.15,
                 )
                 for regime in ("supervised", "ft", "lp"):
                     t = time.time()
-                    r = E.run_regime(regime, ckpt, labeled, test_clips, head, tcfg, model_cfg=mcfg)
+                    (r,) = E.run_fold(manifest, store, split, [regime], mcfg, tcfg, frac, res.params)
                     accs[regime].append(r.accuracy)
                     log(f"frac={frac} lr={lr} seed={seed} {regime}: acc={r.accuracy:.3f} ({time.time()-t:.0f}s, best_ep={r.best_epoch})")
             log(

@@ -39,6 +39,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -391,7 +392,7 @@ def _run_downstream(args, regime: str):
     if regime != "supervised":
         params, cfg["model"], _ = C.load_checkpoint(args.checkpoint)
     out = _out_dir(args.out)
-    (result,), _ = E.run_fold(
+    (result,) = E.run_fold(
         manifest, args.store, cfg["split"], [regime], cfg["model"], cfg["train"], args.label_fraction, checkpoint=params
     )
     (out / "result.json").write_text(json.dumps(result.to_json(), indent=2, sort_keys=True), encoding="utf-8")
@@ -464,7 +465,12 @@ def cmd_sweep(args):
 
 
 def _read_table(path: Path, group_key: str) -> list:
-    """The records of a run's JSON-lines table; one without ``accuracy`` or ``group_key`` raises ``DataError``."""
+    """The records of a run's JSON-lines table.
+
+    A record without ``accuracy`` or ``group_key``, or a data_fraction
+    row without the positive integer ``n_pretrain`` its log-linear fit
+    reads, raises ``DataError`` naming the file and line.
+    """
     from . import data as D
 
     records = D.read_jsonl(path)
@@ -472,6 +478,9 @@ def _read_table(path: Path, group_key: str) -> list:
         missing = [k for k in (group_key, "accuracy") if k not in record]
         if missing:
             raise D.DataError(f"{path} line {line}: no {' or '.join(missing)}")
+        n = record.get("n_pretrain")
+        if record.get("axis") == "data_fraction" and not (type(n) is int and n > 0):
+            raise D.DataError(f"{path} line {line}: data_fraction row has no positive integer n_pretrain")
     return records
 
 
@@ -483,7 +492,16 @@ def cmd_report(args):
     rows_path = run / "rows.jsonl"
     results_path = run / "results.jsonl"
     if rows_path.exists():
-        table = L.summarize_rows(_read_table(rows_path, "value"))
+        rows = _read_table(rows_path, "value")
+        table = L.summarize_rows(rows)
+        sized = [(math.log10(r["n_pretrain"]), r["accuracy"]) for r in rows if r.get("axis") == "data_fraction"]
+        if sized:
+            try:
+                fit = L.fit_loglinear(sized)
+                line = f"slope {fit.slope:.4f}  intercept {fit.intercept:.4f}  r2 {fit.r_squared:.4f}"
+            except L.SweepError as e:
+                line = f"none ({e})"
+            table += f"\nfit of accuracy on log10 n_pretrain: {line}"
     elif results_path.exists():
         records = _read_table(results_path, "regime")
         folds = Counter(r["regime"] for r in records)

@@ -320,8 +320,9 @@ def write_clip_store(clips, path) -> DatasetManifest:
 def load_clips(store_dir, manifest: DatasetManifest, clip_ids=None) -> list:
     """Read clips (all, or the given ids) grouped by shard for locality.
 
-    A truncated or corrupt record raises ``DataError`` naming the shard,
-    the byte offset and the clip id.
+    A truncated or corrupt record, or one that is not a valid clip
+    (``CsiClip.validate``), raises ``DataError`` naming the shard, the
+    byte offset and the clip id.
     """
     entries = manifest.entries if clip_ids is None else [manifest.by_id(c) for c in clip_ids]
     out = {}
@@ -334,10 +335,10 @@ def load_clips(store_dir, manifest: DatasetManifest, clip_ids=None) -> list:
             for e in sorted(shard_entries, key=lambda e: e.byte_offset):
                 fh.seek(e.byte_offset)
                 try:
-                    arr = _read_record(fh)
+                    clip = CsiClip(data=_read_record(fh), labels=dict(e.labels), provenance=e.provenance).validate()
                 except DataError as exc:
                     raise DataError(f"{path} at byte {e.byte_offset} ({e.clip_id}): {exc}") from None
-                out[e.clip_id] = CsiClip(data=arr, labels=dict(e.labels), provenance=e.provenance)
+                out[e.clip_id] = clip
     if clip_ids is None:
         return [out[e.clip_id] for e in manifest.entries]
     return [out[c] for c in clip_ids]

@@ -1,7 +1,8 @@
 """Downstream classification harness: supervised, linear-probe, fine-tune.
 
-Every downstream result comes from ``run_fold``: one split, an encoder
-pretrained on its training side only, each regime scored on its test side.
+Every downstream result comes from ``run_fold``: one split, each regime
+scored on its test side.  lp and ft start from a given encoder, such as the
+one ``pretrain_fold`` pretrains on that split's training side only.
 
 All three regimes train through ``training.fit``, the seeded loop that
 pretraining also runs: cross-entropy on the CLS feature, AdamW at the
@@ -232,6 +233,17 @@ def select_labeled(clips, fraction: float, seed) -> list:
     return sorted(chosen, key=lambda c: c.clip_id)
 
 
+def pretrain_fold(
+    manifest: D.DatasetManifest, store_dir, split: D.SplitSpec, model_cfg: M.ModelConfig, cfg: R.TrainConfig, pool=None
+) -> R.FitResult:
+    """``training.pretrain`` on ``split``'s training ids, or on the ``pool`` among them in pool order."""
+    train_ids, _ = D.make_split(manifest, split)
+    pool = train_ids if pool is None else pool
+    if not set(pool) <= set(train_ids):
+        raise EvalError(f"pretraining pool holds clips outside the training side of {split}")
+    return R.pretrain(D.DatasetManifest([manifest.by_id(i) for i in pool]), store_dir, model_cfg, cfg)
+
+
 def run_fold(
     manifest: D.DatasetManifest,
     store_dir,
@@ -240,40 +252,25 @@ def run_fold(
     model_cfg: M.ModelConfig,
     train_cfg: R.TrainConfig,
     label_fraction: float,
-    pretrain_cfg: R.TrainConfig | None = None,
     checkpoint: dict | None = None,
-    pool=None,
-) -> tuple:
-    """Score each regime on one split -> (EvalResults, pretraining ``FitResult`` or None).
+) -> list:
+    """Score each regime on one split -> its ``EvalResult``s.
 
-    Loads the split's clips once.  When a regime needs an encoder and no
-    ``checkpoint`` (params of ``model_cfg``) is given, pretrains one
-    under ``pretrain_cfg`` (default ``train_cfg``) on the training clips,
-    or on the ``pool`` ids among them in pool order; a pool id outside
-    the training side raises ``EvalError``.  The head's classes are the
-    labeled clips'; test clips of any other class count in ``n_excluded``.
+    lp and ft start from ``checkpoint``, params of ``model_cfg``.  The
+    head's classes are the labeled clips'; test clips of any other class
+    count in ``n_excluded``.
     """
     train_ids, test_ids = D.make_split(manifest, split)
     train_clips = D.load_clips(store_dir, manifest, train_ids)
     test_clips = D.load_clips(store_dir, manifest, test_ids)
-    pretrained = None
-    if checkpoint is None and any(r in ("lp", "ft") for r in regimes):
-        by_id = {c.clip_id: c for c in train_clips}
-        pool = train_ids if pool is None else pool
-        if not set(pool) <= by_id.keys():
-            raise EvalError(f"pretraining pool holds clips outside the training side of {split}")
-        x, _ = D.stack_clips([by_id[i] for i in pool])
-        pretrained = R.pretrain_arrays(x, model_cfg, pretrain_cfg or train_cfg)
-        checkpoint = pretrained.params
     labeled = select_labeled(train_clips, label_fraction, train_cfg.seed)
     head_cfg = HeadConfig(n_classes=len(_class_vocab(_labels_of(labeled))))
     ckpt = None if checkpoint is None else (checkpoint, model_cfg)
     desc = {"protocol": split.protocol, "domain_key": split.domain_key, "held_out_value": split.held_out_value}
-    results = [
+    return [
         run_regime(regime, ckpt, labeled, test_clips, head_cfg, train_cfg, model_cfg, split_desc=desc)
         for regime in regimes
     ]
-    return results, pretrained
 
 
 def cross_domain_suite(
@@ -288,13 +285,15 @@ def cross_domain_suite(
 ) -> list:
     """One leave-one-domain-out ``run_fold`` per ``data.domain_values`` entry, each regime.
 
-    For lp/ft the encoder is pretrained per fold on that fold's training
-    clips only (the held-out domain never enters pretraining).
+    For lp/ft one ``pretrain_fold`` per fold, under ``pretrain_cfg`` or else ``train_cfg``, serves both.
     """
     results = []
     for value in D.domain_values(manifest, domain_key):
         split = D.SplitSpec("leave_one_domain_out", domain_key, value, seed=train_cfg.seed)
-        results += run_fold(manifest, store_dir, split, regimes, model_cfg, train_cfg, label_fraction, pretrain_cfg)[0]
+        params = None
+        if {"lp", "ft"} & set(regimes):
+            params = pretrain_fold(manifest, store_dir, split, model_cfg, pretrain_cfg or train_cfg).params
+        results += run_fold(manifest, store_dir, split, regimes, model_cfg, train_cfg, label_fraction, params)
     return results
 
 

@@ -1,9 +1,9 @@
 """Scaling studies: data-fraction / capacity / masking / patch sweeps,
 log-linear fits, and analytic FLOPs estimates.
 
-Each sweep cell is one ``evaluate.run_fold`` on the same split, the
-context's: it pretrains on a pool drawn from the split's training clips,
-fine-tunes, and scores the one test set whose hash every row records.
+Each sweep cell pretrains (``evaluate.pretrain_fold``) on a pool drawn from
+the context split's training clips, then ``evaluate.run_fold`` fine-tunes and
+scores that encoder on the one test set whose hash every row records.
 Data-fraction pools are nested per seed so scale effects are not
 confounded with sample luck.
 """
@@ -170,7 +170,7 @@ def sweep_cells(spec: SweepSpec, ctx: SweepContext) -> tuple:
 
 
 def run_sweep(spec: SweepSpec, ctx: SweepContext) -> list:
-    """Grid of (value x seed) cells -> result rows, one ``evaluate.run_fold`` per cell.
+    """Grid of (value x seed) cells -> result rows, one ``evaluate.pretrain_fold`` and ``run_fold`` per cell.
 
     Each cell pretrains on its pool, fine-tunes on its seed's labeled
     budget and scores the split's one test set.
@@ -180,8 +180,9 @@ def run_sweep(spec: SweepSpec, ctx: SweepContext) -> list:
     rows = []
     for value, seed, model_cfg, pool in cells:
         tcfg, pcfg = replace(ctx.train_cfg, seed=seed), replace(ctx.pretrain_cfg, seed=seed)
-        (result,), pretrained = E.run_fold(
-            ctx.manifest, ctx.store_dir, ctx.split, ["ft"], model_cfg, tcfg, ctx.label_fraction, pcfg, pool=pool
+        pretrained = E.pretrain_fold(ctx.manifest, ctx.store_dir, ctx.split, model_cfg, pcfg, pool)
+        (result,) = E.run_fold(
+            ctx.manifest, ctx.store_dir, ctx.split, ["ft"], model_cfg, tcfg, ctx.label_fraction, pretrained.params
         )
         rows.append(
             {

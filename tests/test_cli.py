@@ -344,7 +344,7 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 def test_threads_flag_with_equals_sets_thread_vars(tmp_path, monkeypatch):
     for var in THREAD_VARS:
         monkeypatch.setenv(var, "1")
-    row = {"axis": "data_fraction", "value": 0.1, "seed": 0, "accuracy": 0.5, "test_set_hash": "h"}
+    row = {"axis": "data_fraction", "value": 0.1, "seed": 0, "n_pretrain": 2, "accuracy": 0.5, "test_set_hash": "h"}
     (tmp_path / "rows.jsonl").write_text(json.dumps(row) + "\n")
     assert cli.main(["report", "--run-dir", str(tmp_path), "--threads=4"]) == 0
     assert all(os.environ[var] == "4" for var in THREAD_VARS)
@@ -365,8 +365,8 @@ def test_report_is_idempotent(workdir, tmp_path):
     run = tmp_path / "sweepdir"
     run.mkdir()
     rows = [
-        {"axis": "data_fraction", "value": 0.1, "seed": 0, "accuracy": 0.5, "test_set_hash": "h"},
-        {"axis": "data_fraction", "value": 1.0, "seed": 0, "accuracy": 0.7, "test_set_hash": "h"},
+        {"axis": "data_fraction", "value": 0.1, "seed": 0, "n_pretrain": 2, "accuracy": 0.5, "test_set_hash": "h"},
+        {"axis": "data_fraction", "value": 1.0, "seed": 0, "n_pretrain": 20, "accuracy": 0.7, "test_set_hash": "h"},
     ]
     (run / "rows.jsonl").write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     assert cli.main(["report", "--run-dir", str(run)]) == 0
@@ -377,13 +377,14 @@ def test_report_is_idempotent(workdir, tmp_path):
 
 REPORT_FAULTS = [(table, fault) for table in ("rows", "results") for fault in ("truncated", "accuracy")] + [
     ("rows", "value"),
+    ("rows", "n_pretrain"),
     ("results", "regime"),
 ]
 
 
 @pytest.mark.parametrize("table, fault", REPORT_FAULTS, ids=[f"{t}-{f}" for t, f in REPORT_FAULTS])
 def test_report_on_a_bad_table_gives_data_error_record_naming_the_file_and_line(tmp_path, capsys, table, fault):
-    record = {"axis": "data_fraction", "regime": "ft", "value": 0.1, "seed": 0, "accuracy": 0.5}
+    record = {"axis": "data_fraction", "regime": "ft", "value": 0.1, "seed": 0, "n_pretrain": 2, "accuracy": 0.5}
     second = {k: v for k, v in record.items() if k != fault}  # the whole record when the fault is a cut
     text = json.dumps(record) + "\n" + json.dumps(second) + "\n"
     path = tmp_path / f"{table}.jsonl"
@@ -437,6 +438,22 @@ def test_report_over_results_prints_macro_accuracies(pinned, capsys):
     macro = json.loads((runs / "xd" / "macro.json").read_text())
     assert {r.split()[0]: r.split()[2] for r in rows} == {k: f"{v:.4f}" for k, v in macro.items()}
     assert {r.split()[1] for r in rows} == {"2"}
+
+
+def test_report_on_a_data_fraction_sweep_adds_its_log_linear_fit_and_on_other_axes_does_not(pinned, tmp_path):
+    from csimae import scaling as L
+
+    runs, _ = pinned
+    assert cli.main(["report", "--run-dir", str(runs / "sweep")]) == 0
+    *table, fit_line = (runs / "sweep" / "report.txt").read_text().splitlines()
+    rows = D.read_jsonl(runs / "sweep" / "rows.jsonl")
+    assert "\n".join(table) == L.summarize_rows(rows)
+    fit = L.fit_loglinear([(np.log10(r["n_pretrain"]), r["accuracy"]) for r in rows])
+    assert fit_line.split()[-6:] == ["slope", f"{fit.slope:.4f}", "intercept", f"{fit.intercept:.4f}", "r2", f"{fit.r_squared:.4f}"]
+    other = [dict(r, axis="mask_ratio", value=v) for r, v in zip(rows, (0.5, 0.75))]
+    D.write_jsonl(tmp_path / "rows.jsonl", other)
+    assert cli.main(["report", "--run-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "report.txt").read_text() == L.summarize_rows(other) + "\n"
 
 
 def test_sweep_writes_rows_on_one_test_set(pinned):
@@ -783,17 +800,22 @@ def test_sweep_trains_at_the_train_seed_it_records(workdir, tmp_path, monkeypatc
 
     from csimae import scaling as L
 
-    seeds = []
+    train_seeds, pretrain_seeds = [], []
 
-    def fake_run_fold(manifest, store, split, regimes, model_cfg, train_cfg, label_fraction, pretrain_cfg, pool):
-        seeds.append((train_cfg.seed, pretrain_cfg.seed))
-        return (SimpleNamespace(accuracy=0.5, n_test=16),), SimpleNamespace(best_value=1.0)
+    def fake_pretrain_fold(manifest, store, split, model_cfg, cfg, pool):
+        pretrain_seeds.append(cfg.seed)
+        return SimpleNamespace(params={}, best_value=1.0)
 
+    def fake_run_fold(manifest, store, split, regimes, model_cfg, train_cfg, label_fraction, checkpoint):
+        train_seeds.append(train_cfg.seed)
+        return [SimpleNamespace(accuracy=0.5, n_test=16)]
+
+    monkeypatch.setattr(L.E, "pretrain_fold", fake_pretrain_fold)
     monkeypatch.setattr(L.E, "run_fold", fake_run_fold)
     argv = ["sweep", "--store", str(workdir / "gen" / "store"), "--config", str(workdir / "micro.json")]
     argv += ["--axis", "mask_ratio", "--values", "[0.5, 0.75]", "--held-out", "env1", "--seed", "5"]
     assert cli.main(argv + ["--out", str(tmp_path / "sw")]) == 0
-    assert seeds == [(5, 5), (5, 5)]
+    assert list(zip(train_seeds, pretrain_seeds)) == [(5, 5), (5, 5)]
     assert json.loads((tmp_path / "sw" / "resolved_config.json").read_text())["sections"]["train"]["seed"] == 5
     rows = [json.loads(line) for line in (tmp_path / "sw" / "rows.jsonl").read_text().splitlines()]
     assert [r["seed"] for r in rows] == [5, 5]

@@ -300,6 +300,24 @@ def test_shard_record_of_impossible_rank_raises_data_error(tmp_path):
     assert str(shard) in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "field, value, error",
+    [("shape", 600 ^ 1 << 6, r"shape \(536, 90\)"), ("dtype", D._DTYPE_CODES[np.dtype("<f8")], "dtype float64")],
+    ids=["shape-bit-6", "f4-to-f8"],
+)
+def test_shard_record_of_a_wrong_shape_or_dtype_raises_data_error(tmp_path, field, value, error):
+    manifest = D.write_clip_store([make_clip(i) for i in range(2)], tmp_path)
+    first = manifest.entries[0]
+    shard = tmp_path / first.shard_path
+    raw = bytearray(shard.read_bytes())
+    at = record_parts(raw)[field]
+    raw[at : at + 4] = struct.pack("<I", value)
+    shard.write_bytes(bytes(raw))
+    with pytest.raises(D.DataError, match=error) as err:
+        D.load_clips(tmp_path, manifest)
+    assert f"{shard} at byte {first.byte_offset} ({first.clip_id})" in str(err.value)
+
+
 @pytest.fixture(scope="module")
 def flippable(tmp_path_factory):
     """A saved recording, micro checkpoint and one-clip shard: (path, bytes, loader, where the first payload starts)."""
@@ -333,11 +351,14 @@ def test_a_bit_flipped_anywhere_loads_or_raises_a_typed_error(flippable, kind, d
     flipped[at] ^= 1 << data.draw(st.integers(0, 7))
     path.write_bytes(bytes(flipped))
     try:
-        load()
+        loaded = load()
     except (D.DataError, C.CheckpointError):
-        pass
+        loaded = None
     finally:
         path.write_bytes(raw)
+    if kind == "shard" and loaded is not None:
+        for clip in loaded:
+            clip.validate()
 
 
 def test_json_lines_round_trip_byte_for_byte(tmp_path):

@@ -294,6 +294,40 @@ def test_cross_domain_pretraining_pools_hold_no_held_out_clip(tmp_path, monkeypa
         assert not pooled & held_out and pooled == training
 
 
+def test_run_fold_scores_the_encoder_it_is_given_and_never_pretrains(tmp_path, monkeypatch):
+    manifest, _ = micro_corpus(tmp_path)
+    split = D.SplitSpec("leave_one_domain_out", "environment", "env1")
+    params = M.init_params(micro_cfg(), seed=[0, 0])
+
+    def spy(*args, **kw):
+        raise AssertionError("run_fold pretrained")
+
+    monkeypatch.setattr(R, "pretrain_arrays", spy)
+    args = (manifest, tmp_path / "store", split, ["lp", "ft"], micro_cfg(), micro_train_cfg(max_epochs=2), 1.0)
+    results = E.run_fold(*args, checkpoint=params)
+    assert [r.regime for r in results] == ["lp", "ft"]
+    with pytest.raises(E.EvalError, match="needs a pretrained checkpoint"):
+        E.run_fold(*args)
+
+
+def test_pretrain_fold_refuses_a_pool_outside_the_training_side(tmp_path):
+    manifest, clips = micro_corpus(tmp_path)
+    split = D.SplitSpec("leave_one_domain_out", "environment", "env1")
+    held_out = next(c.clip_id for c in clips if c.labels["environment"] == "env1")
+    with pytest.raises(E.EvalError, match="outside the training side"):
+        E.pretrain_fold(manifest, tmp_path / "store", split, micro_cfg(), micro_train_cfg(), pool=[held_out])
+
+
+def test_pretrain_fold_then_run_fold_is_the_cross_domain_suites_fold(tmp_path):
+    manifest, _ = micro_corpus(tmp_path)
+    store, regimes, tcfg = tmp_path / "store", ["supervised", "lp", "ft"], micro_train_cfg(max_epochs=2)
+    suite = E.cross_domain_suite(manifest, store, "environment", regimes, micro_cfg(), tcfg, label_fraction=0.5)
+    split = D.SplitSpec("leave_one_domain_out", "environment", "env1", seed=tcfg.seed)
+    params = E.pretrain_fold(manifest, store, split, micro_cfg(), tcfg).params
+    fold = E.run_fold(manifest, store, split, regimes, micro_cfg(), tcfg, 0.5, checkpoint=params)
+    assert [r.to_json() for r in fold] == [r.to_json() for r in suite if r.split["held_out_value"] == "env1"]
+
+
 def test_a_fold_whose_training_side_lacks_a_class_excludes_its_test_clips(tmp_path):
     spec = S.SynthTaskSpec(n_classes=3, n_environments=3, n_subjects=1, clips_per_cell=4, seed=9)
     full = S.generate_task(spec, tmp_path / "store")

@@ -512,6 +512,59 @@ def test_layer_norm_recompute_is_bit_equal_to_keeping_the_normalized_input():
 
 
 # The normalized axis is at least 3 long: over 1 or 2 entries the normalized
+def linear_case(draw, rng):
+    lead = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n_in, n_out = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    f = lambda x, w, b: T.sum_(T.square(T.linear(x, w, b)))
+    return f, [rand(rng, *lead, n_in), rand(rng, n_in, n_out), rand(rng, n_out)]
+
+
+def gather_rows_case(draw, rng):
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    idx = rng.integers(0, n, size=draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))  # repeats allowed
+    return lambda a: T.sum_(T.square(T.gather_rows(a, idx))), [rand(rng, n, d)]
+
+
+def gather_tokens_case(draw, rng):
+    b, t, d = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    k = draw(st.integers(1, t))
+    idx = np.stack([rng.permutation(t)[:k] for _ in range(b)])  # distinct positions per row
+    return lambda a: T.sum_(T.square(T.gather_tokens(a, idx))), [rand(rng, b, t, d)]
+
+
+def concat_case(draw, rng):
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    axis = draw(st.integers(0, len(shape) - 1))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    inputs = [rand(rng, *shape[:axis], n, *shape[axis + 1 :]) for n in sizes]
+    return lambda *ts: T.sum_(T.square(T.concat(ts, axis=axis))), inputs
+
+
+def softmax_cross_entropy_case(draw, rng):
+    n, c = draw(st.integers(1, 5)), draw(st.integers(2, 6))
+    labels = rng.integers(0, c, size=n)
+    return lambda z: T.softmax_cross_entropy(z, labels), [rand(rng, n, c)]
+
+
+# name: (case(draw, rng) -> (scalar function, 64-bit inputs), the fixed-shape tests' threshold)
+RANDOM_SHAPE_GRAD_CASES = {
+    "linear": (linear_case, 1e-7),
+    "gather_rows": (gather_rows_case, 1e-7),
+    "gather_tokens": (gather_tokens_case, 1e-7),
+    "concat": (concat_case, 1e-7),
+    "softmax_cross_entropy": (softmax_cross_entropy_case, 1e-6),
+}
+
+
+@pytest.mark.parametrize("op", sorted(RANDOM_SHAPE_GRAD_CASES))
+@settings(max_examples=25)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_op_gradients_over_random_shapes(op, data, seed):
+    case, tol = RANDOM_SHAPE_GRAD_CASES[op]
+    f, inputs = case(data.draw, np.random.default_rng(seed))
+    assert T.grad_check(f, inputs) < tol
+
+
 # input is 0 or ±1 whatever x is, so x's gradient is zero up to eps and the
 # finite-difference reference is all rounding.
 @settings(max_examples=25)
