@@ -27,10 +27,15 @@ is reproducible from its own resolved_config.json plus the input store.
 A bad flag or config file, such as a --label-fraction outside (0, 1]
 or a sweep value that makes no valid model, is a config error: exit 2
 and a JSON record, before the run directory exists or anything trains.
+ingest, clean and harmonize read every recording (and harmonize builds
+every clip) before the run directory exists, so a corrupt recording
+(exit 1) or one too short for a clip (exit 2) leaves no --out behind.
 
 Environment variables are limited to CSIMAE_THREADS (BLAS/OpenMP thread
-cap, applied before numpy loads; --threads beats it) and CSIMAE_OUT_ROOT
-(prefix for relative --out paths).
+cap) and CSIMAE_OUT_ROOT (prefix for relative --out paths). Every
+command takes --threads, which beats CSIMAE_THREADS; main parses it with
+the other flags and sets the cap before any module imports numpy, as
+neither this module nor its parser does.
 """
 
 from __future__ import annotations
@@ -50,18 +55,13 @@ class CliError(ValueError):
     pass
 
 
-def _apply_threads(argv):
-    """Set thread env vars before numpy is imported anywhere.
+def _apply_threads(threads: str | None):
+    """Cap BLAS/OpenMP threads at the parsed --threads, else CSIMAE_THREADS, before numpy loads.
 
-    ``--threads N`` and ``--threads=N`` override CSIMAE_THREADS; the value
-    must be a positive integer.
+    The value must be a positive integer.
     """
-    threads = os.environ.get("CSIMAE_THREADS") or None
-    for i, arg in enumerate(argv):
-        if arg == "--threads":
-            threads = argv[i + 1] if i + 1 < len(argv) else ""
-        elif arg.startswith("--threads="):
-            threads = arg.partition("=")[2]
+    if threads is None:
+        threads = os.environ.get("CSIMAE_THREADS") or None
     if threads is None:
         return
     if not (threads.isdecimal() and int(threads) > 0):
@@ -263,10 +263,14 @@ def _add_section_flags(p, section: str):
 
 
 def _add_command(sub, name: str, func, **kw):
-    """A run command: --out, --threads, the store flags if it reads one, --config and its sections' flags."""
+    """A command with --threads; a run command (one in COMMAND_SECTIONS) also takes --out, the
+    store flags if it reads one, and --config and its sections' flags."""
     p = sub.add_parser(name, **kw)
+    p.add_argument("--threads", help="BLAS/OpenMP thread cap; beats CSIMAE_THREADS")
+    p.set_defaults(func=func)
+    if name not in COMMAND_SECTIONS:
+        return p
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", help="BLAS/OpenMP thread cap")
     if name in STORE_COMMANDS:
         p.add_argument("--store", required=True)
         p.add_argument("--manifest", help="a manifest of the store's clips, read in place of its own")
@@ -274,7 +278,6 @@ def _add_command(sub, name: str, func, **kw):
         p.add_argument("--config")
     for section in COMMAND_SECTIONS[name]:
         _add_section_flags(p, section)
-    p.set_defaults(func=func)
     return p
 
 
@@ -299,17 +302,12 @@ def cmd_ingest(args):
     repeated = sorted(name for name, n in Counter(Path(p).name for p in args.recordings).items() if n > 1)
     if repeated:
         raise CliError(f"recordings share a file name, and each is copied under its name: {', '.join(repeated)}")
-    out = _out_dir(args.out)
-    rec_dir = out / "recordings"
-    rec_dir.mkdir()
     index = []
     for path in args.recordings:
         rec = D.load_recording(path)
-        dest = rec_dir / Path(path).name
-        dest.write_bytes(Path(path).read_bytes())
         index.append(
             {
-                "file": dest.name,
+                "file": Path(path).name,
                 "source_id": rec.source_id,
                 "labels": rec.labels,
                 "shape": list(rec.data.shape),
@@ -317,6 +315,11 @@ def cmd_ingest(args):
                 "bandwidth": rec.bandwidth,
             }
         )
+    out = _out_dir(args.out)
+    rec_dir = out / "recordings"
+    rec_dir.mkdir()
+    for path in args.recordings:
+        (rec_dir / Path(path).name).write_bytes(Path(path).read_bytes())
     (out / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True), encoding="utf-8")
     _persist_run(out, "ingest", {}, args)
     print(f"ingested {len(index)} recordings into {rec_dir}")
@@ -333,12 +336,13 @@ def cmd_clean(args):
     if not (args.recordings or args.store):
         raise CliError("clean needs --recordings to QC-report, --store to filter, or both")
     cfg = _configs(args)
-    out = _out_dir(args.out)
     reports = [H.qc_recording(D.load_recording(p), cfg["harmonize"], cfg["qc"]) for p in args.recordings or []]
+    if args.store:
+        filtered, log = Q.apply_blocklist(D.DatasetManifest.load(args.store), args.blocklist or [])
+    out = _out_dir(args.out)
     if reports:
         Q.write_reports(reports, out / "qc_report.jsonl")
     if args.store:
-        filtered, log = Q.apply_blocklist(D.DatasetManifest.load(args.store), args.blocklist or [])
         (out / "manifest.json").write_text(filtered.to_json(), encoding="utf-8")
         (out / "blocklist_log.json").write_text(json.dumps(log, indent=2, sort_keys=True), encoding="utf-8")
         for w in log["warnings"]:
@@ -354,7 +358,6 @@ def cmd_harmonize(args):
     from . import qc as Q
 
     cfg = _configs(args)
-    out = _out_dir(args.out)
     clips, reports = [], []
     for path in args.recordings:
         rec_clips, report = H.harmonize_recording(D.load_recording(path), cfg["harmonize"], cfg["qc"])
@@ -362,6 +365,7 @@ def cmd_harmonize(args):
         reports.append(report)
     if not clips:
         raise CliError("harmonization produced no clips (all windows dropped or too short)")
+    out = _out_dir(args.out)
     manifest = D.write_clip_store(clips, out / "store")
     Q.write_reports(reports, out / "qc_report.jsonl")
     _persist_run(out, "harmonize", cfg, args)
@@ -467,9 +471,10 @@ def cmd_sweep(args):
 def _read_table(path: Path, group_key: str) -> list:
     """The records of a run's JSON-lines table.
 
-    A record without ``accuracy`` or ``group_key``, or a data_fraction
-    row without the positive integer ``n_pretrain`` its log-linear fit
-    reads, raises ``DataError`` naming the file and line.
+    A record without ``accuracy`` or ``group_key``, one whose accuracy
+    is not a number, or a data_fraction row without the positive integer
+    ``n_pretrain`` its log-linear fit reads, raises ``DataError`` naming
+    the file and line.
     """
     from . import data as D
 
@@ -478,6 +483,8 @@ def _read_table(path: Path, group_key: str) -> list:
         missing = [k for k in (group_key, "accuracy") if k not in record]
         if missing:
             raise D.DataError(f"{path} line {line}: no {' or '.join(missing)}")
+        if type(record["accuracy"]) not in (int, float):
+            raise D.DataError(f"{path} line {line}: accuracy {record['accuracy']!r} is not a number")
         n = record.get("n_pretrain")
         if record.get("axis") == "data_fraction" and not (type(n) is int and n > 0):
             raise D.DataError(f"{path} line {line}: data_fraction row has no positive integer n_pretrain")
@@ -590,26 +597,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_json_list, help="JSON list; default [train seed]")
     p.add_argument("--label-fraction", type=_fraction, dest="label_fraction", default=1.0)
 
-    p = sub.add_parser("report", help="aggregate a run directory into a table")
+    p = _add_command(sub, "report", cmd_report, help="aggregate a run directory into a table")
     p.add_argument("--run-dir", dest="run_dir", required=True)
-    p.add_argument("--threads")
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("grad-check", help="autodiff vs finite differences on a tiny model")
+    p = _add_command(sub, "grad-check", cmd_grad_check, help="autodiff vs finite differences on a tiny model")
     p.add_argument("--bits", type=int, choices=[32, 64], default=32)
     p.add_argument("--threshold", type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads")
-    p.set_defaults(func=cmd_grad_check)
 
     return parser
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        _apply_threads(argv)
         args = build_parser().parse_args(argv)
+        _apply_threads(args.threads)
         return args.func(args)
     except CliError as e:
         print(json.dumps({"error": "config", "message": str(e)}), file=sys.stderr)

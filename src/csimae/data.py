@@ -11,6 +11,10 @@ the file; recordings (``.csir``) and checkpoints are tensor files.
 Clip shards are back-to-back records indexed by a canonical JSON
 manifest.  Logs and result tables are JSON lines (``write_jsonl``,
 ``read_jsonl``).  Every reader raises ``DataError`` naming the file.
+
+``LABEL_KEY`` is the task label.  ``stratified_draw``, the one seeded
+per-class draw over it, picks both ``make_split``'s in-domain test slice
+and ``evaluate.select_labeled``'s labeled budget.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import numpy as np
 CLIP_TIME_LEN = 600
 CLIP_CHAN_LEN = 90
 VALID_BANDWIDTHS_HZ = (20e6, 40e6, 80e6, 160e6)
-LABEL_KINDS = ("class", "subject", "environment", "track", "band", "device")
+LABEL_KEY = "class"  # the task label: what every downstream regime classifies and ``stratified_draw`` groups by
+LABEL_KINDS = (LABEL_KEY, "subject", "environment", "track", "band", "device")
 
 FORMAT_VERSION = 1
 _CLIP_MAGIC = b"CSIC"
@@ -462,9 +467,9 @@ def make_split(manifest: DatasetManifest, spec: SplitSpec) -> tuple:
     """Partition manifest clip ids into (train, test) per the protocol: the one judge of a fold.
 
     leave_one_domain_out holds out every clip whose domain label equals
-    ``held_out_value``, one of ``domain_values``.  in_domain_8020 draws a
-    seeded 20% test slice per class (plain random when class labels are
-    absent).
+    ``held_out_value``, one of ``domain_values``.  in_domain_8020 holds
+    out a ``stratified_draw`` of ``round(0.2 n)`` of each class's ``n``
+    clips on stream ``[seed, 8020]``.
     """
     spec.validate()
     if not manifest.entries:
@@ -478,17 +483,26 @@ def make_split(manifest: DatasetManifest, spec: SplitSpec) -> tuple:
         train = sorted(e.clip_id for e in manifest.entries if e.labels[spec.domain_key] != spec.held_out_value)
         return train, test
 
-    # in_domain_8020, stratified by class label when present
+    test = stratified_draw(manifest.entries, lambda n: int(round(0.2 * n)), [spec.seed, 8020])
+    ids = sorted(e.clip_id for e in manifest.entries)
+    return [i for i in ids if i not in test], [i for i in ids if i in test]
+
+
+def stratified_draw(items, n_of, seed) -> set:
+    """The clip ids of a seeded per-class draw: ``n_of(n)`` of each class's ``n`` items.
+
+    Items (clips or manifest entries) group by their ``LABEL_KEY`` label,
+    clips without one forming a group of their own.  Groups go in ``str``
+    order of that label, each sorted by clip id and permuted by the one
+    ``default_rng(seed)`` stream.
+    """
     groups = {}
-    for e in manifest.entries:
-        groups.setdefault(e.labels.get("class"), []).append(e.clip_id)
-    rng = np.random.default_rng([spec.seed, 8020])
-    train, test = [], []
+    for item in items:
+        groups.setdefault(item.labels.get(LABEL_KEY), []).append(item.clip_id)
+    rng = np.random.default_rng(seed)
+    drawn = set()
     for key in sorted(groups, key=str):
         ids = sorted(groups[key])
         order = rng.permutation(len(ids))
-        n_test = int(round(0.2 * len(ids)))
-        take = {ids[i] for i in order[:n_test]}
-        test.extend(sorted(take))
-        train.extend(sorted(set(ids) - take))
-    return sorted(train), sorted(test)
+        drawn.update(ids[i] for i in order[: n_of(len(ids))])
+    return drawn

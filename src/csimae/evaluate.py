@@ -13,9 +13,10 @@ single linear layer on frozen features and never touches encoder
 weights; fine-tuning updates encoder and head; supervised starts the
 encoder from random init.  The fine-tune and supervised head is one
 hidden layer of encoder width: linear, GELU, linear.  Every
-regime classifies ``LABEL_KEY``, the key ``select_labeled`` draws its
-budget over; a task on another label, such as user identification,
-would thread its key through ``run_fold`` into both.
+regime classifies ``data.LABEL_KEY``, the label ``select_labeled``'s
+``data.stratified_draw`` draws the budget over; a task on another label,
+such as user identification, would thread its key through ``run_fold``
+into both.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class EvalError(ValueError):
 
 
 REGIMES = ("supervised", "lp", "ft")
-LABEL_KEY = "class"  # the label every regime is trained and scored on
 ENCODE_BATCH_SIZE = 64  # clips per frozen-encoder forward in ``encode_features``
 
 
@@ -95,7 +95,7 @@ def _class_vocab(labels) -> dict:
 
 
 def _labels_of(clips):
-    return [c.labels[LABEL_KEY] for c in clips]
+    return [c.labels[D.LABEL_KEY] for c in clips]
 
 
 def train_classifier(forward_fn, params: dict, x_train, y_train, cfg: R.TrainConfig):
@@ -217,20 +217,14 @@ def run_regime(
 
 
 def select_labeled(clips, fraction: float, seed) -> list:
-    """Seeded per-class subset: the limited-label downstream budget."""
+    """The limited-label downstream budget: ``max(1, round(fraction n))`` of each class's ``n`` clips.
+
+    A ``data.stratified_draw`` on stream ``[seed, 13]``, in clip id order.
+    """
     if fraction >= 1.0:
         return list(clips)
-    by_class = {}
-    for c in clips:
-        by_class.setdefault(c.labels.get(LABEL_KEY), []).append(c)
-    rng = np.random.default_rng([seed, 13])
-    chosen = []
-    for key in sorted(by_class, key=str):
-        group = sorted(by_class[key], key=lambda c: c.clip_id)
-        n = max(1, int(round(fraction * len(group))))
-        order = rng.permutation(len(group))
-        chosen.extend(group[i] for i in order[:n])
-    return sorted(chosen, key=lambda c: c.clip_id)
+    ids = D.stratified_draw(clips, lambda n: max(1, int(round(fraction * n))), [seed, 13])
+    return sorted((c for c in clips if c.clip_id in ids), key=lambda c: c.clip_id)
 
 
 def pretrain_fold(
@@ -280,19 +274,19 @@ def cross_domain_suite(
     regimes,
     model_cfg: M.ModelConfig,
     train_cfg: R.TrainConfig,
-    pretrain_cfg: R.TrainConfig | None = None,
-    label_fraction: float = 1.0,
+    pretrain_cfg: R.TrainConfig,
+    label_fraction: float,
 ) -> list:
     """One leave-one-domain-out ``run_fold`` per ``data.domain_values`` entry, each regime.
 
-    For lp/ft one ``pretrain_fold`` per fold, under ``pretrain_cfg`` or else ``train_cfg``, serves both.
+    For lp/ft one ``pretrain_fold`` per fold, under ``pretrain_cfg``, serves both.
     """
     results = []
     for value in D.domain_values(manifest, domain_key):
         split = D.SplitSpec("leave_one_domain_out", domain_key, value, seed=train_cfg.seed)
         params = None
         if {"lp", "ft"} & set(regimes):
-            params = pretrain_fold(manifest, store_dir, split, model_cfg, pretrain_cfg or train_cfg).params
+            params = pretrain_fold(manifest, store_dir, split, model_cfg, pretrain_cfg).params
         results += run_fold(manifest, store_dir, split, regimes, model_cfg, train_cfg, label_fraction, params)
     return results
 

@@ -252,13 +252,13 @@ def generate_task(
 ) -> D.DatasetManifest:
     """Simulate, harmonize, and store one balanced labeled dataset.
 
-    Every clip carries class plus all domain labels; generation is
-    deterministic in ``spec.seed`` regardless of iteration order because
-    each clip derives its own seed from (seed, cell, clip index).
+    Both configs go to ``harmonize.harmonize_recording`` as given, so
+    ``None`` means its defaults.  Every clip carries class plus all domain
+    labels; generation is deterministic in ``spec.seed`` regardless of
+    iteration order because each clip derives its own seed from (seed,
+    cell, clip index).
     """
     spec.validate()
-    hcfg = harmonize_config or H.HarmonizeConfig()
-    qcfg = qc_config or Q.QcConfig()
     clips = []
     for cell in spec.cells():
         c, e, s, b, d = cell
@@ -267,7 +267,7 @@ def generate_task(
             rec = simulate_cfr(scene)
             rec.labels = labels
             rec.source_id = f"{dataset_name}-c{c}e{e}s{s}b{b}d{d}-{i:04d}"
-            rec_clips, report = H.harmonize_recording(rec, hcfg, qcfg)
+            rec_clips, report = H.harmonize_recording(rec, harmonize_config, qc_config)
             if not rec_clips:
                 raise SceneError(f"cell {cell} clip {i}: harmonization produced no clips ({report.verdict})")
             clips.extend(rec_clips)

@@ -3,14 +3,14 @@
 ``fit`` is the one loop every run goes through: MAE pretraining here and
 the supervised, linear-probe and fine-tune runs in ``evaluate``.  It
 runs AdamW (betas and eps fixed at ``ADAM_BETAS`` and ``ADAM_EPS``)
-under a cosine schedule with linear warmup and stops early on a
-validation slice.  Everything is seeded and single-threaded
-deterministic: the validation split, the per-epoch shuffles and the
-per-clip mask plans all derive from the run seed, and validation masks
-are fixed across epochs so val losses compare like for like.  Each
-step's loss, lr and rejected flag go to the deterministic metrics
-stream; wall-clock timings and peak RSS go to a sidecar file so the
-metrics stream itself is bit-reproducible.
+under a cosine schedule with linear warmup, and stops
+``early_stop_patience`` epochs after the best value on a validation
+slice.  Everything is seeded and single-threaded deterministic: the
+validation split, the per-epoch shuffles and the per-clip mask plans all
+derive from the run seed, and validation masks are fixed across epochs
+so val losses compare like for like.  Each step's loss, lr and rejected
+flag go to the deterministic metrics stream; wall-clock timings and peak
+RSS go to a sidecar file so the metrics stream itself is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -120,30 +120,6 @@ class AdamW:
         return ok
 
 
-class EarlyStopper:
-    """Best-value tracking with a patience window (strict improvement)."""
-
-    def __init__(self, patience: int, mode: str = "min"):
-        self.patience = patience
-        self.sign = 1.0 if mode == "min" else -1.0
-        self.best = math.inf
-        self.best_epoch = 0
-
-    def update(self, epoch: int, value: float) -> bool:
-        if self.sign * value < self.best:
-            self.best = self.sign * value
-            self.best_epoch = epoch
-            return True
-        return False
-
-    def should_stop(self, epoch: int) -> bool:
-        return epoch - self.best_epoch >= self.patience
-
-    @property
-    def best_value(self) -> float:
-        return self.sign * self.best
-
-
 @dataclass
 class RunMetrics:
     steps: list = field(default_factory=list)  # {"step", "lr", "train_loss", "rejected"}
@@ -199,7 +175,8 @@ def val_split(n: int, cfg: TrainConfig, stream: int) -> tuple:
     return order[:n_val], order[n_val:]
 
 
-_VAL_KEYS = {"min": "val_loss", "max": "val_accuracy"}
+# each mode's record key, and the sign that turns its values into ones to minimize
+_VAL_KEYS = {"min": ("val_loss", 1.0), "max": ("val_accuracy", -1.0)}
 
 
 def fit(params: dict, fit_idx, cfg: TrainConfig, stream: int, batch_loss, val_metric, mode: str = "min") -> FitResult:
@@ -210,15 +187,16 @@ def fit(params: dict, fit_idx, cfg: TrainConfig, stream: int, batch_loss, val_me
     batch kept.  ``batch_loss(idx, epoch)`` returns the loss Tensor of
     one batch; its backward pass and an AdamW step under the warmup-cosine
     schedule follow.  ``val_metric()`` scores ``params`` after each epoch;
-    the best-scoring params (``mode`` "min" or "max") are cloned and the
-    run stops after ``early_stop_patience`` epochs without improvement.
+    the params of each strictly better score (``mode`` "min" or "max") are
+    cloned, and the run stops once ``early_stop_patience`` epochs have
+    passed since the best one.
     Every step lands in ``metrics``, rejected optimizer steps flagged.  A
     non-finite loss stops the run with ``aborted`` set.
     """
-    val_key = _VAL_KEYS[mode]
+    val_key, sign = _VAL_KEYS[mode]
     total_steps = cfg.max_epochs * math.ceil(len(fit_idx) / cfg.batch_size)
     opt = AdamW(params, cfg)
-    stopper = EarlyStopper(cfg.early_stop_patience, mode)
+    best, best_epoch = math.inf, 0  # the best signed value, and the epoch that reached it
     metrics = RunMetrics()
     best_params = C.clone_params(params)
     aborted = False
@@ -239,14 +217,14 @@ def fit(params: dict, fit_idx, cfg: TrainConfig, stream: int, batch_loss, val_me
         if aborted:
             break
         value = val_metric()
-        improved = stopper.update(epoch, value)
+        improved = sign * value < best
+        if improved:
+            best, best_epoch, best_params = sign * value, epoch, C.clone_params(params)
         metrics.add_epoch({"epoch": epoch, val_key: value, "best": improved})
         metrics.timing.append({"epoch": epoch, "wall_seconds": time.monotonic() - t0, "peak_rss_mb": _peak_rss_mb()})
-        if improved:
-            best_params = C.clone_params(params)
-        if stopper.should_stop(epoch):
+        if epoch - best_epoch >= cfg.early_stop_patience:
             break
-    return FitResult(best_params, stopper.best_epoch, stopper.best_value, metrics, aborted)
+    return FitResult(best_params, best_epoch, sign * best, metrics, aborted)
 
 
 def val_mask_plans(model_cfg: M.ModelConfig, n_val: int, seed: int) -> list:

@@ -4,6 +4,8 @@ import argparse
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -238,10 +240,23 @@ def test_truncated_recording_gives_json_error_record(tmp_path, capsys):
     raw = D.save_recording(rec, tmp_path / "full.csir").read_bytes()
     cut = tmp_path / "cut.csir"
     cut.write_bytes(raw[: len(raw) // 2])
-    rc = cli.main(["ingest", "--recordings", str(cut), "--out", str(tmp_path / "out")])
-    assert rc == 1
+    for command in ("ingest", "clean", "harmonize"):
+        rc = cli.main([command, "--recordings", str(cut), "--out", str(tmp_path / command)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "DataError" and str(cut) in err["message"] and "truncated" in err["message"]
+        assert not (tmp_path / command).exists()
+
+
+def test_harmonizing_a_recording_too_short_for_a_clip_is_a_config_error_before_the_run_directory(tmp_path, capsys):
+    scene = S.SceneSpec(paths=[S.PathComponent(1.0, 20e-9, 5.0)], n_t=40, sampling_rate=100.0, seed=1)
+    rec = S.simulate_cfr(scene)
+    rec.labels, rec.source_id = {"class": "c0", "environment": "env0"}, "cli-short"
+    path = D.save_recording(rec, tmp_path / "short.csir")
+    assert cli.main(["harmonize", "--recordings", str(path), "--out", str(tmp_path / "out")]) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "DataError" and str(cut) in err["message"] and "truncated" in err["message"]
+    assert err["error"] == "config" and "no clips" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def _micro_checkpoint(path):
@@ -361,6 +376,23 @@ def test_threads_flag_without_value_is_config_error(tmp_path, monkeypatch, capsy
     assert all(os.environ[var] == "1" for var in THREAD_VARS)
 
 
+def test_parsing_the_flags_loads_no_numpy_so_the_thread_cap_comes_first():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, csimae.cli as c; c.build_parser().parse_args(['report', '--run-dir', '.', '--threads', '2'])"
+    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+def test_report_without_a_table_is_a_config_error(tmp_path, capsys):
+    assert cli.main(["report", "--run-dir", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and "no rows.jsonl or results.jsonl" in err["message"]
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_report_is_idempotent(workdir, tmp_path):
     run = tmp_path / "sweepdir"
     run.mkdir()
@@ -375,17 +407,21 @@ def test_report_is_idempotent(workdir, tmp_path):
     assert (run / "report.txt").read_text() == first
 
 
+# a fault names a key the second record lacks, or sets it to a JSON value; "truncated" cuts the file
 REPORT_FAULTS = [(table, fault) for table in ("rows", "results") for fault in ("truncated", "accuracy")] + [
     ("rows", "value"),
     ("rows", "n_pretrain"),
     ("results", "regime"),
-]
+] + [(table, f"accuracy={bad}") for table in ("rows", "results") for bad in ('"x"', "null", "true")]
 
 
 @pytest.mark.parametrize("table, fault", REPORT_FAULTS, ids=[f"{t}-{f}" for t, f in REPORT_FAULTS])
 def test_report_on_a_bad_table_gives_data_error_record_naming_the_file_and_line(tmp_path, capsys, table, fault):
     record = {"axis": "data_fraction", "regime": "ft", "value": 0.1, "seed": 0, "n_pretrain": 2, "accuracy": 0.5}
-    second = {k: v for k, v in record.items() if k != fault}  # the whole record when the fault is a cut
+    key, setting, value = fault.partition("=")
+    second = {k: v for k, v in record.items() if k != key}  # the whole record when the fault is a cut
+    if setting:
+        second[key] = json.loads(value)
     text = json.dumps(record) + "\n" + json.dumps(second) + "\n"
     path = tmp_path / f"{table}.jsonl"
     path.write_text(text[:-6] if fault == "truncated" else text)
@@ -603,6 +639,7 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         (["pretrain", "--patch-freq", "-3"], None),
         (["pretrain"], '{"model": {"variant": "custom", "enc_layers": 1, "enc_dim": 8, "enc_heads": 2.0}}'),
         (["sweep", "--axis", "patch_size", "--values", "[[0, 3], [30, 3]]", "--held-out", "env1"], None),
+        (["sweep", "--axis", "model_variant", "--values", '["tiny", "huge"]', "--held-out", "env1"], None),
     ],
     ids=[
         "lr",
@@ -648,6 +685,7 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         "patch-freq-negative",
         "enc-heads-a-float",
         "sweep-patch-size-zero",
+        "sweep-model-variant",
     ],
 )
 def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, monkeypatch, argv, config):

@@ -253,17 +253,66 @@ def test_select_labeled_is_stratified_and_seeded():
     assert [c.clip_id for c in again] == [c.clip_id for c in sub]
 
 
+def _oracle_in_domain_8020(manifest, seed):
+    """make_split's in_domain_8020 as its own per-class loop, before data.stratified_draw."""
+    groups = {}
+    for e in manifest.entries:
+        groups.setdefault(e.labels.get("class"), []).append(e.clip_id)
+    rng = np.random.default_rng([seed, 8020])
+    train, test = [], []
+    for key in sorted(groups, key=str):
+        ids = sorted(groups[key])
+        order = rng.permutation(len(ids))
+        take = {ids[i] for i in order[: int(round(0.2 * len(ids)))]}
+        test.extend(sorted(take))
+        train.extend(sorted(set(ids) - take))
+    return sorted(train), sorted(test)
+
+
+def _oracle_select_labeled(clips, fraction, seed):
+    """select_labeled as its own per-class loop, before data.stratified_draw."""
+    if fraction >= 1.0:
+        return list(clips)
+    by_class = {}
+    for c in clips:
+        by_class.setdefault(c.labels.get("class"), []).append(c)
+    rng = np.random.default_rng([seed, 13])
+    chosen = []
+    for key in sorted(by_class, key=str):
+        group = sorted(by_class[key], key=lambda c: c.clip_id)
+        order = rng.permutation(len(group))
+        chosen.extend(group[i] for i in order[: max(1, int(round(fraction * len(group))))])
+    return sorted(chosen, key=lambda c: c.clip_id)
+
+
+def test_both_per_class_draws_match_their_own_loops_on_random_manifests():
+    rng = np.random.default_rng(2024)
+    data = np.zeros((600, 90), dtype=np.float32)
+    classes = ["c0", "c1", "c2", "c10", 1, "1", None]  # None: the clip has no class label
+    for _ in range(40):
+        n = int(rng.integers(1, 40))
+        clips = []
+        for k in rng.permutation(1000)[:n]:
+            cls = classes[rng.integers(len(classes))]
+            labels = {"environment": "env0"} if cls is None else {"class": cls, "environment": "env0"}
+            clips.append(D.CsiClip(data, labels, D.Provenance(f"s{k}", 0, 0, 0, int(k) % 3)))
+        manifest = D.DatasetManifest(
+            [D.ManifestEntry(c.clip_id, "shard-0000.bin", 0, c.labels, c.provenance) for c in clips]
+        )
+        for seed in (0, 1, 17):
+            split = D.make_split(manifest, D.SplitSpec("in_domain_8020", seed=seed))
+            assert split == _oracle_in_domain_8020(manifest, seed)
+            for fraction in (0.05, 0.25, 0.5, 0.8, 1.0):
+                got = E.select_labeled(clips, fraction, seed)
+                assert [c.clip_id for c in got] == [c.clip_id for c in _oracle_select_labeled(clips, fraction, seed)]
+
+
 def test_cross_domain_suite_fold_count(tmp_path):
     spec = S.SynthTaskSpec(n_classes=2, n_environments=3, n_subjects=1, clips_per_cell=4, seed=9)
     manifest = S.generate_task(spec, tmp_path / "store")
-    results = E.cross_domain_suite(
-        manifest,
-        tmp_path / "store",
-        "environment",
-        ["supervised"],
-        micro_cfg(),
-        micro_train_cfg(max_epochs=2),
-    )
+    tcfg = micro_train_cfg(max_epochs=2)
+    store = tmp_path / "store"
+    results = E.cross_domain_suite(manifest, store, "environment", ["supervised"], micro_cfg(), tcfg, tcfg, 1.0)
     assert len(results) == 3
     assert {r.split["held_out_value"] for r in results} == {"env0", "env1", "env2"}
     macro = E.macro_average([r.to_json() for r in results])
@@ -281,9 +330,8 @@ def test_cross_domain_pretraining_pools_hold_no_held_out_clip(tmp_path, monkeypa
         return real(x, model_cfg, cfg, run_dir)
 
     monkeypatch.setattr(R, "pretrain_arrays", spy)
-    results = E.cross_domain_suite(
-        manifest, tmp_path / "store", "environment", ["lp"], micro_cfg(), micro_train_cfg(max_epochs=2)
-    )
+    tcfg = micro_train_cfg(max_epochs=2)
+    results = E.cross_domain_suite(manifest, tmp_path / "store", "environment", ["lp"], micro_cfg(), tcfg, tcfg, 1.0)
     assert [r.split["held_out_value"] for r in results] == ["env0", "env1", "env2"]
     assert [len(x) for x in pools] == [16, 16, 16]
     for x, r in zip(pools, results):
@@ -321,7 +369,7 @@ def test_pretrain_fold_refuses_a_pool_outside_the_training_side(tmp_path):
 def test_pretrain_fold_then_run_fold_is_the_cross_domain_suites_fold(tmp_path):
     manifest, _ = micro_corpus(tmp_path)
     store, regimes, tcfg = tmp_path / "store", ["supervised", "lp", "ft"], micro_train_cfg(max_epochs=2)
-    suite = E.cross_domain_suite(manifest, store, "environment", regimes, micro_cfg(), tcfg, label_fraction=0.5)
+    suite = E.cross_domain_suite(manifest, store, "environment", regimes, micro_cfg(), tcfg, tcfg, 0.5)
     split = D.SplitSpec("leave_one_domain_out", "environment", "env1", seed=tcfg.seed)
     params = E.pretrain_fold(manifest, store, split, micro_cfg(), tcfg).params
     fold = E.run_fold(manifest, store, split, regimes, micro_cfg(), tcfg, 0.5, checkpoint=params)
@@ -335,9 +383,9 @@ def test_a_fold_whose_training_side_lacks_a_class_excludes_its_test_clips(tmp_pa
     manifest = D.DatasetManifest(
         [e for e in full.entries if e.labels["class"] != "c2" or e.labels["environment"] == "env0"]
     )
-    results = E.cross_domain_suite(
-        manifest, tmp_path / "store", "environment", ["supervised"], micro_cfg(), micro_train_cfg(max_epochs=2)
-    )
+    tcfg = micro_train_cfg(max_epochs=2)
+    store = tmp_path / "store"
+    results = E.cross_domain_suite(manifest, store, "environment", ["supervised"], micro_cfg(), tcfg, tcfg, 1.0)
     folds = {r.split["held_out_value"]: r for r in results}
     assert (folds["env0"].n_test, folds["env0"].n_excluded) == (8, 4)
     assert set(folds["env0"].per_class) == {"c0", "c1"}

@@ -1,5 +1,7 @@
 """Scaling lab: log-linear fits, FLOPs estimates, sweep mechanics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,16 @@ def test_run_sweep_grid_counts_and_shared_test_set(tmp_path, monkeypatch):
     for x in pools:
         pooled = {row.tobytes() for row in x}
         assert len(pooled) == len(x) and pooled <= training and not pooled & held_out
+
+
+def test_model_variant_cells_take_each_variants_sizes(tmp_path):
+    ctx = micro_ctx(tmp_path)
+    _, cells = L.sweep_cells(L.SweepSpec(axis="model_variant", values=["tiny", "small"]), ctx)
+    assert [(value, seed) for value, seed, _, _ in cells] == [("tiny", 0), ("small", 0)]
+    for value, _, cfg, _ in cells:
+        assert (cfg.variant, (cfg.enc_layers, cfg.enc_dim, cfg.enc_heads)) == (value, M.VARIANTS[value])
+        # every other field is the context model's
+        assert replace(cfg, variant="custom", enc_layers=2, enc_dim=16, enc_heads=2) == ctx.model_cfg
 
 
 def test_sweep_spec_validation():

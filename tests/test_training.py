@@ -65,16 +65,14 @@ def test_adamw_rejects_nonfinite_grads():
 
 def test_early_stopping_patience_arithmetic():
     # val losses 1.0, 0.9, 0.9 ... -> best at epoch 2, stop after epoch 7
-    stopper = R.EarlyStopper(patience=5, mode="min")
-    losses = [1.0, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9]
-    stopped_after = None
-    for epoch, v in enumerate(losses, start=1):
-        stopper.update(epoch, v)
-        if stopper.should_stop(epoch):
-            stopped_after = epoch
-            break
-    assert stopped_after == 7
-    assert stopper.best_epoch == 2
+    cfg = R.TrainConfig(warmup_steps=1, batch_size=4, max_epochs=8, early_stop_patience=5)
+    params = {"w": T.Tensor(np.zeros((1, 2), dtype=np.float32), requires_grad=True)}
+    losses = iter([1.0, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9])
+    batch_loss = lambda idx, epoch: T.softmax_cross_entropy(params["w"], np.array([0]))
+    res = R.fit(params, np.arange(4), cfg, 1, batch_loss, lambda: next(losses))
+    assert [e["epoch"] for e in res.metrics.epochs] == [1, 2, 3, 4, 5, 6, 7]
+    assert [e["best"] for e in res.metrics.epochs] == [True, True, False, False, False, False, False]
+    assert (res.best_epoch, res.best_value) == (2, 0.9)
 
 
 def desk_cfg(**kw):
