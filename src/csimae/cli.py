@@ -1,12 +1,15 @@
 """Command-line entry point.
 
-Every run builds its configs on one path. COMMAND_SECTIONS declares the
-config sections each command builds, and a command takes --config and
-the flags of those sections only. A config field takes, from lowest to
-highest precedence: the dataclass default, the command default, the
-config file's section, and the flag whose argparse dest names the
-field. The command defaults are the downstream runs' batch size of 32
-(finetune, probe, supervised, eval-cross-domain, sweep) and the
+Every run command (one in COMMAND_SECTIONS) has one lifecycle, in main:
+it builds the configs, creates --out, runs into it and writes the run
+record, and on any failure, an interrupt included, it removes what the
+run wrote, so a failed run leaves no --out (one that existed empty stays
+empty). COMMAND_SECTIONS declares the config sections each command
+builds, and a command takes --config and the flags of those sections
+only. A config field takes, from lowest to highest precedence: the
+dataclass default, the command default, the config file's section, and
+the flag whose argparse dest names the field. The command defaults are
+the downstream runs' batch size of 32 (DOWNSTREAM_COMMANDS) and the
 leave-one-domain-out split protocol, so a file's train.batch_size beats
 the 32. The pretrain section falls back to the file's train section and
 takes no flags. finetune and probe build no model section: the encoder
@@ -17,19 +20,16 @@ does not build; a section that no command builds is a config error.
 The commands that read a clip store are declared once, in
 STORE_COMMANDS, and take --store and --manifest (read in place of the
 store's own manifest). _open_store has ``data`` judge the command's
-split on that manifest before the run directory exists, so a held-out
-value the store lacks or a clip without the domain label is a config
-error.
+split on that manifest before anything trains, so a held-out value the
+store lacks or a clip without the domain label is a config error.
 
 resolved_config.json holds every config the command built, and its
 flags. With a checksum of everything the run produced, a run directory
 is reproducible from its own resolved_config.json plus the input store.
 A bad flag or config file, such as a --label-fraction outside (0, 1]
 or a sweep value that makes no valid model, is a config error: exit 2
-and a JSON record, before the run directory exists or anything trains.
-ingest, clean and harmonize read every recording (and harmonize builds
-every clip) before the run directory exists, so a corrupt recording
-(exit 1) or one too short for a clip (exit 2) leaves no --out behind.
+and a JSON record, before anything trains. Any other failure is exit 1
+and a JSON record naming the error.
 
 Environment variables are limited to CSIMAE_THREADS (BLAS/OpenMP thread
 cap) and CSIMAE_OUT_ROOT (prefix for relative --out paths). Every
@@ -46,6 +46,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 from collections import Counter
 from pathlib import Path
@@ -68,15 +69,6 @@ def _apply_threads(threads: str | None):
         raise CliError(f"--threads / CSIMAE_THREADS needs a positive integer, got {threads!r}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = threads
-
-
-def _out_dir(path: str) -> Path:
-    root = os.environ.get("CSIMAE_OUT_ROOT", "")
-    out = Path(root) / path if root and not os.path.isabs(path) else Path(path)
-    if out.exists() and any(out.iterdir()):
-        raise CliError(f"output directory {out} already exists and is not empty")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _load_sections(config_path: str | None) -> dict:
@@ -125,14 +117,15 @@ COMMAND_SECTIONS = {
 }
 
 # the commands that read a clip store: each takes --store and --manifest, and
-# _open_store judges its split, if any, on the store before the run directory exists
+# _open_store judges its split, if any, on the store before anything trains
 STORE_COMMANDS = ("pretrain", "finetune", "probe", "supervised", "eval-cross-domain", "sweep")
 
-# command defaults of the downstream runs: below the config file, unlike flags
+# the downstream runs and their command defaults: below the config file, unlike flags
+DOWNSTREAM_COMMANDS = ("finetune", "probe", "supervised", "eval-cross-domain", "sweep")
 DOWNSTREAM_DEFAULTS = {"train": {"batch_size": 32}, "split": {"protocol": "leave_one_domain_out"}}
 
 
-def _configs(args, defaults: dict | None = None) -> dict:
+def _configs(args) -> dict:
     """Build the config sections ``args.command`` declares from ``--config`` and the flags.
 
     A file section that no command builds is an error. The ``pretrain``
@@ -153,11 +146,11 @@ def _configs(args, defaults: dict | None = None) -> dict:
         "train": R.TrainConfig,
         "split": D.SplitSpec,
     }
-    sections = _load_sections(args.config)
+    sections = _load_sections(getattr(args, "config", None))  # ingest takes no --config
     unknown = sorted(set(sections) - set(classes) - {"pretrain"})
     if unknown:
         raise CliError(f"unknown config sections: {', '.join(unknown)}")
-    defaults = defaults or {}
+    defaults = DOWNSTREAM_DEFAULTS if args.command in DOWNSTREAM_COMMANDS else {}
     return {
         name: _build(R.TrainConfig, sections.get("pretrain", sections.get("train", {})))
         if name == "pretrain"
@@ -282,26 +275,29 @@ def _add_command(sub, name: str, func, **kw):
 
 
 # ---------------------------------------------------------------------
-# subcommands
+# subcommands; a run command takes (args, cfg, out) and returns the summary main prints
 
 
-def cmd_synth_gen(args):
+def cmd_synth_gen(args, cfg, out):
+    from . import harmonize as H
     from . import synth as S
 
-    cfg = _configs(args)
-    out = _out_dir(args.out)
-    manifest = S.generate_task(cfg["task"], out / "store", cfg["harmonize"], cfg["qc"], dataset_name=args.name)
-    _persist_run(out, "synth-gen", cfg, args)
-    print(f"wrote {len(manifest.entries)} clips to {out / 'store'}")
-    return 0
+    task = cfg["task"]
+    if not H.window_slices(task.n_packets, task.sampling_rate, cfg["harmonize"]):
+        seconds = task.n_packets / task.sampling_rate
+        raise CliError(f"a {cfg['harmonize'].window_seconds} s window is longer than a {seconds} s synthetic recording")
+    manifest = S.generate_task(task, out / "store", cfg["harmonize"], cfg["qc"], dataset_name=args.name)
+    return f"wrote {len(manifest.entries)} clips to {out / 'store'}"
 
 
-def cmd_ingest(args):
+def cmd_ingest(args, cfg, out):
     from . import data as D
 
     repeated = sorted(name for name, n in Counter(Path(p).name for p in args.recordings).items() if n > 1)
     if repeated:
         raise CliError(f"recordings share a file name, and each is copied under its name: {', '.join(repeated)}")
+    rec_dir = out / "recordings"
+    rec_dir.mkdir()
     index = []
     for path in args.recordings:
         rec = D.load_recording(path)
@@ -315,18 +311,12 @@ def cmd_ingest(args):
                 "bandwidth": rec.bandwidth,
             }
         )
-    out = _out_dir(args.out)
-    rec_dir = out / "recordings"
-    rec_dir.mkdir()
-    for path in args.recordings:
         (rec_dir / Path(path).name).write_bytes(Path(path).read_bytes())
     (out / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True), encoding="utf-8")
-    _persist_run(out, "ingest", {}, args)
-    print(f"ingested {len(index)} recordings into {rec_dir}")
-    return 0
+    return f"ingested {len(index)} recordings into {rec_dir}"
 
 
-def cmd_clean(args):
+def cmd_clean(args, cfg, out):
     from . import data as D
     from . import harmonize as H
     from . import qc as Q
@@ -335,29 +325,23 @@ def cmd_clean(args):
         raise CliError("--blocklist needs --store, the store whose manifest it filters")
     if not (args.recordings or args.store):
         raise CliError("clean needs --recordings to QC-report, --store to filter, or both")
-    cfg = _configs(args)
     reports = [H.qc_recording(D.load_recording(p), cfg["harmonize"], cfg["qc"]) for p in args.recordings or []]
-    if args.store:
-        filtered, log = Q.apply_blocklist(D.DatasetManifest.load(args.store), args.blocklist or [])
-    out = _out_dir(args.out)
     if reports:
         Q.write_reports(reports, out / "qc_report.jsonl")
     if args.store:
+        filtered, log = Q.apply_blocklist(D.DatasetManifest.load(args.store), args.blocklist or [])
         (out / "manifest.json").write_text(filtered.to_json(), encoding="utf-8")
         (out / "blocklist_log.json").write_text(json.dumps(log, indent=2, sort_keys=True), encoding="utf-8")
         for w in log["warnings"]:
             print(f"warning: {w}", file=sys.stderr)
-    _persist_run(out, "clean", cfg, args)
-    print(f"clean outputs in {out}")
-    return 0
+    return f"clean outputs in {out}"
 
 
-def cmd_harmonize(args):
+def cmd_harmonize(args, cfg, out):
     from . import data as D
     from . import harmonize as H
     from . import qc as Q
 
-    cfg = _configs(args)
     clips, reports = [], []
     for path in args.recordings:
         rec_clips, report = H.harmonize_recording(D.load_recording(path), cfg["harmonize"], cfg["qc"])
@@ -365,47 +349,44 @@ def cmd_harmonize(args):
         reports.append(report)
     if not clips:
         raise CliError("harmonization produced no clips (all windows dropped or too short)")
-    out = _out_dir(args.out)
     manifest = D.write_clip_store(clips, out / "store")
     Q.write_reports(reports, out / "qc_report.jsonl")
-    _persist_run(out, "harmonize", cfg, args)
-    print(f"wrote {len(manifest.entries)} clips from {len(args.recordings)} recordings")
-    return 0
+    return f"wrote {len(manifest.entries)} clips from {len(args.recordings)} recordings"
 
 
-def cmd_pretrain(args):
+def cmd_pretrain(args, cfg, out):
+    from . import checkpoint as C
     from . import training as R
 
-    cfg = _configs(args)
-    manifest = _open_store(args, cfg)
-    out = _out_dir(args.out)
-    result = R.pretrain(manifest, args.store, cfg["model"], cfg["train"], run_dir=out)
-    _persist_run(out, "pretrain", cfg, args)
+    result = R.pretrain(_open_store(args, cfg), args.store, cfg["model"], cfg["train"])
+    result.metrics.save(out)
+    extra = {"best_epoch": result.best_epoch, "best_val_loss": result.best_value, "aborted": result.aborted}
+    C.save_checkpoint(out / "checkpoint.ckpt", result.params, cfg["model"], extra=extra)
     status = "aborted (non-finite loss)" if result.aborted else "done"
-    print(f"pretrain {status}: best epoch {result.best_epoch}, val loss {result.best_value:.6f}")
-    return 0
+    return f"pretrain {status}: best epoch {result.best_epoch}, val loss {result.best_value:.6f}"
 
 
-def _run_downstream(args, regime: str):
+# the regime each single-fold downstream command runs
+REGIME_OF = {"finetune": "ft", "probe": "lp", "supervised": "supervised"}
+
+
+def cmd_downstream(args, cfg, out):
     from . import checkpoint as C
     from . import evaluate as E
 
-    cfg = _configs(args, DOWNSTREAM_DEFAULTS)
+    regime = REGIME_OF[args.command]
     manifest = _open_store(args, cfg)
     params = None
     if regime != "supervised":
-        params, cfg["model"], _ = C.load_checkpoint(args.checkpoint)
-    out = _out_dir(args.out)
+        params, cfg["model"], _ = C.load_checkpoint(args.checkpoint)  # recorded as the model section
     (result,) = E.run_fold(
         manifest, args.store, cfg["split"], [regime], cfg["model"], cfg["train"], args.label_fraction, checkpoint=params
     )
     (out / "result.json").write_text(json.dumps(result.to_json(), indent=2, sort_keys=True), encoding="utf-8")
-    _persist_run(out, regime, cfg, args)
-    print(f"{regime} accuracy {result.accuracy:.4f} on {result.n_test} clips ({result.n_excluded} excluded)")
-    return 0
+    return f"{regime} accuracy {result.accuracy:.4f} on {result.n_test} clips ({result.n_excluded} excluded)"
 
 
-def cmd_eval_cross_domain(args):
+def cmd_eval_cross_domain(args, cfg, out):
     from . import data as D
     from . import evaluate as E
 
@@ -415,11 +396,8 @@ def cmd_eval_cross_domain(args):
         raise CliError(f"unknown regimes {', '.join(unknown)}; choose from {', '.join(E.REGIMES)}")
     if len(set(regimes)) != len(regimes):
         raise CliError(f"regimes repeat: {args.regimes}")
-    cfg = _configs(args, DOWNSTREAM_DEFAULTS)
-    manifest = _open_store(args, cfg)
-    out = _out_dir(args.out)
     results = E.cross_domain_suite(
-        manifest,
+        _open_store(args, cfg),
         args.store,
         args.domain_key,
         regimes,
@@ -432,17 +410,13 @@ def cmd_eval_cross_domain(args):
     D.write_jsonl(out / "results.jsonl", records)
     macro = E.macro_average(records)
     (out / "macro.json").write_text(json.dumps(macro, indent=2, sort_keys=True), encoding="utf-8")
-    _persist_run(out, "eval-cross-domain", cfg, args)
-    for regime, acc in macro.items():
-        print(f"{regime}: macro accuracy {acc:.4f}")
-    return 0
+    return "\n".join(f"{regime}: macro accuracy {acc:.4f}" for regime, acc in macro.items())
 
 
-def cmd_sweep(args):
+def cmd_sweep(args, cfg, out):
     from . import data as D
     from . import scaling as L
 
-    cfg = _configs(args, DOWNSTREAM_DEFAULTS)
     if args.seed is not None and args.seeds is not None:
         raise CliError("--seed and --seeds both set the sweep's training seeds; give one of them")
     spec = _build(L.SweepSpec, {}, args, {"seeds": [cfg["train"].seed]})
@@ -459,13 +433,11 @@ def cmd_sweep(args):
         L.sweep_cells(spec, ctx)
     except (TypeError, ValueError) as e:
         raise CliError(f"invalid sweep {spec.axis} values {spec.values}: {e}") from e
-    out = _out_dir(args.out)
     rows = L.run_sweep(spec, ctx)
     D.write_jsonl(out / "rows.jsonl", rows)
-    (out / "summary.txt").write_text(L.summarize_rows(rows) + "\n", encoding="utf-8")
-    _persist_run(out, "sweep", cfg, args)
-    print(L.summarize_rows(rows))
-    return 0
+    summary = L.summarize_rows(rows)
+    (out / "summary.txt").write_text(summary + "\n", encoding="utf-8")
+    return summary
 
 
 def _read_table(path: Path, group_key: str) -> list:
@@ -580,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     _add_command(sub, "pretrain", cmd_pretrain, help="masked-reconstruction pretraining")
 
-    for regime, name in (("ft", "finetune"), ("lp", "probe"), ("supervised", "supervised")):
-        p = _add_command(sub, name, lambda a, r=regime: _run_downstream(a, r), help=f"{regime} downstream evaluation")
+    for name, regime in REGIME_OF.items():
+        p = _add_command(sub, name, cmd_downstream, help=f"{regime} downstream evaluation")
         if regime != "supervised":
             p.add_argument("--checkpoint", required=True)
         p.add_argument("--label-fraction", type=_fraction, dest="label_fraction", default=1.0)
@@ -608,11 +580,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> str:
+    """The run lifecycle; the record holds ``cfg`` as the command leaves it (finetune and probe
+    add the checkpoint's model). A failure removes the --out and parents it created, or empties
+    an --out that existed empty, and propagates."""
+    cfg = _configs(args)
+    root = os.environ.get("CSIMAE_OUT_ROOT", "")
+    out = Path(root) / args.out if root and not os.path.isabs(args.out) else Path(args.out)
+    if out.exists() and any(out.iterdir()):
+        raise CliError(f"output directory {out} already exists and is not empty")
+    created = next((p for p in reversed([out, *out.parents]) if not p.exists()), None)
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        summary = args.func(args, cfg, out)
+        _persist_run(out, args.command, cfg, args)
+    except BaseException:
+        for p in [created] if created else list(out.iterdir()):
+            if p.is_dir() and not p.is_symlink():
+                shutil.rmtree(p)
+            else:
+                p.unlink()
+        raise
+    return summary
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _apply_threads(args.threads)
-        return args.func(args)
+        if args.command not in COMMAND_SECTIONS:
+            return args.func(args)
+        print(_run(args))
+        return 0
     except CliError as e:
         print(json.dumps({"error": "config", "message": str(e)}), file=sys.stderr)
         return 2

@@ -242,8 +242,11 @@ def masked_val_loss(model: M.MaskedAutoencoder, clips: np.ndarray, plans: list, 
     return total / n
 
 
-def pretrain_arrays(clips: np.ndarray, model_cfg: M.ModelConfig, cfg: TrainConfig, run_dir=None) -> FitResult:
-    """Masked-reconstruction pretraining over an in-memory clip tensor, through ``fit`` on streams 1/2."""
+def pretrain_arrays(clips: np.ndarray, model_cfg: M.ModelConfig, cfg: TrainConfig) -> FitResult:
+    """Masked-reconstruction pretraining over an in-memory clip tensor, through ``fit`` on streams 1/2.
+
+    Writes nothing: the caller saves ``metrics`` and the params it wants kept.
+    """
     val_idx, train_idx = val_split(len(clips), cfg, 1)
     model = M.MaskedAutoencoder(model_cfg, seed=[cfg.seed, 0])
     val_clips = clips[val_idx]
@@ -256,23 +259,13 @@ def pretrain_arrays(clips: np.ndarray, model_cfg: M.ModelConfig, cfg: TrainConfi
     def val_loss():
         return masked_val_loss(model, val_clips, val_plans, cfg.batch_size)
 
-    res = fit(model.params, train_idx, cfg, 1, batch_loss, val_loss, mode="min")
-    if run_dir is not None:
-        run_dir = Path(run_dir)
-        res.metrics.save(run_dir)
-        C.save_checkpoint(
-            run_dir / "checkpoint.ckpt",
-            res.params,
-            model_cfg,
-            extra={"best_epoch": res.best_epoch, "best_val_loss": res.best_value, "aborted": res.aborted},
-        )
-    return res
+    return fit(model.params, train_idx, cfg, 1, batch_loss, val_loss, mode="min")
 
 
-def pretrain(manifest: D.DatasetManifest, store_dir, model_cfg: M.ModelConfig, cfg: TrainConfig, run_dir=None) -> FitResult:
-    """Load every clip of the manifest from the store and run ``pretrain_arrays``."""
+def pretrain(manifest: D.DatasetManifest, store_dir, model_cfg: M.ModelConfig, cfg: TrainConfig) -> FitResult:
+    """Load every clip of the manifest from the store and run ``pretrain_arrays``; writes nothing."""
     if not manifest.entries:
         raise TrainError("empty manifest")
     clips = D.load_clips(store_dir, manifest)
     x, _ = D.stack_clips(clips)
-    return pretrain_arrays(x, model_cfg, cfg, run_dir=run_dir)
+    return pretrain_arrays(x, model_cfg, cfg)

@@ -2,8 +2,10 @@
 
 import argparse
 import dataclasses
+import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -640,6 +642,7 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         (["pretrain"], '{"model": {"variant": "custom", "enc_layers": 1, "enc_dim": 8, "enc_heads": 2.0}}'),
         (["sweep", "--axis", "patch_size", "--values", "[[0, 3], [30, 3]]", "--held-out", "env1"], None),
         (["sweep", "--axis", "model_variant", "--values", '["tiny", "huge"]', "--held-out", "env1"], None),
+        (["synth-gen", "--window-seconds", "60"], None),
     ],
     ids=[
         "lr",
@@ -686,6 +689,7 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         "enc-heads-a-float",
         "sweep-patch-size-zero",
         "sweep-model-variant",
+        "synth-gen-window-too-long",
     ],
 )
 def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, monkeypatch, argv, config):
@@ -826,7 +830,7 @@ def test_every_section_flag_reaches_its_config(command, required, action):
     if "split" in cli.COMMAND_SECTIONS[command] and action.dest not in ("protocol", "held_out_value"):
         argv += ["--held-out", "env1"]  # leave-one-domain-out, the downstream default, needs one
     args = cli.build_parser().parse_args(argv)
-    configs = cli._configs(args, cli.DOWNSTREAM_DEFAULTS)
+    configs = cli._configs(args)
     configs.pop("pretrain", None)  # takes no flags
     carriers = [c for c in configs.values() if action.dest in {f.name for f in dataclasses.fields(c)}]
     assert carriers, f"{command} accepts {action.option_strings[0]} but builds no config with {action.dest}"
@@ -857,3 +861,103 @@ def test_sweep_trains_at_the_train_seed_it_records(workdir, tmp_path, monkeypatc
     assert json.loads((tmp_path / "sw" / "resolved_config.json").read_text())["sections"]["train"]["seed"] == 5
     rows = [json.loads(line) for line in (tmp_path / "sw" / "rows.jsonl").read_text().splitlines()]
     assert [r["seed"] for r in rows] == [5, 5]
+
+
+# ---------------------------------------------------------------------
+# one run lifecycle: a run that fails once it has started leaves no --out behind
+
+# each run command's flags past --store, --config and --out, and the library call
+# a fault is injected into; the fault comes after the call, so the run has written
+# what it writes up to there
+LIFECYCLE_RUNS = {
+    "synth-gen": (["--classes", "2", "--environments", "2", "--subjects", "1", "--clips-per-cell", "1"],
+                  ("synth", "generate_task")),
+    "ingest": (["--recordings", "{rec}"], ("data", "load_recording")),
+    "clean": (["--recordings", "{rec}", "--store", "{store}"], ("qc", "write_reports")),
+    "harmonize": (["--recordings", "{rec}"], ("qc", "write_reports")),
+    "pretrain": ([], ("checkpoint", "save_checkpoint")),
+    "finetune": (["--checkpoint", "{ckpt}", "--held-out", "env1"], ("evaluate", "run_fold")),
+    "probe": (["--checkpoint", "{ckpt}", "--held-out", "env1"], ("evaluate", "run_fold")),
+    "supervised": (["--held-out", "env1"], ("evaluate", "run_fold")),
+    "eval-cross-domain": (["--regimes", "supervised"], ("evaluate", "cross_domain_suite")),
+    "sweep": (["--axis", "mask_ratio", "--values", "[0.5, 0.75]", "--held-out", "env1"], ("scaling", "run_sweep")),
+}
+
+
+def _failing_after(real, error):
+    """``real``, then ``error("injected")``: a fault once the call has done its work."""
+
+    def late_fault(*a, **kw):
+        real(*a, **kw)
+        raise error("injected")
+
+    return late_fault
+
+
+LIFECYCLE_FAULTS = [(c, f) for c in LIFECYCLE_RUNS for f in ("injected", "interrupt")] + [
+    ("pretrain", "truncated-shard"),
+    ("supervised", "truncated-shard"),
+    ("pretrain", "default-warmup"),
+]
+
+
+@pytest.mark.parametrize("command, fault", LIFECYCLE_FAULTS, ids=[f"{c}-{f}" for c, f in LIFECYCLE_FAULTS])
+def test_a_run_that_fails_once_started_leaves_no_out(workdir, tmp_path, capsys, monkeypatch, command, fault):
+    flags, (module, name) = LIFECYCLE_RUNS[command]
+    store, cfg = tmp_path / "store", workdir / "micro.json"
+    shutil.copytree(workdir / "gen" / "store", store)
+    paths = {"rec": _faulty_recording(tmp_path / "rec.csir"), "store": store, "ckpt": _micro_checkpoint(tmp_path / "m.ckpt")}
+    if fault in ("injected", "interrupt"):
+        lib = importlib.import_module(f"csimae.{module}")
+        error = RuntimeError if fault == "injected" else KeyboardInterrupt
+        monkeypatch.setattr(lib, name, _failing_after(getattr(lib, name), error))
+    elif fault == "truncated-shard":
+        shard = store / "shard-0000.bin"
+        shard.write_bytes(shard.read_bytes()[: shard.stat().st_size // 2])
+    else:
+        cfg = tmp_path / "default-warmup.json"
+        train = {k: v for k, v in MICRO_TRAIN.items() if k != "warmup_steps"}
+        cfg.write_text(json.dumps({"sections": {"model": MICRO_MODEL, "train": train}}))
+    argv = [command] + [a.format(**paths) for a in flags] + ["--out", str(tmp_path / "runs" / "out")]
+    if command in cli.STORE_COMMANDS:
+        argv += ["--store", str(store), "--config", str(cfg)]
+    before = sorted(tmp_path.rglob("*"))
+    if fault == "interrupt":
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        if fault == "injected":
+            assert err == {"error": "RuntimeError", "message": "injected"}
+        elif fault == "truncated-shard":
+            assert err["error"] == "DataError" and "truncated" in err["message"]
+        else:
+            assert err["error"] == "TrainError" and err["message"].endswith("must exceed warmup_steps 1000")
+    assert capsys.readouterr().out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_a_run_into_an_existing_empty_out_succeeds_and_a_failed_one_leaves_it_empty(tmp_path, capsys, monkeypatch):
+    from csimae import qc as Q
+
+    rec = str(_faulty_recording(tmp_path / "rec.csir"))
+    done, failed = tmp_path / "done", tmp_path / "failed"
+    done.mkdir()
+    failed.mkdir()
+    assert cli.main(["harmonize", "--recordings", rec, "--out", str(done)]) == 0
+    assert (done / "store" / "manifest.json").exists() and (done / "resolved_config.json").exists()
+    monkeypatch.setattr(Q, "write_reports", _failing_after(Q.write_reports, RuntimeError))
+    assert cli.main(["harmonize", "--recordings", rec, "--out", str(failed)]) == 1
+    assert failed.is_dir() and not any(failed.iterdir())
+    assert str(failed) not in capsys.readouterr().out
+
+
+def test_a_relative_out_lands_under_csimae_out_root(tmp_path, monkeypatch):
+    rec = str(_faulty_recording(tmp_path / "rec.csir"))
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    monkeypatch.setenv("CSIMAE_OUT_ROOT", str(tmp_path / "root"))
+    assert cli.main(["ingest", "--recordings", rec, "--out", "runs/ing"]) == 0
+    assert json.loads((tmp_path / "root" / "runs" / "ing" / "index.json").read_text())[0]["source_id"] == "qc-rec"
+    assert not any((tmp_path / "cwd").iterdir())

@@ -325,9 +325,9 @@ def test_cross_domain_pretraining_pools_hold_no_held_out_clip(tmp_path, monkeypa
     clips = D.load_clips(tmp_path / "store", manifest)
     real, pools = R.pretrain_arrays, []
 
-    def spy(x, model_cfg, cfg, run_dir=None):
+    def spy(x, model_cfg, cfg):
         pools.append(x.copy())
-        return real(x, model_cfg, cfg, run_dir)
+        return real(x, model_cfg, cfg)
 
     monkeypatch.setattr(R, "pretrain_arrays", spy)
     tcfg = micro_train_cfg(max_epochs=2)

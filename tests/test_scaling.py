@@ -173,9 +173,9 @@ def test_run_sweep_grid_counts_and_shared_test_set(tmp_path, monkeypatch):
     ctx = micro_ctx(tmp_path)
     real, pools = R.pretrain_arrays, []
 
-    def spy(clips, model_cfg, cfg, run_dir=None):
+    def spy(clips, model_cfg, cfg):
         pools.append(clips.copy())
-        return real(clips, model_cfg, cfg, run_dir)
+        return real(clips, model_cfg, cfg)
 
     monkeypatch.setattr(R, "pretrain_arrays", spy)
     spec = L.SweepSpec(axis="data_fraction", values=[0.5, 1.0], seeds=[0, 1])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from csimae import checkpoint as C
 from csimae import evaluate as E
 from csimae import mae as M
 from csimae import tensors as T
@@ -106,9 +107,16 @@ def synthetic_clip_batch(n, seed=0):
     return x.astype(np.float32)
 
 
+def save_run(result, run_dir):
+    """What ``csimae pretrain`` writes of a result: its metrics streams and its checkpoint."""
+    result.metrics.save(run_dir)
+    C.save_checkpoint(run_dir / "checkpoint.ckpt", result.params, desk_model_cfg())
+
+
 def test_pretrain_smoke_loss_decreases(tmp_path):
     clips = synthetic_clip_batch(48, seed=1)
-    result = R.pretrain_arrays(clips, desk_model_cfg(), desk_cfg(), run_dir=tmp_path / "run")
+    result = R.pretrain_arrays(clips, desk_model_cfg(), desk_cfg())
+    save_run(result, tmp_path / "run")
     assert not result.aborted
     first = result.metrics.steps[0]["train_loss"]
     last = result.metrics.steps[-1]["train_loss"]
@@ -119,8 +127,10 @@ def test_pretrain_smoke_loss_decreases(tmp_path):
 
 def test_pretrain_metrics_deterministic(tmp_path):
     clips = synthetic_clip_batch(32, seed=2)
-    r1 = R.pretrain_arrays(clips, desk_model_cfg(), desk_cfg(max_epochs=3), run_dir=tmp_path / "a")
-    r2 = R.pretrain_arrays(clips, desk_model_cfg(), desk_cfg(max_epochs=3), run_dir=tmp_path / "b")
+    r1 = R.pretrain_arrays(clips, desk_model_cfg(), desk_cfg(max_epochs=3))
+    r2 = R.pretrain_arrays(clips, desk_model_cfg(), desk_cfg(max_epochs=3))
+    save_run(r1, tmp_path / "a")
+    save_run(r2, tmp_path / "b")
     assert (tmp_path / "a" / "metrics.jsonl").read_bytes() == (tmp_path / "b" / "metrics.jsonl").read_bytes()
     assert (tmp_path / "a" / "checkpoint.ckpt").read_bytes() == (tmp_path / "b" / "checkpoint.ckpt").read_bytes()
     assert r1.params.keys() == r2.params.keys()
@@ -174,7 +184,7 @@ def test_rejected_step_is_recorded_in_metrics(tmp_path, monkeypatch):
 
     monkeypatch.setattr(R, "adamw_step", refuse_second)
     clips = synthetic_clip_batch(20, seed=4)
-    R.pretrain_arrays(clips, desk_model_cfg(), desk_cfg(warmup_steps=1, max_epochs=2), run_dir=tmp_path)
+    R.pretrain_arrays(clips, desk_model_cfg(), desk_cfg(warmup_steps=1, max_epochs=2)).metrics.save(tmp_path)
     lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
     steps = [r for r in map(json.loads, lines) if r["kind"] == "step"]
     assert len(steps) == len(calls) == 4
@@ -183,7 +193,7 @@ def test_rejected_step_is_recorded_in_metrics(tmp_path, monkeypatch):
 
 def test_timing_records_wall_seconds_and_peak_rss_per_epoch(tmp_path):
     clips = synthetic_clip_batch(20, seed=5)
-    R.pretrain_arrays(clips, desk_model_cfg(), desk_cfg(warmup_steps=1, max_epochs=2), run_dir=tmp_path)
+    R.pretrain_arrays(clips, desk_model_cfg(), desk_cfg(warmup_steps=1, max_epochs=2)).metrics.save(tmp_path)
     records = [json.loads(line) for line in (tmp_path / "timing.jsonl").read_text().splitlines()]
     assert [r["epoch"] for r in records] == [1, 2]
     assert all(set(r) == {"kind", "epoch", "wall_seconds", "peak_rss_mb"} for r in records)
