@@ -120,8 +120,11 @@ COMMAND_SECTIONS = {
 # _open_store judges its split, if any, on the store before anything trains
 STORE_COMMANDS = ("pretrain", "finetune", "probe", "supervised", "eval-cross-domain", "sweep")
 
+# the regime each single-fold downstream command runs
+REGIME_OF = {"finetune": "ft", "probe": "lp", "supervised": "supervised"}
+
 # the downstream runs and their command defaults: below the config file, unlike flags
-DOWNSTREAM_COMMANDS = ("finetune", "probe", "supervised", "eval-cross-domain", "sweep")
+DOWNSTREAM_COMMANDS = (*REGIME_OF, "eval-cross-domain", "sweep")
 DOWNSTREAM_DEFAULTS = {"train": {"batch_size": 32}, "split": {"protocol": "leave_one_domain_out"}}
 
 
@@ -366,10 +369,6 @@ def cmd_pretrain(args, cfg, out):
     return f"pretrain {status}: best epoch {result.best_epoch}, val loss {result.best_value:.6f}"
 
 
-# the regime each single-fold downstream command runs
-REGIME_OF = {"finetune": "ft", "probe": "lp", "supervised": "supervised"}
-
-
 def cmd_downstream(args, cfg, out):
     from . import checkpoint as C
     from . import evaluate as E
@@ -582,24 +581,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> str:
     """The run lifecycle; the record holds ``cfg`` as the command leaves it (finetune and probe
-    add the checkpoint's model). A failure removes the --out and parents it created, or empties
-    an --out that existed empty, and propagates."""
+    add the checkpoint's model). A failure empties --out, removes it and each parent it created
+    that is empty (other runs may share one), and propagates."""
     cfg = _configs(args)
     root = os.environ.get("CSIMAE_OUT_ROOT", "")
     out = Path(root) / args.out if root and not os.path.isabs(args.out) else Path(args.out)
     if out.exists() and any(out.iterdir()):
         raise CliError(f"output directory {out} already exists and is not empty")
-    created = next((p for p in reversed([out, *out.parents]) if not p.exists()), None)
+    made = [p for p in [out, *out.parents] if not p.exists()]  # --out, then up
     out.mkdir(parents=True, exist_ok=True)
     try:
         summary = args.func(args, cfg, out)
         _persist_run(out, args.command, cfg, args)
     except BaseException:
-        for p in [created] if created else list(out.iterdir()):
+        for p in list(out.iterdir()):
             if p.is_dir() and not p.is_symlink():
                 shutil.rmtree(p)
             else:
                 p.unlink()
+        for p in made:
+            try:
+                p.rmdir()
+            except OSError:
+                break
         raise
     return summary
 

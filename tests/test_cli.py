@@ -897,7 +897,6 @@ def _failing_after(real, error):
 LIFECYCLE_FAULTS = [(c, f) for c in LIFECYCLE_RUNS for f in ("injected", "interrupt")] + [
     ("pretrain", "truncated-shard"),
     ("supervised", "truncated-shard"),
-    ("pretrain", "default-warmup"),
 ]
 
 
@@ -911,13 +910,9 @@ def test_a_run_that_fails_once_started_leaves_no_out(workdir, tmp_path, capsys, 
         lib = importlib.import_module(f"csimae.{module}")
         error = RuntimeError if fault == "injected" else KeyboardInterrupt
         monkeypatch.setattr(lib, name, _failing_after(getattr(lib, name), error))
-    elif fault == "truncated-shard":
+    else:
         shard = store / "shard-0000.bin"
         shard.write_bytes(shard.read_bytes()[: shard.stat().st_size // 2])
-    else:
-        cfg = tmp_path / "default-warmup.json"
-        train = {k: v for k, v in MICRO_TRAIN.items() if k != "warmup_steps"}
-        cfg.write_text(json.dumps({"sections": {"model": MICRO_MODEL, "train": train}}))
     argv = [command] + [a.format(**paths) for a in flags] + ["--out", str(tmp_path / "runs" / "out")]
     if command in cli.STORE_COMMANDS:
         argv += ["--store", str(store), "--config", str(cfg)]
@@ -930,10 +925,8 @@ def test_a_run_that_fails_once_started_leaves_no_out(workdir, tmp_path, capsys, 
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         if fault == "injected":
             assert err == {"error": "RuntimeError", "message": "injected"}
-        elif fault == "truncated-shard":
-            assert err["error"] == "DataError" and "truncated" in err["message"]
         else:
-            assert err["error"] == "TrainError" and err["message"].endswith("must exceed warmup_steps 1000")
+            assert err["error"] == "DataError" and "truncated" in err["message"]
     assert capsys.readouterr().out == ""
     assert sorted(tmp_path.rglob("*")) == before
 
@@ -951,6 +944,24 @@ def test_a_run_into_an_existing_empty_out_succeeds_and_a_failed_one_leaves_it_em
     assert cli.main(["harmonize", "--recordings", rec, "--out", str(failed)]) == 1
     assert failed.is_dir() and not any(failed.iterdir())
     assert str(failed) not in capsys.readouterr().out
+
+
+def test_a_failed_run_keeps_a_sibling_run_in_the_parent_it_created(tmp_path, monkeypatch):
+    from csimae import qc as Q
+
+    rec = str(_faulty_recording(tmp_path / "rec.csir"))
+    results = tmp_path / "results"
+    real = Q.write_reports
+
+    def sibling_then_fault(*a, **kw):
+        real(*a, **kw)
+        assert cli.main(["ingest", "--recordings", rec, "--out", str(results / "ing")]) == 0
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(Q, "write_reports", sibling_then_fault)
+    assert cli.main(["harmonize", "--recordings", rec, "--out", str(results / "harm")]) == 1
+    assert sorted(p.name for p in results.iterdir()) == ["ing"]
+    assert (results / "ing" / "index.json").exists() and (results / "ing" / "checksums.txt").exists()
 
 
 def test_a_relative_out_lands_under_csimae_out_root(tmp_path, monkeypatch):

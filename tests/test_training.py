@@ -110,7 +110,8 @@ def synthetic_clip_batch(n, seed=0):
 def save_run(result, run_dir):
     """What ``csimae pretrain`` writes of a result: its metrics streams and its checkpoint."""
     result.metrics.save(run_dir)
-    C.save_checkpoint(run_dir / "checkpoint.ckpt", result.params, desk_model_cfg())
+    extra = {"best_epoch": result.best_epoch, "best_val_loss": result.best_value, "aborted": result.aborted}
+    C.save_checkpoint(run_dir / "checkpoint.ckpt", result.params, desk_model_cfg(), extra=extra)
 
 
 def test_pretrain_smoke_loss_decreases(tmp_path):
