@@ -2,9 +2,11 @@
 
 Every run command (one in COMMAND_SECTIONS) has one lifecycle, in main:
 it builds the configs, creates --out, runs into it and writes the run
-record, and on any failure, an interrupt included, it removes what the
-run wrote, so a failed run leaves no --out (one that existed empty stays
-empty). COMMAND_SECTIONS declares the config sections each command
+record, and on any failure, an interrupt or SIGTERM included, it removes
+what the run wrote, so a failed run leaves no --out (one that existed
+empty stays empty). SIGTERM then ends the process with exit 143. Every
+config checks itself when it is built, so a bad one is refused before
+--out exists. COMMAND_SECTIONS declares the config sections each command
 builds, and a command takes --config and the flags of those sections
 only. A config field takes, from lowest to highest precedence: the
 dataclass default, the command default, the config file's section, and
@@ -26,10 +28,10 @@ store lacks or a clip without the domain label is a config error.
 resolved_config.json holds every config the command built, and its
 flags. With a checksum of everything the run produced, a run directory
 is reproducible from its own resolved_config.json plus the input store.
-A bad flag or config file, such as a --label-fraction outside (0, 1]
-or a sweep value that makes no valid model, is a config error: exit 2
-and a JSON record, before anything trains. Any other failure is exit 1
-and a JSON record naming the error.
+A bad flag or config file, such as a --label-fraction outside (0, 1],
+a sweep value that makes no valid model or an --out that is not a
+directory, is a config error: exit 2 and a JSON record, before anything
+trains. Any other failure is exit 1 and a JSON record naming the error.
 
 Environment variables are limited to CSIMAE_THREADS (BLAS/OpenMP thread
 cap) and CSIMAE_OUT_ROOT (prefix for relative --out paths). Every
@@ -47,7 +49,9 @@ import json
 import math
 import os
 import shutil
+import signal
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -95,8 +99,7 @@ def _build(cls, section: dict, args=None, default: dict | None = None):
     merged = {**(default or {}), **section}
     merged.update({k: v for k, v in (vars(args) if args else {}).items() if k in names and v is not None})
     try:
-        obj = cls(**merged)
-        return obj.validate() if hasattr(obj, "validate") else obj
+        return cls(**merged)
     except (TypeError, ValueError) as e:
         raise CliError(f"invalid {cls.__name__}: {e}") from e
 
@@ -260,7 +263,8 @@ def _add_section_flags(p, section: str):
 
 def _add_command(sub, name: str, func, **kw):
     """A command with --threads; a run command (one in COMMAND_SECTIONS) also takes --out, the
-    store flags if it reads one, and --config and its sections' flags."""
+    store flags if it reads one, --label-fraction if it runs downstream, and --config and its
+    sections' flags."""
     p = sub.add_parser(name, **kw)
     p.add_argument("--threads", help="BLAS/OpenMP thread cap; beats CSIMAE_THREADS")
     p.set_defaults(func=func)
@@ -270,6 +274,8 @@ def _add_command(sub, name: str, func, **kw):
     if name in STORE_COMMANDS:
         p.add_argument("--store", required=True)
         p.add_argument("--manifest", help="a manifest of the store's clips, read in place of its own")
+    if name in DOWNSTREAM_COMMANDS:
+        p.add_argument("--label-fraction", type=_fraction, dest="label_fraction", default=1.0)
     if COMMAND_SECTIONS[name]:
         p.add_argument("--config")
     for section in COMMAND_SECTIONS[name]:
@@ -555,18 +561,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = _add_command(sub, name, cmd_downstream, help=f"{regime} downstream evaluation")
         if regime != "supervised":
             p.add_argument("--checkpoint", required=True)
-        p.add_argument("--label-fraction", type=_fraction, dest="label_fraction", default=1.0)
 
     p = _add_command(sub, "eval-cross-domain", cmd_eval_cross_domain, help="leave-one-domain-out folds, all regimes")
     p.add_argument("--domain-key", dest="domain_key", default="environment")
     p.add_argument("--regimes", default="supervised,lp,ft")
-    p.add_argument("--label-fraction", type=_fraction, dest="label_fraction", default=1.0)
 
     p = _add_command(sub, "sweep", cmd_sweep, help="scaling/ablation sweeps")
     p.add_argument("--axis", required=True)
     p.add_argument("--values", type=_json_list, required=True, help="JSON list")
     p.add_argument("--seeds", type=_json_list, help="JSON list; default [train seed]")
-    p.add_argument("--label-fraction", type=_fraction, dest="label_fraction", default=1.0)
 
     p = _add_command(sub, "report", cmd_report, help="aggregate a run directory into a table")
     p.add_argument("--run-dir", dest="run_dir", required=True)
@@ -586,10 +589,13 @@ def _run(args) -> str:
     cfg = _configs(args)
     root = os.environ.get("CSIMAE_OUT_ROOT", "")
     out = Path(root) / args.out if root and not os.path.isabs(args.out) else Path(args.out)
-    if out.exists() and any(out.iterdir()):
+    if out.is_dir() and any(out.iterdir()):
         raise CliError(f"output directory {out} already exists and is not empty")
     made = [p for p in [out, *out.parents] if not p.exists()]  # --out, then up
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # such as an --out that names a file
+        raise CliError(f"cannot make output directory {out}: {e}") from e
     try:
         summary = args.func(args, cfg, out)
         _persist_run(out, args.command, cfg, args)
@@ -608,13 +614,25 @@ def _run(args) -> str:
     return summary
 
 
+def _terminate(signum, frame):
+    """SIGTERM during a run: leave through the lifecycle's failure path, as an interrupt does."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _apply_threads(args.threads)
         if args.command not in COMMAND_SECTIONS:
             return args.func(args)
-        print(_run(args))
+        handles = threading.current_thread() is threading.main_thread()  # only it may set a handler
+        previous = signal.signal(signal.SIGTERM, _terminate) if handles else None
+        try:
+            summary = _run(args)
+        finally:
+            if handles:
+                signal.signal(signal.SIGTERM, previous)
+        print(summary)
         return 0
     except CliError as e:
         print(json.dumps({"error": "config", "message": str(e)}), file=sys.stderr)

@@ -229,14 +229,13 @@ class SplitSpec:
     held_out_value: str | None = None
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.protocol not in ("in_domain_8020", "leave_one_domain_out"):
             raise SplitError(f"unknown protocol {self.protocol!r}")
         if self.protocol == "leave_one_domain_out" and self.held_out_value is None:
             raise SplitError("leave_one_domain_out needs a held_out_value")
         if self.protocol == "in_domain_8020" and (self.held_out_value, self.domain_key) != (None, "environment"):
             raise SplitError(f"in_domain_8020 holds out no domain, got {self.domain_key}={self.held_out_value!r}")
-        return self
 
 
 # ---------------------------------------------------------------------
@@ -471,7 +470,6 @@ def make_split(manifest: DatasetManifest, spec: SplitSpec) -> tuple:
     out a ``stratified_draw`` of ``round(0.2 n)`` of each class's ``n``
     clips on stream ``[seed, 8020]``.
     """
-    spec.validate()
     if not manifest.entries:
         raise SplitError("empty manifest")
 

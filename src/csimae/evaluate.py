@@ -44,10 +44,9 @@ ENCODE_BATCH_SIZE = 64  # clips per frozen-encoder forward in ``encode_features`
 class HeadConfig:
     n_classes: int
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_classes < 2:
             raise EvalError("need at least 2 classes")
-        return self
 
 
 @dataclass
@@ -160,7 +159,6 @@ def run_regime(
         raise EvalError(f"unknown regime {regime!r}")
     if batch_size not in (None, train_cfg.batch_size):
         raise EvalError(f"batch_size {batch_size} differs from train_cfg.batch_size {train_cfg.batch_size}")
-    head_cfg.validate()
     if regime in ("lp", "ft") and checkpoint is None:
         raise EvalError(f"regime {regime} needs a pretrained checkpoint")
     if checkpoint is not None and model_cfg is None:

@@ -43,10 +43,9 @@ class HarmonizeConfig:
     window_seconds: float = 2.0
     stride_seconds: float = 1.0
 
-    def validate(self):
+    def __post_init__(self):
         if not self.window_seconds >= self.stride_seconds > 0:
             raise HarmonizeError("need window_seconds >= stride_seconds > 0")
-        return self
 
 
 @dataclass
@@ -189,8 +188,8 @@ def harmonize_recording(
     qc_config: Q.QcConfig | None = None,
 ) -> tuple:
     """Recording -> (clips, QcReport); QC runs per window before resampling."""
-    config = (config or HarmonizeConfig()).validate()
-    qcfg = (qc_config or Q.QcConfig()).validate()
+    config = config or HarmonizeConfig()
+    qcfg = qc_config or Q.QcConfig()
     recording.validate()
     clips = []
 

@@ -24,12 +24,11 @@ class QcConfig:
     max_missing_fraction: float = 0.10
     outlier_k: float = 2.0
 
-    def validate(self):
+    def __post_init__(self):
         if not 0 < self.max_missing_fraction < 1:
             raise ValueError("max_missing_fraction must be in (0, 1)")
         if self.outlier_k <= 0:
             raise ValueError("outlier_k must be > 0")
-        return self
 
 
 @dataclass

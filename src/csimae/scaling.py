@@ -36,7 +36,7 @@ class SweepSpec:
     values: list
     seeds: list = field(default_factory=lambda: [0])
 
-    def validate(self):
+    def __post_init__(self):
         if self.axis not in SWEEP_AXES:
             raise SweepError(f"axis must be one of {SWEEP_AXES}")
         if len(self.values) < 2:
@@ -47,7 +47,6 @@ class SweepSpec:
             raise SweepError("fractions must lie in (0, 1]")
         if not self.seeds or not all(type(s) is int for s in self.seeds) or len(set(self.seeds)) != len(self.seeds):
             raise SweepError(f"need one or more distinct integer seeds, got {self.seeds}")
-        return self
 
 
 @dataclass
@@ -158,7 +157,6 @@ def sweep_cells(spec: SweepSpec, ctx: SweepContext) -> tuple:
     ``nested_subset`` on the data_fraction axis.  A value that makes no
     valid model config or pool raises; nothing trains.
     """
-    spec.validate()
     train_ids, test_ids = D.make_split(ctx.manifest, ctx.split)
     cells = []
     for value in spec.values:

@@ -45,12 +45,11 @@ class PathComponent:
     aoa: float = 0.0  # radians, angle of arrival at the RX array
     aod: float = 0.0  # radians, angle of departure from the TX array
 
-    def validate(self):
+    def __post_init__(self):
         if not np.isfinite(abs(self.gain)):
             raise SceneError("path gain must be finite")
         if self.delay < 0:
             raise SceneError("path delay must be >= 0")
-        return self
 
 
 @dataclass
@@ -67,12 +66,9 @@ class SceneSpec:
     n_apr: int = 3
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if not self.paths:
             raise SceneError("scene needs at least one path")
-        for p in self.paths:
-            p.validate()
-        return self
 
 
 def steering_vector(n_elem: int, angle: float, spacing: float) -> np.ndarray:
@@ -89,7 +85,6 @@ def simulate_cfr(scene: SceneSpec) -> D.ChannelRecording:
     with f_k = f_center + k * (bandwidth / n_f) and t_n = n / sampling_rate.
     Steering vectors are evaluated at the center frequency (narrowband).
     """
-    scene.validate()
     n_rx = scene.n_recv * scene.n_apr
     t = np.arange(scene.n_t) / scene.sampling_rate
     f = scene.center_frequency + np.arange(scene.n_f) * (scene.bandwidth / scene.n_f)
@@ -150,7 +145,7 @@ class SynthTaskSpec:
     n_apr: int = 3
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.clips_per_cell < 1:
             raise SceneError("clips_per_cell must be >= 1")
         if self.n_classes > len(CLASS_DOPPLER_BANDS):
@@ -165,7 +160,6 @@ class SynthTaskSpec:
         top = max(hi for _, hi in CLASS_DOPPLER_BANDS[: self.n_classes]) * max(SUBJECT_SCALES[: self.n_subjects])
         if top >= nyquist:
             raise SceneError(f"class Doppler {top} Hz exceeds Nyquist {nyquist} Hz")
-        return self
 
     def cells(self):
         for c in range(self.n_classes):
@@ -258,7 +252,6 @@ def generate_task(
     iteration order because each clip derives its own seed from (seed,
     cell, clip index).
     """
-    spec.validate()
     clips = []
     for cell in spec.cells():
         c, e, s, b, d = cell

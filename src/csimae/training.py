@@ -11,6 +11,8 @@ derive from the run seed, and validation masks are fixed across epochs
 so val losses compare like for like.  Each step's loss, lr and rejected
 flag go to the deterministic metrics stream; wall-clock timings and peak
 RSS go to a sidecar file so the metrics stream itself is bit-reproducible.
+A run's step budget must leave steps after the warmup; ``pretrain``
+judges it on the manifest's size, before any data loads.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class TrainConfig:
     seed: int = 0
     val_fraction: float = 0.05
 
-    def validate(self):
+    def __post_init__(self):
         positive = ("peak_lr", "warmup_steps", "batch_size", "max_epochs")
         for name in positive:
             if getattr(self, name) <= 0:
@@ -56,7 +58,17 @@ class TrainConfig:
             raise TrainError("early_stop_patience must be >= 1")
         if not 0 < self.val_fraction < 1:
             raise TrainError("val_fraction must be in (0, 1)")
-        return self
+
+
+def step_budget(n_fit: int, cfg: TrainConfig) -> int:
+    """The run's total steps: ``max_epochs`` epochs of ``n_fit`` items in batches of ``batch_size``.
+
+    A budget that leaves no step after ``warmup_steps`` raises ``TrainError``.
+    """
+    total_steps = cfg.max_epochs * math.ceil(n_fit / cfg.batch_size)
+    if total_steps <= cfg.warmup_steps:
+        raise TrainError(f"total_steps {total_steps} must exceed warmup_steps {cfg.warmup_steps}")
+    return total_steps
 
 
 def lr_at(step: int, config: TrainConfig, total_steps: int) -> float:
@@ -167,7 +179,6 @@ def _peak_rss_mb() -> float:
 
 def val_split(n: int, cfg: TrainConfig, stream: int) -> tuple:
     """(val, fit) indices: the first ``val_fraction`` of the ``[seed, stream]`` permutation of ``range(n)``."""
-    cfg.validate()
     order = np.random.default_rng([cfg.seed, stream]).permutation(n)
     n_val = max(1, int(round(cfg.val_fraction * n)))
     if n <= n_val:
@@ -189,12 +200,13 @@ def fit(params: dict, fit_idx, cfg: TrainConfig, stream: int, batch_loss, val_me
     schedule follow.  ``val_metric()`` scores ``params`` after each epoch;
     the params of each strictly better score (``mode`` "min" or "max") are
     cloned, and the run stops once ``early_stop_patience`` epochs have
-    passed since the best one.
+    passed since the best one.  The step budget is judged (``step_budget``)
+    before the first step.
     Every step lands in ``metrics``, rejected optimizer steps flagged.  A
     non-finite loss stops the run with ``aborted`` set.
     """
     val_key, sign = _VAL_KEYS[mode]
-    total_steps = cfg.max_epochs * math.ceil(len(fit_idx) / cfg.batch_size)
+    total_steps = step_budget(len(fit_idx), cfg)
     opt = AdamW(params, cfg)
     best, best_epoch = math.inf, 0  # the best signed value, and the epoch that reached it
     metrics = RunMetrics()
@@ -263,9 +275,15 @@ def pretrain_arrays(clips: np.ndarray, model_cfg: M.ModelConfig, cfg: TrainConfi
 
 
 def pretrain(manifest: D.DatasetManifest, store_dir, model_cfg: M.ModelConfig, cfg: TrainConfig) -> FitResult:
-    """Load every clip of the manifest from the store and run ``pretrain_arrays``; writes nothing."""
+    """Load every clip of the manifest from the store and run ``pretrain_arrays``; writes nothing.
+
+    The validation slice and the step budget are judged on the manifest's
+    size first, so a run that cannot train fails before any clip loads.
+    """
     if not manifest.entries:
         raise TrainError("empty manifest")
+    _, fit_idx = val_split(len(manifest.entries), cfg, 1)
+    step_budget(len(fit_idx), cfg)
     clips = D.load_clips(store_dir, manifest)
     x, _ = D.stack_clips(clips)
     return pretrain_arrays(x, model_cfg, cfg)

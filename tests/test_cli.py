@@ -6,6 +6,7 @@ import importlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -643,6 +644,7 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         (["sweep", "--axis", "patch_size", "--values", "[[0, 3], [30, 3]]", "--held-out", "env1"], None),
         (["sweep", "--axis", "model_variant", "--values", '["tiny", "huge"]', "--held-out", "env1"], None),
         (["synth-gen", "--window-seconds", "60"], None),
+        (["pretrain"], "out-a-file"),
     ],
     ids=[
         "lr",
@@ -690,6 +692,7 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         "sweep-patch-size-zero",
         "sweep-model-variant",
         "synth-gen-window-too-long",
+        "out-a-file",
     ],
 )
 def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, monkeypatch, argv, config):
@@ -697,8 +700,12 @@ def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, monkeyp
 
     trained = []
     monkeypatch.setattr(R, "fit", lambda *a, **kw: trained.append(a))
+    out = tmp_path / "out"
+    if config == "out-a-file":  # --out names an existing file, which stays as it was
+        out.write_text("a file")
+        config = None
     store = [] if argv[0] in ("synth-gen", "ingest", "clean") else ["--store", str(workdir / "gen" / "store")]
-    tail = store + ["--out", str(tmp_path / "out")]
+    tail = store + ["--out", str(out)]
     if config is not None:
         path = tmp_path / "cfg.json"
         if config != "missing":
@@ -706,7 +713,7 @@ def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, monkeyp
         tail += ["--config", str(path)]
     assert cli.main(argv + tail) == 2
     assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "config"
-    assert not (tmp_path / "out").exists()
+    assert out.read_text() == "a file" if out.is_file() else not out.exists()
     assert not trained
 
 
@@ -972,3 +979,59 @@ def test_a_relative_out_lands_under_csimae_out_root(tmp_path, monkeypatch):
     assert cli.main(["ingest", "--recordings", rec, "--out", "runs/ing"]) == 0
     assert json.loads((tmp_path / "root" / "runs" / "ing" / "index.json").read_text())[0]["source_id"] == "qc-rec"
     assert not any((tmp_path / "cwd").iterdir())
+
+
+def test_a_pretrain_whose_warmup_outlasts_its_steps_fails_before_loading_and_leaves_no_out(
+    workdir, tmp_path, capsys, monkeypatch
+):
+    loaded = []
+    monkeypatch.setattr(D, "load_clips", lambda *a, **kw: loaded.append(a))
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"sections": {"model": MICRO_MODEL}}))  # the default warmup_steps, 1000
+    store, out = workdir / "gen" / "store", tmp_path / "runs" / "pt"
+    argv = ["pretrain", "--store", str(store), "--config", str(cfg), "--max-epochs", "2", "--out", str(out)]
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(argv) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "TrainError", "message": "total_steps 2 must exceed warmup_steps 1000"}
+    assert not loaded
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_sigterm_during_a_run_takes_the_interrupt_path_and_restores_the_handler(workdir, tmp_path, capsys, monkeypatch):
+    from csimae import checkpoint as C
+
+    real = C.save_checkpoint
+
+    def terminated_after(*a, **kw):
+        real(*a, **kw)
+        os.kill(os.getpid(), signal.SIGTERM)
+
+    monkeypatch.setattr(C, "save_checkpoint", terminated_after)
+    argv = ["pretrain", "--store", str(workdir / "gen" / "store"), "--config", str(workdir / "micro.json")]
+    before = sorted(tmp_path.rglob("*"))
+    earlier = lambda signum, frame: None  # what a SIGTERM outside a run does: nothing
+    previous = signal.signal(signal.SIGTERM, earlier)
+    try:
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv + ["--out", str(tmp_path / "runs" / "pt")])
+        assert signal.getsignal(signal.SIGTERM) is earlier
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert stop.value.code == 143
+    assert capsys.readouterr().out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_a_run_from_another_thread_runs_and_leaves_sigterm_alone(tmp_path):
+    import threading
+
+    rec, before = str(_faulty_recording(tmp_path / "rec.csir")), signal.getsignal(signal.SIGTERM)
+    codes = []
+    argv = ["ingest", "--recordings", rec, "--out", str(tmp_path / "ing")]
+    worker = threading.Thread(target=lambda: codes.append(cli.main(argv)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and codes == [0]
+    assert (tmp_path / "ing" / "index.json").exists()
+    assert signal.getsignal(signal.SIGTERM) is before

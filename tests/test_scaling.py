@@ -209,17 +209,17 @@ def test_model_variant_cells_take_each_variants_sizes(tmp_path):
 def test_sweep_spec_validation():
     for axis in ("nope", "exclude_target"):
         with pytest.raises(L.SweepError, match="axis"):
-            L.SweepSpec(axis=axis, values=[1, 2]).validate()
+            L.SweepSpec(axis=axis, values=[1, 2])
     with pytest.raises(L.SweepError, match="2 sweep values"):
-        L.SweepSpec(axis="mask_ratio", values=[0.8]).validate()
+        L.SweepSpec(axis="mask_ratio", values=[0.8])
     with pytest.raises(L.SweepError, match="fractions"):
-        L.SweepSpec(axis="data_fraction", values=[0.5, 1.5]).validate()
+        L.SweepSpec(axis="data_fraction", values=[0.5, 1.5])
     for axis, values in (("mask_ratio", [0.5, 0.5]), ("patch_size", [[150, 18], [150, 18]])):
         with pytest.raises(L.SweepError, match="repeat"):
-            L.SweepSpec(axis=axis, values=values).validate()
+            L.SweepSpec(axis=axis, values=values)
     for seeds in ([], ["a"], [0, 0], [1.5], [True]):
         with pytest.raises(L.SweepError, match="distinct integer seeds"):
-            L.SweepSpec(axis="mask_ratio", values=[0.5, 0.8], seeds=seeds).validate()
+            L.SweepSpec(axis="mask_ratio", values=[0.5, 0.8], seeds=seeds)
 
 
 def test_rows_round_trip_and_summary(tmp_path):

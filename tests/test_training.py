@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from csimae import checkpoint as C
+from csimae import data as D
 from csimae import evaluate as E
 from csimae import mae as M
+from csimae import synth as S
 from csimae import tensors as T
 from csimae import training as R
 
@@ -277,3 +279,19 @@ def test_a_fit_set_emptied_by_the_val_slice_raises_train_error(caller):
         else:
             fwd, params, feats, labels = _tiny_head_problem()
             E.train_classifier(fwd, params, feats[:1], labels[:1], cfg)
+
+
+def test_a_step_budget_with_no_room_after_warmup_fails_before_any_clip_loads(tmp_path, monkeypatch):
+    # 12 clips: a 1-clip val slice leaves 11, one batch of 128 per epoch, 40 steps against the default 1000 warmup
+    store = tmp_path / "store"
+    manifest = S.generate_task(S.SynthTaskSpec(n_classes=2, n_environments=2, n_subjects=1, clips_per_cell=3), store)
+    loaded = []
+    monkeypatch.setattr(D, "load_clips", lambda *a, **kw: loaded.append(a))
+    cfg = R.TrainConfig()
+    with pytest.raises(R.TrainError, match="total_steps 40 must exceed warmup_steps 1000"):
+        R.pretrain(manifest, store, desk_model_cfg(), cfg)
+    assert len(manifest.entries) == 12 and not loaded
+    batches = []
+    with pytest.raises(R.TrainError, match="total_steps 40 must exceed warmup_steps 1000"):
+        R.fit({}, np.arange(11), cfg, 1, lambda idx, epoch: batches.append(idx), lambda: 0.0)
+    assert not batches
