@@ -4,15 +4,16 @@ Every downstream result comes from ``run_fold``: one split, each regime
 scored on its test side.  lp and ft start from a given encoder, such as the
 one ``pretrain_fold`` pretrains on that split's training side only.
 
-All three regimes train through ``training.fit``, the seeded loop that
-pretraining also runs: cross-entropy on the CLS feature, AdamW at the
-``TrainConfig``'s batch size, cosine schedule, early stopping on
-accuracy over a validation slice of the training set.  Every step is
-recorded, rejected optimizer steps included.  Linear probing trains a
-single linear layer on frozen features and never touches encoder
+All three regimes classify with one linear head and train through
+``training.fit``, the seeded loop that pretraining also runs:
+cross-entropy on the CLS feature, AdamW at the ``TrainConfig``'s batch
+size, cosine schedule, and the epoch of lowest cross-entropy on a
+validation slice of the training set kept, with early stopping after it.
+Every step is recorded, rejected optimizer steps included.  The regimes
+differ only in where the encoder starts and whether it trains: linear
+probing trains the head on frozen features and never touches encoder
 weights; fine-tuning updates encoder and head; supervised starts the
-encoder from random init.  The fine-tune and supervised head is one
-hidden layer of encoder width: linear, GELU, linear.  Every
+encoder from random init.  Every
 regime classifies ``data.LABEL_KEY``, the label ``select_labeled``'s
 ``data.stratified_draw`` draws the budget over; a task on another label,
 such as user identification, would thread its key through ``run_fold``
@@ -67,16 +68,13 @@ class EvalResult:
         return asdict(self)
 
 
-def init_head(feat_dim: int, n_classes: int, seed, hidden: bool) -> dict:
-    """``head.out`` (feat_dim -> n_classes), after ``head.fc0`` (feat_dim -> feat_dim) when ``hidden``."""
-    layout = M.linear_layout("head.fc0", feat_dim, feat_dim) if hidden else []
-    return M.init_layout(layout + M.linear_layout("head.out", feat_dim, n_classes), seed)
+def init_head(feat_dim: int, n_classes: int, seed) -> dict:
+    """The linear head ``head.out`` (feat_dim -> n_classes)."""
+    return M.init_layout(M.linear_layout("head.out", feat_dim, n_classes), seed)
 
 
 def head_forward(feats: T.Tensor, params: dict) -> T.Tensor:
-    """Logits from CLS features: fc0 -> GELU -> out, or ``out`` alone without fc0."""
-    if "head.fc0.w" in params:
-        feats = T.gelu(T.linear(feats, params["head.fc0.w"], params["head.fc0.b"]))
+    """Logits from CLS features."""
     return T.linear(feats, params["head.out.w"], params["head.out.b"])
 
 
@@ -98,21 +96,22 @@ def _labels_of(clips):
 
 
 def train_classifier(forward_fn, params: dict, x_train, y_train, cfg: R.TrainConfig):
-    """Cross-entropy through ``training.fit`` on streams 7/8, early-stopping on val accuracy.
+    """Cross-entropy through ``training.fit`` on streams 7/8, keeping the epoch of lowest val loss.
 
     ``forward_fn(x_slice, params) -> logits Tensor``.  Training and
-    validation batches hold ``cfg.batch_size`` items.  Returns the
-    run's ``training.FitResult``; its ``params`` are the best kept.
+    validation batches hold ``cfg.batch_size`` items; the validation
+    loss is their ``training.mean_batch_loss``.  Returns the run's
+    ``training.FitResult``; its ``params`` are the best kept.
     """
     val_idx, fit_idx = R.val_split(len(x_train), cfg, 7)
 
     def batch_loss(idx, epoch):
         return T.softmax_cross_entropy(forward_fn(x_train[idx], params), y_train[idx])
 
-    def val_accuracy():
-        return accuracy(predict(forward_fn, params, x_train[val_idx], cfg.batch_size), y_train[val_idx])
+    def val_loss():
+        return R.mean_batch_loss(lambda sl: batch_loss(val_idx[sl], None), len(val_idx), cfg.batch_size)
 
-    return R.fit(params, fit_idx, cfg, 7, batch_loss, val_accuracy, mode="max")
+    return R.fit(params, fit_idx, cfg, 7, batch_loss, val_loss)
 
 
 def predict(forward_fn, params: dict, x, batch_size: int = 32) -> np.ndarray:
@@ -153,7 +152,8 @@ def run_regime(
     Training, validation and test batches hold ``train_cfg.batch_size``
     clips; ``batch_size``, when given, must restate it.  Test clips
     whose class never appears in training are excluded from scoring
-    (counted in ``n_excluded``), not scored as wrong.
+    (counted in ``n_excluded``), not scored as wrong; when that leaves
+    none, ``EvalError`` is raised before any training.
     """
     if regime not in REGIMES:
         raise EvalError(f"unknown regime {regime!r}")
@@ -172,32 +172,31 @@ def run_regime(
     y_train = np.array([vocab[l] for l in _labels_of(train_clips)])
     keep = [i for i, l in enumerate(_labels_of(test_clips)) if l in vocab]
     n_excluded = len(test_clips) - len(keep)
+    if not keep:
+        raise EvalError(f"no test clip to score: {n_excluded} of {len(test_clips)} have a class the labeled clips lack")
     test_clips = [test_clips[i] for i in keep]
     y_test = np.array([vocab[l] for l in _labels_of(test_clips)])
     x_train, _ = D.stack_clips(train_clips)
     x_test, _ = D.stack_clips(test_clips)
 
     if regime == "lp":
-        enc_params, _ = checkpoint
-        f_train = encode_features(enc_params, model_cfg, x_train)
-        f_test = encode_features(enc_params, model_cfg, x_test)
-        params = init_head(model_cfg.enc_dim, head_cfg.n_classes, [train_cfg.seed, 12], hidden=False)
+        x_train = encode_features(checkpoint[0], model_cfg, x_train)
+        x_test = encode_features(checkpoint[0], model_cfg, x_test)
+        params = {}
         fwd = lambda feats, p: head_forward(T.Tensor(feats), p)
-        run = train_classifier(fwd, params, f_train, y_train, train_cfg)
-        pred = predict(fwd, run.params, f_test, train_cfg.batch_size)
     else:
         if regime == "ft":
             enc_params = C.clone_params(checkpoint[0])
         else:
             enc_params = M.init_params(model_cfg, seed=[train_cfg.seed, 11])
         params = {k: v for k, v in enc_params.items() if k.startswith("enc.")}
-        params.update(init_head(model_cfg.enc_dim, head_cfg.n_classes, [train_cfg.seed, 12], hidden=True))
 
         def fwd(clip_batch, p):
             return head_forward(M.MaskedAutoencoder(model_cfg, params=p).encode_features(clip_batch), p)
 
-        run = train_classifier(fwd, params, x_train, y_train, train_cfg)
-        pred = predict(fwd, run.params, x_test, train_cfg.batch_size)
+    params.update(init_head(model_cfg.enc_dim, head_cfg.n_classes, [train_cfg.seed, 12]))
+    run = train_classifier(fwd, params, x_train, y_train, train_cfg)
+    pred = predict(fwd, run.params, x_test, train_cfg.batch_size)
 
     return EvalResult(
         regime=regime,

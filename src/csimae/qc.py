@@ -27,8 +27,8 @@ class QcConfig:
     def __post_init__(self):
         if not 0 < self.max_missing_fraction < 1:
             raise ValueError("max_missing_fraction must be in (0, 1)")
-        if self.outlier_k <= 0:
-            raise ValueError("outlier_k must be > 0")
+        if not 0 < self.outlier_k < np.inf:
+            raise ValueError("outlier_k must be positive and finite")
 
 
 @dataclass

@@ -146,8 +146,10 @@ class SynthTaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.clips_per_cell < 1:
-            raise SceneError("clips_per_cell must be >= 1")
+        for name in ("n_classes", "n_environments", "n_subjects", "n_bands", "n_devices", "clips_per_cell",
+                     "n_packets", "n_f"):
+            if not getattr(self, name) >= 1:
+                raise SceneError(f"{name} must be >= 1")
         if self.n_classes > len(CLASS_DOPPLER_BANDS):
             raise SceneError("need a Doppler band per class")
         if self.n_subjects > len(SUBJECT_SCALES):

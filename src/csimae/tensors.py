@@ -36,8 +36,7 @@ al. 2022, arXiv:2205.05198):
   never the (B, H, T, T) weights.  The tests' attention oracle is built
   on the same helpers.
 - Nor is the FFN: ``_ffn_forward`` and ``_ffn_hidden_grad`` keep the fc1
-  pre-activation, never the tanh or the GELU output.  The hidden
-  classifier head is ``linear`` -> ``gelu`` -> ``linear``.
+  pre-activation, never the tanh or the GELU output.
 - ``layer_norm`` keeps its input and the (…, 1) mean and inverse
   standard deviation; backward recomputes the normalized input.  The
   encoder's final norm is one.
@@ -50,7 +49,7 @@ The sublayer ops share every piece of arithmetic with ``layer_norm``,
 ``linear`` and ``gelu`` through the private helpers below, so each is
 bit-identical to the composite of those ops and the attention helpers.
 
-The library itself no longer calls ``matmul``, ``softmax``,
+The library itself no longer calls ``matmul``, ``softmax``, ``gelu``,
 ``transpose``, ``swap_last``, ``reshape``, ``sub``, ``mul``, ``square``,
 ``sum_``, ``mean_`` or ``mse``.  They stay for the tests and their
 composite oracles and for ``perfbench/``, whose tracer looks every op it

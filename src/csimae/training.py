@@ -3,8 +3,9 @@
 ``fit`` is the one loop every run goes through: MAE pretraining here and
 the supervised, linear-probe and fine-tune runs in ``evaluate``.  It
 runs AdamW (betas and eps fixed at ``ADAM_BETAS`` and ``ADAM_EPS``)
-under a cosine schedule with linear warmup, and stops
-``early_stop_patience`` epochs after the best value on a validation
+under a cosine schedule with linear warmup, keeps the params of the epoch
+of lowest validation loss and stops ``early_stop_patience`` epochs after
+it; a validation loss is the ``mean_batch_loss`` of a validation
 slice.  Everything is seeded and single-threaded deterministic: the
 validation split, the per-epoch shuffles and the per-clip mask plans all
 derive from the run seed, and validation masks are fixed across epochs
@@ -50,10 +51,15 @@ class TrainConfig:
     val_fraction: float = 0.05
 
     def __post_init__(self):
+        for name in ("peak_lr", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise TrainError(f"{name} must be finite")
         positive = ("peak_lr", "warmup_steps", "batch_size", "max_epochs")
         for name in positive:
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise TrainError(f"{name} must be positive")
+        if self.weight_decay < 0:
+            raise TrainError("weight_decay must be >= 0")
         if self.early_stop_patience < 1:
             raise TrainError("early_stop_patience must be >= 1")
         if not 0 < self.val_fraction < 1:
@@ -135,7 +141,7 @@ class AdamW:
 @dataclass
 class RunMetrics:
     steps: list = field(default_factory=list)  # {"step", "lr", "train_loss", "rejected"}
-    epochs: list = field(default_factory=list)  # {"epoch", "val_loss"|"val_accuracy", "best"}
+    epochs: list = field(default_factory=list)  # {"epoch", "val_loss", "best"}; "best" marks a new lowest val_loss
     timing: list = field(default_factory=list)  # {"epoch", "wall_seconds", "peak_rss_mb"} (volatile)
 
     def add_step(self, step, lr, loss, rejected):
@@ -163,7 +169,7 @@ class FitResult:
 
     params: dict
     best_epoch: int  # 0 when no epoch improved on the start
-    best_value: float  # best validation value; +inf ("min") or -inf ("max") when best_epoch is 0
+    best_value: float  # lowest validation loss; +inf when best_epoch is 0
     metrics: RunMetrics
     aborted: bool = False  # a non-finite loss stopped the run; params are the best kept before it
 
@@ -186,29 +192,25 @@ def val_split(n: int, cfg: TrainConfig, stream: int) -> tuple:
     return order[:n_val], order[n_val:]
 
 
-# each mode's record key, and the sign that turns its values into ones to minimize
-_VAL_KEYS = {"min": ("val_loss", 1.0), "max": ("val_accuracy", -1.0)}
-
-
-def fit(params: dict, fit_idx, cfg: TrainConfig, stream: int, batch_loss, val_metric, mode: str = "min") -> FitResult:
+def fit(params: dict, fit_idx, cfg: TrainConfig, stream: int, batch_loss, val_loss) -> FitResult:
     """The seeded loop every training run shares.
 
     Each epoch visits ``fit_idx`` in the ``[seed, stream + 1, epoch]``
     order, in batches of ``cfg.batch_size`` with the trailing partial
     batch kept.  ``batch_loss(idx, epoch)`` returns the loss Tensor of
     one batch; its backward pass and an AdamW step under the warmup-cosine
-    schedule follow.  ``val_metric()`` scores ``params`` after each epoch;
-    the params of each strictly better score (``mode`` "min" or "max") are
-    cloned, and the run stops once ``early_stop_patience`` epochs have
-    passed since the best one.  The step budget is judged (``step_budget``)
-    before the first step.
+    schedule follow.  ``val_loss()`` scores ``params`` after each epoch,
+    and each epoch's value is recorded under ``val_loss``.  The params of
+    each strictly lower loss are cloned, so the run keeps the epoch of
+    lowest validation loss (the first of a tie), and it stops once
+    ``early_stop_patience`` epochs have passed since that epoch.  The step
+    budget is judged (``step_budget``) before the first step.
     Every step lands in ``metrics``, rejected optimizer steps flagged.  A
     non-finite loss stops the run with ``aborted`` set.
     """
-    val_key, sign = _VAL_KEYS[mode]
     total_steps = step_budget(len(fit_idx), cfg)
     opt = AdamW(params, cfg)
-    best, best_epoch = math.inf, 0  # the best signed value, and the epoch that reached it
+    best, best_epoch = math.inf, 0  # the lowest validation loss, and the epoch that reached it
     metrics = RunMetrics()
     best_params = C.clone_params(params)
     aborted = False
@@ -228,15 +230,15 @@ def fit(params: dict, fit_idx, cfg: TrainConfig, stream: int, batch_loss, val_me
             metrics.add_step(step, lr, train_loss, rejected=not opt.step(lr))
         if aborted:
             break
-        value = val_metric()
-        improved = sign * value < best
+        value = val_loss()
+        improved = value < best
         if improved:
-            best, best_epoch, best_params = sign * value, epoch, C.clone_params(params)
-        metrics.add_epoch({"epoch": epoch, val_key: value, "best": improved})
+            best, best_epoch, best_params = value, epoch, C.clone_params(params)
+        metrics.add_epoch({"epoch": epoch, "val_loss": value, "best": improved})
         metrics.timing.append({"epoch": epoch, "wall_seconds": time.monotonic() - t0, "peak_rss_mb": _peak_rss_mb()})
         if epoch - best_epoch >= cfg.early_stop_patience:
             break
-    return FitResult(best_params, best_epoch, sign * best, metrics, aborted)
+    return FitResult(best_params, best_epoch, best, metrics, aborted)
 
 
 def val_mask_plans(model_cfg: M.ModelConfig, n_val: int, seed: int) -> list:
@@ -244,14 +246,17 @@ def val_mask_plans(model_cfg: M.ModelConfig, n_val: int, seed: int) -> list:
     return [M.sample_mask(model_cfg.n_patches, model_cfg.mask_ratio, [seed, 40, j]) for j in range(n_val)]
 
 
-def masked_val_loss(model: M.MaskedAutoencoder, clips: np.ndarray, plans: list, batch_size: int) -> float:
-    total, n = 0.0, 0
-    for i in range(0, len(clips), batch_size):
-        batch, bplans = clips[i : i + batch_size], plans[i : i + batch_size]
-        loss, _ = model.forward_loss(batch, bplans)
-        total += float(loss.data) * len(batch)
-        n += len(batch)
+def mean_batch_loss(batch_loss, n: int, batch_size: int) -> float:
+    """Mean of ``batch_loss(sl)`` over ``n`` items in slices of ``batch_size``, each weighted by its length."""
+    total = 0.0
+    for i in range(0, n, batch_size):
+        sl = slice(i, min(i + batch_size, n))
+        total += float(batch_loss(sl).data) * (sl.stop - sl.start)
     return total / n
+
+
+def masked_val_loss(model: M.MaskedAutoencoder, clips: np.ndarray, plans: list, batch_size: int) -> float:
+    return mean_batch_loss(lambda sl: model.forward_loss(clips[sl], plans[sl])[0], len(clips), batch_size)
 
 
 def pretrain_arrays(clips: np.ndarray, model_cfg: M.ModelConfig, cfg: TrainConfig) -> FitResult:
@@ -271,7 +276,7 @@ def pretrain_arrays(clips: np.ndarray, model_cfg: M.ModelConfig, cfg: TrainConfi
     def val_loss():
         return masked_val_loss(model, val_clips, val_plans, cfg.batch_size)
 
-    return fit(model.params, train_idx, cfg, 1, batch_loss, val_loss, mode="min")
+    return fit(model.params, train_idx, cfg, 1, batch_loss, val_loss)
 
 
 def pretrain(manifest: D.DatasetManifest, store_dir, model_cfg: M.ModelConfig, cfg: TrainConfig) -> FitResult:

@@ -645,6 +645,8 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         (["sweep", "--axis", "model_variant", "--values", '["tiny", "huge"]', "--held-out", "env1"], None),
         (["synth-gen", "--window-seconds", "60"], None),
         (["pretrain"], "out-a-file"),
+        (["synth-gen", "--environments", "0"], None),
+        (["pretrain", "--lr", "nan"], None),
     ],
     ids=[
         "lr",
@@ -693,6 +695,8 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         "sweep-model-variant",
         "synth-gen-window-too-long",
         "out-a-file",
+        "synth-gen-no-environments",
+        "lr-nan",
     ],
 )
 def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, monkeypatch, argv, config):

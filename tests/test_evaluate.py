@@ -94,7 +94,7 @@ def test_linear_probe_hits_one_on_separable_features():
     feats[:, 0] += (labels * 2 - 1) * 3.0
     assert _perceptron_separates(feats[:80], labels[:80])
 
-    params = E.init_head(16, 2, seed=4, hidden=False)
+    params = E.init_head(16, 2, seed=4)
     fwd = lambda x, p: E.head_forward(T.Tensor(x), p)
     cfg = micro_train_cfg(max_epochs=30, peak_lr=5e-2, weight_decay=0.0)
     best = E.train_classifier(fwd, params, feats[:80], labels[:80], cfg).params
@@ -102,21 +102,42 @@ def test_linear_probe_hits_one_on_separable_features():
     assert E.accuracy(pred, labels[80:]) == 1.0
 
 
-@pytest.mark.parametrize("b, d, c", [(32, 192, 3), (7, 16, 2), (128, 192, 5)])
-def test_hidden_head_is_bit_identical_to_linear_gelu_linear(b, d, c):
-    rng = np.random.default_rng(b)
-    x, y = rng.standard_normal((b, d)).astype(np.float32), rng.integers(0, c, b)
-    params = E.init_head(d, c, seed=5, hidden=True)
-    p = C.clone_params(params)
-    fx, ox = T.Tensor(x, requires_grad=True), T.Tensor(x.copy(), requires_grad=True)
-    fused = T.softmax_cross_entropy(E.head_forward(fx, params), y)
-    hidden = T.gelu(T.linear(ox, p["head.fc0.w"], p["head.fc0.b"]))
-    oracle = T.softmax_cross_entropy(T.linear(hidden, p["head.out.w"], p["head.out.b"]), y)
-    assert fused.data.tobytes() == oracle.data.tobytes()
-    fused.backward()
-    oracle.backward()
-    assert fx.grad.tobytes() == ox.grad.tobytes()
-    assert all(params[k].grad.tobytes() == p[k].grad.tobytes() for k in params)
+def test_every_regime_starts_train_classifier_from_the_same_linear_head(tmp_path, monkeypatch):
+    manifest, clips = micro_corpus(tmp_path)
+    cfg = micro_cfg()
+    train = [c for c in clips if c.labels["environment"] == "env0"]
+    test = [c for c in clips if c.labels["environment"] == "env1"]
+    real, heads = E.train_classifier, []
+
+    def spy(forward_fn, params, x_train, y_train, train_cfg):
+        heads.append({k: v.data.copy() for k, v in params.items() if k.startswith("head.")})
+        return real(forward_fn, params, x_train, y_train, train_cfg)
+
+    monkeypatch.setattr(E, "train_classifier", spy)
+    ckpt = (M.init_params(cfg, seed=6), cfg)
+    for regime in ("lp", "ft", "supervised"):
+        E.run_regime(regime, ckpt, train, test, E.HeadConfig(2), micro_train_cfg(max_epochs=2))
+    head0 = E.init_head(cfg.enc_dim, 2, [0, 12])
+    assert len(heads) == 3
+    for head in heads:
+        assert head.keys() == head0.keys() == {"head.out.w", "head.out.b"}
+        assert all(head[k].tobytes() == head0[k].data.tobytes() for k in head0)
+
+
+@pytest.mark.parametrize("regime", E.REGIMES)
+def test_a_test_side_with_no_class_of_the_labeled_clips_is_refused_before_training(tmp_path, monkeypatch, regime):
+    manifest, clips = micro_corpus(tmp_path)
+    cfg = micro_cfg()
+    train = [c for c in clips if c.labels["environment"] == "env0"]
+    test = [
+        D.CsiClip(c.data, {**c.labels, "class": "c9"}, c.provenance) for c in clips if c.labels["environment"] == "env1"
+    ]
+    trained = []
+    monkeypatch.setattr(E, "train_classifier", lambda *a: trained.append(a))
+    ckpt = (M.init_params(cfg, seed=6), cfg)
+    with pytest.raises(E.EvalError, match="no test clip to score: 12 of 12 have a class the labeled clips lack"):
+        E.run_regime(regime, ckpt, train, test, E.HeadConfig(2), micro_train_cfg())
+    assert not trained
 
 
 def test_rejected_lp_step_is_counted_in_the_result(tmp_path, monkeypatch):
@@ -162,7 +183,7 @@ def test_non_finite_lp_loss_is_recorded_and_scored_with_the_kept_params(tmp_path
     assert result.aborted and result.to_json()["aborted"] is True
     assert result.best_epoch == 0 and result.n_test == len(test)
     # scored with the head as initialised: the only params kept before the abort
-    head0 = E.init_head(cfg.enc_dim, 2, [0, 12], hidden=False)
+    head0 = E.init_head(cfg.enc_dim, 2, [0, 12])
     vocab = E._class_vocab(c.labels["class"] for c in train)
     y_test = np.array([vocab[c.labels["class"]] for c in test])
     f_test = encode(ckpt[0], cfg, D.stack_clips(test)[0])

@@ -249,24 +249,24 @@ def _tiny_head_problem():
     labels = rng.integers(0, 2, 30)
     feats = rng.standard_normal((30, 4)).astype(np.float32)
     fwd = lambda x, p: E.head_forward(T.Tensor(x), p)
-    return fwd, E.init_head(4, 2, seed=9, hidden=False), feats, labels
+    return fwd, E.init_head(4, 2, seed=9), feats, labels
 
 
 def test_pretraining_and_classifier_training_both_run_through_fit(monkeypatch):
     real, calls = R.fit, []
 
-    def spy(params, fit_idx, cfg, stream, batch_loss, val_metric, mode="min"):
-        res = real(params, fit_idx, cfg, stream, batch_loss, val_metric, mode)
-        calls.append((stream, mode, res))
+    def spy(params, fit_idx, cfg, stream, batch_loss, val_loss):
+        res = real(params, fit_idx, cfg, stream, batch_loss, val_loss)
+        calls.append((stream, res))
         return res
 
     monkeypatch.setattr(R, "fit", spy)
     pre = R.pretrain_arrays(synthetic_clip_batch(20, seed=7), desk_model_cfg(), desk_cfg(warmup_steps=1, max_epochs=1))
     fwd, params, feats, labels = _tiny_head_problem()
     run = E.train_classifier(fwd, params, feats, labels, R.TrainConfig(warmup_steps=1, max_epochs=2))
-    assert [(stream, mode) for stream, mode, _ in calls] == [(1, "min"), (7, "max")]
-    assert pre is calls[0][2] and run is calls[1][2]
-    assert [set(e) for e in run.metrics.epochs] == [{"epoch", "val_accuracy", "best"}] * 2
+    assert [stream for stream, _ in calls] == [1, 7]
+    assert pre is calls[0][1] and run is calls[1][1]
+    assert [set(e) for e in run.metrics.epochs] == [{"epoch", "val_loss", "best"}] * 2
     assert len(run.metrics.steps) == 2 and len(run.metrics.timing) == 2
 
 
@@ -295,3 +295,37 @@ def test_a_step_budget_with_no_room_after_warmup_fails_before_any_clip_loads(tmp
     with pytest.raises(R.TrainError, match="total_steps 40 must exceed warmup_steps 1000"):
         R.fit({}, np.arange(11), cfg, 1, lambda idx, epoch: batches.append(idx), lambda: 0.0)
     assert not batches
+
+
+def test_a_classifier_keeps_its_lowest_val_loss_epoch_not_its_first_perfect_accuracy(monkeypatch):
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, 2, 60)
+    feats = rng.standard_normal((60, 4)).astype(np.float32) * 0.1
+    feats[:, 0] += labels * 2 - 1
+    # a 12-item validation slice in batches of 8 and 4
+    cfg = R.TrainConfig(
+        peak_lr=0.1, warmup_steps=1, batch_size=8, max_epochs=8, early_stop_patience=8, weight_decay=0.0,
+        val_fraction=0.2,
+    )
+    fwd, params = lambda x, p: E.head_forward(T.Tensor(x), p), E.init_head(4, 2, seed=9)
+    val_idx, _ = R.val_split(len(feats), cfg, 7)
+    real, accs = R.fit, []
+
+    def spy(params, fit_idx, cfg, stream, batch_loss, val_loss):
+        def scored():
+            accs.append(E.accuracy(E.predict(fwd, params, feats[val_idx]), labels[val_idx]))
+            return val_loss()
+
+        return real(params, fit_idx, cfg, stream, batch_loss, scored)
+
+    monkeypatch.setattr(R, "fit", spy)
+    run = E.train_classifier(fwd, params, feats, labels, cfg)
+    assert accs == [1.0] * cfg.max_epochs  # validation accuracy is at its maximum from epoch 1 on
+    assert run.best_epoch == cfg.max_epochs
+    losses = [e["val_loss"] for e in run.metrics.epochs]
+    assert all(b < a for a, b in zip(losses, losses[1:]))  # while validation loss keeps falling
+    # the kept value is the mean cross-entropy per validation item of the kept params
+    logits = E.head_forward(T.Tensor(feats[val_idx]), run.params).data.astype(np.float64)
+    top = logits.max(axis=1)
+    xent = top + np.log(np.exp(logits - top[:, None]).sum(axis=1)) - logits[np.arange(len(val_idx)), labels[val_idx]]
+    assert run.best_value == losses[-1] == pytest.approx(xent.mean(), rel=1e-5)
