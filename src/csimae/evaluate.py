@@ -47,7 +47,7 @@ class HeadConfig:
 
     def __post_init__(self):
         if self.n_classes < 2:
-            raise EvalError("need at least 2 classes")
+            raise EvalError("n_classes must be >= 2")
 
 
 @dataclass

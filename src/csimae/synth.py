@@ -68,7 +68,7 @@ class SceneSpec:
 
     def __post_init__(self):
         if not self.paths:
-            raise SceneError("scene needs at least one path")
+            raise SceneError("paths must hold at least one path")
 
 
 def steering_vector(n_elem: int, angle: float, spacing: float) -> np.ndarray:

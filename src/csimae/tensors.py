@@ -25,7 +25,9 @@ al. 2022, arXiv:2205.05198):
   (B, T, 1) mean and inverse standard deviation, the packed qkv (as q, k
   and v views), the row log-sum-exp and the attention output.
 - ``ffn_sublayer`` is the second half, x + FFN(LayerNorm(x)); its closure
-  keeps the LayerNorm statistics and the fc1 pre-activation ``h``.
+  keeps only the LayerNorm statistics.  Backward recomputes the fc1
+  pre-activation ``h`` with the forward's GEMM, one extra GEMM for the
+  largest activation a block would otherwise hold.
 - Neither keeps a LayerNorm output or its output before the residual
   add: backward recomputes the LayerNorm output from the statistics and
   never reads the pre-residual value.  It adds the residual gradient into
@@ -35,8 +37,8 @@ al. 2022, arXiv:2205.05198):
   ``_attend_grad`` keep views of q, k and v and the row log-sum-exp,
   never the (B, H, T, T) weights.  The tests' attention oracle is built
   on the same helpers.
-- Nor is the FFN: ``_ffn_forward`` and ``_ffn_hidden_grad`` keep the fc1
-  pre-activation, never the tanh or the GELU output.
+- Nor is the FFN: ``_ffn_forward`` and ``_ffn_hidden_grad`` keep nothing;
+  the tanh and the GELU output live only inside them.
 - ``layer_norm`` keeps its input and the (…, 1) mean and inverse
   standard deviation; backward recomputes the normalized input.  The
   encoder's final norm is one.
@@ -48,6 +50,17 @@ al. 2022, arXiv:2205.05198):
 The sublayer ops share every piece of arithmetic with ``layer_norm``,
 ``linear`` and ``gelu`` through the private helpers below, so each is
 bit-identical to the composite of those ops and the attention helpers.
+
+The step's large elementwise passes run in blocks of about
+``BLOCK_ELEMS`` entries, so their temporaries stay in cache: the GELU
+and its derivative over row blocks (``_row_blocks``), attention's
+weights and score gradient over (batch, head) slabs (``_slabs``), the
+loss's squared residual over row blocks, and ``training.adamw_step``
+over flat blocks of each parameter.  None of this changes a bit: the
+elementwise work is per entry, every reduction runs along whole rows,
+and a stacked ``matmul`` runs the same GEMM per matrix whichever slab
+holds it.  Only GEMMs over all rows, whose sums a row split would
+reorder, run whole.
 
 The library itself no longer calls ``matmul``, ``softmax``, ``gelu``,
 ``transpose``, ``swap_last``, ``reshape``, ``sub``, ``mul``, ``square``,
@@ -66,9 +79,13 @@ _GELU_C0 = 0.7978845608028654  # sqrt(2/pi)
 _GELU_C1 = 0.044715
 LAYER_NORM_EPS = 1e-6
 GRAD_CHECK_STEP = 1e-5  # grad_check's relative central-difference step
-# Entries ``_row_square_sums`` squares at once: a 1 MiB float32 temporary,
-# no slower than squaring the desk head's whole 21 MB residual.
-_SQUARE_BLOCK_ELEMS = 1 << 18
+# Entries in one block of every blocked pass: a GELU row block, the
+# attention weights of one (batch, head) slab, the loss's squared rows, an
+# AdamW block.  A GELU block's input, tanh and output (3 x 512 KiB of
+# float32) stay in a 2 MiB L2, where the step's 10-23 MB arrays would
+# stream through memory on every pass; 1 << 18 made the GELU about 20 %
+# slower, and 1 << 15 or 1 << 16 no faster.
+BLOCK_ELEMS = 1 << 17
 
 
 class ShapeError(ValueError):
@@ -398,22 +415,48 @@ def _split_heads(qkv: np.ndarray, n_heads: int) -> tuple:
     return qkv.reshape(b, t, 3, n_heads, d3 // (3 * n_heads)).transpose(2, 0, 3, 1, 4)
 
 
+def _row_blocks(n_rows: int, width: int) -> list:
+    """Slices that split ``n_rows`` rows of ``width`` entries into blocks of at most ``BLOCK_ELEMS`` entries (one row at least)."""
+    step = max(1, BLOCK_ELEMS // max(1, width))
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
+def _slabs(b: int, n_heads: int, t: int) -> list:
+    """(batch, head) index pairs that cover a (B, H, T, T) array in slabs of at most ``BLOCK_ELEMS`` entries.
+
+    A slab is whole samples while one sample's heads fit, else heads of
+    one sample; a single (T, T) matrix larger than the budget is a slab of
+    its own.
+    """
+    per = max(1, BLOCK_ELEMS // (t * t))
+    if per >= n_heads:
+        step = per // n_heads
+        return [(slice(i, i + step), slice(None)) for i in range(0, b, step)]
+    return [(slice(i, i + 1), slice(j, j + per)) for i in range(b) for j in range(0, n_heads, per)]
+
+
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple:
     """softmax(q kᵀ / sqrt(hd)) v per head: the (B, T, H * hd) output and the (B, H, T, 1) row log-sum-exp.
 
-    The (B, H, T, T) weights are built in one buffer and dropped once the
-    output is written.
+    The weights are built one ``_slabs`` slab at a time, so no (B, H, T, T)
+    array exists.  A stacked ``matmul`` runs one GEMM per (T, T) matrix
+    and the softmax works row by row, so the bits are those of the whole
+    array at once.
     """
     b, n_heads, t, hd = q.shape
-    s = np.matmul(q * (1.0 / math.sqrt(hd)), k.swapaxes(-1, -2))
-    m = s.max(axis=-1, keepdims=True)
-    s -= m
-    np.exp(s, out=s)
-    rowsum = s.sum(axis=-1, keepdims=True)
-    s /= rowsum
-    lse = m + np.log(rowsum)
+    scale = 1.0 / math.sqrt(hd)
     out = np.empty((b, t, n_heads * hd), dtype=q.dtype)
-    np.matmul(s, v, out=_heads(out, n_heads))
+    lse = np.empty((b, n_heads, t, 1), dtype=q.dtype)
+    out_h = _heads(out, n_heads)
+    for sl in _slabs(b, n_heads, t):
+        s = np.matmul(q[sl] * scale, k[sl].swapaxes(-1, -2))
+        m = s.max(axis=-1, keepdims=True)
+        s -= m
+        np.exp(s, out=s)
+        rowsum = s.sum(axis=-1, keepdims=True)
+        s /= rowsum
+        np.add(m, np.log(rowsum), out=lse[sl])
+        np.matmul(s, v[sl], out=out_h[sl])
     return out, lse
 
 
@@ -422,26 +465,30 @@ def _attend_grad(g: np.ndarray, q, k, v, out: np.ndarray, lse: np.ndarray) -> np
 
     Recomputes the scaled q and the weights from q, k and the log-sum-exp
     (FlashAttention, Dao et al. 2022) and reads ``rowsum(dO ∘ O)`` from
-    the forward output ``out``.
+    the forward output ``out``.  It runs over the forward's ``_slabs``, so
+    the weights and the score gradient exist one slab at a time, with the
+    bits of the whole array at once.
     """
     b, n_heads, t, hd = q.shape
     scale = 1.0 / math.sqrt(hd)
-    qs = q * scale
-    p = np.matmul(qs, k.swapaxes(-1, -2))
-    p -= lse
-    np.exp(p, out=p)
-    g_h = _heads(g, n_heads)
-    delta = (g_h * _heads(out, n_heads)).sum(axis=-1, keepdims=True)
+    g_h, out_h = _heads(g, n_heads), _heads(out, n_heads)
     buf = np.empty((b, t, 3, n_heads, hd), dtype=q.dtype)
     gq, gk, gv = buf.transpose(2, 0, 3, 1, 4)
-    np.matmul(p.swapaxes(-1, -2), g_h, out=gv)
-    ds = np.matmul(g_h, v.swapaxes(-1, -2))
-    ds -= delta
-    ds *= p
-    del p
-    np.matmul(ds, k, out=gq)
-    gq *= scale
-    np.matmul(ds.swapaxes(-1, -2), qs, out=gk)
+    for sl in _slabs(b, n_heads, t):
+        qs = q[sl] * scale
+        p = np.matmul(qs, k[sl].swapaxes(-1, -2))
+        p -= lse[sl]
+        np.exp(p, out=p)
+        gs = g_h[sl]
+        delta = (gs * out_h[sl]).sum(axis=-1, keepdims=True)
+        np.matmul(p.swapaxes(-1, -2), gs, out=gv[sl])
+        ds = np.matmul(gs, v[sl].swapaxes(-1, -2))
+        ds -= delta
+        ds *= p
+        del p
+        np.matmul(ds, k[sl], out=gq[sl])
+        gq[sl] *= scale
+        np.matmul(ds.swapaxes(-1, -2), qs, out=gk[sl])
     return buf.reshape(b, t, 3 * n_heads * hd)
 
 
@@ -595,27 +642,40 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(_affine(x2, w, b).reshape(*x.data.shape[:-1], n_out), (x, w, b), backward)
 
 
-def _ffn_forward(x2: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> tuple:
-    """gelu(x2 @ w1 + b1) @ w2 + b2 over 2-D rows, and the pre-activation h."""
-    h = _affine(x2, w1, b1)
-    return _affine(_gelu(h)[0], w2, b2), h
+def _ffn_forward(x2: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> np.ndarray:
+    """gelu(x2 @ w1 + b1) @ w2 + b2 over 2-D rows.
+
+    The GELU overwrites fc1's output one ``_row_blocks`` block at a time,
+    so its tanh exists only per block; GELU is elementwise, so the bits
+    are those of the whole array at once.
+    """
+    a = _affine(x2, w1, b1)
+    for rows in _row_blocks(*a.shape):
+        a[rows] = _gelu(a[rows])[0]
+    return _affine(a, w2, b2)
 
 
 def _ffn_hidden_grad(g2: np.ndarray, h: np.ndarray, w2: Tensor, b2: Tensor) -> np.ndarray:
     """Accumulate fc2's gradients; return the gradient at the pre-activation ``h`` (fresh).
 
-    The tanh and ``gelu(h)`` are recomputed from ``h`` (Chen et al. 2016,
-    arXiv:1604.06174) and their buffers reused for the GELU derivative
-    and the result.
+    ``h`` is overwritten.  One pass over its row blocks builds each
+    block's tanh once and from it writes ``gelu(h)`` into a new array, for
+    fc2's weight gradient, and the GELU derivative over ``h``.  The
+    result reuses the ``gelu(h)`` array, so two (rows, hidden) arrays
+    exist, not three.  Elementwise work in blocks gives the bits of the
+    whole array at once.
     """
-    a, th = _gelu(h)
+    a = np.empty_like(h)
+    for rows in _row_blocks(*h.shape):
+        y, th = _gelu(h[rows])
+        a[rows] = y
+        h[rows] = _gelu_grad(h[rows], th, out=y)
     if w2.requires_grad:
         w2._accumulate(a.T @ g2, fresh=True)
     if b2.requires_grad:
         b2._accumulate(g2.sum(axis=0), fresh=True)
-    d = _gelu_grad(h, th, out=a)
-    gh = np.matmul(g2, w2.data.T, out=th)
-    gh *= d
+    gh = np.matmul(g2, w2.data.T, out=a)
+    gh *= h
     return gh
 
 
@@ -682,28 +742,29 @@ def ffn_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor, 
     """x + fc2(gelu(fc1(layer_norm(x)))): a pre-norm block's FFN half as one node.
 
     ``x`` is (…, D), ``w1`` (D, hidden) and ``w2`` (hidden, D).  The
-    closure keeps the LayerNorm's (…, 1) mean and inverse standard
-    deviation and the fc1 pre-activation ``h``; never the LayerNorm
-    output or the FFN output before the residual add.  Backward recomputes
-    the LayerNorm output for the fc1 weight gradient.  Forward and
-    gradients are bit-identical to ``layer_norm`` -> ``linear`` ->
-    ``gelu`` -> ``linear`` -> ``add``.
+    closure keeps only the LayerNorm's (…, 1) mean and inverse standard
+    deviation: never the LayerNorm output, the (…, hidden) fc1
+    pre-activation ``h`` or the FFN output before the residual add.
+    Backward recomputes the LayerNorm output, which fc1's weight gradient
+    needs anyway, and from it ``h``: the forward's GEMM on the same
+    inputs, so the same bits, for one more (rows × D) @ (D × hidden) GEMM.
+    Forward and gradients are bit-identical to ``layer_norm`` -> ``linear``
+    -> ``gelu`` -> ``linear`` -> ``add``.
     """
     dim, n_hid = x.data.shape[-1], w1.data.shape[-1]
     _check_sublayer("ffn_sublayer", x, (ln_g, ln_b, w1, b1, w2, b2),
                     [(dim,), (dim,), (dim, n_hid), (n_hid,), (n_hid, dim), (dim,)])
     xd = x.data
     mu, inv = _ln_stats(xd)
-    x2 = _ln_scale(_ln_normalize(xd, mu, inv), ln_g, ln_b)
-    y, h = _ffn_forward(x2.reshape(-1, dim), w1, b1, w2, b2)
-    del x2
+    y = _ffn_forward(_ln_scale(_ln_normalize(xd, mu, inv), ln_g, ln_b).reshape(-1, dim), w1, b1, w2, b2)
     y += xd.reshape(-1, dim)
 
     def backward(g):
-        gh = _ffn_hidden_grad(g.reshape(-1, dim), h, w2, b2)
         xhat = _ln_normalize(xd, mu, inv)
-        gy = _affine_grads(gh, _ln_scale(xhat, ln_g, ln_b).reshape(-1, dim), w1, b1, True)
-        del gh
+        x2 = _ln_scale(xhat, ln_g, ln_b).reshape(-1, dim)
+        gh = _ffn_hidden_grad(g.reshape(-1, dim), _affine(x2, w1, b1), w2, b2)
+        gy = _affine_grads(gh, x2, w1, b1, True)
+        del gh, x2
         _residual_grads(g, gy.reshape(xd.shape), x, xhat, inv, ln_g, ln_b)
 
     return _make(y.reshape(xd.shape), (x, ln_g, ln_b, w1, b1, w2, b2), backward)
@@ -738,12 +799,11 @@ def _row_square_sums(r: np.ndarray) -> np.ndarray:
     """``np.square(r).sum(axis=-1)`` of a 2-D ``r``, squared a block of rows at a time.
 
     Each row is reduced on its own, so the sums are the full-size
-    expression's bits while the temporary stays near ``_SQUARE_BLOCK_ELEMS``.
+    expression's bits while the temporary stays near ``BLOCK_ELEMS``.
     """
     out = np.empty(r.shape[0], dtype=r.dtype)
-    step = max(1, _SQUARE_BLOCK_ELEMS // max(1, r.shape[1]))
-    for i in range(0, r.shape[0], step):
-        np.square(r[i : i + step]).sum(axis=-1, out=out[i : i + step])
+    for rows in _row_blocks(*r.shape):
+        np.square(r[rows]).sum(axis=-1, out=out[rows])
     return out
 
 

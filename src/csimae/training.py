@@ -29,6 +29,7 @@ import numpy as np
 from . import data as D
 from . import checkpoint as C
 from . import mae as M
+from . import tensors as T
 
 
 class TrainError(ValueError):
@@ -97,6 +98,12 @@ def adamw_step(params: dict, grads: dict, state: dict, lr: float, config: TrainC
     non-finite.  ``state`` holds per-name first/second moments plus the
     shared step count.  The moments are allocated on the first step and
     updated in place after it, so a step allocates no new optimizer state.
+    Each parameter is updated one flat block of ``tensors.BLOCK_ELEMS``
+    entries at a time, through views of it and its moments, so the
+    update's temporaries stay block-sized; the update is elementwise, so
+    the bits are those of the whole parameter at once.  A parameter or
+    moment that is not C-contiguous raises ``ValueError`` rather than
+    update a copy.
     """
     names = sorted(grads)
     for name in names:
@@ -108,17 +115,21 @@ def adamw_step(params: dict, grads: dict, state: dict, lr: float, config: TrainC
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     for name in names:
-        g = grads[name]
+        g = grads[name].reshape(-1)
         p = params[name].data
         buf = state.setdefault(name, {"m": np.zeros_like(p), "v": np.zeros_like(p)})
-        m, v = buf["m"], buf["v"]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        if config.weight_decay:
-            p -= lr * config.weight_decay * p
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        flat = [a.reshape(-1, copy=False) for a in (p, buf["m"], buf["v"])]
+        for i in range(0, g.size, T.BLOCK_ELEMS):
+            blk = slice(i, i + T.BLOCK_ELEMS)
+            p_blk, m, v = (a[blk] for a in flat)
+            g_blk = g[blk]
+            m *= b1
+            m += (1.0 - b1) * g_blk
+            v *= b2
+            v += (1.0 - b2) * (g_blk * g_blk)
+            if config.weight_decay:
+                p_blk -= lr * config.weight_decay * p_blk
+            p_blk -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return True
 
 

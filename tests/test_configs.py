@@ -20,10 +20,10 @@ CONFIGS = [
     (H.HarmonizeConfig, {}, ("stride_seconds", 0.0), H.HarmonizeError, "stride_seconds"),
     (Q.QcConfig, {}, ("outlier_k", 0.0), ValueError, "outlier_k"),
     (D.SplitSpec, {"protocol": "in_domain_8020"}, ("protocol", "nope"), D.SplitError, "protocol"),
-    (E.HeadConfig, {"n_classes": 2}, ("n_classes", 1), E.EvalError, "2 classes"),
+    (E.HeadConfig, {"n_classes": 2}, ("n_classes", 1), E.EvalError, "n_classes"),
     (L.SweepSpec, {"axis": "mask_ratio", "values": [0.5, 0.75]}, ("seeds", [0, 0]), L.SweepError, "seeds"),
     (S.SynthTaskSpec, {}, ("clips_per_cell", 0), S.SceneError, "clips_per_cell"),
-    (S.SceneSpec, {"paths": [S.PathComponent(1 + 0j, 0.0, 0.0)]}, ("paths", []), S.SceneError, "path"),
+    (S.SceneSpec, {"paths": [S.PathComponent(1 + 0j, 0.0, 0.0)]}, ("paths", []), S.SceneError, "paths"),
     (S.PathComponent, {"gain": 1 + 0j, "delay": 0.0, "doppler": 0.0}, ("delay", -1e-9), S.SceneError, "delay"),
     # non-finite and empty values; each names its field
     (R.TrainConfig, {}, ("peak_lr", NAN), R.TrainError, "peak_lr"),

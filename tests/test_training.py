@@ -227,6 +227,37 @@ def test_adamw_updates_moments_in_place_with_the_allocating_update_bits():
     assert state["p"]["m"].tobytes() == m.tobytes() and state["p"]["v"].tobytes() == v.tobytes()
 
 
+def adamw_steps(shape, n_steps=3):
+    """The params and moments after ``n_steps`` seeded AdamW steps on one (shape) parameter."""
+    rng = np.random.default_rng(41)
+    params, state = {"p": T.Tensor(rng.standard_normal(shape, dtype=np.float32), requires_grad=True)}, {}
+    for _ in range(n_steps):
+        assert R.adamw_step(params, {"p": rng.standard_normal(shape, dtype=np.float32)}, state, 1e-3, R.TrainConfig())
+    return [params["p"].data.tobytes(), state["p"]["m"].tobytes(), state["p"]["v"].tobytes()]
+
+
+def test_adamw_in_small_blocks_is_bit_equal_to_one_block(monkeypatch):
+    whole = adamw_steps((7, 11))
+    monkeypatch.setattr(T, "BLOCK_ELEMS", 16)  # five blocks of 16 entries and a ragged last one of 13
+    assert adamw_steps((7, 11)) == whole
+
+
+def test_adamw_updates_a_parameter_larger_than_one_block_through_views():
+    # a flattening that copied would update the copy and leave the parameter and its moments as they were
+    cfg = R.TrainConfig(weight_decay=0.03)
+    shape = (T.BLOCK_ELEMS // 64 + 3, 64)
+    rng = np.random.default_rng(42)
+    p0, g = (rng.standard_normal(shape, dtype=np.float32) for _ in range(2))
+    params, state = {"p": T.Tensor(p0.copy(), requires_grad=True)}, {}
+    assert R.adamw_step(params, {"p": g}, state, 1e-3, cfg)
+    b1, b2 = R.ADAM_BETAS
+    m, v, p = (1.0 - b1) * g, (1.0 - b2) * (g * g), p0.copy()
+    p -= 1e-3 * cfg.weight_decay * p
+    p -= 1e-3 * (m / (1.0 - b1)) / (np.sqrt(v / (1.0 - b2)) + R.ADAM_EPS)
+    assert params["p"].data.tobytes() == p.tobytes()
+    assert state["p"]["m"].tobytes() == m.tobytes() and state["p"]["v"].tobytes() == v.tobytes()
+
+
 def test_pretrain_val_split_is_the_prefix_of_the_seed_stream_1_permutation(monkeypatch):
     real, seen = R.masked_val_loss, []
 
