@@ -101,14 +101,18 @@ def adamw_step(params: dict, grads: dict, state: dict, lr: float, config: TrainC
     Each parameter is updated one flat block of ``tensors.BLOCK_ELEMS``
     entries at a time, through views of it and its moments, so the
     update's temporaries stay block-sized; the update is elementwise, so
-    the bits are those of the whole parameter at once.  A parameter or
-    moment that is not C-contiguous raises ``ValueError`` rather than
-    update a copy.
+    the bits are those of the whole parameter at once.  A parameter that
+    is not C-contiguous, whose flattening would be a copy, raises
+    ``TrainError`` before anything is updated; its moments, made by
+    ``np.zeros_like``, share its layout.
     """
     names = sorted(grads)
     for name in names:
         if not np.isfinite(grads[name]).all():
             return False
+    for name in names:
+        if not params[name].data.flags.c_contiguous:
+            raise TrainError(f"AdamW updates {name} through flat views and needs it C-contiguous")
     state["t"] = state.get("t", 0) + 1
     t = state["t"]
     b1, b2 = ADAM_BETAS
@@ -118,7 +122,7 @@ def adamw_step(params: dict, grads: dict, state: dict, lr: float, config: TrainC
         g = grads[name].reshape(-1)
         p = params[name].data
         buf = state.setdefault(name, {"m": np.zeros_like(p), "v": np.zeros_like(p)})
-        flat = [a.reshape(-1, copy=False) for a in (p, buf["m"], buf["v"])]
+        flat = [a.reshape(-1) for a in (p, buf["m"], buf["v"])]  # views of C-contiguous arrays
         for i in range(0, g.size, T.BLOCK_ELEMS):
             blk = slice(i, i + T.BLOCK_ELEMS)
             p_blk, m, v = (a[blk] for a in flat)

@@ -205,11 +205,13 @@ def test_timing_records_wall_seconds_and_peak_rss_per_epoch(tmp_path):
     assert "peak_rss_mb" not in metrics and "wall_seconds" not in metrics
 
 
-def test_adamw_updates_moments_in_place_with_the_allocating_update_bits():
+# a parameter larger than one block: a flattening that copied would update the copy and leave it as it was
+@pytest.mark.parametrize("shape", [(4, 5), (T.BLOCK_ELEMS // 64 + 3, 64)], ids=["one-block", "several-blocks"])
+def test_adamw_updates_moments_in_place_with_the_allocating_update_bits(shape):
     cfg = R.TrainConfig(weight_decay=0.03)
     rng = np.random.default_rng(6)
-    p0 = rng.standard_normal((4, 5)).astype(np.float32)
-    grads = [rng.standard_normal((4, 5)).astype(np.float32) for _ in range(3)]
+    p0 = rng.standard_normal(shape).astype(np.float32)
+    grads = [rng.standard_normal(shape).astype(np.float32) for _ in range(3)]
     params, state = {"p": T.Tensor(p0.copy(), requires_grad=True)}, {}
     # reference: the same update with freshly allocated moments every step
     p, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
@@ -242,20 +244,15 @@ def test_adamw_in_small_blocks_is_bit_equal_to_one_block(monkeypatch):
     assert adamw_steps((7, 11)) == whole
 
 
-def test_adamw_updates_a_parameter_larger_than_one_block_through_views():
-    # a flattening that copied would update the copy and leave the parameter and its moments as they were
-    cfg = R.TrainConfig(weight_decay=0.03)
-    shape = (T.BLOCK_ELEMS // 64 + 3, 64)
-    rng = np.random.default_rng(42)
-    p0, g = (rng.standard_normal(shape, dtype=np.float32) for _ in range(2))
-    params, state = {"p": T.Tensor(p0.copy(), requires_grad=True)}, {}
-    assert R.adamw_step(params, {"p": g}, state, 1e-3, cfg)
-    b1, b2 = R.ADAM_BETAS
-    m, v, p = (1.0 - b1) * g, (1.0 - b2) * (g * g), p0.copy()
-    p -= 1e-3 * cfg.weight_decay * p
-    p -= 1e-3 * (m / (1.0 - b1)) / (np.sqrt(v / (1.0 - b2)) + R.ADAM_EPS)
-    assert params["p"].data.tobytes() == p.tobytes()
-    assert state["p"]["m"].tobytes() == m.tobytes() and state["p"]["v"].tobytes() == v.tobytes()
+def test_adamw_rejects_a_non_contiguous_parameter_before_updating_any():
+    rng = np.random.default_rng(43)
+    params = {"a": T.Tensor(rng.standard_normal((3, 4), dtype=np.float32), requires_grad=True),
+              "b": T.Tensor(rng.standard_normal((4, 3), dtype=np.float32).T, requires_grad=True)}
+    before = params["a"].data.copy()
+    state = {}
+    with pytest.raises(R.TrainError, match="b .*C-contiguous"):
+        R.adamw_step(params, {k: np.ones((3, 4), np.float32) for k in params}, state, 1e-3, R.TrainConfig())
+    assert state == {} and params["a"].data.tobytes() == before.tobytes()
 
 
 def test_pretrain_val_split_is_the_prefix_of_the_seed_stream_1_permutation(monkeypatch):
