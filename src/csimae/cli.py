@@ -25,19 +25,20 @@ store's own manifest). _open_store has ``data`` judge the command's
 split on that manifest before anything trains, so a held-out value the
 store lacks or a clip without the domain label is a config error.
 
-resolved_config.json holds every config the command built, and its
-flags. With a checksum of everything the run produced, a run directory
-is reproducible from its own resolved_config.json plus the input store.
-A bad flag or config file, such as a --label-fraction outside (0, 1],
-a sweep value that makes no valid model or an --out that is not a
-directory, is a config error: exit 2 and a JSON record, before anything
-trains. Any other failure is exit 1 and a JSON record naming the error.
+resolved_config.json holds every config the command built, its flags,
+and the BLAS thread variables and core count the process saw. With a
+checksum of everything the run produced, a run directory is reproducible
+from its own resolved_config.json plus the input store; bit-identical
+checkpoints need the same thread variables on a host with the same core
+count. A bad flag or config file, such as a --label-fraction outside
+(0, 1], a sweep value that makes no valid model or an --out that is not
+a directory, is a config error: exit 2 and a JSON record, before
+anything trains. Any other failure is exit 1 and a JSON record naming
+the error.
 
-Environment variables are limited to CSIMAE_THREADS (BLAS/OpenMP thread
-cap) and CSIMAE_OUT_ROOT (prefix for relative --out paths). Every
-command takes --threads, which beats CSIMAE_THREADS; main parses it with
-the other flags and sets the cap before any module imports numpy, as
-neither this module nor its parser does.
+BLAS threads are capped by the variables BLAS reads itself:
+OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS. --out is taken
+as given, so a relative one lands under the working directory.
 """
 
 from __future__ import annotations
@@ -55,24 +56,22 @@ import threading
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
+from . import checkpoint as C
+from . import data as D
+from . import evaluate as E
+from . import harmonize as H
+from . import mae as M
+from . import qc as Q
+from . import scaling as L
+from . import synth as S
+from . import tensors as T
+from . import training as R
+
 
 class CliError(ValueError):
     pass
-
-
-def _apply_threads(threads: str | None):
-    """Cap BLAS/OpenMP threads at the parsed --threads, else CSIMAE_THREADS, before numpy loads.
-
-    The value must be a positive integer.
-    """
-    if threads is None:
-        threads = os.environ.get("CSIMAE_THREADS") or None
-    if threads is None:
-        return
-    if not (threads.isdecimal() and int(threads) > 0):
-        raise CliError(f"--threads / CSIMAE_THREADS needs a positive integer, got {threads!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = threads
 
 
 def _load_sections(config_path: str | None) -> dict:
@@ -103,6 +102,9 @@ def _build(cls, section: dict, args=None, default: dict | None = None):
     except (TypeError, ValueError) as e:
         raise CliError(f"invalid {cls.__name__}: {e}") from e
 
+
+# the variables that cap BLAS threads, recorded with each run: a checkpoint's bits depend on them
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # the config sections each command builds; build_parser gives a command
 # --config and the flags of these sections only
@@ -137,13 +139,6 @@ def _configs(args) -> dict:
     A file section that no command builds is an error. The ``pretrain``
     section falls back to the file's ``train`` section and takes no flags.
     """
-    from . import data as D
-    from . import harmonize as H
-    from . import mae as M
-    from . import qc as Q
-    from . import synth as S
-    from . import training as R
-
     classes = {
         "task": S.SynthTaskSpec,
         "harmonize": H.HarmonizeConfig,
@@ -166,11 +161,13 @@ def _configs(args) -> dict:
 
 
 def _persist_run(out: Path, command: str, configs: dict, args):
-    """Write resolved_config.json (every config built, and the flags) and checksums.txt."""
+    """Write resolved_config.json (every config built, the flags, and the thread variables and
+    core count that a checkpoint's bits depend on) and checksums.txt."""
     doc = {
         "command": command,
         "args": {k: v for k, v in vars(args).items() if k != "func"},
         "sections": {name: dataclasses.asdict(cfg) for name, cfg in configs.items()},
+        "threads": {**{var: os.environ.get(var) for var in THREAD_VARS}, "cpu_count": os.cpu_count()},
     }
     (out / "resolved_config.json").write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
     lines = []
@@ -187,8 +184,6 @@ def _open_store(args, cfg: dict):
     The judge is ``make_split`` on the split section, or ``domain_values``
     of eval-cross-domain's --domain-key; a split it rejects is a config error.
     """
-    from . import data as D
-
     manifest = D.DatasetManifest.read(args.manifest) if args.manifest else D.DatasetManifest.load(args.store)
     try:
         if "split" in cfg:
@@ -262,11 +257,9 @@ def _add_section_flags(p, section: str):
 
 
 def _add_command(sub, name: str, func, **kw):
-    """A command with --threads; a run command (one in COMMAND_SECTIONS) also takes --out, the
-    store flags if it reads one, --label-fraction if it runs downstream, and --config and its
-    sections' flags."""
+    """A command; a run command (one in COMMAND_SECTIONS) takes --out, the store flags if it
+    reads one, --label-fraction if it runs downstream, and --config and its sections' flags."""
     p = sub.add_parser(name, **kw)
-    p.add_argument("--threads", help="BLAS/OpenMP thread cap; beats CSIMAE_THREADS")
     p.set_defaults(func=func)
     if name not in COMMAND_SECTIONS:
         return p
@@ -288,20 +281,15 @@ def _add_command(sub, name: str, func, **kw):
 
 
 def cmd_synth_gen(args, cfg, out):
-    from . import harmonize as H
-    from . import synth as S
-
     task = cfg["task"]
     if not H.window_slices(task.n_packets, task.sampling_rate, cfg["harmonize"]):
         seconds = task.n_packets / task.sampling_rate
         raise CliError(f"a {cfg['harmonize'].window_seconds} s window is longer than a {seconds} s synthetic recording")
-    manifest = S.generate_task(task, out / "store", cfg["harmonize"], cfg["qc"], dataset_name=args.name)
+    manifest = S.generate_task(task, out / "store", cfg["harmonize"], cfg["qc"])
     return f"wrote {len(manifest.entries)} clips to {out / 'store'}"
 
 
 def cmd_ingest(args, cfg, out):
-    from . import data as D
-
     repeated = sorted(name for name, n in Counter(Path(p).name for p in args.recordings).items() if n > 1)
     if repeated:
         raise CliError(f"recordings share a file name, and each is copied under its name: {', '.join(repeated)}")
@@ -326,10 +314,6 @@ def cmd_ingest(args, cfg, out):
 
 
 def cmd_clean(args, cfg, out):
-    from . import data as D
-    from . import harmonize as H
-    from . import qc as Q
-
     if args.blocklist and not args.store:
         raise CliError("--blocklist needs --store, the store whose manifest it filters")
     if not (args.recordings or args.store):
@@ -347,10 +331,6 @@ def cmd_clean(args, cfg, out):
 
 
 def cmd_harmonize(args, cfg, out):
-    from . import data as D
-    from . import harmonize as H
-    from . import qc as Q
-
     clips, reports = [], []
     for path in args.recordings:
         rec_clips, report = H.harmonize_recording(D.load_recording(path), cfg["harmonize"], cfg["qc"])
@@ -364,9 +344,6 @@ def cmd_harmonize(args, cfg, out):
 
 
 def cmd_pretrain(args, cfg, out):
-    from . import checkpoint as C
-    from . import training as R
-
     result = R.pretrain(_open_store(args, cfg), args.store, cfg["model"], cfg["train"])
     result.metrics.save(out)
     extra = {"best_epoch": result.best_epoch, "best_val_loss": result.best_value, "aborted": result.aborted}
@@ -376,9 +353,6 @@ def cmd_pretrain(args, cfg, out):
 
 
 def cmd_downstream(args, cfg, out):
-    from . import checkpoint as C
-    from . import evaluate as E
-
     regime = REGIME_OF[args.command]
     manifest = _open_store(args, cfg)
     params = None
@@ -392,9 +366,6 @@ def cmd_downstream(args, cfg, out):
 
 
 def cmd_eval_cross_domain(args, cfg, out):
-    from . import data as D
-    from . import evaluate as E
-
     regimes = args.regimes.split(",")
     unknown = [r for r in regimes if r not in E.REGIMES]
     if unknown:
@@ -419,9 +390,6 @@ def cmd_eval_cross_domain(args, cfg, out):
 
 
 def cmd_sweep(args, cfg, out):
-    from . import data as D
-    from . import scaling as L
-
     if args.seed is not None and args.seeds is not None:
         raise CliError("--seed and --seeds both set the sweep's training seeds; give one of them")
     spec = _build(L.SweepSpec, {}, args, {"seeds": [cfg["train"].seed]})
@@ -453,8 +421,6 @@ def _read_table(path: Path, group_key: str) -> list:
     ``n_pretrain`` its log-linear fit reads, raises ``DataError`` naming
     the file and line.
     """
-    from . import data as D
-
     records = D.read_jsonl(path)
     for line, record in enumerate(records, 1):
         missing = [k for k in (group_key, "accuracy") if k not in record]
@@ -469,9 +435,6 @@ def _read_table(path: Path, group_key: str) -> list:
 
 
 def cmd_report(args):
-    from . import evaluate as E
-    from . import scaling as L
-
     run = Path(args.run_dir)
     rows_path = run / "rows.jsonl"
     results_path = run / "results.jsonl"
@@ -501,11 +464,6 @@ def cmd_report(args):
 
 
 def cmd_grad_check(args):
-    from . import mae as M
-    from . import tensors as T
-
-    import numpy as np
-
     dtype = np.float64 if args.bits == 64 else np.float32
     threshold = args.threshold if args.threshold is not None else (1e-6 if args.bits == 64 else 1e-4)
     cfg = M.ModelConfig(
@@ -541,8 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="csimae", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _add_command(sub, "synth-gen", cmd_synth_gen, help="generate a labeled synthetic dataset")
-    p.add_argument("--name", default="synth")
+    _add_command(sub, "synth-gen", cmd_synth_gen, help="generate a labeled synthetic dataset")
 
     p = _add_command(sub, "ingest", cmd_ingest, help="validate and catalog recording files")
     p.add_argument("--recordings", nargs="+", required=True)
@@ -587,8 +544,7 @@ def _run(args) -> str:
     add the checkpoint's model). A failure empties --out, removes it and each parent it created
     that is empty (other runs may share one), and propagates."""
     cfg = _configs(args)
-    root = os.environ.get("CSIMAE_OUT_ROOT", "")
-    out = Path(root) / args.out if root and not os.path.isabs(args.out) else Path(args.out)
+    out = Path(args.out)
     if out.is_dir() and any(out.iterdir()):
         raise CliError(f"output directory {out} already exists and is not empty")
     made = [p for p in [out, *out.parents] if not p.exists()]  # --out, then up
@@ -622,7 +578,6 @@ def _terminate(signum, frame):
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _apply_threads(args.threads)
         if args.command not in COMMAND_SECTIONS:
             return args.func(args)
         handles = threading.current_thread() is threading.main_thread()  # only it may set a handler

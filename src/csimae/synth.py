@@ -35,6 +35,7 @@ DEVICE_PROFILES = ((1.0, 0.01), (0.6, 0.02))  # (gain, noise std), one per devic
 N_STATIC_PATHS = 4  # per environment
 N_DYNAMIC_PATHS = 2  # per clip
 DYNAMIC_GAIN_RANGE = (0.25, 0.6)
+SOURCE_ID_PREFIX = "synth"  # of every generated clip's source id
 
 
 @dataclass
@@ -244,7 +245,6 @@ def generate_task(
     out_dir,
     harmonize_config: H.HarmonizeConfig | None = None,
     qc_config: Q.QcConfig | None = None,
-    dataset_name: str = "synth",
 ) -> D.DatasetManifest:
     """Simulate, harmonize, and store one balanced labeled dataset.
 
@@ -261,7 +261,7 @@ def generate_task(
             scene, labels = scene_for_clip(spec, cell, i)
             rec = simulate_cfr(scene)
             rec.labels = labels
-            rec.source_id = f"{dataset_name}-c{c}e{e}s{s}b{b}d{d}-{i:04d}"
+            rec.source_id = f"{SOURCE_ID_PREFIX}-c{c}e{e}s{s}b{b}d{d}-{i:04d}"
             rec_clips, report = H.harmonize_recording(rec, harmonize_config, qc_config)
             if not rec_clips:
                 raise SceneError(f"cell {cell} clip {i}: harmonization produced no clips ({report.verdict})")

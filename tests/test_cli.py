@@ -7,8 +7,6 @@ import json
 import os
 import shutil
 import signal
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -356,37 +354,38 @@ def test_grad_check_exit_codes():
     assert cli.main(["grad-check", "--bits", "32", "--threshold", "1e-12"]) == 1
 
 
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def test_threads_flag_with_equals_sets_thread_vars(tmp_path, monkeypatch):
-    for var in THREAD_VARS:
+def test_threads_is_an_unknown_flag(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for var in cli.THREAD_VARS:
         monkeypatch.setenv(var, "1")
-    row = {"axis": "data_fraction", "value": 0.1, "seed": 0, "n_pretrain": 2, "accuracy": 0.5, "test_set_hash": "h"}
-    (tmp_path / "rows.jsonl").write_text(json.dumps(row) + "\n")
-    assert cli.main(["report", "--run-dir", str(tmp_path), "--threads=4"]) == 0
-    assert all(os.environ[var] == "4" for var in THREAD_VARS)
+    for head in (["ingest", "--recordings", "r.csir", "--out", "o"], ["report", "--run-dir", "."]):
+        assert cli.main(head + ["--threads", "4"]) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "config", "message": "unrecognized arguments: --threads 4"}
+    assert all(os.environ[var] == "1" for var in cli.THREAD_VARS)
+    assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("tail", [["--threads"], ["--threads="], ["--threads", "zero"]])
-def test_threads_flag_without_value_is_config_error(tmp_path, monkeypatch, capsys, tail):
-    for var in THREAD_VARS:
-        monkeypatch.setenv(var, "1")
-    rc = cli.main(["report", "--run-dir", str(tmp_path)] + tail)
-    assert rc == 2
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "config" and "--threads" in err["message"]
-    assert all(os.environ[var] == "1" for var in THREAD_VARS)
-
-
-def test_parsing_the_flags_loads_no_numpy_so_the_thread_cap_comes_first():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys, csimae.cli as c; c.build_parser().parse_args(['report', '--run-dir', '.', '--threads', '2'])"
-    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
-    )
-    assert proc.stdout.strip() == "[]"
+@pytest.mark.parametrize(
+    "env",
+    [
+        {"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": None},
+        {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": None, "MKL_NUM_THREADS": None, "CSIMAE_THREADS": "4"},
+    ],
+    ids=["some-set", "none-set-and-csimae-threads-ignored"],
+)
+def test_the_run_record_names_the_thread_variables_the_process_saw(tmp_path, monkeypatch, env):
+    rec = str(_faulty_recording(tmp_path / "rec.csir"))
+    for var, value in env.items():
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+    assert cli.main(["ingest", "--recordings", rec, "--out", str(tmp_path / "ing")]) == 0
+    resolved = json.loads((tmp_path / "ing" / "resolved_config.json").read_text())
+    want = {var: env[var] for var in cli.THREAD_VARS}
+    assert resolved["threads"] == {**want, "cpu_count": os.cpu_count()}
+    assert all(os.environ.get(var) == env[var] for var in cli.THREAD_VARS)
 
 
 def test_report_without_a_table_is_a_config_error(tmp_path, capsys):
@@ -647,6 +646,7 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         (["pretrain"], "out-a-file"),
         (["synth-gen", "--environments", "0"], None),
         (["pretrain", "--lr", "nan"], None),
+        (["synth-gen", "--name", "other"], None),
     ],
     ids=[
         "lr",
@@ -697,6 +697,7 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         "out-a-file",
         "synth-gen-no-environments",
         "lr-nan",
+        "synth-gen-name",
     ],
 )
 def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, monkeypatch, argv, config):
@@ -975,14 +976,14 @@ def test_a_failed_run_keeps_a_sibling_run_in_the_parent_it_created(tmp_path, mon
     assert (results / "ing" / "index.json").exists() and (results / "ing" / "checksums.txt").exists()
 
 
-def test_a_relative_out_lands_under_csimae_out_root(tmp_path, monkeypatch):
+def test_a_relative_out_lands_under_the_working_directory(tmp_path, monkeypatch):
     rec = str(_faulty_recording(tmp_path / "rec.csir"))
     (tmp_path / "cwd").mkdir()
     monkeypatch.chdir(tmp_path / "cwd")
-    monkeypatch.setenv("CSIMAE_OUT_ROOT", str(tmp_path / "root"))
+    monkeypatch.setenv("CSIMAE_OUT_ROOT", str(tmp_path / "root"))  # ignored: --out is taken as given
     assert cli.main(["ingest", "--recordings", rec, "--out", "runs/ing"]) == 0
-    assert json.loads((tmp_path / "root" / "runs" / "ing" / "index.json").read_text())[0]["source_id"] == "qc-rec"
-    assert not any((tmp_path / "cwd").iterdir())
+    assert json.loads((tmp_path / "cwd" / "runs" / "ing" / "index.json").read_text())[0]["source_id"] == "qc-rec"
+    assert not (tmp_path / "root").exists()
 
 
 def test_a_pretrain_whose_warmup_outlasts_its_steps_fails_before_loading_and_leaves_no_out(

@@ -157,6 +157,15 @@ def test_generate_task_is_deterministic(tmp_path):
         assert (tmp_path / "a" / shard).read_bytes() == (tmp_path / "b" / shard).read_bytes()
 
 
+def test_generated_source_ids_name_the_cell_and_clip(tmp_path):
+    spec = small_task(clips_per_cell=2)
+    manifest = S.generate_task(spec, tmp_path / "store")
+    want = {
+        f"synth-c{c}e{e}s{s}b{b}d{d}-{i:04d}" for c, e, s, b, d in spec.cells() for i in range(spec.clips_per_cell)
+    }
+    assert {entry.provenance.source_id for entry in manifest.entries} == want
+
+
 def test_infeasible_cell_count_rejected(tmp_path):
     with pytest.raises(S.SceneError, match="clips_per_cell"):
         S.generate_task(small_task(clips_per_cell=0), tmp_path)
