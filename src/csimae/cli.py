@@ -26,15 +26,15 @@ split on that manifest before anything trains, so a held-out value the
 store lacks or a clip without the domain label is a config error.
 
 resolved_config.json holds every config the command built, its flags,
-and the BLAS thread variables and core count the process saw. With a
-checksum of everything the run produced, a run directory is reproducible
-from its own resolved_config.json plus the input store; bit-identical
-checkpoints need the same thread variables on a host with the same core
-count. A bad flag or config file, such as a --label-fraction outside
-(0, 1], a sweep value that makes no valid model or an --out that is not
-a directory, is a config error: exit 2 and a JSON record, before
-anything trains. Any other failure is exit 1 and a JSON record naming
-the error.
+and the BLAS thread variables and core count the process saw. A run
+directory is reproducible from it plus the input store: rerun at the same
+thread variables on a host with the same core count, it gives the same
+checksums.txt (every file but the volatile timing.jsonl) except the line
+of resolved_config.json, whose args hold the rerun's own --out. A bad
+flag or config file, such as a --label-fraction outside (0, 1], a sweep
+value that makes no valid model or an --out that is not a directory, is
+a config error: exit 2 and a JSON record, before anything trains. Any
+other failure is exit 1 and a JSON record naming the error.
 
 BLAS threads are capped by the variables BLAS reads itself:
 OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS. --out is taken
@@ -162,7 +162,8 @@ def _configs(args) -> dict:
 
 def _persist_run(out: Path, command: str, configs: dict, args):
     """Write resolved_config.json (every config built, the flags, and the thread variables and
-    core count that a checkpoint's bits depend on) and checksums.txt."""
+    core count that a checkpoint's bits depend on) and checksums.txt, the sha256 of every file
+    the run wrote except the volatile timing.jsonl."""
     doc = {
         "command": command,
         "args": {k: v for k, v in vars(args).items() if k != "func"},
@@ -172,7 +173,7 @@ def _persist_run(out: Path, command: str, configs: dict, args):
     (out / "resolved_config.json").write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
     lines = []
     for p in sorted(out.rglob("*")):
-        if p.is_file() and p.name != "checksums.txt":
+        if p.is_file() and p.name not in ("checksums.txt", "timing.jsonl"):
             digest = hashlib.sha256(p.read_bytes()).hexdigest()
             lines.append(f"{digest}  {p.relative_to(out)}")
     (out / "checksums.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")

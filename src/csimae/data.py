@@ -11,6 +11,8 @@ the file; recordings (``.csir``) and checkpoints are tensor files.
 Clip shards are back-to-back records indexed by a canonical JSON
 manifest.  Logs and result tables are JSON lines (``write_jsonl``,
 ``read_jsonl``).  Every reader raises ``DataError`` naming the file.
+Records check themselves when built, raising ``DataError``, so a
+reader that builds one has checked it and no caller checks it again.
 
 ``LABEL_KEY`` is the task label.  ``stratified_draw``, the one seeded
 per-class draw over it, picks both ``make_split``'s in-domain test slice
@@ -64,7 +66,7 @@ class ChannelRecording:
 
     Missing packets are all-null time slices; the null sentinel is
     NaN+NaNj.  ``n_rx = n_recv * n_apr`` ties receive chains to physical
-    receivers.
+    receivers.  A recording checks its tensor and metadata when built.
     """
 
     data: np.ndarray
@@ -76,7 +78,7 @@ class ChannelRecording:
     labels: dict = field(default_factory=dict)
     source_id: str = ""
 
-    def validate(self):
+    def __post_init__(self):
         if self.data.ndim != 4:
             raise DataError(f"recording tensor must be 4-D, got {self.data.shape}")
         n_t, n_rx, n_tx, n_f = self.data.shape
@@ -88,7 +90,6 @@ class ChannelRecording:
             raise DataError(f"bandwidth {self.bandwidth} Hz not in {VALID_BANDWIDTHS_HZ}")
         if n_f < 1:
             raise DataError("need at least one subcarrier")
-        return self
 
     @property
     def n_t(self):
@@ -116,22 +117,21 @@ class Provenance:
         return f"{self.source_id}/t{self.tx_index}/r{self.recv_index}/c{self.channel_index}/w{self.window_index}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CsiClip:
-    """Canonical 600x90 z-scored amplitude tensor with labels and provenance."""
+    """Canonical 600x90 z-scored amplitude tensor with labels and provenance; checked when built."""
 
     data: np.ndarray
     labels: dict
     provenance: Provenance
 
-    def validate(self):
+    def __post_init__(self):
         if self.data.shape != (CLIP_TIME_LEN, CLIP_CHAN_LEN):
             raise DataError(f"clip {self.clip_id}: shape {self.data.shape} != (600, 90)")
         if self.data.dtype != np.float32:
             raise DataError(f"clip {self.clip_id}: dtype {self.data.dtype} != float32")
         if not np.isfinite(self.data).all():
             raise DataError(f"clip {self.clip_id}: null sentinels remain")
-        return self
 
     @property
     def clip_id(self) -> str:
@@ -140,25 +140,21 @@ class CsiClip:
 
 @dataclass(frozen=True)
 class ManifestEntry:
+    """Where a clip lies in a store; it checks its field types when built."""
+
     clip_id: str
     shard_path: str
     byte_offset: int
     labels: dict
     provenance: Provenance
 
-
-_ENTRY_FIELDS = (("clip_id", str, "a string"), ("shard_path", str, "a string"), ("labels", dict, "an object"))
-
-
-def _manifest_entry(i: int, d: dict) -> ManifestEntry:
-    """Entry ``i`` of a parsed manifest, its field types checked; a wrong type raises ``DataError``."""
-    for key, kind, what in _ENTRY_FIELDS:
-        if not isinstance(d[key], kind):
-            raise DataError(f"not a clip manifest (entry {i}: {key} {d[key]!r} is not {what})")
-    offset = d["byte_offset"]
-    if type(offset) is not int or offset < 0:
-        raise DataError(f"not a clip manifest (entry {i}: byte_offset {offset!r} is not a non-negative integer)")
-    return ManifestEntry(d["clip_id"], d["shard_path"], offset, d["labels"], Provenance(**d["provenance"]))
+    def __post_init__(self):
+        for key, kind, what in ("clip_id", str, "a string"), ("shard_path", str, "a string"), ("labels", dict, "an object"):
+            value = getattr(self, key)
+            if not isinstance(value, kind):
+                raise DataError(f"{key} {value!r} is not {what}")
+        if type(self.byte_offset) is not int or self.byte_offset < 0:
+            raise DataError(f"byte_offset {self.byte_offset!r} is not a non-negative integer")
 
 
 @dataclass
@@ -167,16 +163,12 @@ class DatasetManifest:
     blocklist: list = field(default_factory=list)
 
     def __post_init__(self):
-        ids = [e.clip_id for e in self.entries]
-        if len(set(ids)) != len(ids):
+        self._index = {e.clip_id: e for e in self.entries}
+        if len(self._index) != len(self.entries):
             raise DataError("duplicate clip_ids in manifest")
 
     def by_id(self, clip_id):
-        try:
-            return self._index[clip_id]
-        except AttributeError:
-            object.__setattr__(self, "_index", {e.clip_id: e for e in self.entries})
-            return self._index[clip_id]
+        return self._index[clip_id]
 
     def to_json(self) -> str:
         doc = {
@@ -196,7 +188,13 @@ class DatasetManifest:
             blocklist = doc.get("blocklist", [])
             if not (isinstance(blocklist, list) and all(isinstance(b, str) for b in blocklist)):
                 raise DataError(f"not a clip manifest (blocklist {blocklist!r} is not a list of strings)")
-            entries = [_manifest_entry(i, d) for i, d in enumerate(doc["entries"])]
+            entries = []
+            for i, d in enumerate(doc["entries"]):
+                try:
+                    provenance = Provenance(**d["provenance"])
+                    entries.append(ManifestEntry(d["clip_id"], d["shard_path"], d["byte_offset"], d["labels"], provenance))
+                except DataError as exc:
+                    raise DataError(f"not a clip manifest (entry {i}: {exc})") from None
             return DatasetManifest(entries, blocklist=blocklist)
         except DataError:
             raise
@@ -309,8 +307,6 @@ def write_clip_store(clips, path) -> DatasetManifest:
     clips = list(clips)
     if not clips:
         raise DataError("empty dataset")
-    for clip in clips:
-        clip.validate()
     store = Path(path)
     store.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -324,9 +320,8 @@ def write_clip_store(clips, path) -> DatasetManifest:
 def load_clips(store_dir, manifest: DatasetManifest, clip_ids=None) -> list:
     """Read clips (all, or the given ids) grouped by shard for locality.
 
-    A truncated or corrupt record, or one that is not a valid clip
-    (``CsiClip.validate``), raises ``DataError`` naming the shard, the
-    byte offset and the clip id.
+    A truncated or corrupt record, or one that ``CsiClip`` refuses,
+    raises ``DataError`` naming the shard, the byte offset and the clip id.
     """
     entries = manifest.entries if clip_ids is None else [manifest.by_id(c) for c in clip_ids]
     out = {}
@@ -339,7 +334,7 @@ def load_clips(store_dir, manifest: DatasetManifest, clip_ids=None) -> list:
             for e in sorted(shard_entries, key=lambda e: e.byte_offset):
                 fh.seek(e.byte_offset)
                 try:
-                    clip = CsiClip(data=_read_record(fh), labels=dict(e.labels), provenance=e.provenance).validate()
+                    clip = CsiClip(data=_read_record(fh), labels=dict(e.labels), provenance=e.provenance)
                 except DataError as exc:
                     raise DataError(f"{path} at byte {e.byte_offset} ({e.clip_id}): {exc}") from None
                 out[e.clip_id] = clip
@@ -400,7 +395,6 @@ def read_tensor_file(path, magic: bytes) -> tuple:
 
 def save_recording(rec: ChannelRecording, path) -> Path:
     """One-file interchange format: a tensor file of the metadata and the complex128 tensor."""
-    rec.validate()
     meta = {k: getattr(rec, k) for k in _REC_META}
     return write_tensor_file(path, _REC_MAGIC, meta, [rec.data.astype(np.complex128, copy=False)])
 
@@ -413,8 +407,8 @@ def load_recording(path) -> ChannelRecording:
     meta, arrays = read_tensor_file(path, _REC_MAGIC)
     try:
         (data,) = arrays
-        return ChannelRecording(data=data, **meta).validate()
-    except (TypeError, ValueError) as exc:  # not one record, unknown metadata, or what validate rejects
+        return ChannelRecording(data=data, **meta)
+    except (TypeError, ValueError) as exc:  # not one record, unknown metadata, or what ChannelRecording refuses
         raise DataError(f"{path}: not a recording ({exc})") from None
 
 

@@ -147,17 +147,16 @@ def flatten_and_normalize(window: np.ndarray, labels: dict, provenance: D.Proven
 
     Population standard deviation; rows whose std falls below
     ``EPS_STD`` become all zeros.  The clip carries ``labels`` and
-    ``provenance``.
+    ``provenance``; a window that still holds null sentinels makes a
+    clip that ``data.CsiClip`` refuses.
     """
     t_len, n_ant, n_bins = window.shape
-    if np.isnan(window).any():
-        raise HarmonizeError("null sentinels must be cleaned before normalization")
     flat = window.reshape(t_len, n_ant * n_bins).astype(np.float64)
     mu = flat.mean(axis=1, keepdims=True)
     sd = flat.std(axis=1, keepdims=True)
     degenerate = sd <= EPS_STD
     z = np.where(degenerate, 0.0, (flat - mu) / np.where(degenerate, 1.0, sd))
-    return D.CsiClip(data=z.astype(np.float32), labels=dict(labels), provenance=provenance).validate()
+    return D.CsiClip(data=z.astype(np.float32), labels=dict(labels), provenance=provenance)
 
 
 def qc_recording(
@@ -190,7 +189,6 @@ def harmonize_recording(
     """Recording -> (clips, QcReport); QC runs per window before resampling."""
     config = config or HarmonizeConfig()
     qcfg = qc_config or Q.QcConfig()
-    recording.validate()
     clips = []
 
     def to_clips(link, w_idx, cleaned):

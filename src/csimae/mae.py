@@ -22,9 +22,9 @@ only, so visible positions and the CLS row contribute exactly zero.
 ``forward_loss`` stacks the batch's visible and masked patch indices
 once and passes both arrays to the encoder, decoder and loss; it
 gathers the visible inputs and the masked targets and drops the full
-patch array before the encoder runs.  Every mask has masked patches
-(``sample_mask`` rejects an empty one), and truncated-normal tables
-and tokens start at std ``TRUNC_NORMAL_STD``.
+patch array before the encoder runs.  No mask is empty: ``ModelConfig``
+and ``sample_mask`` refuse a ratio that masks no patch.  Truncated-normal
+tables and tokens start at std ``TRUNC_NORMAL_STD``.
 """
 
 from __future__ import annotations
@@ -95,6 +95,8 @@ class ModelConfig:
             )
         if not 0.0 < self.mask_ratio < 1.0:
             raise ModelError("mask_ratio must be in (0, 1)")
+        if self.n_masked < 1:
+            raise ModelError(f"mask_ratio {self.mask_ratio} masks none of {self.n_patches} patches")
 
     @property
     def n_patches(self) -> int:
@@ -336,7 +338,6 @@ def mae_loss(x: T.Tensor, params: dict, targets: np.ndarray, masked_idx: np.ndar
     The head ``dec.head`` runs on the masked rows only and each masked
     patch contributes the sum of its squared entry errors; visible patches
     are never read, so perturbing them changes nothing, bit for bit.
+    An empty masked set raises ``tensors.ShapeError``.
     """
-    if masked_idx.shape[1] == 0:
-        raise ModelError("mae_loss: empty masked set")
     return T.masked_mse_head(x, params["dec.head.w"], params["dec.head.b"], masked_idx + 1, targets)

@@ -115,7 +115,7 @@ def simulate_cfr(scene: SceneSpec) -> D.ChannelRecording:
         n_apr=scene.n_apr,
         labels={},
         source_id="sim",
-    ).validate()
+    )
 
 
 # ---------------------------------------------------------------------
@@ -149,8 +149,9 @@ class SynthTaskSpec:
     def __post_init__(self):
         for name in ("n_classes", "n_environments", "n_subjects", "n_bands", "n_devices", "clips_per_cell",
                      "n_packets", "n_f"):
-            if not getattr(self, name) >= 1:
-                raise SceneError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise SceneError(f"{name} must be an integer >= 1, got {value!r}")
         if self.n_classes > len(CLASS_DOPPLER_BANDS):
             raise SceneError("need a Doppler band per class")
         if self.n_subjects > len(SUBJECT_SCALES):

@@ -52,6 +52,10 @@ class TrainConfig:
     val_fraction: float = 0.05
 
     def __post_init__(self):
+        for name in ("warmup_steps", "batch_size", "early_stop_patience", "max_epochs", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise TrainError(f"{name} must be an integer, got {value!r}")
         for name in ("peak_lr", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise TrainError(f"{name} must be finite")
@@ -161,8 +165,6 @@ class RunMetrics:
 
     def add_step(self, step, lr, loss, rejected):
         """``rejected`` marks a step whose update AdamW refused (non-finite gradient)."""
-        if self.steps and step <= self.steps[-1]["step"]:
-            raise TrainError("steps must be strictly increasing")
         self.steps.append({"step": step, "lr": lr, "train_loss": loss, "rejected": rejected})
 
     def add_epoch(self, record):
@@ -300,8 +302,6 @@ def pretrain(manifest: D.DatasetManifest, store_dir, model_cfg: M.ModelConfig, c
     The validation slice and the step budget are judged on the manifest's
     size first, so a run that cannot train fails before any clip loads.
     """
-    if not manifest.entries:
-        raise TrainError("empty manifest")
     _, fit_idx = val_split(len(manifest.entries), cfg, 1)
     step_budget(len(fit_idx), cfg)
     clips = D.load_clips(store_dir, manifest)

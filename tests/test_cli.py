@@ -178,6 +178,17 @@ def test_pretrain_runs_are_bit_identical(workdir):
     assert (workdir / "detA" / "checkpoint.ckpt").read_bytes() == (workdir / "detB" / "checkpoint.ckpt").read_bytes()
 
 
+def test_bit_identical_runs_have_the_same_checksums_but_for_their_run_record(workdir):
+    def sums(run):
+        lines = (workdir / run / "checksums.txt").read_text().splitlines()
+        return {name: digest for digest, name in (line.split("  ") for line in lines)}
+
+    a, b = sums("detA"), sums("detB")
+    assert "timing.jsonl" not in a and (workdir / "detA" / "timing.jsonl").exists()
+    assert {"metrics.jsonl", "checkpoint.ckpt", "resolved_config.json"} <= set(a) == set(b)
+    assert [name for name in a if a[name] != b[name]] == ["resolved_config.json"]
+
+
 def test_run_reproducible_from_resolved_config(workdir):
     store = str(workdir / "gen" / "store")
     resolved = str(workdir / "detA" / "resolved_config.json")
@@ -647,6 +658,11 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         (["synth-gen", "--environments", "0"], None),
         (["pretrain", "--lr", "nan"], None),
         (["synth-gen", "--name", "other"], None),
+        (["pretrain", "--variant", "tiny", "--patch-time", "100", "--patch-freq", "15", "--mask-ratio", "0.01"], None),
+        (["sweep", "--axis", "mask_ratio", "--values", "[0.5, 0.01]", "--held-out", "env1", "--variant", "tiny",
+          "--patch-time", "100", "--patch-freq", "15"], None),
+        (["pretrain"], '{"train": {"batch_size": 2.5}}'),
+        (["synth-gen"], '{"task": {"clips_per_cell": 1.5}}'),
     ],
     ids=[
         "lr",
@@ -698,6 +714,10 @@ def test_clean_reruns_from_its_own_record(tmp_path):
         "synth-gen-no-environments",
         "lr-nan",
         "synth-gen-name",
+        "mask-ratio-masks-none",
+        "sweep-mask-ratio-masks-none",
+        "config-batch-size-a-float",
+        "config-clips-per-cell-a-float",
     ],
 )
 def test_bad_flag_or_config_is_a_config_error(workdir, tmp_path, capsys, monkeypatch, argv, config):

@@ -1,18 +1,37 @@
-"""Every config and spec dataclass checks itself when built, so none can exist invalid."""
+"""Every config, spec and data record checks itself when built, so none can exist invalid."""
 
 import dataclasses
+import importlib
+import inspect
+import pkgutil
 
+import numpy as np
 import pytest
 
+import csimae
 from csimae import data as D
 from csimae import evaluate as E
 from csimae import harmonize as H
+from csimae import mae as M
 from csimae import qc as Q
 from csimae import scaling as L
 from csimae import synth as S
 from csimae import training as R
 
 NAN, INF = float("nan"), float("inf")
+
+RECORDING = {
+    "data": np.zeros((10, 3, 1, 30), dtype=complex),
+    "sampling_rate": 100.0,
+    "center_frequency": 5e9,
+    "bandwidth": 20e6,
+    "n_recv": 1,
+    "n_apr": 3,
+}
+CLIP = {"data": np.zeros((600, 90), dtype=np.float32), "labels": {}, "provenance": D.Provenance("src", 0, 0, 0, 0)}
+ENTRY = {"clip_id": "src/t0/r0/c0/w0", "shard_path": "shard-0000.bin", "byte_offset": 0, "labels": {},
+         "provenance": D.Provenance("src", 0, 0, 0, 0)}
+DESK_MODEL = {"variant": "tiny", "patch_time": 100, "patch_freq": 15}  # 36 patches
 
 # (class, the fields of a valid instance, one bad field and value, the error its module raises, what its message says)
 CONFIGS = [
@@ -35,18 +54,64 @@ CONFIGS = [
 ] + [
     (S.SynthTaskSpec, {}, (name, 0), S.SceneError, name)
     for name in ("n_classes", "n_environments", "n_subjects", "n_bands", "n_devices", "n_packets", "n_f")
+] + [
+    # a mask ratio whose floor(ratio * n_patches) is 0 masks nothing
+    (M.ModelConfig, DESK_MODEL, ("mask_ratio", 0.01), M.ModelError, "mask_ratio"),
+] + [
+    # integer fields refuse floats and bools
+    (R.TrainConfig, {}, (name, value), R.TrainError, name)
+    for name, value in (("warmup_steps", 1.0), ("batch_size", 2.5), ("early_stop_patience", True),
+                        ("max_epochs", 2.0), ("seed", 0.5))
+] + [
+    (S.SynthTaskSpec, {}, (name, 1.5), S.SceneError, name)
+    for name in ("n_classes", "n_environments", "n_subjects", "n_bands", "n_devices", "clips_per_cell", "n_packets", "n_f")
+] + [
+    (S.SynthTaskSpec, {}, ("n_classes", True), S.SceneError, "n_classes"),
+] + [
+    # data records: the error and message their readers pass on
+    (D.ChannelRecording, RECORDING, ("bandwidth", 33e6), D.DataError, "bandwidth"),
+    (D.ChannelRecording, RECORDING, ("n_apr", 2), D.DataError, "n_rx"),
+    (D.ChannelRecording, RECORDING, ("sampling_rate", 0.0), D.DataError, "sampling_rate"),
+    (D.ChannelRecording, RECORDING, ("data", np.zeros((10, 3, 30), dtype=complex)), D.DataError, "4-D"),
+    (D.ChannelRecording, RECORDING, ("data", np.zeros((10, 3, 1, 0), dtype=complex)), D.DataError, "subcarrier"),
+    (D.CsiClip, CLIP, ("data", np.zeros((10, 90), dtype=np.float32)), D.DataError, r"src/t0/r0/c0/w0: shape"),
+    (D.CsiClip, CLIP, ("data", np.zeros((600, 90))), D.DataError, "dtype float64"),
+    (D.CsiClip, CLIP, ("data", np.full((600, 90), np.nan, dtype=np.float32)), D.DataError, "null sentinels"),
+    (D.ManifestEntry, ENTRY, ("byte_offset", -1), D.DataError, "^byte_offset -1 is not a non-negative integer$"),
+    (D.ManifestEntry, ENTRY, ("byte_offset", "0"), D.DataError, "^byte_offset '0' is not a non-negative integer$"),
+    (D.ManifestEntry, ENTRY, ("byte_offset", False), D.DataError, "byte_offset"),
+    (D.ManifestEntry, ENTRY, ("clip_id", 7), D.DataError, "^clip_id 7 is not a string$"),
+    (D.ManifestEntry, ENTRY, ("shard_path", None), D.DataError, "^shard_path None is not a string$"),
+    (D.ManifestEntry, ENTRY, ("labels", ["c0"]), D.DataError, r"^labels \['c0'\] is not an object$"),
 ]
+
+
+def _id(value):
+    return f"{value.dtype}{list(value.shape)}" if isinstance(value, np.ndarray) else repr(value)
+
+
 # the first case of a class is named for it alone, the others for their field and value too
 IDS = []
 for cls, _, (name, value), _, _ in CONFIGS:
-    IDS.append(cls.__name__ if cls.__name__ not in IDS else f"{cls.__name__}-{name}={value}")
+    IDS.append(cls.__name__ if cls.__name__ not in IDS else f"{cls.__name__}-{name}={_id(value)}")
 
 
 @pytest.mark.parametrize("cls, valid, bad, error, message", CONFIGS, ids=IDS)
 def test_a_config_cannot_be_built_invalid(cls, valid, bad, error, message):
     name, value = bad
-    assert not hasattr(cls, "validate")
     with pytest.raises(error, match=message):
         cls(**{**valid, name: value})
     with pytest.raises(error, match=message):
         dataclasses.replace(cls(**valid), **{name: value})
+
+
+def test_no_dataclass_keeps_a_validate_method():
+    modules = [importlib.import_module(f"csimae.{m.name}") for m in pkgutil.iter_modules(csimae.__path__)]
+    classes = [
+        cls
+        for module in modules
+        for _, cls in inspect.getmembers(module, inspect.isclass)
+        if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+    ]
+    assert {D.ChannelRecording, D.CsiClip, D.ManifestEntry, M.ModelConfig, R.TrainConfig} <= set(classes)
+    assert [cls.__qualname__ for cls in classes if hasattr(cls, "validate")] == []

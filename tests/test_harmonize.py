@@ -198,7 +198,7 @@ def test_flatten_rows_are_zero_mean_unit_std():
 def test_flatten_rejects_nulls():
     win = np.ones((600, 3, 30))
     win[0, 0, 0] = np.nan
-    with pytest.raises(H.HarmonizeError, match="null"):
+    with pytest.raises(D.DataError, match="null"):
         flatten(win)
 
 

@@ -293,7 +293,7 @@ def test_mae_loss_gradient_is_zero_at_visible_positions():
 
 def test_mae_loss_empty_masked_set_rejected():
     patches = np.zeros((1, 6, 4), dtype=np.float32)
-    with pytest.raises(M.ModelError, match="empty masked"):
+    with pytest.raises(T.ShapeError, match="masked_mse_head"):
         M.mae_loss(decoder_output(patches), identity_head(4), *masked_targets(patches, [full_plan(6)]))
 
 
