@@ -324,7 +324,7 @@ def cmd_clean(args, cfg, out):
         Q.write_reports(reports, out / "qc_report.jsonl")
     if args.store:
         filtered, log = Q.apply_blocklist(D.DatasetManifest.load(args.store), args.blocklist or [])
-        (out / "manifest.json").write_text(filtered.to_json(), encoding="utf-8")
+        filtered.save(out)
         (out / "blocklist_log.json").write_text(json.dumps(log, indent=2, sort_keys=True), encoding="utf-8")
         for w in log["warnings"]:
             print(f"warning: {w}", file=sys.stderr)

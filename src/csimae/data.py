@@ -13,6 +13,10 @@ manifest.  Logs and result tables are JSON lines (``write_jsonl``,
 ``read_jsonl``).  Every reader raises ``DataError`` naming the file.
 Records check themselves when built, raising ``DataError``, so a
 reader that builds one has checked it and no caller checks it again.
+Every record is frozen except ``ChannelRecording``: the bench's ingest
+workload still sets a simulated recording's labels and source id by
+assignment.  ``save_recording`` rebuilds it, so a recording whose fields
+were reassigned invalid is never written.
 
 ``LABEL_KEY`` is the task label.  ``stratified_draw``, the one seeded
 per-class draw over it, picks both ``make_split``'s in-domain test slice
@@ -25,7 +29,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -157,13 +161,13 @@ class ManifestEntry:
             raise DataError(f"byte_offset {self.byte_offset!r} is not a non-negative integer")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetManifest:
     entries: list
     blocklist: list = field(default_factory=list)
 
     def __post_init__(self):
-        self._index = {e.clip_id: e for e in self.entries}
+        object.__setattr__(self, "_index", {e.clip_id: e for e in self.entries})
         if len(self._index) != len(self.entries):
             raise DataError("duplicate clip_ids in manifest")
 
@@ -220,7 +224,7 @@ class DatasetManifest:
             raise DataError(f"{path}: {exc}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SplitSpec:
     protocol: str  # in_domain_8020 | leave_one_domain_out
     domain_key: str = "environment"
@@ -394,7 +398,12 @@ def read_tensor_file(path, magic: bytes) -> tuple:
 
 
 def save_recording(rec: ChannelRecording, path) -> Path:
-    """One-file interchange format: a tensor file of the metadata and the complex128 tensor."""
+    """One-file interchange format: a tensor file of the metadata and the complex128 tensor.
+
+    The recording is rebuilt first, so one whose fields were reassigned
+    invalid raises ``DataError`` and no file is written.
+    """
+    rec = replace(rec)
     meta = {k: getattr(rec, k) for k in _REC_META}
     return write_tensor_file(path, _REC_MAGIC, meta, [rec.data.astype(np.complex128, copy=False)])
 

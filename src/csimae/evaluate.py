@@ -41,7 +41,7 @@ REGIMES = ("supervised", "lp", "ft")
 ENCODE_BATCH_SIZE = 64  # clips per frozen-encoder forward in ``encode_features``
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeadConfig:
     n_classes: int
 
@@ -50,7 +50,7 @@ class HeadConfig:
             raise EvalError("n_classes must be >= 2")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalResult:
     regime: str
     split: dict

@@ -38,7 +38,7 @@ BINS_PER_CHANNEL = D.CLIP_CHAN_LEN // ANTENNAS_PER_RECEIVER
 EPS_STD = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class HarmonizeConfig:
     window_seconds: float = 2.0
     stride_seconds: float = 1.0
@@ -48,7 +48,7 @@ class HarmonizeConfig:
             raise HarmonizeError("need window_seconds >= stride_seconds > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Link:
     """Amplitude tensor (n_t, 3, n_f) for one tx antenna / receiver pair."""
 
@@ -165,20 +165,20 @@ def qc_recording(
     qc_config: Q.QcConfig,
     on_kept=None,
 ) -> Q.QcReport:
-    """QC every link x window at native packet resolution.
+    """QC every link x window at native packet resolution, and report on the window verdicts.
 
     ``on_kept(link, window_index, cleaned)`` receives each window that
     survives QC.
     """
-    report = Q.QcReport(source_id=recording.source_id)
+    windows = []
     slices = window_slices(recording.n_t, recording.sampling_rate, config)
     for link in extract_links(recording, config):
         for w_idx, (start, n) in enumerate(slices):
             cleaned, window_qc = Q.clean_window(link.data[start : start + n], qc_config)
-            report.add_window(window_qc)
+            windows.append(window_qc)
             if cleaned is not None and on_kept is not None:
                 on_kept(link, w_idx, cleaned)
-    return report.finalize()
+    return Q.QcReport.of(recording.source_id, windows)
 
 
 def harmonize_recording(

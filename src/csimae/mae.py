@@ -34,6 +34,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import data as D
 from . import tensors as T
 
 
@@ -56,7 +57,7 @@ _SIZE_FLOORS = dict.fromkeys(("enc_layers", "enc_dim", "enc_heads", "dec_dim", "
 _SIZE_FLOORS |= {"dec_layers": 0, "ffn_expansion": 1, "input_time": 1, "input_chan": 1}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     variant: str = "small"
     enc_layers: int = 0  # 0 -> fill from variant
@@ -69,15 +70,13 @@ class ModelConfig:
     patch_freq: int = 3
     mask_ratio: float = 0.8
     ffn_expansion: int = 4
-    input_time: int = 600
-    input_chan: int = 90
+    input_time: int = D.CLIP_TIME_LEN
+    input_chan: int = D.CLIP_CHAN_LEN
 
     def __post_init__(self):
         if self.variant in VARIANTS:
-            layers, dim, heads = VARIANTS[self.variant]
-            self.enc_layers = self.enc_layers or layers
-            self.enc_dim = self.enc_dim or dim
-            self.enc_heads = self.enc_heads or heads
+            for name, value in zip(("enc_layers", "enc_dim", "enc_heads"), VARIANTS[self.variant]):
+                object.__setattr__(self, name, getattr(self, name) or value)
         elif self.variant != "custom":
             raise ModelError(f"unknown variant {self.variant!r}")
         sizes = {name: getattr(self, name) for name in _SIZE_FLOORS}
@@ -122,7 +121,7 @@ class ModelConfig:
         return ModelConfig(**d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaskPlan:
     """Per-clip partition of patch indices into visible and masked sets."""
 

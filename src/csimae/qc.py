@@ -4,11 +4,16 @@ Four artifact classes are handled before normalization: missing packets
 (all-null time columns), impaired antennas (dead/constant or scattered
 nulls), noisy packets (entries outside mu +/- k*sigma of their own time
 series), and manually blocklisted irregular sources.
+
+The checks return plain values; ``clean_window`` builds the one
+``WindowQc`` of a window from them, and ``QcReport.of`` builds a
+recording's report from its window verdicts.  Neither record changes
+after it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +24,7 @@ from . import data as D
 IMPAIRMENT_VAR_EPS = 1e-10  # an antenna whose readings vary less than this within a window is dead
 
 
-@dataclass
+@dataclass(frozen=True)
 class QcConfig:
     max_missing_fraction: float = 0.10
     outlier_k: float = 2.0
@@ -31,51 +36,43 @@ class QcConfig:
             raise ValueError("outlier_k must be positive and finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WindowQc:
+    """One window's QC verdict, built by ``clean_window``.
+
+    A dropped window names its first failing antenna in
+    ``impaired_antennas``; one dropped with none failed on missing packets.
+    """
+
     kept: bool
-    reason: str = ""
-    missing_fraction: float = 0.0
-    impaired_antennas: list = field(default_factory=list)
-    outliers_repaired: int = 0
-
-    def __post_init__(self):
-        if not self.kept and not self.reason:
-            raise ValueError("dropped window needs a reason")
+    missing_fraction: float
+    impaired_antennas: list
+    outliers_repaired: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class QcReport:
-    """Per-recording QC outcome; verdict is kept iff any window survived."""
+    """Per-recording QC outcome, built from its window verdicts by ``of``."""
 
     source_id: str
-    n_windows: int = 0
-    n_kept: int = 0
-    n_dropped_missing: int = 0
-    n_dropped_antenna: int = 0
-    missing_fraction: float = 0.0  # max over windows
-    outliers_repaired: int = 0
-    verdict: str = "kept"
+    n_windows: int
+    n_kept: int
+    n_dropped_missing: int
+    n_dropped_antenna: int
+    missing_fraction: float  # max over windows, 0.0 for none
+    outliers_repaired: int
+    verdict: str  # kept iff any window survived
 
-    def add_window(self, w: WindowQc):
-        self.n_windows += 1
-        self.missing_fraction = max(self.missing_fraction, w.missing_fraction)
-        self.outliers_repaired += w.outliers_repaired
-        if w.kept:
-            self.n_kept += 1
-        elif w.impaired_antennas:
-            self.n_dropped_antenna += 1
-        else:
-            self.n_dropped_missing += 1
-
-    def finalize(self):
-        if self.n_windows == 0:
-            self.verdict = "dropped(too short)"
-        elif self.n_kept == 0:
-            self.verdict = "dropped(all windows failed qc)"
-        else:
-            self.verdict = "kept"
-        return self
+    @staticmethod
+    def of(source_id: str, windows) -> "QcReport":
+        """The report of a recording whose windows got the ``WindowQc`` verdicts ``windows``."""
+        n_kept = sum(w.kept for w in windows)
+        n_antenna = sum(1 for w in windows if not w.kept and w.impaired_antennas)
+        verdict = "kept" if n_kept else "dropped(all windows failed qc)" if windows else "dropped(too short)"
+        fraction = max((w.missing_fraction for w in windows), default=0.0)
+        repaired = sum(w.outliers_repaired for w in windows)
+        n_missing = len(windows) - n_kept - n_antenna
+        return QcReport(source_id, len(windows), n_kept, n_missing, n_antenna, fraction, repaired, verdict)
 
 
 def _null_columns(window: np.ndarray) -> np.ndarray:
@@ -85,45 +82,40 @@ def _null_columns(window: np.ndarray) -> np.ndarray:
 def check_missing(window: np.ndarray, config: QcConfig) -> tuple:
     """Missing-packet check on one (time, antenna, subcarrier) window.
 
-    Returns (WindowQc, filled_window_or_None).  Windows
-    with strictly more than ``max_missing_fraction`` all-null columns are
-    dropped; retained null columns are filled per series by linear
-    interpolation from the nearest non-null columns (edges copy the
-    nearest valid value).
+    Returns (missing_fraction, filled_window_or_None).  Windows with
+    strictly more than ``max_missing_fraction`` all-null columns are
+    dropped; ``QcConfig`` keeps that bound below 1, so an all-null window
+    is dropped the same way.  Retained null columns are filled per series
+    by linear interpolation from the nearest non-null columns (edges copy
+    the nearest valid value).
     """
     nulls = _null_columns(window)
     fraction = float(nulls.mean())
-    if nulls.all():
-        return WindowQc(False, "empty", fraction), None
     if fraction > config.max_missing_fraction:
-        reason = f"missing fraction {fraction:.4f} > {config.max_missing_fraction}"
-        return WindowQc(False, reason, fraction), None
+        return fraction, None
     if not nulls.any():
-        return WindowQc(True, missing_fraction=fraction), window.copy()
+        return fraction, window.copy()
     n_t = window.shape[0]
     flat = window.reshape(n_t, -1).copy()
     t = np.arange(n_t)
     valid = ~nulls
     for s in range(flat.shape[1]):
         flat[nulls, s] = np.interp(t[nulls], t[valid], flat[valid, s])
-    return WindowQc(True, missing_fraction=fraction), flat.reshape(window.shape)
+    return fraction, flat.reshape(window.shape)
 
 
-def check_antennas(window: np.ndarray) -> WindowQc:
-    """Pure predicate: drop windows with dead or null-ridden antennas.
+def check_antennas(window: np.ndarray) -> int | None:
+    """Pure predicate: the first dead or null-ridden antenna, or ``None``.
 
-    An antenna fails on variance below ``IMPAIRMENT_VAR_EPS`` (constant
-    or near-constant readings) or on any remaining per-entry nulls after
-    missing-column handling.  A dropped window names the first failing
-    antenna in ``impaired_antennas``.
+    An antenna fails on any remaining per-entry nulls after
+    missing-column handling, or on variance below ``IMPAIRMENT_VAR_EPS``
+    (constant or near-constant readings).
     """
     for a in range(window.shape[1]):
         series = window[:, a, :]
-        if np.isnan(series).any():
-            return WindowQc(False, f"irregular nulls antenna {a}", impaired_antennas=[a])
-        if float(series.var()) < IMPAIRMENT_VAR_EPS:
-            return WindowQc(False, f"impaired antenna {a}", impaired_antennas=[a])
-    return WindowQc(True)
+        if np.isnan(series).any() or float(series.var()) < IMPAIRMENT_VAR_EPS:
+            return a
+    return None
 
 
 def repair_outliers(window: np.ndarray, config: QcConfig) -> tuple:
@@ -159,17 +151,16 @@ def repair_outliers(window: np.ndarray, config: QcConfig) -> tuple:
 def clean_window(window: np.ndarray, config: QcConfig) -> tuple:
     """Full per-window QC: missing -> antennas -> outlier repair.
 
-    Returns (cleaned_window_or_None, WindowQc record).
+    Returns (cleaned_window_or_None, the window's one ``WindowQc``).
     """
-    missing, filled = check_missing(window, config)
-    if not missing.kept:
-        return None, missing
-    verdict = check_antennas(filled)
-    verdict.missing_fraction = missing.missing_fraction
-    if not verdict.kept:
-        return None, verdict
-    repaired, verdict.outliers_repaired = repair_outliers(filled, config)
-    return repaired, verdict
+    fraction, filled = check_missing(window, config)
+    if filled is None:
+        return None, WindowQc(False, fraction, [], 0)
+    antenna = check_antennas(filled)
+    if antenna is not None:
+        return None, WindowQc(False, fraction, [antenna], 0)
+    repaired, n_repaired = repair_outliers(filled, config)
+    return repaired, WindowQc(True, fraction, [], n_repaired)
 
 
 def apply_blocklist(manifest: D.DatasetManifest, blocklist) -> tuple:

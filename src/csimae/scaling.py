@@ -30,7 +30,7 @@ class SweepError(ValueError):
 SWEEP_AXES = ("data_fraction", "model_variant", "mask_ratio", "patch_size")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
     axis: str
     values: list
@@ -49,7 +49,7 @@ class SweepSpec:
             raise SweepError(f"need one or more distinct integer seeds, got {self.seeds}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepContext:
     """Everything a sweep cell needs: corpus, downstream task, configs."""
 
@@ -62,7 +62,7 @@ class SweepContext:
     label_fraction: float = 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScalingFit:
     points: list  # (log10 size, accuracy)
     slope: float

@@ -14,7 +14,7 @@ and a ``SynthTaskSpec`` sets how many of each table's entries it uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ DYNAMIC_GAIN_RANGE = (0.25, 0.6)
 SOURCE_ID_PREFIX = "synth"  # of every generated clip's source id
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathComponent:
     gain: complex  # dimensionless complex path gain
     delay: float  # seconds
@@ -53,7 +53,7 @@ class PathComponent:
             raise SceneError("path delay must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneSpec:
     paths: list
     noise_std: float = 0.0  # std of each complex noise entry, E[|e|^2] = noise_std^2
@@ -122,7 +122,7 @@ def simulate_cfr(scene: SceneSpec) -> D.ChannelRecording:
 # labeled multi-domain task generation
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthTaskSpec:
     """Recipe for a balanced labeled dataset over class x domain cells.
 
@@ -260,9 +260,7 @@ def generate_task(
         c, e, s, b, d = cell
         for i in range(spec.clips_per_cell):
             scene, labels = scene_for_clip(spec, cell, i)
-            rec = simulate_cfr(scene)
-            rec.labels = labels
-            rec.source_id = f"{SOURCE_ID_PREFIX}-c{c}e{e}s{s}b{b}d{d}-{i:04d}"
+            rec = replace(simulate_cfr(scene), labels=labels, source_id=f"{SOURCE_ID_PREFIX}-c{c}e{e}s{s}b{b}d{d}-{i:04d}")
             rec_clips, report = H.harmonize_recording(rec, harmonize_config, qc_config)
             if not rec_clips:
                 raise SceneError(f"cell {cell} clip {i}: harmonization produced no clips ({report.verdict})")

@@ -40,7 +40,7 @@ ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     peak_lr: float = 1e-4
     warmup_steps: int = 1000
@@ -159,6 +159,8 @@ class AdamW:
 
 @dataclass
 class RunMetrics:
+    """A run's records, appended to as ``fit`` goes: the one mutable record besides ``data.ChannelRecording``."""
+
     steps: list = field(default_factory=list)  # {"step", "lr", "train_loss", "rejected"}
     epochs: list = field(default_factory=list)  # {"epoch", "val_loss", "best"}; "best" marks a new lowest val_loss
     timing: list = field(default_factory=list)  # {"epoch", "wall_seconds", "peak_rss_mb"} (volatile)
@@ -180,7 +182,7 @@ class RunMetrics:
         return path
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitResult:
     """What ``fit`` returns: the best params kept, the epoch that kept them, and the run's records."""
 

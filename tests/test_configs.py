@@ -1,4 +1,5 @@
-"""Every config, spec and data record checks itself when built, so none can exist invalid."""
+"""Every config, spec and data record checks itself when built, so none can exist invalid,
+and all but two are frozen, so none can be made invalid afterwards."""
 
 import dataclasses
 import importlib
@@ -105,13 +106,29 @@ def test_a_config_cannot_be_built_invalid(cls, valid, bad, error, message):
         dataclasses.replace(cls(**valid), **{name: value})
 
 
-def test_no_dataclass_keeps_a_validate_method():
+def _dataclasses() -> set:
+    """Every dataclass that a ``csimae`` module defines."""
     modules = [importlib.import_module(f"csimae.{m.name}") for m in pkgutil.iter_modules(csimae.__path__)]
-    classes = [
+    return {
         cls
         for module in modules
         for _, cls in inspect.getmembers(module, inspect.isclass)
         if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
-    ]
-    assert {D.ChannelRecording, D.CsiClip, D.ManifestEntry, M.ModelConfig, R.TrainConfig} <= set(classes)
+    }
+
+
+def test_no_dataclass_keeps_a_validate_method():
+    classes = _dataclasses()
+    assert {D.ChannelRecording, D.CsiClip, D.ManifestEntry, M.ModelConfig, R.TrainConfig} <= classes
     assert [cls.__qualname__ for cls in classes if hasattr(cls, "validate")] == []
+
+
+def test_every_dataclass_but_the_recording_and_the_run_metrics_is_frozen():
+    classes = _dataclasses()
+    mutable = {D.ChannelRecording, R.RunMetrics}
+    assert mutable | {Q.WindowQc, Q.QcReport, D.DatasetManifest, M.ModelConfig, L.SweepContext} <= classes
+    for cls in classes - mutable:
+        instance = object.__new__(cls)  # unbuilt, so only the frozen check can refuse the assignment
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(instance, dataclasses.fields(cls)[0].name, None)
+    assert [cls.__qualname__ for cls in mutable if cls.__dataclass_params__.frozen] == []

@@ -239,6 +239,15 @@ def make_recording():
     )
 
 
+def test_a_recording_reassigned_invalid_is_refused_at_save_and_writes_no_file(tmp_path):
+    rec = make_recording()
+    rec.bandwidth = 33e6
+    path = tmp_path / "r.csir"
+    with pytest.raises(D.DataError, match=r"^bandwidth 33000000\.0 Hz not in "):
+        D.save_recording(rec, path)
+    assert not path.exists()
+
+
 # each part of a saved recording: the name a cut inside it reports
 PARTS = {p: p for p in ("magic", "header", "metadata", "record header", "record shape")} | {"payload": "record payload"}
 

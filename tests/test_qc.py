@@ -27,18 +27,17 @@ def with_null_columns(win, cols):
 
 def test_missing_above_boundary_drops():
     win = with_null_columns(clean_window(np.random.default_rng(0)), range(70))
-    verdict, filled = Q.check_missing(win, CFG)
-    frac = verdict.missing_fraction
+    frac, filled = Q.check_missing(win, CFG)
     assert frac == pytest.approx(70 / 600)
-    assert not verdict.kept and filled is None
-    assert verdict == Q.WindowQc(False, f"missing fraction {frac:.4f} > 0.1", missing_fraction=frac)
+    assert filled is None
+    assert Q.clean_window(win, CFG) == (None, Q.WindowQc(False, frac, [], 0))
 
 
 def test_missing_below_boundary_keeps_and_interpolates():
     win = with_null_columns(clean_window(np.random.default_rng(1)), range(100, 130))
-    verdict, filled = Q.check_missing(win, CFG)
-    assert verdict.missing_fraction == pytest.approx(0.05)
-    assert verdict.kept
+    frac, filled = Q.check_missing(win, CFG)
+    assert frac == pytest.approx(0.05)
+    assert filled is not None
     assert not np.isnan(filled).any()
     # interpolation is linear between the bracketing valid columns
     expect = np.linspace(0, 1, 32)[1:-1, None, None] * (win[130] - win[99]) + win[99]
@@ -47,42 +46,38 @@ def test_missing_below_boundary_keeps_and_interpolates():
 
 def test_missing_boundary_is_strictly_greater():
     win60 = with_null_columns(clean_window(np.random.default_rng(2)), range(60))
-    verdict, _ = Q.check_missing(win60, CFG)
-    assert verdict.kept  # exactly 10% stays
+    _, filled = Q.check_missing(win60, CFG)
+    assert filled is not None  # exactly 10% stays
     win61 = with_null_columns(clean_window(np.random.default_rng(2)), range(61))
-    verdict, _ = Q.check_missing(win61, CFG)
-    assert not verdict.kept
+    _, filled = Q.check_missing(win61, CFG)
+    assert filled is None
 
 
 def test_missing_endpoint_nulls_copy_nearest_valid():
     win = with_null_columns(clean_window(np.random.default_rng(3)), [0, 599])
-    verdict, filled = Q.check_missing(win, CFG)
-    assert verdict.kept
+    _, filled = Q.check_missing(win, CFG)
+    assert filled is not None
     np.testing.assert_array_equal(filled[0], win[1])
     np.testing.assert_array_equal(filled[599], win[598])
 
 
-def test_all_null_window_reports_empty():
+def test_all_null_window_drops_on_its_missing_fraction_of_one():
     win = np.full((600, 3, 30), np.nan)
-    verdict, _ = Q.check_missing(win, CFG)
-    assert verdict == Q.WindowQc(False, "empty", missing_fraction=1.0)
+    assert Q.check_missing(win, CFG) == (1.0, None)
+    assert Q.clean_window(win, CFG) == (None, Q.WindowQc(False, 1.0, [], 0))
 
 
 def test_constant_antenna_detected():
     win = clean_window(np.random.default_rng(4))
     win[:, 1, :] = 0.7
-    verdict = Q.check_antennas(win)
-    assert not verdict.kept and verdict.reason == "impaired antenna 1"
-    assert verdict.impaired_antennas == [1]
+    assert Q.check_antennas(win) == 1
 
 
 def test_scattered_nulls_detected():
     win = clean_window(np.random.default_rng(5))
     win[17, 2, 4] = np.nan
     win[400, 2, 11] = np.nan
-    verdict = Q.check_antennas(win)
-    assert not verdict.kept and verdict.reason == "irregular nulls antenna 2"
-    assert verdict.impaired_antennas == [2]
+    assert Q.check_antennas(win) == 2
 
 
 def test_simulated_multipath_passes_antenna_check():
@@ -94,8 +89,7 @@ def test_simulated_multipath_passes_antenna_check():
     )
     rec = S.simulate_cfr(scene)
     win = H.amplitude(rec)[:, 0:3, 0, :]
-    verdict = Q.check_antennas(win)
-    assert verdict.kept
+    assert Q.check_antennas(win) is None
     assert win.reshape(600, -1).var(axis=0).min() > 100 * Q.IMPAIRMENT_VAR_EPS
 
 
@@ -105,28 +99,40 @@ def test_clean_window_keeps_the_antenna_verdict_and_adds_the_missing_fraction():
     win = with_null_columns(win, range(10, 40))
     cleaned, wq = Q.clean_window(win, CFG)
     assert cleaned is None
-    assert wq == Q.WindowQc(False, "impaired antenna 0", missing_fraction=0.05, impaired_antennas=[0])
+    assert wq == Q.WindowQc(False, 0.05, [0], 0)
 
 
-def test_dropped_window_needs_a_reason():
-    with pytest.raises(ValueError, match="reason"):
-        Q.WindowQc(False)
+WINDOWS = (
+    Q.WindowQc(True, 0.02, [], 3),
+    Q.WindowQc(False, 1.0, [], 0),
+    Q.WindowQc(False, 0.2, [], 0),
+    Q.WindowQc(False, 0.0, [1], 0),
+    Q.WindowQc(False, 0.05, [0], 0),
+)
 
 
 def test_report_counts_a_dropped_window_by_its_impaired_antennas():
-    report = Q.QcReport(source_id="r")
-    for wq in (
-        Q.WindowQc(True, missing_fraction=0.02),
-        Q.WindowQc(False, "empty", missing_fraction=1.0),
-        Q.WindowQc(False, "missing fraction 0.2000 > 0.1", missing_fraction=0.2),
-        Q.WindowQc(False, "impaired antenna 1", impaired_antennas=[1]),
-        Q.WindowQc(False, "irregular nulls antenna 0", missing_fraction=0.05, impaired_antennas=[0]),
-    ):
-        report.add_window(wq)
-    record = asdict(report.finalize())
+    record = asdict(Q.QcReport.of("r", WINDOWS))
     assert (record["n_windows"], record["n_kept"], record["n_dropped_missing"], record["n_dropped_antenna"]) == (5, 1, 2, 2)
     assert record["missing_fraction"] == 1.0 and record["verdict"] == "kept"
     assert "impaired_antennas" not in record
+
+
+def test_report_of_the_window_table_is_the_whole_record_in_field_order():
+    record = asdict(Q.QcReport.of("r", WINDOWS))
+    assert list(record.items()) == [
+        ("source_id", "r"), ("n_windows", 5), ("n_kept", 1), ("n_dropped_missing", 2), ("n_dropped_antenna", 2),
+        ("missing_fraction", 1.0), ("outliers_repaired", 3), ("verdict", "kept"),
+    ]
+
+
+def test_report_of_no_windows_is_too_short():
+    assert Q.QcReport.of("r", []) == Q.QcReport("r", 0, 0, 0, 0, 0.0, 0, "dropped(too short)")
+
+
+def test_report_of_only_dropped_windows_failed_qc():
+    report = Q.QcReport.of("r", WINDOWS[1:])
+    assert (report.n_kept, report.verdict) == (0, "dropped(all windows failed qc)")
 
 
 def test_check_antennas_never_alters_data():
@@ -231,7 +237,7 @@ def test_unknown_blocklist_id_warns(tmp_path):
 
 
 def test_reports_serialize_one_record_per_recording(tmp_path):
-    reports = [Q.QcReport(source_id=f"r{i}").finalize() for i in range(3)]
+    reports = [Q.QcReport.of(f"r{i}", []) for i in range(3)]
     path = Q.write_reports(reports, tmp_path / "qc.jsonl")
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 3
