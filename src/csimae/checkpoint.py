@@ -77,5 +77,23 @@ def _check_layout(params: dict, config: ModelConfig):
 
 
 def clone_params(params: dict) -> dict:
-    """Trainable copies of every tensor in ``params``."""
+    """Trainable copies of every tensor in ``params``.
+
+    The library no longer copies params (see ``shared_params``); the bench
+    and the tests still call this.
+    """
     return {k: T.Tensor(v.data.copy(), requires_grad=True) for k, v in params.items()}
+
+
+def shared_params(params: dict) -> dict:
+    """Trainable tensors over ``params``' own arrays, copying none.
+
+    ``training.adamw_step`` gives each update a fresh array, so training
+    these leaves the arrays of ``params`` as they were.
+    """
+    return {k: T.Tensor(v.data, requires_grad=True) for k, v in params.items()}
+
+
+def frozen_params(params: dict) -> dict:
+    """Graph-free tensors over ``params``' own arrays: a pass run on them records no backward and copies nothing."""
+    return {k: T.Tensor(v.data) for k, v in params.items()}

@@ -9,7 +9,8 @@ bit-reproducible layouts.  A *record* (``_write_record``) is a magic,
 version and metadata length, a JSON object, then records to the end of
 the file; recordings (``.csir``) and checkpoints are tensor files.
 Clip shards are back-to-back records indexed by a canonical JSON
-manifest.  Logs and result tables are JSON lines (``write_jsonl``,
+manifest, read back as a list of clips (``load_clips``) or straight into
+one clip array (``load_clip_array``).  Logs and result tables are JSON lines (``write_jsonl``,
 ``read_jsonl``).  Every reader raises ``DataError`` naming the file.
 Records check themselves when built, raising ``DataError``, so a
 reader that builds one has checked it and no caller checks it again.
@@ -321,14 +322,12 @@ def write_clip_store(clips, path) -> DatasetManifest:
     return manifest
 
 
-def load_clips(store_dir, manifest: DatasetManifest, clip_ids=None) -> list:
-    """Read clips (all, or the given ids) grouped by shard for locality.
+def _read_clips(store_dir, entries):
+    """Yield (entry, clip) for each entry, read shard by shard in byte order for locality.
 
     A truncated or corrupt record, or one that ``CsiClip`` refuses,
     raises ``DataError`` naming the shard, the byte offset and the clip id.
     """
-    entries = manifest.entries if clip_ids is None else [manifest.by_id(c) for c in clip_ids]
-    out = {}
     by_shard = {}
     for e in entries:
         by_shard.setdefault(e.shard_path, []).append(e)
@@ -341,14 +340,41 @@ def load_clips(store_dir, manifest: DatasetManifest, clip_ids=None) -> list:
                     clip = CsiClip(data=_read_record(fh), labels=dict(e.labels), provenance=e.provenance)
                 except DataError as exc:
                     raise DataError(f"{path} at byte {e.byte_offset} ({e.clip_id}): {exc}") from None
-                out[e.clip_id] = clip
-    if clip_ids is None:
-        return [out[e.clip_id] for e in manifest.entries]
-    return [out[c] for c in clip_ids]
+                yield e, clip
+
+
+def load_clips(store_dir, manifest: DatasetManifest, clip_ids=None) -> list:
+    """Read clips (all, or the given ids, in that order) grouped by shard for locality.
+
+    A truncated or corrupt record, or one that ``CsiClip`` refuses,
+    raises ``DataError`` naming the shard, the byte offset and the clip id.
+    """
+    entries = manifest.entries if clip_ids is None else [manifest.by_id(c) for c in clip_ids]
+    out = {e.clip_id: clip for e, clip in _read_clips(store_dir, entries)}
+    return [out[e.clip_id] for e in entries]
+
+
+def load_clip_array(store_dir, manifest: DatasetManifest) -> np.ndarray:
+    """Every clip of the manifest, in its order, as one (N, 600, 90) float32 array.
+
+    The array is allocated once and each record is copied into its row as
+    it is read, so the clips are held once and a read holds one record
+    besides.  Each record is still built and checked as a ``CsiClip`` and
+    fails as ``load_clips`` does.
+    """
+    out = np.empty((len(manifest.entries), CLIP_TIME_LEN, CLIP_CHAN_LEN), dtype=np.float32)
+    row = {e.clip_id: i for i, e in enumerate(manifest.entries)}
+    for e, clip in _read_clips(store_dir, manifest.entries):
+        out[row[e.clip_id]] = clip.data
+    return out
 
 
 def stack_clips(clips) -> tuple:
-    """(N, 600, 90) float32 tensor plus the parallel label dicts."""
+    """(N, 600, 90) float32 tensor plus the parallel label dicts.
+
+    The library no longer stacks loaded clips (``load_clip_array`` reads a
+    store straight into one array); the bench and the tests still call this.
+    """
     return np.stack([c.data for c in clips]), [c.labels for c in clips]
 
 

@@ -18,6 +18,12 @@ regime classifies ``data.LABEL_KEY``, the label ``select_labeled``'s
 ``data.stratified_draw`` draws the budget over; a task on another label,
 such as user identification, would thread its key through ``run_fold``
 into both.
+
+Each clip set is held once.  ``run_fold`` loads only the labeled clips and
+the test clips, and every pass over them (training, validation,
+prediction, lp's feature pass) builds one batch from the clips' own arrays
+when that batch runs.  Validation and prediction run on frozen views of
+the params (``checkpoint.frozen_params``), so they build no graph.
 """
 
 from __future__ import annotations
@@ -78,12 +84,29 @@ def head_forward(feats: T.Tensor, params: dict) -> T.Tensor:
     return T.linear(feats, params["head.out.w"], params["head.out.b"])
 
 
-def encode_features(params: dict, model_cfg: M.ModelConfig, clips: np.ndarray) -> np.ndarray:
-    """Frozen (graph-free) CLS features for a clip tensor, ``ENCODE_BATCH_SIZE`` clips at a time."""
-    frozen = {k: T.Tensor(v.data) for k, v in params.items()}
-    model = M.MaskedAutoencoder(model_cfg, params=frozen)
+def _batch(xs, idx) -> np.ndarray:
+    """``xs[idx]`` as one array, built when the batch runs.
+
+    ``xs`` is an array, indexed as is, or a sequence of equal-shaped
+    arrays, whose selected items are stacked; ``idx`` is a slice or an
+    index array.  Either way the batch holds the bytes of the array
+    indexing would give, so a caller need not stack the whole sequence.
+    """
+    if isinstance(xs, np.ndarray):
+        return xs[idx]
+    return np.stack(xs[idx] if isinstance(idx, slice) else [xs[i] for i in idx])
+
+
+def encode_features(params: dict, model_cfg: M.ModelConfig, clips) -> np.ndarray:
+    """Frozen (graph-free) CLS features of ``clips``, ``ENCODE_BATCH_SIZE`` clips at a time.
+
+    ``clips`` is an (N, 600, 90) array or a sequence of (600, 90) arrays;
+    one batch of them is built at a time, and only the (N, enc_dim)
+    features outlive the call.
+    """
+    model = M.MaskedAutoencoder(model_cfg, params=C.frozen_params(params))
     n = ENCODE_BATCH_SIZE
-    outs = [model.encode_features(clips[i : i + n]).data for i in range(0, len(clips), n)]
+    outs = [model.encode_features(_batch(clips, slice(i, i + n))).data for i in range(0, len(clips), n)]
     return np.concatenate(outs, axis=0)
 
 
@@ -98,26 +121,40 @@ def _labels_of(clips):
 def train_classifier(forward_fn, params: dict, x_train, y_train, cfg: R.TrainConfig):
     """Cross-entropy through ``training.fit`` on streams 7/8, keeping the epoch of lowest val loss.
 
-    ``forward_fn(x_slice, params) -> logits Tensor``.  Training and
-    validation batches hold ``cfg.batch_size`` items; the validation
-    loss is their ``training.mean_batch_loss``.  Returns the run's
-    ``training.FitResult``; its ``params`` are the best kept.
+    ``forward_fn(x_batch, params) -> logits Tensor``.  ``x_train`` is an
+    array or a sequence of arrays, held as given: each training and
+    validation batch of ``cfg.batch_size`` items is built when it runs
+    and dropped after it.  The validation loss is their
+    ``training.mean_batch_loss``, run on frozen views of ``params``, so it
+    builds no graph.  Returns the run's ``training.FitResult``; its
+    ``params`` are the best kept.
     """
     val_idx, fit_idx = R.val_split(len(x_train), cfg, 7)
 
+    def xent(idx, p):
+        return T.softmax_cross_entropy(forward_fn(_batch(x_train, idx), p), y_train[idx])
+
     def batch_loss(idx, epoch):
-        return T.softmax_cross_entropy(forward_fn(x_train[idx], params), y_train[idx])
+        return xent(idx, params)
 
     def val_loss():
-        return R.mean_batch_loss(lambda sl: batch_loss(val_idx[sl], None), len(val_idx), cfg.batch_size)
+        frozen = C.frozen_params(params)
+        return R.mean_batch_loss(lambda sl: xent(val_idx[sl], frozen), len(val_idx), cfg.batch_size)
 
     return R.fit(params, fit_idx, cfg, 7, batch_loss, val_loss)
 
 
 def predict(forward_fn, params: dict, x, batch_size: int = 32) -> np.ndarray:
+    """Argmax class of each item of ``x`` (an array or a sequence of arrays).
+
+    Runs on frozen views of ``params``, so it builds no graph, and builds
+    one batch of ``batch_size`` items at a time; only the predictions
+    outlive a batch.
+    """
+    frozen = C.frozen_params(params)
     preds = []
     for i in range(0, len(x), batch_size):
-        logits = forward_fn(x[i : i + batch_size], params)
+        logits = forward_fn(_batch(x, slice(i, i + batch_size)), frozen)
         preds.append(np.argmax(logits.data, axis=1))
     return np.concatenate(preds)
 
@@ -150,7 +187,12 @@ def run_regime(
     """Train one regime and score exact-match accuracy on the test clips.
 
     Training, validation and test batches hold ``train_cfg.batch_size``
-    clips; ``batch_size``, when given, must restate it.  Test clips
+    clips; ``batch_size``, when given, must restate it.  The clips are
+    held as given, never stacked: each batch is built from the clips' own
+    arrays when it runs, and lp's feature pass encodes ``ENCODE_BATCH_SIZE``
+    clips at a time and keeps only their features.  ft trains tensors over
+    the checkpoint's own arrays (``checkpoint.shared_params``), which its
+    updates leave as they were.  Test clips
     whose class never appears in training are excluded from scoring
     (counted in ``n_excluded``), not scored as wrong; when that leaves
     none, ``EvalError`` is raised before any training.
@@ -176,8 +218,8 @@ def run_regime(
         raise EvalError(f"no test clip to score: {n_excluded} of {len(test_clips)} have a class the labeled clips lack")
     test_clips = [test_clips[i] for i in keep]
     y_test = np.array([vocab[l] for l in _labels_of(test_clips)])
-    x_train, _ = D.stack_clips(train_clips)
-    x_test, _ = D.stack_clips(test_clips)
+    x_train = [c.data for c in train_clips]
+    x_test = [c.data for c in test_clips]
 
     if regime == "lp":
         x_train = encode_features(checkpoint[0], model_cfg, x_train)
@@ -186,7 +228,7 @@ def run_regime(
         fwd = lambda feats, p: head_forward(T.Tensor(feats), p)
     else:
         if regime == "ft":
-            enc_params = C.clone_params(checkpoint[0])
+            enc_params = C.shared_params(checkpoint[0])
         else:
             enc_params = M.init_params(model_cfg, seed=[train_cfg.seed, 11])
         params = {k: v for k, v in enc_params.items() if k.startswith("enc.")}
@@ -217,6 +259,8 @@ def select_labeled(clips, fraction: float, seed) -> list:
     """The limited-label downstream budget: ``max(1, round(fraction n))`` of each class's ``n`` clips.
 
     A ``data.stratified_draw`` on stream ``[seed, 13]``, in clip id order.
+    ``clips`` may be clips or manifest entries: the draw reads only their
+    ids and labels, so a budget can be drawn before any clip loads.
     """
     if fraction >= 1.0:
         return list(clips)
@@ -249,12 +293,14 @@ def run_fold(
 
     lp and ft start from ``checkpoint``, params of ``model_cfg``.  The
     head's classes are the labeled clips'; test clips of any other class
-    count in ``n_excluded``.
+    count in ``n_excluded``.  The labeled budget is drawn on the training
+    side's manifest entries, so only the labeled clips and the test clips
+    load, and they are held, once, for the whole fold.
     """
     train_ids, test_ids = D.make_split(manifest, split)
-    train_clips = D.load_clips(store_dir, manifest, train_ids)
+    budget = select_labeled([manifest.by_id(i) for i in train_ids], label_fraction, train_cfg.seed)
+    labeled = D.load_clips(store_dir, manifest, [e.clip_id for e in budget])
     test_clips = D.load_clips(store_dir, manifest, test_ids)
-    labeled = select_labeled(train_clips, label_fraction, train_cfg.seed)
     head_cfg = HeadConfig(n_classes=len(_class_vocab(_labels_of(labeled))))
     ckpt = None if checkpoint is None else (checkpoint, model_cfg)
     desc = {"protocol": split.protocol, "domain_key": split.domain_key, "held_out_value": split.held_out_value}

@@ -14,6 +14,13 @@ flag go to the deterministic metrics stream; wall-clock timings and peak
 RSS go to a sidecar file so the metrics stream itself is bit-reproducible.
 A run's step budget must leave steps after the warmup; ``pretrain``
 judges it on the manifest's size, before any data loads.
+
+Each clip set and each parameter set is held once.  ``pretrain`` reads
+its store straight into one clip array.  ``adamw_step`` writes every
+update into a fresh array, so ``fit`` keeps its start and each best
+epoch by reference rather than by copy, and a gradient lives only until
+its update is written.  Validation runs on frozen views of the params
+(``checkpoint.frozen_params``), so it builds no graph.
 """
 
 from __future__ import annotations
@@ -96,19 +103,27 @@ def lr_at(step: int, config: TrainConfig, total_steps: int) -> float:
 
 
 def adamw_step(params: dict, grads: dict, state: dict, lr: float, config: TrainConfig) -> bool:
-    """One decoupled-weight-decay Adam update (``ADAM_BETAS``, ``ADAM_EPS``), in place.
+    """One decoupled-weight-decay Adam update (``ADAM_BETAS``, ``ADAM_EPS``) into fresh arrays.
 
     Rejects the whole step (returns False) when any gradient is
     non-finite.  ``state`` holds per-name first/second moments plus the
     shared step count.  The moments are allocated on the first step and
     updated in place after it, so a step allocates no new optimizer state.
-    Each parameter is updated one flat block of ``tensors.BLOCK_ELEMS``
-    entries at a time, through views of it and its moments, so the
-    update's temporaries stay block-sized; the update is elementwise, so
-    the bits are those of the whole parameter at once.  A parameter that
-    is not C-contiguous, whose flattening would be a copy, raises
-    ``TrainError`` before anything is updated; its moments, made by
-    ``np.zeros_like``, share its layout.
+    Each parameter's update is written into a fresh array that then
+    replaces its tensor's ``data``: the array the tensor held keeps its
+    bits, so whoever else holds it (``fit``'s best epoch, a checkpoint a
+    fine-tune started from) holds it unchanged and no copy is needed.
+    Each gradient is popped from ``grads`` once its update is written (and
+    the old array dropped, unless someone else holds it), so the new
+    arrays take the gradients' place as the step goes and it needs at
+    most one parameter's worth of memory beyond what it started with.
+    The update runs one flat block of ``tensors.BLOCK_ELEMS`` entries at
+    a time, through views of the parameter and its moments, so its
+    temporaries stay block-sized; it is elementwise, so the bits are
+    those of the whole parameter at once.  A parameter that is not
+    C-contiguous, whose moments (made by ``np.zeros_like``, in its
+    layout) would flatten to copies, raises ``TrainError`` before
+    anything is updated.
     """
     names = sorted(grads)
     for name in names:
@@ -119,30 +134,43 @@ def adamw_step(params: dict, grads: dict, state: dict, lr: float, config: TrainC
             raise TrainError(f"AdamW updates {name} through flat views and needs it C-contiguous")
     state["t"] = state.get("t", 0) + 1
     t = state["t"]
-    b1, b2 = ADAM_BETAS
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
+    c1 = 1.0 - ADAM_BETAS[0] ** t
+    c2 = 1.0 - ADAM_BETAS[1] ** t
     for name in names:
-        g = grads[name].reshape(-1)
-        p = params[name].data
-        buf = state.setdefault(name, {"m": np.zeros_like(p), "v": np.zeros_like(p)})
-        flat = [a.reshape(-1) for a in (p, buf["m"], buf["v"])]  # views of C-contiguous arrays
-        for i in range(0, g.size, T.BLOCK_ELEMS):
-            blk = slice(i, i + T.BLOCK_ELEMS)
-            p_blk, m, v = (a[blk] for a in flat)
-            g_blk = g[blk]
-            m *= b1
-            m += (1.0 - b1) * g_blk
-            v *= b2
-            v += (1.0 - b2) * (g_blk * g_blk)
-            if config.weight_decay:
-                p_blk -= lr * config.weight_decay * p_blk
-            p_blk -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        tensor = params[name]
+        if name not in state:
+            state[name] = {"m": np.zeros_like(tensor.data), "v": np.zeros_like(tensor.data)}
+        buf = state[name]
+        tensor.data = _adamw_update(tensor.data, grads.pop(name), buf["m"], buf["v"], lr, config.weight_decay, c1, c2)
     return True
 
 
+def _adamw_update(p, g, m, v, lr, weight_decay, c1, c2) -> np.ndarray:
+    """``p`` after one update, as a fresh array; the moments ``m`` and ``v`` are updated in place."""
+    b1, b2 = ADAM_BETAS
+    new = np.empty_like(p)
+    flat = [a.reshape(-1) for a in (p, new, m, v, g)]  # p, new, m and v are C-contiguous: views
+    for i in range(0, new.size, T.BLOCK_ELEMS):
+        p_blk, new_blk, m_blk, v_blk, g_blk = (a[i : i + T.BLOCK_ELEMS] for a in flat)
+        m_blk *= b1
+        m_blk += (1.0 - b1) * g_blk
+        v_blk *= b2
+        v_blk += (1.0 - b2) * (g_blk * g_blk)
+        if weight_decay:
+            np.subtract(p_blk, lr * weight_decay * p_blk, out=new_blk)
+        else:
+            new_blk[...] = p_blk
+        new_blk -= lr * (m_blk / c1) / (np.sqrt(v_blk / c2) + ADAM_EPS)
+    return new
+
+
 class AdamW:
-    """Stateful wrapper over ``adamw_step`` bound to a parameter dict."""
+    """Stateful wrapper over ``adamw_step`` bound to a parameter dict.
+
+    ``step`` takes every gradient off its tensor before the update, so
+    after it no parameter holds a ``grad`` and each gradient is freed as
+    soon as ``adamw_step`` has used it.
+    """
 
     def __init__(self, params: dict, config: TrainConfig):
         self.params = params
@@ -151,10 +179,9 @@ class AdamW:
 
     def step(self, lr: float) -> bool:
         grads = {k: t.grad for k, t in self.params.items() if t.requires_grad and t.grad is not None}
-        ok = adamw_step(self.params, grads, self.state, lr, self.config)
         for t in self.params.values():
             t.zero_grad()
-        return ok
+        return adamw_step(self.params, grads, self.state, lr, self.config)
 
 
 @dataclass
@@ -219,11 +246,15 @@ def fit(params: dict, fit_idx, cfg: TrainConfig, stream: int, batch_loss, val_lo
     batch kept.  ``batch_loss(idx, epoch)`` returns the loss Tensor of
     one batch; its backward pass and an AdamW step under the warmup-cosine
     schedule follow.  ``val_loss()`` scores ``params`` after each epoch,
-    and each epoch's value is recorded under ``val_loss``.  The params of
-    each strictly lower loss are cloned, so the run keeps the epoch of
-    lowest validation loss (the first of a tie), and it stops once
-    ``early_stop_patience`` epochs have passed since that epoch.  The step
-    budget is judged (``step_budget``) before the first step.
+    and each epoch's value is recorded under ``val_loss``.  The run keeps
+    the params of the epoch of lowest validation loss (the first of a
+    tie), or the start when no epoch improves on it, and it stops once
+    ``early_stop_patience`` epochs have passed since that epoch.  It keeps
+    them by reference, copying nothing: ``adamw_step`` writes every update
+    into a fresh array, so the arrays of a kept epoch never change.  The
+    run holds its live params, the kept ones while they differ, the
+    AdamW moments and one batch's graph.  The step budget is judged
+    (``step_budget``) before the first step.
     Every step lands in ``metrics``, rejected optimizer steps flagged.  A
     non-finite loss stops the run with ``aborted`` set.
     """
@@ -231,7 +262,7 @@ def fit(params: dict, fit_idx, cfg: TrainConfig, stream: int, batch_loss, val_lo
     opt = AdamW(params, cfg)
     best, best_epoch = math.inf, 0  # the lowest validation loss, and the epoch that reached it
     metrics = RunMetrics()
-    best_params = C.clone_params(params)
+    best_params = C.shared_params(params)
     aborted = False
     step = 0
     for epoch in range(1, cfg.max_epochs + 1):
@@ -252,7 +283,7 @@ def fit(params: dict, fit_idx, cfg: TrainConfig, stream: int, batch_loss, val_lo
         value = val_loss()
         improved = value < best
         if improved:
-            best, best_epoch, best_params = value, epoch, C.clone_params(params)
+            best, best_epoch, best_params = value, epoch, C.shared_params(params)
         metrics.add_epoch({"epoch": epoch, "val_loss": value, "best": improved})
         metrics.timing.append({"epoch": epoch, "wall_seconds": time.monotonic() - t0, "peak_rss_mb": _peak_rss_mb()})
         if epoch - best_epoch >= cfg.early_stop_patience:
@@ -275,13 +306,17 @@ def mean_batch_loss(batch_loss, n: int, batch_size: int) -> float:
 
 
 def masked_val_loss(model: M.MaskedAutoencoder, clips: np.ndarray, plans: list, batch_size: int) -> float:
-    return mean_batch_loss(lambda sl: model.forward_loss(clips[sl], plans[sl])[0], len(clips), batch_size)
+    """``mean_batch_loss`` of the masked reconstruction over ``clips``, run on frozen views of the params: no graph."""
+    frozen = M.MaskedAutoencoder(model.cfg, params=C.frozen_params(model.params))
+    return mean_batch_loss(lambda sl: frozen.forward_loss(clips[sl], plans[sl])[0], len(clips), batch_size)
 
 
 def pretrain_arrays(clips: np.ndarray, model_cfg: M.ModelConfig, cfg: TrainConfig) -> FitResult:
     """Masked-reconstruction pretraining over an in-memory clip tensor, through ``fit`` on streams 1/2.
 
-    Writes nothing: the caller saves ``metrics`` and the params it wants kept.
+    Holds ``clips`` as given, a copy of its validation slice, and each
+    batch only while its step runs.  Writes nothing: the caller saves
+    ``metrics`` and the params it wants kept.
     """
     val_idx, train_idx = val_split(len(clips), cfg, 1)
     model = M.MaskedAutoencoder(model_cfg, seed=[cfg.seed, 0])
@@ -299,13 +334,13 @@ def pretrain_arrays(clips: np.ndarray, model_cfg: M.ModelConfig, cfg: TrainConfi
 
 
 def pretrain(manifest: D.DatasetManifest, store_dir, model_cfg: M.ModelConfig, cfg: TrainConfig) -> FitResult:
-    """Load every clip of the manifest from the store and run ``pretrain_arrays``; writes nothing.
+    """Read every clip of the manifest into one array and run ``pretrain_arrays`` on it; writes nothing.
 
-    The validation slice and the step budget are judged on the manifest's
-    size first, so a run that cannot train fails before any clip loads.
+    The store is read by ``data.load_clip_array``, so the run holds the
+    clips once, as that (N, 600, 90) float32 array.  The validation slice
+    and the step budget are judged on the manifest's size first, so a run
+    that cannot train fails before any clip loads.
     """
     _, fit_idx = val_split(len(manifest.entries), cfg, 1)
     step_budget(len(fit_idx), cfg)
-    clips = D.load_clips(store_dir, manifest)
-    x, _ = D.stack_clips(clips)
-    return pretrain_arrays(x, model_cfg, cfg)
+    return pretrain_arrays(D.load_clip_array(store_dir, manifest), model_cfg, cfg)

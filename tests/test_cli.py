@@ -1011,6 +1011,7 @@ def test_a_pretrain_whose_warmup_outlasts_its_steps_fails_before_loading_and_lea
 ):
     loaded = []
     monkeypatch.setattr(D, "load_clips", lambda *a, **kw: loaded.append(a))
+    monkeypatch.setattr(D, "load_clip_array", lambda *a, **kw: loaded.append(a))
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps({"sections": {"model": MICRO_MODEL}}))  # the default warmup_steps, 1000
     store, out = workdir / "gen" / "store", tmp_path / "runs" / "pt"

@@ -35,6 +35,18 @@ def test_store_round_trip_is_bit_identical(tmp_path):
         assert orig.provenance == rt.provenance
 
 
+def test_load_clip_array_is_the_stack_of_the_loaded_clips_in_manifest_order(tmp_path, monkeypatch):
+    monkeypatch.setattr(D, "SHARD_SIZE", 2)  # three shards, so manifest order and shard order differ below
+    clips = [make_clip(i) for i in range(5)]
+    stored = D.write_clip_store(clips, tmp_path)
+    manifest = D.DatasetManifest(stored.entries[::-1])
+    x = D.load_clip_array(tmp_path, manifest)
+    assert len({e.shard_path for e in manifest.entries}) == 3
+    assert x.dtype == np.float32 and x.flags.c_contiguous
+    assert x.tobytes() == D.stack_clips(D.load_clips(tmp_path, manifest))[0].tobytes()
+    assert x.tobytes() == np.stack([c.data for c in clips[::-1]]).tobytes()
+
+
 def test_empty_store_rejected(tmp_path):
     with pytest.raises(D.DataError, match="empty dataset"):
         D.write_clip_store([], tmp_path)

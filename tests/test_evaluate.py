@@ -437,3 +437,92 @@ def test_ft_starts_from_checkpoint_weights(tmp_path, monkeypatch):
     # the checkpoint itself is untouched by fine-tuning
     assert res.params.keys() == before.keys()
     assert all(res.params[k].data.tobytes() == before[k].data.tobytes() for k in before)
+
+
+@pytest.mark.parametrize("regime", E.REGIMES)
+def test_run_regime_never_stacks_its_clips_and_encodes_one_batch_at_a_time(tmp_path, monkeypatch, regime):
+    manifest, clips = micro_corpus(tmp_path)
+    cfg = micro_cfg()
+    train = [c for c in clips if c.labels["environment"] == "env0"]
+    test = [c for c in clips if c.labels["environment"] == "env1"]
+
+    def no_stack(clips):
+        raise AssertionError("run_regime stacked its clips")
+
+    encode, seen = M.MaskedAutoencoder.encode_features, []
+
+    def spy(model, x):
+        seen.append(len(x))
+        return encode(model, x)
+
+    monkeypatch.setattr(D, "stack_clips", no_stack)
+    monkeypatch.setattr(M.MaskedAutoencoder, "encode_features", spy)
+    monkeypatch.setattr(E, "ENCODE_BATCH_SIZE", 5)
+    ckpt = (M.init_params(cfg, seed=6), cfg)
+    result = E.run_regime(regime, ckpt, train, test, E.HeadConfig(2), micro_train_cfg(batch_size=4, max_epochs=2))
+    assert result.n_test == len(test) == 12
+    if regime == "lp":  # one feature pass over each side, five clips at a time
+        assert seen == [5, 5, 2, 5, 5, 2]
+    else:
+        assert seen and max(seen) <= 4
+
+
+def test_train_classifier_and_predict_give_the_same_bits_on_an_array_and_on_its_rows():
+    rng = np.random.default_rng(12)
+    feats = rng.standard_normal((30, 4)).astype(np.float32)
+    labels = rng.integers(0, 2, 30)
+    fwd = lambda x, p: E.head_forward(T.Tensor(x), p)
+    cfg = micro_train_cfg(batch_size=4, max_epochs=3)
+    runs = [E.train_classifier(fwd, E.init_head(4, 2, seed=9), x, labels, cfg) for x in (feats, list(feats))]
+    assert runs[0].metrics.steps == runs[1].metrics.steps and runs[0].metrics.epochs == runs[1].metrics.epochs
+    assert all(runs[0].params[k].data.tobytes() == runs[1].params[k].data.tobytes() for k in runs[0].params)
+    preds = [E.predict(fwd, runs[0].params, x, 4) for x in (feats, list(feats))]
+    assert preds[0].tobytes() == preds[1].tobytes()
+
+
+def test_validation_and_prediction_build_no_graph_and_keep_the_graph_passes_bits():
+    rng = np.random.default_rng(13)
+    feats = rng.standard_normal((30, 4)).astype(np.float32)
+    labels = rng.integers(0, 2, 30)
+    calls = []
+
+    def fwd(x, p):
+        logits = E.head_forward(T.Tensor(x), p)
+        graph = E.head_forward(T.Tensor(x), C.shared_params(p))  # the same pass on trainable params
+        assert graph._backward is not None and logits.data.tobytes() == graph.data.tobytes()
+        calls.append("graph" if logits._backward is not None else "free")
+        return logits
+
+    # 24 items to fit in batches of 4 and a 6-item validation slice in batches of 4 and 2
+    cfg = micro_train_cfg(batch_size=4, max_epochs=2, early_stop_patience=2)
+    run = E.train_classifier(fwd, E.init_head(4, 2, seed=9), feats, labels, cfg)
+    E.predict(fwd, run.params, feats[:10], 4)
+    assert calls == (["graph"] * 6 + ["free"] * 2) * 2 + ["free"] * 3
+
+
+def test_run_fold_loads_only_the_labeled_and_the_test_clips(tmp_path, monkeypatch):
+    manifest, _ = micro_corpus(tmp_path)
+    store, cfg, tcfg = tmp_path / "store", micro_cfg(), micro_train_cfg(max_epochs=2)
+    split = D.SplitSpec("leave_one_domain_out", "environment", "env1")
+    params, regimes = M.init_params(cfg, seed=[0, 0]), ["supervised", "lp", "ft"]
+    train_ids, test_ids = D.make_split(manifest, split)
+    # the reference loads the whole training side and draws the budget on its clips
+    train_clips = D.load_clips(store, manifest, train_ids)
+    labeled = E.select_labeled(train_clips, 0.25, tcfg.seed)
+    test_clips = D.load_clips(store, manifest, test_ids)
+    desc = {"protocol": split.protocol, "domain_key": split.domain_key, "held_out_value": split.held_out_value}
+    want = [
+        E.run_regime(r, (params, cfg), labeled, test_clips, E.HeadConfig(2), tcfg, cfg, split_desc=desc).to_json()
+        for r in regimes
+    ]
+    real, loaded = D.load_clips, []
+
+    def spy(store_dir, manifest, clip_ids=None):
+        loaded.append(list(clip_ids))
+        return real(store_dir, manifest, clip_ids)
+
+    monkeypatch.setattr(D, "load_clips", spy)
+    got = E.run_fold(manifest, store, split, regimes, cfg, tcfg, 0.25, checkpoint=params)
+    assert loaded == [[c.clip_id for c in labeled], test_ids]
+    assert len(labeled) == 4 and len(train_ids) == 12  # 2 of each class's 6
+    assert [r.to_json() for r in got] == want

@@ -66,6 +66,69 @@ def test_adamw_rejects_nonfinite_grads():
     np.testing.assert_array_equal(params["p"].data, before)
 
 
+def test_after_an_adamw_step_no_parameter_holds_a_grad():
+    params = {k: T.Tensor(np.full(3, v, dtype=np.float32), requires_grad=True) for k, v in (("a", 1.0), ("b", 2.0))}
+    opt, seen = R.AdamW(params, R.TrainConfig()), []
+    for ok_grad in (True, False):  # an applied step, then a rejected one
+        for t in params.values():
+            t.grad = np.full(3, 0.5 if ok_grad else np.nan, dtype=np.float32)
+        seen.append(opt.step(1e-3))
+        assert all(t.grad is None for t in params.values())
+    assert seen == [True, False]
+
+
+def test_adamw_step_leaves_the_arrays_it_was_given_and_puts_the_update_in_the_params():
+    rng = np.random.default_rng(44)
+    params = {k: T.Tensor(rng.standard_normal((5, 3), dtype=np.float32), requires_grad=True) for k in "ab"}
+    given = {k: t.data for k, t in params.items()}
+    bits = {k: a.tobytes() for k, a in given.items()}
+    grads = {k: rng.standard_normal((5, 3), dtype=np.float32) for k in params}
+    want = {k: adamw_reference(given[k], [grads[k]], 1e-3, R.TrainConfig()) for k in params}
+    assert R.adamw_step(params, dict(grads), {}, 1e-3, R.TrainConfig())
+    for k in params:
+        assert given[k].tobytes() == bits[k]  # the given arrays keep their bits
+        assert params[k].data is not given[k] and params[k].data.tobytes() == want[k].tobytes()
+    used = dict(grads)
+    R.adamw_step(params, used, {}, 1e-3, R.TrainConfig())
+    assert used == {}  # each gradient is dropped once its update is written
+
+
+def adamw_reference(p0, grads, lr, cfg):
+    """``p0`` after AdamW steps on ``grads``, by the whole-array arithmetic ``adamw_step`` blocks."""
+    p, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
+    b1, b2 = R.ADAM_BETAS
+    for t, g in enumerate(grads, start=1):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        p -= lr * cfg.weight_decay * p
+        p -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + R.ADAM_EPS)
+    return p
+
+
+@pytest.mark.parametrize("val_losses, best_epoch", [([1.0, 0.9, 0.95, 0.97], 2), ([math.nan] * 4, 0)],
+                         ids=["best-epoch", "start"])
+def test_fit_keeps_its_start_and_best_epoch_by_reference(monkeypatch, val_losses, best_epoch):
+    def no_clone(params):
+        raise AssertionError("fit copied the params")
+
+    monkeypatch.setattr(C, "clone_params", no_clone)
+    cfg = R.TrainConfig(warmup_steps=1, batch_size=2, max_epochs=4, early_stop_patience=4, weight_decay=0.03)
+    params = {"w": T.Tensor(np.array([[0.3, -0.2]], dtype=np.float32), requires_grad=True)}
+    seen = [params["w"].data.copy()]  # the start, then each epoch's params as its validation sees them
+    losses = iter(val_losses)
+    batch_loss = lambda idx, epoch: T.softmax_cross_entropy(params["w"], np.array([0]))
+
+    def val_loss():
+        seen.append(params["w"].data.copy())
+        return next(losses)
+
+    res = R.fit(params, np.arange(4), cfg, 1, batch_loss, val_loss)
+    assert res.best_epoch == best_epoch and len(seen) == 5
+    assert len({a.tobytes() for a in seen}) == 5  # every epoch moved the params
+    assert res.params["w"].data.tobytes() == seen[best_epoch].tobytes()
+    assert res.params["w"].requires_grad
+
+
 def test_early_stopping_patience_arithmetic():
     # val losses 1.0, 0.9, 0.9 ... -> best at epoch 2, stop after epoch 7
     cfg = R.TrainConfig(warmup_steps=1, batch_size=4, max_epochs=8, early_stop_patience=5)
@@ -315,6 +378,7 @@ def test_a_step_budget_with_no_room_after_warmup_fails_before_any_clip_loads(tmp
     manifest = S.generate_task(S.SynthTaskSpec(n_classes=2, n_environments=2, n_subjects=1, clips_per_cell=3), store)
     loaded = []
     monkeypatch.setattr(D, "load_clips", lambda *a, **kw: loaded.append(a))
+    monkeypatch.setattr(D, "load_clip_array", lambda *a, **kw: loaded.append(a))
     cfg = R.TrainConfig()
     with pytest.raises(R.TrainError, match="total_steps 40 must exceed warmup_steps 1000"):
         R.pretrain(manifest, store, desk_model_cfg(), cfg)
@@ -357,3 +421,78 @@ def test_a_classifier_keeps_its_lowest_val_loss_epoch_not_its_first_perfect_accu
     top = logits.max(axis=1)
     xent = top + np.log(np.exp(logits - top[:, None]).sum(axis=1)) - logits[np.arange(len(val_idx)), labels[val_idx]]
     assert run.best_value == losses[-1] == pytest.approx(xent.mean(), rel=1e-5)
+
+
+def test_pretrain_holds_its_clips_once_up_to_the_first_batch(tmp_path, monkeypatch):
+    import tracemalloc
+
+    store = tmp_path / "store"
+    spec = S.SynthTaskSpec(n_classes=2, n_environments=2, n_subjects=1, clips_per_cell=12, seed=21)
+    manifest = S.generate_task(spec, store)
+    clip_bytes = len(manifest.entries) * D.CLIP_TIME_LEN * D.CLIP_CHAN_LEN * 4
+    cfg = R.TrainConfig(warmup_steps=1, batch_size=4, max_epochs=2, val_fraction=0.05)
+    # a model whose params are a few hundred KB, so the clips dominate what the run holds
+    model_cfg = M.ModelConfig(variant="custom", enc_layers=1, enc_dim=16, enc_heads=2, dec_layers=1, dec_dim=16,
+                              dec_heads=2, patch_time=150, patch_freq=18)
+
+    class FirstBatch(Exception):
+        pass
+
+    real = R.fit
+
+    def spy(params, fit_idx, cfg, stream, batch_loss, val_loss):
+        def first(idx, epoch):
+            raise FirstBatch(tracemalloc.get_traced_memory()[1])
+
+        return real(params, fit_idx, cfg, stream, first, val_loss)
+
+    monkeypatch.setattr(R, "fit", spy)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstBatch) as stop:
+            R.pretrain(manifest, store, model_cfg, cfg)
+    finally:
+        tracemalloc.stop()
+    high = stop.value.args[0]  # the traced high-water from entry to the first batch_loss call
+    assert len(manifest.entries) == 48 and high < 1.3 * clip_bytes, high / clip_bytes
+
+
+@pytest.mark.parametrize("fault", ["half-cut", "non-finite"])
+def test_a_bad_shard_fails_pretrain_with_the_loaders_message(tmp_path, fault):
+    store = tmp_path / "store"
+    manifest = S.generate_task(S.SynthTaskSpec(n_classes=2, n_environments=2, n_subjects=1, clips_per_cell=3), store)
+    shard = store / manifest.entries[0].shard_path
+    raw = bytearray(shard.read_bytes())
+    if fault == "half-cut":
+        del raw[len(raw) // 2 :]
+    else:  # the last float32 of the fifth clip becomes NaN: readable, but no clip
+        end = manifest.entries[5].byte_offset
+        raw[end - 4 : end] = np.float32(np.nan).tobytes()
+    shard.write_bytes(bytes(raw))
+    with pytest.raises(D.DataError) as want:
+        D.load_clips(store, manifest)
+    with pytest.raises(D.DataError) as got:
+        R.pretrain(manifest, store, desk_model_cfg(), R.TrainConfig(warmup_steps=1, batch_size=4, max_epochs=2))
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"{shard} at byte ")
+    assert ("truncated" if fault == "half-cut" else "null sentinels remain") in str(got.value)
+
+
+def test_masked_val_loss_builds_no_graph_and_keeps_the_graph_passes_bits(monkeypatch):
+    cfg = desk_model_cfg()
+    model = M.MaskedAutoencoder(cfg, seed=[3, 0])
+    clips, plans = synthetic_clip_batch(5, seed=9), R.val_mask_plans(cfg, 5, seed=3)
+    real, losses = M.MaskedAutoencoder.forward_loss, []
+
+    def spy(self, x, p):
+        out = real(self, x, p)
+        losses.append(out[0])
+        return out
+
+    monkeypatch.setattr(M.MaskedAutoencoder, "forward_loss", spy)
+    value = R.masked_val_loss(model, clips, plans, 2)
+    assert len(losses) == 3 and all(l._backward is None and not l.requires_grad for l in losses)
+    graph = [real(model, clips[i : i + 2], plans[i : i + 2])[0] for i in range(0, 5, 2)]
+    assert all(g._backward is not None for g in graph)
+    assert [l.data.tobytes() for l in losses] == [g.data.tobytes() for g in graph]
+    assert value == sum(float(g.data) * n for g, n in zip(graph, (2, 2, 1))) / 5
