@@ -20,11 +20,18 @@ the squared L2 patch error.  Head and loss are one engine op,
 ``tensors.masked_mse_head``, which runs the head on the masked rows
 only, so visible positions and the CLS row contribute exactly zero.
 ``forward_loss`` stacks the batch's visible and masked patch indices
-once and passes both arrays to the encoder, decoder and loss; it
-gathers the visible inputs and the masked targets and drops the full
-patch array before the encoder runs.  No mask is empty: ``ModelConfig``
-and ``sample_mask`` refuse a ratio that masks no patch.  Truncated-normal
-tables and tokens start at std ``TRUNC_NORMAL_STD``.
+once and passes both arrays to the encoder, decoder and loss.
+
+A batch is a ``ClipRows``: rows of a clip array, read where they lie.
+``forward_loss`` copies no batch and no full patch array: it gathers
+the visible patches with one fancy index on a reshaped view of the
+clip array, and the loss gathers the masked targets the same way, one
+row block at a time, so no (B, M, patch_len) target array exists.  A
+plain (B, T, C) array is the ``ClipRows`` of all its rows.
+
+No mask is empty: ``ModelConfig`` and ``sample_mask`` refuse a ratio
+that masks no patch.  Truncated-normal tables and tokens start at std
+``TRUNC_NORMAL_STD``.
 """
 
 from __future__ import annotations
@@ -148,6 +155,64 @@ def patchify(clip: np.ndarray, patch_time: int, patch_freq: int) -> np.ndarray:
     x = clip.reshape(*lead, nt, patch_time, nc, patch_freq)
     x = np.moveaxis(x, -3, -2)  # (…, nt, nc, patch_time, patch_freq)
     return x.reshape(*lead, nt * nc, patch_time * patch_freq)
+
+
+@dataclass(frozen=True)
+class ClipRows:
+    """Rows ``rows`` of an (N, T, C) clip array, standing where the batch ``clips[rows]`` would.
+
+    It has that batch's ``shape`` and ``len``, and slicing it slices
+    ``rows``, but it copies no clip: ``patch_reader`` gathers patches
+    from ``clips`` itself.  ``rows`` is a 1-D integer array of positions
+    in ``range(N)``, repeats and any order allowed.
+    """
+
+    clips: np.ndarray
+    rows: np.ndarray
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows)
+        if self.clips.ndim != 3:
+            raise ModelError(f"clips must be (N, T, C), got {self.clips.shape}")
+        if rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer):
+            raise ModelError(f"rows must be a 1-D integer array, got {rows.dtype} {rows.shape}")
+        if rows.size and not 0 <= rows.min() <= rows.max() < len(self.clips):
+            raise ModelError(f"rows must lie in [0, {len(self.clips)}), got {rows.min()}..{rows.max()}")
+        object.__setattr__(self, "rows", rows.astype(np.intp, copy=False))
+
+    @property
+    def shape(self) -> tuple:
+        return (len(self.rows),) + self.clips.shape[1:]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, key: slice) -> "ClipRows":
+        return ClipRows(self.clips, self.rows[key])
+
+    def patch_reader(self, idx: np.ndarray, patch_time: int, patch_freq: int):
+        """``read(sl)``: rows ``sl`` (a slice) of the (B·K, patch_len) patches that ``idx`` (B, K) names in each clip.
+
+        Row ``i·K + j`` is patch ``idx[i, j]`` of clip ``rows[i]``, with
+        ``patchify``'s bytes; ``read()`` returns all of them.  Each call
+        is one fancy index on an (N, nt, patch_time, nc, patch_freq) view
+        of ``clips``, so neither the batch nor its full patch array is
+        ever copied.
+        """
+        n, t_len, c_len = self.clips.shape
+        if t_len % patch_time or c_len % patch_freq:
+            raise ModelError(f"clip {self.shape} not divisible by patch ({patch_time},{patch_freq})")
+        if idx.shape[0] != len(self.rows):
+            raise ModelError(f"{len(self.rows)} clips but {idx.shape[0]} rows of patch indices")
+        nc = c_len // patch_freq
+        view = self.clips.reshape(n, t_len // patch_time, patch_time, nc, patch_freq)
+        clip = np.repeat(self.rows, idx.shape[1])
+        t, c = np.divmod(idx.reshape(-1), nc)
+
+        def read(sl: slice = slice(None)) -> np.ndarray:
+            return view[clip[sl], t[sl], :, c[sl], :].reshape(-1, patch_time * patch_freq)
+
+        return read
 
 
 # ---------------------------------------------------------------------
@@ -297,20 +362,23 @@ class MaskedAutoencoder:
             x = _block(x, self.params, f"dec.blocks.{i}", self.cfg.dec_heads)
         return x
 
-    def forward_loss(self, clips: np.ndarray, plans) -> tuple:
-        """Clips (B, T, C) + per-clip plans -> (masked-patch loss, decoder output).
+    def forward_loss(self, clips, plans) -> tuple:
+        """A batch + per-clip plans -> (masked-patch loss, decoder output).
 
-        The visible inputs and the masked targets are gathered first and
-        the full (B, N_p, patch_len) patch copy is released before the
-        encoder runs.
+        ``clips`` is a ``ClipRows`` or a (B, T, C) array, which stands
+        for the ``ClipRows`` of all its rows; either way ``shape[0]`` is
+        the batch's clip count.  The visible inputs are gathered straight
+        from the clip array, and the loss reads the masked targets from it
+        a row block at a time, so the step copies neither the batch, nor
+        its full (B, N_p, patch_len) patch array, nor its targets.
         """
         cfg = self.cfg
-        patches = patchify(clips, cfg.patch_time, cfg.patch_freq)
+        batch = clips if isinstance(clips, ClipRows) else ClipRows(clips, np.arange(len(clips)))
         vis_idx, masked_idx = _batch_indices(plans, "visible_idx"), _batch_indices(plans, "masked_idx")
-        visible, targets = gather_patches(patches, vis_idx), gather_patches(patches, masked_idx)
-        del patches
-        latent = self.encode(T.Tensor(visible), vis_idx)
+        visible = batch.patch_reader(vis_idx, cfg.patch_time, cfg.patch_freq)()
+        latent = self.encode(T.Tensor(visible.reshape(*vis_idx.shape, -1)), vis_idx)
         x = self.decode(latent, vis_idx, masked_idx)
+        targets = batch.patch_reader(masked_idx, cfg.patch_time, cfg.patch_freq)
         return mae_loss(x, self.params, targets, masked_idx), x
 
     def encode_features(self, clips: np.ndarray) -> T.Tensor:
@@ -323,20 +391,17 @@ class MaskedAutoencoder:
         return latent[:, 0, :]
 
 
-def gather_patches(patches: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``patches[i, idx[i]]`` for every clip i: (B, K, patch_len)."""
-    return patches[np.arange(patches.shape[0])[:, None], idx]
-
-
-def mae_loss(x: T.Tensor, params: dict, targets: np.ndarray, masked_idx: np.ndarray) -> T.Tensor:
+def mae_loss(x: T.Tensor, params: dict, targets, masked_idx: np.ndarray) -> T.Tensor:
     """Mean over masked patches of the squared L2 patch error.
 
     ``x`` is the decoder output (B, 1+N_p, dec_dim), CLS row first,
     ``masked_idx`` (B, M) each clip's masked patch positions and
-    ``targets`` those patches, ``gather_patches(patches, masked_idx)``.
-    The head ``dec.head`` runs on the masked rows only and each masked
-    patch contributes the sum of its squared entry errors; visible patches
-    are never read, so perturbing them changes nothing, bit for bit.
-    An empty masked set raises ``tensors.ShapeError``.
+    ``targets`` those patches: a (B, M, patch_len) array, or a reader of
+    row slices of their (B·M, patch_len) matrix such as
+    ``ClipRows.patch_reader``.  The head ``dec.head`` runs on the masked
+    rows only and each masked patch contributes the sum of its squared
+    entry errors; visible patches are never read, so perturbing them
+    changes nothing, bit for bit.  An empty masked set raises
+    ``tensors.ShapeError``.
     """
     return T.masked_mse_head(x, params["dec.head.w"], params["dec.head.b"], masked_idx + 1, targets)

@@ -44,8 +44,11 @@ al. 2022, arXiv:2205.05198):
   encoder's final norm is one.
 - ``masked_mse_head`` is the MAE reconstruction head and loss in one
   node: it applies the head to the gathered masked rows only and keeps
-  those rows and their residual, never a full (B, T, patch) output; it
-  squares the residual a row block at a time.
+  those rows and their residual, never a full (B, T, patch) output.  It
+  subtracts the targets and squares the residual a row block at a time,
+  and it takes its targets either as an array or as a function that
+  reads one block of rows, so the MAE's targets are gathered from the
+  clip array block by block and never exist whole.
 
 The sublayer ops share every piece of arithmetic with ``layer_norm``,
 ``linear`` and ``gelu`` through the private helpers below, so each is
@@ -55,7 +58,7 @@ The step's large elementwise passes run in blocks of about
 ``BLOCK_ELEMS`` entries, so their temporaries stay in cache: the GELU
 and its derivative over row blocks (``_row_blocks``), attention's
 weights and score gradient over (batch, head) slabs (``_slabs``), the
-loss's squared residual over row blocks, and ``training.adamw_step``
+loss's residual and its square over row blocks, and ``training.adamw_step``
 over flat blocks of each parameter.  None of this changes a bit: the
 elementwise work is per entry, every reduction runs along whole rows,
 and a stacked ``matmul`` runs the same GEMM per matrix whichever slab
@@ -795,45 +798,48 @@ def mse(pred: Tensor, target) -> Tensor:
     return mean_(square(sub(pred, target)))
 
 
-def _row_square_sums(r: np.ndarray) -> np.ndarray:
-    """``np.square(r).sum(axis=-1)`` of a 2-D ``r``, squared a block of rows at a time.
-
-    Each row is reduced on its own, so the sums are the full-size
-    expression's bits while the temporary stays near ``BLOCK_ELEMS``.
-    """
-    out = np.empty(r.shape[0], dtype=r.dtype)
-    for rows in _row_blocks(*r.shape):
-        np.square(r[rows]).sum(axis=-1, out=out[rows])
-    return out
-
-
 def masked_mse_head(x: Tensor, w: Tensor, b: Tensor, idx, targets) -> Tensor:
     """Mean over (B, M) of ``||x[i, idx[i, j]] @ w + b - targets[i, j]||²`` as one node.
 
     ``x`` is (B, T, D), ``w`` (D, P), ``b`` (P,), ``idx`` (B, M) ints whose
-    rows hold distinct positions (a repeat raises ``ShapeError``) and
-    ``targets`` (B, M, P).  This is the MAE reconstruction head and its
-    masked-patch loss: the head runs on the M gathered rows only, and the
-    closure keeps those rows (B·M, D) and the residual (B·M, P), never a
-    (B, T, P) output.  The squared residual is summed in row blocks, so no
-    full-size square is built, and backward turns the kept residual into
-    its gradient in place (the graph is consumed once).  Backward scatters
-    the rows' gradient into zeros by assignment, as ``gather_tokens`` does.
+    rows hold distinct positions (a repeat raises ``ShapeError``).
+    ``targets`` is the (B, M, P) array, or a function ``read(sl)`` that
+    returns rows ``sl`` (a slice) of its (B·M, P) reshape, so targets
+    gathered from elsewhere never exist whole.  This is the MAE
+    reconstruction head and its masked-patch loss: the head runs on the M
+    gathered rows only, as one GEMM, and the closure keeps those rows
+    (B·M, D) and the residual (B·M, P), never a (B, T, P) output.  The
+    targets are subtracted and the squared residual summed one
+    ``_row_blocks`` block at a time, so no full-size square is built; a
+    block of the wrong shape raises ``ShapeError``.  Backward turns the
+    kept residual into its gradient in place (the graph is consumed once)
+    and scatters the rows' gradient into zeros by assignment, as
+    ``gather_tokens`` does.
     """
-    idx, targets = np.asarray(idx), np.asarray(targets)
-    shapes = f"x {x.data.shape}, w {w.data.shape}, b {b.data.shape}, idx {idx.shape}, targets {targets.shape}"
+    idx = np.asarray(idx)
+    array = None if callable(targets) else np.asarray(targets)
+    shapes = f"x {x.data.shape}, w {w.data.shape}, b {b.data.shape}, idx {idx.shape}, targets "
+    shapes += "read by rows" if array is None else f"{array.shape}"
     if x.data.ndim != 3 or w.data.ndim != 2 or idx.ndim != 2 or not idx.shape[1]:
         raise ShapeError(f"masked_mse_head: {shapes}")
     (n_b, n_t, n_in), n_m, n_out = x.data.shape, idx.shape[1], w.data.shape[1]
-    if w.data.shape[0] != n_in or b.data.shape != (n_out,) or idx.shape[0] != n_b or targets.shape != (n_b, n_m, n_out):
+    chained = w.data.shape[0] == n_in and b.data.shape == (n_out,) and idx.shape[0] == n_b
+    if not chained or (array is not None and array.shape != (n_b, n_m, n_out)):
         raise ShapeError(f"masked_mse_head: shapes do not chain: {shapes}")
+    read = targets if array is None else array.reshape(-1, n_out).__getitem__
     _check_distinct(idx, n_t, "masked_mse_head")
     batch = np.arange(n_b)[:, None]
     rows = x.data[batch, idx].reshape(-1, n_in)
     r = _affine(rows, w, b)
-    r -= targets.reshape(-1, n_out)
+    sums = np.empty(r.shape[0], dtype=r.dtype)
+    for sl in _row_blocks(*r.shape):
+        block = read(sl)
+        if block.shape != r[sl].shape:
+            raise ShapeError(f"masked_mse_head: target rows {sl.start}:{sl.start + len(r[sl])} are {block.shape}")
+        r[sl] -= block
+        np.square(r[sl]).sum(axis=-1, out=sums[sl])
     inv_n = np.asarray(1.0 / (n_b * n_m), dtype=r.dtype)
-    loss = _row_square_sums(r).sum() * inv_n
+    loss = sums.sum() * inv_n
 
     def backward(g):
         np.multiply(r, 2.0, out=r)

@@ -16,11 +16,13 @@ A run's step budget must leave steps after the warmup; ``pretrain``
 judges it on the manifest's size, before any data loads.
 
 Each clip set and each parameter set is held once.  ``pretrain`` reads
-its store straight into one clip array.  ``adamw_step`` writes every
-update into a fresh array, so ``fit`` keeps its start and each best
-epoch by reference rather than by copy, and a gradient lives only until
-its update is written.  Validation runs on frozen views of the params
-(``checkpoint.frozen_params``), so it builds no graph.
+its store straight into one clip array, and every training batch and
+the validation slice are ``mae.ClipRows`` of it: the MAE step gathers
+its patches from that array, so no batch is copied.  ``adamw_step``
+writes every update into a fresh array, so ``fit`` keeps its start and
+each best epoch by reference rather than by copy, and a gradient lives
+only until its update is written.  Validation runs on frozen views of
+the params (``checkpoint.frozen_params``), so it builds no graph.
 """
 
 from __future__ import annotations
@@ -305,8 +307,12 @@ def mean_batch_loss(batch_loss, n: int, batch_size: int) -> float:
     return total / n
 
 
-def masked_val_loss(model: M.MaskedAutoencoder, clips: np.ndarray, plans: list, batch_size: int) -> float:
-    """``mean_batch_loss`` of the masked reconstruction over ``clips``, run on frozen views of the params: no graph."""
+def masked_val_loss(model: M.MaskedAutoencoder, clips, plans: list, batch_size: int) -> float:
+    """``mean_batch_loss`` of the masked reconstruction over ``clips``, run on frozen views of the params: no graph.
+
+    ``clips`` is a clip array or an ``mae.ClipRows``; each batch is a
+    slice of it, so rows of a larger array are scored where they lie.
+    """
     frozen = M.MaskedAutoencoder(model.cfg, params=C.frozen_params(model.params))
     return mean_batch_loss(lambda sl: frozen.forward_loss(clips[sl], plans[sl])[0], len(clips), batch_size)
 
@@ -314,21 +320,21 @@ def masked_val_loss(model: M.MaskedAutoencoder, clips: np.ndarray, plans: list, 
 def pretrain_arrays(clips: np.ndarray, model_cfg: M.ModelConfig, cfg: TrainConfig) -> FitResult:
     """Masked-reconstruction pretraining over an in-memory clip tensor, through ``fit`` on streams 1/2.
 
-    Holds ``clips`` as given, a copy of its validation slice, and each
-    batch only while its step runs.  Writes nothing: the caller saves
-    ``metrics`` and the params it wants kept.
+    Holds ``clips`` as given and nothing more of it: each training batch
+    and the validation slice are ``mae.ClipRows`` of ``clips``, whose
+    patches the step reads where they lie.  Writes nothing: the caller
+    saves ``metrics`` and the params it wants kept.
     """
     val_idx, train_idx = val_split(len(clips), cfg, 1)
     model = M.MaskedAutoencoder(model_cfg, seed=[cfg.seed, 0])
-    val_clips = clips[val_idx]
     val_plans = val_mask_plans(model_cfg, len(val_idx), cfg.seed)
 
     def batch_loss(idx, epoch):
         plans = [M.sample_mask(model_cfg.n_patches, model_cfg.mask_ratio, [cfg.seed, 3, epoch, int(i)]) for i in idx]
-        return model.forward_loss(clips[idx], plans)[0]
+        return model.forward_loss(M.ClipRows(clips, idx), plans)[0]
 
     def val_loss():
-        return masked_val_loss(model, val_clips, val_plans, cfg.batch_size)
+        return masked_val_loss(model, M.ClipRows(clips, val_idx), val_plans, cfg.batch_size)
 
     return fit(model.params, train_idx, cfg, 1, batch_loss, val_loss)
 

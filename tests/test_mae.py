@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csimae import checkpoint as C
@@ -48,6 +48,16 @@ def unpatchify(tokens, patch_time, patch_freq, t_len, c_len):
     nt, nc = t_len // patch_time, c_len // patch_freq
     x = tokens.reshape(*lead, nt, nc, patch_time, patch_freq)
     return np.moveaxis(x, -3, -2).reshape(*lead, t_len, c_len)
+
+
+def gather_patches(patches, idx):
+    """``patches[i, idx[i]]`` for every clip i: (B, K, patch_len)."""
+    return patches[np.arange(patches.shape[0])[:, None], idx]
+
+
+def patchify_then_gather(clips, idx, patch_time, patch_freq):
+    """The copying path ``ClipRows.patch_reader`` replaces: the oracle it is checked against."""
+    return gather_patches(M.patchify(clips, patch_time, patch_freq), idx)
 
 
 def params_equal(a, b):
@@ -95,6 +105,59 @@ def test_unpatchify_inverts_patchify_over_random_grids(lead, grid, seed):
     tokens = M.patchify(clip, pt, pf)
     assert tokens.shape == (*lead, nt * nc, pt * pf)
     assert unpatchify(tokens, pt, pf, nt * pt, nc * pf).tobytes() == clip.tobytes()
+
+
+@given(
+    grid=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.integers(1, 5)),
+    n=st.integers(1, 4),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    data=st.data(),
+)
+def test_clip_rows_gather_equals_patchify_then_gather_bitwise(grid, n, dtype, data):
+    nt, nc, pt, pf = grid
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    clips = rng.standard_normal((n, nt * pt, nc * pf)).astype(dtype)
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6)))  # repeats, any order
+    idx = rng.integers(0, nt * nc, (len(rows), data.draw(st.integers(1, nt * nc))))
+    want = patchify_then_gather(clips[rows], idx, pt, pf)
+    read = M.ClipRows(clips, rows).patch_reader(idx, pt, pf)
+    got = read()
+    assert got.dtype == dtype and got.shape == (idx.size, pt * pf)
+    assert got.tobytes() == want.tobytes()
+    lo = data.draw(st.integers(0, idx.size))
+    hi = data.draw(st.integers(lo, idx.size))
+    assert read(slice(lo, hi)).tobytes() == want.reshape(idx.size, -1)[lo:hi].tobytes()
+
+
+def test_clip_rows_stand_where_the_copied_batch_stood():
+    clips = np.zeros((5, 6, 4), dtype=np.float32)
+    batch = M.ClipRows(clips, np.array([4, 0, 4]))
+    assert batch.shape == (3, 6, 4) and len(batch) == 3
+    part = batch[1:]
+    assert isinstance(part, M.ClipRows) and part.clips is clips and part.rows.tolist() == [0, 4]
+
+
+@pytest.mark.parametrize(
+    "clips_shape, rows, match",
+    [
+        ((5, 6, 4), np.array([0, 5]), "lie in"),
+        ((5, 6, 4), np.array([-1, 2]), "lie in"),
+        ((5, 6, 4), np.array([[0, 1]]), "1-D integer"),
+        ((5, 6, 4), np.array([0.0, 1.0]), "1-D integer"),
+        ((5, 6, 4), np.array([True, False]), "1-D integer"),
+        ((5, 24), np.array([0, 1]), "clips must be"),
+    ],
+    ids=["out-of-range", "negative", "2-d", "float", "bool", "clips-2d"],
+)
+def test_clip_rows_refuse_bad_rows(clips_shape, rows, match):
+    with pytest.raises(M.ModelError, match=match):
+        M.ClipRows(np.zeros(clips_shape, dtype=np.float32), rows)
+
+
+def test_patch_reader_refuses_a_plan_count_unlike_the_clip_count():
+    batch = M.ClipRows(np.zeros((5, 6, 4), dtype=np.float32), np.array([0, 1]))
+    with pytest.raises(M.ModelError, match="2 clips but 3 rows"):
+        batch.patch_reader(np.zeros((3, 2), dtype=np.intp), 2, 2)
 
 
 @given(n_patches=st.integers(2, 700), ratio=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
@@ -247,7 +310,7 @@ def decoder_output(recon, requires_grad=False):
 def masked_targets(patches, plans):
     """``mae_loss``'s last two arguments: the masked patches and their (B, M) positions."""
     idx = M._batch_indices(plans, "masked_idx")
-    return M.gather_patches(patches, idx), idx
+    return gather_patches(patches, idx), idx
 
 
 def test_mae_loss_perfect_reconstruction_is_zero():
@@ -445,6 +508,53 @@ def test_desk_forward_peak_stays_under_1_1_mib_per_clip():
     # fc1's output a row block at a time and the loss squares its residual a
     # row block at a time: about 0.97 MiB
     assert desk_slope(forward_peak_bytes) < 1.1
+
+
+def copied_forward_loss(model, clips, plans):
+    """``forward_loss`` on copies: patchify the batch, then gather the visible inputs and the masked targets."""
+    cfg = model.cfg
+    vis, masked = M._batch_indices(plans, "visible_idx"), M._batch_indices(plans, "masked_idx")
+    latent = model.encode(T.Tensor(patchify_then_gather(clips, vis, cfg.patch_time, cfg.patch_freq)), vis)
+    x = model.decode(latent, vis, masked)
+    targets = patchify_then_gather(clips, masked, cfg.patch_time, cfg.patch_freq)
+    return M.mae_loss(x, model.params, targets, masked), x
+
+
+def test_forward_loss_on_clip_rows_gives_the_copied_batch_bits_and_gradients():
+    model, store, _ = desk_batch(n=7)
+    rows = np.array([5, 2, 2, 6, 0])
+    plans = plans_for(model.cfg, len(rows), seed=41)
+    copied = M.MaskedAutoencoder(model.cfg, params=C.clone_params(model.params))
+    loss, out = model.forward_loss(M.ClipRows(store, rows), plans)
+    loss_c, out_c = copied_forward_loss(copied, store[rows], plans)
+    assert loss.data.tobytes() == loss_c.data.tobytes()
+    assert out.data.tobytes() == out_c.data.tobytes()
+    loss.backward()
+    loss_c.backward()
+    for k, t in model.params.items():
+        assert t.grad.tobytes() == copied.params[k].grad.tobytes(), k
+
+
+def step_peak_over_clip_rows(b):
+    """Traced high-water, in bytes, of one desk ``forward_loss`` + ``backward`` over ``b`` rows of a 96-clip store."""
+    model, store, _ = desk_batch(n=96)
+    rows = np.random.default_rng(b).permutation(96)[:b]
+    plans = plans_for(model.cfg, b, seed=b)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss, _ = model.forward_loss(M.ClipRows(store, rows), plans)
+        loss.backward()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_desk_step_over_clip_rows_peaks_under_1_0_mib_per_clip():
+    # no batch copy, no full patch copy and no target array: about 0.84 MiB
+    # per clip, where copying the batch and gathering from its patch array
+    # took about 1.18
+    assert (step_peak_over_clip_rows(64) - step_peak_over_clip_rows(32)) / 32 / 2**20 < 1.0
 
 
 @pytest.mark.parametrize(

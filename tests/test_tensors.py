@@ -446,6 +446,33 @@ def test_masked_mse_head_forward_builds_no_full_size_square():
     assert peak < rows + 1.5 * residual
 
 
+def test_masked_mse_head_reading_targets_by_row_blocks_equals_the_array_path(monkeypatch):
+    monkeypatch.setattr(T, "BLOCK_ELEMS", 12)  # two rows of P = 6 per block: 15 rows in eight blocks
+    x, w, bias, idx, targets = head_inputs(np.random.default_rng(38), 3, 7, 5, 4, 6, dtype=np.float32)
+    flat, asked = targets.reshape(-1, 6), []
+
+    def read(sl):
+        asked.append((sl.start, sl.stop))
+        return flat[sl].copy()
+
+    losses, grads = [], []
+    for given in (targets, read):
+        ts = [T.Tensor(t.data.copy(), requires_grad=True) for t in (x, w, bias)]
+        loss = T.masked_mse_head(*ts, idx, given)
+        loss.backward()
+        losses.append(loss.data.tobytes())
+        grads.append([t.grad.tobytes() for t in ts])
+    assert losses[0] == losses[1] and grads[0] == grads[1]
+    assert asked == [(i, i + 2) for i in range(0, 15, 2)]
+
+
+def test_masked_mse_head_refuses_a_wrongly_shaped_target_block():
+    x, w, bias, idx, targets = head_inputs(np.random.default_rng(39), 2, 3, 2, 3, 5)
+    flat = targets.reshape(-1, 5)
+    with pytest.raises(T.ShapeError, match="masked_mse_head: target rows 0:4"):
+        T.masked_mse_head(x, w, bias, idx, lambda sl: flat[sl, :4])
+
+
 @pytest.mark.parametrize(
     "arg, value",
     [

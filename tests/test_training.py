@@ -322,7 +322,7 @@ def test_pretrain_val_split_is_the_prefix_of_the_seed_stream_1_permutation(monke
     real, seen = R.masked_val_loss, []
 
     def spy(model, clips, plans, batch_size):
-        seen.append(clips.copy())
+        seen.append(clips)
         return real(model, clips, plans, batch_size)
 
     monkeypatch.setattr(R, "masked_val_loss", spy)
@@ -331,8 +331,9 @@ def test_pretrain_val_split_is_the_prefix_of_the_seed_stream_1_permutation(monke
     R.pretrain_arrays(clips, desk_model_cfg(), cfg)
     n_val = max(1, int(round(cfg.val_fraction * len(clips))))
     expect = np.random.default_rng([cfg.seed, 1]).permutation(len(clips))[:n_val]
-    assert len(seen) == 1
-    np.testing.assert_array_equal(seen[0], clips[expect])
+    assert len(seen) == 1 and isinstance(seen[0], M.ClipRows)
+    assert seen[0].clips is clips  # scored where it lies: no copy of the slice
+    np.testing.assert_array_equal(seen[0].rows, expect)
 
 
 def _tiny_head_problem():
@@ -496,3 +497,12 @@ def test_masked_val_loss_builds_no_graph_and_keeps_the_graph_passes_bits(monkeyp
     assert all(g._backward is not None for g in graph)
     assert [l.data.tobytes() for l in losses] == [g.data.tobytes() for g in graph]
     assert value == sum(float(g.data) * n for g, n in zip(graph, (2, 2, 1))) / 5
+
+
+def test_masked_val_loss_on_clip_rows_gives_the_copied_slice_bits():
+    cfg = desk_model_cfg()
+    model = M.MaskedAutoencoder(cfg, seed=[4, 0])
+    store, rows = synthetic_clip_batch(8, seed=10), np.array([6, 1, 1, 3, 7])
+    plans = R.val_mask_plans(cfg, len(rows), seed=4)
+    value = R.masked_val_loss(model, M.ClipRows(store, rows), plans, 2)
+    assert value == R.masked_val_loss(model, store[rows], plans, 2)
