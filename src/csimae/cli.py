@@ -483,8 +483,9 @@ def cmd_grad_check(args):
     )
     model = M.MaskedAutoencoder(cfg, seed=args.seed, dtype=dtype)
     rng = np.random.default_rng(args.seed)
-    clips = rng.standard_normal((1, 6, 4)).astype(dtype)
-    plans = [M.sample_mask(cfg.n_patches, cfg.mask_ratio, [args.seed, 1])]
+    # two clips, so the sums over the batch (positions, mask token, weights) are checked too
+    clips = rng.standard_normal((2, 6, 4)).astype(dtype)
+    plans = [M.sample_mask(cfg.n_patches, cfg.mask_ratio, [args.seed, 1, i]) for i in range(2)]
     names = sorted(model.params)
 
     def f(*tensors):

@@ -12,11 +12,13 @@ followed by a final LayerNorm.  Each half of a block is one engine op:
 output projection, residual add) and ``tensors.ffn_sublayer`` (LN,
 fc1 -> GELU -> fc2, residual add).  Neither keeps a LayerNorm output
 or a pre-residual output for backward.  The decoder projects the latent
-to its own width, fills masked positions with one shared learnable mask
-token, adds its own positional table and runs a shallower stack;
-``decode`` returns that stack's output.  A linear head predicts raw
-patch values from it, and the loss is the mean over masked patches of
-the squared L2 patch error.  Head and loss are one engine op,
+to its own width; one engine op, ``tensors.decoder_tokens``, then fills
+masked positions with one shared learnable mask token (He et al. 2021,
+arXiv:2111.06377) and adds the decoder's own positional table, giving
+the CLS row and then one token per patch position.  The decoder runs a
+shallower stack on them; ``decode`` returns that stack's output.  A linear head
+predicts raw patch values from it, and the loss is the mean over masked
+patches of the squared L2 patch error.  Head and loss are one engine op,
 ``tensors.masked_mse_head``, which runs the head on the masked rows
 only, so visible positions and the CLS row contribute exactly zero.
 ``forward_loss`` stacks the batch's visible and masked patch indices
@@ -342,14 +344,8 @@ class MaskedAutoencoder:
     def _decoder_tokens(self, latent: T.Tensor, vis_idx: np.ndarray, masked_idx: np.ndarray) -> T.Tensor:
         """Pre-block decoder input: projected latent, mask tokens at ``masked_idx``, positions."""
         p = self.params
-        b, n_masked = masked_idx.shape
         d = T.linear(latent, p["dec.proj.w"], p["dec.proj.b"])
-        cls, vis = d[:, :1, :], d[:, 1:, :]
-        zeros = T.Tensor(np.zeros((b, n_masked, self.cfg.dec_dim), dtype=latent.data.dtype))
-        masked = T.add(zeros, p["dec.mask_token"])
-        inv = np.argsort(np.concatenate([vis_idx, masked_idx], axis=1), axis=1)
-        tokens = T.add(T.gather_tokens(T.concat([vis, masked], axis=1), inv), p["dec.pos"])
-        return T.concat([cls, tokens], axis=1)
+        return T.decoder_tokens(d, p["dec.mask_token"], p["dec.pos"], vis_idx, masked_idx)
 
     def decode(self, latent: T.Tensor, vis_idx: np.ndarray, masked_idx: np.ndarray) -> T.Tensor:
         """Latent (B, 1+V, D) -> decoder output (B, 1+N_p, dec_dim), before the head.

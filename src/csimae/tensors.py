@@ -22,8 +22,10 @@ al. 2022, arXiv:2205.05198):
 
 - ``attention_sublayer`` is a block's first half, x + proj(attention(
   qkv(LayerNorm(x)))), as one node.  Its closure keeps the LayerNorm's
-  (B, T, 1) mean and inverse standard deviation, the packed qkv (as q, k
-  and v views), the row log-sum-exp and the attention output.
+  (B, T, 1) mean and inverse standard deviation, the row log-sum-exp and
+  the attention output, but no qkv: backward rebuilds the packed qkv from
+  the recomputed LayerNorm output with the forward's GEMM, so with the
+  same bits, for one more (rows × D) @ (D × 3D) GEMM.
 - ``ffn_sublayer`` is the second half, x + FFN(LayerNorm(x)); its closure
   keeps only the LayerNorm statistics.  Backward recomputes the fc1
   pre-activation ``h`` with the forward's GEMM, one extra GEMM for the
@@ -34,7 +36,7 @@ al. 2022, arXiv:2205.05198):
   the LayerNorm's input gradient in place, so no ``add`` node and no
   gradient copy exist.
 - Attention is no op of its own: ``_split_heads``, ``_attend`` and
-  ``_attend_grad`` keep views of q, k and v and the row log-sum-exp,
+  ``_attend_grad`` work on views of q, k and v and the row log-sum-exp,
   never the (B, H, T, T) weights.  The tests' attention oracle is built
   on the same helpers.
 - Nor is the FFN: ``_ffn_forward`` and ``_ffn_hidden_grad`` keep nothing;
@@ -49,6 +51,10 @@ al. 2022, arXiv:2205.05198):
   and it takes its targets either as an array or as a function that
   reads one block of rows, so the MAE's targets are gathered from the
   clip array block by block and never exist whole.
+- ``decoder_tokens`` is the MAE decoder's input as one node: the
+  projected latent's CLS row, then each patch position's visible token or
+  mask token plus its position.  It fills its output by assignment, and
+  its closure keeps only the index arrays, no full-size array.
 
 The sublayer ops share every piece of arithmetic with ``layer_norm``,
 ``linear`` and ``gelu`` through the private helpers below, so each is
@@ -67,9 +73,9 @@ reorder, run whole.
 
 The library itself no longer calls ``matmul``, ``softmax``, ``gelu``,
 ``transpose``, ``swap_last``, ``reshape``, ``sub``, ``mul``, ``square``,
-``sum_``, ``mean_`` or ``mse``.  They stay for the tests and their
-composite oracles and for ``perfbench/``, whose tracer looks every op it
-times up by name.
+``sum_``, ``mean_``, ``mse`` or ``gather_tokens``.  They stay for the
+tests and their composite oracles and for ``perfbench/``, whose tracer
+looks every op it times up by name.
 """
 
 from __future__ import annotations
@@ -394,6 +400,58 @@ def gather_tokens(a: Tensor, idx) -> Tensor:
     return _make(a.data[batch, idx], (a,), backward)
 
 
+def decoder_tokens(d: Tensor, mask_token: Tensor, pos: Tensor, vis_idx, masked_idx) -> Tensor:
+    """The MAE decoder's input as one node: CLS row, then each patch position's token plus ``pos``.
+
+    ``d`` is the projected latent (B, 1+V, D), CLS row first, ``mask_token``
+    (1, 1, D), ``pos`` (N, D), ``vis_idx`` (B, V) and ``masked_idx`` (B, M)
+    ints with V + M = N.  Output row ``1 + vis_idx[i, j]`` of sample ``i``
+    is ``d[i, 1 + j] + pos[vis_idx[i, j]]``, row ``1 + masked_idx[i, j]``
+    is ``mask_token + pos[masked_idx[i, j]]`` and row 0 is ``d[i, 0]``.
+    The output is filled by assignment, so every row of ``concat(vis_idx,
+    masked_idx)`` must be a permutation of ``range(N)``, or ``ShapeError``
+    is raised.  The closure keeps only the index arrays.  Forward and
+    gradients are bit-identical to slicing ``d``, ``concat`` with a
+    zeros + ``mask_token`` ``add``, ``gather_tokens`` by the inverse
+    permutation, a ``pos`` ``add`` and a CLS ``concat``.
+    """
+    vis_idx, masked_idx = np.asarray(vis_idx), np.asarray(masked_idx)
+    shapes = f"d {d.data.shape}, mask_token {mask_token.data.shape}, pos {pos.data.shape}, "
+    shapes += f"vis_idx {vis_idx.shape}, masked_idx {masked_idx.shape}"
+    if d.data.ndim != 3 or vis_idx.ndim != 2 or masked_idx.ndim != 2:
+        raise ShapeError(f"decoder_tokens: {shapes}")
+    n_b, n_v1, dim = d.data.shape
+    order = np.concatenate([vis_idx, masked_idx], axis=1)
+    n = order.shape[1]
+    chained = vis_idx.shape == (n_b, n_v1 - 1) and masked_idx.shape[0] == n_b
+    if not chained or mask_token.data.shape != (1, 1, dim) or pos.data.shape != (n, dim):
+        raise ShapeError(f"decoder_tokens: shapes do not chain: {shapes}")
+    if not (np.sort(order, axis=1) == np.arange(n)).all():
+        raise ShapeError("decoder_tokens: a row of vis_idx and masked_idx is not a permutation of range(N)")
+    batch = np.arange(n_b)[:, None]
+    out = np.empty((n_b, 1 + n, dim), dtype=np.result_type(d.data, mask_token.data, pos.data))
+    out[:, 0] = d.data[:, 0]
+    body = out[:, 1:]
+    body[batch, vis_idx] = d.data[:, 1:]
+    body[batch, masked_idx] = mask_token.data + 0.0  # the composite's zeros + token: -0.0 reads +0.0
+    body += pos.data
+
+    def backward(g):
+        gb = g[:, 1:]
+        if d.requires_grad:
+            # added into zeros, as the composite's two slices scatter into zeros
+            gd = np.zeros_like(d.data)
+            gd[:, :1] += g[:, :1]
+            gd[:, 1:] += gb[batch, vis_idx]
+            d._accumulate(gd, fresh=True)
+        if mask_token.requires_grad:
+            mask_token._accumulate(_unbroadcast(gb[batch, masked_idx], mask_token.data.shape), fresh=True)
+        if pos.requires_grad:
+            pos._accumulate(_unbroadcast(gb, pos.data.shape), fresh=True)
+
+    return _make(out, (d, mask_token, pos), backward)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     z = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
@@ -707,12 +765,14 @@ def attention_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, w_qkv: Tensor, b_q
 
     ``x`` is (B, T, D), ``w_qkv`` (D, 3D) and ``w_proj`` (D, D).  The
     closure keeps the LayerNorm's (B, T, 1) mean and inverse standard
-    deviation, the packed qkv (as q, k and v views), the row log-sum-exp
-    and the attention output; never the LayerNorm output, the (B, H, T, T)
-    weights or the projection's output before the residual add.  Backward
-    recomputes the LayerNorm output for the qkv weight gradient.  Forward
-    and gradients are bit-identical to ``layer_norm`` -> ``linear`` ->
-    attention (``_attend``, ``_attend_grad``) -> ``linear`` -> ``add``.
+    deviation, the row log-sum-exp and the attention output; never the
+    LayerNorm output, the packed qkv, the (B, H, T, T) weights or the
+    projection's output before the residual add.  Backward recomputes the
+    LayerNorm output, which the qkv weight gradient needs anyway, and from
+    it qkv: the forward's GEMM on the same inputs, so the same bits, for
+    one more (rows × D) @ (D × 3D) GEMM.  Forward and gradients are
+    bit-identical to ``layer_norm`` -> ``linear`` -> attention
+    (``_attend``, ``_attend_grad``) -> ``linear`` -> ``add``.
     """
     if x.data.ndim != 3 or x.data.shape[-1] % n_heads:
         raise ShapeError(f"attention_sublayer: x {x.data.shape} is not (B, T, {n_heads} heads * hd)")
@@ -721,21 +781,24 @@ def attention_sublayer(x: Tensor, ln_g: Tensor, ln_b: Tensor, w_qkv: Tensor, b_q
                     [(dim,), (dim,), (dim, 3 * dim), (3 * dim,), (dim, dim), (dim,)])
     xd = x.data
     mu, inv = _ln_stats(xd)
-    h = _ln_scale(_ln_normalize(xd, mu, inv), ln_g, ln_b)
-    qkv = _affine(h.reshape(-1, dim), w_qkv, b_qkv).reshape(n_b, n_t, 3 * dim)
-    del h
-    q, k, v = _split_heads(qkv, n_heads)
-    att, lse = _attend(q, k, v)
+
+    def qkv_of(h2):
+        return _affine(h2, w_qkv, b_qkv).reshape(n_b, n_t, 3 * dim)
+
+    qkv = qkv_of(_ln_scale(_ln_normalize(xd, mu, inv), ln_g, ln_b).reshape(-1, dim))
+    att, lse = _attend(*_split_heads(qkv, n_heads))
+    del qkv
     y = _affine(att.reshape(-1, dim), w_proj, b_proj)
     y += xd.reshape(-1, dim)
 
     def backward(g):
-        ga = _affine_grads(g.reshape(-1, dim), att.reshape(-1, dim), w_proj, b_proj, True)
-        gqkv = _attend_grad(ga.reshape(xd.shape), q, k, v, att, lse).reshape(-1, 3 * dim)
-        del ga
         xhat = _ln_normalize(xd, mu, inv)
-        gy = _affine_grads(gqkv, _ln_scale(xhat, ln_g, ln_b).reshape(-1, dim), w_qkv, b_qkv, True)
-        del gqkv
+        h2 = _ln_scale(xhat, ln_g, ln_b).reshape(-1, dim)
+        ga = _affine_grads(g.reshape(-1, dim), att.reshape(-1, dim), w_proj, b_proj, True)
+        gqkv = _attend_grad(ga.reshape(xd.shape), *_split_heads(qkv_of(h2), n_heads), att, lse).reshape(-1, 3 * dim)
+        del ga
+        gy = _affine_grads(gqkv, h2, w_qkv, b_qkv, True)
+        del gqkv, h2
         _residual_grads(g, gy.reshape(xd.shape), x, xhat, inv, ln_g, ln_b)
 
     return _make(y.reshape(xd.shape), (x, ln_g, ln_b, w_qkv, b_qkv, w_proj, b_proj), backward)

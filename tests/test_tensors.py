@@ -144,6 +144,109 @@ def test_gather_tokens_needs_distinct_positions_per_row():
         T.gather_tokens(rand(rng, 2, 3, 4), np.array([[0, 2], [2, -1]]))
 
 
+def composite_decoder_tokens(d, mask_token, pos, vis_idx, masked_idx):
+    """Slices of ``d``, a zeros + mask-token ``add``, ``concat``, ``gather_tokens`` by the inverse permutation,
+    a ``pos`` ``add`` and a CLS ``concat``: the MAE decoder input from primitive ops, the oracle for
+    ``T.decoder_tokens``."""
+    b, n_masked = masked_idx.shape
+    cls, vis = d[:, :1, :], d[:, 1:, :]
+    zeros = T.Tensor(np.zeros((b, n_masked, d.shape[-1]), dtype=d.dtype))
+    masked = T.add(zeros, mask_token)
+    inv = np.argsort(np.concatenate([vis_idx, masked_idx], axis=1), axis=1)
+    tokens = T.add(T.gather_tokens(T.concat([vis, masked], axis=1), inv), pos)
+    return T.concat([cls, tokens], axis=1)
+
+
+def decoder_token_inputs(rng, b, v, m, dim, dtype=np.float64, sort=True):
+    """[d (B, 1+V, D), mask token (1, 1, D), pos (N, D)] and per-sample partitions of range(N) into V visible
+    and M masked positions, each part sorted or in the order the permutation drew it."""
+    tensors = [rand(rng, b, 1 + v, dim, dtype=dtype), rand(rng, 1, 1, dim, dtype=dtype), rand(rng, v + m, dim, dtype=dtype)]
+    perms = np.stack([rng.permutation(v + m) for _ in range(b)])
+    vis, masked = perms[:, :v], perms[:, v:]
+    return tensors, (np.sort(vis, axis=1), np.sort(masked, axis=1)) if sort else (vis, masked)
+
+
+def decoder_tokens_both_ways(tensors, vis, masked, seed):
+    """Output and d, mask-token and pos gradient bytes of ``T.decoder_tokens`` and of its composite oracle."""
+    d, _, pos = tensors
+    up = np.random.default_rng(seed).standard_normal((d.shape[0], 1 + pos.shape[0], d.shape[2])).astype(d.dtype)
+    got = []
+    for op in (T.decoder_tokens, composite_decoder_tokens):
+        ts = [T.Tensor(t.data.copy(), requires_grad=True) for t in tensors]
+        y = op(*ts, vis, masked)
+        T.sum_(T.mul(y, up)).backward()
+        got.append([y.data.dtype, y.data.tobytes()] + [(t.grad.dtype, t.grad.tobytes()) for t in ts])
+    return got
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 3, 5, 4), (3, 8, 28, 128), (2, 120, 480, 16)])
+def test_decoder_tokens_match_the_composite_oracle_bit_for_bit(shape, dtype):
+    # the last shape is the paper's small decoder input, 600 patches, at a narrow width
+    tensors, (vis, masked) = decoder_token_inputs(np.random.default_rng([41, *shape]), *shape, dtype=dtype)
+    fused, oracle = decoder_tokens_both_ways(tensors, vis, masked, 42)
+    assert fused[0] == dtype
+    assert fused == oracle
+
+
+@settings(max_examples=40)
+@given(
+    b=st.integers(2, 3),
+    v=st.integers(0, 5),
+    m=st.integers(1, 5),
+    dim=st.integers(1, 4),
+    sort=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_decoder_tokens_match_the_composite_oracle_over_random_partitions(b, v, m, dim, sort, seed):
+    tensors, (vis, masked) = decoder_token_inputs(np.random.default_rng(seed), b, v, m, dim, sort=sort)
+    fused, oracle = decoder_tokens_both_ways(tensors, vis, masked, seed + 1)
+    assert fused == oracle
+
+
+def test_decoder_tokens_gradients_match_finite_differences():
+    tensors, (vis, masked) = decoder_token_inputs(np.random.default_rng(43), 3, 2, 4, 5, sort=False)
+    up = np.random.default_rng(44).standard_normal((3, 7, 5))
+    err = T.grad_check(lambda *ts: T.sum_(T.square(T.mul(T.decoder_tokens(*ts, vis, masked), up))), tensors)
+    assert err < 1e-7
+
+
+def test_decoder_tokens_closure_keeps_only_the_index_arrays():
+    tensors, (vis, masked) = decoder_token_inputs(np.random.default_rng(45), 2, 3, 4, 6)
+    y = T.decoder_tokens(*tensors, vis, masked)
+    kept = [c.cell_contents for c in y._backward.__closure__]
+    arrays = [a for a in kept if isinstance(a, np.ndarray)]
+    assert arrays and all(np.issubdtype(a.dtype, np.integer) for a in arrays)
+    assert all(any(t is s for s in tensors) for t in kept if isinstance(t, T.Tensor))
+
+
+@pytest.mark.parametrize(
+    "vis, masked",
+    [
+        ([[0, 1], [2, 0]], [[2, 3], [3, 2]]),
+        ([[0, 1], [2, 0]], [[2, 3], [1, 4]]),
+        ([[0, 1], [2, 0]], [[2, 3], [3, -3]]),
+    ],
+    ids=["repeat", "missing", "negative"],
+)
+def test_decoder_tokens_refuse_a_row_that_is_not_a_permutation(vis, masked):
+    tensors, _ = decoder_token_inputs(np.random.default_rng(46), 2, 2, 2, 3)
+    with pytest.raises(T.ShapeError, match="not a permutation"):
+        T.decoder_tokens(*tensors, np.array(vis), np.array(masked))
+
+
+@pytest.mark.parametrize(
+    "arg, shape",
+    [(0, (2, 3)), (0, (2, 4, 3)), (0, (3, 3, 3)), (1, (1, 3)), (1, (1, 1, 4)), (2, (5, 3)), (2, (4, 2))],
+    ids=["d-2d", "d-rows", "d-batch", "token-2d", "token-width", "pos-rows", "pos-width"],
+)
+def test_decoder_tokens_refuse_shapes_that_do_not_chain(arg, shape):
+    tensors, (vis, masked) = decoder_token_inputs(np.random.default_rng(47), 2, 2, 2, 3)
+    tensors[arg] = rand(np.random.default_rng(48), *shape)
+    with pytest.raises(T.ShapeError, match="decoder_tokens"):
+        T.decoder_tokens(*tensors, vis, masked)
+
+
 def test_nonlinear_op_gradients():
     rng = np.random.default_rng(11)
     assert T.grad_check(lambda a: T.sum_(T.square(T.softmax(a, axis=-1))), [rand(rng, 3, 6)]) < 1e-6
@@ -704,11 +807,12 @@ def test_sublayer_closure_keeps_no_layer_norm_output_or_pre_residual_output(kind
         qkv = T.linear(ln_out, w_qkv, b_qkv)
         att = attention(qkv, n_heads)
         pre_residual = T.linear(att, w_proj, b_proj)
-        # q, k and v as (B, H, T, hd) views of qkv, and the output attention reads rowsum(dO ∘ O) from
-        allowed = list(qkv.data.reshape(2, 5, 3, n_heads, 4).transpose(2, 0, 3, 1, 4)) + [att.data]
+        # backward rebuilds qkv, so no q, k or v is kept: only the output attention reads rowsum(dO ∘ O) from
+        forbidden = [qkv.data, *qkv.data.reshape(2, 5, 3, n_heads, 4).transpose(2, 0, 3, 1, 4)]
+        allowed = [att.data]
     else:
         pre_residual = composite_ffn(ln_out, *rest)
-        allowed = []  # backward recomputes the fc1 pre-activation too
+        forbidden, allowed = [], []  # backward recomputes the fc1 pre-activation too
     y = op(*tensors, *extra)
     kept = [c.cell_contents for c in y._backward.__closure__]
     arrays = [a for a in kept if isinstance(a, np.ndarray) and a is not x.data]
@@ -716,7 +820,7 @@ def test_sublayer_closure_keeps_no_layer_norm_output_or_pre_residual_output(kind
     def among(a, refs):
         return any(a.shape == r.shape and np.array_equal(a, r) for r in refs)
 
-    assert not any(among(a, (ln_out.data, pre_residual.data)) for a in arrays)
+    assert not any(among(a, [ln_out.data, pre_residual.data, *forbidden]) for a in arrays)
     # besides the input: the (…, 1) LayerNorm statistics and log-sum-exp, and the arrays above
     assert arrays and all(a.shape[-1] == 1 or among(a, allowed) for a in arrays)
     assert all(any(t is s for s in tensors) for t in kept if isinstance(t, T.Tensor))
