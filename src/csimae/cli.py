@@ -33,8 +33,11 @@ checksums.txt (every file but the volatile timing.jsonl) except the line
 of resolved_config.json, whose args hold the rerun's own --out. A bad
 flag or config file, such as a --label-fraction outside (0, 1], a sweep
 value that makes no valid model or an --out that is not a directory, is
-a config error: exit 2 and a JSON record, before anything trains. Any
-other failure is exit 1 and a JSON record naming the error.
+a config error: exit 2 and a JSON record, before anything trains. sweep
+and eval-cross-domain judge every cell and fold, its pretraining pool
+and its labeled set, before the first one trains, so one that cannot
+train is a config error too. Any other failure is exit 1 and a JSON
+record naming the error.
 
 BLAS threads are capped by the variables BLAS reads itself:
 OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS. --out is taken
@@ -373,8 +376,13 @@ def cmd_eval_cross_domain(args, cfg, out):
         raise CliError(f"unknown regimes {', '.join(unknown)}; choose from {', '.join(E.REGIMES)}")
     if len(set(regimes)) != len(regimes):
         raise CliError(f"regimes repeat: {args.regimes}")
+    manifest = _open_store(args, cfg)
+    try:
+        E.cross_domain_folds(manifest, args.domain_key, regimes, cfg["train"], cfg["pretrain"], args.label_fraction)
+    except E.EvalError as e:
+        raise CliError(str(e)) from e
     results = E.cross_domain_suite(
-        _open_store(args, cfg),
+        manifest,
         args.store,
         args.domain_key,
         regimes,

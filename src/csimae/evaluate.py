@@ -268,6 +268,27 @@ def select_labeled(clips, fraction: float, seed) -> list:
     return sorted((c for c in clips if c.clip_id in ids), key=lambda c: c.clip_id)
 
 
+def labeled_set(manifest: D.DatasetManifest, split: D.SplitSpec, train_cfg: R.TrainConfig, label_fraction: float):
+    """(labeled entries, test ids, head config) of one fold, judged on ``manifest`` before any clip loads.
+
+    The labeled set is ``select_labeled``'s budget of ``split``'s training
+    side and the head's classes are its classes.  Fewer than two classes
+    or no test clip of one of them (``EvalError``), or a
+    ``training.fit_budget`` with no step after the warmup (``TrainError``)
+    raises, so a fold that cannot train or be scored is refused before
+    anything loads or trains.
+    """
+    train_ids, test_ids = D.make_split(manifest, split)
+    budget = select_labeled([manifest.by_id(i) for i in train_ids], label_fraction, train_cfg.seed)
+    vocab = _class_vocab(_labels_of(budget))
+    head_cfg = HeadConfig(n_classes=len(vocab))
+    if not any(manifest.by_id(i).labels[D.LABEL_KEY] in vocab for i in test_ids):
+        n = len(test_ids)
+        raise EvalError(f"no test clip to score: {n} of {n} have a class the labeled clips lack")
+    R.fit_budget(len(budget), train_cfg)
+    return budget, test_ids, head_cfg
+
+
 def pretrain_fold(
     manifest: D.DatasetManifest, store_dir, split: D.SplitSpec, model_cfg: M.ModelConfig, cfg: R.TrainConfig, pool=None
 ) -> R.FitResult:
@@ -292,22 +313,45 @@ def run_fold(
     """Score each regime on one split -> its ``EvalResult``s.
 
     lp and ft start from ``checkpoint``, params of ``model_cfg``.  The
-    head's classes are the labeled clips'; test clips of any other class
-    count in ``n_excluded``.  The labeled budget is drawn on the training
-    side's manifest entries, so only the labeled clips and the test clips
-    load, and they are held, once, for the whole fold.
+    fold is judged first (``labeled_set``): the head's classes are the
+    labeled clips'; test clips of any other class count in
+    ``n_excluded``.  The labeled budget is drawn on the training side's
+    manifest entries, so only the labeled clips and the test clips load,
+    and they are held, once, for the whole fold.
     """
-    train_ids, test_ids = D.make_split(manifest, split)
-    budget = select_labeled([manifest.by_id(i) for i in train_ids], label_fraction, train_cfg.seed)
+    budget, test_ids, head_cfg = labeled_set(manifest, split, train_cfg, label_fraction)
     labeled = D.load_clips(store_dir, manifest, [e.clip_id for e in budget])
     test_clips = D.load_clips(store_dir, manifest, test_ids)
-    head_cfg = HeadConfig(n_classes=len(_class_vocab(_labels_of(labeled))))
     ckpt = None if checkpoint is None else (checkpoint, model_cfg)
     desc = {"protocol": split.protocol, "domain_key": split.domain_key, "held_out_value": split.held_out_value}
     return [
         run_regime(regime, ckpt, labeled, test_clips, head_cfg, train_cfg, model_cfg, split_desc=desc)
         for regime in regimes
     ]
+
+
+def cross_domain_folds(
+    manifest: D.DatasetManifest, domain_key: str, regimes, train_cfg: R.TrainConfig, pretrain_cfg: R.TrainConfig,
+    label_fraction: float,
+) -> list:
+    """The leave-one-domain-out split of each ``data.domain_values`` entry, every fold judged before any trains.
+
+    Each fold's labeled set must train and its test side be scored
+    (``labeled_set``), and for lp or ft pretraining on its whole training
+    side must train (``training.fit_budget``); a fold that fails raises
+    ``EvalError`` naming it.
+    """
+    splits = []
+    for value in D.domain_values(manifest, domain_key):
+        split = D.SplitSpec("leave_one_domain_out", domain_key, value, seed=train_cfg.seed)
+        try:
+            if {"lp", "ft"} & set(regimes):
+                R.fit_budget(len(D.make_split(manifest, split)[0]), pretrain_cfg)
+            labeled_set(manifest, split, train_cfg, label_fraction)
+        except (EvalError, R.TrainError) as e:
+            raise EvalError(f"fold {domain_key}={value} cannot train: {e}") from e
+        splits.append(split)
+    return splits
 
 
 def cross_domain_suite(
@@ -322,11 +366,12 @@ def cross_domain_suite(
 ) -> list:
     """One leave-one-domain-out ``run_fold`` per ``data.domain_values`` entry, each regime.
 
-    For lp/ft one ``pretrain_fold`` per fold, under ``pretrain_cfg``, serves both.
+    Every fold is judged (``cross_domain_folds``) before the first one
+    trains.  For lp/ft one ``pretrain_fold`` per fold, under
+    ``pretrain_cfg``, serves both.
     """
     results = []
-    for value in D.domain_values(manifest, domain_key):
-        split = D.SplitSpec("leave_one_domain_out", domain_key, value, seed=train_cfg.seed)
+    for split in cross_domain_folds(manifest, domain_key, regimes, train_cfg, pretrain_cfg, label_fraction):
         params = None
         if {"lp", "ft"} & set(regimes):
             params = pretrain_fold(manifest, store_dir, split, model_cfg, pretrain_cfg).params

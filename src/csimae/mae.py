@@ -24,12 +24,12 @@ only, so visible positions and the CLS row contribute exactly zero.
 ``forward_loss`` stacks the batch's visible and masked patch indices
 once and passes both arrays to the encoder, decoder and loss.
 
-A batch is a ``ClipRows``: rows of a clip array, read where they lie.
-``forward_loss`` copies no batch and no full patch array: it gathers
-the visible patches with one fancy index on a reshaped view of the
-clip array, and the loss gathers the masked targets the same way, one
-row block at a time, so no (B, M, patch_len) target array exists.  A
-plain (B, T, C) array is the ``ClipRows`` of all its rows.
+Patches are read one way, by ``ClipRows.patch_reader``: one fancy index
+on a reshaped view of a clip array.  A batch is a ``ClipRows``, rows of
+a clip array read where they lie (a plain (B, T, C) array stands for all
+its rows), so ``forward_loss`` copies no batch and the loss reads its
+masked targets a row block at a time; ``encode_features`` reads every
+patch position in order.
 
 No mask is empty: ``ModelConfig`` and ``sample_mask`` refuse a ratio
 that masks no patch.  Truncated-normal tables and tokens start at std
@@ -148,17 +148,6 @@ def sample_mask(n_patches: int, ratio: float, seed) -> MaskPlan:
     return MaskPlan(visible_idx=np.sort(perm[n_masked:]), masked_idx=np.sort(perm[:n_masked]))
 
 
-def patchify(clip: np.ndarray, patch_time: int, patch_freq: int) -> np.ndarray:
-    """(…, T, C) -> (…, N_p, patch_time*patch_freq), time-major patch order."""
-    *lead, t_len, c_len = clip.shape
-    if t_len % patch_time or c_len % patch_freq:
-        raise ModelError(f"clip {clip.shape} not divisible by patch ({patch_time},{patch_freq})")
-    nt, nc = t_len // patch_time, c_len // patch_freq
-    x = clip.reshape(*lead, nt, patch_time, nc, patch_freq)
-    x = np.moveaxis(x, -3, -2)  # (…, nt, nc, patch_time, patch_freq)
-    return x.reshape(*lead, nt * nc, patch_time * patch_freq)
-
-
 @dataclass(frozen=True)
 class ClipRows:
     """Rows ``rows`` of an (N, T, C) clip array, standing where the batch ``clips[rows]`` would.
@@ -192,27 +181,29 @@ class ClipRows:
     def __getitem__(self, key: slice) -> "ClipRows":
         return ClipRows(self.clips, self.rows[key])
 
-    def patch_reader(self, idx: np.ndarray, patch_time: int, patch_freq: int):
+    def patch_reader(self, idx: np.ndarray, cfg: ModelConfig):
         """``read(sl)``: rows ``sl`` (a slice) of the (B·K, patch_len) patches that ``idx`` (B, K) names in each clip.
 
-        Row ``i·K + j`` is patch ``idx[i, j]`` of clip ``rows[i]``, with
-        ``patchify``'s bytes; ``read()`` returns all of them.  Each call
-        is one fancy index on an (N, nt, patch_time, nc, patch_freq) view
-        of ``clips``, so neither the batch nor its full patch array is
-        ever copied.
+        The model's one patch layout: ``cfg`` cuts an (input_time,
+        input_chan) clip into nt × nc patches of patch_time × patch_freq,
+        numbered time-major, and row ``i·K + j`` is patch ``idx[i, j]`` of
+        clip ``rows[i]``; ``read()`` returns all of them.  Each call is one
+        fancy index on an (N, nt, patch_time, nc, patch_freq) view of
+        ``clips``, so neither the batch nor its full patch array is ever
+        copied.  Clips not of ``cfg``'s input shape raise ``ModelError``.
         """
         n, t_len, c_len = self.clips.shape
-        if t_len % patch_time or c_len % patch_freq:
-            raise ModelError(f"clip {self.shape} not divisible by patch ({patch_time},{patch_freq})")
+        if (t_len, c_len) != (cfg.input_time, cfg.input_chan):
+            raise ModelError(f"clips {self.shape} are not the model's {cfg.input_time}x{cfg.input_chan} input")
         if idx.shape[0] != len(self.rows):
             raise ModelError(f"{len(self.rows)} clips but {idx.shape[0]} rows of patch indices")
-        nc = c_len // patch_freq
-        view = self.clips.reshape(n, t_len // patch_time, patch_time, nc, patch_freq)
+        nc = c_len // cfg.patch_freq
+        view = self.clips.reshape(n, t_len // cfg.patch_time, cfg.patch_time, nc, cfg.patch_freq)
         clip = np.repeat(self.rows, idx.shape[1])
         t, c = np.divmod(idx.reshape(-1), nc)
 
         def read(sl: slice = slice(None)) -> np.ndarray:
-            return view[clip[sl], t[sl], :, c[sl], :].reshape(-1, patch_time * patch_freq)
+            return view[clip[sl], t[sl], :, c[sl], :].reshape(-1, cfg.patch_len)
 
         return read
 
@@ -371,19 +362,17 @@ class MaskedAutoencoder:
         cfg = self.cfg
         batch = clips if isinstance(clips, ClipRows) else ClipRows(clips, np.arange(len(clips)))
         vis_idx, masked_idx = _batch_indices(plans, "visible_idx"), _batch_indices(plans, "masked_idx")
-        visible = batch.patch_reader(vis_idx, cfg.patch_time, cfg.patch_freq)()
+        visible = batch.patch_reader(vis_idx, cfg)()
         latent = self.encode(T.Tensor(visible.reshape(*vis_idx.shape, -1)), vis_idx)
         x = self.decode(latent, vis_idx, masked_idx)
-        targets = batch.patch_reader(masked_idx, cfg.patch_time, cfg.patch_freq)
-        return mae_loss(x, self.params, targets, masked_idx), x
+        return mae_loss(x, self.params, batch.patch_reader(masked_idx, cfg), masked_idx), x
 
     def encode_features(self, clips: np.ndarray) -> T.Tensor:
-        """Full (unmasked) token sequence through the encoder; CLS row out."""
-        cfg = self.cfg
-        patches = patchify(clips, cfg.patch_time, cfg.patch_freq)
-        n = patches.shape[0]
+        """Full (unmasked) token sequence of (n, T, C) ``clips`` through the encoder; CLS row out."""
+        n, cfg = len(clips), self.cfg
         vis_idx = np.tile(np.arange(cfg.n_patches), (n, 1))
-        latent = self.encode(T.Tensor(patches), vis_idx)
+        patches = ClipRows(clips, np.arange(n)).patch_reader(vis_idx, cfg)()
+        latent = self.encode(T.Tensor(patches.reshape(n, cfg.n_patches, -1)), vis_idx)
         return latent[:, 0, :]
 
 
@@ -392,12 +381,11 @@ def mae_loss(x: T.Tensor, params: dict, targets, masked_idx: np.ndarray) -> T.Te
 
     ``x`` is the decoder output (B, 1+N_p, dec_dim), CLS row first,
     ``masked_idx`` (B, M) each clip's masked patch positions and
-    ``targets`` those patches: a (B, M, patch_len) array, or a reader of
-    row slices of their (B·M, patch_len) matrix such as
-    ``ClipRows.patch_reader``.  The head ``dec.head`` runs on the masked
-    rows only and each masked patch contributes the sum of its squared
-    entry errors; visible patches are never read, so perturbing them
-    changes nothing, bit for bit.  An empty masked set raises
-    ``tensors.ShapeError``.
+    ``targets`` a reader of those patches: ``read(sl)`` gives rows ``sl``
+    of their (B·M, patch_len) matrix, as ``ClipRows.patch_reader`` does.
+    The head ``dec.head`` runs on the masked rows only and each masked
+    patch contributes the sum of its squared entry errors; visible
+    patches are never read, so perturbing them changes nothing, bit for
+    bit.  An empty masked set raises ``tensors.ShapeError``.
     """
     return T.masked_mse_head(x, params["dec.head.w"], params["dec.head.b"], masked_idx + 1, targets)

@@ -4,6 +4,7 @@ log-linear fits, and analytic FLOPs estimates.
 Each sweep cell pretrains (``evaluate.pretrain_fold``) on a pool drawn from
 the context split's training clips, then ``evaluate.run_fold`` fine-tunes and
 scores that encoder on the one test set whose hash every row records.
+``sweep_cells`` judges every cell before the first one trains.
 Data-fraction pools are nested per seed so scale effects are not
 confounded with sample luck.
 """
@@ -133,10 +134,7 @@ def test_set_hash(test_ids) -> str:
 def nested_subset(ids, fraction: float, seed) -> list:
     """Seeded prefix subset: smaller fractions are contained in larger ones."""
     order = np.random.default_rng([seed, 21]).permutation(len(ids))
-    n = math.ceil(fraction * len(ids))
-    if n < 2:
-        raise SweepError(f"fraction {fraction} yields fewer than one batch of clips")
-    return [ids[i] for i in order[:n]]
+    return [ids[i] for i in order[: math.ceil(fraction * len(ids))]]
 
 
 def _cell_model_cfg(ctx: SweepContext, axis: str, value) -> M.ModelConfig:
@@ -154,8 +152,11 @@ def sweep_cells(spec: SweepSpec, ctx: SweepContext) -> tuple:
     """(``ctx.split``'s test ids, each cell's (value, seed, model config, pool ids) in row order).
 
     The pretraining pool is the split's training ids, or their
-    ``nested_subset`` on the data_fraction axis.  A value that makes no
-    valid model config or pool raises; nothing trains.
+    ``nested_subset`` on the data_fraction axis.  Every cell is judged
+    before any trains: a value that makes no valid model config raises,
+    and so does a cell whose pool cannot pretrain (``training.fit_budget``)
+    or whose labeled set cannot fine-tune (``evaluate.labeled_set``), as a
+    ``SweepError`` naming the cell.  Nothing trains.
     """
     train_ids, test_ids = D.make_split(ctx.manifest, ctx.split)
     cells = []
@@ -163,6 +164,11 @@ def sweep_cells(spec: SweepSpec, ctx: SweepContext) -> tuple:
         model_cfg = _cell_model_cfg(ctx, spec.axis, value)
         for seed in spec.seeds:
             pool = nested_subset(train_ids, float(value), seed) if spec.axis == "data_fraction" else train_ids
+            try:
+                R.fit_budget(len(pool), replace(ctx.pretrain_cfg, seed=seed))
+                E.labeled_set(ctx.manifest, ctx.split, replace(ctx.train_cfg, seed=seed), ctx.label_fraction)
+            except (E.EvalError, R.TrainError) as e:
+                raise SweepError(f"{spec.axis} {value!r}, seed {seed}: cannot train: {e}") from e
             cells.append((value, seed, model_cfg, pool))
     return test_ids, cells
 

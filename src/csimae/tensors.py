@@ -48,9 +48,9 @@ al. 2022, arXiv:2205.05198):
   node: it applies the head to the gathered masked rows only and keeps
   those rows and their residual, never a full (B, T, patch) output.  It
   subtracts the targets and squares the residual a row block at a time,
-  and it takes its targets either as an array or as a function that
-  reads one block of rows, so the MAE's targets are gathered from the
-  clip array block by block and never exist whole.
+  and it takes its targets only as a function that reads one block of
+  rows, so the MAE's targets are gathered from the clip array block by
+  block and never exist whole.
 - ``decoder_tokens`` is the MAE decoder's input as one node: the
   projected latent's CLS row, then each patch position's visible token or
   mask token plus its position.  It fills its output by assignment, and
@@ -861,13 +861,13 @@ def mse(pred: Tensor, target) -> Tensor:
     return mean_(square(sub(pred, target)))
 
 
-def masked_mse_head(x: Tensor, w: Tensor, b: Tensor, idx, targets) -> Tensor:
+def masked_mse_head(x: Tensor, w: Tensor, b: Tensor, idx, read) -> Tensor:
     """Mean over (B, M) of ``||x[i, idx[i, j]] @ w + b - targets[i, j]||²`` as one node.
 
     ``x`` is (B, T, D), ``w`` (D, P), ``b`` (P,), ``idx`` (B, M) ints whose
-    rows hold distinct positions (a repeat raises ``ShapeError``).
-    ``targets`` is the (B, M, P) array, or a function ``read(sl)`` that
-    returns rows ``sl`` (a slice) of its (B·M, P) reshape, so targets
+    rows hold distinct positions (a repeat raises ``ShapeError``).  The
+    (B, M, P) ``targets`` are given as a function ``read(sl)`` that
+    returns rows ``sl`` (a slice) of their (B·M, P) reshape, so targets
     gathered from elsewhere never exist whole.  This is the MAE
     reconstruction head and its masked-patch loss: the head runs on the M
     gathered rows only, as one GEMM, and the closure keeps those rows
@@ -880,16 +880,12 @@ def masked_mse_head(x: Tensor, w: Tensor, b: Tensor, idx, targets) -> Tensor:
     ``gather_tokens`` does.
     """
     idx = np.asarray(idx)
-    array = None if callable(targets) else np.asarray(targets)
-    shapes = f"x {x.data.shape}, w {w.data.shape}, b {b.data.shape}, idx {idx.shape}, targets "
-    shapes += "read by rows" if array is None else f"{array.shape}"
+    shapes = f"x {x.data.shape}, w {w.data.shape}, b {b.data.shape}, idx {idx.shape}"
     if x.data.ndim != 3 or w.data.ndim != 2 or idx.ndim != 2 or not idx.shape[1]:
         raise ShapeError(f"masked_mse_head: {shapes}")
     (n_b, n_t, n_in), n_m, n_out = x.data.shape, idx.shape[1], w.data.shape[1]
-    chained = w.data.shape[0] == n_in and b.data.shape == (n_out,) and idx.shape[0] == n_b
-    if not chained or (array is not None and array.shape != (n_b, n_m, n_out)):
+    if w.data.shape[0] != n_in or b.data.shape != (n_out,) or idx.shape[0] != n_b:
         raise ShapeError(f"masked_mse_head: shapes do not chain: {shapes}")
-    read = targets if array is None else array.reshape(-1, n_out).__getitem__
     _check_distinct(idx, n_t, "masked_mse_head")
     batch = np.arange(n_b)[:, None]
     rows = x.data[batch, idx].reshape(-1, n_in)

@@ -12,8 +12,9 @@ derive from the run seed, and validation masks are fixed across epochs
 so val losses compare like for like.  Each step's loss, lr and rejected
 flag go to the deterministic metrics stream; wall-clock timings and peak
 RSS go to a sidecar file so the metrics stream itself is bit-reproducible.
-A run's step budget must leave steps after the warmup; ``pretrain``
-judges it on the manifest's size, before any data loads.
+A run's step budget must leave steps after the warmup; ``fit_budget``
+judges it on a count, so ``pretrain`` and the fold runners refuse a run
+that cannot train before any data loads.
 
 Each clip set and each parameter set is held once.  ``pretrain`` reads
 its store straight into one clip array, and every training batch and
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 import resource
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -91,12 +92,18 @@ def step_budget(n_fit: int, cfg: TrainConfig) -> int:
     return total_steps
 
 
+def fit_budget(n: int, cfg: TrainConfig) -> int:
+    """``step_budget`` of a run on ``n`` items, after ``val_split`` takes its validation slice.
+
+    It reads the count alone, so a run that cannot train (a ``TrainError``)
+    is refused before anything loads.
+    """
+    _, fit_idx = val_split(n, cfg, 0)
+    return step_budget(len(fit_idx), cfg)
+
+
 def lr_at(step: int, config: TrainConfig, total_steps: int) -> float:
-    """Linear warmup 0 -> peak, then cosine decay to 0 at total_steps."""
-    if total_steps <= config.warmup_steps:
-        raise TrainError(f"total_steps {total_steps} must exceed warmup_steps {config.warmup_steps}")
-    if step < 0:
-        raise TrainError("step must be >= 0")
+    """Linear warmup 0 -> peak, then cosine decay to 0 at ``total_steps``, a ``step_budget``."""
     if step <= config.warmup_steps:
         return config.peak_lr * step / config.warmup_steps
     progress = (step - config.warmup_steps) / (total_steps - config.warmup_steps)
@@ -186,20 +193,13 @@ class AdamW:
         return adamw_step(self.params, grads, self.state, lr, self.config)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunMetrics:
-    """A run's records, appended to as ``fit`` goes: the one mutable record besides ``data.ChannelRecording``."""
+    """A run's records, built once, when ``fit`` returns."""
 
-    steps: list = field(default_factory=list)  # {"step", "lr", "train_loss", "rejected"}
-    epochs: list = field(default_factory=list)  # {"epoch", "val_loss", "best"}; "best" marks a new lowest val_loss
-    timing: list = field(default_factory=list)  # {"epoch", "wall_seconds", "peak_rss_mb"} (volatile)
-
-    def add_step(self, step, lr, loss, rejected):
-        """``rejected`` marks a step whose update AdamW refused (non-finite gradient)."""
-        self.steps.append({"step": step, "lr": lr, "train_loss": loss, "rejected": rejected})
-
-    def add_epoch(self, record):
-        self.epochs.append(record)
+    steps: tuple  # {"step", "lr", "train_loss", "rejected"}; "rejected" marks an update AdamW refused
+    epochs: tuple  # {"epoch", "val_loss", "best"}; "best" marks a new lowest val_loss
+    timing: tuple  # {"epoch", "wall_seconds", "peak_rss_mb"} (volatile)
 
     def save(self, run_dir) -> Path:
         """metrics.jsonl holds the deterministic stream; wall-clock and peak
@@ -257,13 +257,14 @@ def fit(params: dict, fit_idx, cfg: TrainConfig, stream: int, batch_loss, val_lo
     run holds its live params, the kept ones while they differ, the
     AdamW moments and one batch's graph.  The step budget is judged
     (``step_budget``) before the first step.
-    Every step lands in ``metrics``, rejected optimizer steps flagged.  A
-    non-finite loss stops the run with ``aborted`` set.
+    Every step lands in ``metrics``, rejected optimizer steps flagged;
+    the record is built once, when the run returns.  A non-finite loss
+    stops the run with ``aborted`` set.
     """
     total_steps = step_budget(len(fit_idx), cfg)
     opt = AdamW(params, cfg)
     best, best_epoch = math.inf, 0  # the lowest validation loss, and the epoch that reached it
-    metrics = RunMetrics()
+    steps, epochs, timing = [], [], []
     best_params = C.shared_params(params)
     aborted = False
     step = 0
@@ -279,18 +280,18 @@ def fit(params: dict, fit_idx, cfg: TrainConfig, stream: int, batch_loss, val_lo
                 break
             loss.backward()
             lr = lr_at(step, cfg, total_steps)
-            metrics.add_step(step, lr, train_loss, rejected=not opt.step(lr))
+            steps.append({"step": step, "lr": lr, "train_loss": train_loss, "rejected": not opt.step(lr)})
         if aborted:
             break
         value = val_loss()
         improved = value < best
         if improved:
             best, best_epoch, best_params = value, epoch, C.shared_params(params)
-        metrics.add_epoch({"epoch": epoch, "val_loss": value, "best": improved})
-        metrics.timing.append({"epoch": epoch, "wall_seconds": time.monotonic() - t0, "peak_rss_mb": _peak_rss_mb()})
+        epochs.append({"epoch": epoch, "val_loss": value, "best": improved})
+        timing.append({"epoch": epoch, "wall_seconds": time.monotonic() - t0, "peak_rss_mb": _peak_rss_mb()})
         if epoch - best_epoch >= cfg.early_stop_patience:
             break
-    return FitResult(best_params, best_epoch, best, metrics, aborted)
+    return FitResult(best_params, best_epoch, best, RunMetrics(tuple(steps), tuple(epochs), tuple(timing)), aborted)
 
 
 def val_mask_plans(model_cfg: M.ModelConfig, n_val: int, seed: int) -> list:
@@ -343,10 +344,9 @@ def pretrain(manifest: D.DatasetManifest, store_dir, model_cfg: M.ModelConfig, c
     """Read every clip of the manifest into one array and run ``pretrain_arrays`` on it; writes nothing.
 
     The store is read by ``data.load_clip_array``, so the run holds the
-    clips once, as that (N, 600, 90) float32 array.  The validation slice
-    and the step budget are judged on the manifest's size first, so a run
-    that cannot train fails before any clip loads.
+    clips once, as that (N, 600, 90) float32 array.  The ``fit_budget`` is
+    judged on the manifest's size first, so a run that cannot train fails
+    before any clip loads.
     """
-    _, fit_idx = val_split(len(manifest.entries), cfg, 1)
-    step_budget(len(fit_idx), cfg)
+    fit_budget(len(manifest.entries), cfg)
     return pretrain_arrays(D.load_clip_array(store_dir, manifest), model_cfg, cfg)

@@ -1024,6 +1024,36 @@ def test_a_pretrain_whose_warmup_outlasts_its_steps_fails_before_loading_and_lea
     assert sorted(tmp_path.rglob("*")) == before
 
 
+# a sweep whose last cell pretrains 2 clips (one step an epoch) after a 2-step warmup, and a suite whose
+# folds fine-tune 13 labeled clips for 2 steps after a 1000-step warmup
+UNTRAINABLE_RUNS = {
+    "sweep": (["--axis", "data_fraction", "--values", "[1.0, 0.1]", "--held-out", "env1"],
+              "data_fraction 0.1, seed 0: cannot train: total_steps 2 must exceed warmup_steps 2"),
+    "eval-cross-domain": (["--regimes", "ft", "--warmup-steps", "1000"],
+                          "fold environment=env0 cannot train: total_steps 2 must exceed warmup_steps 1000"),
+}
+
+
+@pytest.mark.parametrize("command", UNTRAINABLE_RUNS)
+def test_a_cell_or_fold_that_cannot_train_is_a_config_error_before_anything_trains(
+    workdir, tmp_path, capsys, monkeypatch, command
+):
+    from csimae import training as R
+
+    trained = []
+    monkeypatch.setattr(R, "fit", lambda *a: trained.append(a))
+    flags, message = UNTRAINABLE_RUNS[command]
+    cfg = tmp_path / "c.json"
+    pretrain = {**MICRO_TRAIN, "warmup_steps": 2, "batch_size": 4}
+    cfg.write_text(json.dumps({"sections": {"model": MICRO_MODEL, "train": MICRO_TRAIN, "pretrain": pretrain}}))
+    out = tmp_path / "runs" / "out"
+    argv = [command, "--store", str(workdir / "gen" / "store"), "--config", str(cfg), "--out", str(out)] + flags
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and err["message"].endswith(message)
+    assert trained == [] and not (tmp_path / "runs").exists()
+
+
 def test_sigterm_during_a_run_takes_the_interrupt_path_and_restores_the_handler(workdir, tmp_path, capsys, monkeypatch):
     from csimae import checkpoint as C
 

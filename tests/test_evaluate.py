@@ -363,6 +363,39 @@ def test_cross_domain_pretraining_pools_hold_no_held_out_clip(tmp_path, monkeypa
         assert not pooled & held_out and pooled == training
 
 
+@pytest.mark.parametrize("case", ["one-class-labeled-set", "short-pretraining"])
+def test_a_suite_whose_last_fold_cannot_train_pretrains_nothing(tmp_path, monkeypatch, case):
+    full, _ = micro_corpus(tmp_path)
+    env0 = [e for e in full.entries if e.labels["environment"] == "env0"]
+    if case == "one-class-labeled-set":  # env0 holds class c0 only, so the env1 fold trains on one class
+        kept = [e for e in env0 if e.labels["class"] == "c0"]
+        pcfg, refusal = micro_train_cfg(max_epochs=2), "n_classes must be >= 2"
+    else:  # env0 holds one clip of each class: the env1 fold pretrains 1 clip, 2 steps, after a 2-step warmup
+        kept = [next(e for e in env0 if e.labels["class"] == c) for c in ("c0", "c1")]
+        pcfg, refusal = micro_train_cfg(max_epochs=2, warmup_steps=2, batch_size=4), "total_steps 2 must exceed"
+    manifest = D.DatasetManifest(kept + [e for e in full.entries if e.labels["environment"] == "env1"])
+    calls = []
+    monkeypatch.setattr(R, "pretrain_arrays", lambda *a: calls.append(a))
+    args = (manifest, tmp_path / "store", "environment", ["lp", "ft"], micro_cfg(), micro_train_cfg(max_epochs=2), pcfg)
+    with pytest.raises(E.EvalError, match=f"^fold environment=env1 cannot train: {refusal}"):
+        E.cross_domain_suite(*args, 1.0)
+    assert calls == []
+
+
+def test_a_suite_whose_last_fold_has_no_test_clip_to_score_trains_nothing(tmp_path, monkeypatch):
+    spec = S.SynthTaskSpec(n_classes=3, n_environments=3, n_subjects=1, clips_per_cell=2, seed=9)
+    full = S.generate_task(spec, tmp_path / "store")
+    # env2 holds class c2 only and the other environments never do, so the env2 fold labels no class it tests
+    kept = [e for e in full.entries if (e.labels["environment"] == "env2") == (e.labels["class"] == "c2")]
+    manifest = D.DatasetManifest(kept)
+    calls = []
+    monkeypatch.setattr(E, "train_classifier", lambda *a: calls.append(a))
+    tcfg = micro_train_cfg(max_epochs=2)
+    with pytest.raises(E.EvalError, match="^fold environment=env2 cannot train: no test clip to score: 2 of 2 "):
+        E.cross_domain_suite(manifest, tmp_path / "store", "environment", ["supervised"], micro_cfg(), tcfg, tcfg, 1.0)
+    assert calls == []
+
+
 def test_run_fold_scores_the_encoder_it_is_given_and_never_pretrains(tmp_path, monkeypatch):
     manifest, _ = micro_corpus(tmp_path)
     split = D.SplitSpec("leave_one_domain_out", "environment", "env1")

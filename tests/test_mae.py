@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csimae import checkpoint as C
@@ -42,6 +42,17 @@ def full_plan(n_patches):
     return M.MaskPlan(visible_idx=np.arange(n_patches), masked_idx=np.empty(0, dtype=int))
 
 
+def patchify(clip, patch_time, patch_freq):
+    """(…, T, C) -> (…, N_p, patch_time*patch_freq), time-major patch order, as a copy.
+
+    The oracle of ``ClipRows.patch_reader``'s layout, the one way ``src`` reads patches.
+    """
+    *lead, t_len, c_len = clip.shape
+    nt, nc = t_len // patch_time, c_len // patch_freq
+    x = clip.reshape(*lead, nt, patch_time, nc, patch_freq)
+    return np.moveaxis(x, -3, -2).reshape(*lead, nt * nc, patch_time * patch_freq)
+
+
 def unpatchify(tokens, patch_time, patch_freq, t_len, c_len):
     """Exact inverse of ``patchify``."""
     *lead, n_p, _ = tokens.shape
@@ -57,7 +68,19 @@ def gather_patches(patches, idx):
 
 def patchify_then_gather(clips, idx, patch_time, patch_freq):
     """The copying path ``ClipRows.patch_reader`` replaces: the oracle it is checked against."""
-    return gather_patches(M.patchify(clips, patch_time, patch_freq), idx)
+    return gather_patches(patchify(clips, patch_time, patch_freq), idx)
+
+
+def read_every_patch(clips, cfg):
+    """(n, N_p, patch_len): every patch position of each clip in order, read by ``ClipRows.patch_reader``."""
+    n = len(clips)
+    read = M.ClipRows(clips, np.arange(n)).patch_reader(np.tile(np.arange(cfg.n_patches), (n, 1)), cfg)
+    return read().reshape(n, cfg.n_patches, cfg.patch_len)
+
+
+def grid_cfg(nt, nc, pt, pf):
+    """A model config whose input is an nt × nc grid of pt × pf patches (two or more of them)."""
+    return tiny_cfg(input_time=nt * pt, input_chan=nc * pf, patch_time=pt, patch_freq=pf)
 
 
 def params_equal(a, b):
@@ -68,9 +91,9 @@ def plans_for(cfg, n, seed=0):
     return [M.sample_mask(cfg.n_patches, cfg.mask_ratio, [seed, i]) for i in range(n)]
 
 
-def test_patchify_default_layout_gives_600_tokens():
+def test_patch_reader_default_layout_gives_600_tokens():
     clip = np.random.default_rng(0).standard_normal((600, 90)).astype(np.float32)
-    tokens = M.patchify(clip, 30, 3)
+    (tokens,) = read_every_patch(clip[None], M.ModelConfig())
     assert tokens.shape == (600, 90)
     # first patch is rows 0..29 x cols 0..2
     np.testing.assert_array_equal(tokens[0], clip[:30, :3].reshape(-1))
@@ -81,29 +104,30 @@ def test_patchify_default_layout_gives_600_tokens():
 
 def test_patchify_whole_clip_degenerate():
     clip = np.arange(600 * 90, dtype=np.float32).reshape(600, 90)
-    tokens = M.patchify(clip, 600, 90)
+    tokens = patchify(clip, 600, 90)
     assert tokens.shape == (1, 600 * 90)
 
 
-def test_unpatchify_inverts_bit_exactly():
+def test_unpatchify_inverts_the_patch_reader_bit_exactly():
     rng = np.random.default_rng(1)
     clip = rng.standard_normal((4, 600, 90)).astype(np.float32)
-    for pt, pf in ((30, 3), (100, 15), (600, 90), (20, 9)):
-        tokens = M.patchify(clip, pt, pf)
+    for pt, pf in ((30, 3), (100, 15), (20, 9)):
+        tokens = read_every_patch(clip, grid_cfg(600 // pt, 90 // pf, pt, pf))
         back = unpatchify(tokens, pt, pf, 600, 90)
         assert back.tobytes() == clip.tobytes()
 
 
 @given(
-    lead=st.lists(st.integers(1, 3), max_size=2),
+    n=st.integers(1, 3),
     grid=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 6), st.integers(1, 6)),
     seed=st.integers(0, 2**16),
 )
-def test_unpatchify_inverts_patchify_over_random_grids(lead, grid, seed):
+def test_unpatchify_inverts_the_patch_reader_over_random_grids(n, grid, seed):
     nt, nc, pt, pf = grid
-    clip = np.random.default_rng(seed).standard_normal((*lead, nt * pt, nc * pf)).astype(np.float32)
-    tokens = M.patchify(clip, pt, pf)
-    assert tokens.shape == (*lead, nt * nc, pt * pf)
+    assume(nt * nc >= 2)  # a model masks one patch or more and keeps one visible
+    clip = np.random.default_rng(seed).standard_normal((n, nt * pt, nc * pf)).astype(np.float32)
+    tokens = read_every_patch(clip, grid_cfg(nt, nc, pt, pf))
+    assert tokens.shape == (n, nt * nc, pt * pf)
     assert unpatchify(tokens, pt, pf, nt * pt, nc * pf).tobytes() == clip.tobytes()
 
 
@@ -115,12 +139,13 @@ def test_unpatchify_inverts_patchify_over_random_grids(lead, grid, seed):
 )
 def test_clip_rows_gather_equals_patchify_then_gather_bitwise(grid, n, dtype, data):
     nt, nc, pt, pf = grid
+    assume(nt * nc >= 2)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     clips = rng.standard_normal((n, nt * pt, nc * pf)).astype(dtype)
     rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6)))  # repeats, any order
     idx = rng.integers(0, nt * nc, (len(rows), data.draw(st.integers(1, nt * nc))))
     want = patchify_then_gather(clips[rows], idx, pt, pf)
-    read = M.ClipRows(clips, rows).patch_reader(idx, pt, pf)
+    read = M.ClipRows(clips, rows).patch_reader(idx, grid_cfg(nt, nc, pt, pf))
     got = read()
     assert got.dtype == dtype and got.shape == (idx.size, pt * pf)
     assert got.tobytes() == want.tobytes()
@@ -157,7 +182,20 @@ def test_clip_rows_refuse_bad_rows(clips_shape, rows, match):
 def test_patch_reader_refuses_a_plan_count_unlike_the_clip_count():
     batch = M.ClipRows(np.zeros((5, 6, 4), dtype=np.float32), np.array([0, 1]))
     with pytest.raises(M.ModelError, match="2 clips but 3 rows"):
-        batch.patch_reader(np.zeros((3, 2), dtype=np.intp), 2, 2)
+        batch.patch_reader(np.zeros((3, 2), dtype=np.intp), tiny_cfg())
+
+
+@pytest.mark.parametrize("shape", [(2, 6, 8), (2, 8, 4), (2, 12, 8)])
+def test_patch_reader_refuses_clips_unlike_the_models_input(shape):
+    # each is divisible by the 2 x 2 patch and holds the 6 patches the model names, so only the shape check refuses it
+    clips = np.zeros(shape, dtype=np.float32)
+    with pytest.raises(M.ModelError, match="not the model's 6x4 input"):
+        M.ClipRows(clips, np.array([0, 1])).patch_reader(np.zeros((2, 3), dtype=np.intp), tiny_cfg())
+    model = M.MaskedAutoencoder(tiny_cfg(), seed=0)
+    with pytest.raises(M.ModelError, match="not the model's 6x4 input"):
+        model.forward_loss(clips, plans_for(model.cfg, 2))
+    with pytest.raises(M.ModelError, match="not the model's 6x4 input"):
+        model.encode_features(clips)
 
 
 @given(n_patches=st.integers(2, 700), ratio=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
@@ -201,7 +239,7 @@ def test_encode_output_shape_small_variant():
     cfg = M.ModelConfig(variant="small")
     model = M.MaskedAutoencoder(cfg, seed=0)
     clips = np.random.default_rng(2).standard_normal((1, 600, 90)).astype(np.float32)
-    patches = M.patchify(clips, 30, 3)
+    patches = read_every_patch(clips, cfg)
     plan = M.sample_mask(600, 0.8, 3)
     vis_idx = plan.visible_idx[None, :]
     latent = model.encode(T.Tensor(patches[:, plan.visible_idx]), vis_idx)
@@ -214,11 +252,27 @@ def test_encoder_sees_only_visible_tokens_plus_cls():
     clips = np.random.default_rng(3).standard_normal((2, 6, 4)).astype(np.float32)
     plans = plans_for(cfg, 2)
     loss, _ = model.forward_loss(clips, plans)
-    patches = M.patchify(clips, 2, 2)
+    patches = patchify(clips, 2, 2)
     vis = M._batch_indices(plans, "visible_idx")
     latent = model.encode(T.Tensor(patches[np.arange(2)[:, None], vis]), vis)
     assert latent.shape[1] == 1 + cfg.n_visible
     assert latent.shape[1] < cfg.n_patches + 1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "cfg",
+    [tiny_cfg(input_time=20, input_chan=8, patch_time=4, patch_freq=2), tiny_cfg(mask_ratio=0.8)],
+    ids=["20x8", "6x4"],
+)
+def test_encode_features_equals_encoding_patchify_tokens_bitwise(cfg, dtype):
+    model = M.MaskedAutoencoder(cfg, seed=42, dtype=dtype)
+    clips = np.random.default_rng(43).standard_normal((3, cfg.input_time, cfg.input_chan)).astype(dtype)
+    tokens = patchify(clips, cfg.patch_time, cfg.patch_freq)
+    want = model.encode(T.Tensor(tokens), np.tile(np.arange(cfg.n_patches), (3, 1)))[:, 0, :]
+    got = model.encode_features(clips)
+    assert got.data.dtype == dtype and got.data.shape == (3, cfg.enc_dim)
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 def test_encode_permutation_equivariance():
@@ -308,9 +362,10 @@ def decoder_output(recon, requires_grad=False):
 
 
 def masked_targets(patches, plans):
-    """``mae_loss``'s last two arguments: the masked patches and their (B, M) positions."""
+    """``mae_loss``'s last two arguments: a reader of the masked patches and their (B, M) positions."""
     idx = M._batch_indices(plans, "masked_idx")
-    return gather_patches(patches, idx), idx
+    flat = gather_patches(patches, idx).reshape(-1, patches.shape[-1])
+    return flat.__getitem__, idx
 
 
 def test_mae_loss_perfect_reconstruction_is_zero():
@@ -539,8 +594,8 @@ def copied_forward_loss(model, clips, plans):
     vis, masked = M._batch_indices(plans, "visible_idx"), M._batch_indices(plans, "masked_idx")
     latent = model.encode(T.Tensor(patchify_then_gather(clips, vis, cfg.patch_time, cfg.patch_freq)), vis)
     x = model.decode(latent, vis, masked)
-    targets = patchify_then_gather(clips, masked, cfg.patch_time, cfg.patch_freq)
-    return M.mae_loss(x, model.params, targets, masked), x
+    flat = patchify_then_gather(clips, masked, cfg.patch_time, cfg.patch_freq).reshape(masked.size, -1)
+    return M.mae_loss(x, model.params, flat.__getitem__, masked), x
 
 
 def test_forward_loss_on_clip_rows_gives_the_copied_batch_bits_and_gradients():

@@ -1,5 +1,6 @@
 """Scaling lab: log-linear fits, FLOPs estimates, sweep mechanics."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -136,11 +137,6 @@ def test_nested_subsets_are_prefixes():
     assert sorted(L.nested_subset(ids, 1.0, seed=3)) == ids
 
 
-def test_tiny_fraction_rejected():
-    with pytest.raises(L.SweepError, match="fraction"):
-        L.nested_subset(["a", "b", "c"], 0.01, seed=0)
-
-
 def micro_ctx(tmp_path, **kw):
     spec = S.SynthTaskSpec(n_classes=2, n_environments=2, n_subjects=1, clips_per_cell=10, seed=21)
     manifest = S.generate_task(spec, tmp_path / "store")
@@ -194,6 +190,29 @@ def test_run_sweep_grid_counts_and_shared_test_set(tmp_path, monkeypatch):
     for x in pools:
         pooled = {row.tobytes() for row in x}
         assert len(pooled) == len(x) and pooled <= training and not pooled & held_out
+
+
+# (axis, values, context overrides, the refusal): each sweep's last cell, or every cell, cannot train
+UNTRAINABLE_SWEEPS = {
+    "one-clip-pool": ("data_fraction", [1.0, 0.01], {}, "data_fraction 0.01, seed 0: cannot train: "
+                      "a validation slice of 1 leaves none of 1 items to fit"),
+    "short-pretraining": ("data_fraction", [1.0, 0.1], {"pretrain_cfg": R.TrainConfig(warmup_steps=3, batch_size=2,
+                          max_epochs=2, val_fraction=0.2)}, "data_fraction 0.1, seed 0: cannot train: "
+                          "total_steps 2 must exceed warmup_steps 3"),
+    "short-fine-tuning": ("mask_ratio", [0.5, 0.75], {"train_cfg": R.TrainConfig(warmup_steps=100, batch_size=16,
+                          max_epochs=2, val_fraction=0.2)}, "mask_ratio 0.5, seed 0: cannot train: "
+                          "total_steps 2 must exceed warmup_steps 100"),
+}
+
+
+@pytest.mark.parametrize("case", UNTRAINABLE_SWEEPS)
+def test_a_sweep_with_a_cell_that_cannot_train_pretrains_nothing(tmp_path, monkeypatch, case):
+    axis, values, overrides, refusal = UNTRAINABLE_SWEEPS[case]
+    calls = []
+    monkeypatch.setattr(R, "pretrain_arrays", lambda *a: calls.append(a))
+    with pytest.raises(L.SweepError, match=f"^{re.escape(refusal)}$"):
+        L.run_sweep(L.SweepSpec(axis=axis, values=values), micro_ctx(tmp_path, **overrides))
+    assert calls == []
 
 
 def test_model_variant_cells_take_each_variants_sizes(tmp_path):

@@ -482,6 +482,11 @@ def composite_masked_mse_head(x, w, b, idx, targets):
     return T.mean_(T.sum_(T.square(T.sub(rec, targets)), axis=-1))
 
 
+def rows_of(targets):
+    """(B, M, P) ``targets`` as ``T.masked_mse_head`` takes them: a reader of row slices of their (B·M, P) reshape."""
+    return targets.reshape(-1, targets.shape[-1]).__getitem__
+
+
 def head_inputs(rng, b, t, m, d, p, dtype=np.float64):
     """x (B, T, D), w (D, P), bias (P,), per-row distinct positions (B, M) and targets (B, M, P)."""
     x, w, bias = rand(rng, b, t, d, dtype=dtype), rand(rng, d, p, dtype=dtype), rand(rng, p, dtype=dtype)
@@ -495,7 +500,7 @@ def test_masked_mse_head_matches_the_composite_oracle(shape):
     x, w, bias, idx, targets = head_inputs(rng, *shape, dtype=np.float32)
     fused = [T.Tensor(t.data.copy(), requires_grad=True) for t in (x, w, bias)]
     oracle = [T.Tensor(t.data.copy(), requires_grad=True) for t in (x, w, bias)]
-    loss_fused = T.masked_mse_head(*fused, idx, targets)
+    loss_fused = T.masked_mse_head(*fused, idx, rows_of(targets))
     loss_oracle = composite_masked_mse_head(*oracle, idx, targets)
     assert loss_fused.data.shape == loss_oracle.data.shape == ()
     assert loss_fused.data.dtype == np.float32
@@ -520,14 +525,14 @@ def test_masked_mse_head_matches_the_composite_oracle(shape):
 def test_masked_mse_head_gradients_over_random_shapes(b, t, m_frac, d, p, seed):
     m = 1 + int(m_frac * (t - 1))
     x, w, bias, idx, targets = head_inputs(np.random.default_rng(seed), b, t, m, d, p)
-    err = T.grad_check(lambda *ts: T.masked_mse_head(*ts, idx, targets), [x, w, bias])
+    err = T.grad_check(lambda *ts: T.masked_mse_head(*ts, idx, rows_of(targets)), [x, w, bias])
     assert err < 1e-7
 
 
 def test_masked_mse_head_closure_keeps_no_full_reconstruction():
     b, t, m, d, p = 2, 9, 4, 3, 5
     x, w, bias, idx, targets = head_inputs(np.random.default_rng(26), b, t, m, d, p)
-    loss = T.masked_mse_head(x, w, bias, idx, targets)
+    loss = T.masked_mse_head(x, w, bias, idx, rows_of(targets))
     kept = [c.cell_contents for c in loss._backward.__closure__]
     arrays = [a for a in kept if isinstance(a, np.ndarray)]
     assert all(a.size < b * t * p for a in arrays)
@@ -542,14 +547,14 @@ def test_masked_mse_head_forward_builds_no_full_size_square():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        T.masked_mse_head(x, w, bias, idx, targets)
+        T.masked_mse_head(x, w, bias, idx, rows_of(targets))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert peak < rows + 1.5 * residual
 
 
-def test_masked_mse_head_reading_targets_by_row_blocks_equals_the_array_path(monkeypatch):
+def test_masked_mse_head_reads_its_targets_one_row_block_at_a_time(monkeypatch):
     monkeypatch.setattr(T, "BLOCK_ELEMS", 12)  # two rows of P = 6 per block: 15 rows in eight blocks
     x, w, bias, idx, targets = head_inputs(np.random.default_rng(38), 3, 7, 5, 4, 6, dtype=np.float32)
     flat, asked = targets.reshape(-1, 6), []
@@ -559,7 +564,7 @@ def test_masked_mse_head_reading_targets_by_row_blocks_equals_the_array_path(mon
         return flat[sl].copy()
 
     losses, grads = [], []
-    for given in (targets, read):
+    for given in (flat.__getitem__, read):  # views of one target matrix, then block copies
         ts = [T.Tensor(t.data.copy(), requires_grad=True) for t in (x, w, bias)]
         loss = T.masked_mse_head(*ts, idx, given)
         loss.backward()
@@ -587,15 +592,16 @@ def test_masked_mse_head_refuses_a_wrongly_shaped_target_block():
         (2, np.ones(4)),
         (3, np.array([[0, 1]])),
         (3, np.zeros((2, 0), dtype=int)),
-        (4, np.ones((2, 2, 4))),
-        (4, np.ones((2, 3, 5))),
+        (4, np.ones((4, 4))),
+        (4, np.ones((3, 5))),
     ],
     ids=["repeat", "repeat-negative", "x-2d", "w-rows", "w-3d", "bias", "idx-batch", "idx-empty", "targets-width",
          "targets-rows"],
 )
 def test_masked_mse_head_rejects_bad_inputs(arg, value):
     args = list(head_inputs(np.random.default_rng(27), 2, 3, 2, 3, 5))
-    args[arg] = t64(value) if arg < 3 else value
+    args[4] = rows_of(args[4])
+    args[arg] = t64(value) if arg < 3 else value.__getitem__ if arg == 4 else value
     with pytest.raises(T.ShapeError, match="masked_mse_head"):
         T.masked_mse_head(*args)
 
