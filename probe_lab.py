@@ -35,7 +35,8 @@ def main(out_root):
     mcfg = desk_model()
     pcfg = R.TrainConfig(batch_size=128, warmup_steps=20, max_epochs=15, early_stop_patience=5, seed=0, val_fraction=0.05)
     t = time.time()
-    res = E.pretrain_fold(manifest, store, split, mcfg, pcfg)
+    # a fold labeling its whole training side, judged at the pretraining config: the pool pretraining reads
+    res = E.pretrain_fold(manifest, store, E.plan_fold(manifest, split, pcfg, 1.0), mcfg, pcfg)
     log(f"pretrain done in {time.time()-t:.0f}s best epoch {res.best_epoch} val {res.best_value:.2f}")
 
     for frac in (0.05, 0.10):
@@ -46,9 +47,10 @@ def main(out_root):
                     peak_lr=lr, warmup_steps=5, batch_size=32, max_epochs=12,
                     early_stop_patience=5, seed=seed, val_fraction=0.15,
                 )
+                fold = E.plan_fold(manifest, split, tcfg, frac)
                 for regime in ("supervised", "ft", "lp"):
                     t = time.time()
-                    (r,) = E.run_fold(manifest, store, split, [regime], mcfg, tcfg, frac, res.params)
+                    (r,) = E.run_fold(manifest, store, fold, [regime], mcfg, res.params)
                     accs[regime].append(r.accuracy)
                     log(f"frac={frac} lr={lr} seed={seed} {regime}: acc={r.accuracy:.3f} ({time.time()-t:.0f}s, best_ep={r.best_epoch})")
             log(

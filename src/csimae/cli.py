@@ -21,9 +21,9 @@ does not build; a section that no command builds is a config error.
 
 The commands that read a clip store are declared once, in
 STORE_COMMANDS, and take --store and --manifest (read in place of the
-store's own manifest). _open_store has ``data`` judge the command's
-split on that manifest before anything trains, so a held-out value the
-store lacks or a clip without the domain label is a config error.
+store's own manifest). Each plans its runs once on that manifest, before
+any clip loads (fit_budget, plan_fold, cross_domain_folds or sweep_cells),
+and its runners take the plans and judge nothing again.
 
 resolved_config.json holds every config the command built, its flags,
 and the BLAS thread variables and core count the process saw. A run
@@ -33,11 +33,12 @@ checksums.txt (every file but the volatile timing.jsonl) except the line
 of resolved_config.json, whose args hold the rerun's own --out. A bad
 flag or config file, such as a --label-fraction outside (0, 1], a sweep
 value that makes no valid model or an --out that is not a directory, is
-a config error: exit 2 and a JSON record, before anything trains. sweep
-and eval-cross-domain judge every cell and fold, its pretraining pool
-and its labeled set, before the first one trains, so one that cannot
-train is a config error too. Any other failure is exit 1 and a JSON
-record naming the error.
+a config error: exit 2 and a JSON record, before anything trains. So is
+whatever a store command's plan refuses (_plan): a held-out value the
+store lacks, a clip without the domain label, a labeled set with one
+class or with no class of the test side, or a run, fold or cell with no
+step after its warmup. Any other failure, a missing or corrupt input file
+included, is exit 1 and a JSON record naming the error.
 
 BLAS threads are capped by the variables BLAS reads itself:
 OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS. --out is taken
@@ -125,7 +126,7 @@ COMMAND_SECTIONS = {
 }
 
 # the commands that read a clip store: each takes --store and --manifest, and
-# _open_store judges its split, if any, on the store before anything trains
+# plans its runs on the manifest (_plan) before any clip loads
 STORE_COMMANDS = ("pretrain", "finetune", "probe", "supervised", "eval-cross-domain", "sweep")
 
 # the regime each single-fold downstream command runs
@@ -182,21 +183,17 @@ def _persist_run(out: Path, command: str, configs: dict, args):
     (out / "checksums.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _open_store(args, cfg: dict):
-    """--store's manifest (or --manifest), with ``data`` judging the command's split on it.
+def _open_store(args):
+    """--store's manifest, or --manifest read in its place; only the manifest is read."""
+    return D.DatasetManifest.read(args.manifest) if args.manifest else D.DatasetManifest.load(args.store)
 
-    The judge is ``make_split`` on the split section, or ``domain_values``
-    of eval-cross-domain's --domain-key; a split it rejects is a config error.
-    """
-    manifest = D.DatasetManifest.read(args.manifest) if args.manifest else D.DatasetManifest.load(args.store)
+
+def _plan(judge, *args):
+    """``judge(*args)``, a store command's plan of its runs; whatever it refuses is a config error."""
     try:
-        if "split" in cfg:
-            D.make_split(manifest, cfg["split"])
-        elif args.command == "eval-cross-domain":
-            D.domain_values(manifest, args.domain_key)
-    except D.SplitError as e:
-        raise CliError(f"invalid split of {args.manifest or args.store}: {e}") from e
-    return manifest
+        return judge(*args)
+    except (TypeError, ValueError) as e:
+        raise CliError(str(e)) from e
 
 
 def _fraction(text: str) -> float:
@@ -348,7 +345,9 @@ def cmd_harmonize(args, cfg, out):
 
 
 def cmd_pretrain(args, cfg, out):
-    result = R.pretrain(_open_store(args, cfg), args.store, cfg["model"], cfg["train"])
+    manifest = _open_store(args)
+    _plan(R.fit_budget, len(manifest.entries), cfg["train"])
+    result = R.pretrain(manifest, args.store, cfg["model"], cfg["train"])
     result.metrics.save(out)
     extra = {"best_epoch": result.best_epoch, "best_val_loss": result.best_value, "aborted": result.aborted}
     C.save_checkpoint(out / "checkpoint.ckpt", result.params, cfg["model"], extra=extra)
@@ -358,39 +357,23 @@ def cmd_pretrain(args, cfg, out):
 
 def cmd_downstream(args, cfg, out):
     regime = REGIME_OF[args.command]
-    manifest = _open_store(args, cfg)
+    manifest = _open_store(args)
+    fold = _plan(E.plan_fold, manifest, cfg["split"], cfg["train"], args.label_fraction)
     params = None
     if regime != "supervised":
         params, cfg["model"], _ = C.load_checkpoint(args.checkpoint)  # recorded as the model section
-    (result,) = E.run_fold(
-        manifest, args.store, cfg["split"], [regime], cfg["model"], cfg["train"], args.label_fraction, checkpoint=params
-    )
+    (result,) = E.run_fold(manifest, args.store, fold, [regime], cfg["model"], params)
     (out / "result.json").write_text(json.dumps(result.to_json(), indent=2, sort_keys=True), encoding="utf-8")
     return f"{regime} accuracy {result.accuracy:.4f} on {result.n_test} clips ({result.n_excluded} excluded)"
 
 
 def cmd_eval_cross_domain(args, cfg, out):
     regimes = args.regimes.split(",")
-    unknown = [r for r in regimes if r not in E.REGIMES]
-    if unknown:
-        raise CliError(f"unknown regimes {', '.join(unknown)}; choose from {', '.join(E.REGIMES)}")
-    if len(set(regimes)) != len(regimes):
-        raise CliError(f"regimes repeat: {args.regimes}")
-    manifest = _open_store(args, cfg)
-    try:
-        E.cross_domain_folds(manifest, args.domain_key, regimes, cfg["train"], cfg["pretrain"], args.label_fraction)
-    except E.EvalError as e:
-        raise CliError(str(e)) from e
-    results = E.cross_domain_suite(
-        manifest,
-        args.store,
-        args.domain_key,
-        regimes,
-        cfg["model"],
-        cfg["train"],
-        pretrain_cfg=cfg["pretrain"],
-        label_fraction=args.label_fraction,
+    manifest = _open_store(args)
+    folds = _plan(
+        E.cross_domain_folds, manifest, args.domain_key, regimes, cfg["train"], cfg["pretrain"], args.label_fraction
     )
+    results = E.cross_domain_suite(manifest, args.store, folds, regimes, cfg["model"], cfg["pretrain"])
     records = [r.to_json() for r in results]
     D.write_jsonl(out / "results.jsonl", records)
     macro = E.macro_average(records)
@@ -402,20 +385,11 @@ def cmd_sweep(args, cfg, out):
     if args.seed is not None and args.seeds is not None:
         raise CliError("--seed and --seeds both set the sweep's training seeds; give one of them")
     spec = _build(L.SweepSpec, {}, args, {"seeds": [cfg["train"].seed]})
-    ctx = L.SweepContext(
-        store_dir=args.store,
-        manifest=_open_store(args, cfg),
-        split=cfg["split"],
-        model_cfg=cfg["model"],
-        pretrain_cfg=cfg["pretrain"],
-        train_cfg=cfg["train"],
-        label_fraction=args.label_fraction,
+    manifest = _open_store(args)
+    cells = _plan(
+        L.sweep_cells, spec, manifest, cfg["split"], cfg["model"], cfg["pretrain"], cfg["train"], args.label_fraction
     )
-    try:
-        L.sweep_cells(spec, ctx)
-    except (TypeError, ValueError) as e:
-        raise CliError(f"invalid sweep {spec.axis} values {spec.values}: {e}") from e
-    rows = L.run_sweep(spec, ctx)
+    rows = L.run_sweep(spec.axis, manifest, args.store, cells)
     D.write_jsonl(out / "rows.jsonl", rows)
     summary = L.summarize_rows(rows)
     (out / "summary.txt").write_text(summary + "\n", encoding="utf-8")

@@ -218,11 +218,12 @@ class DatasetManifest:
 
     @staticmethod
     def read(path) -> "DatasetManifest":
-        """The manifest file at ``path``; a corrupt one raises ``DataError`` naming it."""
-        try:
-            return DatasetManifest.from_json(Path(path).read_bytes())
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
+        """The manifest file at ``path``; one that cannot be opened or is corrupt raises ``DataError`` naming it."""
+        with _open_input(path) as fh:
+            try:
+                return DatasetManifest.from_json(fh.read())
+            except DataError as exc:
+                raise DataError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -252,6 +253,14 @@ def _write_record(buf, arr: np.ndarray) -> int:
     buf.write(header)
     buf.write(arr.tobytes())
     return len(header) + arr.nbytes
+
+
+def _open_input(path):
+    """``path`` opened for binary reading; one that cannot be opened raises ``DataError`` naming it."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:  # missing, a directory, not readable
+        raise DataError(f"{path}: cannot open ({exc.strerror})") from None
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -325,15 +334,16 @@ def write_clip_store(clips, path) -> DatasetManifest:
 def _read_clips(store_dir, entries):
     """Yield (entry, clip) for each entry, read shard by shard in byte order for locality.
 
-    A truncated or corrupt record, or one that ``CsiClip`` refuses,
-    raises ``DataError`` naming the shard, the byte offset and the clip id.
+    A shard that cannot be opened raises ``DataError`` naming it, and a
+    truncated or corrupt record, or one that ``CsiClip`` refuses, naming
+    the shard, the byte offset and the clip id.
     """
     by_shard = {}
     for e in entries:
         by_shard.setdefault(e.shard_path, []).append(e)
     for shard, shard_entries in sorted(by_shard.items()):
         path = Path(store_dir) / shard
-        with open(path, "rb") as fh:
+        with _open_input(path) as fh:
             for e in sorted(shard_entries, key=lambda e: e.byte_offset):
                 fh.seek(e.byte_offset)
                 try:
@@ -397,10 +407,11 @@ def write_tensor_file(path, magic: bytes, meta: dict, arrays) -> Path:
 def read_tensor_file(path, magic: bytes) -> tuple:
     """(metadata dict, list of arrays) of a file ``write_tensor_file`` wrote with ``magic``.
 
-    A truncated or corrupt file raises ``DataError`` naming ``path``.
+    A file that cannot be opened, or is truncated or corrupt, raises
+    ``DataError`` naming ``path``.
     """
-    try:
-        with open(path, "rb") as fh:
+    with _open_input(path) as fh:
+        try:
             got = _read_exact(fh, len(magic), "magic")
             if got != magic:
                 raise DataError(f"magic {got!r} is not {magic!r}")
@@ -418,8 +429,8 @@ def read_tensor_file(path, magic: bytes) -> tuple:
             arrays = []
             while fh.tell() < size:
                 arrays.append(_read_record(fh))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
     return meta, arrays
 
 

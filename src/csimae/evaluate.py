@@ -1,8 +1,11 @@
 """Downstream classification harness: supervised, linear-probe, fine-tune.
 
-Every downstream result comes from ``run_fold``: one split, each regime
-scored on its test side.  lp and ft start from a given encoder, such as the
-one ``pretrain_fold`` pretrains on that split's training side only.
+Every downstream result comes from ``run_fold``: one planned fold, each
+regime scored on its test side.  lp and ft start from a given encoder, such
+as the one ``pretrain_fold`` pretrains on that fold's training side only.
+A fold is judged once, on the manifest alone, when ``plan_fold`` plans it;
+the runners (``pretrain_fold``, ``run_fold``, ``cross_domain_suite``) take
+the ``Fold`` and judge nothing again.
 
 All three regimes classify with one linear head and train through
 ``training.fit``, the seeded loop that pretraining also runs:
@@ -16,7 +19,7 @@ weights; fine-tuning updates encoder and head; supervised starts the
 encoder from random init.  Every
 regime classifies ``data.LABEL_KEY``, the label ``select_labeled``'s
 ``data.stratified_draw`` draws the budget over; a task on another label,
-such as user identification, would thread its key through ``run_fold``
+such as user identification, would thread its key through ``plan_fold``
 into both.
 
 Each clip set is held once.  ``run_fold`` loads only the labeled clips and
@@ -144,7 +147,7 @@ def train_classifier(forward_fn, params: dict, x_train, y_train, cfg: R.TrainCon
     return R.fit(params, fit_idx, cfg, 7, batch_loss, val_loss)
 
 
-def predict(forward_fn, params: dict, x, batch_size: int = 32) -> np.ndarray:
+def predict(forward_fn, params: dict, x, batch_size: int) -> np.ndarray:
     """Argmax class of each item of ``x`` (an array or a sequence of arrays).
 
     Runs on frozen views of ``params``, so it builds no graph, and builds
@@ -268,64 +271,70 @@ def select_labeled(clips, fraction: float, seed) -> list:
     return sorted((c for c in clips if c.clip_id in ids), key=lambda c: c.clip_id)
 
 
-def labeled_set(manifest: D.DatasetManifest, split: D.SplitSpec, train_cfg: R.TrainConfig, label_fraction: float):
-    """(labeled entries, test ids, head config) of one fold, judged on ``manifest`` before any clip loads.
+@dataclass(frozen=True)
+class Fold:
+    """One fold of a store as ``plan_fold`` judged it: the plan every fold runner takes."""
 
-    The labeled set is ``select_labeled``'s budget of ``split``'s training
-    side and the head's classes are its classes.  Fewer than two classes
-    or no test clip of one of them (``EvalError``), or a
-    ``training.fit_budget`` with no step after the warmup (``TrainError``)
-    raises, so a fold that cannot train or be scored is refused before
-    anything loads or trains.
+    split: D.SplitSpec
+    train_ids: list
+    test_ids: list
+    labeled: list  # the manifest entries of the labeled budget, in clip id order
+    head_cfg: HeadConfig
+    train_cfg: R.TrainConfig  # the config the labeled budget was drawn and judged with
+
+
+def plan_fold(manifest: D.DatasetManifest, split: D.SplitSpec, train_cfg: R.TrainConfig, label_fraction: float) -> Fold:
+    """``split``'s fold of ``manifest``, judged once, before any clip loads.
+
+    ``data.make_split`` forms the fold, the labeled set is
+    ``select_labeled``'s budget of its training side and the head's
+    classes are that set's classes.  A split ``make_split`` refuses
+    (``SplitError``), fewer than two labeled classes or no test clip of one
+    of them (``EvalError``), or a ``training.fit_budget`` of the labeled set
+    with no step after the warmup (``TrainError``) raises.
     """
     train_ids, test_ids = D.make_split(manifest, split)
-    budget = select_labeled([manifest.by_id(i) for i in train_ids], label_fraction, train_cfg.seed)
-    vocab = _class_vocab(_labels_of(budget))
+    labeled = select_labeled([manifest.by_id(i) for i in train_ids], label_fraction, train_cfg.seed)
+    vocab = _class_vocab(_labels_of(labeled))
     head_cfg = HeadConfig(n_classes=len(vocab))
     if not any(manifest.by_id(i).labels[D.LABEL_KEY] in vocab for i in test_ids):
         n = len(test_ids)
         raise EvalError(f"no test clip to score: {n} of {n} have a class the labeled clips lack")
-    R.fit_budget(len(budget), train_cfg)
-    return budget, test_ids, head_cfg
+    R.fit_budget(len(labeled), train_cfg)
+    return Fold(split, train_ids, test_ids, labeled, head_cfg, train_cfg)
 
 
 def pretrain_fold(
-    manifest: D.DatasetManifest, store_dir, split: D.SplitSpec, model_cfg: M.ModelConfig, cfg: R.TrainConfig, pool=None
+    manifest: D.DatasetManifest, store_dir, fold: Fold, model_cfg: M.ModelConfig, cfg: R.TrainConfig, pool=None
 ) -> R.FitResult:
-    """``training.pretrain`` on ``split``'s training ids, or on the ``pool`` among them in pool order."""
-    train_ids, _ = D.make_split(manifest, split)
-    pool = train_ids if pool is None else pool
-    if not set(pool) <= set(train_ids):
-        raise EvalError(f"pretraining pool holds clips outside the training side of {split}")
+    """``training.pretrain`` on ``fold``'s training ids, or on the ``pool`` among them in pool order.
+
+    A pool id outside the training side raises ``EvalError``, so no held-out clip reaches pretraining.
+    """
+    pool = fold.train_ids if pool is None else pool
+    if not set(pool) <= set(fold.train_ids):
+        raise EvalError(f"pretraining pool holds clips outside the training side of {fold.split}")
     return R.pretrain(D.DatasetManifest([manifest.by_id(i) for i in pool]), store_dir, model_cfg, cfg)
 
 
 def run_fold(
-    manifest: D.DatasetManifest,
-    store_dir,
-    split: D.SplitSpec,
-    regimes,
-    model_cfg: M.ModelConfig,
-    train_cfg: R.TrainConfig,
-    label_fraction: float,
-    checkpoint: dict | None = None,
+    manifest: D.DatasetManifest, store_dir, fold: Fold, regimes, model_cfg: M.ModelConfig, checkpoint: dict | None = None
 ) -> list:
-    """Score each regime on one split -> its ``EvalResult``s.
+    """Score each regime on one planned fold -> its ``EvalResult``s.
 
-    lp and ft start from ``checkpoint``, params of ``model_cfg``.  The
-    fold is judged first (``labeled_set``): the head's classes are the
-    labeled clips'; test clips of any other class count in
-    ``n_excluded``.  The labeled budget is drawn on the training side's
-    manifest entries, so only the labeled clips and the test clips load,
-    and they are held, once, for the whole fold.
+    lp and ft start from ``checkpoint``, params of ``model_cfg``.  Each
+    regime trains at ``fold.train_cfg`` on the fold's labeled clips and
+    sizes its head by ``fold.head_cfg``; test clips of any other class
+    count in ``n_excluded``.  Only the labeled clips and the test clips
+    load, and they are held, once, for the whole fold.
     """
-    budget, test_ids, head_cfg = labeled_set(manifest, split, train_cfg, label_fraction)
-    labeled = D.load_clips(store_dir, manifest, [e.clip_id for e in budget])
-    test_clips = D.load_clips(store_dir, manifest, test_ids)
+    labeled = D.load_clips(store_dir, manifest, [e.clip_id for e in fold.labeled])
+    test_clips = D.load_clips(store_dir, manifest, fold.test_ids)
     ckpt = None if checkpoint is None else (checkpoint, model_cfg)
+    split = fold.split
     desc = {"protocol": split.protocol, "domain_key": split.domain_key, "held_out_value": split.held_out_value}
     return [
-        run_regime(regime, ckpt, labeled, test_clips, head_cfg, train_cfg, model_cfg, split_desc=desc)
+        run_regime(regime, ckpt, labeled, test_clips, fold.head_cfg, fold.train_cfg, model_cfg, split_desc=desc)
         for regime in regimes
     ]
 
@@ -334,48 +343,41 @@ def cross_domain_folds(
     manifest: D.DatasetManifest, domain_key: str, regimes, train_cfg: R.TrainConfig, pretrain_cfg: R.TrainConfig,
     label_fraction: float,
 ) -> list:
-    """The leave-one-domain-out split of each ``data.domain_values`` entry, every fold judged before any trains.
+    """The planned leave-one-domain-out ``Fold`` of each ``data.domain_values`` entry.
 
-    Each fold's labeled set must train and its test side be scored
-    (``labeled_set``), and for lp or ft pretraining on its whole training
-    side must train (``training.fit_budget``); a fold that fails raises
-    ``EvalError`` naming it.
+    ``regimes`` must be distinct ``REGIMES``.  Each fold is planned
+    (``plan_fold``), and for lp or ft pretraining on its whole training side
+    is judged too (``training.fit_budget``); a fold that fails raises
+    ``EvalError`` naming it.  Nothing loads or trains.
     """
-    splits = []
+    if set(regimes) - set(REGIMES) or len(set(regimes)) != len(regimes):
+        raise EvalError(f"regimes must be distinct ones of {', '.join(REGIMES)}, got {', '.join(regimes)}")
+    folds = []
     for value in D.domain_values(manifest, domain_key):
         split = D.SplitSpec("leave_one_domain_out", domain_key, value, seed=train_cfg.seed)
         try:
+            fold = plan_fold(manifest, split, train_cfg, label_fraction)
             if {"lp", "ft"} & set(regimes):
-                R.fit_budget(len(D.make_split(manifest, split)[0]), pretrain_cfg)
-            labeled_set(manifest, split, train_cfg, label_fraction)
+                R.fit_budget(len(fold.train_ids), pretrain_cfg)
         except (EvalError, R.TrainError) as e:
             raise EvalError(f"fold {domain_key}={value} cannot train: {e}") from e
-        splits.append(split)
-    return splits
+        folds.append(fold)
+    return folds
 
 
 def cross_domain_suite(
-    manifest: D.DatasetManifest,
-    store_dir,
-    domain_key: str,
-    regimes,
-    model_cfg: M.ModelConfig,
-    train_cfg: R.TrainConfig,
-    pretrain_cfg: R.TrainConfig,
-    label_fraction: float,
+    manifest: D.DatasetManifest, store_dir, folds, regimes, model_cfg: M.ModelConfig, pretrain_cfg: R.TrainConfig
 ) -> list:
-    """One leave-one-domain-out ``run_fold`` per ``data.domain_values`` entry, each regime.
+    """One ``run_fold`` per planned fold (``cross_domain_folds``), each regime.
 
-    Every fold is judged (``cross_domain_folds``) before the first one
-    trains.  For lp/ft one ``pretrain_fold`` per fold, under
-    ``pretrain_cfg``, serves both.
+    For lp/ft, one ``pretrain_fold`` per fold, under ``pretrain_cfg``, serves both.
     """
     results = []
-    for split in cross_domain_folds(manifest, domain_key, regimes, train_cfg, pretrain_cfg, label_fraction):
+    for fold in folds:
         params = None
         if {"lp", "ft"} & set(regimes):
-            params = pretrain_fold(manifest, store_dir, split, model_cfg, pretrain_cfg).params
-        results += run_fold(manifest, store_dir, split, regimes, model_cfg, train_cfg, label_fraction, params)
+            params = pretrain_fold(manifest, store_dir, fold, model_cfg, pretrain_cfg).params
+        results += run_fold(manifest, store_dir, fold, regimes, model_cfg, params)
     return results
 
 

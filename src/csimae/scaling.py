@@ -1,12 +1,12 @@
 """Scaling studies: data-fraction / capacity / masking / patch sweeps,
 log-linear fits, and analytic FLOPs estimates.
 
-Each sweep cell pretrains (``evaluate.pretrain_fold``) on a pool drawn from
-the context split's training clips, then ``evaluate.run_fold`` fine-tunes and
-scores that encoder on the one test set whose hash every row records.
-``sweep_cells`` judges every cell before the first one trains.
-Data-fraction pools are nested per seed so scale effects are not
-confounded with sample luck.
+``sweep_cells`` plans every cell (its fold, model config and pool) before
+any trains, and ``run_sweep`` takes the cells and judges nothing again: each
+pretrains (``evaluate.pretrain_fold``) on a pool of its fold's training
+clips, then ``evaluate.run_fold`` fine-tunes and scores that encoder on the
+one test set whose hash every row records.  Data-fraction pools are nested
+per seed so scale effects are not confounded with sample luck.
 """
 
 from __future__ import annotations
@@ -48,19 +48,6 @@ class SweepSpec:
             raise SweepError("fractions must lie in (0, 1]")
         if not self.seeds or not all(type(s) is int for s in self.seeds) or len(set(self.seeds)) != len(self.seeds):
             raise SweepError(f"need one or more distinct integer seeds, got {self.seeds}")
-
-
-@dataclass(frozen=True)
-class SweepContext:
-    """Everything a sweep cell needs: corpus, downstream task, configs."""
-
-    store_dir: str
-    manifest: D.DatasetManifest
-    split: D.SplitSpec
-    model_cfg: M.ModelConfig
-    pretrain_cfg: R.TrainConfig
-    train_cfg: R.TrainConfig
-    label_fraction: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -137,67 +124,66 @@ def nested_subset(ids, fraction: float, seed) -> list:
     return [ids[i] for i in order[: math.ceil(fraction * len(ids))]]
 
 
-def _cell_model_cfg(ctx: SweepContext, axis: str, value) -> M.ModelConfig:
+def _cell_model_cfg(model_cfg: M.ModelConfig, axis: str, value) -> M.ModelConfig:
     if axis == "model_variant":
-        return replace(ctx.model_cfg, variant=value, enc_layers=0, enc_dim=0, enc_heads=0)
+        return replace(model_cfg, variant=value, enc_layers=0, enc_dim=0, enc_heads=0)
     if axis == "mask_ratio":
-        return replace(ctx.model_cfg, mask_ratio=float(value))
+        return replace(model_cfg, mask_ratio=float(value))
     if axis == "patch_size":
         pt, pf = value
-        return replace(ctx.model_cfg, patch_time=int(pt), patch_freq=int(pf))
-    return ctx.model_cfg
+        return replace(model_cfg, patch_time=int(pt), patch_freq=int(pf))
+    return model_cfg
 
 
-def sweep_cells(spec: SweepSpec, ctx: SweepContext) -> tuple:
-    """(``ctx.split``'s test ids, each cell's (value, seed, model config, pool ids) in row order).
+def sweep_cells(
+    spec: SweepSpec, manifest: D.DatasetManifest, split: D.SplitSpec, model_cfg: M.ModelConfig,
+    pretrain_cfg: R.TrainConfig, train_cfg: R.TrainConfig, label_fraction: float,
+) -> list:
+    """Each cell's (value, model config, pretraining config, pool ids, ``evaluate.Fold``) in row order.
 
-    The pretraining pool is the split's training ids, or their
+    A cell's fold is ``evaluate.plan_fold`` of ``split`` at the cell's
+    seed, and its pretraining pool is the fold's training ids, or their
     ``nested_subset`` on the data_fraction axis.  Every cell is judged
     before any trains: a value that makes no valid model config raises,
-    and so does a cell whose pool cannot pretrain (``training.fit_budget``)
-    or whose labeled set cannot fine-tune (``evaluate.labeled_set``), as a
-    ``SweepError`` naming the cell.  Nothing trains.
+    and so does a cell whose fold cannot fine-tune (``plan_fold``) or whose
+    pool cannot pretrain (``training.fit_budget``), as a ``SweepError``
+    naming the cell.  Nothing loads or trains.
     """
-    train_ids, test_ids = D.make_split(ctx.manifest, ctx.split)
     cells = []
     for value in spec.values:
-        model_cfg = _cell_model_cfg(ctx, spec.axis, value)
+        cell_model_cfg = _cell_model_cfg(model_cfg, spec.axis, value)
         for seed in spec.seeds:
-            pool = nested_subset(train_ids, float(value), seed) if spec.axis == "data_fraction" else train_ids
+            pcfg = replace(pretrain_cfg, seed=seed)
             try:
-                R.fit_budget(len(pool), replace(ctx.pretrain_cfg, seed=seed))
-                E.labeled_set(ctx.manifest, ctx.split, replace(ctx.train_cfg, seed=seed), ctx.label_fraction)
+                fold = E.plan_fold(manifest, split, replace(train_cfg, seed=seed), label_fraction)
+                pool = nested_subset(fold.train_ids, float(value), seed) if spec.axis == "data_fraction" else fold.train_ids
+                R.fit_budget(len(pool), pcfg)
             except (E.EvalError, R.TrainError) as e:
                 raise SweepError(f"{spec.axis} {value!r}, seed {seed}: cannot train: {e}") from e
-            cells.append((value, seed, model_cfg, pool))
-    return test_ids, cells
+            cells.append((value, cell_model_cfg, pcfg, pool, fold))
+    return cells
 
 
-def run_sweep(spec: SweepSpec, ctx: SweepContext) -> list:
-    """Grid of (value x seed) cells -> result rows, one ``evaluate.pretrain_fold`` and ``run_fold`` per cell.
+def run_sweep(axis: str, manifest: D.DatasetManifest, store_dir, cells) -> list:
+    """``sweep_cells``' cells -> result rows, one ``evaluate.pretrain_fold`` and ``run_fold`` per cell.
 
-    Each cell pretrains on its pool, fine-tunes on its seed's labeled
-    budget and scores the split's one test set.
+    Each cell pretrains on its pool, fine-tunes on its fold's labeled
+    budget and scores the fold's test set.
     """
-    test_ids, cells = sweep_cells(spec, ctx)
-    shared_hash = test_set_hash(test_ids)
     rows = []
-    for value, seed, model_cfg, pool in cells:
-        tcfg, pcfg = replace(ctx.train_cfg, seed=seed), replace(ctx.pretrain_cfg, seed=seed)
-        pretrained = E.pretrain_fold(ctx.manifest, ctx.store_dir, ctx.split, model_cfg, pcfg, pool)
-        (result,) = E.run_fold(
-            ctx.manifest, ctx.store_dir, ctx.split, ["ft"], model_cfg, tcfg, ctx.label_fraction, pretrained.params
-        )
+    for value, model_cfg, pretrain_cfg, pool, fold in cells:
+        pretrained = E.pretrain_fold(manifest, store_dir, fold, model_cfg, pretrain_cfg, pool)
+        (result,) = E.run_fold(manifest, store_dir, fold, ["ft"], model_cfg, pretrained.params)
         rows.append(
             {
-                "axis": spec.axis,
+                "axis": axis,
                 "value": value,
-                "seed": seed,
+                "seed": fold.train_cfg.seed,
                 "n_pretrain": len(pool),
                 "pretrain_val_loss": pretrained.best_value,
                 "accuracy": result.accuracy,
                 "n_test": result.n_test,
-                "test_set_hash": shared_hash,
+                "test_set_hash": test_set_hash(fold.test_ids),
             }
         )
     return rows

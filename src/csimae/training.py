@@ -13,8 +13,8 @@ so val losses compare like for like.  Each step's loss, lr and rejected
 flag go to the deterministic metrics stream; wall-clock timings and peak
 RSS go to a sidecar file so the metrics stream itself is bit-reproducible.
 A run's step budget must leave steps after the warmup; ``fit_budget``
-judges it on a count, so ``pretrain`` and the fold runners refuse a run
-that cannot train before any data loads.
+judges it on a count, so a run's planner (such as ``evaluate.plan_fold``)
+refuses one that cannot train before any data loads; ``fit`` is the backstop.
 
 Each clip set and each parameter set is held once.  ``pretrain`` reads
 its store straight into one clip array, and every training batch and
@@ -344,9 +344,6 @@ def pretrain(manifest: D.DatasetManifest, store_dir, model_cfg: M.ModelConfig, c
     """Read every clip of the manifest into one array and run ``pretrain_arrays`` on it; writes nothing.
 
     The store is read by ``data.load_clip_array``, so the run holds the
-    clips once, as that (N, 600, 90) float32 array.  The ``fit_budget`` is
-    judged on the manifest's size first, so a run that cannot train fails
-    before any clip loads.
+    clips once, as that (N, 600, 90) float32 array.
     """
-    fit_budget(len(manifest.entries), cfg)
     return pretrain_arrays(D.load_clip_array(store_dir, manifest), model_cfg, cfg)

@@ -876,12 +876,12 @@ def test_sweep_trains_at_the_train_seed_it_records(workdir, tmp_path, monkeypatc
 
     train_seeds, pretrain_seeds = [], []
 
-    def fake_pretrain_fold(manifest, store, split, model_cfg, cfg, pool):
+    def fake_pretrain_fold(manifest, store, fold, model_cfg, cfg, pool):
         pretrain_seeds.append(cfg.seed)
         return SimpleNamespace(params={}, best_value=1.0)
 
-    def fake_run_fold(manifest, store, split, regimes, model_cfg, train_cfg, label_fraction, checkpoint):
-        train_seeds.append(train_cfg.seed)
+    def fake_run_fold(manifest, store, fold, regimes, model_cfg, checkpoint):
+        train_seeds.append(fold.train_cfg.seed)
         return [SimpleNamespace(accuracy=0.5, n_test=16)]
 
     monkeypatch.setattr(L.E, "pretrain_fold", fake_pretrain_fold)
@@ -1008,7 +1008,7 @@ def test_a_relative_out_lands_under_the_working_directory(tmp_path, monkeypatch)
 
 def test_a_pretrain_whose_warmup_outlasts_its_steps_fails_before_loading_and_leaves_no_out(
     workdir, tmp_path, capsys, monkeypatch
-):
+):  # a config error: pretrain plans its step budget on the manifest
     loaded = []
     monkeypatch.setattr(D, "load_clips", lambda *a, **kw: loaded.append(a))
     monkeypatch.setattr(D, "load_clip_array", lambda *a, **kw: loaded.append(a))
@@ -1017,20 +1017,27 @@ def test_a_pretrain_whose_warmup_outlasts_its_steps_fails_before_loading_and_lea
     store, out = workdir / "gen" / "store", tmp_path / "runs" / "pt"
     argv = ["pretrain", "--store", str(store), "--config", str(cfg), "--max-epochs", "2", "--out", str(out)]
     before = sorted(tmp_path.rglob("*"))
-    assert cli.main(argv) == 1
+    assert cli.main(argv) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err == {"error": "TrainError", "message": "total_steps 2 must exceed warmup_steps 1000"}
+    assert err == {"error": "config", "message": "total_steps 2 must exceed warmup_steps 1000"}
     assert not loaded
     assert sorted(tmp_path.rglob("*")) == before
 
 
-# a sweep whose last cell pretrains 2 clips (one step an epoch) after a 2-step warmup, and a suite whose
-# folds fine-tune 13 labeled clips for 2 steps after a 1000-step warmup
+# a sweep whose last cell pretrains 2 clips (one step an epoch) after a 2-step warmup, a suite whose
+# folds fine-tune 13 labeled clips for 2 steps after a 1000-step warmup, a pretrain of 26 clips for 4
+# steps after it, and single folds that fine-tune, probe or train 13 labeled clips for 2 steps after it
 UNTRAINABLE_RUNS = {
     "sweep": (["--axis", "data_fraction", "--values", "[1.0, 0.1]", "--held-out", "env1"],
               "data_fraction 0.1, seed 0: cannot train: total_steps 2 must exceed warmup_steps 2"),
     "eval-cross-domain": (["--regimes", "ft", "--warmup-steps", "1000"],
                           "fold environment=env0 cannot train: total_steps 2 must exceed warmup_steps 1000"),
+    "pretrain": (["--warmup-steps", "1000"], "total_steps 4 must exceed warmup_steps 1000"),
+    "finetune": (["--checkpoint", "{ckpt}", "--held-out", "env1", "--warmup-steps", "1000"],
+                 "total_steps 2 must exceed warmup_steps 1000"),
+    "probe": (["--checkpoint", "{ckpt}", "--held-out", "env1", "--warmup-steps", "1000"],
+              "total_steps 2 must exceed warmup_steps 1000"),
+    "supervised": (["--held-out", "env1", "--warmup-steps", "1000"], "total_steps 2 must exceed warmup_steps 1000"),
 }
 
 
@@ -1043,6 +1050,7 @@ def test_a_cell_or_fold_that_cannot_train_is_a_config_error_before_anything_trai
     trained = []
     monkeypatch.setattr(R, "fit", lambda *a: trained.append(a))
     flags, message = UNTRAINABLE_RUNS[command]
+    flags = [a.format(ckpt=_micro_checkpoint(tmp_path / "m.ckpt")) for a in flags]
     cfg = tmp_path / "c.json"
     pretrain = {**MICRO_TRAIN, "warmup_steps": 2, "batch_size": 4}
     cfg.write_text(json.dumps({"sections": {"model": MICRO_MODEL, "train": MICRO_TRAIN, "pretrain": pretrain}}))
@@ -1052,6 +1060,83 @@ def test_a_cell_or_fold_that_cannot_train_is_a_config_error_before_anything_trai
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "config" and err["message"].endswith(message)
     assert trained == [] and not (tmp_path / "runs").exists()
+
+
+@pytest.fixture(scope="module")
+def three_classes(tmp_path_factory):
+    """A store of 3 classes in 3 environments, 2 clips each."""
+    store = tmp_path_factory.mktemp("three") / "store"
+    S.generate_task(S.SynthTaskSpec(n_classes=3, n_environments=3, n_subjects=1, clips_per_cell=2, seed=9), store)
+    return store
+
+
+# a manifest whose env0 and env1 hold class c0 only, so the fold that holds out env2 labels one class, and one
+# whose env2 holds c2 only and the other environments never do, so that fold labels no class it tests
+LABELED_SET_FAULTS = {
+    "one-class": (lambda e: e.labels["environment"] == "env2" or e.labels["class"] == "c0", "n_classes must be >= 2"),
+    "no-test-class": (lambda e: (e.labels["environment"] == "env2") == (e.labels["class"] == "c2"),
+                      "no test clip to score: 2 of 2 have a class the labeled clips lack"),
+}
+
+
+@pytest.mark.parametrize("command", ["supervised", "eval-cross-domain"])
+@pytest.mark.parametrize("fault", LABELED_SET_FAULTS)
+def test_a_labeled_set_that_cannot_train_or_be_scored_is_a_config_error_before_anything_trains(
+    three_classes, tmp_path, capsys, monkeypatch, command, fault
+):
+    from csimae import training as R
+
+    trained = []
+    monkeypatch.setattr(R, "fit", lambda *a: trained.append(a))
+    keep, message = LABELED_SET_FAULTS[fault]
+    D.DatasetManifest([e for e in D.DatasetManifest.load(three_classes).entries if keep(e)]).save(tmp_path)
+    cfg = tmp_path / "micro.json"
+    cfg.write_text(json.dumps({"sections": {"model": MICRO_MODEL, "train": MICRO_TRAIN}}))
+    flags = ["--held-out", "env2"] if command == "supervised" else ["--regimes", "supervised"]
+    argv = [command, "--store", str(three_classes), "--manifest", str(tmp_path / "manifest.json")]
+    argv += ["--config", str(cfg), "--out", str(tmp_path / "runs" / "out")] + flags
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and err["message"].endswith(message)
+    if command == "eval-cross-domain":
+        assert err["message"].startswith("fold environment=env2 cannot train: ")
+    assert trained == [] and not (tmp_path / "runs").exists()
+
+
+def test_each_fold_and_cell_is_judged_once(workdir, tmp_path, monkeypatch):
+    from collections import Counter
+
+    from csimae import training as R
+
+    calls = Counter()
+    for module, name in ((D, "make_split"), (R, "fit_budget")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name: calls.update([_name]) or _real(*a))
+    common = ["--store", str(workdir / "gen" / "store"), "--config", str(workdir / "micro.json")]
+    # two folds and two cells: one split each, and one step budget each for the labeled set and the pool
+    runs = {
+        "eval-cross-domain": ["--regimes", "supervised,lp,ft"],
+        "sweep": ["--axis", "mask_ratio", "--values", "[0.5, 0.75]", "--held-out", "env1"],
+    }
+    for command, flags in runs.items():
+        calls.clear()
+        assert cli.main([command] + common + flags + ["--out", str(tmp_path / command)]) == 0
+        assert calls == {"make_split": 2, "fit_budget": 4}, command
+
+
+@pytest.mark.parametrize("missing", ["manifest", "store", "checkpoint"])
+def test_a_missing_input_file_is_a_typed_error_naming_it_and_leaves_no_out(workdir, tmp_path, capsys, missing):
+    gone = tmp_path / "gone" / {"manifest": "manifest.json", "store": "store", "checkpoint": "m.ckpt"}[missing]
+    store = gone if missing == "store" else workdir / "gen" / "store"
+    ckpt = gone if missing == "checkpoint" else _micro_checkpoint(tmp_path / "m.ckpt")
+    out = tmp_path / "runs" / "ft"
+    argv = ["finetune", "--store", str(store), "--checkpoint", str(ckpt), "--held-out", "env1", "--out", str(out)]
+    argv += ["--config", str(workdir / "micro.json")] + (["--manifest", str(gone)] if missing == "manifest" else [])
+    assert cli.main(argv) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == ("CheckpointError" if missing == "checkpoint" else "DataError")
+    assert err["message"].startswith(str(gone)) and "cannot open (No such file or directory)" in err["message"]
+    assert not (tmp_path / "runs").exists()
 
 
 def test_sigterm_during_a_run_takes_the_interrupt_path_and_restores_the_handler(workdir, tmp_path, capsys, monkeypatch):

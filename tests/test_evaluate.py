@@ -35,6 +35,12 @@ def micro_train_cfg(**kw):
     return R.TrainConfig(**defaults)
 
 
+def cross_domain(manifest, store, regimes, tcfg, pcfg, label_fraction):
+    """A whole cross-domain suite: every fold planned, then run."""
+    folds = E.cross_domain_folds(manifest, "environment", regimes, tcfg, pcfg, label_fraction)
+    return E.cross_domain_suite(manifest, store, folds, regimes, micro_cfg(), pcfg)
+
+
 def micro_corpus(tmp_path, clips_per_cell=6, seed=5):
     spec = S.SynthTaskSpec(
         n_classes=2, n_environments=2, n_subjects=1, clips_per_cell=clips_per_cell, seed=seed
@@ -98,7 +104,7 @@ def test_linear_probe_hits_one_on_separable_features():
     fwd = lambda x, p: E.head_forward(T.Tensor(x), p)
     cfg = micro_train_cfg(max_epochs=30, peak_lr=5e-2, weight_decay=0.0)
     best = E.train_classifier(fwd, params, feats[:80], labels[:80], cfg).params
-    pred = E.predict(fwd, best, feats[80:])
+    pred = E.predict(fwd, best, feats[80:], 32)
     assert E.accuracy(pred, labels[80:]) == 1.0
 
 
@@ -187,7 +193,7 @@ def test_non_finite_lp_loss_is_recorded_and_scored_with_the_kept_params(tmp_path
     vocab = E._class_vocab(c.labels["class"] for c in train)
     y_test = np.array([vocab[c.labels["class"]] for c in test])
     f_test = encode(ckpt[0], cfg, D.stack_clips(test)[0])
-    pred = E.predict(lambda f, p: E.head_forward(T.Tensor(f), p), head0, f_test)
+    pred = E.predict(lambda f, p: E.head_forward(T.Tensor(f), p), head0, f_test, 32)
     assert result.accuracy == E.accuracy(pred, y_test)
 
 
@@ -333,7 +339,7 @@ def test_cross_domain_suite_fold_count(tmp_path):
     manifest = S.generate_task(spec, tmp_path / "store")
     tcfg = micro_train_cfg(max_epochs=2)
     store = tmp_path / "store"
-    results = E.cross_domain_suite(manifest, store, "environment", ["supervised"], micro_cfg(), tcfg, tcfg, 1.0)
+    results = cross_domain(manifest, store, ["supervised"], tcfg, tcfg, 1.0)
     assert len(results) == 3
     assert {r.split["held_out_value"] for r in results} == {"env0", "env1", "env2"}
     macro = E.macro_average([r.to_json() for r in results])
@@ -352,7 +358,7 @@ def test_cross_domain_pretraining_pools_hold_no_held_out_clip(tmp_path, monkeypa
 
     monkeypatch.setattr(R, "pretrain_arrays", spy)
     tcfg = micro_train_cfg(max_epochs=2)
-    results = E.cross_domain_suite(manifest, tmp_path / "store", "environment", ["lp"], micro_cfg(), tcfg, tcfg, 1.0)
+    results = cross_domain(manifest, tmp_path / "store", ["lp"], tcfg, tcfg, 1.0)
     assert [r.split["held_out_value"] for r in results] == ["env0", "env1", "env2"]
     assert [len(x) for x in pools] == [16, 16, 16]
     for x, r in zip(pools, results):
@@ -364,7 +370,7 @@ def test_cross_domain_pretraining_pools_hold_no_held_out_clip(tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("case", ["one-class-labeled-set", "short-pretraining"])
-def test_a_suite_whose_last_fold_cannot_train_pretrains_nothing(tmp_path, monkeypatch, case):
+def test_a_suite_whose_last_fold_cannot_train_pretrains_nothing(tmp_path, case):
     full, _ = micro_corpus(tmp_path)
     env0 = [e for e in full.entries if e.labels["environment"] == "env0"]
     if case == "one-class-labeled-set":  # env0 holds class c0 only, so the env1 fold trains on one class
@@ -374,26 +380,20 @@ def test_a_suite_whose_last_fold_cannot_train_pretrains_nothing(tmp_path, monkey
         kept = [next(e for e in env0 if e.labels["class"] == c) for c in ("c0", "c1")]
         pcfg, refusal = micro_train_cfg(max_epochs=2, warmup_steps=2, batch_size=4), "total_steps 2 must exceed"
     manifest = D.DatasetManifest(kept + [e for e in full.entries if e.labels["environment"] == "env1"])
-    calls = []
-    monkeypatch.setattr(R, "pretrain_arrays", lambda *a: calls.append(a))
-    args = (manifest, tmp_path / "store", "environment", ["lp", "ft"], micro_cfg(), micro_train_cfg(max_epochs=2), pcfg)
+    # the suite's plan refuses it, so no fold of it reaches a runner
     with pytest.raises(E.EvalError, match=f"^fold environment=env1 cannot train: {refusal}"):
-        E.cross_domain_suite(*args, 1.0)
-    assert calls == []
+        E.cross_domain_folds(manifest, "environment", ["lp", "ft"], micro_train_cfg(max_epochs=2), pcfg, 1.0)
 
 
-def test_a_suite_whose_last_fold_has_no_test_clip_to_score_trains_nothing(tmp_path, monkeypatch):
+def test_a_suite_whose_last_fold_has_no_test_clip_to_score_trains_nothing(tmp_path):
     spec = S.SynthTaskSpec(n_classes=3, n_environments=3, n_subjects=1, clips_per_cell=2, seed=9)
     full = S.generate_task(spec, tmp_path / "store")
     # env2 holds class c2 only and the other environments never do, so the env2 fold labels no class it tests
     kept = [e for e in full.entries if (e.labels["environment"] == "env2") == (e.labels["class"] == "c2")]
     manifest = D.DatasetManifest(kept)
-    calls = []
-    monkeypatch.setattr(E, "train_classifier", lambda *a: calls.append(a))
     tcfg = micro_train_cfg(max_epochs=2)
     with pytest.raises(E.EvalError, match="^fold environment=env2 cannot train: no test clip to score: 2 of 2 "):
-        E.cross_domain_suite(manifest, tmp_path / "store", "environment", ["supervised"], micro_cfg(), tcfg, tcfg, 1.0)
-    assert calls == []
+        E.cross_domain_folds(manifest, "environment", ["supervised"], tcfg, tcfg, 1.0)
 
 
 def test_run_fold_scores_the_encoder_it_is_given_and_never_pretrains(tmp_path, monkeypatch):
@@ -405,7 +405,8 @@ def test_run_fold_scores_the_encoder_it_is_given_and_never_pretrains(tmp_path, m
         raise AssertionError("run_fold pretrained")
 
     monkeypatch.setattr(R, "pretrain_arrays", spy)
-    args = (manifest, tmp_path / "store", split, ["lp", "ft"], micro_cfg(), micro_train_cfg(max_epochs=2), 1.0)
+    fold = E.plan_fold(manifest, split, micro_train_cfg(max_epochs=2), 1.0)
+    args = (manifest, tmp_path / "store", fold, ["lp", "ft"], micro_cfg())
     results = E.run_fold(*args, checkpoint=params)
     assert [r.regime for r in results] == ["lp", "ft"]
     with pytest.raises(E.EvalError, match="needs a pretrained checkpoint"):
@@ -416,18 +417,20 @@ def test_pretrain_fold_refuses_a_pool_outside_the_training_side(tmp_path):
     manifest, clips = micro_corpus(tmp_path)
     split = D.SplitSpec("leave_one_domain_out", "environment", "env1")
     held_out = next(c.clip_id for c in clips if c.labels["environment"] == "env1")
+    fold = E.plan_fold(manifest, split, micro_train_cfg(), 1.0)
     with pytest.raises(E.EvalError, match="outside the training side"):
-        E.pretrain_fold(manifest, tmp_path / "store", split, micro_cfg(), micro_train_cfg(), pool=[held_out])
+        E.pretrain_fold(manifest, tmp_path / "store", fold, micro_cfg(), micro_train_cfg(), pool=[held_out])
 
 
 def test_pretrain_fold_then_run_fold_is_the_cross_domain_suites_fold(tmp_path):
     manifest, _ = micro_corpus(tmp_path)
     store, regimes, tcfg = tmp_path / "store", ["supervised", "lp", "ft"], micro_train_cfg(max_epochs=2)
-    suite = E.cross_domain_suite(manifest, store, "environment", regimes, micro_cfg(), tcfg, tcfg, 0.5)
+    suite = cross_domain(manifest, store, regimes, tcfg, tcfg, 0.5)
     split = D.SplitSpec("leave_one_domain_out", "environment", "env1", seed=tcfg.seed)
-    params = E.pretrain_fold(manifest, store, split, micro_cfg(), tcfg).params
-    fold = E.run_fold(manifest, store, split, regimes, micro_cfg(), tcfg, 0.5, checkpoint=params)
-    assert [r.to_json() for r in fold] == [r.to_json() for r in suite if r.split["held_out_value"] == "env1"]
+    fold = E.plan_fold(manifest, split, tcfg, 0.5)
+    params = E.pretrain_fold(manifest, store, fold, micro_cfg(), tcfg).params
+    results = E.run_fold(manifest, store, fold, regimes, micro_cfg(), checkpoint=params)
+    assert [r.to_json() for r in results] == [r.to_json() for r in suite if r.split["held_out_value"] == "env1"]
 
 
 def test_a_fold_whose_training_side_lacks_a_class_excludes_its_test_clips(tmp_path):
@@ -439,7 +442,7 @@ def test_a_fold_whose_training_side_lacks_a_class_excludes_its_test_clips(tmp_pa
     )
     tcfg = micro_train_cfg(max_epochs=2)
     store = tmp_path / "store"
-    results = E.cross_domain_suite(manifest, store, "environment", ["supervised"], micro_cfg(), tcfg, tcfg, 1.0)
+    results = cross_domain(manifest, store, ["supervised"], tcfg, tcfg, 1.0)
     folds = {r.split["held_out_value"]: r for r in results}
     assert (folds["env0"].n_test, folds["env0"].n_excluded) == (8, 4)
     assert set(folds["env0"].per_class) == {"c0", "c1"}
@@ -555,7 +558,7 @@ def test_run_fold_loads_only_the_labeled_and_the_test_clips(tmp_path, monkeypatc
         return real(store_dir, manifest, clip_ids)
 
     monkeypatch.setattr(D, "load_clips", spy)
-    got = E.run_fold(manifest, store, split, regimes, cfg, tcfg, 0.25, checkpoint=params)
+    got = E.run_fold(manifest, store, E.plan_fold(manifest, split, tcfg, 0.25), regimes, cfg, checkpoint=params)
     assert loaded == [[c.clip_id for c in labeled], test_ids]
     assert len(labeled) == 4 and len(train_ids) == 12  # 2 of each class's 6
     assert [r.to_json() for r in got] == want

@@ -137,7 +137,8 @@ def test_nested_subsets_are_prefixes():
     assert sorted(L.nested_subset(ids, 1.0, seed=3)) == ids
 
 
-def micro_ctx(tmp_path, **kw):
+def micro_plan(tmp_path, **kw):
+    """``sweep_cells``' arguments past the spec, on a micro store at ``tmp_path / "store"``."""
     spec = S.SynthTaskSpec(n_classes=2, n_environments=2, n_subjects=1, clips_per_cell=10, seed=21)
     manifest = S.generate_task(spec, tmp_path / "store")
     model_cfg = M.ModelConfig(
@@ -154,19 +155,19 @@ def micro_ctx(tmp_path, **kw):
     )
     tcfg = R.TrainConfig(warmup_steps=1, batch_size=16, max_epochs=2, seed=0, val_fraction=0.2)
     defaults = dict(
-        store_dir=str(tmp_path / "store"),
         manifest=manifest,
         split=D.SplitSpec("leave_one_domain_out", "environment", "env1"),
         model_cfg=model_cfg,
         pretrain_cfg=tcfg,
         train_cfg=tcfg,
+        label_fraction=1.0,
     )
     defaults.update(kw)
-    return L.SweepContext(**defaults)
+    return defaults
 
 
 def test_run_sweep_grid_counts_and_shared_test_set(tmp_path, monkeypatch):
-    ctx = micro_ctx(tmp_path)
+    plan = micro_plan(tmp_path)
     real, pools = R.pretrain_arrays, []
 
     def spy(clips, model_cfg, cfg):
@@ -175,7 +176,7 @@ def test_run_sweep_grid_counts_and_shared_test_set(tmp_path, monkeypatch):
 
     monkeypatch.setattr(R, "pretrain_arrays", spy)
     spec = L.SweepSpec(axis="data_fraction", values=[0.5, 1.0], seeds=[0, 1])
-    rows = L.run_sweep(spec, ctx)
+    rows = L.run_sweep(spec.axis, plan["manifest"], tmp_path / "store", L.sweep_cells(spec, **plan))
     assert len(rows) == 4
     assert len({r["test_set_hash"] for r in rows}) == 1
     assert {r["value"] for r in rows} == {0.5, 1.0}
@@ -184,7 +185,7 @@ def test_run_sweep_grid_counts_and_shared_test_set(tmp_path, monkeypatch):
     assert full["n_pretrain"] == 20 and half["n_pretrain"] == 10
     # each cell pretrains on its pool of env0 clips only, never on the held-out env1
     assert [len(x) for x in pools] == [r["n_pretrain"] for r in rows] == [10, 10, 20, 20]
-    clips = D.load_clips(ctx.store_dir, ctx.manifest)
+    clips = D.load_clips(tmp_path / "store", plan["manifest"])
     held_out = {c.data.tobytes() for c in clips if c.labels["environment"] == "env1"}
     training = {c.data.tobytes() for c in clips if c.labels["environment"] != "env1"}
     for x in pools:
@@ -192,7 +193,7 @@ def test_run_sweep_grid_counts_and_shared_test_set(tmp_path, monkeypatch):
         assert len(pooled) == len(x) and pooled <= training and not pooled & held_out
 
 
-# (axis, values, context overrides, the refusal): each sweep's last cell, or every cell, cannot train
+# (axis, values, plan overrides, the refusal): each sweep's last cell, or every cell, cannot train
 UNTRAINABLE_SWEEPS = {
     "one-clip-pool": ("data_fraction", [1.0, 0.01], {}, "data_fraction 0.01, seed 0: cannot train: "
                       "a validation slice of 1 leaves none of 1 items to fit"),
@@ -206,23 +207,21 @@ UNTRAINABLE_SWEEPS = {
 
 
 @pytest.mark.parametrize("case", UNTRAINABLE_SWEEPS)
-def test_a_sweep_with_a_cell_that_cannot_train_pretrains_nothing(tmp_path, monkeypatch, case):
+def test_a_sweep_with_a_cell_that_cannot_train_pretrains_nothing(tmp_path, case):
     axis, values, overrides, refusal = UNTRAINABLE_SWEEPS[case]
-    calls = []
-    monkeypatch.setattr(R, "pretrain_arrays", lambda *a: calls.append(a))
+    # the sweep's plan refuses it, so no cell of it reaches a runner
     with pytest.raises(L.SweepError, match=f"^{re.escape(refusal)}$"):
-        L.run_sweep(L.SweepSpec(axis=axis, values=values), micro_ctx(tmp_path, **overrides))
-    assert calls == []
+        L.sweep_cells(L.SweepSpec(axis=axis, values=values), **micro_plan(tmp_path, **overrides))
 
 
 def test_model_variant_cells_take_each_variants_sizes(tmp_path):
-    ctx = micro_ctx(tmp_path)
-    _, cells = L.sweep_cells(L.SweepSpec(axis="model_variant", values=["tiny", "small"]), ctx)
-    assert [(value, seed) for value, seed, _, _ in cells] == [("tiny", 0), ("small", 0)]
-    for value, _, cfg, _ in cells:
+    plan = micro_plan(tmp_path)
+    cells = L.sweep_cells(L.SweepSpec(axis="model_variant", values=["tiny", "small"]), **plan)
+    assert [(value, fold.train_cfg.seed) for value, _, _, _, fold in cells] == [("tiny", 0), ("small", 0)]
+    for value, cfg, _, _, _ in cells:
         assert (cfg.variant, (cfg.enc_layers, cfg.enc_dim, cfg.enc_heads)) == (value, M.VARIANTS[value])
-        # every other field is the context model's
-        assert replace(cfg, variant="custom", enc_layers=2, enc_dim=16, enc_heads=2) == ctx.model_cfg
+        # every other field is the sweep's model's
+        assert replace(cfg, variant="custom", enc_layers=2, enc_dim=16, enc_heads=2) == plan["model_cfg"]
 
 
 def test_sweep_spec_validation():

@@ -375,8 +375,9 @@ def test_a_step_budget_with_no_room_after_warmup_fails_before_any_clip_loads(tmp
     monkeypatch.setattr(D, "load_clips", lambda *a, **kw: loaded.append(a))
     monkeypatch.setattr(D, "load_clip_array", lambda *a, **kw: loaded.append(a))
     cfg = R.TrainConfig()
+    # the planner judges the run on the manifest's size alone; fit refuses it again, as the backstop
     with pytest.raises(R.TrainError, match="total_steps 40 must exceed warmup_steps 1000"):
-        R.pretrain(manifest, store, desk_model_cfg(), cfg)
+        R.fit_budget(len(manifest.entries), cfg)
     assert len(manifest.entries) == 12 and not loaded
     batches = []
     with pytest.raises(R.TrainError, match="total_steps 40 must exceed warmup_steps 1000"):
@@ -400,7 +401,7 @@ def test_a_classifier_keeps_its_lowest_val_loss_epoch_not_its_first_perfect_accu
 
     def spy(params, fit_idx, cfg, stream, batch_loss, val_loss):
         def scored():
-            accs.append(E.accuracy(E.predict(fwd, params, feats[val_idx]), labels[val_idx]))
+            accs.append(E.accuracy(E.predict(fwd, params, feats[val_idx], 32), labels[val_idx]))
             return val_loss()
 
         return real(params, fit_idx, cfg, stream, batch_loss, scored)
