@@ -22,7 +22,7 @@ does not build; a section that no command builds is a config error.
 The commands that read a clip store are declared once, in
 STORE_COMMANDS, and take --store and --manifest (read in place of the
 store's own manifest). Each plans its runs once on that manifest, before
-any clip loads (fit_budget, plan_fold, cross_domain_folds or sweep_cells),
+any clip loads (fit_budget, plan_fold, cross_domain_cells or sweep_cells),
 and its runners take the plans and judge nothing again.
 
 resolved_config.json holds every config the command built, its flags,
@@ -36,9 +36,10 @@ value that makes no valid model or an --out that is not a directory, is
 a config error: exit 2 and a JSON record, before anything trains. So is
 whatever a store command's plan refuses (_plan): a held-out value the
 store lacks, a clip without the domain label, a labeled set with one
-class or with no class of the test side, or a run, fold or cell with no
-step after its warmup. Any other failure, a missing or corrupt input file
-included, is exit 1 and a JSON record naming the error.
+class or with no class of the test side, or a run, labeled set or
+pretraining pool (the refusal names which) with no step after its warmup.
+Any other failure, a missing or corrupt input file included, is exit 1 and
+a JSON record naming the error.
 
 BLAS threads are capped by the variables BLAS reads itself:
 OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS. --out is taken
@@ -370,11 +371,11 @@ def cmd_downstream(args, cfg, out):
 def cmd_eval_cross_domain(args, cfg, out):
     regimes = args.regimes.split(",")
     manifest = _open_store(args)
-    folds = _plan(
-        E.cross_domain_folds, manifest, args.domain_key, regimes, cfg["train"], cfg["pretrain"], args.label_fraction
+    cells = _plan(
+        E.cross_domain_cells, manifest, args.domain_key, regimes, cfg["model"], cfg["train"], cfg["pretrain"],
+        args.label_fraction,
     )
-    results = E.cross_domain_suite(manifest, args.store, folds, regimes, cfg["model"], cfg["pretrain"])
-    records = [r.to_json() for r in results]
+    records = [r.to_json() for cell in cells for r in E.run_cell(manifest, args.store, cell, regimes)[1]]
     D.write_jsonl(out / "results.jsonl", records)
     macro = E.macro_average(records)
     (out / "macro.json").write_text(json.dumps(macro, indent=2, sort_keys=True), encoding="utf-8")

@@ -1,11 +1,11 @@
 """Downstream classification harness: supervised, linear-probe, fine-tune.
 
 Every downstream result comes from ``run_fold``: one planned fold, each
-regime scored on its test side.  lp and ft start from a given encoder, such
-as the one ``pretrain_fold`` pretrains on that fold's training side only.
-A fold is judged once, on the manifest alone, when ``plan_fold`` plans it;
-the runners (``pretrain_fold``, ``run_fold``, ``cross_domain_suite``) take
-the ``Fold`` and judge nothing again.
+regime scored on its test side.  A cross-domain fold or a sweep cell, which
+pretrains an encoder on its fold's training side and then scores it, is one
+``Cell``, run by ``run_cell``.  A fold is judged once, on the manifest alone,
+when ``plan_fold`` plans it, and a cell's pool when the ``Cell`` is built;
+the runners take the plans and judge nothing again.
 
 All three regimes classify with one linear head and train through
 ``training.fit``, the seeded loop that pretraining also runs:
@@ -289,9 +289,9 @@ def plan_fold(manifest: D.DatasetManifest, split: D.SplitSpec, train_cfg: R.Trai
     ``data.make_split`` forms the fold, the labeled set is
     ``select_labeled``'s budget of its training side and the head's
     classes are that set's classes.  A split ``make_split`` refuses
-    (``SplitError``), fewer than two labeled classes or no test clip of one
-    of them (``EvalError``), or a ``training.fit_budget`` of the labeled set
-    with no step after the warmup (``TrainError``) raises.
+    (``SplitError``) raises, and so does (``EvalError``) a labeled set of
+    fewer than two classes, with no test clip of one of them, or with no
+    ``training.fit_budget`` step after the warmup.
     """
     train_ids, test_ids = D.make_split(manifest, split)
     labeled = select_labeled([manifest.by_id(i) for i in train_ids], label_fraction, train_cfg.seed)
@@ -300,21 +300,36 @@ def plan_fold(manifest: D.DatasetManifest, split: D.SplitSpec, train_cfg: R.Trai
     if not any(manifest.by_id(i).labels[D.LABEL_KEY] in vocab for i in test_ids):
         n = len(test_ids)
         raise EvalError(f"no test clip to score: {n} of {n} have a class the labeled clips lack")
-    R.fit_budget(len(labeled), train_cfg)
+    _judge_budget("labeled set", labeled, train_cfg)
     return Fold(split, train_ids, test_ids, labeled, head_cfg, train_cfg)
 
 
-def pretrain_fold(
-    manifest: D.DatasetManifest, store_dir, fold: Fold, model_cfg: M.ModelConfig, cfg: R.TrainConfig, pool=None
-) -> R.FitResult:
-    """``training.pretrain`` on ``fold``'s training ids, or on the ``pool`` among them in pool order.
+def _judge_budget(name: str, clips, cfg: R.TrainConfig):
+    """``training.fit_budget`` of ``clips``; a refusal is an ``EvalError`` naming them."""
+    try:
+        R.fit_budget(len(clips), cfg)
+    except R.TrainError as e:
+        raise EvalError(f"{name} of {len(clips)} clips: {e}") from e
 
-    A pool id outside the training side raises ``EvalError``, so no held-out clip reaches pretraining.
+
+@dataclass(frozen=True)
+class Cell:
+    """Pretrain on ``pool``, then score on ``fold``: the plan ``run_cell`` takes, judged when built.
+
+    A pool id outside the fold's training side, which would leak the held-out
+    domain, or a pool with no step after its warmup raises ``EvalError``.
     """
-    pool = fold.train_ids if pool is None else pool
-    if not set(pool) <= set(fold.train_ids):
-        raise EvalError(f"pretraining pool holds clips outside the training side of {fold.split}")
-    return R.pretrain(D.DatasetManifest([manifest.by_id(i) for i in pool]), store_dir, model_cfg, cfg)
+
+    fold: Fold
+    model_cfg: M.ModelConfig
+    pretrain_cfg: R.TrainConfig | None  # None: nothing pretrains
+    pool: list  # the training ids pretraining reads, in pool order
+
+    def __post_init__(self):
+        if not set(self.pool) <= set(self.fold.train_ids):
+            raise EvalError(f"pretraining pool holds clips outside the training side of {self.fold.split}")
+        if self.pretrain_cfg is not None:
+            _judge_budget("pretraining pool", self.pool, self.pretrain_cfg)
 
 
 def run_fold(
@@ -339,46 +354,41 @@ def run_fold(
     ]
 
 
-def cross_domain_folds(
-    manifest: D.DatasetManifest, domain_key: str, regimes, train_cfg: R.TrainConfig, pretrain_cfg: R.TrainConfig,
-    label_fraction: float,
-) -> list:
-    """The planned leave-one-domain-out ``Fold`` of each ``data.domain_values`` entry.
+def run_cell(manifest: D.DatasetManifest, store_dir, cell: Cell, regimes) -> tuple:
+    """``training.pretrain`` on the pool's sub-manifest, in pool order, then ``run_fold`` from that encoder.
 
-    ``regimes`` must be distinct ``REGIMES``.  Each fold is planned
-    (``plan_fold``), and for lp or ft pretraining on its whole training side
-    is judged too (``training.fit_budget``); a fold that fails raises
-    ``EvalError`` naming it.  Nothing loads or trains.
+    Returns (the pretraining ``training.FitResult``, or None when the cell
+    pretrains nothing, and the ``EvalResult`` list).
+    """
+    if cell.pretrain_cfg is None:
+        return None, run_fold(manifest, store_dir, cell.fold, regimes, cell.model_cfg)
+    pool = D.DatasetManifest([manifest.by_id(i) for i in cell.pool])
+    pretrained = R.pretrain(pool, store_dir, cell.model_cfg, cell.pretrain_cfg)
+    return pretrained, run_fold(manifest, store_dir, cell.fold, regimes, cell.model_cfg, pretrained.params)
+
+
+def cross_domain_cells(
+    manifest: D.DatasetManifest, domain_key: str, regimes, model_cfg: M.ModelConfig, train_cfg: R.TrainConfig,
+    pretrain_cfg: R.TrainConfig, label_fraction: float,
+) -> list:
+    """The planned leave-one-domain-out ``Cell`` of each ``data.domain_values`` entry.
+
+    ``regimes`` must be distinct ``REGIMES``.  A cell pretrains on its
+    fold's whole training side, and only for lp or ft; one that cannot
+    train raises ``EvalError`` naming its fold.  Nothing loads or trains.
     """
     if set(regimes) - set(REGIMES) or len(set(regimes)) != len(regimes):
         raise EvalError(f"regimes must be distinct ones of {', '.join(REGIMES)}, got {', '.join(regimes)}")
-    folds = []
+    pretrain_cfg = pretrain_cfg if {"lp", "ft"} & set(regimes) else None
+    cells = []
     for value in D.domain_values(manifest, domain_key):
         split = D.SplitSpec("leave_one_domain_out", domain_key, value, seed=train_cfg.seed)
         try:
             fold = plan_fold(manifest, split, train_cfg, label_fraction)
-            if {"lp", "ft"} & set(regimes):
-                R.fit_budget(len(fold.train_ids), pretrain_cfg)
-        except (EvalError, R.TrainError) as e:
+            cells.append(Cell(fold, model_cfg, pretrain_cfg, fold.train_ids))
+        except EvalError as e:
             raise EvalError(f"fold {domain_key}={value} cannot train: {e}") from e
-        folds.append(fold)
-    return folds
-
-
-def cross_domain_suite(
-    manifest: D.DatasetManifest, store_dir, folds, regimes, model_cfg: M.ModelConfig, pretrain_cfg: R.TrainConfig
-) -> list:
-    """One ``run_fold`` per planned fold (``cross_domain_folds``), each regime.
-
-    For lp/ft, one ``pretrain_fold`` per fold, under ``pretrain_cfg``, serves both.
-    """
-    results = []
-    for fold in folds:
-        params = None
-        if {"lp", "ft"} & set(regimes):
-            params = pretrain_fold(manifest, store_dir, fold, model_cfg, pretrain_cfg).params
-        results += run_fold(manifest, store_dir, fold, regimes, model_cfg, params)
-    return results
+    return cells
 
 
 def macro_average(records) -> dict:

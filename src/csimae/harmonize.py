@@ -159,26 +159,28 @@ def flatten_and_normalize(window: np.ndarray, labels: dict, provenance: D.Proven
     return D.CsiClip(data=z.astype(np.float32), labels=dict(labels), provenance=provenance)
 
 
-def qc_recording(
-    recording: D.ChannelRecording,
-    config: HarmonizeConfig,
-    qc_config: Q.QcConfig,
-    on_kept=None,
-) -> Q.QcReport:
-    """QC every link x window at native packet resolution, and report on the window verdicts.
+def window_clips(recording: D.ChannelRecording, link: Link, w_idx: int, cleaned: np.ndarray) -> list:
+    """A kept window's clips, one per 20 MHz channel; its resampled arrays go when it returns."""
+    channels = segment_and_resample_freq(resample_linear(cleaned, 0, D.CLIP_TIME_LEN), recording.bandwidth)
+    ids = (recording.source_id, link.tx_index, link.recv_index)
+    return [flatten_and_normalize(ch, recording.labels, D.Provenance(*ids, i, w_idx)) for i, ch in enumerate(channels)]
 
-    ``on_kept(link, window_index, cleaned)`` receives each window that
-    survives QC.
+
+def qc_windows(recording: D.ChannelRecording, config: HarmonizeConfig, qc_config: Q.QcConfig):
+    """QC every link x window at native packet resolution, links then windows in order.
+
+    Yields ``(link, window index, cleaned window or None, qc.WindowQc)``;
+    the cleaned window is None when QC drops it.
     """
-    windows = []
     slices = window_slices(recording.n_t, recording.sampling_rate, config)
     for link in extract_links(recording, config):
         for w_idx, (start, n) in enumerate(slices):
-            cleaned, window_qc = Q.clean_window(link.data[start : start + n], qc_config)
-            windows.append(window_qc)
-            if cleaned is not None and on_kept is not None:
-                on_kept(link, w_idx, cleaned)
-    return Q.QcReport.of(recording.source_id, windows)
+            yield (link, w_idx, *Q.clean_window(link.data[start : start + n], qc_config))
+
+
+def qc_recording(recording: D.ChannelRecording, config: HarmonizeConfig, qc_config: Q.QcConfig) -> Q.QcReport:
+    """The report on ``qc_windows``' window verdicts."""
+    return Q.QcReport.of(recording.source_id, [verdict for *_, verdict in qc_windows(recording, config, qc_config)])
 
 
 def harmonize_recording(
@@ -187,20 +189,10 @@ def harmonize_recording(
     qc_config: Q.QcConfig | None = None,
 ) -> tuple:
     """Recording -> (clips, QcReport); QC runs per window before resampling."""
-    config = config or HarmonizeConfig()
-    qcfg = qc_config or Q.QcConfig()
-    clips = []
-
-    def to_clips(link, w_idx, cleaned):
-        resampled = resample_linear(cleaned, 0, D.CLIP_TIME_LEN)
-        for ch_idx, channel in enumerate(segment_and_resample_freq(resampled, recording.bandwidth)):
-            prov = D.Provenance(
-                source_id=recording.source_id,
-                tx_index=link.tx_index,
-                recv_index=link.recv_index,
-                channel_index=ch_idx,
-                window_index=w_idx,
-            )
-            clips.append(flatten_and_normalize(channel, recording.labels, prov))
-
-    return clips, qc_recording(recording, config, qcfg, to_clips)
+    clips, verdicts = [], []
+    windows = qc_windows(recording, config or HarmonizeConfig(), qc_config or Q.QcConfig())
+    for link, w_idx, cleaned, window_qc in windows:
+        verdicts.append(window_qc)
+        if cleaned is not None:
+            clips += window_clips(recording, link, w_idx, cleaned)
+    return clips, Q.QcReport.of(recording.source_id, verdicts)

@@ -1,12 +1,12 @@
 """Scaling studies: data-fraction / capacity / masking / patch sweeps,
 log-linear fits, and analytic FLOPs estimates.
 
-``sweep_cells`` plans every cell (its fold, model config and pool) before
-any trains, and ``run_sweep`` takes the cells and judges nothing again: each
-pretrains (``evaluate.pretrain_fold``) on a pool of its fold's training
-clips, then ``evaluate.run_fold`` fine-tunes and scores that encoder on the
-one test set whose hash every row records.  Data-fraction pools are nested
-per seed so scale effects are not confounded with sample luck.
+``sweep_cells`` plans every cell, an ``evaluate.Cell``, before any trains:
+one fold per seed, shared by every value.  ``run_sweep`` takes the cells and
+judges nothing again: ``evaluate.run_cell`` pretrains each on a pool of its
+fold's training clips, then fine-tunes and scores that encoder on the one
+test set whose hash every row records.  Data-fraction pools are nested per
+seed so scale effects are not confounded with sample luck.
 """
 
 from __future__ import annotations
@@ -139,51 +139,48 @@ def sweep_cells(
     spec: SweepSpec, manifest: D.DatasetManifest, split: D.SplitSpec, model_cfg: M.ModelConfig,
     pretrain_cfg: R.TrainConfig, train_cfg: R.TrainConfig, label_fraction: float,
 ) -> list:
-    """Each cell's (value, model config, pretraining config, pool ids, ``evaluate.Fold``) in row order.
+    """Each cell's (value, ``evaluate.Cell``) in row order, values then seeds.
 
-    A cell's fold is ``evaluate.plan_fold`` of ``split`` at the cell's
-    seed, and its pretraining pool is the fold's training ids, or their
-    ``nested_subset`` on the data_fraction axis.  Every cell is judged
-    before any trains: a value that makes no valid model config raises,
-    and so does a cell whose fold cannot fine-tune (``plan_fold``) or whose
-    pool cannot pretrain (``training.fit_budget``), as a ``SweepError``
-    naming the cell.  Nothing loads or trains.
+    A seed's fold, ``evaluate.plan_fold`` of ``split`` at that seed, serves
+    every value; a cell pretrains at its seed on the fold's training ids, or
+    their ``nested_subset`` on the data_fraction axis.  A value that makes no
+    valid model config raises, and so does a cell that cannot train, as a
+    ``SweepError`` naming it.  Nothing loads or trains.
     """
-    cells = []
+    folds, cells = {}, []
     for value in spec.values:
         cell_model_cfg = _cell_model_cfg(model_cfg, spec.axis, value)
         for seed in spec.seeds:
-            pcfg = replace(pretrain_cfg, seed=seed)
             try:
-                fold = E.plan_fold(manifest, split, replace(train_cfg, seed=seed), label_fraction)
+                if seed not in folds:
+                    folds[seed] = E.plan_fold(manifest, split, replace(train_cfg, seed=seed), label_fraction)
+                fold = folds[seed]
                 pool = nested_subset(fold.train_ids, float(value), seed) if spec.axis == "data_fraction" else fold.train_ids
-                R.fit_budget(len(pool), pcfg)
-            except (E.EvalError, R.TrainError) as e:
+                cells.append((value, E.Cell(fold, cell_model_cfg, replace(pretrain_cfg, seed=seed), pool)))
+            except E.EvalError as e:
                 raise SweepError(f"{spec.axis} {value!r}, seed {seed}: cannot train: {e}") from e
-            cells.append((value, cell_model_cfg, pcfg, pool, fold))
     return cells
 
 
 def run_sweep(axis: str, manifest: D.DatasetManifest, store_dir, cells) -> list:
-    """``sweep_cells``' cells -> result rows, one ``evaluate.pretrain_fold`` and ``run_fold`` per cell.
+    """``sweep_cells``' cells -> result rows, one ``evaluate.run_cell`` per cell.
 
     Each cell pretrains on its pool, fine-tunes on its fold's labeled
     budget and scores the fold's test set.
     """
     rows = []
-    for value, model_cfg, pretrain_cfg, pool, fold in cells:
-        pretrained = E.pretrain_fold(manifest, store_dir, fold, model_cfg, pretrain_cfg, pool)
-        (result,) = E.run_fold(manifest, store_dir, fold, ["ft"], model_cfg, pretrained.params)
+    for value, cell in cells:
+        pretrained, (result,) = E.run_cell(manifest, store_dir, cell, ["ft"])
         rows.append(
             {
                 "axis": axis,
                 "value": value,
-                "seed": fold.train_cfg.seed,
-                "n_pretrain": len(pool),
+                "seed": cell.fold.train_cfg.seed,
+                "n_pretrain": len(cell.pool),
                 "pretrain_val_loss": pretrained.best_value,
                 "accuracy": result.accuracy,
                 "n_test": result.n_test,
-                "test_set_hash": test_set_hash(fold.test_ids),
+                "test_set_hash": test_set_hash(cell.fold.test_ids),
             }
         )
     return rows

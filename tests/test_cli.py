@@ -876,7 +876,7 @@ def test_sweep_trains_at_the_train_seed_it_records(workdir, tmp_path, monkeypatc
 
     train_seeds, pretrain_seeds = [], []
 
-    def fake_pretrain_fold(manifest, store, fold, model_cfg, cfg, pool):
+    def fake_pretrain(manifest, store, model_cfg, cfg):
         pretrain_seeds.append(cfg.seed)
         return SimpleNamespace(params={}, best_value=1.0)
 
@@ -884,7 +884,7 @@ def test_sweep_trains_at_the_train_seed_it_records(workdir, tmp_path, monkeypatc
         train_seeds.append(fold.train_cfg.seed)
         return [SimpleNamespace(accuracy=0.5, n_test=16)]
 
-    monkeypatch.setattr(L.E, "pretrain_fold", fake_pretrain_fold)
+    monkeypatch.setattr(L.E.R, "pretrain", fake_pretrain)
     monkeypatch.setattr(L.E, "run_fold", fake_run_fold)
     argv = ["sweep", "--store", str(workdir / "gen" / "store"), "--config", str(workdir / "micro.json")]
     argv += ["--axis", "mask_ratio", "--values", "[0.5, 0.75]", "--held-out", "env1", "--seed", "5"]
@@ -911,8 +911,8 @@ LIFECYCLE_RUNS = {
     "finetune": (["--checkpoint", "{ckpt}", "--held-out", "env1"], ("evaluate", "run_fold")),
     "probe": (["--checkpoint", "{ckpt}", "--held-out", "env1"], ("evaluate", "run_fold")),
     "supervised": (["--held-out", "env1"], ("evaluate", "run_fold")),
-    "eval-cross-domain": (["--regimes", "supervised"], ("evaluate", "cross_domain_suite")),
-    "sweep": (["--axis", "mask_ratio", "--values", "[0.5, 0.75]", "--held-out", "env1"], ("scaling", "run_sweep")),
+    "eval-cross-domain": (["--regimes", "supervised"], ("evaluate", "run_cell")),
+    "sweep": (["--axis", "mask_ratio", "--values", "[0.5, 0.75]", "--held-out", "env1"], ("evaluate", "run_cell")),
 }
 
 
@@ -1025,19 +1025,23 @@ def test_a_pretrain_whose_warmup_outlasts_its_steps_fails_before_loading_and_lea
 
 
 # a sweep whose last cell pretrains 2 clips (one step an epoch) after a 2-step warmup, a suite whose
-# folds fine-tune 13 labeled clips for 2 steps after a 1000-step warmup, a pretrain of 26 clips for 4
-# steps after it, and single folds that fine-tune, probe or train 13 labeled clips for 2 steps after it
+# folds fine-tune 13 of 16 labeled clips for 2 steps after a 1000-step warmup, a pretrain of 26 of 32
+# clips for 4 steps after it, and single folds that fine-tune, probe or train 13 of 16 labeled clips
+# for 2 steps after it
 UNTRAINABLE_RUNS = {
     "sweep": (["--axis", "data_fraction", "--values", "[1.0, 0.1]", "--held-out", "env1"],
-              "data_fraction 0.1, seed 0: cannot train: total_steps 2 must exceed warmup_steps 2"),
+              "data_fraction 0.1, seed 0: cannot train: pretraining pool of 2 clips: "
+              "total_steps 2 must exceed warmup_steps 2"),
     "eval-cross-domain": (["--regimes", "ft", "--warmup-steps", "1000"],
-                          "fold environment=env0 cannot train: total_steps 2 must exceed warmup_steps 1000"),
+                          "fold environment=env0 cannot train: labeled set of 16 clips: "
+                          "total_steps 2 must exceed warmup_steps 1000"),
     "pretrain": (["--warmup-steps", "1000"], "total_steps 4 must exceed warmup_steps 1000"),
     "finetune": (["--checkpoint", "{ckpt}", "--held-out", "env1", "--warmup-steps", "1000"],
-                 "total_steps 2 must exceed warmup_steps 1000"),
+                 "labeled set of 16 clips: total_steps 2 must exceed warmup_steps 1000"),
     "probe": (["--checkpoint", "{ckpt}", "--held-out", "env1", "--warmup-steps", "1000"],
-              "total_steps 2 must exceed warmup_steps 1000"),
-    "supervised": (["--held-out", "env1", "--warmup-steps", "1000"], "total_steps 2 must exceed warmup_steps 1000"),
+              "labeled set of 16 clips: total_steps 2 must exceed warmup_steps 1000"),
+    "supervised": (["--held-out", "env1", "--warmup-steps", "1000"],
+                   "labeled set of 16 clips: total_steps 2 must exceed warmup_steps 1000"),
 }
 
 
@@ -1058,8 +1062,22 @@ def test_a_cell_or_fold_that_cannot_train_is_a_config_error_before_anything_trai
     argv = [command, "--store", str(workdir / "gen" / "store"), "--config", str(cfg), "--out", str(out)] + flags
     assert cli.main(argv) == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "config" and err["message"].endswith(message)
+    assert err == {"error": "config", "message": message}
     assert trained == [] and not (tmp_path / "runs").exists()
+
+
+def test_a_suite_names_the_pretraining_pool_that_cannot_train(tmp_path, capsys):
+    # no --config: the pretraining pool takes the default section, whose 1000-step warmup the flags never reach
+    store = tmp_path / "gen" / "store"
+    gen = ["--classes", "2", "--environments", "2", "--subjects", "1", "--clips-per-cell", "6"]
+    assert cli.main(["synth-gen", *gen, "--out", str(tmp_path / "gen")]) == 0
+    model = ["--variant", "tiny", "--patch-time", "100", "--patch-freq", "15", "--dec-layers", "1", "--dec-dim", "32"]
+    argv = ["eval-cross-domain", "--store", str(store), *model, "--dec-heads", "2", "--max-epochs", "2"]
+    assert cli.main(argv + ["--warmup-steps", "1", "--out", str(tmp_path / "xd")]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    message = "fold environment=env0 cannot train: pretraining pool of 12 clips: total_steps 40 must exceed warmup_steps 1000"
+    assert err == {"error": "config", "message": message}
+    assert not (tmp_path / "xd").exists()
 
 
 @pytest.fixture(scope="module")
@@ -1113,15 +1131,36 @@ def test_each_fold_and_cell_is_judged_once(workdir, tmp_path, monkeypatch):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name: calls.update([_name]) or _real(*a))
     common = ["--store", str(workdir / "gen" / "store"), "--config", str(workdir / "micro.json")]
-    # two folds and two cells: one split each, and one step budget each for the labeled set and the pool
+    # two folds: one split and two step budgets each, for the labeled set and the pool; a sweep's cells
+    # share their seed's fold: one split and labeled set per seed, one step budget per cell's pool
+    sweep = ["sweep", "--axis", "mask_ratio", "--values", "[0.5, 0.75]", "--held-out", "env1"]
     runs = {
-        "eval-cross-domain": ["--regimes", "supervised,lp,ft"],
-        "sweep": ["--axis", "mask_ratio", "--values", "[0.5, 0.75]", "--held-out", "env1"],
+        "eval-cross-domain": (["eval-cross-domain", "--regimes", "supervised,lp,ft"], 2, 4),
+        "sweep": (sweep, 1, 3),
+        "sweep-2-seeds": (sweep + ["--seeds", "[0, 1]"], 2, 6),
     }
-    for command, flags in runs.items():
+    for name, (argv, splits, budgets) in runs.items():
         calls.clear()
-        assert cli.main([command] + common + flags + ["--out", str(tmp_path / command)]) == 0
-        assert calls == {"make_split": 2, "fit_budget": 4}, command
+        assert cli.main(argv + common + ["--out", str(tmp_path / name)]) == 0
+        assert calls == {"make_split": splits, "fit_budget": budgets}, name
+
+
+def test_each_cell_pretrains_once_and_a_supervised_suite_never(workdir, tmp_path, monkeypatch):
+    from csimae import training as R
+
+    pools, real = [], R.pretrain
+    monkeypatch.setattr(R, "pretrain", lambda manifest, *a: pools.append(len(manifest.entries)) or real(manifest, *a))
+    common = ["--store", str(workdir / "gen" / "store"), "--config", str(workdir / "micro.json")]
+    sweep = ["sweep", "--axis", "data_fraction", "--values", "[1.0, 0.5]", "--seeds", "[0, 1]", "--held-out", "env1"]
+    runs = {  # two folds of 16 training clips; a sweep's 2 x 2 cells pretrain on 16 or 8 of them
+        "supervised": (["eval-cross-domain", "--regimes", "supervised"], []),
+        "lp-ft": (["eval-cross-domain", "--regimes", "lp,ft"], [16, 16]),
+        "sweep": (sweep, [16, 16, 8, 8]),
+    }
+    for name, (argv, want) in runs.items():
+        pools.clear()
+        assert cli.main(argv + common + ["--out", str(tmp_path / name)]) == 0
+        assert pools == want, name
 
 
 @pytest.mark.parametrize("missing", ["manifest", "store", "checkpoint"])

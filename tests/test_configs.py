@@ -126,7 +126,7 @@ def test_no_dataclass_keeps_a_validate_method():
 def test_every_dataclass_but_the_recording_is_frozen():
     classes = _dataclasses()
     mutable = {D.ChannelRecording}
-    assert mutable | {Q.WindowQc, Q.QcReport, D.DatasetManifest, M.ModelConfig, E.Fold, R.RunMetrics} <= classes
+    assert mutable | {Q.WindowQc, Q.QcReport, D.DatasetManifest, M.ModelConfig, E.Fold, E.Cell, R.RunMetrics} <= classes
     for cls in classes - mutable:
         instance = object.__new__(cls)  # unbuilt, so only the frozen check can refuse the assignment
         with pytest.raises(dataclasses.FrozenInstanceError):

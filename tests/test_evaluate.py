@@ -36,9 +36,9 @@ def micro_train_cfg(**kw):
 
 
 def cross_domain(manifest, store, regimes, tcfg, pcfg, label_fraction):
-    """A whole cross-domain suite: every fold planned, then run."""
-    folds = E.cross_domain_folds(manifest, "environment", regimes, tcfg, pcfg, label_fraction)
-    return E.cross_domain_suite(manifest, store, folds, regimes, micro_cfg(), pcfg)
+    """A whole cross-domain suite: every cell planned, then run."""
+    cells = E.cross_domain_cells(manifest, "environment", regimes, micro_cfg(), tcfg, pcfg, label_fraction)
+    return [r for cell in cells for r in E.run_cell(manifest, store, cell, regimes)[1]]
 
 
 def micro_corpus(tmp_path, clips_per_cell=6, seed=5):
@@ -334,7 +334,7 @@ def test_both_per_class_draws_match_their_own_loops_on_random_manifests():
                 assert [c.clip_id for c in got] == [c.clip_id for c in _oracle_select_labeled(clips, fraction, seed)]
 
 
-def test_cross_domain_suite_fold_count(tmp_path):
+def test_cross_domain_cells_fold_count(tmp_path):
     spec = S.SynthTaskSpec(n_classes=2, n_environments=3, n_subjects=1, clips_per_cell=4, seed=9)
     manifest = S.generate_task(spec, tmp_path / "store")
     tcfg = micro_train_cfg(max_epochs=2)
@@ -376,13 +376,14 @@ def test_a_suite_whose_last_fold_cannot_train_pretrains_nothing(tmp_path, case):
     if case == "one-class-labeled-set":  # env0 holds class c0 only, so the env1 fold trains on one class
         kept = [e for e in env0 if e.labels["class"] == "c0"]
         pcfg, refusal = micro_train_cfg(max_epochs=2), "n_classes must be >= 2"
-    else:  # env0 holds one clip of each class: the env1 fold pretrains 1 clip, 2 steps, after a 2-step warmup
+    else:  # env0 holds one clip of each class: the env1 fold pretrains 1 clip of its 2, 2 steps, after a 2-step warmup
         kept = [next(e for e in env0 if e.labels["class"] == c) for c in ("c0", "c1")]
-        pcfg, refusal = micro_train_cfg(max_epochs=2, warmup_steps=2, batch_size=4), "total_steps 2 must exceed"
+        pcfg = micro_train_cfg(max_epochs=2, warmup_steps=2, batch_size=4)
+        refusal = "pretraining pool of 2 clips: total_steps 2 must exceed warmup_steps 2$"
     manifest = D.DatasetManifest(kept + [e for e in full.entries if e.labels["environment"] == "env1"])
     # the suite's plan refuses it, so no fold of it reaches a runner
     with pytest.raises(E.EvalError, match=f"^fold environment=env1 cannot train: {refusal}"):
-        E.cross_domain_folds(manifest, "environment", ["lp", "ft"], micro_train_cfg(max_epochs=2), pcfg, 1.0)
+        E.cross_domain_cells(manifest, "environment", ["lp", "ft"], micro_cfg(), micro_train_cfg(max_epochs=2), pcfg, 1.0)
 
 
 def test_a_suite_whose_last_fold_has_no_test_clip_to_score_trains_nothing(tmp_path):
@@ -393,7 +394,7 @@ def test_a_suite_whose_last_fold_has_no_test_clip_to_score_trains_nothing(tmp_pa
     manifest = D.DatasetManifest(kept)
     tcfg = micro_train_cfg(max_epochs=2)
     with pytest.raises(E.EvalError, match="^fold environment=env2 cannot train: no test clip to score: 2 of 2 "):
-        E.cross_domain_folds(manifest, "environment", ["supervised"], tcfg, tcfg, 1.0)
+        E.cross_domain_cells(manifest, "environment", ["supervised"], micro_cfg(), tcfg, tcfg, 1.0)
 
 
 def test_run_fold_scores_the_encoder_it_is_given_and_never_pretrains(tmp_path, monkeypatch):
@@ -413,24 +414,33 @@ def test_run_fold_scores_the_encoder_it_is_given_and_never_pretrains(tmp_path, m
         E.run_fold(*args)
 
 
-def test_pretrain_fold_refuses_a_pool_outside_the_training_side(tmp_path):
+def test_a_cell_refuses_a_pool_outside_the_training_side_or_one_that_cannot_train(tmp_path):
     manifest, clips = micro_corpus(tmp_path)
     split = D.SplitSpec("leave_one_domain_out", "environment", "env1")
     held_out = next(c.clip_id for c in clips if c.labels["environment"] == "env1")
     fold = E.plan_fold(manifest, split, micro_train_cfg(), 1.0)
-    with pytest.raises(E.EvalError, match="outside the training side"):
-        E.pretrain_fold(manifest, tmp_path / "store", fold, micro_cfg(), micro_train_cfg(), pool=[held_out])
+    for pcfg in (micro_train_cfg(), None):  # the leak guard holds whether or not the cell pretrains
+        with pytest.raises(E.EvalError, match="outside the training side"):
+            E.Cell(fold, micro_cfg(), pcfg, fold.train_ids[:6] + [held_out])
+    # the 12 env0 clips fit 10 of them, one step an epoch, 4 in all; one clip leaves none to fit
+    for pool, refusal in (
+        (fold.train_ids, "pretraining pool of 12 clips: total_steps 4 must exceed warmup_steps 4"),
+        (fold.train_ids[:1], "pretraining pool of 1 clips: a validation slice of 1 leaves none of 1 items to fit"),
+    ):
+        with pytest.raises(E.EvalError, match=f"^{refusal}$"):
+            E.Cell(fold, micro_cfg(), micro_train_cfg(warmup_steps=4), pool)
+    assert E.Cell(fold, micro_cfg(), None, fold.train_ids[:1]).pool == fold.train_ids[:1]  # nothing pretrains
 
 
-def test_pretrain_fold_then_run_fold_is_the_cross_domain_suites_fold(tmp_path):
+def test_a_hand_planned_cell_is_the_cross_domain_suites_fold(tmp_path):
     manifest, _ = micro_corpus(tmp_path)
     store, regimes, tcfg = tmp_path / "store", ["supervised", "lp", "ft"], micro_train_cfg(max_epochs=2)
     suite = cross_domain(manifest, store, regimes, tcfg, tcfg, 0.5)
     split = D.SplitSpec("leave_one_domain_out", "environment", "env1", seed=tcfg.seed)
     fold = E.plan_fold(manifest, split, tcfg, 0.5)
-    params = E.pretrain_fold(manifest, store, fold, micro_cfg(), tcfg).params
-    results = E.run_fold(manifest, store, fold, regimes, micro_cfg(), checkpoint=params)
+    pretrained, results = E.run_cell(manifest, store, E.Cell(fold, micro_cfg(), tcfg, fold.train_ids), regimes)
     assert [r.to_json() for r in results] == [r.to_json() for r in suite if r.split["held_out_value"] == "env1"]
+    assert pretrained.best_epoch > 0
 
 
 def test_a_fold_whose_training_side_lacks_a_class_excludes_its_test_clips(tmp_path):

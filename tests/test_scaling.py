@@ -176,7 +176,10 @@ def test_run_sweep_grid_counts_and_shared_test_set(tmp_path, monkeypatch):
 
     monkeypatch.setattr(R, "pretrain_arrays", spy)
     spec = L.SweepSpec(axis="data_fraction", values=[0.5, 1.0], seeds=[0, 1])
-    rows = L.run_sweep(spec.axis, plan["manifest"], tmp_path / "store", L.sweep_cells(spec, **plan))
+    cells = L.sweep_cells(spec, **plan)
+    # one fold per seed, shared by both values
+    assert all(a.fold is b.fold for (_, a), (_, b) in zip(cells[:2], cells[2:]))
+    rows = L.run_sweep(spec.axis, plan["manifest"], tmp_path / "store", cells)
     assert len(rows) == 4
     assert len({r["test_set_hash"] for r in rows}) == 1
     assert {r["value"] for r in rows} == {0.5, 1.0}
@@ -196,13 +199,13 @@ def test_run_sweep_grid_counts_and_shared_test_set(tmp_path, monkeypatch):
 # (axis, values, plan overrides, the refusal): each sweep's last cell, or every cell, cannot train
 UNTRAINABLE_SWEEPS = {
     "one-clip-pool": ("data_fraction", [1.0, 0.01], {}, "data_fraction 0.01, seed 0: cannot train: "
-                      "a validation slice of 1 leaves none of 1 items to fit"),
+                      "pretraining pool of 1 clips: a validation slice of 1 leaves none of 1 items to fit"),
     "short-pretraining": ("data_fraction", [1.0, 0.1], {"pretrain_cfg": R.TrainConfig(warmup_steps=3, batch_size=2,
                           max_epochs=2, val_fraction=0.2)}, "data_fraction 0.1, seed 0: cannot train: "
-                          "total_steps 2 must exceed warmup_steps 3"),
+                          "pretraining pool of 2 clips: total_steps 2 must exceed warmup_steps 3"),
     "short-fine-tuning": ("mask_ratio", [0.5, 0.75], {"train_cfg": R.TrainConfig(warmup_steps=100, batch_size=16,
                           max_epochs=2, val_fraction=0.2)}, "mask_ratio 0.5, seed 0: cannot train: "
-                          "total_steps 2 must exceed warmup_steps 100"),
+                          "labeled set of 20 clips: total_steps 2 must exceed warmup_steps 100"),
 }
 
 
@@ -217,8 +220,9 @@ def test_a_sweep_with_a_cell_that_cannot_train_pretrains_nothing(tmp_path, case)
 def test_model_variant_cells_take_each_variants_sizes(tmp_path):
     plan = micro_plan(tmp_path)
     cells = L.sweep_cells(L.SweepSpec(axis="model_variant", values=["tiny", "small"]), **plan)
-    assert [(value, fold.train_cfg.seed) for value, _, _, _, fold in cells] == [("tiny", 0), ("small", 0)]
-    for value, cfg, _, _, _ in cells:
+    assert [(value, cell.fold.train_cfg.seed) for value, cell in cells] == [("tiny", 0), ("small", 0)]
+    for value, cell in cells:
+        cfg = cell.model_cfg
         assert (cfg.variant, (cfg.enc_layers, cfg.enc_dim, cfg.enc_heads)) == (value, M.VARIANTS[value])
         # every other field is the sweep's model's
         assert replace(cfg, variant="custom", enc_layers=2, enc_dim=16, enc_heads=2) == plan["model_cfg"]
