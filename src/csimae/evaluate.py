@@ -26,7 +26,13 @@ Each clip set is held once.  ``run_fold`` loads only the labeled clips and
 the test clips, and every pass over them (training, validation,
 prediction, lp's feature pass) builds one batch from the clips' own arrays
 when that batch runs.  Validation and prediction run on frozen views of
-the params (``checkpoint.frozen_params``), so they build no graph.
+the params (``checkpoint.frozen_params``), so they build no graph.  An
+item counts as its longest sequence, ``1 + n_patches`` token rows for a
+clip and one for an lp feature, and no pass holds more rows than its
+budget: training runs a batch over ``training.STEP_TOKENS`` as
+micro-batches (``training.fit``), and the graph-free passes (validation,
+prediction, lp's feature pass) forward at most ``training.PASS_TOKENS``
+rows at a time, validation and prediction no more than a batch.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ class EvalError(ValueError):
 
 
 REGIMES = ("supervised", "lp", "ft")
-ENCODE_BATCH_SIZE = 64  # clips per frozen-encoder forward in ``encode_features``
 
 
 @dataclass(frozen=True)
@@ -101,14 +106,14 @@ def _batch(xs, idx) -> np.ndarray:
 
 
 def encode_features(params: dict, model_cfg: M.ModelConfig, clips) -> np.ndarray:
-    """Frozen (graph-free) CLS features of ``clips``, ``ENCODE_BATCH_SIZE`` clips at a time.
+    """Frozen (graph-free) CLS features of ``clips``, as many clips at a time as ``training.PASS_TOKENS`` rows hold.
 
     ``clips`` is an (N, 600, 90) array or a sequence of (600, 90) arrays;
     one batch of them is built at a time, and only the (N, enc_dim)
     features outlive the call.
     """
     model = M.MaskedAutoencoder(model_cfg, params=C.frozen_params(params))
-    n = ENCODE_BATCH_SIZE
+    n = R.items_in(R.PASS_TOKENS, 1 + model_cfg.n_patches)
     outs = [model.encode_features(_batch(clips, slice(i, i + n))).data for i in range(0, len(clips), n)]
     return np.concatenate(outs, axis=0)
 
@@ -121,13 +126,14 @@ def _labels_of(clips):
     return [c.labels[D.LABEL_KEY] for c in clips]
 
 
-def train_classifier(forward_fn, params: dict, x_train, y_train, cfg: R.TrainConfig):
+def train_classifier(forward_fn, params: dict, x_train, y_train, cfg: R.TrainConfig, item_rows: int):
     """Cross-entropy through ``training.fit`` on streams 7/8, keeping the epoch of lowest val loss.
 
     ``forward_fn(x_batch, params) -> logits Tensor``.  ``x_train`` is an
-    array or a sequence of arrays, held as given: each training and
-    validation batch of ``cfg.batch_size`` items is built when it runs
-    and dropped after it.  The validation loss is their
+    array or a sequence of arrays, held as given, each item ``item_rows``
+    token rows long: each training micro-batch (``training.fit``) and
+    validation batch of at most ``cfg.batch_size`` items is built when it
+    runs and dropped after it.  The validation loss is their
     ``training.mean_batch_loss``, run on frozen views of ``params``, so it
     builds no graph.  Returns the run's ``training.FitResult``; its
     ``params`` are the best kept.
@@ -142,9 +148,10 @@ def train_classifier(forward_fn, params: dict, x_train, y_train, cfg: R.TrainCon
 
     def val_loss():
         frozen = C.frozen_params(params)
-        return R.mean_batch_loss(lambda sl: xent(val_idx[sl], frozen), len(val_idx), cfg.batch_size)
+        size = min(cfg.batch_size, R.items_in(R.PASS_TOKENS, item_rows))
+        return R.mean_batch_loss(lambda sl: xent(val_idx[sl], frozen), len(val_idx), size)
 
-    return R.fit(params, fit_idx, cfg, 7, batch_loss, val_loss)
+    return R.fit(params, fit_idx, cfg, 7, batch_loss, val_loss, item_rows)
 
 
 def predict(forward_fn, params: dict, x, batch_size: int) -> np.ndarray:
@@ -189,16 +196,19 @@ def run_regime(
 ) -> EvalResult:
     """Train one regime and score exact-match accuracy on the test clips.
 
-    Training, validation and test batches hold ``train_cfg.batch_size``
-    clips; ``batch_size``, when given, must restate it.  The clips are
-    held as given, never stacked: each batch is built from the clips' own
-    arrays when it runs, and lp's feature pass encodes ``ENCODE_BATCH_SIZE``
-    clips at a time and keeps only their features.  ft trains tensors over
-    the checkpoint's own arrays (``checkpoint.shared_params``), which its
-    updates leave as they were.  Test clips
-    whose class never appears in training are excluded from scoring
-    (counted in ``n_excluded``), not scored as wrong; when that leaves
-    none, ``EvalError`` is raised before any training.
+    Training, validation and test batches hold at most
+    ``train_cfg.batch_size`` items; ``batch_size``, when given, must
+    restate it.  An item is a clip of ``1 + n_patches`` token rows, or for
+    lp its one-row feature: a training batch over ``training.STEP_TOKENS``
+    rows runs as micro-batches, and a validation or test batch, like each
+    of lp's feature passes, holds at most ``training.PASS_TOKENS`` rows.
+    The clips are held as given, never stacked: each batch is built from
+    the clips' own arrays when it runs, and lp's feature pass keeps only
+    their features.  ft trains tensors over the checkpoint's own arrays
+    (``checkpoint.shared_params``), which its updates leave as they were.
+    Test clips whose class never appears in training are excluded from
+    scoring (counted in ``n_excluded``), not scored as wrong; when that
+    leaves none, ``EvalError`` is raised before any training.
     """
     if regime not in REGIMES:
         raise EvalError(f"unknown regime {regime!r}")
@@ -227,9 +237,10 @@ def run_regime(
     if regime == "lp":
         x_train = encode_features(checkpoint[0], model_cfg, x_train)
         x_test = encode_features(checkpoint[0], model_cfg, x_test)
-        params = {}
+        params, item_rows = {}, 1
         fwd = lambda feats, p: head_forward(T.Tensor(feats), p)
     else:
+        item_rows = 1 + model_cfg.n_patches
         if regime == "ft":
             enc_params = C.shared_params(checkpoint[0])
         else:
@@ -240,8 +251,8 @@ def run_regime(
             return head_forward(M.MaskedAutoencoder(model_cfg, params=p).encode_features(clip_batch), p)
 
     params.update(init_head(model_cfg.enc_dim, head_cfg.n_classes, [train_cfg.seed, 12]))
-    run = train_classifier(fwd, params, x_train, y_train, train_cfg)
-    pred = predict(fwd, run.params, x_test, train_cfg.batch_size)
+    run = train_classifier(fwd, params, x_train, y_train, train_cfg, item_rows)
+    pred = predict(fwd, run.params, x_test, min(train_cfg.batch_size, R.items_in(R.PASS_TOKENS, item_rows)))
 
     return EvalResult(
         regime=regime,

@@ -10,8 +10,9 @@ slice.  Everything is seeded and single-threaded deterministic: the
 validation split, the per-epoch shuffles and the per-clip mask plans all
 derive from the run seed, and validation masks are fixed across epochs
 so val losses compare like for like.  Each step's loss, lr and rejected
-flag go to the deterministic metrics stream; wall-clock timings and peak
-RSS go to a sidecar file so the metrics stream itself is bit-reproducible.
+flag and its gradient norm go to the deterministic metrics stream;
+wall-clock timings and peak RSS go to a sidecar file so the metrics
+stream itself is bit-reproducible.
 A run's step budget must leave steps after the warmup; ``fit_budget``
 judges it on a count, so a run's planner (such as ``evaluate.plan_fold``)
 refuses one that cannot train before any data loads; ``fit`` is the backstop.
@@ -24,6 +25,15 @@ writes every update into a fresh array, so ``fit`` keeps its start and
 each best epoch by reference rather than by copy, and a gradient lives
 only until its update is written.  Validation runs on frozen views of
 the params (``checkpoint.frozen_params``), so it builds no graph.
+
+A step's memory is bounded by ``STEP_TOKENS`` token rows, not by its
+batch: ``fit`` runs a batch that holds more as the fewest near-equal
+micro-batches within it, whose gradients sum on the params before one
+AdamW step (GPipe, Huang et al. 2019, arXiv:1811.06965).  A batch within
+the budget is one micro-batch, run as a whole batch always was.  The
+graph-free passes (validation here, encoding and prediction in
+``evaluate``) forward at most ``PASS_TOKENS`` rows at a time.  An item
+counts as its longest sequence: ``1 + n_patches`` rows for a clip.
 """
 
 from __future__ import annotations
@@ -48,6 +58,16 @@ class TrainError(ValueError):
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+# Token rows one training micro-batch holds at most: 110 desk clips (37 rows
+# each) or 6 paper `small` clips (601 rows each).
+STEP_TOKENS = 4096
+# Token rows one graph-free pass (validation, encoding, prediction) forwards at
+# most.  It keeps no graph, but an encoder pass gathers every patch of its
+# clips, 1,500 floats a row at desk shape against the encoder's width of 192:
+# on 2 vCPU with OpenBLAS, 4,096-row passes raised the desk fine-tune
+# benchmark's peak RSS above that of the 64-clip passes they replaced, and
+# passes of half that did not.
+PASS_TOKENS = STEP_TOKENS // 2
 
 
 @dataclass(frozen=True)
@@ -197,7 +217,7 @@ class AdamW:
 class RunMetrics:
     """A run's records, built once, when ``fit`` returns."""
 
-    steps: tuple  # {"step", "lr", "train_loss", "rejected"}; "rejected" marks an update AdamW refused
+    steps: tuple  # {"step", "lr", "train_loss", "grad_norm", "rejected"}; "rejected" marks an update AdamW refused
     epochs: tuple  # {"epoch", "val_loss", "best"}; "best" marks a new lowest val_loss
     timing: tuple  # {"epoch", "wall_seconds", "peak_rss_mb"} (volatile)
 
@@ -240,26 +260,60 @@ def val_split(n: int, cfg: TrainConfig, stream: int) -> tuple:
     return order[:n_val], order[n_val:]
 
 
-def fit(params: dict, fit_idx, cfg: TrainConfig, stream: int, batch_loss, val_loss) -> FitResult:
+def items_in(tokens: int, item_rows: int) -> int:
+    """Items of ``item_rows`` token rows each that ``tokens`` rows hold; one at least."""
+    return max(1, tokens // item_rows)
+
+
+def micro_batches(batch, item_rows: int) -> list:
+    """``batch`` as the fewest near-equal runs of consecutive items that each hold at most ``STEP_TOKENS`` rows.
+
+    A run holds ``items_in(STEP_TOKENS, item_rows)`` items at most; the
+    longer runs come first.  A batch within the budget is one run, the
+    whole batch.
+    """
+    return np.array_split(batch, -(-len(batch) // items_in(STEP_TOKENS, item_rows)))
+
+
+def grad_norm(params: dict) -> float:
+    """The global L2 norm of the params' gradients: one dot product per gradient, summed in name order."""
+    total = 0.0
+    for name in sorted(params):
+        g = params[name].grad
+        if g is not None:
+            flat = g.reshape(-1)
+            total += float(np.dot(flat, flat))
+    return math.sqrt(total)
+
+
+def fit(params: dict, fit_idx, cfg: TrainConfig, stream: int, batch_loss, val_loss, item_rows: int) -> FitResult:
     """The seeded loop every training run shares.
 
     Each epoch visits ``fit_idx`` in the ``[seed, stream + 1, epoch]``
     order, in batches of ``cfg.batch_size`` with the trailing partial
-    batch kept.  ``batch_loss(idx, epoch)`` returns the loss Tensor of
-    one batch; its backward pass and an AdamW step under the warmup-cosine
-    schedule follow.  ``val_loss()`` scores ``params`` after each epoch,
-    and each epoch's value is recorded under ``val_loss``.  The run keeps
-    the params of the epoch of lowest validation loss (the first of a
-    tie), or the start when no epoch improves on it, and it stops once
-    ``early_stop_patience`` epochs have passed since that epoch.  It keeps
-    them by reference, copying nothing: ``adamw_step`` writes every update
-    into a fresh array, so the arrays of a kept epoch never change.  The
-    run holds its live params, the kept ones while they differ, the
-    AdamW moments and one batch's graph.  The step budget is judged
-    (``step_budget``) before the first step.
-    Every step lands in ``metrics``, rejected optimizer steps flagged;
-    the record is built once, when the run returns.  A non-finite loss
-    stops the run with ``aborted`` set.
+    batch kept.  Each batch runs as its ``micro_batches`` for items of
+    ``item_rows`` token rows: ``batch_loss(idx, epoch)`` returns the mean
+    loss Tensor of the items ``idx``, and its backward pass, seeded with
+    the part's share of the batch (``len(idx) / len(batch)``), adds its
+    gradient into the params'.  The step's ``train_loss`` is the
+    share-weighted sum of its parts' losses and ``grad_norm`` that of the
+    summed gradient; an AdamW step under the warmup-cosine schedule
+    follows.  A batch within ``STEP_TOKENS`` is one part, seeded with 1,
+    so it runs as a whole batch.  ``val_loss()`` scores ``params`` after
+    each epoch, and each epoch's value is recorded under ``val_loss``.
+    The run keeps the params of the epoch of lowest validation loss (the
+    first of a tie), or the start when no epoch improves on it, and it
+    stops once ``early_stop_patience`` epochs have passed since that
+    epoch.  It keeps them by reference, copying nothing: ``adamw_step``
+    writes every update into a fresh array, so the arrays of a kept epoch
+    never change.  The run holds its live params, the kept ones while they
+    differ, the AdamW moments, the summed gradients and one micro-batch's
+    graph.  The step budget is judged (``step_budget``) before the first
+    step.  Every step lands in ``metrics``, rejected optimizer steps
+    flagged; the record is built once, when the run returns.  A
+    non-finite loss in any part stops the run with ``aborted`` set before
+    that part's backward, records nothing of its step and leaves no
+    gradient on the params.
     """
     total_steps = step_budget(len(fit_idx), cfg)
     opt = AdamW(params, cfg)
@@ -273,14 +327,25 @@ def fit(params: dict, fit_idx, cfg: TrainConfig, stream: int, batch_loss, val_lo
         shuffled = fit_idx[np.random.default_rng([cfg.seed, stream + 1, epoch]).permutation(len(fit_idx))]
         for i in range(0, len(shuffled), cfg.batch_size):
             step += 1
-            loss = batch_loss(shuffled[i : i + cfg.batch_size], epoch)
-            train_loss = float(loss.data)
-            if not math.isfinite(train_loss):
-                aborted = True
+            batch = shuffled[i : i + cfg.batch_size]
+            train_loss = 0.0
+            for part in micro_batches(batch, item_rows):
+                loss = batch_loss(part, epoch)
+                part_loss = float(loss.data)
+                if not math.isfinite(part_loss):
+                    aborted = True
+                    break
+                share = len(part) / len(batch)
+                train_loss += part_loss * share
+                loss.grad = np.full_like(loss.data, share)
+                loss.backward()
+            if aborted:
+                for t in params.values():
+                    t.zero_grad()
                 break
-            loss.backward()
             lr = lr_at(step, cfg, total_steps)
-            steps.append({"step": step, "lr": lr, "train_loss": train_loss, "rejected": not opt.step(lr)})
+            norm = grad_norm(params)  # before AdamW takes the gradients
+            steps.append({"step": step, "lr": lr, "train_loss": train_loss, "grad_norm": norm, "rejected": not opt.step(lr)})
         if aborted:
             break
         value = val_loss()
@@ -312,10 +377,13 @@ def masked_val_loss(model: M.MaskedAutoencoder, clips, plans: list, batch_size: 
     """``mean_batch_loss`` of the masked reconstruction over ``clips``, run on frozen views of the params: no graph.
 
     ``clips`` is a clip array or an ``mae.ClipRows``; each batch is a
-    slice of it, so rows of a larger array are scored where they lie.
+    slice of it, so rows of a larger array are scored where they lie.  A
+    batch holds ``batch_size`` clips, or fewer when more would exceed
+    ``PASS_TOKENS`` rows.
     """
     frozen = M.MaskedAutoencoder(model.cfg, params=C.frozen_params(model.params))
-    return mean_batch_loss(lambda sl: frozen.forward_loss(clips[sl], plans[sl])[0], len(clips), batch_size)
+    size = min(batch_size, items_in(PASS_TOKENS, 1 + model.cfg.n_patches))
+    return mean_batch_loss(lambda sl: frozen.forward_loss(clips[sl], plans[sl])[0], len(clips), size)
 
 
 def pretrain_arrays(clips: np.ndarray, model_cfg: M.ModelConfig, cfg: TrainConfig) -> FitResult:
@@ -337,7 +405,7 @@ def pretrain_arrays(clips: np.ndarray, model_cfg: M.ModelConfig, cfg: TrainConfi
     def val_loss():
         return masked_val_loss(model, M.ClipRows(clips, val_idx), val_plans, cfg.batch_size)
 
-    return fit(model.params, train_idx, cfg, 1, batch_loss, val_loss)
+    return fit(model.params, train_idx, cfg, 1, batch_loss, val_loss, 1 + model_cfg.n_patches)
 
 
 def pretrain(manifest: D.DatasetManifest, store_dir, model_cfg: M.ModelConfig, cfg: TrainConfig) -> FitResult:

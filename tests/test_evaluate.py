@@ -103,7 +103,7 @@ def test_linear_probe_hits_one_on_separable_features():
     params = E.init_head(16, 2, seed=4)
     fwd = lambda x, p: E.head_forward(T.Tensor(x), p)
     cfg = micro_train_cfg(max_epochs=30, peak_lr=5e-2, weight_decay=0.0)
-    best = E.train_classifier(fwd, params, feats[:80], labels[:80], cfg).params
+    best = E.train_classifier(fwd, params, feats[:80], labels[:80], cfg, 1).params
     pred = E.predict(fwd, best, feats[80:], 32)
     assert E.accuracy(pred, labels[80:]) == 1.0
 
@@ -115,9 +115,9 @@ def test_every_regime_starts_train_classifier_from_the_same_linear_head(tmp_path
     test = [c for c in clips if c.labels["environment"] == "env1"]
     real, heads = E.train_classifier, []
 
-    def spy(forward_fn, params, x_train, y_train, train_cfg):
+    def spy(forward_fn, params, x_train, y_train, train_cfg, item_rows):
         heads.append({k: v.data.copy() for k, v in params.items() if k.startswith("head.")})
-        return real(forward_fn, params, x_train, y_train, train_cfg)
+        return real(forward_fn, params, x_train, y_train, train_cfg, item_rows)
 
     monkeypatch.setattr(E, "train_classifier", spy)
     ckpt = (M.init_params(cfg, seed=6), cfg)
@@ -503,7 +503,7 @@ def test_run_regime_never_stacks_its_clips_and_encodes_one_batch_at_a_time(tmp_p
 
     monkeypatch.setattr(D, "stack_clips", no_stack)
     monkeypatch.setattr(M.MaskedAutoencoder, "encode_features", spy)
-    monkeypatch.setattr(E, "ENCODE_BATCH_SIZE", 5)
+    monkeypatch.setattr(R, "PASS_TOKENS", 5 * (1 + cfg.n_patches) + 1)  # five clips a graph-free pass
     ckpt = (M.init_params(cfg, seed=6), cfg)
     result = E.run_regime(regime, ckpt, train, test, E.HeadConfig(2), micro_train_cfg(batch_size=4, max_epochs=2))
     assert result.n_test == len(test) == 12
@@ -519,7 +519,7 @@ def test_train_classifier_and_predict_give_the_same_bits_on_an_array_and_on_its_
     labels = rng.integers(0, 2, 30)
     fwd = lambda x, p: E.head_forward(T.Tensor(x), p)
     cfg = micro_train_cfg(batch_size=4, max_epochs=3)
-    runs = [E.train_classifier(fwd, E.init_head(4, 2, seed=9), x, labels, cfg) for x in (feats, list(feats))]
+    runs = [E.train_classifier(fwd, E.init_head(4, 2, seed=9), x, labels, cfg, 1) for x in (feats, list(feats))]
     assert runs[0].metrics.steps == runs[1].metrics.steps and runs[0].metrics.epochs == runs[1].metrics.epochs
     assert all(runs[0].params[k].data.tobytes() == runs[1].params[k].data.tobytes() for k in runs[0].params)
     preds = [E.predict(fwd, runs[0].params, x, 4) for x in (feats, list(feats))]
@@ -541,7 +541,7 @@ def test_validation_and_prediction_build_no_graph_and_keep_the_graph_passes_bits
 
     # 24 items to fit in batches of 4 and a 6-item validation slice in batches of 4 and 2
     cfg = micro_train_cfg(batch_size=4, max_epochs=2, early_stop_patience=2)
-    run = E.train_classifier(fwd, E.init_head(4, 2, seed=9), feats, labels, cfg)
+    run = E.train_classifier(fwd, E.init_head(4, 2, seed=9), feats, labels, cfg, 1)
     E.predict(fwd, run.params, feats[:10], 4)
     assert calls == (["graph"] * 6 + ["free"] * 2) * 2 + ["free"] * 3
 

@@ -116,7 +116,7 @@ def test_fit_keeps_its_start_and_best_epoch_by_reference(monkeypatch, val_losses
         seen.append(params["w"].data.copy())
         return next(losses)
 
-    res = R.fit(params, np.arange(4), cfg, 1, batch_loss, val_loss)
+    res = R.fit(params, np.arange(4), cfg, 1, batch_loss, val_loss, 1)
     assert res.best_epoch == best_epoch and len(seen) == 5
     assert len({a.tobytes() for a in seen}) == 5  # every epoch moved the params
     assert res.params["w"].data.tobytes() == seen[best_epoch].tobytes()
@@ -129,7 +129,7 @@ def test_early_stopping_patience_arithmetic():
     params = {"w": T.Tensor(np.zeros((1, 2), dtype=np.float32), requires_grad=True)}
     losses = iter([1.0, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9])
     batch_loss = lambda idx, epoch: T.softmax_cross_entropy(params["w"], np.array([0]))
-    res = R.fit(params, np.arange(4), cfg, 1, batch_loss, lambda: next(losses))
+    res = R.fit(params, np.arange(4), cfg, 1, batch_loss, lambda: next(losses), 1)
     assert [e["epoch"] for e in res.metrics.epochs] == [1, 2, 3, 4, 5, 6, 7]
     assert [e["best"] for e in res.metrics.epochs] == [True, True, False, False, False, False, False]
     assert (res.best_epoch, res.best_value) == (2, 0.9)
@@ -341,15 +341,15 @@ def _tiny_head_problem():
 def test_pretraining_and_classifier_training_both_run_through_fit(monkeypatch):
     real, calls = R.fit, []
 
-    def spy(params, fit_idx, cfg, stream, batch_loss, val_loss):
-        res = real(params, fit_idx, cfg, stream, batch_loss, val_loss)
+    def spy(params, fit_idx, cfg, stream, batch_loss, val_loss, item_rows):
+        res = real(params, fit_idx, cfg, stream, batch_loss, val_loss, item_rows)
         calls.append((stream, res))
         return res
 
     monkeypatch.setattr(R, "fit", spy)
     pre = R.pretrain_arrays(synthetic_clip_batch(20, seed=7), desk_model_cfg(), desk_cfg(warmup_steps=1, max_epochs=1))
     fwd, params, feats, labels = _tiny_head_problem()
-    run = E.train_classifier(fwd, params, feats, labels, R.TrainConfig(warmup_steps=1, max_epochs=2))
+    run = E.train_classifier(fwd, params, feats, labels, R.TrainConfig(warmup_steps=1, max_epochs=2), 1)
     assert [stream for stream, _ in calls] == [1, 7]
     assert pre is calls[0][1] and run is calls[1][1]
     assert [set(e) for e in run.metrics.epochs] == [{"epoch", "val_loss", "best"}] * 2
@@ -364,7 +364,7 @@ def test_a_fit_set_emptied_by_the_val_slice_raises_train_error(caller):
             R.pretrain_arrays(synthetic_clip_batch(1, seed=8), desk_model_cfg(), cfg)
         else:
             fwd, params, feats, labels = _tiny_head_problem()
-            E.train_classifier(fwd, params, feats[:1], labels[:1], cfg)
+            E.train_classifier(fwd, params, feats[:1], labels[:1], cfg, 1)
 
 
 def test_a_step_budget_with_no_room_after_warmup_fails_before_any_clip_loads(tmp_path, monkeypatch):
@@ -381,7 +381,7 @@ def test_a_step_budget_with_no_room_after_warmup_fails_before_any_clip_loads(tmp
     assert len(manifest.entries) == 12 and not loaded
     batches = []
     with pytest.raises(R.TrainError, match="total_steps 40 must exceed warmup_steps 1000"):
-        R.fit({}, np.arange(11), cfg, 1, lambda idx, epoch: batches.append(idx), lambda: 0.0)
+        R.fit({}, np.arange(11), cfg, 1, lambda idx, epoch: batches.append(idx), lambda: 0.0, 1)
     assert not batches
 
 
@@ -399,15 +399,15 @@ def test_a_classifier_keeps_its_lowest_val_loss_epoch_not_its_first_perfect_accu
     val_idx, _ = R.val_split(len(feats), cfg, 7)
     real, accs = R.fit, []
 
-    def spy(params, fit_idx, cfg, stream, batch_loss, val_loss):
+    def spy(params, fit_idx, cfg, stream, batch_loss, val_loss, item_rows):
         def scored():
             accs.append(E.accuracy(E.predict(fwd, params, feats[val_idx], 32), labels[val_idx]))
             return val_loss()
 
-        return real(params, fit_idx, cfg, stream, batch_loss, scored)
+        return real(params, fit_idx, cfg, stream, batch_loss, scored, item_rows)
 
     monkeypatch.setattr(R, "fit", spy)
-    run = E.train_classifier(fwd, params, feats, labels, cfg)
+    run = E.train_classifier(fwd, params, feats, labels, cfg, 1)
     assert accs == [1.0] * cfg.max_epochs  # validation accuracy is at its maximum from epoch 1 on
     assert run.best_epoch == cfg.max_epochs
     losses = [e["val_loss"] for e in run.metrics.epochs]
@@ -436,11 +436,11 @@ def test_pretrain_holds_its_clips_once_up_to_the_first_batch(tmp_path, monkeypat
 
     real = R.fit
 
-    def spy(params, fit_idx, cfg, stream, batch_loss, val_loss):
+    def spy(params, fit_idx, cfg, stream, batch_loss, val_loss, item_rows):
         def first(idx, epoch):
             raise FirstBatch(tracemalloc.get_traced_memory()[1])
 
-        return real(params, fit_idx, cfg, stream, first, val_loss)
+        return real(params, fit_idx, cfg, stream, first, val_loss, item_rows)
 
     monkeypatch.setattr(R, "fit", spy)
     tracemalloc.start()
@@ -494,6 +494,15 @@ def test_masked_val_loss_builds_no_graph_and_keeps_the_graph_passes_bits(monkeyp
     assert value == sum(float(g.data) * n for g, n in zip(graph, (2, 2, 1))) / 5
 
 
+def test_masked_val_loss_batches_no_more_clips_than_a_graph_free_pass_holds(monkeypatch):
+    cfg = desk_model_cfg()
+    model = M.MaskedAutoencoder(cfg, seed=[3, 0])
+    clips, plans = synthetic_clip_batch(5, seed=9), R.val_mask_plans(cfg, 5, seed=3)
+    in_twos = R.masked_val_loss(model, clips, plans, 2)
+    monkeypatch.setattr(R, "PASS_TOKENS", 2 * 37 + 36)  # two desk clips of 37 rows a pass, not three
+    assert R.masked_val_loss(model, clips, plans, 5) == in_twos
+
+
 def test_masked_val_loss_on_clip_rows_gives_the_copied_slice_bits():
     cfg = desk_model_cfg()
     model = M.MaskedAutoencoder(cfg, seed=[4, 0])
@@ -501,3 +510,98 @@ def test_masked_val_loss_on_clip_rows_gives_the_copied_slice_bits():
     plans = R.val_mask_plans(cfg, len(rows), seed=4)
     value = R.masked_val_loss(model, M.ClipRows(store, rows), plans, 2)
     assert value == R.masked_val_loss(model, store[rows], plans, 2)
+
+
+def _desk_step(clips, cfg, fail_part=None, model=None):
+    """One ``fit`` step over every clip for ``model``, a fresh desk MAE by default; epoch 1's NaN val loss ends the run.
+
+    Returns the live params, the run and the index runs ``batch_loss`` saw.
+    The ``fail_part``-th run (counting from 1) is scored on NaN clips.
+    """
+    model_cfg = desk_model_cfg()
+    model = model or M.MaskedAutoencoder(model_cfg, seed=[0, 0])
+    seen = []
+
+    def batch_loss(idx, epoch):
+        seen.append(idx.tolist())
+        plans = [M.sample_mask(model_cfg.n_patches, model_cfg.mask_ratio, [0, 3, epoch, int(i)]) for i in idx]
+        x = np.full_like(clips, np.nan) if len(seen) == fail_part else clips
+        return model.forward_loss(M.ClipRows(x, idx), plans)[0]
+
+    run = R.fit(model.params, np.arange(len(clips)), cfg, 1, batch_loss, lambda: math.nan, 1 + model_cfg.n_patches)
+    return model.params, run, seen
+
+
+def _one_step_cfg(batch_size):
+    return desk_cfg(warmup_steps=1, batch_size=batch_size, max_epochs=2, early_stop_patience=1)
+
+
+def test_a_batch_within_the_step_budget_runs_whole_with_the_bits_of_an_unbounded_budget(monkeypatch):
+    clips, cfg = synthetic_clip_batch(8, seed=14), _one_step_cfg(8)
+    real, norms = R.adamw_step, []
+
+    def spy(params, grads, state, lr, config):
+        norms.append(math.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in grads.values())))
+        return real(params, grads, state, lr, config)
+
+    monkeypatch.setattr(R, "adamw_step", spy)
+    params, run, seen = _desk_step(clips, cfg)
+    assert len(seen) == 1 and sorted(seen[0]) == list(range(8))  # one call per step, with the whole batch
+    monkeypatch.setattr(R, "STEP_TOKENS", 10**9)
+    params_u, run_u, seen_u = _desk_step(clips, cfg)
+    assert seen_u == seen and run.metrics.steps == run_u.metrics.steps and run.metrics.epochs == run_u.metrics.epochs
+    assert all(params[k].data.tobytes() == params_u[k].data.tobytes() for k in params)
+    # and the step is the one a whole batch's loss, unseeded backward and AdamW step make by hand
+    model_cfg = desk_model_cfg()
+    model = M.MaskedAutoencoder(model_cfg, seed=[0, 0])
+    idx = np.array(seen[0])
+    plans = [M.sample_mask(model_cfg.n_patches, model_cfg.mask_ratio, [0, 3, 1, int(i)]) for i in idx]
+    loss = model.forward_loss(M.ClipRows(clips, idx), plans)[0]
+    loss.backward()
+    R.AdamW(model.params, cfg).step(run.metrics.steps[0]["lr"])
+    assert run.metrics.steps[0]["train_loss"] == float(loss.data)
+    assert all(params[k].data.tobytes() == model.params[k].data.tobytes() for k in params)
+    assert run.metrics.steps[0]["grad_norm"] == pytest.approx(norms[0], rel=1e-6)
+
+
+def test_a_batch_over_the_step_budget_sums_near_equal_micro_batches_into_the_whole_batch_step(monkeypatch):
+    clips, cfg = synthetic_clip_batch(8, seed=14), _one_step_cfg(8)
+    params, run, seen = _desk_step(clips, cfg)
+    monkeypatch.setattr(R, "STEP_TOKENS", 3 * 37 + 36)  # three desk clips of 37 rows a micro-batch, not four
+    params_m, run_m, seen_m = _desk_step(clips, cfg)
+    assert [len(part) for part in seen_m] == [3, 3, 2] and sum(seen_m, []) == seen[0]  # in order
+    step, step_m = run.metrics.steps[0], run_m.metrics.steps[0]
+    assert step_m["train_loss"] == pytest.approx(step["train_loss"], rel=1e-6)
+    assert step_m["grad_norm"] == pytest.approx(step["grad_norm"], rel=1e-6)
+    diff = math.sqrt(sum(np.sum((params[k].data - params_m[k].data).astype(np.float64) ** 2) for k in params))
+    norm = math.sqrt(sum(np.sum(params[k].data.astype(np.float64) ** 2) for k in params))
+    assert diff <= 1e-5 * norm
+
+
+def test_a_non_finite_micro_batch_loss_aborts_the_step_and_leaves_no_gradient(monkeypatch):
+    monkeypatch.setattr(R, "STEP_TOKENS", 3 * 37)
+    params, run, seen = _desk_step(synthetic_clip_batch(8, seed=15), _one_step_cfg(8), fail_part=2)
+    assert [len(part) for part in seen] == [3, 3]  # the second part's loss is NaN: the step stops there
+    assert run.aborted and run.metrics.steps == () and run.metrics.epochs == ()
+    assert all(t.grad is None for t in params.values())
+
+
+def test_a_micro_batched_step_peaks_below_a_whole_batch_of_half_its_size():
+    import tracemalloc
+
+    clips, model_cfg = synthetic_clip_batch(256, seed=16), desk_model_cfg()
+    model, fitted = (M.MaskedAutoencoder(model_cfg, seed=[s, 0]) for s in (1, 0))
+    plans = [M.sample_mask(model_cfg.n_patches, model_cfg.mask_ratio, [1, i]) for i in range(128)]
+    tracemalloc.start()
+    try:
+        loss = model.forward_loss(M.ClipRows(clips, np.arange(128)), plans)[0]
+        loss.backward()
+        whole = tracemalloc.get_traced_memory()[1]  # one B=128 forward and backward
+        del loss, model
+        tracemalloc.reset_peak()
+        _, run, seen = _desk_step(clips, _one_step_cfg(256), model=fitted)  # B=256 as three micro-batches
+        split = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(part) for part in seen] == [86, 85, 85] and len(run.metrics.steps) == 1
+    assert split < whole, (split / 2**20, whole / 2**20)
