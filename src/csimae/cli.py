@@ -175,7 +175,7 @@ def _persist_run(out: Path, command: str, configs: dict, args):
         "sections": {name: dataclasses.asdict(cfg) for name, cfg in configs.items()},
         "threads": {**{var: os.environ.get(var) for var in THREAD_VARS}, "cpu_count": os.cpu_count()},
     }
-    (out / "resolved_config.json").write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+    D.write_json(out / "resolved_config.json", doc)
     lines = []
     for p in sorted(out.rglob("*")):
         if p.is_file() and p.name not in ("checksums.txt", "timing.jsonl"):
@@ -311,7 +311,7 @@ def cmd_ingest(args, cfg, out):
             }
         )
         (rec_dir / Path(path).name).write_bytes(Path(path).read_bytes())
-    (out / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True), encoding="utf-8")
+    D.write_json(out / "index.json", index)
     return f"ingested {len(index)} recordings into {rec_dir}"
 
 
@@ -326,7 +326,7 @@ def cmd_clean(args, cfg, out):
     if args.store:
         filtered, log = Q.apply_blocklist(D.DatasetManifest.load(args.store), args.blocklist or [])
         filtered.save(out)
-        (out / "blocklist_log.json").write_text(json.dumps(log, indent=2, sort_keys=True), encoding="utf-8")
+        D.write_json(out / "blocklist_log.json", log)
         for w in log["warnings"]:
             print(f"warning: {w}", file=sys.stderr)
     return f"clean outputs in {out}"
@@ -361,10 +361,10 @@ def cmd_downstream(args, cfg, out):
     manifest = _open_store(args)
     fold = _plan(E.plan_fold, manifest, cfg["split"], cfg["train"], args.label_fraction)
     params = None
-    if regime != "supervised":
+    if regime in E.PRETRAINED_REGIMES:
         params, cfg["model"], _ = C.load_checkpoint(args.checkpoint)  # recorded as the model section
-    (result,) = E.run_fold(manifest, args.store, fold, [regime], cfg["model"], params)
-    (out / "result.json").write_text(json.dumps(result.to_json(), indent=2, sort_keys=True), encoding="utf-8")
+    (result,) = E.run_fold(manifest, args.store, fold, [regime], (params, cfg["model"]))
+    D.write_json(out / "result.json", result.to_json())
     return f"{regime} accuracy {result.accuracy:.4f} on {result.n_test} clips ({result.n_excluded} excluded)"
 
 
@@ -378,7 +378,7 @@ def cmd_eval_cross_domain(args, cfg, out):
     records = [r.to_json() for cell in cells for r in E.run_cell(manifest, args.store, cell, regimes)[1]]
     D.write_jsonl(out / "results.jsonl", records)
     macro = E.macro_average(records)
-    (out / "macro.json").write_text(json.dumps(macro, indent=2, sort_keys=True), encoding="utf-8")
+    D.write_json(out / "macro.json", macro)
     return "\n".join(f"{regime}: macro accuracy {acc:.4f}" for regime, acc in macro.items())
 
 
@@ -501,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, regime in REGIME_OF.items():
         p = _add_command(sub, name, cmd_downstream, help=f"{regime} downstream evaluation")
-        if regime != "supervised":
+        if regime in E.PRETRAINED_REGIMES:
             p.add_argument("--checkpoint", required=True)
 
     p = _add_command(sub, "eval-cross-domain", cmd_eval_cross_domain, help="leave-one-domain-out folds, all regimes")

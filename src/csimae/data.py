@@ -65,6 +65,12 @@ class SplitError(ValueError):
 # domain types
 
 
+def check_bandwidth(bandwidth: float):
+    """Raise ``DataError`` unless ``bandwidth`` is one of ``VALID_BANDWIDTHS_HZ``, to within 1 Hz."""
+    if not any(abs(bandwidth - b) < 1.0 for b in VALID_BANDWIDTHS_HZ):
+        raise DataError(f"bandwidth {bandwidth} Hz not in {VALID_BANDWIDTHS_HZ}")
+
+
 @dataclass
 class ChannelRecording:
     """Raw complex channel tensor (time, rx chain, tx antenna, subcarrier).
@@ -91,8 +97,7 @@ class ChannelRecording:
             raise DataError(f"n_rx={n_rx} != n_recv*n_apr={self.n_recv * self.n_apr}")
         if self.sampling_rate <= 0:
             raise DataError("sampling_rate must be > 0")
-        if not any(abs(self.bandwidth - b) < 1.0 for b in VALID_BANDWIDTHS_HZ):
-            raise DataError(f"bandwidth {self.bandwidth} Hz not in {VALID_BANDWIDTHS_HZ}")
+        check_bandwidth(self.bandwidth)
         if n_f < 1:
             raise DataError("need at least one subcarrier")
 
@@ -456,6 +461,14 @@ def load_recording(path) -> ChannelRecording:
         return ChannelRecording(data=data, **meta)
     except (TypeError, ValueError) as exc:  # not one record, unknown metadata, or what ChannelRecording refuses
         raise DataError(f"{path}: not a recording ({exc})") from None
+
+
+def write_json(path, doc) -> Path:
+    """``doc`` as one ``json.dumps(doc, indent=2, sort_keys=True)`` document."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+    return path
 
 
 def write_jsonl(path, records) -> Path:

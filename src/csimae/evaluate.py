@@ -13,10 +13,12 @@ cross-entropy on the CLS feature, AdamW at the ``TrainConfig``'s batch
 size, cosine schedule, and the epoch of lowest cross-entropy on a
 validation slice of the training set kept, with early stopping after it.
 Every step is recorded, rejected optimizer steps included.  The regimes
-differ only in where the encoder starts and whether it trains: linear
-probing trains the head on frozen features and never touches encoder
-weights; fine-tuning updates encoder and head; supervised starts the
-encoder from random init.  Every
+differ only in where the encoder starts and whether it trains.  A run
+gets its encoder as one ``(params or None, ModelConfig)`` pair: linear
+probing trains the head on frozen features of its params and never
+touches encoder weights; fine-tuning updates encoder and head from them;
+supervised starts the encoder from random init of the config.  The
+regimes that need the params are ``PRETRAINED_REGIMES``.  Every
 regime classifies ``data.LABEL_KEY``, the label ``select_labeled``'s
 ``data.stratified_draw`` draws the budget over; a task on another label,
 such as user identification, would thread its key through ``plan_fold``
@@ -25,14 +27,14 @@ into both.
 Each clip set is held once.  ``run_fold`` loads only the labeled clips and
 the test clips, and every pass over them (training, validation,
 prediction, lp's feature pass) builds one batch from the clips' own arrays
-when that batch runs.  Validation and prediction run on frozen views of
-the params (``checkpoint.frozen_params``), so they build no graph.  An
-item counts as its longest sequence, ``1 + n_patches`` token rows for a
-clip and one for an lp feature, and no pass holds more rows than its
-budget: training runs a batch over ``training.STEP_TOKENS`` as
-micro-batches (``training.fit``), and the graph-free passes (validation,
-prediction, lp's feature pass) forward at most ``training.PASS_TOKENS``
-rows at a time, validation and prediction no more than a batch.
+when that batch runs.  An item counts as its longest sequence,
+``1 + n_patches`` token rows for a clip and one for an lp feature.
+Training runs a batch over ``training.STEP_TOKENS`` rows as micro-batches
+(``training.fit``).  The graph-free passes, classifier validation, lp's
+feature pass and prediction, each run through ``training.frozen_passes``:
+on frozen views of the params, so they build no graph, and in slices of
+``training.pass_size`` items, which hold at most ``training.PASS_TOKENS``
+rows and, for validation and prediction, no more than a batch.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ class EvalError(ValueError):
 
 
 REGIMES = ("supervised", "lp", "ft")
+PRETRAINED_REGIMES = ("lp", "ft")  # the regimes that start from the encoder's pretrained params
 
 
 @dataclass(frozen=True)
@@ -106,16 +109,17 @@ def _batch(xs, idx) -> np.ndarray:
 
 
 def encode_features(params: dict, model_cfg: M.ModelConfig, clips) -> np.ndarray:
-    """Frozen (graph-free) CLS features of ``clips``, as many clips at a time as ``training.PASS_TOKENS`` rows hold.
+    """Graph-free CLS features of ``clips``: ``training.frozen_passes`` of as many clips as ``PASS_TOKENS`` rows hold.
 
     ``clips`` is an (N, 600, 90) array or a sequence of (600, 90) arrays;
-    one batch of them is built at a time, and only the (N, enc_dim)
+    one pass of them is built at a time, and only the (N, enc_dim)
     features outlive the call.
     """
-    model = M.MaskedAutoencoder(model_cfg, params=C.frozen_params(params))
-    n = R.items_in(R.PASS_TOKENS, 1 + model_cfg.n_patches)
-    outs = [model.encode_features(_batch(clips, slice(i, i + n))).data for i in range(0, len(clips), n)]
-    return np.concatenate(outs, axis=0)
+    def features(sl, p):
+        return M.MaskedAutoencoder(model_cfg, params=p).encode_features(_batch(clips, sl)).data
+
+    size = R.pass_size(len(clips), 1 + model_cfg.n_patches)
+    return np.concatenate(R.frozen_passes(features, params, len(clips), size), axis=0)
 
 
 def _class_vocab(labels) -> dict:
@@ -132,11 +136,10 @@ def train_classifier(forward_fn, params: dict, x_train, y_train, cfg: R.TrainCon
     ``forward_fn(x_batch, params) -> logits Tensor``.  ``x_train`` is an
     array or a sequence of arrays, held as given, each item ``item_rows``
     token rows long: each training micro-batch (``training.fit``) and
-    validation batch of at most ``cfg.batch_size`` items is built when it
-    runs and dropped after it.  The validation loss is their
-    ``training.mean_batch_loss``, run on frozen views of ``params``, so it
-    builds no graph.  Returns the run's ``training.FitResult``; its
-    ``params`` are the best kept.
+    validation pass (``training.pass_size``) is built when it runs and
+    dropped after it.  The validation loss is the passes'
+    ``training.mean_batch_loss``, which builds no graph.  Returns the run's
+    ``training.FitResult``; its ``params`` are the best kept.
     """
     val_idx, fit_idx = R.val_split(len(x_train), cfg, 7)
 
@@ -147,9 +150,8 @@ def train_classifier(forward_fn, params: dict, x_train, y_train, cfg: R.TrainCon
         return xent(idx, params)
 
     def val_loss():
-        frozen = C.frozen_params(params)
-        size = min(cfg.batch_size, R.items_in(R.PASS_TOKENS, item_rows))
-        return R.mean_batch_loss(lambda sl: xent(val_idx[sl], frozen), len(val_idx), size)
+        size = R.pass_size(cfg.batch_size, item_rows)
+        return R.mean_batch_loss(lambda sl, p: xent(val_idx[sl], p), params, len(val_idx), size)
 
     return R.fit(params, fit_idx, cfg, 7, batch_loss, val_loss, item_rows)
 
@@ -157,16 +159,13 @@ def train_classifier(forward_fn, params: dict, x_train, y_train, cfg: R.TrainCon
 def predict(forward_fn, params: dict, x, batch_size: int) -> np.ndarray:
     """Argmax class of each item of ``x`` (an array or a sequence of arrays).
 
-    Runs on frozen views of ``params``, so it builds no graph, and builds
-    one batch of ``batch_size`` items at a time; only the predictions
-    outlive a batch.
+    Runs through ``training.frozen_passes`` of ``batch_size`` items, so it
+    builds no graph; only the predictions outlive a pass.
     """
-    frozen = C.frozen_params(params)
-    preds = []
-    for i in range(0, len(x), batch_size):
-        logits = forward_fn(_batch(x, slice(i, i + batch_size)), frozen)
-        preds.append(np.argmax(logits.data, axis=1))
-    return np.concatenate(preds)
+    def classes(sl, p):
+        return np.argmax(forward_fn(_batch(x, sl), p).data, axis=1)
+
+    return np.concatenate(R.frozen_passes(classes, params, len(x), batch_size))
 
 
 def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -185,16 +184,19 @@ def per_class_accuracy(pred: np.ndarray, truth: np.ndarray, vocab: dict) -> dict
 
 def run_regime(
     regime: str,
-    checkpoint,  # (params, model_cfg) tuple or None
+    encoder: tuple,  # (params or None, ModelConfig)
     train_clips,
     test_clips,
     head_cfg: HeadConfig,
     train_cfg: R.TrainConfig,
-    model_cfg: M.ModelConfig | None = None,
     split_desc: dict | None = None,
     batch_size: int | None = None,
 ) -> EvalResult:
     """Train one regime and score exact-match accuracy on the test clips.
+
+    ``encoder`` is the ``(params or None, ModelConfig)`` pair: a regime in
+    ``PRETRAINED_REGIMES`` starts from its params and needs them;
+    supervised starts from a random init of its config.
 
     Training, validation and test batches hold at most
     ``train_cfg.batch_size`` items; ``batch_size``, when given, must
@@ -204,22 +206,19 @@ def run_regime(
     of lp's feature passes, holds at most ``training.PASS_TOKENS`` rows.
     The clips are held as given, never stacked: each batch is built from
     the clips' own arrays when it runs, and lp's feature pass keeps only
-    their features.  ft trains tensors over the checkpoint's own arrays
+    their features.  ft trains tensors over the encoder's own arrays
     (``checkpoint.shared_params``), which its updates leave as they were.
     Test clips whose class never appears in training are excluded from
     scoring (counted in ``n_excluded``), not scored as wrong; when that
     leaves none, ``EvalError`` is raised before any training.
     """
+    enc_params, model_cfg = encoder
     if regime not in REGIMES:
         raise EvalError(f"unknown regime {regime!r}")
     if batch_size not in (None, train_cfg.batch_size):
         raise EvalError(f"batch_size {batch_size} differs from train_cfg.batch_size {train_cfg.batch_size}")
-    if regime in ("lp", "ft") and checkpoint is None:
+    if regime in PRETRAINED_REGIMES and enc_params is None:
         raise EvalError(f"regime {regime} needs a pretrained checkpoint")
-    if checkpoint is not None and model_cfg is None:
-        model_cfg = checkpoint[1]
-    if model_cfg is None:
-        raise EvalError("supervised regime needs a model config")
 
     vocab = _class_vocab(_labels_of(train_clips))
     if len(vocab) != head_cfg.n_classes:
@@ -235,24 +234,24 @@ def run_regime(
     x_test = [c.data for c in test_clips]
 
     if regime == "lp":
-        x_train = encode_features(checkpoint[0], model_cfg, x_train)
-        x_test = encode_features(checkpoint[0], model_cfg, x_test)
+        x_train = encode_features(enc_params, model_cfg, x_train)
+        x_test = encode_features(enc_params, model_cfg, x_test)
         params, item_rows = {}, 1
         fwd = lambda feats, p: head_forward(T.Tensor(feats), p)
     else:
         item_rows = 1 + model_cfg.n_patches
         if regime == "ft":
-            enc_params = C.shared_params(checkpoint[0])
+            start = C.shared_params(enc_params)
         else:
-            enc_params = M.init_params(model_cfg, seed=[train_cfg.seed, 11])
-        params = {k: v for k, v in enc_params.items() if k.startswith("enc.")}
+            start = M.init_params(model_cfg, seed=[train_cfg.seed, 11])
+        params = {k: v for k, v in start.items() if k.startswith("enc.")}
 
         def fwd(clip_batch, p):
             return head_forward(M.MaskedAutoencoder(model_cfg, params=p).encode_features(clip_batch), p)
 
     params.update(init_head(model_cfg.enc_dim, head_cfg.n_classes, [train_cfg.seed, 12]))
     run = train_classifier(fwd, params, x_train, y_train, train_cfg, item_rows)
-    pred = predict(fwd, run.params, x_test, min(train_cfg.batch_size, R.items_in(R.PASS_TOKENS, item_rows)))
+    pred = predict(fwd, run.params, x_test, R.pass_size(train_cfg.batch_size, item_rows))
 
     return EvalResult(
         regime=regime,
@@ -343,24 +342,22 @@ class Cell:
             _judge_budget("pretraining pool", self.pool, self.pretrain_cfg)
 
 
-def run_fold(
-    manifest: D.DatasetManifest, store_dir, fold: Fold, regimes, model_cfg: M.ModelConfig, checkpoint: dict | None = None
-) -> list:
+def run_fold(manifest: D.DatasetManifest, store_dir, fold: Fold, regimes, encoder: tuple) -> list:
     """Score each regime on one planned fold -> its ``EvalResult``s.
 
-    lp and ft start from ``checkpoint``, params of ``model_cfg``.  Each
-    regime trains at ``fold.train_cfg`` on the fold's labeled clips and
+    ``encoder`` is the ``(params or None, ModelConfig)`` pair every regime
+    gets (``run_regime``): lp and ft start from its params.  Each regime
+    trains at ``fold.train_cfg`` on the fold's labeled clips and
     sizes its head by ``fold.head_cfg``; test clips of any other class
     count in ``n_excluded``.  Only the labeled clips and the test clips
     load, and they are held, once, for the whole fold.
     """
     labeled = D.load_clips(store_dir, manifest, [e.clip_id for e in fold.labeled])
     test_clips = D.load_clips(store_dir, manifest, fold.test_ids)
-    ckpt = None if checkpoint is None else (checkpoint, model_cfg)
     split = fold.split
     desc = {"protocol": split.protocol, "domain_key": split.domain_key, "held_out_value": split.held_out_value}
     return [
-        run_regime(regime, ckpt, labeled, test_clips, fold.head_cfg, fold.train_cfg, model_cfg, split_desc=desc)
+        run_regime(regime, encoder, labeled, test_clips, fold.head_cfg, fold.train_cfg, split_desc=desc)
         for regime in regimes
     ]
 
@@ -368,14 +365,17 @@ def run_fold(
 def run_cell(manifest: D.DatasetManifest, store_dir, cell: Cell, regimes) -> tuple:
     """``training.pretrain`` on the pool's sub-manifest, in pool order, then ``run_fold`` from that encoder.
 
-    Returns (the pretraining ``training.FitResult``, or None when the cell
-    pretrains nothing, and the ``EvalResult`` list).
+    ``run_fold`` gets ``(pretrained params, cell.model_cfg)``, or
+    ``(None, cell.model_cfg)`` when the cell pretrains nothing.  Returns
+    (the pretraining ``training.FitResult`` or None, and the
+    ``EvalResult`` list).
     """
-    if cell.pretrain_cfg is None:
-        return None, run_fold(manifest, store_dir, cell.fold, regimes, cell.model_cfg)
-    pool = D.DatasetManifest([manifest.by_id(i) for i in cell.pool])
-    pretrained = R.pretrain(pool, store_dir, cell.model_cfg, cell.pretrain_cfg)
-    return pretrained, run_fold(manifest, store_dir, cell.fold, regimes, cell.model_cfg, pretrained.params)
+    pretrained = params = None
+    if cell.pretrain_cfg is not None:
+        pool = D.DatasetManifest([manifest.by_id(i) for i in cell.pool])
+        pretrained = R.pretrain(pool, store_dir, cell.model_cfg, cell.pretrain_cfg)
+        params = pretrained.params
+    return pretrained, run_fold(manifest, store_dir, cell.fold, regimes, (params, cell.model_cfg))
 
 
 def cross_domain_cells(
@@ -385,12 +385,13 @@ def cross_domain_cells(
     """The planned leave-one-domain-out ``Cell`` of each ``data.domain_values`` entry.
 
     ``regimes`` must be distinct ``REGIMES``.  A cell pretrains on its
-    fold's whole training side, and only for lp or ft; one that cannot
-    train raises ``EvalError`` naming its fold.  Nothing loads or trains.
+    fold's whole training side, and only when a regime is one of
+    ``PRETRAINED_REGIMES``; one that cannot train raises ``EvalError``
+    naming its fold.  Nothing loads or trains.
     """
     if set(regimes) - set(REGIMES) or len(set(regimes)) != len(regimes):
         raise EvalError(f"regimes must be distinct ones of {', '.join(REGIMES)}, got {', '.join(regimes)}")
-    pretrain_cfg = pretrain_cfg if {"lp", "ft"} & set(regimes) else None
+    pretrain_cfg = pretrain_cfg if set(PRETRAINED_REGIMES) & set(regimes) else None
     cells = []
     for value in D.domain_values(manifest, domain_key):
         split = D.SplitSpec("leave_one_domain_out", domain_key, value, seed=train_cfg.seed)

@@ -128,7 +128,12 @@ class SynthTaskSpec:
 
     Classes are Doppler-signature bands; domains are nuisance factors:
     per-environment static path sets, per-subject Doppler scaling,
-    per-band center frequency, per-device gain/noise profile.
+    per-band center frequency, per-device gain/noise profile.  A spec
+    that generation could not run is refused when built: a bandwidth
+    ``data.check_bandwidth`` refuses, fewer than
+    ``harmonize.ANTENNAS_PER_RECEIVER`` antennas a receiver, too few
+    subcarriers for ``harmonize.channel_blocks``, a sampling rate that is
+    not above 0, or a seed that is no integer >= 0.
     """
 
     n_classes: int = 3
@@ -148,10 +153,19 @@ class SynthTaskSpec:
 
     def __post_init__(self):
         for name in ("n_classes", "n_environments", "n_subjects", "n_bands", "n_devices", "clips_per_cell",
-                     "n_packets", "n_f"):
+                     "n_packets", "n_f", "n_tx", "n_recv", "n_apr"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise SceneError(f"{name} must be an integer >= 1, got {value!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise SceneError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.n_apr < H.ANTENNAS_PER_RECEIVER:
+            raise SceneError(f"n_apr {self.n_apr} is below the {H.ANTENNAS_PER_RECEIVER} antennas a receiver needs")
+        try:
+            D.check_bandwidth(self.bandwidth)
+            H.channel_blocks(self.n_f, self.bandwidth)
+        except (D.DataError, H.HarmonizeError) as e:
+            raise SceneError(str(e)) from e
         if self.n_classes > len(CLASS_DOPPLER_BANDS):
             raise SceneError("need a Doppler band per class")
         if self.n_subjects > len(SUBJECT_SCALES):
@@ -160,6 +174,8 @@ class SynthTaskSpec:
             raise SceneError("need a center frequency per band")
         if self.n_devices > len(DEVICE_PROFILES):
             raise SceneError("need a gain/noise profile per device")
+        if not self.sampling_rate > 0:  # NaN too
+            raise SceneError(f"sampling_rate must be > 0, got {self.sampling_rate!r}")
         nyquist = self.sampling_rate / 2.0
         top = max(hi for _, hi in CLASS_DOPPLER_BANDS[: self.n_classes]) * max(SUBJECT_SCALES[: self.n_subjects])
         if top >= nyquist:
@@ -174,23 +190,22 @@ class SynthTaskSpec:
                             yield (c, e, s, b, d)
 
 
+def _random_path(rng, magnitude: float, doppler: float) -> PathComponent:
+    """A path of gain ``magnitude`` and ``doppler`` whose phase, delay and two angles ``rng`` draws, in that order."""
+    phase = rng.uniform(0, 2 * np.pi)
+    return PathComponent(
+        gain=magnitude * np.exp(1j * phase),
+        delay=rng.uniform(10e-9, 80e-9),
+        doppler=doppler,
+        aoa=rng.uniform(-1.0, 1.0),
+        aod=rng.uniform(-1.0, 1.0),
+    )
+
+
 def _environment_static_paths(spec: SynthTaskSpec, env: int) -> list:
     """Fixed per-environment multipath background (seeded, reused by every clip)."""
     rng = np.random.default_rng([spec.seed, 101, env])
-    paths = []
-    for _ in range(N_STATIC_PATHS):
-        mag = rng.uniform(0.6, 1.4)
-        phase = rng.uniform(0, 2 * np.pi)
-        paths.append(
-            PathComponent(
-                gain=mag * np.exp(1j * phase),
-                delay=rng.uniform(10e-9, 80e-9),
-                doppler=0.0,
-                aoa=rng.uniform(-1.0, 1.0),
-                aod=rng.uniform(-1.0, 1.0),
-            )
-        )
-    return paths
+    return [_random_path(rng, rng.uniform(0.6, 1.4), 0.0) for _ in range(N_STATIC_PATHS)]
 
 
 def scene_for_clip(spec: SynthTaskSpec, cell: tuple, clip_idx: int) -> tuple:
@@ -206,18 +221,8 @@ def scene_for_clip(spec: SynthTaskSpec, cell: tuple, clip_idx: int) -> tuple:
     ]
     nu = rng.uniform(lo, hi) * scale
     for k in range(N_DYNAMIC_PATHS):
-        mag = rng.uniform(*DYNAMIC_GAIN_RANGE) * gain_mul
-        phase = rng.uniform(0, 2 * np.pi)
         sign = 1.0 if k % 2 == 0 else -1.0
-        paths.append(
-            PathComponent(
-                gain=mag * np.exp(1j * phase),
-                delay=rng.uniform(10e-9, 80e-9),
-                doppler=sign * nu,
-                aoa=rng.uniform(-1.0, 1.0),
-                aod=rng.uniform(-1.0, 1.0),
-            )
-        )
+        paths.append(_random_path(rng, rng.uniform(*DYNAMIC_GAIN_RANGE) * gain_mul, sign * nu))
     scene = SceneSpec(
         paths=paths,
         noise_std=noise_std * gain_mul,

@@ -23,17 +23,20 @@ the validation slice are ``mae.ClipRows`` of it: the MAE step gathers
 its patches from that array, so no batch is copied.  ``adamw_step``
 writes every update into a fresh array, so ``fit`` keeps its start and
 each best epoch by reference rather than by copy, and a gradient lives
-only until its update is written.  Validation runs on frozen views of
-the params (``checkpoint.frozen_params``), so it builds no graph.
+only until its update is written.
 
 A step's memory is bounded by ``STEP_TOKENS`` token rows, not by its
 batch: ``fit`` runs a batch that holds more as the fewest near-equal
 micro-batches within it, whose gradients sum on the params before one
 AdamW step (GPipe, Huang et al. 2019, arXiv:1811.06965).  A batch within
-the budget is one micro-batch, run as a whole batch always was.  The
-graph-free passes (validation here, encoding and prediction in
-``evaluate``) forward at most ``PASS_TOKENS`` rows at a time.  An item
+the budget is one micro-batch, run as a whole batch always was.  An item
 counts as its longest sequence: ``1 + n_patches`` rows for a clip.
+
+A graph-free pass (validation here; classifier validation, lp's feature
+pass and prediction in ``evaluate``) runs through ``frozen_passes``: on
+frozen views of the params (``checkpoint.frozen_params``), which record no
+backward, in slices of ``pass_size`` items, at most a batch and at most
+``PASS_TOKENS`` token rows.
 """
 
 from __future__ import annotations
@@ -364,26 +367,38 @@ def val_mask_plans(model_cfg: M.ModelConfig, n_val: int, seed: int) -> list:
     return [M.sample_mask(model_cfg.n_patches, model_cfg.mask_ratio, [seed, 40, j]) for j in range(n_val)]
 
 
-def mean_batch_loss(batch_loss, n: int, batch_size: int) -> float:
-    """Mean of ``batch_loss(sl)`` over ``n`` items in slices of ``batch_size``, each weighted by its length."""
-    total = 0.0
-    for i in range(0, n, batch_size):
-        sl = slice(i, min(i + batch_size, n))
-        total += float(batch_loss(sl).data) * (sl.stop - sl.start)
-    return total / n
+def pass_size(batch_size: int, item_rows: int) -> int:
+    """Items one graph-free pass forwards: ``batch_size``, or fewer when more would exceed ``PASS_TOKENS`` rows."""
+    return min(batch_size, items_in(PASS_TOKENS, item_rows))
+
+
+def frozen_passes(fn, params: dict, n: int, size: int) -> list:
+    """``fn(sl, frozen)`` for each slice ``sl`` of ``range(n)`` in order, ``size`` items each (the last may hold fewer).
+
+    ``frozen`` is ``checkpoint.frozen_params(params)``: tensors over the
+    params' own arrays that record no backward, so no pass builds a graph
+    or copies a parameter.
+    """
+    frozen = C.frozen_params(params)
+    return [fn(slice(i, min(i + size, n)), frozen) for i in range(0, n, size)]
+
+
+def mean_batch_loss(batch_loss, params: dict, n: int, size: int) -> float:
+    """Mean of ``batch_loss(sl, frozen)`` over the ``frozen_passes`` of ``n`` items, each weighted by its length."""
+    weighted = frozen_passes(lambda sl, p: float(batch_loss(sl, p).data) * (sl.stop - sl.start), params, n, size)
+    return sum(weighted) / n
 
 
 def masked_val_loss(model: M.MaskedAutoencoder, clips, plans: list, batch_size: int) -> float:
-    """``mean_batch_loss`` of the masked reconstruction over ``clips``, run on frozen views of the params: no graph.
+    """``mean_batch_loss`` of the masked reconstruction over ``clips``, in passes of ``pass_size(batch_size, ...)`` clips.
 
-    ``clips`` is a clip array or an ``mae.ClipRows``; each batch is a
-    slice of it, so rows of a larger array are scored where they lie.  A
-    batch holds ``batch_size`` clips, or fewer when more would exceed
-    ``PASS_TOKENS`` rows.
+    ``clips`` is a clip array or an ``mae.ClipRows``; each pass reads a
+    slice of it, so rows of a larger array are scored where they lie.
     """
-    frozen = M.MaskedAutoencoder(model.cfg, params=C.frozen_params(model.params))
-    size = min(batch_size, items_in(PASS_TOKENS, 1 + model.cfg.n_patches))
-    return mean_batch_loss(lambda sl: frozen.forward_loss(clips[sl], plans[sl])[0], len(clips), size)
+    def loss(sl, p):
+        return M.MaskedAutoencoder(model.cfg, params=p).forward_loss(clips[sl], plans[sl])[0]
+
+    return mean_batch_loss(loss, model.params, len(clips), pass_size(batch_size, 1 + model.cfg.n_patches))
 
 
 def pretrain_arrays(clips: np.ndarray, model_cfg: M.ModelConfig, cfg: TrainConfig) -> FitResult:

@@ -149,6 +149,19 @@ def test_pretrain_and_downstream_flow(workdir):
     assert json.loads((workdir / "sup" / "result.json").read_text())["regime"] == "supervised"
 
 
+def test_checkpoint_is_required_exactly_by_the_downstream_commands_of_pretrained_regimes():
+    from csimae import evaluate as E
+
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    takes = {
+        name for name, parser in sub.choices.items()
+        for a in parser._actions if "--checkpoint" in a.option_strings and a.required
+    }
+    assert takes == {name for name, regime in cli.REGIME_OF.items() if regime in E.PRETRAINED_REGIMES}
+    assert takes == {"finetune", "probe"}
+    assert not any("--checkpoint" in a.option_strings for a in sub.choices["supervised"]._actions)
+
+
 def test_probe_without_checkpoint_fails(workdir, capsys):
     rc = cli.main(
         [
@@ -165,6 +178,16 @@ def test_probe_without_checkpoint_fails(workdir, capsys):
     )
     assert rc == 2
     assert "checkpoint" in capsys.readouterr().err
+
+
+def test_a_synth_task_that_generation_cannot_run_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "task.json"
+    config.write_text(json.dumps({"task": {"bandwidth": 160e6, "n_f": 4}}))
+    argv = ["synth-gen", "--config", str(config), "--clips-per-cell", "1", "--out", str(tmp_path / "gen")]
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "config" and "4 subcarriers cannot fill 8 channels" in err["message"]
+    assert not (tmp_path / "gen").exists()
 
 
 def test_pretrain_runs_are_bit_identical(workdir):
@@ -880,7 +903,7 @@ def test_sweep_trains_at_the_train_seed_it_records(workdir, tmp_path, monkeypatc
         pretrain_seeds.append(cfg.seed)
         return SimpleNamespace(params={}, best_value=1.0)
 
-    def fake_run_fold(manifest, store, fold, regimes, model_cfg, checkpoint):
+    def fake_run_fold(manifest, store, fold, regimes, encoder):
         train_seeds.append(fold.train_cfg.seed)
         return [SimpleNamespace(accuracy=0.5, n_test=16)]
 

@@ -1,5 +1,7 @@
 """Downstream regimes: feature extraction, freeze contracts, scoring rules."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -213,7 +215,7 @@ def test_linear_probe_never_mutates_encoder(tmp_path):
 def test_a_batch_size_other_than_the_train_configs_is_refused(tmp_path):
     manifest, clips = micro_corpus(tmp_path, clips_per_cell=2)
     with pytest.raises(E.EvalError, match="batch_size 8 differs from train_cfg.batch_size 16"):
-        E.run_regime("supervised", None, clips, clips, E.HeadConfig(2), micro_train_cfg(), micro_cfg(), batch_size=8)
+        E.run_regime("supervised", (None, micro_cfg()), clips, clips, E.HeadConfig(2), micro_train_cfg(), batch_size=8)
 
 
 def test_supervised_regime_ignores_checkpoint(tmp_path):
@@ -221,8 +223,10 @@ def test_supervised_regime_ignores_checkpoint(tmp_path):
     cfg = micro_cfg()
     train = [c for c in clips if c.labels["environment"] == "env0"]
     test = [c for c in clips if c.labels["environment"] == "env1"]
-    r = E.run_regime("supervised", None, train, test, E.HeadConfig(2), micro_train_cfg(), model_cfg=cfg)
+    r = E.run_regime("supervised", (None, cfg), train, test, E.HeadConfig(2), micro_train_cfg())
     assert r.regime == "supervised" and r.n_test == len(test)
+    pretrained = (M.init_params(cfg, seed=6), cfg)
+    assert E.run_regime("supervised", pretrained, train, test, E.HeadConfig(2), micro_train_cfg()) == r
 
 
 def test_regime_determinism(tmp_path):
@@ -230,8 +234,8 @@ def test_regime_determinism(tmp_path):
     cfg = micro_cfg()
     train = [c for c in clips if c.labels["environment"] == "env0"]
     test = [c for c in clips if c.labels["environment"] == "env1"]
-    a = E.run_regime("supervised", None, train, test, E.HeadConfig(2), micro_train_cfg(), model_cfg=cfg)
-    b = E.run_regime("supervised", None, train, test, E.HeadConfig(2), micro_train_cfg(), model_cfg=cfg)
+    a = E.run_regime("supervised", (None, cfg), train, test, E.HeadConfig(2), micro_train_cfg())
+    b = E.run_regime("supervised", (None, cfg), train, test, E.HeadConfig(2), micro_train_cfg())
     assert a.accuracy == b.accuracy and a.per_class == b.per_class
 
 
@@ -246,7 +250,7 @@ def test_unseen_test_classes_are_excluded_not_scored(tmp_path):
         labels={**test[0].labels, "class": "c9"},
         provenance=D.Provenance("ghost", 0, 0, 0, 0),
     )
-    r = E.run_regime("supervised", None, train, test + [fake], E.HeadConfig(2), micro_train_cfg(), model_cfg=cfg)
+    r = E.run_regime("supervised", (None, cfg), train, test + [fake], E.HeadConfig(2), micro_train_cfg())
     assert r.n_excluded == 1
     assert r.n_test == len(test)
 
@@ -407,11 +411,36 @@ def test_run_fold_scores_the_encoder_it_is_given_and_never_pretrains(tmp_path, m
 
     monkeypatch.setattr(R, "pretrain_arrays", spy)
     fold = E.plan_fold(manifest, split, micro_train_cfg(max_epochs=2), 1.0)
-    args = (manifest, tmp_path / "store", fold, ["lp", "ft"], micro_cfg())
-    results = E.run_fold(*args, checkpoint=params)
+    args = (manifest, tmp_path / "store", fold, ["lp", "ft"])
+    results = E.run_fold(*args, (params, micro_cfg()))
     assert [r.regime for r in results] == ["lp", "ft"]
     with pytest.raises(E.EvalError, match="needs a pretrained checkpoint"):
-        E.run_fold(*args)
+        E.run_fold(*args, (None, micro_cfg()))
+
+
+@pytest.mark.parametrize("pretrains", [True, False])
+def test_run_cell_hands_run_fold_the_pretrained_params_or_none_with_the_cells_model_config(
+    tmp_path, monkeypatch, pretrains
+):
+    manifest, _ = micro_corpus(tmp_path)
+    split = D.SplitSpec("leave_one_domain_out", "environment", "env1")
+    fold = E.plan_fold(manifest, split, micro_train_cfg(), 1.0)
+    cfg, pretrained, encoders = micro_cfg(), SimpleNamespace(params={"enc.cls": T.Tensor(np.zeros(1))}), []
+
+    def fake_run_fold(manifest, store, fold, regimes, encoder):
+        encoders.append(encoder)
+        return []
+
+    monkeypatch.setattr(R, "pretrain", lambda pool, store, model_cfg, pcfg: pretrained)
+    monkeypatch.setattr(E, "run_fold", fake_run_fold)
+    cell = E.Cell(fold, cfg, micro_train_cfg(warmup_steps=1) if pretrains else None, fold.train_ids)
+    got, results = E.run_cell(manifest, tmp_path / "store", cell, ["lp"] if pretrains else ["supervised"])
+    assert results == [] and len(encoders) == 1
+    assert encoders[0][1] is cfg
+    if pretrains:
+        assert got is pretrained and encoders[0][0] is pretrained.params
+    else:
+        assert got is None and encoders[0][0] is None
 
 
 def test_a_cell_refuses_a_pool_outside_the_training_side_or_one_that_cannot_train(tmp_path):
@@ -558,7 +587,7 @@ def test_run_fold_loads_only_the_labeled_and_the_test_clips(tmp_path, monkeypatc
     test_clips = D.load_clips(store, manifest, test_ids)
     desc = {"protocol": split.protocol, "domain_key": split.domain_key, "held_out_value": split.held_out_value}
     want = [
-        E.run_regime(r, (params, cfg), labeled, test_clips, E.HeadConfig(2), tcfg, cfg, split_desc=desc).to_json()
+        E.run_regime(r, (params, cfg), labeled, test_clips, E.HeadConfig(2), tcfg, split_desc=desc).to_json()
         for r in regimes
     ]
     real, loaded = D.load_clips, []
@@ -568,7 +597,7 @@ def test_run_fold_loads_only_the_labeled_and_the_test_clips(tmp_path, monkeypatc
         return real(store_dir, manifest, clip_ids)
 
     monkeypatch.setattr(D, "load_clips", spy)
-    got = E.run_fold(manifest, store, E.plan_fold(manifest, split, tcfg, 0.25), regimes, cfg, checkpoint=params)
+    got = E.run_fold(manifest, store, E.plan_fold(manifest, split, tcfg, 0.25), regimes, (params, cfg))
     assert loaded == [[c.clip_id for c in labeled], test_ids]
     assert len(labeled) == 4 and len(train_ids) == 12  # 2 of each class's 6
     assert [r.to_json() for r in got] == want

@@ -171,6 +171,28 @@ def test_infeasible_cell_count_rejected(tmp_path):
         S.generate_task(small_task(clips_per_cell=0), tmp_path)
 
 
+# specs that generation cannot run, each with its refusal; all but the negative sampling rate (once
+# refused as a Doppler above a negative Nyquist) passed construction and failed mid-generation with
+# a DataError, a HarmonizeError, a wrong "no clips" reason or a numpy error
+GENERATION_REFUSALS = {
+    "bandwidth-30MHz": (dict(bandwidth=30e6), r"bandwidth 30000000.0 Hz not in \(2"),
+    "n_apr-2": (dict(n_apr=2), "n_apr 2 is below the 3 antennas a receiver needs"),
+    "n_tx-0": (dict(n_tx=0), "n_tx must be an integer >= 1, got 0"),
+    "n_recv-0": (dict(n_recv=0), "n_recv must be an integer >= 1, got 0"),
+    "160MHz-4-subcarriers": (dict(bandwidth=160e6, n_f=4), "4 subcarriers cannot fill 8 channels"),
+    "seed-negative": (dict(seed=-1), "seed must be an integer >= 0, got -1"),
+    "seed-fractional": (dict(seed=1.5), "seed must be an integer >= 0, got 1.5"),
+    "sampling-rate-nan": (dict(sampling_rate=float("nan")), "sampling_rate must be > 0, got nan"),
+    "sampling-rate-negative": (dict(sampling_rate=-100.0), "sampling_rate must be > 0, got -100.0"),
+}
+
+
+@pytest.mark.parametrize("fields, refusal", GENERATION_REFUSALS.values(), ids=GENERATION_REFUSALS)
+def test_a_task_that_generation_cannot_run_is_refused_when_built(fields, refusal):
+    with pytest.raises(S.SceneError, match=refusal):
+        small_task(**fields)
+
+
 def doppler_profile(clip_data):
     """Mean magnitude spectrum over time, averaged across channels."""
     return np.abs(np.fft.rfft(clip_data, axis=0)).mean(axis=1)

@@ -474,6 +474,30 @@ def test_a_bad_shard_fails_pretrain_with_the_loaders_message(tmp_path, fault):
     assert ("truncated" if fault == "half-cut" else "null sentinels remain") in str(got.value)
 
 
+def test_frozen_passes_cover_the_items_in_order_on_graph_free_views_of_the_params():
+    params = {"w": T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)}
+    seen = []
+
+    def fn(sl, p):
+        seen.append((sl.start, sl.stop))
+        assert p.keys() == params.keys()
+        assert p["w"].data is params["w"].data and not p["w"].requires_grad  # shared, not copied
+        assert T.add(p["w"], p["w"])._backward is None  # so a pass builds no graph
+        return sl.stop - sl.start
+
+    assert R.frozen_passes(fn, params, 7, 3) == [3, 3, 1]
+    assert seen == [(0, 3), (3, 6), (6, 7)]
+    assert R.frozen_passes(fn, params, 6, 3) == [3, 3] and seen[3:] == [(0, 3), (3, 6)]
+    assert params["w"].requires_grad and params["w"].grad is None
+
+
+def test_a_pass_holds_a_batch_or_the_clips_pass_tokens_hold_if_fewer():
+    assert R.pass_size(128, 37) == R.PASS_TOKENS // 37 == 55  # desk clips
+    assert R.pass_size(32, 37) == 32
+    assert R.pass_size(128, 601) == 3  # paper small clips
+    assert R.pass_size(32, R.PASS_TOKENS + 1) == 1  # an item over the budget still passes, alone
+
+
 def test_masked_val_loss_builds_no_graph_and_keeps_the_graph_passes_bits(monkeypatch):
     cfg = desk_model_cfg()
     model = M.MaskedAutoencoder(cfg, seed=[3, 0])
